@@ -113,7 +113,6 @@ KINDS = (
 _MAP_KINDS = ("1d", "gaussian-linear", "product", "radial")
 _RADIAL_FAMILIES = ("uniform-ball", "gaussian")
 _BANK_SELECTORS = ("coordinates", "mean", "max", "log-sum-exp", "distance-to-anchor")
-_SINKHORN_PARTS = ("gaussian", "product")
 _OUT_ENV = "OTSPEC_OUT"
 
 _DEFAULT_MAP = {
@@ -400,7 +399,7 @@ def config_from_dict(data):
 
     if "experiments" in data:
         v = data["experiments"]
-        known = _SINKHORN_PARTS if kind == "sinkhorn2d" else _known_labels()
+        known = _SINKHORN_CASES if kind == "sinkhorn2d" else _known_labels()
         if v == "default":
             out["experiments"] = "default"
         elif isinstance(v, list) and v and all(isinstance(e, str) for e in v):
@@ -631,7 +630,12 @@ def _run_geometry(cfg):
         worst["triangle"] = max(
             worst["triangle"], d - spd_distance(a, c) - spd_distance(c, b)
         )
-        t = s.standard_normal((n, n)) + 3.0 * np.eye(n)
+        # congruence with singular values in [e^-1.5, e^1.5]: an
+        # ill-conditioned t contaminates t.T @ a @ t at the
+        # eps * cond(t)^2 level, which would swamp the 1e-9 margin
+        qu, _ = np.linalg.qr(s.standard_normal((n, n)))
+        qv, _ = np.linalg.qr(s.standard_normal((n, n)))
+        t = qu @ np.diag(np.exp(s.uniform(-1.5, 1.5, size=n))) @ qv
         conj = spd_distance(SpdMatrix(t.T @ a.values @ t), SpdMatrix(t.T @ b.values @ t))
         worst["affine"] = max(worst["affine"], abs(conj - d) / scale)
         inv = spd_distance(
@@ -792,16 +796,6 @@ def _run_gamma2(cfg):
     return records, []
 
 
-def _gauss_cross_pair():
-    c1, s1 = math.cos(0.5), math.sin(0.5)
-    c2, s2 = math.cos(-0.7), math.sin(-0.7)
-    q1 = np.array([[c1, -s1], [s1, c1]])
-    q2 = np.array([[c2, -s2], [s2, c2]])
-    g1 = GaussianMeasure([-0.3, 0.2], q1 @ np.diag([0.36, 0.3025]) @ q1.T)
-    g2 = GaussianMeasure([0.5, -0.4], q2 @ np.diag([0.25, 0.2025]) @ q2.T)
-    return g1, g2
-
-
 def _central_disk_points(g, count, seed):
     # uniform draw over the central 50% mass ellipse of a 2D gaussian
     s = rng.stream(seed, 3)
@@ -821,95 +815,92 @@ def _map_agreement(got, ref):
     return float(np.max(err / scale))
 
 
-def _sinkhorn_gaussian_part(cfg, records, dumps):
-    g1, g2 = _gauss_cross_pair()
+def _gaussian_case(seed):
+    c1, s1 = math.cos(0.5), math.sin(0.5)
+    c2, s2 = math.cos(-0.7), math.sin(-0.7)
+    q1 = np.array([[c1, -s1], [s1, c1]])
+    q2 = np.array([[c2, -s2], [s2, c2]])
+    g1 = GaussianMeasure([-0.3, 0.2], q1 @ np.diag([0.36, 0.3025]) @ q1.T)
+    g2 = GaussianMeasure([0.5, -0.4], q2 @ np.diag([0.25, 0.2025]) @ q2.T)
     box = ((-3.3, 3.3), (-3.3, 3.3))
-    mu = discretize(g1, box, cfg.grid, cfg.grid)
-    nu = discretize(g2, box, cfg.grid, cfg.grid)
-    plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
-    oracle = brenier_gaussian(g1, g2)
-    _rec(
-        records,
-        "marginal-error[gaussian]",
-        "sinkhorn-marginals",
-        plan.marginal_error,
-        1e-8,
-        plan.marginal_error <= 1e-8,
-    )
-    pts = _central_disk_points(g1, 200, cfg.seed)
-    agree = _map_agreement(entropic_map(plan, pts), oracle.map_points(pts))
-    _rec(records, "map-agreement[gaussian]", "oracle-agreement", agree, 0.05, agree <= 0.05)
-    a = oracle.matrix.values
-    herr = 0.0
-    for p in pts[:60:5]:
-        h = hessian_fd(plan, p).values
-        herr = max(herr, float(np.linalg.norm(h - a, 2) / np.linalg.norm(a, 2)))
-    _rec(records, "hessian-agreement[gaussian]", "oracle-agreement", herr, 0.05, herr <= 0.05)
-    samples = entropic_spectral_samples(
-        plan, g1, min(cfg.samples, 5000), seed=cfg.seed, label="sinkhorn2d:gaussian"
-    )
-    _variance_records(records, variance_report(samples), prefix="[gaussian]")
-    if cfg.dump_samples:
-        dumps.append(("sinkhorn2d:gaussian", samples.spectra))
+    pts = _central_disk_points(g1, 200, seed)
+    return g1, g2, box, box, brenier_gaussian(g1, g2), pts, pts[:60:5]
 
 
-def _sinkhorn_product_part(cfg, records, dumps):
+def _product_case(seed):
     f1s = regularize(make_catalog_measure("uniform", (0.0, 1.0)), 8)
     f2s = make_catalog_measure("gaussian", (0.0, 0.45))
     f1t = make_catalog_measure("gaussian", (0.3, 0.5))
     f2t = make_catalog_measure("gaussian", (-0.2, 0.4))
-    src = ProductMeasure([f1s, f2s])
-    dst = ProductMeasure([f1t, f2t])
-    mu = discretize(src, ((-0.8, 1.8), (-2.5, 2.5)), cfg.grid, cfg.grid)
-    nu = discretize(dst, ((-2.5, 3.1), (-2.4, 2.0)), cfg.grid, cfg.grid)
-    plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
     oracle = brenier_product([brenier_1d(f1s, f1t), brenier_1d(f2s, f2t)])
+    # central 50% mass rectangle of the product source
+    p_lo = 0.5 - math.sqrt(0.5) / 2.0
+    p_hi = 1.0 - p_lo
+    x0, x1 = float(f1s.quantile(p_lo)), float(f1s.quantile(p_hi))
+    y0, y1 = float(f2s.quantile(p_lo)), float(f2s.quantile(p_hi))
+
+    def rect(k):
+        gx, gy = np.linspace(x0, x1, k), np.linspace(y0, y1, k)
+        return np.column_stack([a.ravel() for a in np.meshgrid(gx, gy, indexing="ij")])
+
+    return (
+        ProductMeasure([f1s, f2s]),
+        ProductMeasure([f1t, f2t]),
+        ((-0.8, 1.8), (-2.5, 2.5)),
+        ((-2.5, 3.1), (-2.4, 2.0)),
+        oracle,
+        rect(12),
+        rect(5),
+    )
+
+
+# part -> (source, target, source box, target box, oracle, map-agreement
+# points, Hessian points); the points depend on the seed
+_SINKHORN_CASES = {"gaussian": _gaussian_case, "product": _product_case}
+
+
+def _sinkhorn_part(cfg, part, records, dumps):
+    src, dst, src_box, dst_box, oracle, map_pts, hess_pts = _SINKHORN_CASES[part](cfg.seed)
+    mu = discretize(src, src_box, cfg.grid, cfg.grid)
+    nu = discretize(dst, dst_box, cfg.grid, cfg.grid)
+    plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
     _rec(
         records,
-        "marginal-error[product]",
+        f"marginal-error[{part}]",
         "sinkhorn-marginals",
         plan.marginal_error,
         1e-8,
         plan.marginal_error <= 1e-8,
     )
-    # central 50% mass rectangle of the product source
-    p_lo = 0.5 - math.sqrt(0.5) / 2.0
-    p_hi = 1.0 - p_lo
-    (x0, x1) = (float(f1s.quantile(p_lo)), float(f1s.quantile(p_hi)))
-    (y0, y1) = (float(f2s.quantile(p_lo)), float(f2s.quantile(p_hi)))
-    gx, gy = np.linspace(x0, x1, 12), np.linspace(y0, y1, 12)
-    pts = np.column_stack([a.ravel() for a in np.meshgrid(gx, gy, indexing="ij")])
-    agree = _map_agreement(entropic_map(plan, pts), oracle.map_points(pts))
-    _rec(records, "map-agreement[product]", "oracle-agreement", agree, 0.05, agree <= 0.05)
+    agree = _map_agreement(entropic_map(plan, map_pts), oracle.map_points(map_pts))
+    _rec(records, f"map-agreement[{part}]", "oracle-agreement", agree, 0.05, agree <= 0.05)
     herr = 0.0
-    for xv in np.linspace(x0, x1, 5):
-        for yv in np.linspace(y0, y1, 5):
-            p = np.array([xv, yv])
-            h = hessian_fd(plan, p).values
-            ref = oracle.hessian(p).values
-            herr = max(herr, float(np.linalg.norm(h - ref, 2) / np.linalg.norm(ref, 2)))
-    _rec(records, "hessian-agreement[product]", "oracle-agreement", herr, 0.05, herr <= 0.05)
+    for p in hess_pts:
+        h = hessian_fd(plan, p).values
+        ref = oracle.hessian(p).values
+        herr = max(herr, float(np.linalg.norm(h - ref, 2) / np.linalg.norm(ref, 2)))
+    _rec(records, f"hessian-agreement[{part}]", "oracle-agreement", herr, 0.05, herr <= 0.05)
+    label = f"sinkhorn2d:{part}"
     samples = entropic_spectral_samples(
-        plan, src, min(cfg.samples, 5000), seed=cfg.seed, label="sinkhorn2d:product"
+        plan, src, min(cfg.samples, 5000), seed=cfg.seed, label=label
     )
-    _variance_records(records, variance_report(samples), prefix="[product]")
+    _variance_records(records, variance_report(samples), prefix=f"[{part}]")
     if cfg.dump_samples:
-        dumps.append(("sinkhorn2d:product", samples.spectra))
+        dumps.append((label, samples.spectra))
 
 
 def _run_sinkhorn(cfg):
     """Grid-transport cross-validation against the closed-form maps."""
     records = []
     dumps = []
-    parts = _SINKHORN_PARTS if cfg.experiments == "default" else cfg.experiments
+    parts = _SINKHORN_CASES if cfg.experiments == "default" else cfg.experiments
     for part in parts:
-        body = _sinkhorn_gaussian_part if part == "gaussian" else _sinkhorn_product_part
         _guard(
             records,
             f"sinkhorn2d[{part}]",
             "oracle-agreement",
             0.05,
-            lambda body=body: body(cfg, records, dumps),
+            lambda part=part: _sinkhorn_part(cfg, part, records, dumps),
         )
     return records, dumps
 

@@ -53,12 +53,10 @@ __all__ = [
     "entropic_spectral_samples",
     "variance_report",
     "eigen_log_variance_quadrature_1d",
-    "eigen_log_variance_mc",
     "poincare_ratio",
     "quadform_poincare",
     "matrix_poincare",
     "exp_concentration",
-    "exp_concentration_sweep",
     "caffarelli_floor_check",
     "default_experiments",
     "default_directions",
@@ -515,14 +513,6 @@ def variance_report(samples):
     )
 
 
-def eigen_log_variance_mc(tm, n_samples, seed, label=None):
-    """Monte Carlo Var[log lambda_i] for an analytic map, per index."""
-    n_samples = int(n_samples)
-    if n_samples < 1000:
-        raise ValueError("Monte Carlo variance needs at least 1000 samples")
-    return variance_report(spectral_samples(tm, n_samples, seed, label=label))
-
-
 def _panel_nodes(nodes):
     """Dyadic panels of the trusted quantile window, with GL nodes on each.
 
@@ -681,11 +671,6 @@ def exp_concentration(samples, f, c):
     if float(np.max(z, initial=0.0)) > 700.0:
         return math.inf
     return float(np.sum(w * np.exp(z)))
-
-
-def exp_concentration_sweep(samples, f, c_grid):
-    """Calibration curve: the exponential moment on a grid of constants."""
-    return [(float(c), exp_concentration(samples, f, c)) for c in c_grid]
 
 
 # ------------------------------------------------------------ curvature floor

@@ -29,8 +29,6 @@ __all__ = [
     "CATALOG_NAMES",
     "make_catalog_measure",
     "make_radial_measure",
-    "cdf_and_quantile",
-    "sample",
     "regularize",
 ]
 
@@ -535,20 +533,6 @@ def make_catalog_measure(name, params):
     return cls(*params)
 
 
-def cdf_and_quantile(m, value, direction):
-    """Evaluate the CDF or the quantile of a 1D measure.
-
-    ``direction="cdf"`` maps a point of the support closure to [0, 1]
-    (clamping outside); ``direction="quantile"`` maps p in (0, 1) to the
-    support via the safeguarded-Newton inverse.
-    """
-    if direction == "cdf":
-        return m.cdf(value)
-    if direction == "quantile":
-        return m.quantile(value)
-    raise ValueError(f"direction must be 'cdf' or 'quantile', got {direction!r}")
-
-
 class GaussianMeasure:
     """Multivariate Gaussian with mean vector and SPD covariance."""
 
@@ -807,11 +791,6 @@ def make_radial_measure(family, dim, *params):
     return _RADIAL[family](dim, *[float(p) for p in params])
 
 
-def sample(m, rng, size=None):
-    """Draw from any measure type using the supplied RNG stream."""
-    return m.sample(rng, size=size)
-
-
 class _Regularized1D(LogConcaveMeasure1D):
     """Convolve with a narrow Gaussian, damp by a wide one, renormalize.
 
@@ -1051,14 +1030,6 @@ class _Regularized1D(LogConcaveMeasure1D):
 
     def _quantile_init(self, p):
         return self._approx_mean + self._approx_std * special.ndtri(p)
-
-    def gradient_fourth_moment(self, nodes=96):
-        """Monitored integral of |V_N'|^4 against the regularized density."""
-        u, w = np.polynomial.legendre.leggauss(nodes)
-        u = 0.5 * (u + 1.0) * (1.0 - 2e-7) + 1e-7
-        w = 0.5 * w * (1.0 - 2e-7)
-        x = self.quantile(u)
-        return float(np.sum(w * self.potential_d1(x) ** 4))
 
 
 def regularize(m, n):

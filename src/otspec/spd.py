@@ -18,14 +18,12 @@ __all__ = [
     "SymMatrix",
     "LogSpectrum",
     "MajorizationReport",
-    "matrix_function",
     "spd_distance",
     "local_norm",
     "geodesic_point",
     "curve_length",
     "log_eigen_map",
     "log_quadratic_form",
-    "volume_ratio",
     "majorization_check",
     "numeric_upper_gradient",
     "spectrum_derivative",
@@ -173,25 +171,6 @@ def _coerce_sym(b):
     return b if isinstance(b, SymMatrix) else SymMatrix(b)
 
 
-def matrix_function(a, f):
-    """Evaluate a scalar function of an SPD matrix in its eigenbasis.
-
-    Parameters
-    ----------
-    a : SpdMatrix
-    f : callable
-        Scalar function defined on the positive axis, applied to the
-        eigenvalues (vectorized or scalar-broadcastable).
-
-    Returns
-    -------
-    SymMatrix
-        Σ f(λᵢ) vᵢ ⊗ vᵢ.
-    """
-    a = _coerce_spd(a)
-    return SymMatrix(a.apply_scalar(f))
-
-
 def spd_distance(a, b):
     """Riemannian distance ‖log(A^{-1/2} B A^{-1/2})‖ between SPD matrices.
 
@@ -323,22 +302,6 @@ def log_quadratic_form(a, v):
     if not np.any(v != 0.0):
         raise ValueError("direction vector must be nonzero")
     return float(np.log(v @ a.values @ v))
-
-
-def volume_ratio(t, k):
-    """Product of the k largest singular values of a square matrix.
-
-    This is the maximal k-dimensional volume expansion factor of the
-    linear map; for SPD input it is the product of the k largest
-    eigenvalues.
-    """
-    t = _as_square_array(t, "volume_ratio input")
-    n = t.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}, got {k}")
-    s = np.linalg.svd(t, compute_uv=False)
-    return float(np.prod(s[:k]))
 
 
 class MajorizationReport:

@@ -1,66 +1,28 @@
 """End-to-end acceptance gate.
 
 Eight timed suites, one per advertised guarantee, each printing a single
-PASS/FAIL line (visible through pytest's capture).  Tolerances and time
-budgets are stated inline; a suite fails on any violated bound or a
-blown budget.
+PASS/FAIL line (visible through pytest's capture).  Suites 1-3, 5, 6 and 8
+run the ``otspec`` experiment kinds and fail on any failed record, so the
+tolerances are the records' own; suites 4 and 7 check claims no kind
+computes and state theirs inline.  Time budgets are stated inline; a suite
+fails on any violated bound or a blown budget.
 """
 
-import math
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from otspec import rng
-from otspec.brenier import brenier_1d, brenier_gaussian, brenier_product, brenier_radial
+from otspec.brenier import brenier_1d
+from otspec.cli import config_from_dict, run_experiment
 from otspec.concentration import (
     caffarelli_floor_check,
     default_experiments,
     eigen_log_variance_quadrature_1d,
-    entropic_spectral_samples,
-    exp_concentration,
-    function_bank,
-    poincare_ratio,
     spectral_samples,
     variance_report,
 )
-from otspec.entropic import (
-    default_eps_schedule,
-    discretize,
-    entropic_map,
-    hessian_fd,
-    sinkhorn_solve,
-)
-from otspec.gamma2 import (
-    PhiPartialTestFunction,
-    bmatrix_certificate,
-    bochner_residual,
-    contracted_tensors,
-    gamma2_expanded,
-    gamma2_lower_bound,
-    make_test_function,
-    operator_L,
-    synthetic_triple,
-    triple_consistency_residual,
-)
-from otspec.measures import (
-    CATALOG_NAMES,
-    GaussianMeasure,
-    ProductMeasure,
-    make_catalog_measure,
-    make_radial_measure,
-    regularize,
-)
-from otspec.spd import (
-    SpdMatrix,
-    curve_length,
-    geodesic_point,
-    log_eigen_map,
-    log_quadratic_form,
-    random_spd,
-    spd_distance,
-)
+from otspec.measures import CATALOG_NAMES, make_catalog_measure, regularize
 
 # canonical catalog parameters for grid sweeps
 CANON = {
@@ -74,7 +36,8 @@ CANON = {
     "subbotin": (3.0,),
 }
 
-_DIMS = (2, 3, 4, 5, 6, 7, 8)
+# records of the geometry self-test that suite 2 owns; suite 1 owns the rest
+_LIPSCHITZ_CLAIMS = ("lipschitz-quadform", "lipschitz-spectral-map", "sorted-spectra-bound")
 
 
 def _report(capfd, index, label, failures, elapsed, budget):
@@ -87,78 +50,48 @@ def _report(capfd, index, label, failures, elapsed, budget):
     assert elapsed < budget, f"{label} took {elapsed:.1f}s, budget {budget:.0f}s"
 
 
-def test_metric_suite(capfd):
+def _run(kind, **overrides):
+    return run_experiment(config_from_dict({"kind": kind, **overrides}))
+
+
+def _failed(records):
+    return [
+        f"{r.name}: value {r.value:.3e}, tolerance {r.tolerance:.3e}"
+        + (f" ({r.note})" if r.note else "")
+        for r in records
+        if not r.passed
+    ]
+
+
+@pytest.fixture(scope="module")
+def geometry():
+    return _run("geometry-selftest")
+
+
+def test_metric_suite(capfd, geometry):
     # symmetry, triangle inequality, affine and inversion invariance on
     # 1000 random pairs with margin >= -1e-9; geodesic length matches the
-    # distance to 1e-4 on 1000-sample curves
+    # distance to 1e-4 on 1000-sample curves.  The shared self-test run
+    # counts against this suite's budget.
     t0 = perf_counter()
-    failures = []
-    s = rng.stream(2024, 101)
-    worst = {"sym": 0.0, "tri": -math.inf, "aff": 0.0, "inv": 0.0}
-    for i in range(1000):
-        n = _DIMS[i % len(_DIMS)]
-        a, b, c = (random_spd(s, n) for _ in range(3))
-        d = spd_distance(a, b)
-        scale = 1.0 + d
-        worst["sym"] = max(worst["sym"], abs(d - spd_distance(b, a)) / scale)
-        worst["tri"] = max(worst["tri"], d - spd_distance(a, c) - spd_distance(c, b))
-        # random congruence with singular values in [e^-1.5, e^1.5]: an
-        # ill-conditioned t contaminates t.T @ a @ t at the
-        # eps * cond(t)^2 level, which would swamp the 1e-9 margin
-        qu, _ = np.linalg.qr(s.standard_normal((n, n)))
-        qv, _ = np.linalg.qr(s.standard_normal((n, n)))
-        t = qu @ np.diag(np.exp(s.uniform(-1.5, 1.5, size=n))) @ qv
-        conj = spd_distance(SpdMatrix(t.T @ a.values @ t), SpdMatrix(t.T @ b.values @ t))
-        worst["aff"] = max(worst["aff"], abs(conj - d) / scale)
-        inv = spd_distance(
-            SpdMatrix(np.linalg.inv(a.values)), SpdMatrix(np.linalg.inv(b.values))
-        )
-        worst["inv"] = max(worst["inv"], abs(inv - d) / scale)
-    for key, name in [("sym", "symmetry"), ("tri", "triangle"),
-                      ("aff", "affine invariance"), ("inv", "inversion invariance")]:
-        if worst[key] > 1e-9:
-            failures.append(f"{name} margin {worst[key]:.3e} > 1e-9")
-
-    ts = np.linspace(0.0, 1.0, 1000)
-    geo_worst = 0.0
-    for i in range(50):
-        n = _DIMS[i % len(_DIMS)]
-        a, b = random_spd(s, n), random_spd(s, n)
-        pts = np.stack([geodesic_point(a, b, t).values for t in ts])
-        geo_worst = max(geo_worst, abs(curve_length(pts) - spd_distance(a, b)))
-    if geo_worst > 1e-4:
-        failures.append(f"geodesic length error {geo_worst:.3e} > 1e-4")
-
-    _report(capfd, 1, "metric suite", failures, perf_counter() - t0, 30.0)
+    records = [r for r in geometry.records if r.claim not in _LIPSCHITZ_CLAIMS]
+    failures = _failed(records)
+    if len(records) != 6:
+        failures.append(f"expected 6 metric records, got {len(records)}")
+    elapsed = geometry.wall_clock_seconds + perf_counter() - t0
+    _report(capfd, 1, "metric suite", failures, elapsed, 30.0)
 
 
-def test_lipschitz_functionals(capfd):
+def test_lipschitz_functionals(capfd, geometry):
     # the log quadratic form and the sorted log-spectrum map are
     # 1-Lipschitz for the manifold distance, and the sorted-spectra bound
     # sum((log a_i - log b_i)^2) <= d(A,B)^2 holds; slack >= -1e-9 on
     # 1000 random pairs
     t0 = perf_counter()
-    failures = []
-    s = rng.stream(2024, 102)
-    worst_q = -math.inf
-    worst_l = -math.inf
-    worst_s = -math.inf
-    for i in range(1000):
-        n = _DIMS[i % len(_DIMS)]
-        a, b = random_spd(s, n), random_spd(s, n)
-        d = spd_distance(a, b)
-        v = s.standard_normal(n)
-        worst_q = max(worst_q, abs(log_quadratic_form(a, v) - log_quadratic_form(b, v)) - d)
-        gap = log_eigen_map(a).values - log_eigen_map(b).values
-        worst_l = max(worst_l, float(np.linalg.norm(gap)) - d)
-        worst_s = max(worst_s, float(np.sum(gap**2)) - d * d)
-    if worst_q > 1e-9:
-        failures.append(f"quadratic-form slack {worst_q:.3e} > 1e-9")
-    if worst_l > 1e-9:
-        failures.append(f"spectral-map slack {worst_l:.3e} > 1e-9")
-    if worst_s > 1e-9:
-        failures.append(f"sorted-spectra slack {worst_s:.3e} > 1e-9")
-
+    records = [r for r in geometry.records if r.claim in _LIPSCHITZ_CLAIMS]
+    failures = _failed(records)
+    if len(records) != len(_LIPSCHITZ_CLAIMS):
+        failures.append(f"expected {len(_LIPSCHITZ_CLAIMS)} Lipschitz records, got {len(records)}")
     _report(capfd, 2, "Lipschitz functionals", failures, perf_counter() - t0, 10.0)
 
 
@@ -170,49 +103,7 @@ def test_operator_identity_suite(capfd):
     # potential quadratic forms to 1e-9 relative, geometric-decomposition
     # residual <= 1e-6, iterate floor margin >= -1e-9
     t0 = perf_counter()
-    failures = []
-    worst_cons = 0.0
-    worst_eig = 0.0
-    worst_cert = 0.0
-    worst_boch = 0.0
-    worst_margin = math.inf
-    for case in range(21):
-        dim = (1, 2, 3)[case % 3]
-        s = rng.stream(2024, 103, case)
-        t = synthetic_triple(s, dim, delta=0.3)
-        u = make_test_function(s, dim)
-        pts = s.uniform(-0.9, 0.9, size=(100, dim))
-        for x in pts:
-            ct = contracted_tensors(t, x)
-            worst_cons = max(
-                worst_cons,
-                float(np.max(np.abs(triple_consistency_residual(t, x, tensors=ct)))),
-            )
-            vg = t.v_grad(x)
-            for k in range(dim):
-                got = operator_L(t, PhiPartialTestFunction(t, k), x, tensors=ct)
-                worst_eig = max(worst_eig, abs(got + vg[k]))
-            expanded = gamma2_expanded(t, u, x, tensors=ct)
-            lower = gamma2_lower_bound(t, u, x, tensors=ct)
-            cert = bmatrix_certificate(t, u, x, tensors=ct)
-            ug = u.grad(x)
-            v_mid = ct.inv @ t.v_hess(x) @ ct.inv
-            w_mid = t.w_hess(t.phi_grad(x))
-            split = cert + lower + 0.5 * float(ug @ (v_mid + w_mid) @ ug)
-            worst_cert = max(worst_cert, abs(expanded - split) / (1.0 + abs(expanded)))
-            worst_boch = max(worst_boch, abs(bochner_residual(t, u, x, tensors=ct)))
-            worst_margin = min(worst_margin, expanded - lower)
-    if worst_cons > 1e-8:
-        failures.append(f"conservation residual {worst_cons:.3e} > 1e-8")
-    if worst_eig > 1e-8:
-        failures.append(f"eigenrelation residual {worst_eig:.3e} > 1e-8")
-    if worst_cert > 1e-9:
-        failures.append(f"certificate split residual {worst_cert:.3e} > 1e-9")
-    if worst_boch > 1e-6:
-        failures.append(f"decomposition residual {worst_boch:.3e} > 1e-6")
-    if worst_margin < -1e-9:
-        failures.append(f"iterate floor margin {worst_margin:.3e} < -1e-9")
-
+    failures = _failed(_run("gamma2-check", triples=21).records)
     _report(capfd, 3, "operator identity suite", failures, perf_counter() - t0, 120.0)
 
 
@@ -267,21 +158,11 @@ def test_poincare_ratios(capfd):
     # Var[f] / (4 E|grad f|^2) <= 1 within 3 standard errors for the
     # fixed bank over every catalog experiment; at least 40 cells
     t0 = perf_counter()
-    failures = []
-    cells = 0
-    for label, tm in default_experiments():
-        samples = spectral_samples(tm, 100_000, seed=2024, label=label)
-        for f in function_bank(samples.dim):
-            rep = poincare_ratio(samples, f)
-            cells += 1
-            if not rep.within(1.0):
-                failures.append(
-                    f"{label}:{f.name}: ratio {rep.value:.4f} "
-                    f"(se {rep.standard_error:.2e}) exceeds 1"
-                )
+    records = _run("poincare").records
+    failures = _failed(records)
+    cells = sum(1 for r in records if r.name.startswith("poincare["))
     if cells < 40:
         failures.append(f"only {cells} cells, need >= 40")
-
     _report(capfd, 5, "poincare ratios", failures, perf_counter() - t0, 300.0)
 
 
@@ -289,24 +170,14 @@ def test_exponential_moments(capfd):
     # E exp(0.1 |f - mean|) <= 2 over the same cells; the calibration
     # sweep over c is printed alongside the verdict
     t0 = perf_counter()
-    failures = []
-    banked = []
-    for label, tm in default_experiments():
-        samples = spectral_samples(tm, 100_000, seed=2024, label=label)
-        for f in function_bank(samples.dim):
-            m = exp_concentration(samples, f, 0.1)
-            if m > 2.0:
-                failures.append(f"{label}:{f.name}: moment {m:.4f} > 2 at c=0.1")
-            banked.append((samples, f))
-    sweep = []
-    for c in (0.02, 0.05, 0.1, 0.15, 0.2):
-        sweep.append((c, max(exp_concentration(s, f, c) for s, f in banked)))
+    records = _run("concentration").records
+    failures = _failed(records)
+    sweep = [r for r in records if r.name.startswith("exp-moment-sweep[")]
     with capfd.disabled():
         print(
             "        sweep max-over-cells: "
-            + "  ".join(f"c={c:g}:{m:.4f}" for c, m in sweep)
+            + "  ".join(f"{r.name[len('exp-moment-sweep['):-1]}:{r.value:.4f}" for r in sweep)
         )
-
     _report(capfd, 6, "exponential moments", failures, perf_counter() - t0, 120.0)
 
 
@@ -356,91 +227,20 @@ def test_regularization_properties(capfd):
     _report(capfd, 7, "regularization properties", failures, perf_counter() - t0, 60.0)
 
 
-def _rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def _central_disk(g, count):
-    s = rng.stream(2024, 104)
-    r50 = math.sqrt(2.0 * math.log(2.0))
-    z = s.standard_normal((count, 2))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    z *= np.sqrt(s.uniform(0.0, 1.0, size=(count, 1))) * r50
-    return g.mean + z @ np.linalg.cholesky(g.covariance.values).T
-
-
-def _agreement(got, ref):
-    err = np.linalg.norm(got - ref, axis=1)
-    scale = np.maximum(
-        np.linalg.norm(ref, axis=1),
-        math.sqrt(float(np.mean(np.sum(ref**2, axis=1)))),
-    )
-    return float(np.max(err / scale))
-
-
 def test_grid_transport_cross_validation(capfd):
     # 64x64 grid plans against the closed-form constructions: map and
     # Hessian within 5% on the central 50% mass region; the grid-based
     # log-spectrum variances carry the approximate flag
     t0 = perf_counter()
-    failures = []
-
-    q1, q2 = _rotation(0.5), _rotation(-0.7)
-    g1 = GaussianMeasure([-0.3, 0.2], q1 @ np.diag([0.36, 0.3025]) @ q1.T)
-    g2 = GaussianMeasure([0.5, -0.4], q2 @ np.diag([0.25, 0.2025]) @ q2.T)
-    box = ((-3.3, 3.3), (-3.3, 3.3))
-    plan = sinkhorn_solve(
-        discretize(g1, box, 64, 64),
-        discretize(g2, box, 64, 64),
-        default_eps_schedule(discretize(g1, box, 64, 64), discretize(g2, box, 64, 64)),
-        max_iter=5000,
-    )
-    oracle = brenier_gaussian(g1, g2)
-    pts = _central_disk(g1, 200)
-    agree = _agreement(entropic_map(plan, pts), oracle.map_points(pts))
-    if agree > 0.05:
-        failures.append(f"gaussian map agreement {agree:.4f} > 0.05")
-    a = oracle.matrix.values
-    herr = 0.0
-    for p in pts[:60:5]:
-        h = hessian_fd(plan, p).values
-        herr = max(herr, float(np.linalg.norm(h - a, 2) / np.linalg.norm(a, 2)))
-    if herr > 0.05:
-        failures.append(f"gaussian Hessian agreement {herr:.4f} > 0.05")
-    samples = entropic_spectral_samples(plan, g1, 2000, seed=2024)
-    rep = variance_report(samples)
-    if not (samples.approximate and rep.approximate):
-        failures.append("gaussian grid variance lost its approximate flag")
-
-    f1s = regularize(make_catalog_measure("uniform", (0.0, 1.0)), 8)
-    f2s = make_catalog_measure("gaussian", (0.0, 0.45))
-    f1t = make_catalog_measure("gaussian", (0.3, 0.5))
-    f2t = make_catalog_measure("gaussian", (-0.2, 0.4))
-    mu = discretize(ProductMeasure([f1s, f2s]), ((-0.8, 1.8), (-2.5, 2.5)), 64, 64)
-    nu = discretize(ProductMeasure([f1t, f2t]), ((-2.5, 3.1), (-2.4, 2.0)), 64, 64)
-    plan2 = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
-    oracle2 = brenier_product([brenier_1d(f1s, f1t), brenier_1d(f2s, f2t)])
-    p_lo = 0.5 - math.sqrt(0.5) / 2.0
-    p_hi = 1.0 - p_lo
-    x0, x1 = float(f1s.quantile(p_lo)), float(f1s.quantile(p_hi))
-    y0, y1 = float(f2s.quantile(p_lo)), float(f2s.quantile(p_hi))
-    gx, gy = np.linspace(x0, x1, 12), np.linspace(y0, y1, 12)
-    pts2 = np.column_stack([v.ravel() for v in np.meshgrid(gx, gy, indexing="ij")])
-    agree2 = _agreement(entropic_map(plan2, pts2), oracle2.map_points(pts2))
-    if agree2 > 0.05:
-        failures.append(f"product map agreement {agree2:.4f} > 0.05")
-    herr2 = 0.0
-    for xv in np.linspace(x0, x1, 5):
-        for yv in np.linspace(y0, y1, 5):
-            p = np.array([xv, yv])
-            h = hessian_fd(plan2, p).values
-            ref = oracle2.hessian(p).values
-            herr2 = max(herr2, float(np.linalg.norm(h - ref, 2) / np.linalg.norm(ref, 2)))
-    if herr2 > 0.05:
-        failures.append(f"product Hessian agreement {herr2:.4f} > 0.05")
-    samples2 = entropic_spectral_samples(plan2, ProductMeasure([f1s, f2s]), 2000, seed=2024)
-    if not variance_report(samples2).approximate:
-        failures.append("product grid variance lost its approximate flag")
-
+    records = _run("sinkhorn2d").records
+    failures = _failed(records)
+    for part in ("gaussian", "product"):
+        variances = [r for r in records if r.name.startswith(f"var-log-eig[{part}]")]
+        if not variances:
+            failures.append(f"{part}: no grid variance records")
+        failures += [
+            f"{r.name} lost its approximate flag"
+            for r in variances
+            if r.claim != "variance-bound-approximate"
+        ]
     _report(capfd, 8, "grid transport cross-validation", failures, perf_counter() - t0, 300.0)

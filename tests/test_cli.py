@@ -353,6 +353,14 @@ class TestRunExperiment:
         assert "geodesic-length" in claims
         assert "sorted-spectra-bound" in claims
 
+    @pytest.mark.parametrize("seed", [5, 8, 11])
+    def test_geometry_selftest_passes_at_seed(self, seed):
+        # seeds whose affine-invariance check once failed under an
+        # ill-conditioned congruence; the default pair count reaches them
+        cfg = config_from_dict({"kind": "geometry-selftest", "seed": seed})
+        report = run_experiment(cfg)
+        assert [r.name for r in report.records if not r.passed] == []
+
     def test_gamma2_check_small(self):
         cfg = config_from_dict(
             {"kind": "gamma2-check", "triples": 3, "points": 10, "dims": [1, 2, 3]}

@@ -27,11 +27,9 @@ from otspec.concentration import (
     caffarelli_floor_check,
     default_directions,
     default_experiments,
-    eigen_log_variance_mc,
     eigen_log_variance_quadrature_1d,
     entropic_spectral_samples,
     exp_concentration,
-    exp_concentration_sweep,
     function_bank,
     function_bank_1d,
     matrix_function_bank,
@@ -197,7 +195,7 @@ class TestMonteCarloVariance:
         s = rng.stream(2024, 10, 4)
         mu = GaussianMeasure(np.zeros(4), random_spd(s, 4, log_spread=1.5))
         nu = GaussianMeasure(np.ones(4), random_spd(s, 4, log_spread=1.5))
-        rep = eigen_log_variance_mc(brenier_gaussian(mu, nu), 5000, seed=1)
+        rep = variance_report(spectral_samples(brenier_gaussian(mu, nu), 5000, seed=1))
         assert rep.max_variance <= 1e-12
         assert rep.sample_count == 5000
         assert not rep.approximate
@@ -233,13 +231,9 @@ class TestMonteCarloVariance:
                 make_radial_measure("uniform-ball", d),
                 make_radial_measure("gaussian", d),
             )
-            rep = eigen_log_variance_mc(tm, 20_000, seed=11 + d)
+            rep = variance_report(spectral_samples(tm, 20_000, seed=11 + d))
             assert rep.max_variance <= 4.0 + 3.0 * float(np.max(rep.standard_errors))
             assert np.all(rep.standard_errors > 0.0)
-
-    def test_rejects_small_samples(self, product_map):
-        with pytest.raises(ValueError, match="at least 1000"):
-            eigen_log_variance_mc(product_map, 100, seed=0)
 
     def test_empty_set_is_refused(self):
         empty = SpectralSampleSet(
@@ -451,10 +445,9 @@ class TestExpConcentration:
 
     def test_sweep_is_monotone(self, radial_samples):
         f = function_bank(3)[0]
-        curve = exp_concentration_sweep(radial_samples, f, np.arange(0.05, 0.55, 0.05))
-        vals = [v for _, v in curve]
+        vals = [exp_concentration(radial_samples, f, c) for c in np.arange(0.05, 0.55, 0.05)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert len(curve) == 10
+        assert len(vals) == 10
 
     def test_overflow_reports_infinity(self):
         spectra = np.zeros((100, 1))

@@ -11,11 +11,9 @@ from otspec.measures import (
     CATALOG_NAMES,
     GaussianMeasure,
     ProductMeasure,
-    cdf_and_quantile,
     make_catalog_measure,
     make_radial_measure,
     regularize,
-    sample,
 )
 
 SMOOTH_MEMBERS = [
@@ -190,39 +188,32 @@ class TestCdfQuantile:
         q = m.quantile(np.linspace(0.001, 0.999, 250))
         assert np.all(np.diff(q) > 0)
 
-    def test_dispatch_helper(self):
-        m = make_catalog_measure("gaussian", (0.0, 1.0))
-        assert cdf_and_quantile(m, 0.0, "cdf") == pytest.approx(0.5)
-        assert cdf_and_quantile(m, 0.5, "quantile") == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError, match="direction"):
-            cdf_and_quantile(m, 0.5, "pdf")
-
 
 class TestSampling:
     def test_streams_are_reproducible(self):
         m = make_catalog_measure("logistic", (0.0, 1.0))
-        a = sample(m, rng.stream(11, 0), size=100)
-        b = sample(m, rng.stream(11, 0), size=100)
-        c = sample(m, rng.stream(11, 1), size=100)
+        a = m.sample(rng.stream(11, 0), size=100)
+        b = m.sample(rng.stream(11, 0), size=100)
+        c = m.sample(rng.stream(11, 1), size=100)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_gaussian_sample_mean(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
-        x = sample(m, rng.stream(2024, 7), size=1_000_000)
+        x = m.sample(rng.stream(2024, 7), size=1_000_000)
         assert abs(x.mean()) < 0.004
         assert abs(x.var() - 1.0) < 0.01
 
     def test_exponential_sample_moments(self):
         m = make_catalog_measure("exponential", (2.0,))
-        x = sample(m, rng.stream(2024, 8), size=200_000)
+        x = m.sample(rng.stream(2024, 8), size=200_000)
         assert x.min() > 0
         assert abs(x.mean() - 0.5) < 0.005
 
     def test_radial_ball_half_radius_mass(self):
         ball = make_radial_measure("uniform-ball", 2)
         assert ball.radial_cdf(0.5) == pytest.approx(0.25, abs=1e-15)
-        pts = sample(ball, rng.stream(2024, 9), size=200_000)
+        pts = ball.sample(rng.stream(2024, 9), size=200_000)
         frac = np.mean(np.linalg.norm(pts, axis=1) <= 0.5)
         assert abs(frac - 0.25) < 0.004
 
@@ -404,7 +395,3 @@ class TestRegularize:
         x = r.quantile(p)
         assert np.max(np.abs(r.quantile(r.cdf(x)) - x)) < 1e-9
         assert np.all(np.diff(x) > 0)
-
-    def test_gradient_fourth_moment_finite(self, reg_uniform_10):
-        val = reg_uniform_10.gradient_fourth_moment()
-        assert np.isfinite(val) and val > 0

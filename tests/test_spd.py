@@ -13,12 +13,10 @@ from otspec.spd import (
     log_eigen_map,
     log_quadratic_form,
     majorization_check,
-    matrix_function,
     numeric_upper_gradient,
     random_spd,
     spd_distance,
     spectrum_derivative,
-    volume_ratio,
 )
 
 
@@ -55,20 +53,20 @@ class TestMatrixFunction:
         rng = stream(11, 0)
         a = random_spd(rng, 4)
         np.testing.assert_allclose(
-            matrix_function(a, lambda w: w).values, a.values, atol=1e-12
+            a.apply_scalar(lambda w: w), a.values, atol=1e-12
         )
 
     def test_log_diagonal(self):
         a = SpdMatrix(np.diag([np.e, np.e**2]))
         np.testing.assert_allclose(
-            matrix_function(a, np.log).values, np.diag([1.0, 2.0]), atol=1e-14
+            a.apply_scalar(np.log), np.diag([1.0, 2.0]), atol=1e-14
         )
 
     def test_sqrt_squares_back(self):
         rng = stream(11, 1)
         for _ in range(20):
             a = random_spd(rng, 5)
-            r = matrix_function(a, np.sqrt).values
+            r = a.apply_scalar(np.sqrt)
             np.testing.assert_allclose(
                 r @ r, a.values, atol=1e-10 * np.linalg.norm(a.values)
             )
@@ -76,7 +74,7 @@ class TestMatrixFunction:
     def test_domain_error_names_eigenvalue(self):
         a = SpdMatrix(np.diag([2.0, 0.5]))
         with pytest.raises(ValueError, match="not finite at eigenvalue"):
-            matrix_function(a, lambda w: np.log(w - 1.0))
+            a.apply_scalar(lambda w: np.log(w - 1.0))
 
 
 class TestDistance:
@@ -254,28 +252,6 @@ class TestLogQuadraticForm:
             v = rng.standard_normal(n)
             gap = abs(log_quadratic_form(a, v) - log_quadratic_form(b, v))
             assert gap <= spd_distance(a, b) * (1 + 1e-9)
-
-
-class TestVolumeRatio:
-    def test_identity(self):
-        assert volume_ratio(np.eye(3), 2) == 1.0
-
-    def test_top_two_product(self):
-        assert volume_ratio(np.diag([3.0, 2.0, 1.0]), 2) == pytest.approx(6.0)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="k must lie"):
-            volume_ratio(np.eye(3), 4)
-
-    def test_submultiplicative(self):
-        rng = stream(11, 12)
-        for _ in range(300):
-            n = int(rng.integers(2, 7))
-            s, t = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-            for k in range(1, n + 1):
-                lhs = volume_ratio(s @ t, k)
-                rhs = volume_ratio(s, k) * volume_ratio(t, k)
-                assert lhs <= rhs * (1 + 1e-9)
 
 
 class TestMajorization:
