@@ -671,9 +671,12 @@ def _run_geometry(cfg):
     return records, []
 
 
-def _variance_records(records, rep, prefix=""):
+def _variance_records(records, rep, prefix="", samples=None):
+    """Variance and margin records; ``samples`` adds its dropped-draw counts."""
     claim = "variance-bound-approximate" if rep.approximate else "variance-bound"
     note = "approximate" if rep.approximate else ""
+    if samples is not None:
+        note += f" skipped={samples.skipped} flagged={samples.flagged}"
     for i in range(rep.variances.shape[0]):
         v = float(rep.variances[i])
         se = float(rep.standard_errors[i])
@@ -884,7 +887,7 @@ def _sinkhorn_part(cfg, part, records, dumps):
     samples = entropic_spectral_samples(
         plan, src, min(cfg.samples, 5000), seed=cfg.seed, label=label
     )
-    _variance_records(records, variance_report(samples), prefix=f"[{part}]")
+    _variance_records(records, variance_report(samples), prefix=f"[{part}]", samples=samples)
     if cfg.dump_samples:
         dumps.append((label, samples.spectra))
 

@@ -13,13 +13,27 @@ every logsumexp over the plane is two one-dimensional logsumexps.  All
 updates run in the log domain throughout; the weights of a discretized
 Gaussian span hundreds of orders of magnitude and linear-domain scaling
 would underflow at the epsilon values the map estimates need.
+
+Memory is bounded at any grid the config accepts (up to 512 nodes per
+axis).  Each Sinkhorn log-sum-exp stage and each ``entropic_map`` batch
+works through one preallocated block of 2**17 float64 (1 MiB), or of one
+(n, n) slice where that is larger (2 MiB at grid 512), instead of
+materializing (n, n, n) or (points, n, n) tensors.
+
+Inside a block the exponents are max-shifted and then clamped at -700
+before ``exp``.  numpy's ``exp`` is an order of magnitude slower below
+about -708 and slower still in the subnormal range, and at the epsilon
+floor most kernel terms sit there.  The clamp is exact in float64: a
+clamped term is below 1e-304 and the shifted sum is at least 1 (its
+largest term is exp(0)), so even the 2**18 terms of a 512 x 512 slice
+move the sum by less than 1e-298, far below one ulp.  Slices whose terms
+are all -inf (zero-weight nodes) are set back to -inf explicitly.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .measures import GaussianMeasure, ProductMeasure, RadialMeasure
 from .spd import SpdMatrix
@@ -36,6 +50,11 @@ __all__ = [
 ]
 
 _COVERAGE = 1.0 - 1e-6
+# float64 elements in one kernel block (1 MiB): small enough to stay in
+# a per-core L2 cache, which measured faster than 2**18 or 2**20
+_BLOCK = 1 << 17
+# exponents are clamped here after the max-shift; see the module docstring
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -175,19 +194,46 @@ def _log_weights(g):
         return np.log(g.weights)
 
 
+def _logsumexp_outer(lead, tail):
+    """log sum_i exp(lead[i, p] + tail[i, q]) as a (p, q) array.
+
+    Works through the p axis in blocks of ``_BLOCK`` elements (at least
+    one p row), each filled, max-shifted, floored, exponentiated and summed
+    in place.
+    A slice whose terms are all -inf (zero-weight nodes) yields -inf.
+    """
+    n, p = lead.shape
+    q = tail.shape[1]
+    rows = max(1, _BLOCK // (n * q))
+    buf = np.empty((n, min(rows, p), q))
+    out = np.empty((p, q))
+    for lo in range(0, p, rows):
+        hi = min(lo + rows, p)
+        blk = buf[:, : hi - lo]
+        np.add(lead[:, lo:hi, None], tail[:, None, :], out=blk)
+        top = blk.max(axis=0)
+        dead = np.isneginf(top)
+        top[dead] = 0.0
+        blk -= top
+        np.maximum(blk, _EXP_FLOOR, out=blk)
+        np.exp(blk, out=blk)
+        res = out[lo:hi]
+        np.log(blk.sum(axis=0), out=res)
+        res += top
+        res[dead] = -np.inf
+    return out
+
+
 def _half_update(dx, dy, pot_plus_logw, eps):
     """One side of the Sinkhorn step, factorized along grid axes.
 
     dx, dy : (n_from_x, n_to_x), (n_from_y, n_to_y) negated squared
     half-distances between axis nodes.  pot_plus_logw lives on the "from"
-    grid; the result is -eps * logsumexp over it, on the "to" grid.
+    grid; the result is the logsumexp over it, on the "to" grid.
     """
-    inner = pot_plus_logw / eps
-    # stage 1: collapse the x axis of the source grid
-    a = logsumexp(dx[:, :, None] / eps + inner[:, None, :], axis=0)
-    # stage 2: collapse the y axis
-    b = logsumexp(dy[None, :, :] / eps + a[:, :, None], axis=1)
-    return b
+    # stage 1 collapses the x axis of the from grid, stage 2 the y axis
+    a = _logsumexp_outer(dx / eps, pot_plus_logw / eps)
+    return _logsumexp_outer(a.T, dy / eps)
 
 
 def sinkhorn_solve(mu, nu, eps_schedule, max_iter=2000, tol=1e-8):
@@ -205,8 +251,6 @@ def sinkhorn_solve(mu, nu, eps_schedule, max_iter=2000, tol=1e-8):
         raise ValueError("final epsilon must be positive")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("epsilon schedule must be strictly decreasing")
-    if mu.xs.size * mu.ys.size == 0 or nu.xs.size * nu.ys.size == 0:
-        raise ValueError("empty grids")
 
     log_mu = _log_weights(mu)
     log_nu = _log_weights(nu)
@@ -256,24 +300,15 @@ def sinkhorn_solve(mu, nu, eps_schedule, max_iter=2000, tol=1e-8):
     )
 
 
-def _conditional_log_weights(plan, pts):
-    """Unnormalized log weights of the plan's conditional at each point.
-
-    Returns an (m, nx_t, ny_t) array over target nodes; the barycentric
-    map is the softmax average of the node coordinates under it.
-    """
-    nu = plan.target
-    base = plan.g / plan.eps + _log_weights(nu)
-    ax = -0.5 * (pts[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps  # (m, nx_t)
-    ay = -0.5 * (pts[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps  # (m, ny_t)
-    return base[None, :, :] + ax[:, :, None] + ay[:, None, :]
-
-
 def entropic_map(plan, x):
     """Barycentric projection of the plan's conditional at x.
 
     Accepts a single point (2,) or a batch (m, 2); refuses points
     outside the source box, where the conditional is pure extrapolation.
+    The conditional's log weights over the target nodes are
+    g / eps + log nu - |x - y|^2 / (2 eps); the map is their softmax
+    average of the node coordinates, taken in blocks of ``_BLOCK``
+    elements (at least one point).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -286,16 +321,28 @@ def entropic_map(plan, x):
     if not np.all(ok):
         bad = pts[~ok][0]
         raise ValueError(f"point {bad} lies outside the source box")
-    out = np.empty_like(pts)
     nu = plan.target
-    for lo in range(0, pts.shape[0], 256):
-        chunk = pts[lo : lo + 256]
-        lw = _conditional_log_weights(plan, chunk)
-        lw -= lw.max(axis=(1, 2), keepdims=True)
-        w = np.exp(lw)
-        w /= w.sum(axis=(1, 2), keepdims=True)
-        out[lo : lo + 256, 0] = np.einsum("mpq,p->m", w, nu.xs)
-        out[lo : lo + 256, 1] = np.einsum("mpq,q->m", w, nu.ys)
+    base = plan.g / plan.eps + _log_weights(nu)
+    step = max(1, _BLOCK // base.size)
+    buf = np.empty((min(step, pts.shape[0]),) + base.shape)
+    ones_x, ones_y = np.ones(nu.xs.size), np.ones(nu.ys.size)
+    out = np.empty_like(pts)
+    for lo in range(0, pts.shape[0], step):
+        chunk = pts[lo : lo + step]
+        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps  # (k, nx_t)
+        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps  # (k, ny_t)
+        blk = buf[: chunk.shape[0]]
+        np.add(base[None, :, :], ax[:, :, None], out=blk)
+        blk += ay[:, None, :]
+        blk -= blk.max(axis=(1, 2), keepdims=True)
+        np.maximum(blk, _EXP_FLOOR, out=blk)
+        np.exp(blk, out=blk)
+        # marginals over the target axes; matmul reduces faster than sum
+        wx = blk @ ones_y  # (k, nx_t)
+        wy = ones_x @ blk  # (k, ny_t)
+        total = wx.sum(axis=1)
+        out[lo : lo + step, 0] = wx @ nu.xs / total
+        out[lo : lo + step, 1] = wy @ nu.ys / total
     return out[0] if single else out
 
 

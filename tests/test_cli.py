@@ -437,6 +437,16 @@ class TestMain:
         path = _write(tmp_path, cfg)
         code = main(["sinkhorn2d", "--config", path, "--out", str(tmp_path)])
         assert code == 1
+        # the variance records name the draws the estimator dropped
+        (report,) = tmp_path.glob("sinkhorn2d-*.json")
+        notes = {
+            r["name"]: r["note"] for r in json.loads(report.read_text())["records"]
+        }
+        for name in (
+            "var-log-eig[gaussian][0]", "var-log-eig[gaussian][1]",
+            "bound-margin[gaussian][0]", "bound-margin[gaussian][1]",
+        ):
+            assert notes[name] == "approximate skipped=1 flagged=0"
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance", "bogus": 1})

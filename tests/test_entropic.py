@@ -2,11 +2,13 @@
 estimates against the analytic constructions they approximate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from otspec import rng
+from otspec import entropic, rng
 from otspec.brenier import brenier_1d, brenier_gaussian, brenier_product
 from otspec.entropic import (
     EntropicPlan,
@@ -79,6 +81,64 @@ def self_setup():
     mu = discretize(g, box, 48, 48)
     plan = sinkhorn_solve(mu, mu, default_eps_schedule(mu, mu), max_iter=5000)
     return g, plan
+
+
+def _axis_kernels(mu, nu):
+    # the negated squared half-distances sinkhorn_solve feeds _half_update,
+    # for the f-update (summing over nu) and the g-update (summing over mu)
+    dx = -0.5 * (nu.xs[:, None] - mu.xs[None, :]) ** 2
+    dy = -0.5 * (nu.ys[:, None] - mu.ys[None, :]) ** 2
+    return (dx, dy), (dx.T.copy(), dy.T.copy())
+
+
+def _half_update_reference(dx, dy, pot_plus_logw, eps):
+    # the unblocked two-stage kernel: n^3 temporaries, scipy's logsumexp
+    inner = pot_plus_logw / eps
+    a = logsumexp(dx[:, :, None] / eps + inner[:, None, :], axis=0)
+    return logsumexp(dy[None, :, :] / eps + a[:, :, None], axis=1)
+
+
+def _entropic_map_reference(plan, pts):
+    # dense softmax over the whole (points, nx_t, ny_t) block
+    nu = plan.target
+    with np.errstate(divide="ignore"):
+        base = plan.g / plan.eps + np.log(nu.weights)
+    ax = -0.5 * (pts[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps
+    ay = -0.5 * (pts[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps
+    lw = base[None, :, :] + ax[:, :, None] + ay[:, None, :]
+    lw -= lw.max(axis=(1, 2), keepdims=True)
+    w = np.exp(lw)
+    w /= w.sum(axis=(1, 2), keepdims=True)
+    return np.column_stack(
+        [np.einsum("mpq,p->m", w, nu.xs), np.einsum("mpq,q->m", w, nu.ys)]
+    )
+
+
+def _assert_logs_agree(got, ref):
+    assert got.shape == ref.shape
+    live = ~np.isneginf(ref)
+    assert np.array_equal(~np.isneginf(got), live)
+    assert np.all(np.isfinite(ref[live]))
+    assert np.max(np.abs(got[live] - ref[live])) <= 1e-12
+
+
+def _holey_grid(nx, ny, lo, hi, zero_rows, zero_cols):
+    # a gaussian bump on a rectangular lattice with whole rows and columns
+    # of zero weight, so the first log-sum-exp stage has all -inf slices
+    xs = np.linspace(lo, hi, nx)
+    ys = np.linspace(lo, hi, ny)
+    w = np.exp(-(xs[:, None] ** 2 + 0.7 * ys[None, :] ** 2))
+    w[list(zero_rows), :] = 0.0
+    w[:, list(zero_cols)] = 0.0
+    w[nx // 2, ny // 3] = 0.0
+    return GridMeasure(xs, ys, w / w.sum(), ((lo, hi), (lo, hi)))
+
+
+@pytest.fixture(scope="module")
+def holey_pair():
+    mu = _holey_grid(20, 24, -2.0, 2.0, zero_rows=(0, 7), zero_cols=(3, 23))
+    nu = _holey_grid(18, 22, -1.8, 2.2, zero_rows=(17,), zero_cols=(0, 10))
+    return mu, nu
 
 
 def _central_points(g1, count=200):
@@ -327,3 +387,105 @@ class TestHessianEstimate:
         )
         with pytest.raises(ArithmeticError, match="not positive definite"):
             hessian_fd(plan, np.array([0.3, 0.3]), h=0.1)
+
+
+class TestKernelOracle:
+    """The blocked, floored kernels against the dense scipy computations."""
+
+    @staticmethod
+    def _check_half_updates(mu, nu, f, g):
+        (dxf, dyf), (dxg, dyg) = _axis_kernels(mu, nu)
+        sched = default_eps_schedule(mu, nu)
+        with np.errstate(divide="ignore"):
+            log_mu, log_nu = np.log(mu.weights), np.log(nu.weights)
+        for eps in (sched[0], sched[-1]):
+            for dx, dy, pot in (
+                (dxf, dyf, g + eps * log_nu),
+                (dxg, dyg, f + eps * log_mu),
+            ):
+                _assert_logs_agree(
+                    entropic._half_update(dx, dy, pot, eps),
+                    _half_update_reference(dx, dy, pot, eps),
+                )
+
+    def test_half_update_matches_scipy_on_gaussian_grid(self, gauss_setup):
+        _, _, plan, _ = gauss_setup
+        self._check_half_updates(plan.source, plan.target, plan.f, plan.g)
+
+    def test_half_update_matches_scipy_with_zero_weight_nodes(self, holey_pair):
+        mu, nu = holey_pair
+        s = rng.stream(71, 2)
+        f = s.standard_normal(mu.shape)
+        g = s.standard_normal(nu.shape)
+        self._check_half_updates(mu, nu, f, g)
+
+    def test_blocked_stage_matches_scipy_across_blocks(self, holey_pair, monkeypatch):
+        # a block budget that splits the p axis unevenly, with -inf slices
+        mu, _ = holey_pair
+        with np.errstate(divide="ignore"):
+            tail = np.log(mu.weights) / 0.01
+        lead = -0.5 * (mu.xs[:, None] - np.linspace(-2.5, 2.5, 13)[None, :]) ** 2 / 0.01
+        ref = logsumexp(lead[:, :, None] + tail[:, None, :], axis=0)
+        assert np.any(np.isneginf(ref))
+        monkeypatch.setattr(entropic, "_BLOCK", 5 * mu.weights.size)
+        _assert_logs_agree(entropic._logsumexp_outer(lead, tail), ref)
+
+    def test_entropic_map_matches_dense_softmax(self, gauss_setup):
+        g1, _, plan, _ = gauss_setup
+        (x0, x1), (y0, y1) = plan.source.box
+        corners = np.array([[x0, y0], [x1, y1], [x0, y1], [x1, y0]])
+        pts = np.vstack([_central_points(g1, count=300), corners])
+        got = entropic_map(plan, pts)
+        ref = _entropic_map_reference(plan, pts)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_entropic_map_matches_dense_softmax_across_blocks(
+        self, holey_pair, monkeypatch
+    ):
+        # zero-weight target nodes, and a budget of 7 points per block
+        mu, nu = holey_pair
+        plan = EntropicPlan(
+            source=mu, target=nu, f=np.zeros(mu.shape),
+            g=rng.stream(71, 3).standard_normal(nu.shape) * 0.01,
+            eps=0.02, marginal_error=0.0,
+        )
+        pts = rng.stream(71, 4).uniform(-2.0, 2.0, size=(40, 2))
+        monkeypatch.setattr(entropic, "_BLOCK", 7 * nu.weights.size)
+        got = entropic_map(plan, pts)
+        assert np.max(np.abs(got - _entropic_map_reference(plan, pts))) <= 1e-12
+
+
+def _uniform_grid(n):
+    xs = np.linspace(-1.0, 1.0, n)
+    return GridMeasure(xs, xs, np.full((n, n), 1.0 / (n * n)), ((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """Working memory of the kernels is bounded by their block budgets."""
+
+    def test_half_update_peak_is_bounded_on_grid_256(self):
+        grid = _uniform_grid(256)
+        (dx, dy), _ = _axis_kernels(grid, grid)
+        eps = 1.2 * grid.spacing[0] ** 2
+        pot = eps * np.log(grid.weights)
+        peak = _traced_peak(entropic._half_update, dx, dy, pot, eps)
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_entropic_map_peak_is_bounded_on_grid_256(self):
+        grid = _uniform_grid(256)
+        plan = EntropicPlan(
+            source=grid, target=grid, f=np.zeros(grid.shape), g=np.zeros(grid.shape),
+            eps=1.2 * grid.spacing[0] ** 2, marginal_error=0.0,
+        )
+        pts = rng.stream(71, 5).uniform(-1.0, 1.0, size=(512, 2))
+        peak = _traced_peak(entropic_map, plan, pts)
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
