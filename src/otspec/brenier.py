@@ -203,8 +203,13 @@ class RadialMap(TransportMap):
     def __init__(self, source, target):
         super().__init__(source.dim, source, target)
         # the profile is regular at the origin (phi ~ phi'(0) r), so only the
-        # outer quantile edge needs clipping
-        u = np.linspace(0.0, 1.0 - _EDGE, self._SPLINE_NODES)
+        # outer quantile edge needs clipping; toward that edge a target tail
+        # grows like sqrt(-log(1 - u)), so half the nodes are uniform in u and
+        # half uniform in -log(1 - u)
+        half = self._SPLINE_NODES // 2
+        u_lin = np.linspace(0.0, 1.0 - _EDGE, half)
+        u_log = -np.expm1(-np.linspace(0.0, -math.log(_EDGE), half + 2)[1:-1])
+        u = np.union1d(u_lin, u_log)
         r_nodes = source.radial_quantile(u)
         phi_nodes = target.radial_quantile(u)
         self._r_hi = float(r_nodes[-1])

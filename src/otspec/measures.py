@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _QUAD_ATOL = 1e-12
+# absolute roundoff allowed in a CDF value; the catalog and node-table CDFs
+# stay below 3e-15, and a closed quantile bracket whose residual exceeds
+# this straddles a jump of the CDF, not a root
+_CDF_ROUNDOFF = 1e-13
 
 
 def _integrate(f, a, b, points=None):
@@ -121,51 +125,106 @@ class LogConcaveMeasure1D:
         return 0.5 * (lo + hi)
 
     def _bracket(self, p):
-        """Per-element interval [lo, hi] with cdf(lo) ≤ p ≤ cdf(hi)."""
+        """Per-element interval [lo, hi] with cdf(lo) ≤ p ≤ cdf(hi).
+
+        An infinite end doubles its distance from the center, for the
+        elements it does not yet bracket only, up to 2**89 scales out.
+        """
         a, b = self.support
         center, scale = self._location_scale()
         lo = np.full_like(p, a if np.isfinite(a) else center - scale)
         hi = np.full_like(p, b if np.isfinite(b) else center + scale)
-        if not np.isfinite(a):
+        sides = ((lo, a, -1.0, np.greater), (hi, b, 1.0, np.less))
+        for end, edge, sign, short in sides:
+            if np.isfinite(edge):
+                continue
+            bad = np.flatnonzero(short(self.cdf(end), p))
             for k in range(1, 90):
-                bad = self.cdf(lo) > p
-                if not np.any(bad):
+                if bad.size == 0:
                     break
-                lo = np.where(bad, center - scale * 2.0**k, lo)
-        if not np.isfinite(b):
-            for k in range(1, 90):
-                bad = self.cdf(hi) < p
-                if not np.any(bad):
-                    break
-                hi = np.where(bad, center + scale * 2.0**k, hi)
+                end[bad] = center + sign * scale * 2.0**k
+                bad = bad[short(self.cdf(end[bad]), p[bad])]
+            if bad.size:
+                raise ArithmeticError(
+                    f"{self.name}: quantile bracket search failed for {bad.size} "
+                    f"of {p.size} probabilities (widest bracket "
+                    f"[{lo.min():.6g}, {hi.max():.6g}])"
+                )
         return lo, hi
 
     def quantile(self, p):
-        """Inverse CDF by safeguarded Newton with bisection fallback."""
+        """Inverse CDF by safeguarded Newton with bisection fallback.
+
+        Each element stops on its own, as soon as one of these holds at a
+        point x inside the support:
+
+        - |F(x) - p| is within one spacing of p;
+        - its Newton step is below 1e-15 (1 + |x|) and stays in the support;
+        - its bracket has closed to twice that width while |F(x) - p| is
+          within ``_CDF_ROUNDOFF``; this catches CDFs whose roundoff is
+          larger than both tests above, and never a CDF that jumps.
+
+        ``cdf`` and ``pdf`` see only the elements still active, and the
+        closed-form start is tested before any bracket is searched: an
+        exact start costs one ``cdf`` call, and the bracket search runs only
+        for the elements the start does not settle.  A Newton step that
+        leaves the bracket, or fails to halve the previous move, is replaced
+        by bisection.  An element still active after 80 evaluations raises
+        ``ArithmeticError``.
+        """
         p_in = np.asarray(p, dtype=float)
-        scalar = p_in.ndim == 0
-        p_arr = np.atleast_1d(p_in).astype(float)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+        p_all = p_in.ravel()
+        if np.any((p_all <= 0.0) | (p_all >= 1.0)):
             raise ValueError("quantile probability must lie strictly in (0, 1)")
-        lo, hi = self._bracket(p_arr)
-        x = np.clip(np.atleast_1d(self._quantile_init(p_arr)), lo, hi)
+        x_all = np.array(self._quantile_init(p_all), dtype=float).reshape(p_all.shape)
+        a, b = self.support
+        idx = np.arange(p_all.size)
+        p_act, x = p_all, x_all.copy()
+        lo = hi = None
+        moved = np.full_like(x, np.inf)
         for _ in range(80):
-            f = self.cdf(x) - p_arr
-            lo = np.where(f <= 0.0, x, lo)
-            hi = np.where(f >= 0.0, x, hi)
+            f = self.cdf(x) - p_act
             dens = self.pdf(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = f / dens
-            trial = x - step
-            fallback = (
-                ~np.isfinite(trial) | (trial <= lo) | (trial >= hi) | (dens <= 0.0)
+                newton = x - step
+            tol = 1e-15 * (1.0 + np.abs(x))
+            inside = (x > a) & (x < b)
+            at_root = inside & (np.abs(f) <= np.spacing(p_act))
+            newton_done = (
+                ~at_root & (newton > a) & (newton < b) & (np.abs(step) <= tol)
             )
-            trial = np.where(fallback, 0.5 * (lo + hi), trial)
-            if np.all(np.abs(trial - x) <= 1e-15 * (1.0 + np.abs(x))):
-                x = trial
+            active = ~(at_root | newton_done)
+            if lo is None:
+                lo, hi = np.full_like(x, -np.inf), np.full_like(x, np.inf)
+                if np.any(active):
+                    lo[active], hi[active] = self._bracket(p_act[active])
+            lo = np.where(f <= 0.0, np.maximum(lo, x), lo)
+            hi = np.where(f >= 0.0, np.minimum(hi, x), hi)
+            closed = (
+                active & inside & (hi - lo <= 2.0 * tol) & (np.abs(f) <= _CDF_ROUNDOFF)
+            )
+            x_all[idx[at_root | closed]] = x[at_root | closed]
+            x_all[idx[newton_done]] = newton[newton_done]
+            active &= ~closed
+            idx, p_act, x, dens, step, newton, lo, hi, moved = (
+                v[active] for v in (idx, p_act, x, dens, step, newton, lo, hi, moved)
+            )
+            if idx.size == 0:
                 break
-            x = trial
-        return float(x[0]) if scalar else x
+            fallback = (
+                ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | (dens <= 0.0)
+                | (np.abs(step) > 0.5 * moved)
+            )
+            trial = np.where(fallback, 0.5 * (lo + hi), newton)
+            moved, x = np.abs(trial - x), trial
+        else:
+            raise ArithmeticError(
+                f"{self.name}: quantile solve left {idx.size} of {p_all.size} "
+                f"probabilities unconverged after 80 iterations (widest bracket "
+                f"{np.max(hi - lo):.3e})"
+            )
+        return float(x_all[0]) if p_in.ndim == 0 else x_all.reshape(p_in.shape)
 
     def sample(self, rng, size=None):
         return self.quantile(rng.uniform(size=size))

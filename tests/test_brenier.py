@@ -311,6 +311,20 @@ class TestRadialMap:
         r = mu.radial_quantile(np.linspace(0.001, 0.999, 400))
         assert np.max(np.abs(tm.profile_fast(r) - tm.profile(r))) < 1e-7
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_fast_log_variance_matches_exact_at_ball_edge(self, dim):
+        # the target tail sqrt(-2 log(1 - u)) is steepest at the ball edge;
+        # spline nodes uniform in u alone shift Var[log lambda_rad] by 3e-3
+        tm = brenier_radial(
+            make_radial_measure("uniform-ball", dim),
+            make_radial_measure("gaussian", dim),
+        )
+        pts = tm.source.sample(rng.stream(2024, 50 + dim), size=100_000)
+        r = np.linalg.norm(pts, axis=1)
+        fast = np.log(tm._eigen_pair(r, fast=True))
+        exact = np.log(tm._eigen_pair(r))
+        assert np.all(np.abs(np.var(fast, axis=1) - np.var(exact, axis=1)) <= 1e-5)
+
     def test_residual_bound(self):
         mu = make_radial_measure("uniform-ball", 3, 1.0)
         nu = make_radial_measure("gaussian", 3, 1.0)

@@ -10,6 +10,7 @@ from otspec import rng
 from otspec.measures import (
     CATALOG_NAMES,
     GaussianMeasure,
+    LogConcaveMeasure1D,
     ProductMeasure,
     make_catalog_measure,
     make_radial_measure,
@@ -187,6 +188,177 @@ class TestCdfQuantile:
         m = make_catalog_measure("gamma", (2.0, 1.0))
         q = m.quantile(np.linspace(0.001, 0.999, 250))
         assert np.all(np.diff(q) > 0)
+
+
+def _full_batch_quantile(m, p):
+    """Reference solver: one safeguarded Newton loop over the whole batch.
+
+    Every element is iterated until every element's move is below
+    1e-15 (1 + |x|), from a bracket searched for every element.
+    """
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    a, b = m.support
+    center, scale = m._location_scale()
+    lo = np.full_like(p, a if np.isfinite(a) else center - scale)
+    hi = np.full_like(p, b if np.isfinite(b) else center + scale)
+    if not np.isfinite(a):
+        for k in range(1, 90):
+            bad = m.cdf(lo) > p
+            if not np.any(bad):
+                break
+            lo = np.where(bad, center - scale * 2.0**k, lo)
+    if not np.isfinite(b):
+        for k in range(1, 90):
+            bad = m.cdf(hi) < p
+            if not np.any(bad):
+                break
+            hi = np.where(bad, center + scale * 2.0**k, hi)
+    x = np.clip(np.atleast_1d(m._quantile_init(p)), lo, hi)
+    for _ in range(80):
+        f = m.cdf(x) - p
+        lo = np.where(f <= 0.0, x, lo)
+        hi = np.where(f >= 0.0, x, hi)
+        dens = m.pdf(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / dens
+        trial = x - step
+        fallback = (
+            ~np.isfinite(trial) | (trial <= lo) | (trial >= hi) | (dens <= 0.0)
+        )
+        trial = np.where(fallback, 0.5 * (lo + hi), trial)
+        if np.all(np.abs(trial - x) <= 1e-15 * (1.0 + np.abs(x))):
+            return trial
+        x = trial
+    return x
+
+
+def _counting_cdf(m, monkeypatch):
+    """Wrap ``m.cdf``; the returned list holds the size of every call."""
+    sizes = []
+    cdf = m.cdf
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return cdf(x)
+
+    monkeypatch.setattr(m, "cdf", counted)
+    return sizes
+
+
+class _JumpMeasure(LogConcaveMeasure1D):
+    """Stub whose CDF jumps from 1/4 to 3/4 at 0 and carries no density."""
+
+    name = "jump"
+
+    def __init__(self):
+        super().__init__((-np.inf, np.inf))
+
+    def cdf(self, x):
+        return np.where(np.asarray(x, dtype=float) < 0.0, 0.25, 0.75)
+
+    def pdf(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def _quantile_init(self, p):
+        return np.full_like(p, 3.0)
+
+
+def _assert_matches_full_batch_oracle(m, p):
+    """Residual within 4e-15, and agreement with the oracle in probability."""
+    x = m.quantile(p)
+    assert np.max(np.abs(m.cdf(x) - p)) <= 4e-15
+    ref = _full_batch_quantile(m, p)
+    assert np.max(np.abs(x - ref) * m.pdf(x)) <= 1e-14
+
+
+class TestQuantileSolver:
+    @pytest.mark.parametrize("name,params", ALL_MEMBERS)
+    def test_matches_full_batch_oracle(self, name, params):
+        _assert_matches_full_batch_oracle(
+            make_catalog_measure(name, params),
+            rng.stream(2024, 40).uniform(size=100_000),
+        )
+
+    @pytest.mark.parametrize(
+        "base,params", [("uniform", (0.0, 1.0)), ("beta", (2.0, 3.0))]
+    )
+    def test_regularized_matches_full_batch_oracle(self, base, params):
+        # the oracle iterates the whole batch 80 times through the node
+        # table, about 2 s per 1e4 draws
+        _assert_matches_full_batch_oracle(
+            regularize(make_catalog_measure(base, params), 10),
+            rng.stream(2024, 41).uniform(size=10_000),
+        )
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("gaussian", (0.0, 1.0)),
+            ("logistic", (1.0, 0.5)),
+            ("laplace", (0.5, 2.0)),
+            ("beta", (2.0, 5.0)),
+            ("gamma", (3.0, 2.0)),
+            ("exponential", (1.5,)),
+            ("uniform", (0.0, 1.0)),
+        ],
+    )
+    def test_cdf_work_is_about_one_evaluation_per_draw(
+        self, name, params, monkeypatch
+    ):
+        m = make_catalog_measure(name, params)
+        p = rng.stream(2024, 42).uniform(size=100_000)
+        sizes = _counting_cdf(m, monkeypatch)
+        m.quantile(p)
+        assert sum(sizes) <= 1.05 * p.size
+
+    def test_exact_start_comes_back_after_one_cdf_call(self, monkeypatch):
+        m = make_catalog_measure("gaussian", (0.0, 1.0))
+        grid = np.linspace(0.01, 0.99, 99)
+        start = m._quantile_init(grid)
+        p = grid[m.cdf(start) == grid][-1:]
+        assert p.size == 1 and p[0] != 0.5
+        x0 = m._quantile_init(p)
+        sizes = _counting_cdf(m, monkeypatch)
+        x = m.quantile(p)
+        assert sizes == [1]
+        assert x[0] == x0[0]
+
+    def test_converges_where_cdf_roundoff_exceeds_the_step_tests(self):
+        # subbotin(1.5) computes its lower tail as 0.5 - 0.5 gammainc(...):
+        # near p = 7e-10 the CDF is a staircase of 5.5e-17 steps, flat over
+        # 2.5e-8 in x, so neither |F - p| <= spacing(p) nor a 1e-15 Newton
+        # step is reachable and only the closed bracket stops the draw
+        m = make_catalog_measure("subbotin", (1.5,))
+        p = np.concatenate([np.geomspace(1e-15, 0.5, 2000), [7.135552700374309e-10]])
+        x = m.quantile(p)
+        assert np.max(np.abs(m.cdf(x) - p)) <= 4e-15
+
+    def test_infinite_start_is_not_accepted(self):
+        # the closed-form start is -inf here (gammaincinv(1/1.5, 1.0) = inf)
+        m = make_catalog_measure("subbotin", (1.5,))
+        p = np.array([1e-300, 1e-200])
+        assert np.all(np.isinf(m._quantile_init(p)))
+        assert np.all(np.isfinite(m.quantile(p)))
+
+    def test_shapes(self):
+        m = make_catalog_measure("gamma", (3.0, 2.0))
+        p = rng.stream(2024, 43).uniform(size=(40, 3))
+        x = m.quantile(p)
+        assert x.shape == (40, 3)
+        assert np.array_equal(x.ravel(), m.quantile(p.ravel()))
+        x0 = m.quantile(np.float64(p[2, 1]))
+        assert isinstance(x0, float) and x0 == x[2, 1]
+        assert np.shape(m.quantile(p[:1, :1])) == (1, 1)
+
+    def test_unconverged_element_raises(self):
+        with pytest.raises(ArithmeticError, match=r"left 2 of 3 .*widest bracket"):
+            _JumpMeasure().quantile(np.array([0.5, 0.75, 0.6]))
+
+    def test_failed_bracket_search_raises(self):
+        with pytest.raises(
+            ArithmeticError, match=r"bracket search failed for 1 of 1 .*widest bracket"
+        ):
+            _JumpMeasure().quantile(np.array([0.1, 0.75]))
 
 
 class TestSampling:
