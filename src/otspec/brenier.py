@@ -24,7 +24,7 @@ from .measures import (
     ProductMeasure,
     RadialMeasure,
 )
-from .spd import SpdMatrix, log_eigen_map
+from .spd import _validated, log_eigen_map, sqrt_factors
 
 __all__ = [
     "TransportMap",
@@ -33,7 +33,6 @@ __all__ = [
     "brenier_product",
     "brenier_radial",
     "transport_residual",
-    "hessian_spectrum_at",
 ]
 
 # Evaluation is restricted to source quantile levels inside this band; the
@@ -46,9 +45,9 @@ class TransportMap:
     """Base for maps T = grad(Phi) with Hessian oracles.
 
     Subclasses implement ``map_points`` (vectorized T), ``hessian``
-    (single-point SpdMatrix), ``log_spectra`` (batched descending
-    log-eigenvalues of the Hessian), and the potentials of source and
-    target needed by the transport residual.
+    (the (n, n) Hessian array at one point), ``log_spectra`` (batched
+    descending log-eigenvalues of the Hessian), and the potentials of
+    source and target needed by the transport residual.
     """
 
     kind = "abstract"
@@ -106,7 +105,7 @@ class Map1D(TransportMap):
 
     def hessian(self, x):
         val = float(self.second_derivative(np.asarray(x, dtype=float).reshape(())))
-        return SpdMatrix(np.array([[val]]))
+        return np.array([[val]])
 
     def log_spectra(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -120,18 +119,22 @@ class Map1D(TransportMap):
 
 
 class LinearMap(TransportMap):
-    """T(x) = A (x - m1) + m2 between Gaussians; constant Hessian A."""
+    """T(x) = A (x - m1) + m2 between Gaussians; constant Hessian A.
+
+    ``matrix`` is kept as the validated, read-only (n, n) array A.
+    """
 
     kind = "gaussian-linear"
 
     def __init__(self, source, target, matrix):
         super().__init__(source.dim, source, target)
-        self.matrix = matrix  # SpdMatrix
-        self._log_spec = np.sort(np.log(matrix.eigenvalues))[::-1]
+        self.matrix, w, _ = _validated(matrix, "matrix")
+        self.matrix.setflags(write=False)
+        self._log_spec = np.log(w)
 
     def map_points(self, x):
         x = np.asarray(x, dtype=float)
-        return (x - self.source.mean) @ self.matrix.values + self.target.mean
+        return (x - self.source.mean) @ self.matrix + self.target.mean
 
     def hessian(self, x):
         return self.matrix
@@ -142,7 +145,7 @@ class LinearMap(TransportMap):
 
     def log_quadratic_forms(self, x, theta):
         theta = np.asarray(theta, dtype=float).ravel()
-        q = float(theta @ self.matrix.values @ theta) / float(theta @ theta)
+        q = float(theta @ self.matrix @ theta) / float(theta @ theta)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.full(x.shape[0], math.log(q))
 
@@ -174,7 +177,7 @@ class ProductMap(TransportMap):
 
     def hessian(self, x):
         logs = self._factor_log_d2(np.asarray(x, dtype=float).reshape(1, -1))[0]
-        return SpdMatrix(np.diag(np.exp(logs)))
+        return np.diag(np.exp(logs))
 
     def log_spectra(self, x):
         return -np.sort(-self._factor_log_d2(x), axis=1)
@@ -257,11 +260,11 @@ class RadialMap(TransportMap):
         lam_rad, lam_tan = self._eigen_pair(np.array([r]))
         lam_rad, lam_tan = float(lam_rad[0]), float(lam_tan[0])
         if r < 1e-7 * max(self._r_hi, 1.0):
-            return SpdMatrix(lam_rad * np.eye(self.dim))
+            return lam_rad * np.eye(self.dim)
         u = x / r
         proj = np.outer(u, u)
         h = lam_rad * proj + lam_tan * (np.eye(self.dim) - proj)
-        return SpdMatrix(0.5 * (h + h.T))
+        return 0.5 * (h + h.T)
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -301,11 +304,10 @@ def brenier_gaussian(mu, nu):
         raise TypeError("brenier_gaussian expects Gaussian measures")
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    s1_half, s1_inv_half = mu.covariance.sqrt_factors()
-    middle = SpdMatrix(s1_half @ nu.covariance.values @ s1_half)
-    mid_half, _ = middle.sqrt_factors()
+    s1_half, s1_inv_half = sqrt_factors(mu.covariance)
+    mid_half, _ = sqrt_factors(s1_half @ nu.covariance @ s1_half)
     a = s1_inv_half @ mid_half @ s1_inv_half
-    return LinearMap(mu, nu, SpdMatrix(0.5 * (a + a.T)))
+    return LinearMap(mu, nu, 0.5 * (a + a.T))
 
 
 def brenier_product(factor_maps):
@@ -354,12 +356,7 @@ def transport_residual(tm, x):
     v = _source_potential(tm, x)
     if not np.isfinite(v):
         raise ValueError(f"point {x!r} is outside the source support")
-    log_det = float(np.sum(np.log(tm.hessian(x).eigenvalues)))
+    log_det = float(np.sum(log_eigen_map(tm.hessian(x))))
     t = tm.map_points(x if tm.kind != "1d" else x.reshape(()))
     w = _target_potential(tm, t)
     return v + log_det - w
-
-
-def hessian_spectrum_at(tm, x):
-    """Descending log-eigenvalues of the Hessian at a point."""
-    return log_eigen_map(tm.hessian(x))

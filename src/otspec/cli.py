@@ -73,7 +73,6 @@ from .measures import (
     regularize,
 )
 from .spd import (
-    SpdMatrix,
     curve_length,
     geodesic_point,
     log_eigen_map,
@@ -636,17 +635,15 @@ def _run_geometry(cfg):
         qu, _ = np.linalg.qr(s.standard_normal((n, n)))
         qv, _ = np.linalg.qr(s.standard_normal((n, n)))
         t = qu @ np.diag(np.exp(s.uniform(-1.5, 1.5, size=n))) @ qv
-        conj = spd_distance(SpdMatrix(t.T @ a.values @ t), SpdMatrix(t.T @ b.values @ t))
+        conj = spd_distance(t.T @ a @ t, t.T @ b @ t)
         worst["affine"] = max(worst["affine"], abs(conj - d) / scale)
-        inv = spd_distance(
-            SpdMatrix(np.linalg.inv(a.values)), SpdMatrix(np.linalg.inv(b.values))
-        )
+        inv = spd_distance(np.linalg.inv(a), np.linalg.inv(b))
         worst["inversion"] = max(worst["inversion"], abs(inv - d) / scale)
         v = s.standard_normal(n)
         worst["quadform"] = max(
             worst["quadform"], abs(log_quadratic_form(a, v) - log_quadratic_form(b, v)) - d
         )
-        gap = log_eigen_map(a).values - log_eigen_map(b).values
+        gap = log_eigen_map(a) - log_eigen_map(b)
         worst["eigmap"] = max(worst["eigmap"], float(np.linalg.norm(gap)) - d)
         worst["sorted"] = max(worst["sorted"], float(np.sum(gap**2)) - d * d)
 
@@ -655,7 +652,7 @@ def _run_geometry(cfg):
     for i in range(min(50, cfg.pairs)):
         n = cfg.dims[i % len(cfg.dims)]
         a, b = random_spd(s, n), random_spd(s, n)
-        pts = np.stack([geodesic_point(a, b, t).values for t in ts])
+        pts = geodesic_point(a, b, ts)
         geo_worst = max(geo_worst, abs(curve_length(pts) - spd_distance(a, b)))
 
     tol = 1e-9
@@ -671,12 +668,16 @@ def _run_geometry(cfg):
     return records, []
 
 
-def _variance_records(records, rep, prefix="", samples=None):
-    """Variance and margin records; ``samples`` adds its dropped-draw counts."""
+def _variance_records(records, rep, prefix="", skipped=0):
+    """Variance and margin records, noting the draws or nodes left out.
+
+    ``skipped`` counts draws discarded before estimation; ``rep.flagged``
+    counts the degenerate draws, or non-finite quadrature nodes, dropped.
+    """
     claim = "variance-bound-approximate" if rep.approximate else "variance-bound"
-    note = "approximate" if rep.approximate else ""
-    if samples is not None:
-        note += f" skipped={samples.skipped} flagged={samples.flagged}"
+    note = f"skipped={skipped} flagged={rep.flagged}"
+    if rep.approximate:
+        note = "approximate " + note
     for i in range(rep.variances.shape[0]):
         v = float(rep.variances[i])
         se = float(rep.standard_errors[i])
@@ -714,7 +715,7 @@ def _run_variance(cfg):
     else:
         samples = spectral_samples(tm, cfg.samples, seed=cfg.seed, label=label)
         rep = variance_report(samples)
-        _variance_records(records, rep)
+        _variance_records(records, rep, skipped=samples.skipped)
         if cfg.dump_samples:
             dumps.append((label, samples.spectra))
     if cfg.dump_samples and tm.kind == "1d":
@@ -806,7 +807,7 @@ def _central_disk_points(g, count, seed):
     z = s.standard_normal((count, 2))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     z *= np.sqrt(s.uniform(0.0, 1.0, size=(count, 1))) * r50
-    return g.mean + z @ np.linalg.cholesky(g.covariance.values).T
+    return g.mean + z @ np.linalg.cholesky(g.covariance).T
 
 
 def _map_agreement(got, ref):
@@ -879,15 +880,17 @@ def _sinkhorn_part(cfg, part, records, dumps):
     _rec(records, f"map-agreement[{part}]", "oracle-agreement", agree, 0.05, agree <= 0.05)
     herr = 0.0
     for p in hess_pts:
-        h = hessian_fd(plan, p).values
-        ref = oracle.hessian(p).values
+        h = hessian_fd(plan, p)
+        ref = oracle.hessian(p)
         herr = max(herr, float(np.linalg.norm(h - ref, 2) / np.linalg.norm(ref, 2)))
     _rec(records, f"hessian-agreement[{part}]", "oracle-agreement", herr, 0.05, herr <= 0.05)
     label = f"sinkhorn2d:{part}"
     samples = entropic_spectral_samples(
         plan, src, min(cfg.samples, 5000), seed=cfg.seed, label=label
     )
-    _variance_records(records, variance_report(samples), prefix=f"[{part}]", samples=samples)
+    _variance_records(
+        records, variance_report(samples), prefix=f"[{part}]", skipped=samples.skipped
+    )
     if cfg.dump_samples:
         dumps.append((label, samples.spectra))
 

@@ -37,7 +37,7 @@ from .measures import (
     make_radial_measure,
     regularize,
 )
-from .spd import random_spd
+from .spd import _validated, random_spd
 
 __all__ = [
     "SpectralSampleSet",
@@ -289,10 +289,7 @@ def function_bank_1d():
 
 
 def _sorted_log_eigs(h):
-    w = np.linalg.eigvalsh(h)
-    if np.any(w <= 0.0):
-        raise ValueError("matrix bank needs positive definite samples")
-    return np.log(w)[..., ::-1]
+    return np.log(_validated(h, "matrix bank sample", stack=True)[1])
 
 
 def matrix_function_bank(dim, directions=None, spectrum_bank=None):
@@ -374,7 +371,7 @@ def spectral_samples(
         )
     hess = None
     if keep_hessians:
-        hess = np.stack([tm.hessian(p).values for p in pts])
+        hess = np.stack([tm.hessian(p) for p in pts])
     return SpectralSampleSet(
         points=pts,
         spectra=spectra,

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import GaussianMeasure, ProductMeasure, RadialMeasure
-from .spd import SpdMatrix
 
 __all__ = [
     "GridMeasure",
@@ -391,4 +390,4 @@ def hessian_fd(plan, x, h=None):
             f"entropic Hessian estimate not positive definite at {x} "
             f"(smallest eigenvalue {floor:.3e})"
         )
-    return SpdMatrix(sym)
+    return sym

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import RadialMeasure
-from .spd import SpdMatrix
+from .spd import sqrt_factors
 
 __all__ = [
     "SmoothTriple",
@@ -183,7 +183,7 @@ class _TripleGaussian(SmoothTriple):
     def __init__(self, tm):
         super().__init__(tm.dim)
         self.tm = tm
-        self._a = tm.matrix.values
+        self._a = tm.matrix
 
     def phi_grad(self, x):
         return self.tm.map_points(np.asarray(x, dtype=float))
@@ -674,7 +674,7 @@ def bmatrix_certificate(t, u, x, tensors=None):
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     ug, uh = u.grad(x), u.hess(x)
     a = uh - 0.5 * np.einsum("lij,l->ij", ct.up1, ug)
-    _, inv_half = SpdMatrix(ct.hess).sqrt_factors()
+    _, inv_half = sqrt_factors(ct.hess)
     m = inv_half @ a @ inv_half
     asym = float(np.max(np.abs(m - m.T)))
     if asym > 1e-8 * (1.0 + float(np.max(np.abs(m)))):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .spd import SpdMatrix
+from .spd import _validated, sqrt_factors
 
 __all__ = [
     "LogConcaveMeasure1D",
@@ -545,8 +545,14 @@ class _Subbotin1D(LogConcaveMeasure1D):
 
     def cdf(self, x):
         x = np.asarray(x, float)
-        half = special.gammainc(1.0 / self.p, np.abs(x) ** self.p / self.p)
-        return 0.5 + 0.5 * np.sign(x) * half
+        a, t = 1.0 / self.p, np.abs(x) ** self.p / self.p
+        # the lower tail from the upper incomplete gamma keeps relative
+        # accuracy; each half evaluates only its own function
+        lower = x < 0.0
+        out = np.empty_like(t)
+        out[lower] = 0.5 * special.gammaincc(a, t[lower])
+        out[~lower] = 0.5 + 0.5 * special.gammainc(a, t[~lower])
+        return out
 
     def _quantile_init(self, p):
         u = np.abs(2.0 * p - 1.0)
@@ -593,22 +599,25 @@ def make_catalog_measure(name, params):
 
 
 class GaussianMeasure:
-    """Multivariate Gaussian with mean vector and SPD covariance."""
+    """Multivariate Gaussian with mean vector and SPD covariance.
+
+    ``covariance`` is kept as the validated, exactly symmetric, read-only
+    (n, n) array.
+    """
 
     def __init__(self, mean, covariance):
         self.mean = np.asarray(mean, dtype=float).ravel()
-        self.covariance = (
-            covariance if isinstance(covariance, SpdMatrix) else SpdMatrix(covariance)
-        )
-        if self.mean.size != self.covariance.dim:
+        self.covariance, w, _ = _validated(covariance, "covariance")
+        self.covariance.setflags(write=False)
+        if self.mean.size != self.covariance.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
         self.dim = self.mean.size
-        self._precision = np.linalg.inv(self.covariance.values)
+        self._precision = np.linalg.inv(self.covariance)
         self._log_norm = 0.5 * (
             self.dim * math.log(2.0 * math.pi)
-            + float(np.sum(np.log(self.covariance.eigenvalues)))
+            + float(np.sum(np.log(w)))
         )
-        self._sqrt_cov, _ = self.covariance.sqrt_factors()
+        self._sqrt_cov, _ = sqrt_factors(self.covariance)
         self.name = f"gaussian(dim={self.dim})"
 
     def potential(self, x):
@@ -640,7 +649,7 @@ class GaussianMeasure:
         if self.dim != 2:
             raise NotImplementedError("box_mass implemented for dim 2")
         (x0, x1), (y0, y1) = box
-        c = self.covariance.values
+        c = self.covariance
         m0, m1 = self.mean
         s0 = math.sqrt(c[0, 0])
         slope = c[0, 1] / c[0, 0]

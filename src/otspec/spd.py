@@ -6,18 +6,18 @@ induced distance, geodesics, curve lengths, the log-eigenvalue map and its
 Lipschitz companions, majorization diagnostics for products, and a Monte
 Carlo estimator of the metric slope of a functional.
 
-Everything here is a pure function of validated immutable inputs;
-eigendecompositions are computed once per matrix and cached on the
-container.
+SPD values are plain float arrays of shape (n, n), or (m, n, n) for a
+stack, and this is the only module that validates one.  Every public
+function validates its matrix inputs once, on entry, and works from the
+eigendecomposition that validation computes.  Geodesics are batched: one
+call returns every requested point of the curve.
 """
 
 import numpy as np
 
 __all__ = [
-    "SpdMatrix",
-    "SymMatrix",
-    "LogSpectrum",
     "MajorizationReport",
+    "sqrt_factors",
     "spd_distance",
     "local_norm",
     "geodesic_point",
@@ -34,141 +34,69 @@ _SYM_RTOL = 1e-12
 _RECON_RTOL = 1e-10
 
 
-def _as_square_array(values, name):
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square 2d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+def _validated(a, name, stack=False, definite=True):
+    """Check an SPD matrix, or a stack of them, and return its factors.
 
+    This is the package's one SPD boundary.  Each matrix must be square,
+    finite and symmetric to 1e-12 relative; with ``definite`` it must also
+    be positive definite, with an eigendecomposition that reconstructs it
+    to 1e-10 relative.  All checks run in one vectorized pass over the
+    stack and name the first matrix that fails.
 
-def _check_symmetry(a, name):
-    scale = np.linalg.norm(a)
-    defect = np.linalg.norm(a - a.T)
-    if defect > _SYM_RTOL * max(scale, 1e-300):
-        raise ValueError(
-            f"{name} is not symmetric: asymmetry {defect:.3e} exceeds "
-            f"{_SYM_RTOL:g} relative to norm {scale:.3e}"
-        )
-    return 0.5 * (a + a.T)
-
-
-class SymMatrix:
-    """A validated real symmetric matrix (not necessarily definite).
-
-    Parameters
-    ----------
-    values : array_like, shape (n, n)
-        Matrix entries.  Must be symmetric to within 1e-12 relative
-        tolerance; the stored copy is exactly symmetrized.
+    Returns ``(a, w, v)``: the exactly symmetrized array of shape (n, n),
+    or (m, n, n) with ``stack``, and its eigenvalues in descending order
+    with the matching eigenvectors as columns (both None unless
+    ``definite``).
     """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
+        what = "a stack of square matrices" if stack else "a square 2d array"
+        raise ValueError(f"{name} must be {what}, got shape {a.shape}")
 
-    def __init__(self, values):
-        a = _as_square_array(values, "SymMatrix")
-        a = _check_symmetry(a, "SymMatrix")
-        a.setflags(write=False)
-        self.values = a
+    def check(ok, message):
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            raise ValueError((f"{name}[{k}]" if stack else name) + message(k))
 
-    @property
-    def dim(self):
-        return self.values.shape[0]
-
-    def __repr__(self):
-        return f"SymMatrix(dim={self.dim})"
-
-
-class SpdMatrix:
-    """A validated symmetric positive-definite matrix with cached spectrum.
-
-    Eigenvalues are stored in descending order together with the matching
-    orthonormal eigenvectors (as columns).  Construction fails if any
-    eigenvalue is not strictly positive or if the eigendecomposition does
-    not reconstruct the input to 1e-10 relative accuracy.
-
-    Parameters
-    ----------
-    values : array_like, shape (n, n)
-        Symmetric positive-definite entries.
-    """
-
-    def __init__(self, values):
-        a = _as_square_array(values, "SpdMatrix")
-        a = _check_symmetry(a, "SpdMatrix")
-        w, v = np.linalg.eigh(a)
-        w, v = w[::-1].copy(), v[:, ::-1].copy()
-        if w[-1] <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite: smallest eigenvalue {w[-1]:.6e}"
-            )
-        recon = (v * w) @ v.T
-        scale = np.linalg.norm(a)
-        if np.linalg.norm(recon - a) > _RECON_RTOL * scale:
-            raise ValueError("eigendecomposition failed the reconstruction check")
-        for arr in (a, w, v):
-            arr.setflags(write=False)
-        self.values = a
-        self.eigenvalues = w
-        self.eigenvectors = v
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
-
-    def apply_scalar(self, f):
-        """Apply ``f`` to the spectrum, returning raw entries Σ f(λᵢ) vᵢvᵢᵗ."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fw = np.asarray(f(self.eigenvalues), dtype=float)
-        if not np.all(np.isfinite(fw)):
-            bad = self.eigenvalues[~np.isfinite(fw)][0]
-            raise ValueError(
-                f"scalar function is not finite at eigenvalue {bad:.6e}"
-            )
-        v = self.eigenvectors
-        return (v * fw) @ v.T
-
-    def sqrt_factors(self):
-        """Return (A^{1/2}, A^{-1/2}) as plain arrays from the cached spectrum."""
-        v = self.eigenvectors
-        r = np.sqrt(self.eigenvalues)
-        return (v * r) @ v.T, (v / r) @ v.T
-
-    def __repr__(self):
-        return f"SpdMatrix(dim={self.dim})"
+    check(np.isfinite(a).all(axis=(-2, -1)), lambda k: " contains non-finite entries")
+    at = np.swapaxes(a, -2, -1)
+    scale, defect = _frobenius(a), _frobenius(a - at)
+    check(
+        defect <= _SYM_RTOL * np.maximum(scale, 1e-300),
+        lambda k: f" is not symmetric: asymmetry {defect.flat[k]:.3e} exceeds "
+        f"{_SYM_RTOL:g} relative to norm {scale.flat[k]:.3e}",
+    )
+    a = 0.5 * (a + at)
+    if not definite:
+        return a, None, None
+    w, v = np.linalg.eigh(a)
+    w, v = w[..., ::-1], v[..., ::-1]
+    low = w[..., -1]
+    check(
+        low > 0.0,
+        lambda k: f" is not positive definite: smallest eigenvalue {low.flat[k]:.6e}",
+    )
+    recon = (v * w[..., None, :]) @ np.swapaxes(v, -2, -1)
+    check(
+        _frobenius(recon - a) <= _RECON_RTOL * scale,
+        lambda k: ": eigendecomposition failed the reconstruction check",
+    )
+    return a, w, v
 
 
-class LogSpectrum:
-    """Descending-sorted vector of eigenvalue logarithms."""
-
-    def __init__(self, values):
-        a = np.asarray(values, dtype=float).ravel().copy()
-        if not np.all(np.isfinite(a)):
-            raise ValueError("LogSpectrum contains non-finite entries")
-        if np.any(np.diff(a) > 0):
-            raise ValueError("LogSpectrum values must be sorted non-increasing")
-        a.setflags(write=False)
-        self.values = a
-
-    @property
-    def dim(self):
-        return self.values.size
-
-    def norm(self):
-        return float(np.linalg.norm(self.values))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype)
-
-    def __repr__(self):
-        return f"LogSpectrum({np.array2string(self.values, precision=4)})"
+def _frobenius(a):
+    return np.sqrt((a * a).sum(axis=(-2, -1)))
 
 
-def _coerce_spd(a):
-    return a if isinstance(a, SpdMatrix) else SpdMatrix(a)
+def _sqrt_factors(w, v):
+    r = np.sqrt(w)
+    return (v * r) @ v.T, (v / r) @ v.T
 
 
-def _coerce_sym(b):
-    return b if isinstance(b, SymMatrix) else SymMatrix(b)
+def sqrt_factors(a):
+    """(A^{1/2}, A^{-1/2}) of an SPD matrix, from one eigendecomposition."""
+    _, w, v = _validated(a, "a")
+    return _sqrt_factors(w, v)
 
 
 def spd_distance(a, b):
@@ -177,29 +105,31 @@ def spd_distance(a, b):
     The norm is the Hilbert-Schmidt (Frobenius) norm; equivalently the
     root sum of squared logs of the eigenvalues of A^{-1}B.
     """
-    a, b = _coerce_spd(a), _coerce_spd(b)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    _, isa = a.sqrt_factors()
-    c = isa @ b.values @ isa
+    _, wa, va = _validated(a, "a")
+    b, _, _ = _validated(b, "b")
+    if wa.size != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {wa.size} vs {b.shape[0]}")
+    _, isa = _sqrt_factors(wa, va)
+    c = isa @ b @ isa
     w = np.linalg.eigvalsh(0.5 * (c + c.T))
     return float(np.linalg.norm(np.log(w)))
 
 
 def local_norm(a, b):
-    """Norm of a tangent vector B at the base point A.
+    """Norm of a symmetric tangent vector B at the base point A.
 
     Evaluates both expressions ‖A^{-1/2} B A^{-1/2}‖ and
     √Tr[(A^{-1}B)²] and checks that they agree to 1e-10 relative
     tolerance before returning the first.
     """
-    a, b = _coerce_spd(a), _coerce_sym(b)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    _, isa = a.sqrt_factors()
-    m = isa @ b.values @ isa
+    a, wa, va = _validated(a, "a")
+    b, _, _ = _validated(b, "b", definite=False)
+    if wa.size != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {wa.size} vs {b.shape[0]}")
+    _, isa = _sqrt_factors(wa, va)
+    m = isa @ b @ isa
     by_congruence = float(np.linalg.norm(m))
-    ainv_b = np.linalg.solve(a.values, b.values)
+    ainv_b = np.linalg.solve(a, b)
     by_trace = float(np.sqrt(max(np.trace(ainv_b @ ainv_b), 0.0)))
     if abs(by_congruence - by_trace) > 1e-10 * max(1.0, by_congruence):
         raise ArithmeticError(
@@ -209,25 +139,38 @@ def local_norm(a, b):
 
 
 def geodesic_point(a, b, s):
-    """Point γ(s) = A^{1/2} (A^{-1/2} B A^{-1/2})^s A^{1/2} on the geodesic.
+    """Points γ(s) = A^{1/2} (A^{-1/2} B A^{-1/2})^s A^{1/2} on the geodesic.
+
+    Every point comes from one eigendecomposition C = V diag(w) Vᵗ of
+    C = A^{-1/2} B A^{-1/2}, as γ(s) = A^{1/2} V diag(wˢ) Vᵗ A^{1/2}; C and
+    the returned points are validated as one stack each.
 
     Parameters
     ----------
-    a, b : SpdMatrix
-        Endpoints, γ(0) = A and γ(1) = B.
-    s : float in [0, 1]
+    a, b : array_like, shape (n, n)
+        SPD endpoints, γ(0) = A and γ(1) = B.
+    s : float or 1d array_like of floats in [0, 1]
+
+    Returns
+    -------
+    ndarray of shape ``np.shape(s) + (n, n)``
     """
-    a, b = _coerce_spd(a), _coerce_spd(b)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"geodesic parameter must lie in [0, 1], got {s}")
-    sa, isa = a.sqrt_factors()
-    c = SpdMatrix(isa @ b.values @ isa)
-    mid = c.apply_scalar(lambda w: w**s)
+    _, wa, va = _validated(a, "a")
+    b, _, _ = _validated(b, "b")
+    if wa.size != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {wa.size} vs {b.shape[0]}")
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise ValueError(f"geodesic parameter must be a scalar or 1d, got shape {s.shape}")
+    outside = ~((s >= 0.0) & (s <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"geodesic parameter must lie in [0, 1], got {s[outside].flat[0]}")
+    sa, isa = _sqrt_factors(wa, va)
+    _, wc, vc = _validated(isa @ b @ isa, "A^{-1/2} B A^{-1/2}")
+    mid = (vc * wc ** s[..., None, None]) @ vc.T
     g = sa @ mid @ sa
-    return SpdMatrix(0.5 * (g + g.T))
+    g = 0.5 * (g + np.swapaxes(g, -2, -1))
+    return _validated(g, "geodesic point", stack=s.ndim == 1)[0]
 
 
 def _batched_speeds(points):
@@ -266,19 +209,10 @@ def curve_length(points):
 
     Parameters
     ----------
-    points : sequence of SpdMatrix, or array of shape (m, n, n)
-        At least two samples at uniform parameter spacing.
+    points : array_like, shape (m, n, n)
+        At least two SPD samples at uniform parameter spacing.
     """
-    if isinstance(points, np.ndarray) and points.ndim == 3:
-        stack = points.astype(float)
-        stack = 0.5 * (stack + np.transpose(stack, (0, 2, 1)))
-        if np.linalg.eigvalsh(stack).min() <= 0.0:
-            raise ValueError("curve contains a non-SPD sample")
-    else:
-        pts = [_coerce_spd(q) for q in points]
-        if len(pts) >= 2 and any(q.dim != pts[0].dim for q in pts):
-            raise ValueError("curve samples must share one dimension")
-        stack = np.stack([q.values for q in pts]) if pts else np.empty((0, 0, 0))
+    stack, _, _ = _validated(points, "curve sample", stack=True)
     if stack.shape[0] < 2:
         raise ValueError("need at least two curve samples")
     if np.allclose(stack, stack[0], rtol=0.0, atol=1e-15 * np.linalg.norm(stack[0])):
@@ -289,19 +223,19 @@ def curve_length(points):
 
 def log_eigen_map(a):
     """Descending-sorted logs of the eigenvalues of an SPD matrix."""
-    a = _coerce_spd(a)
-    return LogSpectrum(np.log(a.eigenvalues))
+    _, w, _ = _validated(a, "a")
+    return np.log(w)
 
 
 def log_quadratic_form(a, v):
     """log(Av·v), a 1-Lipschitz functional of A for each fixed v ≠ 0."""
-    a = _coerce_spd(a)
+    a, _, _ = _validated(a, "a")
     v = np.asarray(v, dtype=float).ravel()
-    if v.size != a.dim:
-        raise ValueError(f"direction has size {v.size}, expected {a.dim}")
+    if v.size != a.shape[0]:
+        raise ValueError(f"direction has size {v.size}, expected {a.shape[0]}")
     if not np.any(v != 0.0):
         raise ValueError("direction vector must be nonzero")
-    return float(np.log(v @ a.values @ v))
+    return float(np.log(v @ a @ v))
 
 
 class MajorizationReport:
@@ -361,15 +295,14 @@ def majorization_check(a, b):
     squared-positive-part and squared-negative-part comparisons, and the
     resulting two-norm triangle inequality.
     """
-    a, b = _coerce_spd(a), _coerce_spd(b)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sa, _ = a.sqrt_factors()
-    prod = sa @ b.values @ sa
-    gamma = log_eigen_map(SpdMatrix(0.5 * (prod + prod.T))).values
-    alpha = np.log(a.eigenvalues)
-    beta = np.log(b.eigenvalues)
-    return MajorizationReport(alpha, beta, gamma)
+    _, wa, va = _validated(a, "a")
+    b, wb, _ = _validated(b, "b")
+    if wa.size != wb.size:
+        raise ValueError(f"dimension mismatch: {wa.size} vs {wb.size}")
+    sa, _ = _sqrt_factors(wa, va)
+    prod = sa @ b @ sa
+    gamma = log_eigen_map(0.5 * (prod + prod.T))
+    return MajorizationReport(np.log(wa), np.log(wb), gamma)
 
 
 def numeric_upper_gradient(f, a, eps, probes, rng):
@@ -383,22 +316,22 @@ def numeric_upper_gradient(f, a, eps, probes, rng):
     Parameters
     ----------
     f : callable
-        Real functional accepting an SpdMatrix.
-    a : SpdMatrix
+        Real functional of an SPD matrix, given as an (n, n) array.
+    a : array_like, shape (n, n)
     eps : float
         Radius of the geodesic ball being probed.
     probes : int
     rng : numpy.random.Generator
     """
-    a = _coerce_spd(a)
+    _, wa, va = _validated(a, "a")
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("probe radius must be positive")
     probes = int(probes)
     if probes < 1:
         raise ValueError("need at least one probe")
-    n = a.dim
-    sa, _ = a.sqrt_factors()
+    n = wa.size
+    sa, _ = _sqrt_factors(wa, va)
     best = 0.0
     for i in range(probes):
         g = rng.standard_normal((n, n))
@@ -410,8 +343,8 @@ def numeric_upper_gradient(f, a, eps, probes, rng):
         w, v = np.linalg.eigh(s)
         step = (v * np.exp(w)) @ v.T
         back = (v * np.exp(-w)) @ v.T
-        y = SpdMatrix(sa @ step @ sa)
-        z = SpdMatrix(sa @ back @ sa)
+        pair = np.stack([sa @ step @ sa, sa @ back @ sa])
+        (y, z), _, _ = _validated(pair, "probe", stack=True)
         fy, fz = float(f(y)), float(f(z))
         if not (np.isfinite(fy) and np.isfinite(fz)):
             raise ArithmeticError(
@@ -427,20 +360,19 @@ def spectrum_derivative(a, direction):
 
     Requires A to have simple spectrum (all gaps above 1e-6 relative to
     the largest eigenvalue); returns the vector (B vᵢ · vᵢ) ordered like
-    the cached descending eigenvalues.
+    the descending eigenvalues of A.
     """
-    a, b = _coerce_spd(a), _coerce_sym(direction)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    w = a.eigenvalues
-    if a.dim > 1:
+    _, w, v = _validated(a, "a")
+    b, _, _ = _validated(direction, "direction", definite=False)
+    if w.size != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {w.size} vs {b.shape[0]}")
+    if w.size > 1:
         gap = np.min(np.abs(np.diff(w)))
         if gap <= 1e-6 * w[0]:
             raise ValueError(
                 f"spectral gap {gap:.3e} too small for eigenvalue derivatives"
             )
-    v = a.eigenvectors
-    return np.einsum("ij,jk,ki->i", v.T, b.values, v)
+    return np.einsum("ij,jk,ki->i", v.T, b, v)
 
 
 def random_spd(rng, dim, log_spread=3.0):
@@ -453,4 +385,4 @@ def random_spd(rng, dim, log_spread=3.0):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q *= np.sign(np.diag(r))
     d = np.exp(rng.uniform(-log_spread, log_spread, size=dim))
-    return SpdMatrix((q.T * d) @ q)
+    return _validated((q.T * d) @ q, "random_spd")[0]

@@ -300,6 +300,9 @@ class TestRunExperiment:
         assert var.value == pytest.approx(1.0, abs=1e-6)
         assert by_name["bound-margin[0]"].value == pytest.approx(3.0, abs=1e-6)
         assert by_name["quadrature-truncation"].passed
+        # flagged counts the non-finite quadrature nodes dropped
+        for name in ("var-log-eig[0]", "bound-margin[0]"):
+            assert by_name[name].note == "skipped=0 flagged=0"
         assert report.config_hash == config_hash(default_config("variance"))
         assert report.seed == 2024
         assert report.wall_clock_seconds > 0.0
@@ -323,6 +326,7 @@ class TestRunExperiment:
         # a gaussian pair has a deterministic spectrum: variance zero
         by_name = {r.name: r for r in report.records}
         assert by_name["var-log-eig[0]"].value <= 1e-12
+        assert all(r.note == "skipped=0 flagged=0" for r in report.records)
 
     def test_identical_seeds_byte_identical_reports(self):
         cfg = config_from_dict(
@@ -454,6 +458,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "cov, message",
+        [
+            ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+            ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+        ],
+    )
+    def test_exit_two_on_invalid_gaussian_covariance(self, tmp_path, capsys, cov, message):
+        for side in ("source", "target"):
+            spec = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+            data = {"kind": "variance", "map": {"kind": "gaussian-linear",
+                                                "source": dict(spec), "target": dict(spec)}}
+            data["map"][side]["cov"] = cov
+            path = _write(tmp_path, data)
+            assert main(["variance", "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: map.{side}: covariance" in err
+            assert message in err
 
     def test_exit_two_on_kind_mismatch(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance"})

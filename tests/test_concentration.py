@@ -502,7 +502,7 @@ class TestExperimentCatalog:
         b = dict(default_experiments())
         for label, tm in a.items():
             if tm.kind == "gaussian-linear":
-                assert np.array_equal(tm.matrix.values, b[label].matrix.values)
+                assert np.array_equal(tm.matrix, b[label].matrix)
 
 
 class TestEntropicSamples:

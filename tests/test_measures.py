@@ -324,14 +324,21 @@ class TestQuantileSolver:
         assert x[0] == x0[0]
 
     def test_converges_where_cdf_roundoff_exceeds_the_step_tests(self):
-        # subbotin(1.5) computes its lower tail as 0.5 - 0.5 gammainc(...):
-        # near p = 7e-10 the CDF is a staircase of 5.5e-17 steps, flat over
-        # 2.5e-8 in x, so neither |F - p| <= spacing(p) nor a 1e-15 Newton
-        # step is reachable and only the closed bracket stops the draw
+        # a lower tail computed as 0.5 - 0.5 gammainc(...) is, near
+        # p = 7e-10, a staircase of 5.5e-17 steps flat over 2.5e-8 in x, where
+        # neither |F - p| <= spacing(p) nor a 1e-15 Newton step is reachable;
+        # the draws there must still stop at roundoff-level residuals
         m = make_catalog_measure("subbotin", (1.5,))
         p = np.concatenate([np.geomspace(1e-15, 0.5, 2000), [7.135552700374309e-10]])
         x = m.quantile(p)
         assert np.max(np.abs(m.cdf(x) - p)) <= 4e-15
+
+    @pytest.mark.parametrize("shape", [1.5, 3.0])
+    def test_lower_tail_keeps_relative_accuracy(self, shape):
+        m = make_catalog_measure("subbotin", (shape,))
+        p = np.geomspace(1e-300, 0.5, 2000)
+        x = m.quantile(p)
+        assert np.max(np.abs(m.cdf(x) - p) / p) <= 1e-12
 
     def test_infinite_start_is_not_accepted(self):
         # the closed-form start is -inf here (gammaincinv(1/1.5, 1.0) = inf)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from otspec.brenier import brenier_gaussian
+from otspec.measures import GaussianMeasure
 from otspec.rng import stream
 from otspec.spd import (
-    LogSpectrum,
-    SpdMatrix,
-    SymMatrix,
+    _validated,
     curve_length,
     geodesic_point,
     local_norm,
@@ -17,35 +17,71 @@ from otspec.spd import (
     random_spd,
     spd_distance,
     spectrum_derivative,
+    sqrt_factors,
 )
 
 
 def geodesic_samples(a, b, m):
-    return np.stack([geodesic_point(a, b, s).values for s in np.linspace(0, 1, m)])
+    return geodesic_point(a, b, np.linspace(0, 1, m))
+
+
+def geodesic_point_oracle(a, b, s):
+    """γ(s) evaluated alone, from its own eigendecompositions."""
+    wa, va = np.linalg.eigh(a)
+    sa = (va * np.sqrt(wa)) @ va.T
+    isa = (va / np.sqrt(wa)) @ va.T
+    c = isa @ b @ isa
+    wc, vc = np.linalg.eigh(0.5 * (c + c.T))
+    g = sa @ ((vc * wc**s) @ vc.T) @ sa
+    return 0.5 * (g + g.T)
+
+
+def apply_scalar(a, f):
+    """Σ f(λᵢ) vᵢvᵢᵗ from the eigendecomposition the validator returns."""
+    _, w, v = _validated(a, "a")
+    return (v * f(w)) @ v.T
 
 
 class TestContainers:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            SpdMatrix([[1.0, 0.5], [0.0, 1.0]])
+            log_eigen_map([[1.0, 0.5], [0.0, 1.0]])
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive definite"):
-            SpdMatrix([[1.0, 2.0], [2.0, 1.0]])
+            log_eigen_map([[1.0, 2.0], [2.0, 1.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
-            SymMatrix(np.ones((2, 3)))
+            local_norm(np.eye(2), np.ones((2, 3)))
 
     def test_spectrum_cached_descending(self):
-        a = SpdMatrix(np.diag([1.0, 3.0, 2.0]))
-        np.testing.assert_allclose(a.eigenvalues, [3.0, 2.0, 1.0])
-        recon = (a.eigenvectors * a.eigenvalues) @ a.eigenvectors.T
-        np.testing.assert_allclose(recon, a.values, atol=1e-12)
+        a = np.diag([1.0, 3.0, 2.0])
+        sym, w, v = _validated(a, "a")
+        np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
+        np.testing.assert_allclose((v * w) @ v.T, sym, atol=1e-12)
 
-    def test_log_spectrum_sorted(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            LogSpectrum([0.0, 1.0])
+    def test_stack_names_the_asymmetric_matrix(self):
+        stack = np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2)])
+        with pytest.raises(ValueError, match=r"m\[1\] is not symmetric: asymmetry"):
+            _validated(stack, "m", stack=True)
+
+    def test_stack_names_the_indefinite_matrix(self):
+        stack = np.stack([np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(
+            ValueError, match=r"m\[2\] is not positive definite: smallest eigenvalue -1\.0"
+        ):
+            _validated(stack, "m", stack=True)
+
+    def test_stored_covariance_and_map_are_read_only(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        mu = GaussianMeasure(np.zeros(2), cov)
+        nu = GaussianMeasure(np.ones(2), np.eye(2))
+        for stored in (mu.covariance, brenier_gaussian(mu, nu).matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 5.0
+        cov[0, 0] = 5.0
+        assert mu.covariance[0, 0] == 2.0
 
 
 class TestMatrixFunction:
@@ -53,51 +89,46 @@ class TestMatrixFunction:
         rng = stream(11, 0)
         a = random_spd(rng, 4)
         np.testing.assert_allclose(
-            a.apply_scalar(lambda w: w), a.values, atol=1e-12
+            apply_scalar(a, lambda w: w), a, atol=1e-12
         )
 
     def test_log_diagonal(self):
-        a = SpdMatrix(np.diag([np.e, np.e**2]))
+        a = np.diag([np.e, np.e**2])
         np.testing.assert_allclose(
-            a.apply_scalar(np.log), np.diag([1.0, 2.0]), atol=1e-14
+            apply_scalar(a, np.log), np.diag([1.0, 2.0]), atol=1e-14
         )
 
     def test_sqrt_squares_back(self):
         rng = stream(11, 1)
         for _ in range(20):
             a = random_spd(rng, 5)
-            r = a.apply_scalar(np.sqrt)
+            r, _ = sqrt_factors(a)
             np.testing.assert_allclose(
-                r @ r, a.values, atol=1e-10 * np.linalg.norm(a.values)
+                r @ r, a, atol=1e-10 * np.linalg.norm(a)
             )
-
-    def test_domain_error_names_eigenvalue(self):
-        a = SpdMatrix(np.diag([2.0, 0.5]))
-        with pytest.raises(ValueError, match="not finite at eigenvalue"):
-            a.apply_scalar(lambda w: np.log(w - 1.0))
 
 
 class TestDistance:
     def test_identity_pair(self):
-        eye = SpdMatrix(np.eye(3))
+        eye = np.eye(3)
         assert spd_distance(eye, eye) == 0.0
 
     def test_diagonal_closed_form(self):
-        a = SpdMatrix(np.eye(2))
-        b = SpdMatrix(np.diag([np.e**2, np.e**-1]))
+        a = np.eye(2)
+        b = np.diag([np.e**2, np.e**-1])
         np.testing.assert_allclose(spd_distance(a, b), np.sqrt(5.0), rtol=1e-12)
 
     def test_matches_pencil_eigensolve(self):
         rng = stream(11, 2)
         for _ in range(20):
             a, b = random_spd(rng, 5), random_spd(rng, 5)
-            w = scipy.linalg.eigh(b.values, a.values, eigvals_only=True)
+            w = scipy.linalg.eigh(b, a, eigvals_only=True)
             oracle = np.sqrt(np.sum(np.log(w) ** 2))
             np.testing.assert_allclose(spd_distance(a, b), oracle, rtol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            spd_distance(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
+            spd_distance(np.eye(2), np.eye(3))
 
     def test_metric_axioms_random(self):
         rng = stream(11, 3)
@@ -117,35 +148,35 @@ class TestDistance:
             d = spd_distance(a, b)
             t = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
             conjugated = spd_distance(
-                SpdMatrix(t.T @ a.values @ t), SpdMatrix(t.T @ b.values @ t)
+                t.T @ a @ t, t.T @ b @ t
             )
             assert abs(conjugated - d) <= 1e-9 * (1 + d)
             inverted = spd_distance(
-                SpdMatrix(np.linalg.inv(a.values)), SpdMatrix(np.linalg.inv(b.values))
+                np.linalg.inv(a), np.linalg.inv(b)
             )
             assert abs(inverted - d) <= 1e-9 * (1 + d)
 
 
 class TestLocalNorm:
     def test_identity_base_is_frobenius(self):
-        b = SymMatrix([[1.0, 2.0], [2.0, -3.0]])
+        b = np.array([[1.0, 2.0], [2.0, -3.0]])
         np.testing.assert_allclose(
-            local_norm(SpdMatrix(np.eye(2)), b), np.linalg.norm(b.values), rtol=1e-12
+            local_norm(np.eye(2), b), np.linalg.norm(b), rtol=1e-12
         )
 
     def test_norm_of_base_is_sqrt_dim(self):
         rng = stream(11, 5)
         a = random_spd(rng, 6)
         np.testing.assert_allclose(
-            local_norm(a, SymMatrix(a.values)), np.sqrt(6.0), rtol=1e-10
+            local_norm(a, a), np.sqrt(6.0), rtol=1e-10
         )
 
     def test_small_perturbation_limit(self):
         rng = stream(11, 6)
         a = random_spd(rng, 4)
         g = rng.standard_normal((4, 4))
-        b = SymMatrix(0.5 * (g + g.T) / local_norm(a, SymMatrix(0.5 * (g + g.T))))
-        quotient = lambda eps: spd_distance(a, SpdMatrix(a.values + eps * b.values)) / eps
+        b = 0.5 * (g + g.T) / local_norm(a, 0.5 * (g + g.T))
+        quotient = lambda eps: spd_distance(a, a + eps * b) / eps
         # one-sided quotients carry an O(eps) bias; extrapolating eps, eps/2
         # recovers the limit to well inside 1e-5
         fd = 2.0 * quotient(5e-5) - quotient(1e-4)
@@ -156,22 +187,38 @@ class TestGeodesic:
     def test_endpoints(self):
         rng = stream(11, 7)
         a, b = random_spd(rng, 3), random_spd(rng, 3)
-        np.testing.assert_allclose(geodesic_point(a, b, 0.0).values, a.values, atol=1e-12)
+        np.testing.assert_allclose(geodesic_point(a, b, 0.0), a, atol=1e-12)
         np.testing.assert_allclose(
-            geodesic_point(a, b, 1.0).values, b.values, atol=1e-10 * np.linalg.norm(b.values)
+            geodesic_point(a, b, 1.0), b, atol=1e-10 * np.linalg.norm(b)
         )
 
     def test_diagonal_midpoint(self):
-        a = SpdMatrix(np.eye(2))
-        b = SpdMatrix(np.diag([np.e**2, 1.0]))
+        a = np.eye(2)
+        b = np.diag([np.e**2, 1.0])
         np.testing.assert_allclose(
-            geodesic_point(a, b, 0.5).values, np.diag([np.e, 1.0]), rtol=1e-12
+            geodesic_point(a, b, 0.5), np.diag([np.e, 1.0]), rtol=1e-12
         )
 
     def test_parameter_range(self):
-        a = SpdMatrix(np.eye(2))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            geodesic_point(a, a, 1.5)
+        a = np.eye(2)
+        for s in (1.5, [0.0, 0.5, 1.5]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                geodesic_point(a, a, s)
+
+    def test_batch_matches_per_point_formula(self):
+        rng = stream(11, 20)
+        ts = np.linspace(0.0, 1.0, 101)
+        for n in range(2, 9):
+            a, b = random_spd(rng, n), random_spd(rng, n)
+            batch = geodesic_point(a, b, ts)
+            assert batch.shape == (ts.size, n, n)
+            for s, got in zip(ts, batch):
+                want = geodesic_point_oracle(a, b, s)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            single = geodesic_point(a, b, ts[37])
+            assert single.shape == (n, n)
+            want = geodesic_point_oracle(a, b, ts[37])
+            assert np.linalg.norm(single - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_constant_speed(self):
         rng = stream(11, 8)
@@ -179,24 +226,24 @@ class TestGeodesic:
         d = spd_distance(a, b)
         h = 1e-3
         for s in (0.25, 0.5, 0.75):
-            stencil = [geodesic_point(a, b, s + k * h).values for k in (-2, -1, 1, 2)]
+            stencil = [geodesic_point(a, b, s + k * h) for k in (-2, -1, 1, 2)]
             tangent = (-stencil[3] + 8 * stencil[2] - 8 * stencil[1] + stencil[0]) / (12 * h)
-            speed = local_norm(geodesic_point(a, b, s), SymMatrix(tangent))
+            speed = local_norm(geodesic_point(a, b, s), tangent)
             np.testing.assert_allclose(speed, d, rtol=1e-5)
 
 
 class TestCurveLength:
     def test_constant_curve(self):
-        a = SpdMatrix(np.diag([2.0, 3.0]))
+        a = np.diag([2.0, 3.0])
         assert curve_length([a, a, a]) == 0.0
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least two"):
-            curve_length([SpdMatrix(np.eye(2))])
+            curve_length([np.eye(2)])
 
     def test_geodesic_matches_distance(self):
-        a = SpdMatrix(np.eye(2))
-        b = SpdMatrix(np.diag([np.e**2, 1.0]))
+        a = np.eye(2)
+        b = np.diag([np.e**2, 1.0])
         length = curve_length(geodesic_samples(a, b, 1000))
         np.testing.assert_allclose(length, 2.0, atol=1e-4)
 
@@ -214,12 +261,12 @@ class TestCurveLength:
 class TestLogEigenMap:
     def test_identity(self):
         np.testing.assert_array_equal(
-            log_eigen_map(SpdMatrix(np.eye(4))).values, np.zeros(4)
+            log_eigen_map(np.eye(4)), np.zeros(4)
         )
 
     def test_diagonal(self):
-        spec = log_eigen_map(SpdMatrix(np.diag([np.e**3, np.e])))
-        np.testing.assert_allclose(spec.values, [3.0, 1.0], atol=1e-14)
+        spec = log_eigen_map(np.diag([np.e**3, np.e]))
+        np.testing.assert_allclose(spec, [3.0, 1.0], atol=1e-14)
 
     def test_lipschitz_under_distance(self):
         rng = stream(11, 10)
@@ -227,22 +274,22 @@ class TestLogEigenMap:
             n = int(rng.integers(2, 9))
             a, b = random_spd(rng, n), random_spd(rng, n)
             gap = np.linalg.norm(
-                log_eigen_map(a).values - log_eigen_map(b).values
+                log_eigen_map(a) - log_eigen_map(b)
             )
             assert gap <= spd_distance(a, b) * (1 + 1e-9)
 
 
 class TestLogQuadraticForm:
     def test_unit_vector_identity(self):
-        assert log_quadratic_form(SpdMatrix(np.eye(3)), [1, 0, 0]) == 0.0
+        assert log_quadratic_form(np.eye(3), [1, 0, 0]) == 0.0
 
     def test_diagonal(self):
-        a = SpdMatrix(np.diag([np.e**2, 1.0]))
+        a = np.diag([np.e**2, 1.0])
         np.testing.assert_allclose(log_quadratic_form(a, [1.0, 0.0]), 2.0, atol=1e-14)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            log_quadratic_form(SpdMatrix(np.eye(2)), [0.0, 0.0])
+            log_quadratic_form(np.eye(2), [0.0, 0.0])
 
     def test_lipschitz_under_distance(self):
         rng = stream(11, 11)
@@ -256,14 +303,14 @@ class TestLogQuadraticForm:
 
 class TestMajorization:
     def test_identity_pair_equalities(self):
-        report = majorization_check(SpdMatrix(np.eye(4)), SpdMatrix(np.eye(4)))
+        report = majorization_check(np.eye(4), np.eye(4))
         for value in report.margins().values():
             assert abs(value) <= 1e-12
         assert report.ok()
 
     def test_commuting_diagonal(self):
-        a = SpdMatrix(np.diag([4.0, 1.0, 0.25]))
-        b = SpdMatrix(np.diag([2.0, 1.0, 0.5]))
+        a = np.diag([4.0, 1.0, 0.25])
+        b = np.diag([2.0, 1.0, 0.5])
         report = majorization_check(a, b)
         np.testing.assert_allclose(
             np.sort(report.gamma),
@@ -314,15 +361,15 @@ class TestSpectrumDerivative:
         while checked < 50:
             n = int(rng.integers(2, 7))
             a = random_spd(rng, n)
-            w = a.eigenvalues
+            w = np.linalg.eigvalsh(a)[::-1]
             if np.min(np.abs(np.diff(w))) <= 1e-3 * w[0]:
                 continue
             g = rng.standard_normal((n, n))
-            b = SymMatrix(0.5 * (g + g.T))
+            b = 0.5 * (g + g.T)
             analytic = spectrum_derivative(a, b)
             h = 1e-6 * w[0]
-            wp = np.linalg.eigvalsh(a.values + h * b.values)[::-1]
-            wm = np.linalg.eigvalsh(a.values - h * b.values)[::-1]
+            wp = np.linalg.eigvalsh(a + h * b)[::-1]
+            wm = np.linalg.eigvalsh(a - h * b)[::-1]
             np.testing.assert_allclose(
                 analytic, (wp - wm) / (2 * h), atol=1e-5 * w[0]
             )
@@ -330,7 +377,7 @@ class TestSpectrumDerivative:
 
     def test_rejects_degenerate_spectrum(self):
         with pytest.raises(ValueError, match="spectral gap"):
-            spectrum_derivative(SpdMatrix(np.eye(2)), SymMatrix(np.eye(2)))
+            spectrum_derivative(np.eye(2), np.eye(2))
 
 
 class TestSortedSpectraBound:
@@ -339,5 +386,5 @@ class TestSortedSpectraBound:
         for _ in range(1000):
             n = int(rng.integers(2, 9))
             a, b = random_spd(rng, n), random_spd(rng, n)
-            lam = np.log(a.eigenvalues) - np.log(b.eigenvalues)
+            lam = log_eigen_map(a) - log_eigen_map(b)
             assert np.sum(lam**2) <= spd_distance(a, b) ** 2 + 1e-9
