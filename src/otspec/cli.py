@@ -610,8 +610,69 @@ def _select_bank(cfg, dim):
     return picked
 
 
+# pairs (geometry-selftest) or points (gamma2-check) evaluated per stacked
+# call: large configs run block by block in bounded memory
+_BLOCK = 2048
+
+
+def _update_worst(worst, key, values):
+    # a NaN propagates into the record, which then fails
+    worst[key] = float(np.max(values, initial=worst[key]))
+
+
+def _geometry_block(worst, a, b, c, gu, gv, log_sv, v):
+    """Fold one dimension's stacked pairs into the running worst values."""
+    d = spd_distance(a, b)
+    scale = 1.0 + d
+    _update_worst(worst, "symmetry", np.abs(d - spd_distance(b, a)) / scale)
+    _update_worst(worst, "identity", spd_distance(a, a))
+    _update_worst(worst, "triangle", d - spd_distance(a, c) - spd_distance(c, b))
+    # congruence with singular values in [e^-1.5, e^1.5]: an ill-conditioned
+    # t contaminates t.T @ a @ t at the eps * cond(t)^2 level, which would
+    # swamp the 1e-9 margin
+    qu, _ = np.linalg.qr(gu)
+    qv, _ = np.linalg.qr(gv)
+    t = (qu * np.exp(log_sv)[:, None, :]) @ qv
+    tt = np.swapaxes(t, -2, -1)
+    conj = spd_distance(tt @ a @ t, tt @ b @ t)
+    _update_worst(worst, "affine", np.abs(conj - d) / scale)
+    inv = spd_distance(np.linalg.inv(a), np.linalg.inv(b))
+    _update_worst(worst, "inversion", np.abs(inv - d) / scale)
+    quad_gap = np.abs(log_quadratic_form(a, v) - log_quadratic_form(b, v))
+    _update_worst(worst, "quadform", quad_gap - d)
+    gap = log_eigen_map(a) - log_eigen_map(b)
+    _update_worst(worst, "eigmap", np.linalg.norm(gap, axis=-1) - d)
+    _update_worst(worst, "sorted", np.sum(gap**2, axis=-1) - d * d)
+
+
+def _geometry_pairs(worst, s, dims):
+    """Draw one block of pairs of the given dimensions and fold them in."""
+    # per dimension: stacks of a, b, c, the congruence's two gaussian
+    # factors and log singular values, and the direction v
+    draws = {
+        n: [np.empty((dims.count(n), n, n)) for _ in range(5)]
+        + [np.empty((dims.count(n), n)) for _ in range(2)]
+        for n in dict.fromkeys(dims)
+    }
+    filled = dict.fromkeys(draws, 0)
+    for n in dims:
+        # one pair's draws, in stream order
+        k = filled[n]
+        filled[n] += 1
+        a, b, c, gu, gv, log_sv, v = draws[n]
+        a[k], b[k], c[k] = (random_spd(s, n) for _ in range(3))
+        gu[k], gv[k] = s.standard_normal((n, n)), s.standard_normal((n, n))
+        log_sv[k], v[k] = s.uniform(-1.5, 1.5, size=n), s.standard_normal(n)
+    for stacks in draws.values():
+        _geometry_block(worst, *stacks)
+
+
 def _run_geometry(cfg):
-    """Metric axioms, invariances, geodesics, and the Lipschitz bounds."""
+    """Metric axioms, invariances, geodesics, and the Lipschitz bounds.
+
+    Each block of pairs is drawn in stream order, grouped by dimension, and
+    checked with one stacked call per quantity and dimension.
+    """
     records = []
     s = rng.stream(cfg.seed, 1)
     worst = dict.fromkeys(
@@ -619,33 +680,9 @@ def _run_geometry(cfg):
          "quadform", "eigmap", "sorted"),
         -math.inf,
     )
-    for i in range(cfg.pairs):
-        n = cfg.dims[i % len(cfg.dims)]
-        a, b, c = (random_spd(s, n) for _ in range(3))
-        d = spd_distance(a, b)
-        scale = 1.0 + d
-        worst["symmetry"] = max(worst["symmetry"], abs(d - spd_distance(b, a)) / scale)
-        worst["identity"] = max(worst["identity"], spd_distance(a, a))
-        worst["triangle"] = max(
-            worst["triangle"], d - spd_distance(a, c) - spd_distance(c, b)
-        )
-        # congruence with singular values in [e^-1.5, e^1.5]: an
-        # ill-conditioned t contaminates t.T @ a @ t at the
-        # eps * cond(t)^2 level, which would swamp the 1e-9 margin
-        qu, _ = np.linalg.qr(s.standard_normal((n, n)))
-        qv, _ = np.linalg.qr(s.standard_normal((n, n)))
-        t = qu @ np.diag(np.exp(s.uniform(-1.5, 1.5, size=n))) @ qv
-        conj = spd_distance(t.T @ a @ t, t.T @ b @ t)
-        worst["affine"] = max(worst["affine"], abs(conj - d) / scale)
-        inv = spd_distance(np.linalg.inv(a), np.linalg.inv(b))
-        worst["inversion"] = max(worst["inversion"], abs(inv - d) / scale)
-        v = s.standard_normal(n)
-        worst["quadform"] = max(
-            worst["quadform"], abs(log_quadratic_form(a, v) - log_quadratic_form(b, v)) - d
-        )
-        gap = log_eigen_map(a) - log_eigen_map(b)
-        worst["eigmap"] = max(worst["eigmap"], float(np.linalg.norm(gap)) - d)
-        worst["sorted"] = max(worst["sorted"], float(np.sum(gap**2)) - d * d)
+    for start in range(0, cfg.pairs, _BLOCK):
+        stop = min(start + _BLOCK, cfg.pairs)
+        _geometry_pairs(worst, s, [cfg.dims[i % len(cfg.dims)] for i in range(start, stop)])
 
     geo_worst = 0.0
     ts = np.linspace(0.0, 1.0, 1000)
@@ -750,12 +787,12 @@ def _run_poincare(cfg):
 
 
 def _run_gamma2(cfg):
-    """Pointwise operator identities on synthetic smooth triples."""
+    """Pointwise operator identities on synthetic smooth triples.
+
+    Each triple's points are evaluated as stacks of at most ``_BLOCK``.
+    """
     records = []
-    worst_cons = 0.0
-    worst_eig = 0.0
-    worst_cert = 0.0
-    worst_boch = 0.0
+    worst = dict.fromkeys(("cons", "eig", "cert", "boch"), 0.0)
     worst_margin = math.inf
     for case in range(cfg.triples):
         dim = cfg.dims[case % len(cfg.dims)]
@@ -763,32 +800,29 @@ def _run_gamma2(cfg):
         t = synthetic_triple(s, dim, delta=0.3)
         u = make_test_function(s, dim)
         pts = s.uniform(-0.9, 0.9, size=(cfg.points, dim))
-        for x in pts:
+        for start in range(0, cfg.points, _BLOCK):
+            x = pts[start : start + _BLOCK]
             ct = contracted_tensors(t, x)
-            worst_cons = max(
-                worst_cons, float(np.max(np.abs(triple_consistency_residual(t, x, tensors=ct))))
-            )
+            _update_worst(worst, "cons", np.abs(triple_consistency_residual(t, x, tensors=ct)))
             vg = t.v_grad(x)
             for k in range(dim):
                 got = operator_L(t, PhiPartialTestFunction(t, k), x, tensors=ct)
-                worst_eig = max(worst_eig, abs(got + vg[k]))
+                _update_worst(worst, "eig", np.abs(got + vg[:, k]))
             expanded = gamma2_expanded(t, u, x, tensors=ct)
             lower = gamma2_lower_bound(t, u, x, tensors=ct)
             cert = bmatrix_certificate(t, u, x, tensors=ct)
             ug = u.grad(x)
             v_mid = ct.inv @ t.v_hess(x) @ ct.inv
             w_mid = t.w_hess(t.phi_grad(x))
-            split = cert + lower + 0.5 * float(ug @ (v_mid + w_mid) @ ug)
-            worst_cert = max(
-                worst_cert, abs(expanded - split) / (1.0 + abs(expanded))
-            )
-            worst_boch = max(worst_boch, abs(bochner_residual(t, u, x, tensors=ct)))
-            worst_margin = min(worst_margin, expanded - lower)
+            split = cert + lower + 0.5 * np.einsum("...i,...ij,...j->...", ug, v_mid + w_mid, ug)
+            _update_worst(worst, "cert", np.abs(expanded - split) / (1.0 + np.abs(expanded)))
+            _update_worst(worst, "boch", np.abs(bochner_residual(t, u, x, tensors=ct)))
+            worst_margin = float(np.min(expanded - lower, initial=worst_margin))
 
-    _rec(records, "conservation-identity", "transport-consistency", worst_cons, 1e-8, worst_cons <= 1e-8)
-    _rec(records, "potential-eigenrelation", "operator-eigenrelation", worst_eig, 1e-8, worst_eig <= 1e-8)
-    _rec(records, "certificate-split", "carre-du-champ-decomposition", worst_cert, 1e-9, worst_cert <= 1e-9)
-    _rec(records, "bochner-residual", "bochner-identity", worst_boch, 1e-6, worst_boch <= 1e-6)
+    _rec(records, "conservation-identity", "transport-consistency", worst["cons"], 1e-8, worst["cons"] <= 1e-8)
+    _rec(records, "potential-eigenrelation", "operator-eigenrelation", worst["eig"], 1e-8, worst["eig"] <= 1e-8)
+    _rec(records, "certificate-split", "carre-du-champ-decomposition", worst["cert"], 1e-9, worst["cert"] <= 1e-9)
+    _rec(records, "bochner-residual", "bochner-identity", worst["boch"], 1e-6, worst["boch"] <= 1e-6)
     _rec(
         records,
         "lower-bound-margin",

@@ -6,8 +6,8 @@ the operator
     L u = Phi^{ij} u_{ij} - sum_j W_j(grad Phi) u_j
 
 is symmetric in L^2(exp(-V)), and its carre-du-champ iterate Gamma_2
-controls spectral concentration.  This module evaluates L, Gamma_2, the
-pullback metric, and the Ricci tensor of the associated Hessian manifold
+controls spectral concentration.  This module evaluates L, Gamma_2, its
+certificate split, and the Ricci tensor of the associated Hessian manifold
 at sample points, for transport triples (Phi, V, W) whose derivatives are
 available in closed form.
 
@@ -19,8 +19,12 @@ The mixed third-order symbols are
     Phi^{ij}_k  = Phi^{il} Phi^{jm} Phi_{klm}
     Phi^{ijk}   = Phi^{il} Phi^{jm} Phi^{kr} Phi_{lmr}
 
-All contractions go through numpy.einsum; tensors are dense ndarrays of
-shape (n,), (n, n), (n, n, n).
+Points are stacks: every oracle, test function and operator takes x of
+shape (..., n) and keeps its leading shape, so a batch of points is one
+call.  All contractions go through numpy.einsum over the leading axes;
+tensors are dense ndarrays of shape (..., n), (..., n, n), (..., n, n, n),
+and scalars have shape (...).  A check that fails names the first failing
+point of the stack.
 """
 
 import math
@@ -43,7 +47,6 @@ __all__ = [
     "gamma2_expanded",
     "gamma2_lower_bound",
     "bmatrix_certificate",
-    "pullback_metric",
     "ricci_tensor",
     "bochner_residual",
     "triple_consistency_residual",
@@ -53,15 +56,14 @@ _MAX_CONDITION = 1e12
 
 
 class SmoothTriple:
-    """A transport triple (Phi, V, W) with pointwise derivative oracles.
+    """A transport triple (Phi, V, W) with derivative oracles on point stacks.
 
-    Subclasses provide grad/hess/third of Phi at a point x, grad/hess of
-    V at x, and grad/hess of W at a point y (evaluated at y = grad Phi(x)
-    by the operators).  ``provenance`` records whether the third
-    derivatives are closed-form or finite-difference reconstructions.
+    Subclasses provide grad/hess/third of Phi at points x of shape (..., d),
+    grad/hess of V at x, and grad/hess of W at points y (evaluated at
+    y = grad Phi(x) by the operators).  Each oracle keeps the leading shape
+    of its points: values have shape (...), and gradients, Hessians and
+    third derivatives have shapes (..., d), (..., d, d) and (..., d, d, d).
     """
-
-    provenance = "analytic"
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -73,11 +75,6 @@ class SmoothTriple:
         raise NotImplementedError
 
     def phi_third(self, x):
-        raise NotImplementedError
-
-    def phi_fourth(self, x):
-        # optional: only needed when a partial of Phi serves as a test
-        # function and its own third derivative is requested
         raise NotImplementedError
 
     def v_grad(self, x):
@@ -99,15 +96,34 @@ class SmoothTriple:
     def w_value(self, y):
         raise NotImplementedError
 
-    def v_hessian_floor(self, points):
-        """Smallest eigenvalue of D^2 V over the given points."""
-        return min(
-            float(np.linalg.eigvalsh(self.v_hess(np.asarray(x, dtype=float)))[0])
-            for x in points
-        )
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
+
+
+def _first(bad):
+    """Index of the first flagged point, and " at point k" naming it in a stack."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    if not idx:
+        return idx, ""
+    return idx, f" at point {idx[0] if len(idx) == 1 else idx}"
+
+
+def _constant(a, x):
+    """The point-independent tensor ``a`` repeated over the points of x."""
+    return np.broadcast_to(a, np.shape(x)[:-1] + a.shape).copy()
+
+
+def _coordinate(f, x):
+    """f of the one coordinate of points x of shape (..., 1), shaped (...)."""
+    return np.asarray(f(np.asarray(x, dtype=float)[..., 0]))
+
+
+def _diagonal(d, order):
+    """Tensor of the given order over n whose diagonal is d, shape (..., n)."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,) * (order - 1))
+    out[(...,) + (np.arange(n),) * order] = d
+    return out
 
 
 class _Triple1D(SmoothTriple):
@@ -124,57 +140,40 @@ class _Triple1D(SmoothTriple):
         self.tm = tm
 
     def _pieces(self, x):
-        s = float(np.asarray(x, dtype=float).reshape(()))
-        t = float(self.tm.map_points(s))
-        dd = float(self.tm.second_derivative(s))
-        return s, t, dd
+        s = np.asarray(x, dtype=float)[..., 0]
+        return s, np.asarray(self.tm.map_points(s)), np.asarray(self.tm.second_derivative(s))
 
     def phi_grad(self, x):
         _, t, _ = self._pieces(x)
-        return np.array([t])
+        return t[..., None]
 
     def phi_hess(self, x):
         _, _, dd = self._pieces(x)
-        return np.array([[dd]])
+        return dd[..., None, None]
 
     def phi_third(self, x):
         s, t, dd = self._pieces(x)
-        w1 = float(self.tm.target.potential_d1(t))
-        v1 = float(self.tm.source.potential_d1(s))
-        return np.array([[[dd * (w1 * dd - v1)]]])
-
-    def phi_fourth(self, x):
-        s, t, dd = self._pieces(x)
-        v1 = float(self.tm.source.potential_d1(s))
-        v2 = float(self.tm.source.potential_d2(s))
-        w1 = float(self.tm.target.potential_d1(t))
-        w2 = float(self.tm.target.potential_d2(t))
-        d3 = dd * (w1 * dd - v1)
-        return np.array([[[[d3 * (w1 * dd - v1) + dd * (w2 * dd * dd + w1 * d3 - v2)]]]])
+        w1 = self.tm.target.potential_d1(t)
+        v1 = self.tm.source.potential_d1(s)
+        return (dd * (w1 * dd - v1))[..., None, None, None]
 
     def v_grad(self, x):
-        s = float(np.asarray(x, dtype=float).reshape(()))
-        return np.array([float(self.tm.source.potential_d1(s))])
+        return _coordinate(self.tm.source.potential_d1, x)[..., None]
 
     def v_hess(self, x):
-        s = float(np.asarray(x, dtype=float).reshape(()))
-        return np.array([[float(self.tm.source.potential_d2(s))]])
+        return _coordinate(self.tm.source.potential_d2, x)[..., None, None]
 
     def w_grad(self, y):
-        t = float(np.asarray(y, dtype=float).reshape(()))
-        return np.array([float(self.tm.target.potential_d1(t))])
+        return _coordinate(self.tm.target.potential_d1, y)[..., None]
 
     def w_hess(self, y):
-        t = float(np.asarray(y, dtype=float).reshape(()))
-        return np.array([[float(self.tm.target.potential_d2(t))]])
+        return _coordinate(self.tm.target.potential_d2, y)[..., None, None]
 
     def v_value(self, x):
-        s = float(np.asarray(x, dtype=float).reshape(()))
-        return float(self.tm.source.potential(s))
+        return _coordinate(self.tm.source.potential, x)
 
     def w_value(self, y):
-        t = float(np.asarray(y, dtype=float).reshape(()))
-        return float(self.tm.target.potential(t))
+        return _coordinate(self.tm.target.potential, y)
 
 
 class _TripleGaussian(SmoothTriple):
@@ -183,39 +182,33 @@ class _TripleGaussian(SmoothTriple):
     def __init__(self, tm):
         super().__init__(tm.dim)
         self.tm = tm
-        self._a = tm.matrix
 
     def phi_grad(self, x):
         return self.tm.map_points(np.asarray(x, dtype=float))
 
     def phi_hess(self, x):
-        return self._a.copy()
+        return _constant(self.tm.matrix, x)
 
     def phi_third(self, x):
-        n = self.dim
-        return np.zeros((n, n, n))
-
-    def phi_fourth(self, x):
-        n = self.dim
-        return np.zeros((n, n, n, n))
+        return _constant(np.zeros((self.dim,) * 3), x)
 
     def v_grad(self, x):
         return self.tm.source.potential_grad(np.asarray(x, dtype=float))
 
     def v_hess(self, x):
-        return self.tm.source.potential_hess(np.asarray(x, dtype=float))
+        return _constant(self.tm.source.potential_hess(x), x)
 
     def w_grad(self, y):
         return self.tm.target.potential_grad(np.asarray(y, dtype=float))
 
     def w_hess(self, y):
-        return self.tm.target.potential_hess(np.asarray(y, dtype=float))
+        return _constant(self.tm.target.potential_hess(y), y)
 
     def v_value(self, x):
-        return float(self.tm.source.potential(np.asarray(x, dtype=float)))
+        return self.tm.source.potential(np.asarray(x, dtype=float))
 
     def w_value(self, y):
-        return float(self.tm.target.potential(np.asarray(y, dtype=float)))
+        return self.tm.target.potential(np.asarray(y, dtype=float))
 
 
 class _TripleProduct(SmoothTriple):
@@ -226,63 +219,43 @@ class _TripleProduct(SmoothTriple):
         self.tm = tm
         self.parts = [_Triple1D(f) for f in tm.factors]
 
-    def phi_grad(self, x):
+    def _entries(self, oracle, x):
+        """(..., d) diagonal entries: each factor's oracle on its own coordinate."""
         x = np.asarray(x, dtype=float)
-        return np.array(
-            [float(p.phi_grad(x[i : i + 1])[0]) for i, p in enumerate(self.parts)]
+        return np.stack(
+            [
+                getattr(p, oracle)(x[..., i : i + 1]).reshape(x.shape[:-1])
+                for i, p in enumerate(self.parts)
+            ],
+            axis=-1,
         )
+
+    def phi_grad(self, x):
+        return self._entries("phi_grad", x)
 
     def phi_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.diag(
-            [float(p.phi_hess(x[i : i + 1])[0, 0]) for i, p in enumerate(self.parts)]
-        )
+        return _diagonal(self._entries("phi_hess", x), 2)
 
     def phi_third(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dim,) * 3)
-        for i, p in enumerate(self.parts):
-            out[i, i, i] = float(p.phi_third(x[i : i + 1])[0, 0, 0])
-        return out
-
-    def phi_fourth(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dim,) * 4)
-        for i, p in enumerate(self.parts):
-            out[i, i, i, i] = float(p.phi_fourth(x[i : i + 1])[0, 0, 0, 0])
-        return out
+        return _diagonal(self._entries("phi_third", x), 3)
 
     def v_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [float(p.v_grad(x[i : i + 1])[0]) for i, p in enumerate(self.parts)]
-        )
+        return self._entries("v_grad", x)
 
     def v_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.diag(
-            [float(p.v_hess(x[i : i + 1])[0, 0]) for i, p in enumerate(self.parts)]
-        )
+        return _diagonal(self._entries("v_hess", x), 2)
 
     def w_grad(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.array(
-            [float(p.w_grad(y[i : i + 1])[0]) for i, p in enumerate(self.parts)]
-        )
+        return self._entries("w_grad", y)
 
     def w_hess(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.diag(
-            [float(p.w_hess(y[i : i + 1])[0, 0]) for i, p in enumerate(self.parts)]
-        )
+        return _diagonal(self._entries("w_hess", y), 2)
 
     def v_value(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(p.v_value(x[i : i + 1]) for i, p in enumerate(self.parts))
+        return self._entries("v_value", x).sum(axis=-1)
 
     def w_value(self, y):
-        y = np.asarray(y, dtype=float)
-        return sum(p.w_value(y[i : i + 1]) for i, p in enumerate(self.parts))
+        return self._entries("w_value", y).sum(axis=-1)
 
 
 class _TripleRadial(SmoothTriple):
@@ -306,74 +279,72 @@ class _TripleRadial(SmoothTriple):
 
     def _frame(self, x):
         x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r < 1e-10:
-            raise ValueError("radial triple oracles need |x| > 0")
-        return r, x / r
+        r = np.linalg.norm(x, axis=-1)
+        bad = r < 1e-10
+        if np.any(bad):
+            _, at = _first(bad)
+            raise ValueError(f"radial triple oracles need |x| > 0{at}")
+        return r, x / r[..., None]
 
     def _profile_derivs(self, r):
-        phi = float(self.tm.profile(r))
-        d1 = float(self.tm.profile_d1(np.asarray(r), phi=np.asarray(phi)))
+        phi = self.tm.profile(r)
+        d1 = self.tm.profile_d1(r, phi=phi)
         src, dst = self.tm.source, self.tm.target
-        slope = float(src.radial_pdf_logslope(r)) - float(
-            dst.radial_pdf_logslope(phi)
-        ) * d1
-        d2 = d1 * slope
+        d2 = d1 * (src.radial_pdf_logslope(r) - dst.radial_pdf_logslope(phi) * d1)
         return phi, d1, d2
+
+    def _split(self, e, radial, tangential):
+        """radial e e^T + tangential (I - e e^T), with (...) coefficients."""
+        proj = e[..., :, None] * e[..., None, :]
+        eye = np.eye(self.dim)
+        return radial[..., None, None] * proj + tangential[..., None, None] * (eye - proj)
 
     def phi_grad(self, x):
         r, e = self._frame(x)
         phi, _, _ = self._profile_derivs(r)
-        return phi * e
+        return phi[..., None] * e
 
     def phi_hess(self, x):
         r, e = self._frame(x)
         phi, d1, _ = self._profile_derivs(r)
-        proj = np.outer(e, e)
-        return d1 * proj + (phi / r) * (np.eye(self.dim) - proj)
+        return self._split(e, d1, phi / r)
 
     def phi_third(self, x):
         r, e = self._frame(x)
         phi, d1, d2 = self._profile_derivs(r)
-        n = self.dim
-        eye = np.eye(n)
-        eee = np.einsum("i,j,k->ijk", e, e, e)
+        eye = np.eye(self.dim)
+        eee = np.einsum("...i,...j,...k->...ijk", e, e, e)
         sym = (
-            np.einsum("ij,k->ijk", eye, e)
-            + np.einsum("ik,j->ijk", eye, e)
-            + np.einsum("jk,i->ijk", eye, e)
+            np.einsum("ij,...k->...ijk", eye, e)
+            + np.einsum("ik,...j->...ijk", eye, e)
+            + np.einsum("jk,...i->...ijk", eye, e)
         )
-        return d2 * eee + ((d1 - phi / r) / r) * (sym - 3.0 * eee)
+        bend = (d1 - phi / r) / r
+        return d2[..., None, None, None] * eee + bend[..., None, None, None] * (sym - 3.0 * eee)
 
     def v_grad(self, x):
         r, e = self._frame(x)
-        return float(self.tm.source.radial_potential_d1(r)) * e
+        return self.tm.source.radial_potential_d1(r)[..., None] * e
 
     def v_hess(self, x):
         r, e = self._frame(x)
-        d1 = float(self.tm.source.radial_potential_d1(r))
-        d2 = float(self.tm.source.radial_potential_d2(r))
-        proj = np.outer(e, e)
-        return d2 * proj + (d1 / r) * (np.eye(self.dim) - proj)
+        src = self.tm.source
+        return self._split(e, src.radial_potential_d2(r), src.radial_potential_d1(r) / r)
 
     def w_grad(self, y):
         r, e = self._frame(y)
-        return float(self.tm.target.radial_potential_d1(r)) * e
+        return self.tm.target.radial_potential_d1(r)[..., None] * e
 
     def w_hess(self, y):
         r, e = self._frame(y)
-        d1 = float(self.tm.target.radial_potential_d1(r))
-        d2 = float(self.tm.target.radial_potential_d2(r))
-        proj = np.outer(e, e)
-        return d2 * proj + (d1 / r) * (np.eye(self.dim) - proj)
+        dst = self.tm.target
+        return self._split(e, dst.radial_potential_d2(r), dst.radial_potential_d1(r) / r)
 
     def v_value(self, x):
-        r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-        return float(self.tm.source.radial_potential(r))
+        return self.tm.source.potential(x)
 
     def w_value(self, y):
-        r = float(np.linalg.norm(np.asarray(y, dtype=float)))
-        return float(self.tm.target.radial_potential(r))
+        return self.tm.target.potential(y)
 
 
 class _TripleSynthetic(SmoothTriple):
@@ -387,8 +358,7 @@ class _TripleSynthetic(SmoothTriple):
     Because Phi has vanishing fourth derivatives, V's first two
     derivatives close in terms of the tensors already at hand, so the
     triple satisfies the conservation identity exactly, with no
-    quadrature or FD noise.  V need not be convex; use
-    ``v_hessian_floor`` to filter where convexity matters.
+    quadrature or FD noise.  V need not be convex.
     """
 
     def __init__(self, cubic, w_quad, w_center):
@@ -399,52 +369,50 @@ class _TripleSynthetic(SmoothTriple):
 
     def phi_grad(self, x):
         x = np.asarray(x, dtype=float)
-        return x + 0.5 * np.einsum("ijk,j,k->i", self.cubic, x, x)
+        return x + 0.5 * np.einsum("ijk,...j,...k->...i", self.cubic, x, x)
 
     def phi_hess(self, x):
         x = np.asarray(x, dtype=float)
-        return np.eye(self.dim) + np.einsum("ijk,k->ij", self.cubic, x)
+        return np.eye(self.dim) + np.einsum("ijk,...k->...ij", self.cubic, x)
 
     def phi_third(self, x):
-        return self.cubic.copy()
-
-    def phi_fourth(self, x):
-        n = self.dim
-        return np.zeros((n, n, n, n))
+        return _constant(self.cubic, x)
 
     def w_grad(self, y):
-        return self.w_quad @ (np.asarray(y, dtype=float) - self.w_center)
+        return np.einsum("ij,...j->...i", self.w_quad, np.asarray(y, dtype=float) - self.w_center)
 
     def w_hess(self, y):
-        return self.w_quad.copy()
+        return _constant(self.w_quad, y)
 
     def w_value(self, y):
         # normalizer omitted: the triple only promises derivatives, and the
         # quadrature tests use the weight up to a constant factor
         d = np.asarray(y, dtype=float) - self.w_center
-        return 0.5 * float(d @ self.w_quad @ d)
+        return 0.5 * np.einsum("...i,ij,...j->...", d, self.w_quad, d)
 
     def v_value(self, x):
-        h = self.phi_hess(x)
-        sign, logdet = np.linalg.slogdet(h)
-        if sign <= 0:
-            raise ArithmeticError("potential Hessian lost positivity")
-        return self.w_value(self.phi_grad(x)) - float(logdet)
+        sign, logdet = np.linalg.slogdet(self.phi_hess(x))
+        lost = sign <= 0
+        if np.any(lost):
+            _, at = _first(lost)
+            raise ArithmeticError(f"potential Hessian lost positivity{at}")
+        return self.w_value(self.phi_grad(x)) - logdet
 
     def v_grad(self, x):
         h = self.phi_hess(x)
         h_inv = np.linalg.inv(h)
-        log_det_grad = np.einsum("ik,ikj->j", h_inv, self.cubic)
-        return -log_det_grad + h @ self.w_grad(self.phi_grad(x))
+        log_det_grad = np.einsum("...ik,ikj->...j", h_inv, self.cubic)
+        wg = self.w_grad(self.phi_grad(x))
+        return -log_det_grad + np.einsum("...ij,...j->...i", h, wg)
 
     def v_hess(self, x):
         h = self.phi_hess(x)
         h_inv = np.linalg.inv(h)
         wg = self.w_grad(self.phi_grad(x))
         metric = np.einsum(
-            "ab,bcj,cd,dak->jk", h_inv, self.cubic, h_inv, self.cubic
+            "...ab,bcj,...cd,dak->...jk", h_inv, self.cubic, h_inv, self.cubic
         )
-        tilt = np.einsum("ijk,i->jk", self.cubic, wg)
+        tilt = np.einsum("ijk,...i->...jk", self.cubic, wg)
         squeeze = h @ self.w_quad @ h
         return metric + tilt + squeeze
 
@@ -463,33 +431,26 @@ class CubicTestFunction:
         x = np.asarray(x, dtype=float)
         return (
             self.const
-            + self.linear @ x
-            + 0.5 * x @ self.quadratic @ x
-            + np.einsum("ijk,i,j,k->", self.cubic, x, x, x) / 6.0
+            + x @ self.linear
+            + 0.5 * np.einsum("...i,ij,...j->...", x, self.quadratic, x)
+            + np.einsum("ijk,...i,...j,...k->...", self.cubic, x, x, x) / 6.0
         )
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         return (
             self.linear
-            + self.quadratic @ x
-            + 0.5 * np.einsum("ijk,j,k->i", self.cubic, x, x)
+            + np.einsum("ij,...j->...i", self.quadratic, x)
+            + 0.5 * np.einsum("ijk,...j,...k->...i", self.cubic, x, x)
         )
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
-        return self.quadratic + np.einsum("ijk,k->ij", self.cubic, x)
-
-    def third(self, x):
-        return self.cubic.copy()
+        return self.quadratic + np.einsum("ijk,...k->...ij", self.cubic, x)
 
 
 class PhiPartialTestFunction:
-    """u = Phi_k, the k-th partial of the potential of a triple.
-
-    ``third`` needs the triple's fourth-derivative oracle, which radial
-    triples do not provide; the first two derivatives always work.
-    """
+    """u = Phi_k, the k-th partial of the potential of a triple."""
 
     def __init__(self, triple, k):
         self.triple = triple
@@ -497,16 +458,13 @@ class PhiPartialTestFunction:
         self.dim = triple.dim
 
     def value(self, x):
-        return float(self.triple.phi_grad(x)[self.k])
+        return self.triple.phi_grad(x)[..., self.k]
 
     def grad(self, x):
-        return self.triple.phi_hess(x)[:, self.k]
+        return self.triple.phi_hess(x)[..., :, self.k]
 
     def hess(self, x):
-        return self.triple.phi_third(x)[:, :, self.k]
-
-    def third(self, x):
-        return self.triple.phi_fourth(x)[:, :, :, self.k]
+        return self.triple.phi_third(x)[..., :, :, self.k]
 
 
 def _symmetrize3(c):
@@ -570,7 +528,7 @@ def synthetic_triple(stream, dim, delta=0.2, hess_floor=0.1, box_radius=1.0):
 
 @dataclass(frozen=True)
 class ContractedTensors:
-    """Tensor bundle at a point: Hessian, its inverse, and raised thirds."""
+    """Tensor bundle at points: Hessian, its inverse, and raised thirds."""
 
     hess: np.ndarray
     inv: np.ndarray
@@ -578,35 +536,35 @@ class ContractedTensors:
     up1: np.ndarray  # Phi^i_{jk}
     up2: np.ndarray  # Phi^{ij}_k
     up3: np.ndarray  # Phi^{ijk}
-    condition: float
 
 
 def contracted_tensors(t, x):
-    """All third-order contractions at x, computed from one inverse."""
+    """All third-order contractions at the points x, from one inverse each."""
     x = np.asarray(x, dtype=float)
     h = t.phi_hess(x)
     eig = np.linalg.eigvalsh(h)
-    if eig[0] <= 0 or eig[-1] / eig[0] > _MAX_CONDITION:
-        cond = math.inf if eig[0] <= 0 else eig[-1] / eig[0]
+    lo, hi = eig[..., 0], eig[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(lo > 0, hi / lo, math.inf)
+    bad = cond > _MAX_CONDITION
+    if np.any(bad):
+        idx, at = _first(bad)
         raise ArithmeticError(
-            f"potential Hessian too ill-conditioned at this point "
-            f"(condition {cond:.3e} > {_MAX_CONDITION:.0e})"
+            f"potential Hessian too ill-conditioned{at or ' at this point'} "
+            f"(condition {cond[idx]:.3e} > {_MAX_CONDITION:.0e})"
         )
     inv = np.linalg.inv(h)
-    inv = 0.5 * (inv + inv.T)
+    inv = 0.5 * (inv + np.swapaxes(inv, -2, -1))
     third = t.phi_third(x)
-    up1 = np.einsum("il,ljk->ijk", inv, third)
-    up2 = np.einsum("il,jm,klm->ijk", inv, inv, third)
-    up3 = np.einsum("il,jm,kr,lmr->ijk", inv, inv, inv, third)
-    return ContractedTensors(
-        hess=h,
-        inv=inv,
-        third=third,
-        up1=up1,
-        up2=up2,
-        up3=up3,
-        condition=float(eig[-1] / eig[0]),
-    )
+    up1 = np.einsum("...il,...ljk->...ijk", inv, third)
+    up2 = np.einsum("...il,...jm,...klm->...ijk", inv, inv, third)
+    up3 = np.einsum("...il,...jm,...kr,...lmr->...ijk", inv, inv, inv, third)
+    return ContractedTensors(hess=h, inv=inv, third=third, up1=up1, up2=up2, up3=up3)
+
+
+def _quad(v, m, w):
+    """v_i m_ij w_j over the points."""
+    return np.einsum("...i,...ij,...j->...", v, m, w)
 
 
 def operator_L(t, u, x, tensors=None):
@@ -619,23 +577,25 @@ def operator_L(t, u, x, tensors=None):
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     ug = u.grad(x)
-    trace_term = float(np.einsum("ij,ij->", ct.inv, u.hess(x)))
-    w_at = t.w_grad(t.phi_grad(x))
-    w_form = trace_term - float(w_at @ ug)
-    v_form = trace_term - float(
-        (np.einsum("imi->m", ct.up2) + ct.inv @ t.v_grad(x)) @ ug
-    )
-    scale = 1.0 + abs(trace_term) + float(np.abs(w_at @ ug))
-    if abs(w_form - v_form) > 1e-6 * scale:
+    trace_term = np.einsum("...ij,...ij->...", ct.inv, u.hess(x))
+    w_drift = np.einsum("...j,...j->...", t.w_grad(t.phi_grad(x)), ug)
+    v_drift = np.einsum("...imi->...m", ct.up2) + np.einsum("...ij,...j->...i", ct.inv, t.v_grad(x))
+    w_form = trace_term - w_drift
+    v_form = trace_term - np.einsum("...m,...m->...", v_drift, ug)
+    gap = np.abs(w_form - v_form)
+    scale = 1.0 + np.abs(trace_term) + np.abs(w_drift)
+    bad = gap > 1e-6 * scale
+    if np.any(bad):
+        idx, at = _first(bad)
         raise ArithmeticError(
-            f"the two forms of L disagree by {abs(w_form - v_form):.3e} "
-            f"(scale {scale:.3e}); the triple violates mass conservation"
+            f"the two forms of L disagree by {gap[idx]:.3e}{at} "
+            f"(scale {scale[idx]:.3e}); the triple violates mass conservation"
         )
     return w_form
 
 
 def gamma2_expanded(t, u, x, tensors=None):
-    """The expanded carre-du-champ iterate at a point.
+    """The expanded carre-du-champ iterate at the points x.
 
     Gamma_2(u) = Phi^{kl}Phi^{ij}u_{ik}u_{jl} - Phi^{ijk}u_{ij}u_k
                  + (Phi^{ik}_l Phi^{jl}_k + Phi^{ik}Phi^{jl}V_{kl}) u_i u_j / 2
@@ -644,13 +604,13 @@ def gamma2_expanded(t, u, x, tensors=None):
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     ug, uh = u.grad(x), u.hess(x)
-    term1 = float(np.einsum("ij,jk,kl,li->", ct.inv, uh, ct.inv, uh))
-    term2 = float(np.einsum("ijk,ij,k->", ct.up3, uh, ug))
-    s2 = np.einsum("akl,blk->ab", ct.up2, ct.up2)
+    term1 = np.einsum("...ij,...jk,...kl,...li->...", ct.inv, uh, ct.inv, uh)
+    term2 = np.einsum("...ijk,...ij,...k->...", ct.up3, uh, ug)
+    s2 = np.einsum("...akl,...blk->...ab", ct.up2, ct.up2)
     v_mid = ct.inv @ t.v_hess(x) @ ct.inv
     w_mid = t.w_hess(t.phi_grad(x))
     quad = 0.5 * (s2 + v_mid + w_mid)
-    return term1 - term2 + float(ug @ quad @ ug)
+    return term1 - term2 + _quad(ug, quad, ug)
 
 
 def gamma2_lower_bound(t, u, x, tensors=None):
@@ -658,8 +618,8 @@ def gamma2_lower_bound(t, u, x, tensors=None):
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     ug = u.grad(x)
-    s2 = np.einsum("akl,blk->ab", ct.up2, ct.up2)
-    return 0.25 * float(ug @ s2 @ ug)
+    s2 = np.einsum("...akl,...blk->...ab", ct.up2, ct.up2)
+    return 0.25 * _quad(ug, s2, ug)
 
 
 def bmatrix_certificate(t, u, x, tensors=None):
@@ -668,40 +628,28 @@ def bmatrix_certificate(t, u, x, tensors=None):
     (D^2 Phi) B is the symmetric matrix u_{ij} - Phi^l_{ij} u_l / 2, so a
     congruence by the inverse square root of the Hessian exhibits Tr(B^2)
     as a Frobenius norm.  Always nonnegative; equals the three u-second-
-    order terms of the expanded Gamma_2 with the quarter coefficient.
+    order terms of the expanded Gamma_2 with the quarter coefficient.  The
+    inverse square roots of every point's Hessian come from one stacked
+    ``sqrt_factors`` call.
     """
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     ug, uh = u.grad(x), u.hess(x)
-    a = uh - 0.5 * np.einsum("lij,l->ij", ct.up1, ug)
-    _, inv_half = sqrt_factors(ct.hess)
+    a = uh - 0.5 * np.einsum("...lij,...l->...ij", ct.up1, ug)
+    n = ct.hess.shape[-1]
+    _, inv_half = sqrt_factors(ct.hess.reshape(-1, n, n))
+    inv_half = inv_half.reshape(ct.hess.shape)
     m = inv_half @ a @ inv_half
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > 1e-8 * (1.0 + float(np.max(np.abs(m)))):
+    mt = np.swapaxes(m, -2, -1)
+    asym = np.max(np.abs(m - mt), axis=(-2, -1))
+    bad = asym > 1e-8 * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
+    if np.any(bad):
+        idx, at = _first(bad)
         raise ArithmeticError(
-            f"congruence of the B-matrix lost symmetry by {asym:.3e}"
+            f"congruence of the B-matrix lost symmetry by {asym[idx]:.3e}{at}"
         )
-    m = 0.5 * (m + m.T)
-    return float(np.sum(m * m))
-
-
-def pullback_metric(t, x, tensors=None):
-    """g_ij = Phi^l_{ik} Phi^k_{jl}, checked against the trace form."""
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    g = np.einsum("lik,kjl->ij", ct.up1, ct.up1)
-    trace_form = np.einsum(
-        "ab,bci,cd,daj->ij", ct.inv, ct.third, ct.inv, ct.third
-    )
-    if np.max(np.abs(g - trace_form)) > 1e-9 * (1.0 + np.max(np.abs(g))):
-        raise ArithmeticError("pullback metric forms disagree beyond 1e-9")
-    g = 0.5 * (g + g.T)
-    floor = float(np.linalg.eigvalsh(g)[0])
-    if floor < -1e-10:
-        raise ArithmeticError(
-            f"pullback metric has negative eigenvalue {floor:.3e}"
-        )
-    return g
+    m = 0.5 * (m + mt)
+    return np.sum(m * m, axis=(-2, -1))
 
 
 def ricci_tensor(t, x, tensors=None):
@@ -709,12 +657,12 @@ def ricci_tensor(t, x, tensors=None):
     + Phi_{ji} Phi_{lk} (W_{jk} o grad Phi) / 2."""
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
-    first = 0.25 * np.einsum("kij,jlk->il", ct.up1, ct.up1)
+    first = 0.25 * np.einsum("...kij,...jlk->...il", ct.up1, ct.up1)
     second = 0.5 * t.v_hess(x)
     w_mid = t.w_hess(t.phi_grad(x))
     third = 0.5 * ct.hess @ w_mid @ ct.hess
     ric = first + second + third
-    return 0.5 * (ric + ric.T)
+    return 0.5 * (ric + np.swapaxes(ric, -2, -1))
 
 
 def bochner_residual(t, u, x, tensors=None):
@@ -727,10 +675,10 @@ def bochner_residual(t, u, x, tensors=None):
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     ug = u.grad(x)
-    a = u.hess(x) - 0.5 * np.einsum("kij,k->ij", ct.up1, ug)
-    hess_term = float(np.einsum("ij,jk,kl,li->", ct.inv, a, ct.inv, a))
-    raised = ct.inv @ ug
-    ric_term = float(raised @ ricci_tensor(t, x, tensors=ct) @ raised)
+    a = u.hess(x) - 0.5 * np.einsum("...kij,...k->...ij", ct.up1, ug)
+    hess_term = np.einsum("...ij,...jk,...kl,...li->...", ct.inv, a, ct.inv, a)
+    raised = np.einsum("...ij,...j->...i", ct.inv, ug)
+    ric_term = _quad(raised, ricci_tensor(t, x, tensors=ct), raised)
     return gamma2_expanded(t, u, x, tensors=ct) - hess_term - ric_term
 
 
@@ -740,4 +688,8 @@ def triple_consistency_residual(t, x, tensors=None):
     x = np.asarray(x, dtype=float)
     ct = tensors if tensors is not None else contracted_tensors(t, x)
     w_at = t.w_grad(t.phi_grad(x))
-    return t.v_grad(x) + np.einsum("iji->j", ct.up1) - ct.hess @ w_at
+    return (
+        t.v_grad(x)
+        + np.einsum("...iji->...j", ct.up1)
+        - np.einsum("...ij,...j->...i", ct.hess, w_at)
+    )

@@ -2,31 +2,27 @@
 
 The cone of SPD matrices carries the Riemannian metric whose squared
 distance element at A is ``Tr[(A^{-1} dA)^2]``.  This module provides the
-induced distance, geodesics, curve lengths, the log-eigenvalue map and its
-Lipschitz companions, majorization diagnostics for products, and a Monte
-Carlo estimator of the metric slope of a functional.
+induced distance, geodesics, curve lengths, and the log-eigenvalue map and
+log quadratic forms whose 1-Lipschitz bounds the geometry self-test checks.
 
 SPD values are plain float arrays of shape (n, n), or (m, n, n) for a
-stack, and this is the only module that validates one.  Every public
-function validates its matrix inputs once, on entry, and works from the
-eigendecomposition that validation computes.  Geodesics are batched: one
-call returns every requested point of the curve.
+stack, and this is the only module that validates one.  The distance, the
+log-eigenvalue map, the log quadratic form and the square-root factors take
+either shape and return results with the matching leading shape.  Every
+public function validates each argument once, on entry, as one stack, and
+works from the eigendecomposition that validation computes.  Geodesics are
+batched: one call returns every requested point of the curve.
 """
 
 import numpy as np
 
 __all__ = [
-    "MajorizationReport",
     "sqrt_factors",
     "spd_distance",
-    "local_norm",
     "geodesic_point",
     "curve_length",
     "log_eigen_map",
     "log_quadratic_form",
-    "majorization_check",
-    "numeric_upper_gradient",
-    "spectrum_derivative",
     "random_spd",
 ]
 
@@ -89,13 +85,19 @@ def _frobenius(a):
 
 
 def _sqrt_factors(w, v):
-    r = np.sqrt(w)
-    return (v * r) @ v.T, (v / r) @ v.T
+    r = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -2, -1)
+    return (v * r) @ vt, (v / r) @ vt
+
+
+def _same_shape(a, b):
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: a has shape {a.shape}, b has shape {b.shape}")
 
 
 def sqrt_factors(a):
-    """(A^{1/2}, A^{-1/2}) of an SPD matrix, from one eigendecomposition."""
-    _, w, v = _validated(a, "a")
+    """(A^{1/2}, A^{-1/2}) of an SPD matrix or stack, from one eigendecomposition."""
+    _, w, v = _validated(a, "a", stack=np.ndim(a) == 3)
     return _sqrt_factors(w, v)
 
 
@@ -103,39 +105,17 @@ def spd_distance(a, b):
     """Riemannian distance ‖log(A^{-1/2} B A^{-1/2})‖ between SPD matrices.
 
     The norm is the Hilbert-Schmidt (Frobenius) norm; equivalently the
-    root sum of squared logs of the eigenvalues of A^{-1}B.
+    root sum of squared logs of the eigenvalues of A^{-1}B.  ``a`` and
+    ``b`` are two matrices of shape (n, n), giving a float, or two stacks of
+    shape (m, n, n), giving the m pairwise distances.
     """
-    _, wa, va = _validated(a, "a")
-    b, _, _ = _validated(b, "b")
-    if wa.size != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {wa.size} vs {b.shape[0]}")
+    a, wa, va = _validated(a, "a", stack=np.ndim(a) == 3)
+    b, _, _ = _validated(b, "b", stack=np.ndim(b) == 3)
+    _same_shape(a, b)
     _, isa = _sqrt_factors(wa, va)
     c = isa @ b @ isa
-    w = np.linalg.eigvalsh(0.5 * (c + c.T))
-    return float(np.linalg.norm(np.log(w)))
-
-
-def local_norm(a, b):
-    """Norm of a symmetric tangent vector B at the base point A.
-
-    Evaluates both expressions ‖A^{-1/2} B A^{-1/2}‖ and
-    √Tr[(A^{-1}B)²] and checks that they agree to 1e-10 relative
-    tolerance before returning the first.
-    """
-    a, wa, va = _validated(a, "a")
-    b, _, _ = _validated(b, "b", definite=False)
-    if wa.size != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {wa.size} vs {b.shape[0]}")
-    _, isa = _sqrt_factors(wa, va)
-    m = isa @ b @ isa
-    by_congruence = float(np.linalg.norm(m))
-    ainv_b = np.linalg.solve(a, b)
-    by_trace = float(np.sqrt(max(np.trace(ainv_b @ ainv_b), 0.0)))
-    if abs(by_congruence - by_trace) > 1e-10 * max(1.0, by_congruence):
-        raise ArithmeticError(
-            f"local norm formulas disagree: {by_congruence!r} vs {by_trace!r}"
-        )
-    return by_congruence
+    w = np.linalg.eigvalsh(0.5 * (c + np.swapaxes(c, -2, -1)))
+    return np.linalg.norm(np.log(w), axis=-1)
 
 
 def geodesic_point(a, b, s):
@@ -155,10 +135,9 @@ def geodesic_point(a, b, s):
     -------
     ndarray of shape ``np.shape(s) + (n, n)``
     """
-    _, wa, va = _validated(a, "a")
+    a, wa, va = _validated(a, "a")
     b, _, _ = _validated(b, "b")
-    if wa.size != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {wa.size} vs {b.shape[0]}")
+    _same_shape(a, b)
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError(f"geodesic parameter must be a scalar or 1d, got shape {s.shape}")
@@ -210,11 +189,12 @@ def curve_length(points):
     Parameters
     ----------
     points : array_like, shape (m, n, n)
-        At least two SPD samples at uniform parameter spacing.
+        At least three SPD samples at uniform parameter spacing: the end
+        tangents are second-order one-sided stencils over three samples.
     """
     stack, _, _ = _validated(points, "curve sample", stack=True)
-    if stack.shape[0] < 2:
-        raise ValueError("need at least two curve samples")
+    if stack.shape[0] < 3:
+        raise ValueError(f"need at least three curve samples, got {stack.shape[0]}")
     if np.allclose(stack, stack[0], rtol=0.0, atol=1e-15 * np.linalg.norm(stack[0])):
         return 0.0
     speeds, h = _batched_speeds(stack)
@@ -222,157 +202,27 @@ def curve_length(points):
 
 
 def log_eigen_map(a):
-    """Descending-sorted logs of the eigenvalues of an SPD matrix."""
-    _, w, _ = _validated(a, "a")
+    """Descending-sorted logs of the eigenvalues of an SPD matrix or stack."""
+    _, w, _ = _validated(a, "a", stack=np.ndim(a) == 3)
     return np.log(w)
 
 
 def log_quadratic_form(a, v):
-    """log(Av·v), a 1-Lipschitz functional of A for each fixed v ≠ 0."""
-    a, _, _ = _validated(a, "a")
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != a.shape[0]:
-        raise ValueError(f"direction has size {v.size}, expected {a.shape[0]}")
-    if not np.any(v != 0.0):
-        raise ValueError("direction vector must be nonzero")
-    return float(np.log(v @ a @ v))
+    """log(Av·v), a 1-Lipschitz functional of A for each fixed v ≠ 0.
 
-
-class MajorizationReport:
-    """Margins for the log-spectrum majorization of an SPD product.
-
-    With α = Λ(A), β = Λ(B), γ = Λ(A^{1/2} B A^{1/2}) all descending,
-    the recorded margins are minima of "bound minus value", so every
-    field is nonnegative up to roundoff when the inequalities hold:
-
-    - ``partial_sum``: min over k of Σ_{i≤k}(αᵢ+βᵢ) − Σ_{i≤k}γᵢ
-    - ``total_sum_gap``: |Σγ − Σ(α+β)| (equality of determinants)
-    - ``plus_square``: Σ((αᵢ+βᵢ)₊)² − Σ((γᵢ)₊)²
-    - ``minus_square``: Σ((−αᵢ−βᵢ)₊)² − Σ((−γᵢ)₊)²
-    - ``triangle``: ‖α‖₂ + ‖β‖₂ − ‖γ‖₂
+    ``a`` of shape (n, n) takes ``v`` of shape (n,); a stack of shape
+    (m, n, n) takes one direction per matrix, ``v`` of shape (m, n).
     """
-
-    def __init__(self, alpha, beta, gamma):
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        combined = alpha + beta
-        self.partial_sum = float(
-            np.min(np.cumsum(combined) - np.cumsum(gamma))
-        )
-        self.total_sum_gap = float(abs(np.sum(gamma) - np.sum(combined)))
-        plus = lambda t: np.square(np.maximum(t, 0.0)).sum()
-        self.plus_square = float(plus(combined) - plus(gamma))
-        self.minus_square = float(plus(-combined) - plus(-gamma))
-        self.triangle = float(
-            np.linalg.norm(alpha) + np.linalg.norm(beta) - np.linalg.norm(gamma)
-        )
-
-    def margins(self):
-        return {
-            "partial_sum": self.partial_sum,
-            "total_sum_gap": self.total_sum_gap,
-            "plus_square": self.plus_square,
-            "minus_square": self.minus_square,
-            "triangle": self.triangle,
-        }
-
-    def ok(self, tol=1e-9):
-        m = self.margins()
-        gap = m.pop("total_sum_gap")
-        return gap <= tol and all(v >= -tol for v in m.values())
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v:.3e}" for k, v in self.margins().items())
-        return f"MajorizationReport({inner})"
-
-
-def majorization_check(a, b):
-    """Check the product-spectrum majorization inequalities for A, B SPD.
-
-    Returns a :class:`MajorizationReport` whose margins certify the
-    partial-sum dominance of Λ(A^{1/2}BA^{1/2}) by Λ(A)+Λ(B), the
-    squared-positive-part and squared-negative-part comparisons, and the
-    resulting two-norm triangle inequality.
-    """
-    _, wa, va = _validated(a, "a")
-    b, wb, _ = _validated(b, "b")
-    if wa.size != wb.size:
-        raise ValueError(f"dimension mismatch: {wa.size} vs {wb.size}")
-    sa, _ = _sqrt_factors(wa, va)
-    prod = sa @ b @ sa
-    gamma = log_eigen_map(0.5 * (prod + prod.T))
-    return MajorizationReport(np.log(wa), np.log(wb), gamma)
-
-
-def numeric_upper_gradient(f, a, eps, probes, rng):
-    """Monte Carlo lower estimate of the metric slope of F at A.
-
-    Draws antipodal pairs Y = A^{1/2} e^{S} A^{1/2}, Z = A^{1/2} e^{-S} A^{1/2}
-    for random symmetric S with ‖S‖ ≤ eps (so dist(Y, Z) = 2‖S‖ exactly)
-    and returns the largest difference quotient |F(Y) − F(Z)| / dist(Y, Z).
-    For smooth F this converges to |∇F|(A) from below as probes grow.
-
-    Parameters
-    ----------
-    f : callable
-        Real functional of an SPD matrix, given as an (n, n) array.
-    a : array_like, shape (n, n)
-    eps : float
-        Radius of the geodesic ball being probed.
-    probes : int
-    rng : numpy.random.Generator
-    """
-    _, wa, va = _validated(a, "a")
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("probe radius must be positive")
-    probes = int(probes)
-    if probes < 1:
-        raise ValueError("need at least one probe")
-    n = wa.size
-    sa, _ = _sqrt_factors(wa, va)
-    best = 0.0
-    for i in range(probes):
-        g = rng.standard_normal((n, n))
-        s = 0.5 * (g + g.T)
-        norm = np.linalg.norm(s)
-        if norm == 0.0:
-            continue
-        s *= eps * rng.uniform(0.25, 1.0) / norm
-        w, v = np.linalg.eigh(s)
-        step = (v * np.exp(w)) @ v.T
-        back = (v * np.exp(-w)) @ v.T
-        pair = np.stack([sa @ step @ sa, sa @ back @ sa])
-        (y, z), _, _ = _validated(pair, "probe", stack=True)
-        fy, fz = float(f(y)), float(f(z))
-        if not (np.isfinite(fy) and np.isfinite(fz)):
-            raise ArithmeticError(
-                f"functional returned a non-finite value at probe {i}"
-            )
-        quotient = abs(fy - fz) / (2.0 * np.linalg.norm(s))
-        best = max(best, quotient)
-    return best
-
-
-def spectrum_derivative(a, direction):
-    """Derivatives of the eigenvalues of A + tB at t = 0.
-
-    Requires A to have simple spectrum (all gaps above 1e-6 relative to
-    the largest eigenvalue); returns the vector (B vᵢ · vᵢ) ordered like
-    the descending eigenvalues of A.
-    """
-    _, w, v = _validated(a, "a")
-    b, _, _ = _validated(direction, "direction", definite=False)
-    if w.size != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {w.size} vs {b.shape[0]}")
-    if w.size > 1:
-        gap = np.min(np.abs(np.diff(w)))
-        if gap <= 1e-6 * w[0]:
-            raise ValueError(
-                f"spectral gap {gap:.3e} too small for eigenvalue derivatives"
-            )
-    return np.einsum("ij,jk,ki->i", v.T, b, v)
+    stack = np.ndim(a) == 3
+    a, _, _ = _validated(a, "a", stack=stack)
+    v = np.asarray(v, dtype=float)
+    if v.shape != a.shape[:-1]:
+        raise ValueError(f"direction has shape {v.shape}, expected {a.shape[:-1]}")
+    zero = ~np.any(v != 0.0, axis=-1)
+    if np.any(zero):
+        where = f" (v[{int(np.flatnonzero(zero)[0])}])" if stack else ""
+        raise ValueError("direction vector must be nonzero" + where)
+    return np.log((v[..., None, :] @ a @ v[..., :, None])[..., 0, 0])
 
 
 def random_spd(rng, dim, log_spread=3.0):

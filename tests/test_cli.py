@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from otspec import cli, spd
 from otspec.cli import (
     KINDS,
     CheckRecord,
@@ -357,13 +358,58 @@ class TestRunExperiment:
         assert "geodesic-length" in claims
         assert "sorted-spectra-bound" in claims
 
-    @pytest.mark.parametrize("seed", [5, 8, 11])
+    @pytest.mark.parametrize("seed", range(12))
     def test_geometry_selftest_passes_at_seed(self, seed):
-        # seeds whose affine-invariance check once failed under an
+        # seeds 5, 8 and 11 once failed the affine-invariance check under an
         # ill-conditioned congruence; the default pair count reaches them
         cfg = config_from_dict({"kind": "geometry-selftest", "seed": seed})
         report = run_experiment(cfg)
         assert [r.name for r in report.records if not r.passed] == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gamma2_check_passes_at_seed(self, seed):
+        cfg = config_from_dict({"kind": "gamma2-check", "seed": seed})
+        report = run_experiment(cfg)
+        assert [r.name for r in report.records if not r.passed] == []
+
+    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 3600), ("gamma2-check", 20)])
+    def test_validates_once_per_stack(self, monkeypatch, kind, limit):
+        # geometry-selftest: 3,100 of its calls are random_spd checking its
+        # own draws; the stacked checks and the 50 geodesics make the rest
+        calls = []
+        validated = spd._validated
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return validated(*args, **kwargs)
+
+        monkeypatch.setattr(spd, "_validated", counted)
+        report = run_experiment(default_config(kind))
+        assert all(r.passed for r in report.records)
+        assert 0 < len(calls) <= limit
+
+    @pytest.mark.parametrize(
+        "overrides, stage, count",
+        [
+            ({"kind": "geometry-selftest", "pairs": 20}, "_geometry_block", 20),
+            ({"kind": "gamma2-check", "triples": 4, "points": 30}, "contracted_tensors", 120),
+        ],
+    )
+    def test_blocks_do_not_change_records(self, monkeypatch, overrides, stage, count):
+        # the stage sees every pair or point once, whatever the block size
+        cfg = config_from_dict(overrides)
+        whole = render_report(run_experiment(cfg), "json")
+        seen = []
+        inner = getattr(cli, stage)
+
+        def counted(first, second, *rest, **kwargs):
+            seen.append(len(second))
+            return inner(first, second, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, stage, counted)
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        assert render_report(run_experiment(cfg), "json") == whole
+        assert sum(seen) == count and max(seen) <= 7
 
     def test_gamma2_check_small(self):
         cfg = config_from_dict(

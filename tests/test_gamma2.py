@@ -30,7 +30,6 @@ from otspec.gamma2 import (
     gamma2_lower_bound,
     make_test_function,
     operator_L,
-    pullback_metric,
     ricci_tensor,
     synthetic_triple,
     triple_consistency_residual,
@@ -41,7 +40,7 @@ from otspec.measures import (
     make_catalog_measure,
     make_radial_measure,
 )
-from otspec.spd import local_norm, random_spd, spd_distance, spectrum_derivative
+from otspec.spd import random_spd, spd_distance
 
 
 def _triple_1d():
@@ -128,6 +127,15 @@ def _bank():
         (_triple_radial(), lambda s=s: 0.5 * _unit(s, 3) * s.uniform(0.2, 1.6)),
         (_triple_radial_in(), lambda s=s: _unit(s, 3) * s.uniform(0.2, 2.5)),
     ]
+
+
+def _pullback(ct):
+    """g_ij = Phi^l_{ik} Phi^k_{jl}, the metric the Hessian map pulls back."""
+    return np.einsum("...lik,...kjl->...ij", ct.up1, ct.up1)
+
+
+def _v_hessian_floor(t, pts):
+    return float(np.linalg.eigvalsh(t.v_hess(pts))[:, 0].min())
 
 
 def _unit(stream, dim):
@@ -447,7 +455,7 @@ class TestGamma2:
             t = synthetic_triple(s, dim, delta=0.3)
             u = make_test_function(s, dim)
             pts = s.uniform(-0.9, 0.9, size=(100, dim))
-            assert t.v_hessian_floor(pts) > 0.0
+            assert _v_hessian_floor(t, pts) > 0.0
             for x in pts:
                 ct = contracted_tensors(t, x)
                 lo = gamma2_lower_bound(t, u, x, tensors=ct)
@@ -515,12 +523,12 @@ class TestPullbackMetric:
         t = _triple_1d()
         x = np.array([-0.9])
         ct = contracted_tensors(t, x)
-        g = pullback_metric(t, x, tensors=ct)
+        g = _pullback(ct)
         ratio = ct.third[0, 0, 0] / ct.hess[0, 0]
         assert g[0, 0] == pytest.approx(ratio * ratio, rel=1e-12)
 
     def test_quadratic_gives_zero(self):
-        g = pullback_metric(_ou_triple(3), np.array([1.0, 2.0, 3.0]))
+        g = _pullback(contracted_tensors(_ou_triple(3), np.array([1.0, 2.0, 3.0])))
         assert np.array_equal(g, np.zeros((3, 3)))
 
     def test_fd_distance_consistency(self):
@@ -533,7 +541,7 @@ class TestPullbackMetric:
              np.array([0.4, -0.5, 0.3])),
         ]
         for t, x in cases:
-            g = pullback_metric(t, x)
+            g = _pullback(contracted_tensors(t, x))
             for i in range(t.dim):
                 e = np.zeros(t.dim)
                 e[i] = eps
@@ -545,7 +553,7 @@ class TestPullbackMetric:
 
     def test_psd_across_bank(self):
         for t, sampler in _bank():
-            g = pullback_metric(t, sampler())
+            g = _pullback(contracted_tensors(t, sampler()))
             assert float(np.linalg.eigvalsh(g)[0]) >= -1e-10
 
 
@@ -567,7 +575,7 @@ class TestRicci:
                     for k in range(n)
                     for j in range(n)
                 )
-        assert np.max(np.abs(first - 0.25 * pullback_metric(t, x, tensors=ct))) < 1e-12
+        assert np.max(np.abs(first - 0.25 * _pullback(ct))) < 1e-12
 
     def test_psd_for_log_concave_triples(self):
         for t, sampler in _bank():
@@ -580,7 +588,7 @@ class TestRicci:
             s = rng.stream(56, 1 + case)
             t = synthetic_triple(s, 3, delta=0.3)
             pts = s.uniform(-0.9, 0.9, size=(20, 3))
-            assert t.v_hessian_floor(pts) > 0.0
+            assert _v_hessian_floor(t, pts) > 0.0
             for x in pts:
                 assert float(np.linalg.eigvalsh(ricci_tensor(t, x))[0]) >= -1e-9
 
@@ -650,18 +658,16 @@ class TestInvariants:
             e = _unit(s, 3)
             ct = contracted_tensors(t, x)
             direction = np.einsum("ijk,k->ij", ct.third, e)
-            h = 0.5 * (ct.hess + ct.hess.T)
-            try:
-                dlam = spectrum_derivative(h, direction) / np.linalg.eigvalsh(h)[::-1]
-            except ValueError:
+            w, v = np.linalg.eigh(0.5 * (ct.hess + ct.hess.T))
+            if np.min(np.diff(w)) <= 1e-6 * w[-1]:
                 continue  # near-degenerate spectrum at this point
-            g = pullback_metric(t, x, tensors=ct)
-            length = math.sqrt(max(float(e @ g @ e), 0.0))
+            # first-order eigenvalue perturbation, relative to each eigenvalue
+            dlam = np.einsum("ji,jk,ki->i", v, direction, v) / w
+            length = math.sqrt(max(float(e @ _pullback(ct) @ e), 0.0))
             assert float(np.linalg.norm(dlam)) <= length + 1e-6
-            assert length == pytest.approx(
-                local_norm(h, 0.5 * (direction + direction.T)),
-                abs=1e-9 * (1.0 + length),
-            )
+            inv_half = (v / np.sqrt(w)) @ v.T
+            local_norm = np.linalg.norm(inv_half @ (0.5 * (direction + direction.T)) @ inv_half)
+            assert length == pytest.approx(local_norm, abs=1e-9 * (1.0 + length))
             checked += 1
         assert checked >= 30
 
@@ -687,7 +693,7 @@ class TestInvariants:
         x = np.array([0.5, -1.0, 0.25])
         h = u.hess(x)
         assert np.max(np.abs(h - h.T)) < 1e-8 * (1.0 + np.max(np.abs(h)))
-        c = u.third(x)
+        c = u.cubic
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             assert np.max(np.abs(c - c.transpose(perm))) < 1e-12
 
@@ -722,21 +728,120 @@ class TestTripleConstruction:
         w = np.linalg.eigvalsh(t.w_hess(np.zeros(4)))
         assert np.all(w >= 0.5 - 1e-12) and np.all(w <= 2.0 + 1e-12)
 
-    def test_provenance_attribute(self):
-        assert _triple_1d().provenance == "analytic"
-        assert synthetic_triple(rng.stream(59, 11), 2).provenance == "analytic"
-
     def test_radial_origin_rejected(self):
         t = _triple_radial()
         with pytest.raises(ValueError, match=r"\|x\| > 0"):
             t.phi_grad(np.zeros(3))
 
-    def test_radial_fourth_derivative_unavailable(self):
-        t = _triple_radial()
-        u = PhiPartialTestFunction(t, 1)
-        with pytest.raises(NotImplementedError):
-            u.third(np.array([0.3, 0.2, 0.1]))
 
-    def test_v_hessian_floor_reports_minimum(self):
-        t = _ou_triple(2)
-        assert t.v_hessian_floor([np.zeros(2), np.ones(2)]) == pytest.approx(1.0)
+_POINT_ORACLES = ("phi_grad", "phi_hess", "phi_third", "v_grad", "v_hess", "v_value")
+_TARGET_ORACLES = ("w_grad", "w_hess", "w_value")
+_OPERATORS = (
+    operator_L,
+    gamma2_expanded,
+    gamma2_lower_bound,
+    bmatrix_certificate,
+    bochner_residual,
+)
+
+
+def _evaluations(t, u, x):
+    """Every oracle, test-function derivative, tensor and operator at x."""
+    out = {name: getattr(t, name)(x) for name in _POINT_ORACLES}
+    y = t.phi_grad(x)
+    out.update({name: getattr(t, name)(y) for name in _TARGET_ORACLES})
+    for label, f in (("u", u), ("partial", PhiPartialTestFunction(t, t.dim - 1))):
+        for name in ("value", "grad", "hess"):
+            out[f"{label}.{name}"] = getattr(f, name)(x)
+    ct = contracted_tensors(t, x)
+    for name in ("hess", "inv", "third", "up1", "up2", "up3"):
+        out[f"ct.{name}"] = getattr(ct, name)
+    for op in _OPERATORS:
+        out[op.__name__] = op(t, u, x, tensors=ct)
+    out["ricci_tensor"] = ricci_tensor(t, x, tensors=ct)
+    out["triple_consistency_residual"] = triple_consistency_residual(t, x, tensors=ct)
+    return out
+
+
+def _scale(name, e):
+    """Size of an evaluation; a residual is sized by the terms it cancels."""
+    if name == "bochner_residual":
+        return np.max(np.abs(e["gamma2_expanded"]))
+    if name == "triple_consistency_residual":
+        terms = (e["v_grad"], np.einsum("iji->j", e["ct.up1"]), e["ct.hess"] @ e["w_grad"])
+        return max(np.max(np.abs(term)) for term in terms)
+    return np.max(np.abs(e[name]))
+
+
+class TestStacks:
+    def test_matches_per_point_calls(self):
+        cases = _bank() + [
+            (synthetic_triple(rng.stream(60, 0), 3, delta=0.5),
+             lambda s=rng.stream(60, 1): s.uniform(-0.8, 0.8, size=3)),
+        ]
+        for t, sampler in cases:
+            x = np.stack([sampler() for _ in range(7)])
+            u = make_test_function(rng.stream(60, 2), t.dim)
+            stacked = _evaluations(t, u, x)
+            for k in range(len(x)):
+                single = _evaluations(t, u, x[k])
+                for name, want in single.items():
+                    got = stacked[name][k]
+                    assert np.shape(got) == np.shape(want), name
+                    gap = np.max(np.abs(got - want))
+                    assert gap <= 1e-12 * _scale(name, single), (type(t).__name__, name, gap)
+
+    def test_checks_name_the_first_failing_point(self):
+        class _Pinched(SmoothTriple):
+            # Hessian diag(1, x_0): ill-conditioned where x_0 is tiny
+            def phi_hess(self, x):
+                h = np.zeros(x.shape[:-1] + (2, 2))
+                h[..., 0, 0] = 1.0
+                h[..., 1, 1] = x[..., 0]
+                return h
+
+            def phi_third(self, x):
+                return np.zeros(x.shape[:-1] + (2, 2, 2))
+
+        x = np.array([[1.0, 0.0], [0.5, 0.0], [5e-13, 0.0], [1e-13, 0.0]])
+        with pytest.raises(ArithmeticError, match=r"ill-conditioned at point 2 \(condition 2\.000e\+12"):
+            contracted_tensors(_Pinched(2), x)
+
+        base = synthetic_triple(rng.stream(60, 3), 2, delta=0.4)
+
+        class _Skewed(SmoothTriple):
+            # V's gradient is off by a constant where x_0 > 0.3
+            def __init__(self):
+                super().__init__(2)
+                self.phi_grad = base.phi_grad
+                self.phi_hess = base.phi_hess
+                self.phi_third = base.phi_third
+                self.w_grad = base.w_grad
+
+            def v_grad(self, x):
+                shift = np.where(x[..., :1] > 0.3, np.array([0.5, -0.3]), 0.0)
+                return base.v_grad(x) + shift
+
+        u = CubicTestFunction(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        x = np.array([[0.1, 0.0], [0.2, 0.1], [0.4, 0.1], [0.5, -0.2]])
+        with pytest.raises(ArithmeticError, match=r"disagree by .* at point 2 .*mass conservation"):
+            operator_L(_Skewed(), u, x)
+
+        class _Twisted:
+            # asymmetric second derivative where x_0 > 0.3
+            dim = 2
+
+            def grad(self, x):
+                return np.zeros_like(x)
+
+            def hess(self, x):
+                h = np.zeros(x.shape[:-1] + (2, 2))
+                h[..., 0, 1] = np.where(x[..., 0] > 0.3, 1.0, 0.0)
+                return h
+
+        with pytest.raises(ArithmeticError, match=r"lost symmetry by 1\.000e\+00 at point 2"):
+            bmatrix_certificate(_ou_triple(2), _Twisted(), x)
+
+        x = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\|x\| > 0 at point 1"):
+            _triple_radial().phi_hess(x)

@@ -194,25 +194,26 @@ def _full_batch_quantile(m, p):
     """Reference solver: one safeguarded Newton loop over the whole batch.
 
     Every element is iterated until every element's move is below
-    1e-15 (1 + |x|), from a bracket searched for every element.
+    1e-15 (1 + |x|), from a bracket searched for every element.  A Newton
+    trial outside the bracket falls back to bisection unless its move
+    already meets that rule.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     a, b = m.support
     center, scale = m._location_scale()
-    lo = np.full_like(p, a if np.isfinite(a) else center - scale)
-    hi = np.full_like(p, b if np.isfinite(b) else center + scale)
-    if not np.isfinite(a):
-        for k in range(1, 90):
-            bad = m.cdf(lo) > p
-            if not np.any(bad):
-                break
-            lo = np.where(bad, center - scale * 2.0**k, lo)
-    if not np.isfinite(b):
-        for k in range(1, 90):
-            bad = m.cdf(hi) < p
-            if not np.any(bad):
-                break
-            hi = np.where(bad, center + scale * 2.0**k, hi)
+    # an infinite end is center -/+ scale 2^k at the first k in 0..89 whose
+    # CDF clears p; every element shares these levels, so each is evaluated
+    # once (the far levels overflow inside some CDFs, harmlessly)
+    levels = scale * 2.0 ** np.arange(90)
+    lo = np.full_like(p, a)
+    hi = np.full_like(p, b)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(a):
+            k = np.searchsorted(-m.cdf(center - levels), -p, side="left")
+            lo = center - levels[np.minimum(k, 89)]
+        if not np.isfinite(b):
+            k = np.searchsorted(m.cdf(center + levels), p, side="left")
+            hi = center + levels[np.minimum(k, 89)]
     x = np.clip(np.atleast_1d(m._quantile_init(p)), lo, hi)
     for _ in range(80):
         f = m.cdf(x) - p
@@ -222,9 +223,13 @@ def _full_batch_quantile(m, p):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / dens
         trial = x - step
+        # a trial that rounds onto a bracket end is kept when its move
+        # already meets the stopping rule; bisecting there would restart
+        # from the wide initial bracket
+        settled = np.abs(trial - x) <= 1e-15 * (1.0 + np.abs(x))
         fallback = (
             ~np.isfinite(trial) | (trial <= lo) | (trial >= hi) | (dens <= 0.0)
-        )
+        ) & ~settled
         trial = np.where(fallback, 0.5 * (lo + hi), trial)
         if np.all(np.abs(trial - x) <= 1e-15 * (1.0 + np.abs(x))):
             return trial

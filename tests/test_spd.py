@@ -9,14 +9,10 @@ from otspec.spd import (
     _validated,
     curve_length,
     geodesic_point,
-    local_norm,
     log_eigen_map,
     log_quadratic_form,
-    majorization_check,
-    numeric_upper_gradient,
     random_spd,
     spd_distance,
-    spectrum_derivative,
     sqrt_factors,
 )
 
@@ -36,6 +32,13 @@ def geodesic_point_oracle(a, b, s):
     return 0.5 * (g + g.T)
 
 
+def local_norm(a, b):
+    """‖A^{-1/2} B A^{-1/2}‖, the metric norm of the tangent vector B at A."""
+    w, v = np.linalg.eigh(a)
+    isa = (v / np.sqrt(w)) @ v.T
+    return np.linalg.norm(isa @ b @ isa)
+
+
 def apply_scalar(a, f):
     """Σ f(λᵢ) vᵢvᵢᵗ from the eigendecomposition the validator returns."""
     _, w, v = _validated(a, "a")
@@ -53,7 +56,7 @@ class TestContainers:
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
-            local_norm(np.eye(2), np.ones((2, 3)))
+            spd_distance(np.eye(2), np.ones((2, 3)))
 
     def test_spectrum_cached_descending(self):
         a = np.diag([1.0, 3.0, 2.0])
@@ -158,19 +161,7 @@ class TestDistance:
 
 
 class TestLocalNorm:
-    def test_identity_base_is_frobenius(self):
-        b = np.array([[1.0, 2.0], [2.0, -3.0]])
-        np.testing.assert_allclose(
-            local_norm(np.eye(2), b), np.linalg.norm(b), rtol=1e-12
-        )
-
-    def test_norm_of_base_is_sqrt_dim(self):
-        rng = stream(11, 5)
-        a = random_spd(rng, 6)
-        np.testing.assert_allclose(
-            local_norm(a, a), np.sqrt(6.0), rtol=1e-10
-        )
-
+    # the distance to nearby points recovers the metric norm at the base
     def test_small_perturbation_limit(self):
         rng = stream(11, 6)
         a = random_spd(rng, 4)
@@ -237,9 +228,13 @@ class TestCurveLength:
         a = np.diag([2.0, 3.0])
         assert curve_length([a, a, a]) == 0.0
 
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError, match="at least two"):
-            curve_length([np.eye(2)])
+    def test_needs_three_points(self):
+        # the end tangents are three-point stencils, so two distinct
+        # samples are refused rather than read past
+        a, b = np.eye(2), np.diag([2.0, 3.0])
+        for pts in ([a, b], [a]):
+            with pytest.raises(ValueError, match="at least three curve samples"):
+                curve_length(pts)
 
     def test_geodesic_matches_distance(self):
         a = np.eye(2)
@@ -301,85 +296,6 @@ class TestLogQuadraticForm:
             assert gap <= spd_distance(a, b) * (1 + 1e-9)
 
 
-class TestMajorization:
-    def test_identity_pair_equalities(self):
-        report = majorization_check(np.eye(4), np.eye(4))
-        for value in report.margins().values():
-            assert abs(value) <= 1e-12
-        assert report.ok()
-
-    def test_commuting_diagonal(self):
-        a = np.diag([4.0, 1.0, 0.25])
-        b = np.diag([2.0, 1.0, 0.5])
-        report = majorization_check(a, b)
-        np.testing.assert_allclose(
-            np.sort(report.gamma),
-            np.sort(report.alpha + report.beta),
-            atol=1e-12,
-        )
-        assert report.ok()
-
-    def test_random_pairs(self):
-        rng = stream(11, 13)
-        for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            report = majorization_check(random_spd(rng, n), random_spd(rng, n))
-            assert report.ok(tol=1e-9), report.margins()
-
-
-class TestUpperGradient:
-    def test_constant_functional(self):
-        rng = stream(11, 14)
-        a = random_spd(rng, 3)
-        assert numeric_upper_gradient(lambda y: 1.5, a, 1e-3, 16, stream(11, 15)) == 0.0
-
-    def test_log_quadratic_form_is_one_lipschitz(self):
-        rng = stream(11, 16)
-        for case in range(10):
-            n = int(rng.integers(2, 6))
-            a = random_spd(rng, n)
-            v = rng.standard_normal(n)
-            est = numeric_upper_gradient(
-                lambda y: log_quadratic_form(y, v), a, 1e-3, 64, stream(11, 17, case)
-            )
-            assert est <= 1.0 + 1e-6
-
-    def test_distance_functional_slope(self):
-        rng = stream(2024, 1)
-        a, c = random_spd(rng, 2), random_spd(rng, 2)
-        est = numeric_upper_gradient(
-            lambda y: spd_distance(y, c), a, 1e-3, 64, stream(2024, 1, 1)
-        )
-        assert est >= 0.95
-        assert est <= 1.0 + 1e-6
-
-
-class TestSpectrumDerivative:
-    def test_matches_finite_differences(self):
-        rng = stream(11, 18)
-        checked = 0
-        while checked < 50:
-            n = int(rng.integers(2, 7))
-            a = random_spd(rng, n)
-            w = np.linalg.eigvalsh(a)[::-1]
-            if np.min(np.abs(np.diff(w))) <= 1e-3 * w[0]:
-                continue
-            g = rng.standard_normal((n, n))
-            b = 0.5 * (g + g.T)
-            analytic = spectrum_derivative(a, b)
-            h = 1e-6 * w[0]
-            wp = np.linalg.eigvalsh(a + h * b)[::-1]
-            wm = np.linalg.eigvalsh(a - h * b)[::-1]
-            np.testing.assert_allclose(
-                analytic, (wp - wm) / (2 * h), atol=1e-5 * w[0]
-            )
-            checked += 1
-
-    def test_rejects_degenerate_spectrum(self):
-        with pytest.raises(ValueError, match="spectral gap"):
-            spectrum_derivative(np.eye(2), np.eye(2))
-
-
 class TestSortedSpectraBound:
     def test_log_ratio_dominated_by_distance(self):
         rng = stream(11, 19)
@@ -388,3 +304,60 @@ class TestSortedSpectraBound:
             a, b = random_spd(rng, n), random_spd(rng, n)
             lam = log_eigen_map(a) - log_eigen_map(b)
             assert np.sum(lam**2) <= spd_distance(a, b) ** 2 + 1e-9
+
+
+def _rel(got, want):
+    return np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
+
+
+class TestStacks:
+    # a stacked call against the same function called on each slice
+    def _stacks(self, seed, n, m=9):
+        rng = stream(seed, n)
+        a = np.stack([random_spd(rng, n) for _ in range(m)])
+        b = np.stack([random_spd(rng, n) for _ in range(m)])
+        return a, b, rng.standard_normal((m, n))
+
+    def test_matches_per_slice_calls(self):
+        for n in range(2, 9):
+            a, b, v = self._stacks(23, n)
+            d = spd_distance(a, b)
+            q = log_quadratic_form(a, v)
+            spec = log_eigen_map(a)
+            assert d.shape == q.shape == (len(a),)
+            assert spec.shape == (len(a), n)
+            for k in range(len(a)):
+                assert _rel(d[k], spd_distance(a[k], b[k])) <= 1e-12
+                assert _rel(q[k], log_quadratic_form(a[k], v[k])) <= 1e-12
+                assert np.all(_rel(spec[k], log_eigen_map(a[k])) <= 1e-12)
+
+    def test_sqrt_factors_of_a_stack(self):
+        a, _, _ = self._stacks(24, 4)
+        half, inv_half = sqrt_factors(a)
+        for k in range(len(a)):
+            one_half, one_inv = sqrt_factors(a[k])
+            assert np.linalg.norm(half[k] - one_half) <= 1e-12 * np.linalg.norm(one_half)
+            assert np.linalg.norm(inv_half[k] - one_inv) <= 1e-12 * np.linalg.norm(one_inv)
+
+    def test_names_the_bad_matrix(self):
+        a, b, v = self._stacks(25, 3, m=5)
+        bad = b.copy()
+        bad[3] = -bad[3]
+        with pytest.raises(ValueError, match=r"b\[3\] is not positive definite"):
+            spd_distance(a, bad)
+        with pytest.raises(ValueError, match=r"a\[3\] is not positive definite"):
+            log_eigen_map(bad)
+        with pytest.raises(ValueError, match=r"a\[3\] is not positive definite"):
+            log_quadratic_form(bad, v)
+        v[2] = 0.0
+        with pytest.raises(ValueError, match=r"nonzero \(v\[2\]\)"):
+            log_quadratic_form(a, v)
+
+    def test_shapes_must_match(self):
+        a, b, v = self._stacks(26, 3, m=4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spd_distance(a, b[:3])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spd_distance(a, b[0])
+        with pytest.raises(ValueError, match="direction has shape"):
+            log_quadratic_form(a, v[0])
