@@ -17,7 +17,7 @@ original measure in the tight-variance limit.
 import math
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 from .spd import _validated, sqrt_factors
 
@@ -64,6 +64,41 @@ def _integrate(f, a, b, points=None):
             f"quadrature failed on ({a}, {b}): error estimate {res.error:.3e}"
         )
     return float(res.integral)
+
+
+# fixed panel Gauss-Legendre rule of the regularized measures
+_GL_Z, _GL_W = np.polynomial.legendre.leggauss(16)
+_GRADE_LEVELS = 12
+_GRADE_RATIO = 0.25
+# tilted moments: equal panels per piece of the window, distinct points per block
+_TILT_PANELS = 16
+_TILT_BLOCK = 32
+# largest rise of z = ndtri(F) between points of the quantile start table
+_TABLE_DZ = 0.02
+
+
+def _panel_rule(lo, hi, panels, grade_lo, grade_hi):
+    """Panel Gauss-Legendre nodes and weights on [lo, hi], on a new last axis.
+
+    ``lo`` and ``hi`` broadcast against each other.  [lo, hi] is cut into
+    ``panels`` equal panels of 16 nodes; at a graded end, the end panel is
+    cut again into ``_GRADE_LEVELS`` panels whose widths shrink by
+    ``_GRADE_RATIO`` toward that end, so that a factor like
+    (y - lo)**(s - 1), not analytic at the end, still integrates to
+    roundoff.  A zero-length interval gets zero weights.
+    """
+    s = np.linspace(0.0, 1.0, panels + 1)
+    geo = _GRADE_RATIO ** np.arange(_GRADE_LEVELS - 1, 0, -1) / panels
+    if grade_lo:
+        s = np.concatenate([[0.0], geo, s[1:]])
+    if grade_hi:
+        s = np.concatenate([s[:-1], 1.0 - geo[::-1], [1.0]])
+    width = np.diff(s)[:, None]
+    u = (s[:-1, None] + 0.5 * width * (1.0 + _GL_Z)).ravel()
+    q = (0.5 * width * _GL_W).ravel()
+    lo = np.asarray(lo, dtype=float)[..., None]
+    span = np.asarray(hi, dtype=float)[..., None] - lo
+    return lo + span * u, span * q
 
 
 class LogConcaveMeasure1D:
@@ -234,6 +269,9 @@ class LogConcaveMeasure1D:
         u = np.linspace(1.0 / (count + 1), count / (count + 1.0), count)
         return self.quantile(u)
 
+    # points where the density is not analytic: kinks of V inside the
+    # support, and finite support edges where the density vanishes like a
+    # non-integer power; quadratures split or grade their panels there
     _kink_points = ()
 
     def _validate(self, grid_count=1000):
@@ -367,6 +405,8 @@ class _Gamma1D(LogConcaveMeasure1D):
         super().__init__((0.0, np.inf))
         self.shape, self.rate = float(shape), float(rate)
         self.name = f"gamma({shape},{rate})"
+        if self.shape % 1.0:
+            self._kink_points = (0.0,)
         self._log_norm = math.lgamma(self.shape) - self.shape * math.log(self.rate)
         self._validate()
 
@@ -404,6 +444,9 @@ class _Beta1D(LogConcaveMeasure1D):
         super().__init__((0.0, 1.0))
         self.alpha, self.beta = float(alpha), float(beta)
         self.name = f"beta({alpha},{beta})"
+        self._kink_points = tuple(
+            e for e, s in ((0.0, self.alpha), (1.0, self.beta)) if s % 1.0
+        )
         self._log_norm = (
             math.lgamma(self.alpha)
             + math.lgamma(self.beta)
@@ -518,7 +561,8 @@ class _Subbotin1D(LogConcaveMeasure1D):
         self.p = float(p)
         self.has_d2 = self.p >= 2.0
         self.name = f"subbotin({p})"
-        if self.p < 2.0:
+        # |x|**p is analytic at 0 only for an even integer p
+        if self.p % 2.0 != 0.0:
             self._kink_points = (0.0,)
         self._log_norm = (
             math.log(2.0)
@@ -872,6 +916,12 @@ class _Regularized1D(LogConcaveMeasure1D):
 
     Because the base potential is convex, the tilted variance never
     exceeds sig2, so the second line is bounded below by 1/damp2.
+
+    The three potential oracles evaluate the tilted mass and moments of
+    all distinct points of a call together, on the fixed rule of
+    ``_tilted_moments``; ``cdf`` and ``pdf`` sum over the node table of
+    ``_build_node_table``, and ``quantile`` starts from an interpolated
+    inverse of a CDF table built once, at construction.
     """
 
     has_d2 = True
@@ -884,7 +934,6 @@ class _Regularized1D(LogConcaveMeasure1D):
         self.damp2 = float(n)
         self.sig = math.sqrt(self.sig2)
         self.name = f"regularized({base.name}, N={n})"
-        self._cache = {}
         # completed-square pieces for the CDF:
         #   N(t - y; sig2) * exp(-t^2 / (2 damp2))
         #     = amp(y) * N(t - shrink * y; tau2)
@@ -906,6 +955,7 @@ class _Regularized1D(LogConcaveMeasure1D):
         var = self._shrink**2 * (m2 - m1**2) + self._tau2
         self._approx_mean, self._approx_std = mean, math.sqrt(var)
         self._build_node_table()
+        self._build_quantile_table()
         self._validate(grid_count=41)
 
     def _validation_grid(self, count=41):
@@ -945,24 +995,27 @@ class _Regularized1D(LogConcaveMeasure1D):
 
         The convolution kernel has scale sig, so panels 2.5 sig wide with
         16 nodes each integrate both the CDF kernel and the density kernel
-        far below the 1e-8 normalization budget.  The potential oracles
-        do not use this table; they keep the adaptive tilted-moment path,
-        whose accuracy the curvature identities depend on.
+        far below the 1e-8 normalization budget.  The table is split at
+        the base's interior kinks, and its panels are graded toward every
+        point where the base density is not analytic (``_kink_points``),
+        such as the factor y**(s - 1) of a gamma base with non-integer
+        shape s.  On an infinite side the table ends at the base's 1e-15
+        quantile, which drops less than 1e-15 of the mass.  The potential
+        oracles share the panel rule, not the table.
         """
         edges = np.unique(
             np.concatenate(
                 [np.array([self._ylo, self._yhi]), np.asarray(self._y_cuts, float)]
             )
         )
-        z16, w16 = np.polynomial.legendre.leggauss(16)
         ys, qs = [], []
         for a, b in zip(edges[:-1], edges[1:]):
             panels = min(6000, max(1, int(math.ceil((b - a) / (2.5 * self.sig)))))
-            bounds = np.linspace(a, b, panels + 1)
-            mid = 0.5 * (bounds[1:] + bounds[:-1])[:, None]
-            half = 0.5 * (bounds[1:] - bounds[:-1])[:, None]
-            ys.append((mid + half * z16).ravel())
-            qs.append((half * w16).ravel())
+            y, q = _panel_rule(
+                a, b, panels, a in self.base._kink_points, b in self.base._kink_points
+            )
+            ys.append(y)
+            qs.append(q)
         self._node_y = np.concatenate(ys)
         self._node_q = np.concatenate(qs)
         self._node_logw = self._log_weight(self._node_y) - self._log_z
@@ -972,96 +1025,120 @@ class _Regularized1D(LogConcaveMeasure1D):
             self._node_logq = np.log(self._node_q)
 
     # -- tilted Gaussian moments around a point t --------------------------
-    def _tilted(self, t):
-        """(log mass, mean, variance) of exp(-V(y)) N(t - y; sig2) dy."""
-        t = float(t)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
+    def _tilted_moments(self, t):
+        """(log mass, mean, variance) of exp(-V(y)) N(t - y; sig2) dy.
 
-        def neg_g(y):
-            return float(self.base.potential(y)) + 0.5 * (t - y) ** 2 / self.sig2
+        ``t`` is a 1D block of points.  The mode of
+        g(y) = V(y) + (t - y)^2 / (2 sig2) comes from bisection on the
+        increasing g', within t +- (60 sig + 1) on the support; the moments
+        come from the window of +-12 sig around it, cut short at a finite
+        support edge, and pulled in from either side to twice the distance
+        at which g has risen at most 120 above its value at the mode.  The
+        window is split at the mode and at the base's kinks, and each piece
+        gets ``_TILT_PANELS`` equal panels, graded at both ends when the
+        base density has points where it is not analytic.  The integrand
+        is shifted by its largest value at the nodes, so a mode on a
+        support edge, where V is infinite, does no harm.
+        """
+        base, sig2 = self.base, self.sig2
+        a, b = base.support
 
-        wlo = max(self._ylo, t - 60.0 * self.sig - 1.0)
-        whi = min(self._yhi, t + 60.0 * self.sig + 1.0)
-        if wlo >= whi:
-            wlo, whi = self._ylo, self._yhi
-        res = optimize.minimize_scalar(
-            neg_g, bounds=(wlo, whi), method="bounded",
-            options={"xatol": 1e-13 * (1.0 + abs(t))},
-        )
-        ystar, gstar = float(res.x), -float(res.fun)
+        def g(y):
+            return base.potential(y) + 0.5 * (t[:, None] - y) ** 2 / sig2
+
+        lo = np.maximum(a, t - 60.0 * self.sig - 1.0)
+        hi = np.minimum(b, t + 60.0 * self.sig + 1.0)
+        empty = lo >= hi
+        lo[empty], hi[empty] = self._ylo, self._yhi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                # a row stops on its own, so its mode does not depend on
+                # which other points share the block
+                live = (hi - lo > 1e-14 * self.sig) & (mid != lo) & (mid != hi)
+                if not np.any(live):
+                    break
+                up = base.potential_d1(mid) + (mid - t) / sig2 > 0.0
+                hi = np.where(live & up, mid, hi)
+                lo = np.where(live & ~up, mid, lo)
+        # keep the mode inside the open support, where V is finite
+        mode = np.clip(0.5 * (lo + hi), np.nextafter(a, b), np.nextafter(b, a))
+        g_mode = g(mode[:, None])[:, 0]
+
+        # boundary layer: halve the distance d to each window end, at most
+        # 20 times, until g at mode + d has risen at most 120; keep 2 d
+        rows = np.arange(t.size)
         span = 12.0 * self.sig
-        qlo = max(self._ylo, ystar - span)
-        qhi = min(self._yhi, ystar + span)
+        ends = []
+        for end in (np.maximum(a, mode - span), np.minimum(b, mode + span)):
+            d = (end - mode)[:, None] * 0.5 ** np.arange(21)
+            with np.errstate(invalid="ignore"):
+                low = g(mode[:, None] + d[:, :20]) - g_mode[:, None] <= 120.0
+            k = np.argmax(np.column_stack([low, np.ones(t.size, bool)]), axis=1)
+            step = np.where(k > 0, 2.0 * d[rows, k], d[:, 0])
+            ends.append(mode + step)
+        qlo, qhi = ends
+        cuts = [np.clip(k, qlo, qhi) for k in self._y_cuts]
+        breaks = np.sort(np.column_stack([qlo, mode, qhi] + cuts), axis=1)
+        grade = bool(self.base._kink_points)
+        y, q = _panel_rule(breaks[:, :-1], breaks[:, 1:], _TILT_PANELS, grade, grade)
+        y, q = y.reshape(t.size, -1), q.reshape(t.size, -1)
 
-        def layer_edge(edge):
-            # when the tilt center is pinned to a support edge the mass
-            # collapses into a boundary layer much narrower than the
-            # mollifier scale; shrink the window to match, or the
-            # adaptive rule is asked to resolve a near-singular spike
-            width = abs(edge - ystar)
-            if width <= 0.0:
-                return edge
-            d = width
-            while d > 1e-6 * width and neg_g(ystar + math.copysign(d, edge - ystar)) + gstar > 120.0:
-                d *= 0.5
-            return ystar + math.copysign(min(2.0 * d, width), edge - ystar)
+        with np.errstate(invalid="ignore"):
+            log_f = -g(y)
+        shift = np.max(log_f, axis=1)
+        f = q * np.exp(log_f - shift[:, None])
+        i0 = np.sum(f, axis=1)
+        dy = y - mode[:, None]
+        offset = np.sum(f * dy, axis=1) / i0
+        var = np.sum(f * (dy - offset[:, None]) ** 2, axis=1) / i0
+        log_mass = shift + np.log(i0) - 0.5 * math.log(2.0 * math.pi * sig2)
+        return log_mass, mode + offset, var
 
-        qlo, qhi = layer_edge(qlo), layer_edge(qhi)
-        moments = [
-            _integrate(
-                lambda y, k=k: (y - ystar) ** k * math.exp(-neg_g(y) - gstar),
-                qlo,
-                qhi,
-                points=self._y_cuts,
-            )
-            for k in range(3)
-        ]
-        i0, i1, i2 = moments
-        mean = ystar + i1 / i0
-        var = i2 / i0 - (i1 / i0) ** 2
-        log_mass = gstar + math.log(i0) - 0.5 * math.log(2.0 * math.pi * self.sig2)
-        if len(self._cache) > 65536:
-            self._cache.clear()
-        self._cache[t] = (log_mass, mean, var)
-        return log_mass, mean, var
+    def _pointwise(self, x):
+        """Tilted (log mass, mean, variance) at every point of ``x``.
 
-    def _pointwise(self, x, one):
-        x_in = np.asarray(x, dtype=float)
-        x1 = np.atleast_1d(x_in)
-        out = np.array([one(float(t)) for t in x1])
-        return float(out[0]) if x_in.ndim == 0 else out
+        Each distinct value is evaluated once, ``_TILT_BLOCK`` at a time;
+        the three arrays have the shape of ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        t, inverse = np.unique(x.ravel(), return_inverse=True)
+        out = np.empty((3, t.size))
+        for lo in range(0, t.size, _TILT_BLOCK):
+            out[:, lo:lo + _TILT_BLOCK] = self._tilted_moments(t[lo:lo + _TILT_BLOCK])
+        return tuple(v[inverse].reshape(x.shape) for v in out)
+
+    @staticmethod
+    def _like(x, v):
+        return float(v) if np.ndim(x) == 0 else v
 
     def potential(self, x):
-        def one(t):
-            log_conv, _, _ = self._tilted(t)
-            return 0.5 * t**2 / self.damp2 - log_conv + self._log_z
-
-        return self._pointwise(x, one)
+        t = np.asarray(x, dtype=float)
+        log_mass, _, _ = self._pointwise(t)
+        return self._like(x, 0.5 * t**2 / self.damp2 - log_mass + self._log_z)
 
     def potential_d1(self, x):
-        def one(t):
-            _, mean, _ = self._tilted(t)
-            return (t - mean) / self.sig2 + t / self.damp2
-
-        return self._pointwise(x, one)
+        t = np.asarray(x, dtype=float)
+        _, mean, _ = self._pointwise(t)
+        return self._like(x, (t - mean) / self.sig2 + t / self.damp2)
 
     def potential_d2(self, x):
-        def one(t):
-            _, _, var = self._tilted(t)
-            return 1.0 / self.sig2 - var / self.sig2**2 + 1.0 / self.damp2
-
-        return self._pointwise(x, one)
+        _, _, var = self._pointwise(x)
+        return self._like(x, 1.0 / self.sig2 - var / self.sig2**2 + 1.0 / self.damp2)
 
     def cdf(self, x):
+        """Node-table CDF; above the approximate mean, 1 minus the upper
+        tail, so that values near 1 carry no summation roundoff."""
         x_in = np.asarray(x, dtype=float)
         t = np.atleast_1d(x_in).astype(float).ravel()
         out = np.empty(t.size)
         for lo in range(0, t.size, 256):
             hi = lo + 256
+            upper = t[lo:hi] > self._approx_mean
             z = (t[lo:hi, None] - self._shrink * self._node_y[None, :]) / self._tau
-            out[lo:hi] = special.ndtr(z) @ self._node_cdf_w
+            z[upper] *= -1.0
+            tail = special.ndtr(z) @ self._node_cdf_w
+            out[lo:hi] = np.where(upper, 1.0 - tail, tail)
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
@@ -1096,8 +1173,71 @@ class _Regularized1D(LogConcaveMeasure1D):
     def _location_scale(self):
         return self._approx_mean, self._approx_std
 
+    # -- quantile start from a CDF table -----------------------------------
+    def _build_quantile_table(self):
+        """CDF values F_j at points x_j, spaced evenly in z = ndtri(F).
+
+        A coarse grid over +-10 approximate deviations is cut, cell by
+        cell, into pieces across which z rises at most ``_TABLE_DZ``
+        (counting only |z| <= 8.5).  The start of a quantile solve
+        interpolates x as a cubic in z through the table, with the exact
+        slopes dx/dz = phi(z) / pdf(x) limited so that the cubic stays
+        monotone (Fritsch and Carlson 1980); the cell [x_j, x_j+1] holding
+        p is the solver's bracket.  Only points whose F rises strictly
+        inside (0, 1) are kept.
+        """
+        x = self._approx_mean + self._approx_std * np.linspace(-10.0, 10.0, 129)
+        z = np.clip(special.ndtri(self.cdf(x)), -8.5, 8.5)
+        pieces = np.maximum(np.ceil(np.diff(z) / _TABLE_DZ), 1).astype(int)
+        cell = np.repeat(np.arange(pieces.size), pieces)
+        first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+        frac = (np.arange(cell.size) - first) / pieces[cell]
+        x = np.append(x[cell] + frac * np.diff(x)[cell], x[-1])
+        f = self.cdf(x)
+        z = special.ndtri(f)
+        keep = np.isfinite(z)
+        keep[keep] &= z[keep] > np.maximum.accumulate(
+            np.concatenate([[-np.inf], z[keep][:-1]])
+        )
+        x, f, z = x[keep], f[keep], z[keep]
+        with np.errstate(divide="ignore"):
+            slope = np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * self.pdf(x))
+        secant = np.diff(x) / np.diff(z)
+        limit = 3.0 * np.minimum(
+            np.concatenate([secant, [np.inf]]), np.concatenate([[np.inf], secant])
+        )
+        self._tab_x, self._tab_f, self._tab_z = x, f, z
+        self._tab_slope = np.minimum(slope, limit)
+
+    def _table_cell(self, p):
+        """Index j with F_j <= p < F_j+1, and whether p falls in the table."""
+        j = np.searchsorted(self._tab_f, p, side="right") - 1
+        inside = (j >= 0) & (j < self._tab_f.size - 1)
+        return np.where(inside, j, 0), inside
+
+    def _bracket(self, p):
+        """The table cell holding p; outside the table, the searched bracket."""
+        j, inside = self._table_cell(p)
+        lo, hi = self._tab_x[j], self._tab_x[j + 1]
+        if not np.all(inside):
+            lo[~inside], hi[~inside] = super()._bracket(p[~inside])
+        return lo, hi
+
     def _quantile_init(self, p):
-        return self._approx_mean + self._approx_std * special.ndtri(p)
+        """The table's cubic at z = ndtri(p); outside it, the gaussian fit."""
+        j, inside = self._table_cell(p)
+        z0, z1 = self._tab_z[j], self._tab_z[j + 1]
+        h = z1 - z0
+        s = np.clip((special.ndtri(p) - z0) / h, 0.0, 1.0)
+        x = (
+            (1.0 + 2.0 * s) * (1.0 - s) ** 2 * self._tab_x[j]
+            + s * (1.0 - s) ** 2 * h * self._tab_slope[j]
+            + s**2 * (3.0 - 2.0 * s) * self._tab_x[j + 1]
+            + s**2 * (s - 1.0) * h * self._tab_slope[j + 1]
+        )
+        return np.where(
+            inside, x, self._approx_mean + self._approx_std * special.ndtri(p)
+        )
 
 
 def regularize(m, n):

@@ -480,6 +480,22 @@ class TestCaffarelliFloor:
         assert abs(margins[2] - margins[1]) <= 1e-2 * (1.0 + abs(margins[2]))
         assert margins[2] > 0.0
 
+    @pytest.mark.parametrize(
+        "source,target,n,margin",
+        [
+            (("uniform", (0.0, 1.0)), ("exponential", (1.0,)), 10, 0.9896066703033168),
+            (("gaussian", (0.0, 1.0)), ("gaussian", (0.0, 0.25)), 5, 0.30156410601505923),
+            (("beta", (2.0, 3.0)), ("gaussian", (0.0, 1.0)), 10, 3.824195240322927),
+        ],
+        ids=["uniform-exponential", "gaussian-gaussian", "beta-gaussian"],
+    )
+    def test_margin_matches_adaptive_path(self, source, target, n, margin):
+        # the acceptance gate's three pairs, pinned to the margins of the
+        # per-point adaptive quadrature that the fixed panel rule replaced
+        mu = make_catalog_measure(*source)
+        nu = make_catalog_measure(*target)
+        assert caffarelli_floor_check(mu, nu, n) == pytest.approx(margin, abs=1e-10)
+
     def test_grid_validation(self):
         mu = make_catalog_measure("uniform", (0.0, 1.0))
         with pytest.raises(ValueError, match="at least 2"):

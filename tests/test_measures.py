@@ -1,12 +1,13 @@
 """Tests for the log-concave measure catalog and the smoothing scheme."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from otspec import rng
+from otspec import measures, rng
 from otspec.measures import (
     CATALOG_NAMES,
     GaussianMeasure,
@@ -31,6 +32,17 @@ ALL_MEMBERS = SMOOTH_MEMBERS + [
     ("uniform", (0.0, 1.0)),
     ("laplace", (0.5, 2.0)),
     ("subbotin", (1.5,)),
+]
+
+
+# the six regularized measures of the acceptance gate's floor pairs
+FLOOR_MEASURES = [
+    ("uniform", (0.0, 1.0), 10),
+    ("exponential", (1.0,), 10),
+    ("gaussian", (0.0, 1.0), 5),
+    ("gaussian", (0.0, 0.25), 5),
+    ("beta", (2.0, 3.0), 10),
+    ("gaussian", (0.0, 1.0), 10),
 ]
 
 
@@ -295,6 +307,22 @@ class TestQuantileSolver:
             rng.stream(2024, 41).uniform(size=10_000),
         )
 
+    @pytest.mark.parametrize("name,params,n", FLOOR_MEASURES)
+    def test_regularized_draw_costs_at_most_two_cdf_evaluations(
+        self, name, params, n, monkeypatch
+    ):
+        # the start interpolates the inverse of the node-table CDF, and the
+        # table cell holding p is the bracket: one Newton step finishes
+        m = regularize(make_catalog_measure(name, params), n)
+        sizes = _counting_cdf(m, monkeypatch)
+        for p in (
+            (np.arange(512) + 0.5) / 512,
+            rng.stream(2024, 43).uniform(size=10_000),
+        ):
+            sizes.clear()
+            m.quantile(p)
+            assert sum(sizes) <= 2 * p.size
+
     @pytest.mark.parametrize(
         "name,params",
         [
@@ -513,6 +541,88 @@ class TestRadialMeasure:
             assert abs(np.mean(radii <= r) - rg.radial_cdf(r)) < 0.004
 
 
+REGULARIZED_BASES = [
+    ("gaussian", (0.0, 1.0)),
+    ("uniform", (0.0, 1.0)),
+    ("exponential", (1.0,)),
+    ("gamma", (3.0, 1.0)),
+    ("beta", (2.0, 3.0)),
+    ("logistic", (0.0, 1.0)),
+    ("laplace", (0.0, 1.0)),
+    ("subbotin", (1.5,)),
+    ("subbotin", (3.0,)),
+]
+
+
+def _adaptive_tilted(r, t):
+    """(log mass, mean, variance, clipped) of exp(-V(y)) N(t - y; sig2) dy.
+
+    The per-point adaptive path that the fixed rule replaced, kept as its
+    oracle: a bounded scalar minimization finds the mode inside the
+    support clipped to the base's 1e-15 quantiles, and three adaptive
+    quadratures integrate the window of +-12 sig around it, shrunk to a
+    boundary layer at either end.  ``clipped`` says the window was cut at
+    a 1e-15 quantile on an infinite side, where this path is wrong.
+
+    The quadratures ask for relative accuracy 1e-13 with no absolute
+    floor.  The adaptive path asked for absolute 1e-12, which alone moves
+    V' = (t - mean) / sig2 by up to 6e-9 at N = 40, and loses a boundary
+    layer's variance, whose second moment is itself near 1e-12.
+    """
+    t = float(t)
+    a, b = r.base.support
+
+    def neg_g(y):
+        return float(r.base.potential(y)) + 0.5 * (t - y) ** 2 / r.sig2
+
+    def quad(f, lo, hi):
+        pts = [p for p in r._y_cuts if lo < p < hi] or None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            value, err = integrate.quad(
+                f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400, points=pts
+            )
+        assert err <= 1e-9 * max(1.0, abs(value))
+        return value
+
+    wlo = max(r._ylo, t - 60.0 * r.sig - 1.0)
+    whi = min(r._yhi, t + 60.0 * r.sig + 1.0)
+    if wlo >= whi:
+        wlo, whi = r._ylo, r._yhi
+    res = optimize.minimize_scalar(
+        neg_g, bounds=(wlo, whi), method="bounded",
+        options={"xatol": 1e-13 * (1.0 + abs(t))},
+    )
+    ystar, gstar = float(res.x), -float(res.fun)
+    span = 12.0 * r.sig
+    qlo = max(r._ylo, ystar - span)
+    qhi = min(r._yhi, ystar + span)
+    clipped = (qlo == r._ylo and not np.isfinite(a)) or (
+        qhi == r._yhi and not np.isfinite(b)
+    )
+
+    def layer_edge(edge):
+        width = abs(edge - ystar)
+        if width <= 0.0:
+            return edge
+        d = width
+        while d > 1e-6 * width and (
+            neg_g(ystar + math.copysign(d, edge - ystar)) + gstar > 120.0
+        ):
+            d *= 0.5
+        return ystar + math.copysign(min(2.0 * d, width), edge - ystar)
+
+    qlo, qhi = layer_edge(qlo), layer_edge(qhi)
+    i0, i1, i2 = (
+        quad(lambda y, k=k: (y - ystar) ** k * math.exp(-neg_g(y) - gstar), qlo, qhi)
+        for k in range(3)
+    )
+    mean = ystar + i1 / i0
+    var = i2 / i0 - (i1 / i0) ** 2
+    log_mass = gstar + math.log(i0) - 0.5 * math.log(2.0 * math.pi * r.sig2)
+    return log_mass, mean, var, clipped
+
+
 class TestRegularize:
     def test_rejects_bad_inputs(self):
         with pytest.raises(TypeError):
@@ -521,16 +631,70 @@ class TestRegularize:
             regularize(make_catalog_measure("uniform", (0, 1)), 0)
 
     def test_gaussian_closed_form(self):
-        n = 5
-        r = regularize(make_catalog_measure("gaussian", (0.0, 1.0)), n)
-        prec = 1.0 / (1.0 + 1.0 / n**2) + 1.0 / n
-        sd = prec**-0.5
-        x = np.array([-3.0, -1.0, 0.0, 0.7, 2.5])
-        assert np.allclose(r.potential_d2(x), prec, atol=1e-10)
-        assert np.allclose(r.potential_d1(x), prec * x, atol=1e-10)
-        want_v = 0.5 * prec * x**2 + math.log(math.sqrt(2 * math.pi) * sd)
-        assert np.allclose(r.potential(x), want_v, atol=1e-10)
-        assert np.allclose(r.cdf(x), special.ndtr(x / sd), atol=1e-11)
+        # +-8 and +-10 lie beyond the base's 1e-15 quantiles, where the
+        # tilted window must not be clipped
+        x = np.array([-10.0, -8.0, -3.0, -1.0, 0.0, 0.7, 2.5, 8.0, 10.0])
+        for n in (5, 40):
+            r = regularize(make_catalog_measure("gaussian", (0.0, 1.0)), n)
+            prec = 1.0 / (1.0 + 1.0 / n**2) + 1.0 / n
+            sd = prec**-0.5
+            assert np.allclose(r.potential_d2(x), prec, atol=1e-10)
+            assert np.allclose(r.potential_d1(x), prec * x, atol=1e-10)
+            want_v = 0.5 * prec * x**2 + math.log(math.sqrt(2 * math.pi) * sd)
+            assert np.allclose(r.potential(x), want_v, atol=1e-10)
+            assert np.allclose(r.cdf(x), special.ndtr(x / sd), atol=1e-11)
+
+    @pytest.mark.parametrize(
+        "base,params",
+        [
+            ("gamma", (1.5, 1.0)),
+            ("gamma", (1.2, 1.0)),
+            ("beta", (1.5, 2.5)),
+            ("beta", (2.5, 2.0)),
+        ],
+    )
+    def test_non_integer_shape_bases(self, base, params):
+        # y**(s - 1) is not analytic at the support edge; the node table
+        # grades its panels there
+        for n in (1, 5, 10, 20):
+            r = regularize(make_catalog_measure(base, params), n)
+            assert r._total_mass() == pytest.approx(1.0, abs=1e-8)
+            x = r._validation_grid()
+            lo = r._ylo - 12.0 * r.sig
+            cuts = (r._ylo,) + r._y_cuts + (r._yhi,)
+            want = [
+                measures._integrate(lambda t: float(r.pdf(t)), lo, b, points=cuts)
+                for b in x
+            ]
+            assert np.max(np.abs(r.cdf(x) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
+    def test_fixed_rule_matches_adaptive_oracle(self, name, params):
+        # V'' cancels a 1/sig2 = N^2 term, so its error scales with N^2
+        for n in (5, 10, 20, 40):
+            r = regularize(make_catalog_measure(name, params), n)
+            u = (np.arange(512) + 0.5) / 512
+            x = np.concatenate([np.linspace(-10.0, 10.0, 81), r.quantile(u[::16])])
+            log_mass, mean, var, clipped = (
+                np.array(c) for c in zip(*(_adaptive_tilted(r, t) for t in x))
+            )
+            keep = ~clipped
+            v = 0.5 * x**2 / r.damp2 - log_mass + r._log_z
+            d1 = (x - mean) / r.sig2 + x / r.damp2
+            d2 = 1.0 / r.sig2 - var / r.sig2**2 + 1.0 / r.damp2
+            assert np.all(np.abs(r.potential(x) - v)[keep] <= 1e-10)
+            err1 = np.abs(r.potential_d1(x) - d1) / np.maximum(1.0, np.abs(d1))
+            assert np.all(err1[keep] <= 1e-10)
+            assert np.all(np.abs(r.potential_d2(x) - d2)[keep] <= 1e-10 * n**2)
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        r = regularize(make_catalog_measure("laplace", (0.0, 1.0)), 10)
+        x = np.concatenate([np.linspace(-3.0, 3.0, 50), [0.5, 0.5, -1.0]])
+        want = [r.potential(x), r.potential_d1(x), r.potential_d2(x)]
+        monkeypatch.setattr(measures, "_TILT_BLOCK", 3)
+        got = [r.potential(x), r.potential_d1(x), r.potential_d2(x)]
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
 
     def test_uniform_midpoint_density_near_one(self, reg_uniform_10):
         assert abs(reg_uniform_10.pdf(0.5) - 1.0) < 0.01
