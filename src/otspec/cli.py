@@ -946,15 +946,20 @@ def _run_sinkhorn(cfg):
 
 
 def _run_concentration(cfg):
-    """Exponential moments of the bank at the gating constant plus a sweep."""
+    """Exponential moments of the bank at the gating constant plus a sweep.
+
+    Each bank function is evaluated once per experiment for the gating
+    constant and the whole grid; the sweep keeps only its running maxima,
+    so each sample set is released before the next experiment is drawn.
+    """
     records = []
     dumps = []
-    cells = []
+    top = [-math.inf] * len(cfg.c_grid)
+    who = [""] * len(cfg.c_grid)
     for label, tm in _select_experiments(cfg):
         samples = spectral_samples(tm, cfg.samples, seed=cfg.seed, label=label)
-        bank = _select_bank(cfg, samples.dim)
-        for f in bank:
-            m = exp_concentration(samples, f, _GATING_C)
+        for f in _select_bank(cfg, samples.dim):
+            m, *sweep = exp_concentration(samples, f, (_GATING_C, *cfg.c_grid))
             _rec(
                 records,
                 f"exp-moment[{label}:{f.name}]",
@@ -963,24 +968,21 @@ def _run_concentration(cfg):
                 2.0,
                 m <= 2.0,
             )
-            cells.append((label, f, samples))
+            for k, mk in enumerate(sweep):
+                if mk > top[k]:
+                    top[k], who[k] = mk, f"{label}:{f.name}"
         if cfg.dump_samples:
             dumps.append((label, samples.spectra))
-    for c in cfg.c_grid:
-        top = -math.inf
-        who = ""
-        for label, f, samples in cells:
-            m = exp_concentration(samples, f, c)
-            if m > top:
-                top, who = m, f"{label}:{f.name}"
+        del samples
+    for c, m, at in zip(cfg.c_grid, top, who):
         _rec(
             records,
             f"exp-moment-sweep[c={c:g}]",
             "exp-moment-sweep",
-            top,
+            m,
             2.0,
-            top <= 2.0,
-            f"max at {who}",
+            m <= 2.0,
+            f"max at {at}",
         )
     return records, dumps
 

@@ -450,10 +450,6 @@ def entropic_spectral_samples(
 # ---------------------------------------------------------------- jackknife
 
 
-def _block_index_sets(n):
-    return np.array_split(np.arange(int(n)), _BLOCKS)
-
-
 def _jackknife_se(theta_blocks):
     """Delete-one-block jackknife standard error along axis 0."""
     theta_blocks = np.asarray(theta_blocks, float)
@@ -463,12 +459,24 @@ def _jackknife_se(theta_blocks):
     return np.sqrt((b - 1.0) / b * np.sum(dev * dev, axis=0))
 
 
+def _block_slices(n):
+    """The jackknife blocks of ``_block_sizes(n)`` as contiguous slices."""
+    start = 0
+    for size in _block_sizes(n):
+        yield slice(start, start + size)
+        start += size
+
+
 def _block_partials(values, weights, n):
-    """Per-block (sum w, sum w v, sum w v^2) triples for delete-one stats."""
+    """Per-block (sum w, sum w v, sum w v^2) triples for delete-one stats.
+
+    Each block is a view of its rows, so nothing is copied before the
+    products.
+    """
     parts = []
-    for idx in _block_index_sets(n):
-        w = weights[idx]
-        v = values[idx]
+    for blk in _block_slices(n):
+        w = weights[blk]
+        v = values[blk]
         parts.append(
             (float(np.sum(w)), np.sum(w * v, axis=0), np.sum(w * v * v, axis=0))
         )
@@ -580,9 +588,7 @@ def _ratio_report(values, grad_sq, weights, count):
     if count == 0:
         raise ValueError("sample set is empty (all draws flagged or skipped)")
     parts_v = _block_partials(values, weights, count)
-    parts_g = [
-        float(np.sum(weights[idx] * grad_sq[idx])) for idx in _block_index_sets(count)
-    ]
+    parts_g = [float(np.sum(weights[blk] * grad_sq[blk])) for blk in _block_slices(count)]
     t0 = sum(p[0] for p in parts_v)
     t1 = sum(p[1] for p in parts_v)
     t2 = sum(p[2] for p in parts_v)
@@ -657,17 +663,29 @@ def matrix_poincare(samples, f):
 
 
 def exp_concentration(samples, f, c):
-    """Empirical E exp(c |f(Lambda(X)) - mean|); inf signals overflow."""
-    c = float(c)
-    if c <= 0.0:
+    """Empirical E exp(c |f(Lambda(X)) - mean|); inf signals overflow.
+
+    ``c`` is one constant, which returns a float, or a sequence of them,
+    which returns a list with one moment per constant.  A sequence
+    evaluates ``f`` and the weighted mean once for all of its constants,
+    and each of its moments equals the scalar call's bit for bit.
+    """
+    scalar = np.ndim(c) == 0
+    cs = [float(c)] if scalar else [float(x) for x in c]
+    if any(x <= 0.0 for x in cs):
         raise ValueError("exponential concentration needs c > 0")
     values = np.asarray(f.value(samples.spectra), float)
     w = samples.weights / np.sum(samples.weights)
     center = float(np.sum(w * values))
-    z = c * np.abs(values - center)
-    if float(np.max(z, initial=0.0)) > 700.0:
-        return math.inf
-    return float(np.sum(w * np.exp(z)))
+    a = np.abs(values - center)
+    moments = []
+    for x in cs:
+        z = x * a
+        if float(np.max(z, initial=0.0)) > 700.0:
+            moments.append(math.inf)
+        else:
+            moments.append(float(np.sum(w * np.exp(z))))
+    return moments[0] if scalar else moments
 
 
 # ------------------------------------------------------------ curvature floor

@@ -590,12 +590,14 @@ class _Subbotin1D(LogConcaveMeasure1D):
     def cdf(self, x):
         x = np.asarray(x, float)
         a, t = 1.0 / self.p, np.abs(x) ** self.p / self.p
-        # the lower tail from the upper incomplete gamma keeps relative
-        # accuracy; each half evaluates only its own function
+        g = special.gammainc(a, t)
         lower = x < 0.0
-        out = np.empty_like(t)
-        out[lower] = 0.5 * special.gammaincc(a, t[lower])
-        out[~lower] = 0.5 + 0.5 * special.gammainc(a, t[~lower])
+        out = np.where(lower, 0.5 * (1.0 - g), 0.5 + 0.5 * g)
+        # 1 - g keeps relative accuracy while g <= 0.9; beyond that the
+        # lower tail comes from the upper incomplete gamma, which is much
+        # slower than gammainc at small t, so it is called only there
+        far = lower & (g > 0.9)
+        out[far] = 0.5 * special.gammaincc(a, t[far])
         return out
 
     def _quantile_init(self, p):

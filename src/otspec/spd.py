@@ -28,6 +28,8 @@ __all__ = [
 
 _SYM_RTOL = 1e-12
 _RECON_RTOL = 1e-10
+# e^x is a finite normal float for |x| up to this bound
+_MAX_LOG_SPREAD = -float(np.log(np.finfo(float).tiny))
 
 
 def _validated(a, name, stack=False, definite=True):
@@ -231,8 +233,17 @@ def random_spd(rng, dim, log_spread=3.0):
     Q comes from the QR factorization of a standard Gaussian matrix and D
     is diagonal with entries log-uniform on [e^{-log_spread}, e^{log_spread}],
     so condition numbers up to e^{2 log_spread} stress the tolerances.
+    The draw is returned exactly symmetrized but not validated: every
+    consumer validates its stack at its own boundary.
     """
+    log_spread = float(log_spread)
+    if not 0.0 <= log_spread <= _MAX_LOG_SPREAD:
+        raise ValueError(
+            f"log_spread must lie in [0, {_MAX_LOG_SPREAD:.2f}] so that its "
+            f"exponentials stay normal floats, got {log_spread}"
+        )
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q *= np.sign(np.diag(r))
     d = np.exp(rng.uniform(-log_spread, log_spread, size=dim))
-    return _validated((q.T * d) @ q, "random_spd")[0]
+    a = (q.T * d) @ q
+    return 0.5 * (a + a.T)

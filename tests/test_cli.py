@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -372,10 +373,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [r.name for r in report.records if not r.passed] == []
 
-    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 3600), ("gamma2-check", 20)])
+    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 500), ("gamma2-check", 20)])
     def test_validates_once_per_stack(self, monkeypatch, kind, limit):
-        # geometry-selftest: 3,100 of its calls are random_spd checking its
-        # own draws; the stacked checks and the 50 geodesics make the rest
+        # geometry-selftest: random_spd leaves its draws to the stacked
+        # checks, which with the 50 geodesics make 476 calls
         calls = []
         validated = spd._validated
 
@@ -459,6 +460,78 @@ class TestRunExperiment:
         assert "exp-moment-sweep[c=0.1]" in names
         assert all(r.tolerance == 2.0 for r in report.records)
         assert all(r.passed for r in report.records)
+
+    def test_concentration_sweep_names_first_tied_cell(self, monkeypatch):
+        # "max" ties across experiments and beats "mean" at every c, so each
+        # sweep record must name the first "max" cell in experiment order
+        def fake(samples, f, cs):
+            return [1.5 if f.name == "max" else 1.25 for _ in cs]
+
+        monkeypatch.setattr(cli, "exp_concentration", fake)
+        cfg = config_from_dict(
+            {
+                "kind": "concentration",
+                "samples": 2000,
+                "experiments": ["product:n=3", "gaussian:n=3"],
+                "bank": ["mean", "max"],
+                "c_grid": [0.05, 0.1, 0.2],
+            }
+        )
+        records = run_experiment(cfg).records
+        assert [r.name for r in records] == [
+            "exp-moment[gaussian:n=3:mean]",
+            "exp-moment[gaussian:n=3:max]",
+            "exp-moment[product:n=3:mean]",
+            "exp-moment[product:n=3:max]",
+            "exp-moment-sweep[c=0.05]",
+            "exp-moment-sweep[c=0.1]",
+            "exp-moment-sweep[c=0.2]",
+        ]
+        assert [r.value for r in records[:4]] == [1.25, 1.5, 1.25, 1.5]
+        for r in records[4:]:
+            assert r.value == 1.5 and r.note == "max at gaussian:n=3:max"
+
+    def test_concentration_evaluates_each_bank_function_once(self, monkeypatch):
+        # the gating constant and the whole sweep share one evaluation per
+        # (experiment, function): 77 cells at the default config
+        calls = []
+        banks = []
+        select = cli._select_bank
+
+        def counted(f, cell):
+            def value(x):
+                calls.append(cell)
+                return f.value(x)
+
+            return replace(f, value=value)
+
+        def counted_bank(cfg, dim):
+            banks.append(dim)
+            return [counted(f, (len(banks), f.name)) for f in select(cfg, dim)]
+
+        monkeypatch.setattr(cli, "_select_bank", counted_bank)
+        report = run_experiment(default_config("concentration"))
+        assert all(r.passed for r in report.records)
+        assert len(calls) == 77 and len(set(calls)) == 77
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_concentration_releases_each_sample_set(self, monkeypatch, dump):
+        refs = []
+        draw = cli.spectral_samples
+
+        def tracked(*args, **kwargs):
+            assert all(r() is None for r in refs), "an earlier sample set is alive"
+            samples = draw(*args, **kwargs)
+            refs.append(weakref.ref(samples))
+            return samples
+
+        monkeypatch.setattr(cli, "spectral_samples", tracked)
+        cfg = config_from_dict(
+            {"kind": "concentration", "samples": 2000, "dump_samples": dump}
+        )
+        records, dumps = cli._run_concentration(cfg)
+        assert len(refs) == 11 and all(r() is None for r in refs)
+        assert len(dumps) == (11 if dump else 0)
 
     def test_every_record_carries_tolerance_and_flag(self):
         cfg = config_from_dict({"kind": "poincare", "samples": 1000})

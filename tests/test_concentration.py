@@ -39,7 +39,7 @@ from otspec.concentration import (
     matrix_poincare,
     variance_report,
 )
-from otspec.concentration import _panel_nodes
+from otspec.concentration import _BLOCKS, _block_partials, _panel_nodes
 from otspec.entropic import (
     EntropicPlan,
     GridMeasure,
@@ -455,6 +455,57 @@ class TestExpConcentration:
         samples = SpectralSampleSet(np.zeros((100, 1)), spectra, np.ones(100))
         f = function_bank(1)[0]
         assert math.isinf(exp_concentration(samples, f, 0.5))
+
+    def test_sequence_equals_scalar_calls(self, radial_samples):
+        cs = (0.1, 0.02, 0.04, 0.5)
+        for f in function_bank(3):
+            got = exp_concentration(radial_samples, f, cs)
+            assert got == [exp_concentration(radial_samples, f, c) for c in cs]
+        spectra = np.zeros((100, 1))
+        spectra[0, 0] = 2e4
+        samples = SpectralSampleSet(np.zeros((100, 1)), spectra, np.ones(100))
+        f = function_bank(1)[0]
+        got = exp_concentration(samples, f, np.array([0.01, 0.5]))
+        assert got == [exp_concentration(samples, f, 0.01), math.inf]
+        assert math.isfinite(got[0])
+
+    @pytest.mark.parametrize("cs", [(0.1, 0.0), (-0.5, 0.1, 0.2), [0.1, 0.2, -1e-300]])
+    def test_sequence_requires_every_constant_positive(self, product_samples, cs):
+        with pytest.raises(ValueError, match="c > 0"):
+            exp_concentration(product_samples, function_bank(3)[0], cs)
+
+
+def _split_block_partials(values, weights, n):
+    # the index-set form the sliced partials replaced: np.array_split
+    # blocks and fancy-index copies
+    parts = []
+    for idx in np.array_split(np.arange(int(n)), _BLOCKS):
+        w = weights[idx]
+        v = values[idx]
+        parts.append(
+            (float(np.sum(w)), np.sum(w * v, axis=0), np.sum(w * v * v, axis=0))
+        )
+    return parts
+
+
+class TestBlockPartials:
+    @pytest.mark.parametrize("n", [50, 51, 99, 1007])
+    def test_slices_match_split_oracle(self, n):
+        s = rng.stream(5, n)
+        w = s.uniform(0.5, 2.0, size=n)
+        cases = [
+            (s.standard_normal(n), w),
+            (s.standard_normal((n, 3)), w[:, None]),
+            # a strided column, as quadform ratios pass it
+            (s.standard_normal((n, 4))[:, 2], w),
+        ]
+        for values, weights in cases:
+            got = _block_partials(values, weights, n)
+            want = _split_block_partials(values, weights, n)
+            assert len(got) == len(want) == _BLOCKS
+            for (g0, g1, g2), (w0, w1, w2) in zip(got, want):
+                assert g0 == w0
+                assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
 
 
 class TestCaffarelliFloor:

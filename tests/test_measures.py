@@ -373,6 +373,14 @@ class TestQuantileSolver:
         x = m.quantile(p)
         assert np.max(np.abs(m.cdf(x) - p) / p) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [1.5, 3.0, 4.0])
+    def test_lower_half_matches_upper_gamma_form(self, shape):
+        # 0.5 (1 - gammainc) below the switch, gammaincc beyond it
+        m = make_catalog_measure("subbotin", (shape,))
+        x = np.linspace(-6.0, 0.0, 20001)[:-1]
+        ref = 0.5 * special.gammaincc(1.0 / shape, np.abs(x) ** shape / shape)
+        assert np.max(np.abs(m.cdf(x) - ref) / ref) <= 1e-13
+
     def test_infinite_start_is_not_accepted(self):
         # the closed-form start is -inf here (gammaincinv(1/1.5, 1.0) = inf)
         m = make_catalog_measure("subbotin", (1.5,))

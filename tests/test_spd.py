@@ -87,6 +87,25 @@ class TestContainers:
         assert mu.covariance[0, 0] == 2.0
 
 
+class TestRandomSpd:
+    def test_draw_equals_the_validated_draw(self):
+        # random_spd returns the validator's exact symmetrization without
+        # running the validator; the bits are those of the validated form
+        for n, spread in ((2, 3.0), (5, 1.5), (8, 0.0)):
+            a = random_spd(stream(12, n), n, log_spread=spread)
+            s = stream(12, n)
+            q, r = np.linalg.qr(s.standard_normal((n, n)))
+            q *= np.sign(np.diag(r))
+            d = np.exp(s.uniform(-spread, spread, size=n))
+            assert np.array_equal(a, _validated((q.T * d) @ q, "a")[0])
+            assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("spread", [-0.5, np.nan, np.inf, 709.0])
+    def test_rejects_log_spread_outside_the_exp_range(self, spread):
+        with pytest.raises(ValueError, match="log_spread"):
+            random_spd(stream(12, 0), 3, log_spread=spread)
+
+
 class TestMatrixFunction:
     def test_identity_function(self):
         rng = stream(11, 0)
