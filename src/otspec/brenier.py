@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .measures import (
     GaussianMeasure,
@@ -24,7 +23,7 @@ from .measures import (
     ProductMeasure,
     RadialMeasure,
 )
-from .spd import _validated, log_eigen_map, sqrt_factors
+from .spd import _validated, sqrt_factors
 
 __all__ = [
     "TransportMap",
@@ -32,7 +31,6 @@ __all__ = [
     "brenier_gaussian",
     "brenier_product",
     "brenier_radial",
-    "transport_residual",
 ]
 
 # Evaluation is restricted to source quantile levels inside this band; the
@@ -45,9 +43,9 @@ class TransportMap:
     """Base for maps T = grad(Phi) with Hessian oracles.
 
     Subclasses implement ``map_points`` (vectorized T), ``hessian``
-    (the (n, n) Hessian array at one point), ``log_spectra`` (batched
-    descending log-eigenvalues of the Hessian), and the potentials of
-    source and target needed by the transport residual.
+    (the Hessians at points of shape (..., n), as an array of shape
+    (..., n, n)) and ``log_spectra`` (batched descending log-eigenvalues
+    of the Hessian).
     """
 
     kind = "abstract"
@@ -67,10 +65,6 @@ class TransportMap:
         raise NotImplementedError
 
     def log_spectra(self, x):
-        raise NotImplementedError
-
-    def log_quadratic_forms(self, x, theta):
-        """log(theta' H(x) theta) for a fixed unit direction, batched."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -104,18 +98,14 @@ class Map1D(TransportMap):
         return np.exp(self.log_second_derivative(x))
 
     def hessian(self, x):
-        val = float(self.second_derivative(np.asarray(x, dtype=float).reshape(())))
-        return np.array([[val]])
+        x = np.asarray(x, dtype=float)
+        return self.second_derivative(x[..., 0])[..., None, None]
 
     def log_spectra(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim == 2 and x.shape[1] == 1:
             x = x[:, 0]
         return self.log_second_derivative(x)[:, None]
-
-    def log_quadratic_forms(self, x, theta):
-        # the normalized form theta H theta / theta.theta is Phi'' itself
-        return self.log_spectra(x)[:, 0]
 
 
 class LinearMap(TransportMap):
@@ -137,17 +127,12 @@ class LinearMap(TransportMap):
         return (x - self.source.mean) @ self.matrix + self.target.mean
 
     def hessian(self, x):
-        return self.matrix
+        lead = np.shape(x)[:-1]
+        return np.broadcast_to(self.matrix, lead + self.matrix.shape).copy()
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.broadcast_to(self._log_spec, (x.shape[0], self.dim)).copy()
-
-    def log_quadratic_forms(self, x, theta):
-        theta = np.asarray(theta, dtype=float).ravel()
-        q = float(theta @ self.matrix @ theta) / float(theta @ theta)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.full(x.shape[0], math.log(q))
 
 
 class ProductMap(TransportMap):
@@ -168,26 +153,21 @@ class ProductMap(TransportMap):
         return np.stack(cols, axis=-1)
 
     def _factor_log_d2(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cols = [
-            np.atleast_1d(f.log_second_derivative(x[:, i]))
-            for i, f in enumerate(self.factors)
-        ]
-        return np.stack(cols, axis=1)
+        """log Phi_i'' of each factor at points (..., n), shaped (..., n)."""
+        x = np.asarray(x, dtype=float)
+        cols = [f.log_second_derivative(x[..., i]) for i, f in enumerate(self.factors)]
+        return np.stack(cols, axis=-1)
 
     def hessian(self, x):
-        logs = self._factor_log_d2(np.asarray(x, dtype=float).reshape(1, -1))[0]
-        return np.diag(np.exp(logs))
+        diag = np.exp(self._factor_log_d2(x))
+        out = np.zeros(diag.shape + (self.dim,))
+        k = np.arange(self.dim)
+        out[..., k, k] = diag
+        return out
 
     def log_spectra(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         return -np.sort(-self._factor_log_d2(x), axis=1)
-
-    def log_quadratic_forms(self, x, theta):
-        theta = np.asarray(theta, dtype=float).ravel()
-        logs = self._factor_log_d2(x)
-        with np.errstate(divide="ignore"):
-            weights = 2.0 * np.log(np.abs(theta)) - math.log(float(theta @ theta))
-        return logsumexp(logs + weights, axis=1)
 
 
 class RadialMap(TransportMap):
@@ -255,16 +235,20 @@ class RadialMap(TransportMap):
         return x * np.expand_dims(scale, -1)
 
     def hessian(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        r = float(np.linalg.norm(x))
-        lam_rad, lam_tan = self._eigen_pair(np.array([r]))
-        lam_rad, lam_tan = float(lam_rad[0]), float(lam_tan[0])
-        if r < 1e-7 * max(self._r_hi, 1.0):
-            return lam_rad * np.eye(self.dim)
-        u = x / r
-        proj = np.outer(u, u)
+        """lam_rad e e^T + lam_tan (I - e e^T) with e = x / |x|, stacked.
+
+        Within 1e-7 max(r_hi, 1) of the origin the Hessian is lam_rad I.
+        """
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1)
+        lam_rad, lam_tan = self._eigen_pair(r)
+        origin = r < 1e-7 * max(self._r_hi, 1.0)
+        lam_tan = np.where(origin, lam_rad, lam_tan)[..., None, None]
+        lam_rad = lam_rad[..., None, None]
+        e = np.where(origin[..., None], 0.0, x / np.where(origin, 1.0, r)[..., None])
+        proj = e[..., :, None] * e[..., None, :]
         h = lam_rad * proj + lam_tan * (np.eye(self.dim) - proj)
-        return 0.5 * (h + h.T)
+        return 0.5 * (h + np.swapaxes(h, -2, -1))
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -274,16 +258,6 @@ class RadialMap(TransportMap):
         spectra[:, 0] = np.log(lam_rad)
         spectra[:, 1:] = np.log(lam_tan)[:, None]
         return -np.sort(-spectra, axis=1)
-
-    def log_quadratic_forms(self, x, theta):
-        theta = np.asarray(theta, dtype=float).ravel()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        lam_rad, lam_tan = self._eigen_pair(r, fast=True)
-        tiny = 1e-7 * max(self._r_hi, 1.0)
-        r_safe = np.maximum(r, tiny)
-        cos2 = (x @ theta) ** 2 / (r_safe**2 * float(theta @ theta))
-        return np.log(lam_rad * cos2 + lam_tan * (1.0 - cos2))
 
 
 def brenier_1d(mu, nu):
@@ -330,33 +304,3 @@ def brenier_radial(mu, nu):
     if mu.dim < 2:
         raise ValueError("radial transport needs dimension at least 2")
     return RadialMap(mu, nu)
-
-
-def _source_potential(tm, x):
-    if tm.kind == "1d":
-        return float(tm.source.potential(np.asarray(x, dtype=float).reshape(())))
-    if tm.kind == "radial":
-        r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-        return float(tm.source.radial_potential(r))
-    return float(tm.source.potential(np.asarray(x, dtype=float)))
-
-
-def _target_potential(tm, y):
-    if tm.kind == "1d":
-        return float(tm.target.potential(np.asarray(y, dtype=float).reshape(())))
-    if tm.kind == "radial":
-        r = float(np.linalg.norm(np.asarray(y, dtype=float)))
-        return float(tm.target.radial_potential(r))
-    return float(tm.target.potential(np.asarray(y, dtype=float)))
-
-
-def transport_residual(tm, x):
-    """V(x) + log det D^2 Phi(x) - W(T(x)); zero when mass is conserved."""
-    x = np.asarray(x, dtype=float)
-    v = _source_potential(tm, x)
-    if not np.isfinite(v):
-        raise ValueError(f"point {x!r} is outside the source support")
-    log_det = float(np.sum(log_eigen_map(tm.hessian(x))))
-    t = tm.map_points(x if tm.kind != "1d" else x.reshape(()))
-    w = _target_potential(tm, t)
-    return v + log_det - w

@@ -221,20 +221,26 @@ def _check_catalog_spec(spec, path, errors):
 
 
 def _check_gaussian_spec(spec, path, errors):
+    """Check one gaussian side; return its dimension, or None if it is invalid."""
     if not isinstance(spec, dict):
         errors.append(f"{path}: expected an object with mean and cov")
-        return
+        return None
     extra = set(spec) - {"mean", "cov"}
     for key in sorted(extra):
         errors.append(f"{path}.{key}: unknown key")
+    mean = spec.get("mean")
+    if not isinstance(mean, list) or not mean or not all(_is_num(m) for m in mean):
+        errors.append(f"{path}.mean: expected a non-empty list of numbers")
+        return None
     try:
-        mean = np.asarray(spec.get("mean"), float)
         cov = np.asarray(spec.get("cov"), float)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and cov entries must be finite")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("cov entries must be finite")
         GaussianMeasure(mean, cov)
     except (ValueError, TypeError) as exc:
         errors.append(f"{path}: {exc}")
+        return None
+    return len(mean)
 
 
 def _check_radial_spec(spec, path, errors):
@@ -280,9 +286,11 @@ def _check_map_spec(spec, errors):
         _check_catalog_spec(spec.get("source"), "map.source", errors)
         _check_catalog_spec(spec.get("target"), "map.target", errors)
     elif kind == "gaussian-linear":
-        _check_gaussian_spec(spec.get("source"), "map.source", errors)
-        _check_gaussian_spec(spec.get("target"), "map.target", errors)
-        if not errors and len(spec["source"]["mean"]) != len(spec["target"]["mean"]):
+        dims = [
+            _check_gaussian_spec(spec.get(side), f"map.{side}", errors)
+            for side in ("source", "target")
+        ]
+        if None not in dims and dims[0] != dims[1]:
             errors.append("map: source and target dimensions disagree")
     elif kind == "product":
         factors = spec.get("factors")
@@ -783,6 +791,7 @@ def _run_poincare(cfg):
             )
         if cfg.dump_samples:
             dumps.append((label, samples.spectra))
+        del samples
     return records, dumps
 
 
@@ -912,11 +921,9 @@ def _sinkhorn_part(cfg, part, records, dumps):
     )
     agree = _map_agreement(entropic_map(plan, map_pts), oracle.map_points(map_pts))
     _rec(records, f"map-agreement[{part}]", "oracle-agreement", agree, 0.05, agree <= 0.05)
-    herr = 0.0
-    for p in hess_pts:
-        h = hessian_fd(plan, p)
-        ref = oracle.hessian(p)
-        herr = max(herr, float(np.linalg.norm(h - ref, 2) / np.linalg.norm(ref, 2)))
+    ref = oracle.hessian(hess_pts)
+    gap = np.linalg.norm(hessian_fd(plan, hess_pts) - ref, 2, axis=(-2, -1))
+    herr = float(np.max(gap / np.linalg.norm(ref, 2, axis=(-2, -1))))
     _rec(records, f"hessian-agreement[{part}]", "oracle-agreement", herr, 0.05, herr <= 0.05)
     label = f"sinkhorn2d:{part}"
     samples = entropic_spectral_samples(

@@ -30,14 +30,14 @@ from .brenier import (
     brenier_product,
     brenier_radial,
 )
-from .entropic import entropic_map
+from .entropic import _fd_hessians, _fd_step
 from .measures import (
     GaussianMeasure,
     make_catalog_measure,
     make_radial_measure,
     regularize,
 )
-from .spd import _validated, random_spd
+from .spd import _validated, log_quadratic_form, random_spd
 
 __all__ = [
     "SpectralSampleSet",
@@ -75,18 +75,16 @@ class SpectralSampleSet:
 
     ``spectra`` rows are descending log-eigenvalues of the map Hessian at
     the corresponding point.  ``weights`` are all ones for Monte Carlo
-    draws and quadrature weights otherwise.  ``quadform_logs`` column k
-    holds log of the quadratic form along ``directions[k]``.  ``flagged``
-    counts degenerate (non positive definite) estimates that were
-    excluded; ``skipped`` counts points discarded before estimation, for
-    grid estimators whose stencil would leave the domain.
+    draws and quadrature weights otherwise.  ``hessians``, when kept,
+    holds the Hessian matrix at each point, shape (count, n, n).
+    ``flagged`` counts degenerate (non positive definite) estimates that
+    were excluded; ``skipped`` counts points discarded before estimation,
+    for grid estimators whose stencil would leave the domain.
     """
 
     points: np.ndarray
     spectra: np.ndarray
     weights: np.ndarray
-    directions: np.ndarray | None = None
-    quadform_logs: np.ndarray | None = None
     hessians: np.ndarray | None = None
     flagged: int = 0
     skipped: int = 0
@@ -100,8 +98,6 @@ class SpectralSampleSet:
             raise ValueError("weights must be nonnegative")
         if self.spectra.shape[0] != self.weights.shape[0]:
             raise ValueError("spectra and weights lengths disagree")
-        if (self.quadform_logs is None) != (self.directions is None):
-            raise ValueError("quadform logs and directions come together")
 
     @property
     def count(self):
@@ -292,6 +288,19 @@ def _sorted_log_eigs(h):
     return np.log(_validated(h, "matrix bank sample", stack=True)[1])
 
 
+def _log_quadforms(h, v):
+    """log(H u.u) with u = v / |v|, for every matrix of the stack h.
+
+    The one evaluation of the log-quadratic-form observable: both the
+    ``log-quadform`` bank entries and ``quadform_poincare`` read it.
+    """
+    v = np.asarray(v, float).ravel()
+    if not np.any(v):
+        raise ValueError("direction vector must be nonzero")
+    v = v / np.linalg.norm(v)
+    return log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
+
+
 def matrix_function_bank(dim, directions=None, spectrum_bank=None):
     """Lipschitz functionals of SPD matrices with unit upper gradients.
 
@@ -304,11 +313,10 @@ def matrix_function_bank(dim, directions=None, spectrum_bank=None):
     directions = default_directions(dim) if directions is None else directions
     out = []
     for k, v in enumerate(np.atleast_2d(np.asarray(directions, float))):
-        v = v / np.linalg.norm(v)
         out.append(
             MatrixBankFunction(
                 name=f"log-quadform[{k}]",
-                value=lambda h, v=v: np.log(np.einsum("mij,i,j->m", h, v, v)),
+                value=lambda h, v=v: _log_quadforms(h, v),
                 upper_grad_sq=lambda h, v=v: np.ones(h.shape[0]),
             )
         )
@@ -348,10 +356,12 @@ def _block_sizes(n):
     return [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
 
 
-def spectral_samples(
-    tm, n_samples, seed, directions=None, keep_hessians=False, label=None
-):
-    """Monte Carlo spectral observations of an analytic transport map."""
+def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
+    """Monte Carlo spectral observations of an analytic transport map.
+
+    With ``keep_hessians`` the set also holds the Hessian stack, from one
+    ``tm.hessian`` call on all the draws.
+    """
     n_samples = int(n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
@@ -362,30 +372,16 @@ def spectral_samples(
     pts = np.concatenate(chunks, axis=0)
     if pts.ndim == 1:
         pts = pts[:, None]
-    spectra = tm.log_spectra(pts)
-    qlogs = None
-    if directions is not None:
-        directions = np.atleast_2d(np.asarray(directions, float))
-        qlogs = np.stack(
-            [tm.log_quadratic_forms(pts, v) for v in directions], axis=1
-        )
-    hess = None
-    if keep_hessians:
-        hess = np.stack([tm.hessian(p) for p in pts])
     return SpectralSampleSet(
         points=pts,
-        spectra=spectra,
+        spectra=tm.log_spectra(pts),
         weights=np.ones(pts.shape[0]),
-        directions=directions,
-        quadform_logs=qlogs,
-        hessians=hess,
+        hessians=tm.hessian(pts) if keep_hessians else None,
         label=label or f"{tm.kind}:{tm.source.name}->{tm.target.name}",
     )
 
 
-def entropic_spectral_samples(
-    plan, measure, n_samples, seed, h=None, directions=None, label=None
-):
+def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None):
     """Spectral observations from a grid plan's barycentric map.
 
     Draws from ``measure``, drops points whose difference stencil would
@@ -397,11 +393,7 @@ def entropic_spectral_samples(
     n_samples = int(n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
-    if h is None:
-        h = 2.0 * max(plan.source.spacing)
-    h = float(h)
-    if h <= 0.0:
-        raise ValueError("step must be positive")
+    h = _fd_step(plan, h)
     chunks = [
         measure.sample(rng.stream(seed, b), size=size)
         for b, size in enumerate(_block_sizes(n_samples))
@@ -417,28 +409,15 @@ def entropic_spectral_samples(
     )
     skipped = int(np.sum(~inside))
     pts = pts[inside]
-    offsets = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    stencil = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-    vals = entropic_map(plan, stencil).reshape(-1, 4, 2)
-    jac = np.empty((pts.shape[0], 2, 2))
-    jac[:, :, 0] = (vals[:, 0] - vals[:, 1]) / (2.0 * h)
-    jac[:, :, 1] = (vals[:, 2] - vals[:, 3]) / (2.0 * h)
-    sym = 0.5 * (jac + np.swapaxes(jac, 1, 2))
+    sym = _fd_hessians(plan, pts, h)
     eigs = np.linalg.eigvalsh(sym)
     keep = eigs[:, 0] > 0.0
     flagged = int(np.sum(~keep))
     pts, sym, eigs = pts[keep], sym[keep], eigs[keep]
-    qlogs = None
-    if directions is not None:
-        directions = np.atleast_2d(np.asarray(directions, float))
-        directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        qlogs = np.log(np.einsum("mij,ki,kj->mk", sym, directions, directions))
     return SpectralSampleSet(
         points=pts,
         spectra=np.log(eigs)[:, ::-1],
         weights=np.ones(pts.shape[0]),
-        directions=directions,
-        quadform_logs=qlogs,
         hessians=sym,
         flagged=flagged,
         skipped=skipped,
@@ -633,18 +612,10 @@ def poincare_ratio(samples, f):
 
 
 def quadform_poincare(samples, v, f):
-    """One-dimensional ratio for Y = log quadratic form along v."""
-    if samples.quadform_logs is None:
-        raise ValueError("sample set carries no quadratic-form observations")
-    v = np.asarray(v, float).ravel()
-    v = v / np.linalg.norm(v)
-    configured = samples.directions / np.linalg.norm(
-        samples.directions, axis=1, keepdims=True
-    )
-    hits = np.where(np.all(np.abs(configured - v) < 1e-12, axis=1))[0]
-    if hits.size == 0:
-        raise ValueError("direction is not among the configured directions")
-    y = samples.quadform_logs[:, hits[0]]
+    """One-dimensional ratio for Y = log quadratic form of the Hessian along v."""
+    if samples.hessians is None:
+        raise ValueError("sample set carries no Hessian matrices for quadratic-form ratios")
+    y = _log_quadforms(samples.hessians, v)
     values = np.asarray(f.value(y), float)
     slope_sq = np.asarray(f.slope_sq(y), float)
     return _ratio_report(values, slope_sq, samples.weights, samples.count)

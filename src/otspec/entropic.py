@@ -44,7 +44,6 @@ __all__ = [
     "sinkhorn_solve",
     "default_eps_schedule",
     "entropic_map",
-    "map_jacobian",
     "hessian_fd",
 ]
 
@@ -345,49 +344,66 @@ def entropic_map(plan, x):
     return out[0] if single else out
 
 
-def map_jacobian(plan, x, h=None):
-    """Central-difference Jacobian of the barycentric map at x.
-
-    J[i, j] = d T_i / d x_j.  The default step is twice the coarser grid
-    spacing of the source; points closer than 2h to the box boundary are
-    refused because the one-sided geometry would bias the stencil.
-    """
-    x = np.asarray(x, dtype=float).reshape(2)
+def _fd_step(plan, h):
+    """The difference step: ``h``, or twice the coarser source grid spacing."""
     if h is None:
         h = 2.0 * max(plan.source.spacing)
     h = float(h)
-    if h <= 0:
+    if h <= 0.0:
         raise ValueError("step must be positive")
-    (x0, x1), (y0, y1) = plan.source.box
-    margin = min(x[0] - x0, x1 - x[0], x[1] - y0, y1 - x[1])
-    if margin < 2.0 * h:
-        raise ValueError(
-            f"point too close to the box boundary for step {h:g} "
-            f"(margin {margin:g}, need {2*h:g})"
-        )
-    stencil = np.array(
-        [[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]]
-    )
-    vals = entropic_map(plan, x[None, :] + stencil)
-    jac = np.empty((2, 2))
-    jac[:, 0] = (vals[0] - vals[1]) / (2.0 * h)
-    jac[:, 1] = (vals[2] - vals[3]) / (2.0 * h)
-    return jac
+    return h
+
+
+def _fd_hessians(plan, x, h):
+    """Symmetrized central-difference Jacobians of the barycentric map.
+
+    Points of shape (..., 2) give estimates of shape (..., 2, 2); the four
+    stencil points of every point go through one ``entropic_map`` call.
+    """
+    offsets = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    stencil = (x[..., None, :] + offsets).reshape(-1, 2)
+    vals = entropic_map(plan, stencil).reshape(x.shape[:-1] + (4, 2))
+    jac = np.empty(x.shape[:-1] + (2, 2))
+    jac[..., :, 0] = (vals[..., 0, :] - vals[..., 1, :]) / (2.0 * h)
+    jac[..., :, 1] = (vals[..., 2, :] - vals[..., 3, :]) / (2.0 * h)
+    return 0.5 * (jac + np.swapaxes(jac, -2, -1))
+
+
+def _first(bad, x):
+    """The first flagged point of x, named by its index in a stack."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    where = f" {idx[0] if len(idx) == 1 else idx}" if idx else ""
+    return idx, f"point{where} {x[idx]}"
 
 
 def hessian_fd(plan, x, h=None):
     """Symmetrized map Jacobian as the transport Hessian estimate.
 
-    Raises rather than clamps when the symmetrized estimate is not
-    positive definite, so degenerate samples are visible to callers, who
-    count and exclude them.
+    Points of shape (..., 2) give estimates of shape (..., 2, 2).  The
+    default step is twice the coarser grid spacing of the source.  Points
+    closer than 2h to the box boundary are refused, because the one-sided
+    geometry would bias the stencil.  Raises rather than clamps when a
+    symmetrized estimate is not positive definite, so degenerate estimates
+    stay visible.  Each refusal names the first failing point.
     """
-    jac = map_jacobian(plan, x, h=h)
-    sym = 0.5 * (jac + jac.T)
-    floor = float(np.linalg.eigvalsh(sym)[0])
-    if floor <= 0.0:
+    x = np.asarray(x, dtype=float)
+    h = _fd_step(plan, h)
+    (x0, x1), (y0, y1) = plan.source.box
+    margin = np.minimum.reduce([x[..., 0] - x0, x1 - x[..., 0], x[..., 1] - y0, y1 - x[..., 1]])
+    close = margin < 2.0 * h
+    if np.any(close):
+        idx, at = _first(close, x)
+        raise ValueError(
+            f"{at} too close to the box boundary for step {h:g} "
+            f"(margin {margin[idx]:g}, need {2*h:g})"
+        )
+    sym = _fd_hessians(plan, x, h)
+    floor = np.linalg.eigvalsh(sym)[..., 0]
+    flat = floor <= 0.0
+    if np.any(flat):
+        idx, at = _first(flat, x)
         raise ArithmeticError(
-            f"entropic Hessian estimate not positive definite at {x} "
-            f"(smallest eigenvalue {floor:.3e})"
+            f"entropic Hessian estimate not positive definite at {at} "
+            f"(smallest eigenvalue {floor[idx]:.3e})"
         )
     return sym

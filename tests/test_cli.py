@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otspec import cli, spd
+from otspec import brenier, cli, spd
 from otspec.cli import (
     KINDS,
     CheckRecord,
@@ -514,8 +514,17 @@ class TestRunExperiment:
         assert all(r.passed for r in report.records)
         assert len(calls) == 77 and len(set(calls)) == 77
 
-    @pytest.mark.parametrize("dump", [False, True])
-    def test_concentration_releases_each_sample_set(self, monkeypatch, dump):
+    @pytest.mark.parametrize(
+        "kind, dump",
+        [
+            pytest.param("concentration", False, id="False"),
+            pytest.param("concentration", True, id="True"),
+            pytest.param("poincare", False, id="poincare-False"),
+            pytest.param("poincare", True, id="poincare-True"),
+        ],
+    )
+    def test_concentration_releases_each_sample_set(self, monkeypatch, kind, dump):
+        # both sampled kinds drop each experiment's set before drawing the next
         refs = []
         draw = cli.spectral_samples
 
@@ -526,12 +535,41 @@ class TestRunExperiment:
             return samples
 
         monkeypatch.setattr(cli, "spectral_samples", tracked)
-        cfg = config_from_dict(
-            {"kind": "concentration", "samples": 2000, "dump_samples": dump}
-        )
-        records, dumps = cli._run_concentration(cfg)
+        cfg = config_from_dict({"kind": kind, "samples": 2000, "dump_samples": dump})
+        records, dumps = cli._RUNNERS[kind](cfg)
         assert len(refs) == 11 and all(r() is None for r in refs)
         assert len(dumps) == (11 if dump else 0)
+
+    def test_sinkhorn_makes_one_stacked_hessian_call_per_part(self, monkeypatch):
+        # each part estimates all of its Hessian points with one hessian_fd
+        # call and reads the oracle's Hessians with one stacked call
+        calls = []
+        fd = cli.hessian_fd
+
+        def counted_fd(plan, x, h=None):
+            calls.append(("hessian_fd", np.shape(x)))
+            return fd(plan, x, h=h)
+
+        monkeypatch.setattr(cli, "hessian_fd", counted_fd)
+        for cls in (brenier.LinearMap, brenier.ProductMap):
+            oracle = cls.hessian
+
+            def counted(tm, x, oracle=oracle):
+                calls.append((tm.kind, np.shape(x)))
+                return oracle(tm, x)
+
+            monkeypatch.setattr(cls, "hessian", counted)
+        report = run_experiment(config_from_dict({"kind": "sinkhorn2d", "grid": 32, "samples": 60}))
+        names = [r.name for r in report.records]
+        assert "hessian-agreement[gaussian]" in names and "hessian-agreement[product]" in names
+        assert sorted(calls) == sorted(
+            [
+                ("gaussian-linear", (12, 2)),
+                ("hessian_fd", (12, 2)),
+                ("hessian_fd", (25, 2)),
+                ("product", (25, 2)),
+            ]
+        )
 
     def test_every_record_carries_tolerance_and_flag(self):
         cfg = config_from_dict({"kind": "poincare", "samples": 1000})
@@ -597,6 +635,21 @@ class TestMain:
             err = capsys.readouterr().err
             assert f"config error: map.{side}: covariance" in err
             assert message in err
+
+    @pytest.mark.parametrize(
+        "mean", [0.5, "0.5", [[0.0, 0.0]]], ids=["number", "string", "nested"]
+    )
+    def test_exit_two_on_non_list_gaussian_mean(self, tmp_path, capsys, mean):
+        for side in ("source", "target"):
+            spec = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+            data = {"kind": "variance", "map": {"kind": "gaussian-linear",
+                                                "source": dict(spec), "target": dict(spec)}}
+            data["map"][side]["mean"] = mean
+            path = _write(tmp_path, data)
+            assert main(["variance", "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: map.{side}.mean: expected a non-empty list of numbers" in err
+            assert "dimensions disagree" not in err
 
     def test_exit_two_on_kind_mismatch(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance"})

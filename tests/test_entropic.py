@@ -17,7 +17,6 @@ from otspec.entropic import (
     discretize,
     entropic_map,
     hessian_fd,
-    map_jacobian,
     sinkhorn_solve,
 )
 from otspec.measures import (
@@ -335,58 +334,86 @@ class TestEntropicMap:
 class TestHessianEstimate:
     def test_self_transport_near_identity_hessian(self, self_setup):
         _, plan = self_setup
-        for p in ([0.0, 0.0], [0.6, -0.4], [-0.8, 0.7]):
-            h = hessian_fd(plan, np.array(p))
-            assert np.linalg.norm(h - np.eye(2), 2) <= 0.1
+        h = hessian_fd(plan, np.array([[0.0, 0.0], [0.6, -0.4], [-0.8, 0.7]]))
+        assert h.shape == (3, 2, 2)
+        assert np.all(np.linalg.norm(h - np.eye(2), 2, axis=(1, 2)) <= 0.1)
 
     def test_gaussian_pair_matches_oracle_hessian(self, gauss_setup):
         g1, _, plan, oracle = gauss_setup
         a = oracle.matrix
-        pts = _central_points(g1, count=60)
-        for p in pts[::5]:
-            h = hessian_fd(plan, p)
-            assert np.linalg.norm(h - a, 2) / np.linalg.norm(a, 2) <= 0.05
+        h = hessian_fd(plan, _central_points(g1, count=60)[::5])
+        assert np.all(np.linalg.norm(h - a, 2, axis=(1, 2)) / np.linalg.norm(a, 2) <= 0.05)
 
     def test_product_pair_matches_oracle_hessian(self, product_setup):
         plan, oracle, region = product_setup
         (x0, x1), (y0, y1) = region
-        gx = np.linspace(x0, x1, 5)
-        gy = np.linspace(y0, y1, 5)
-        for xv in gx:
-            for yv in gy:
-                p = np.array([xv, yv])
-                h = hessian_fd(plan, p)
-                ref = oracle.hessian(p)
-                assert np.linalg.norm(h - ref, 2) / np.linalg.norm(ref, 2) <= 0.05
+        gx, gy = np.meshgrid(np.linspace(x0, x1, 5), np.linspace(y0, y1, 5), indexing="ij")
+        pts = np.stack([gx, gy], axis=-1)
+        h = hessian_fd(plan, pts)
+        ref = oracle.hessian(pts)
+        assert h.shape == ref.shape == (5, 5, 2, 2)
+        gap = np.linalg.norm(h - ref, 2, axis=(-2, -1))
+        assert np.all(gap / np.linalg.norm(ref, 2, axis=(-2, -1)) <= 0.05)
+
+    def test_stack_matches_single_points(self, gauss_setup):
+        g1, _, plan, _ = gauss_setup
+        pts = _central_points(g1, count=12)
+        h = hessian_fd(plan, pts)
+        for k, p in enumerate(pts):
+            np.testing.assert_allclose(h[k], hessian_fd(plan, p), rtol=1e-12, atol=0.0)
 
     def test_jacobian_symmetry_defect_small(self, gauss_setup):
+        # the raw central-difference Jacobian, before hessian_fd symmetrizes
+        # it: J[k, i, j] = d T_i / d x_j at point k
         g1, _, plan, _ = gauss_setup
-        pts = _central_points(g1, count=40)
-        for p in pts[::4]:
-            j = map_jacobian(plan, p)
-            assert np.linalg.norm(j - j.T, 2) / np.linalg.norm(j, 2) <= 0.05
+        pts = _central_points(g1, count=40)[::4]
+        h = 2.0 * max(plan.source.spacing)
+        cols = [
+            (entropic_map(plan, pts + h * e) - entropic_map(plan, pts - h * e)) / (2.0 * h)
+            for e in np.eye(2)
+        ]
+        j = np.stack(cols, axis=-1)
+        defect = np.linalg.norm(j - np.swapaxes(j, 1, 2), 2, axis=(1, 2))
+        assert np.all(defect / np.linalg.norm(j, 2, axis=(1, 2)) <= 0.05)
 
     def test_boundary_margin_enforced(self, gauss_setup):
         _, _, plan, _ = gauss_setup
         with pytest.raises(ValueError, match="boundary"):
             hessian_fd(plan, np.array([3.25, 0.0]))
+        with pytest.raises(ValueError, match=r"^point 1 \[3\.25 +0\. *\] too close to the box boundary"):
+            hessian_fd(plan, np.array([[0.0, 0.0], [3.25, 0.0], [-3.25, 0.0]]))
         with pytest.raises(ValueError, match="positive"):
             hessian_fd(plan, np.array([0.0, 0.0]), h=0.0)
 
-    def test_degenerate_estimate_refused(self):
-        # a frozen two-node-per-axis plan with a tiny epsilon produces a
-        # locally constant map, whose symmetrized Jacobian is the zero
-        # matrix: the estimator must flag it, not clamp it
+    @staticmethod
+    def _frozen_plan():
+        # a frozen two-node-per-axis plan with a tiny epsilon: the map is
+        # locally constant away from the axes, where the nearest corner
+        # dominates, and jumps across them
         xs = np.linspace(-1.0, 1.0, 8)
         src = GridMeasure(xs, xs, np.full((8, 8), 1.0 / 64.0), ((-1.0, 1.0), (-1.0, 1.0)))
         ts = np.array([-1.0, 1.0])
         tgt = GridMeasure(ts, ts, np.full((2, 2), 0.25), ((-1.0, 1.0), (-1.0, 1.0)))
-        plan = EntropicPlan(
+        return EntropicPlan(
             source=src, target=tgt, f=np.zeros((8, 8)), g=np.zeros((2, 2)),
             eps=1e-4, marginal_error=0.0,
         )
+
+    def test_degenerate_estimate_refused(self):
+        # where the map is locally constant the symmetrized Jacobian is the
+        # zero matrix: the estimator must flag it, not clamp it
+        plan = self._frozen_plan()
         with pytest.raises(ArithmeticError, match="not positive definite"):
             hessian_fd(plan, np.array([0.3, 0.3]), h=0.1)
+
+    def test_degenerate_estimate_named_in_stack(self):
+        # at the origin both stencil directions straddle the jump, so that
+        # estimate is 10 I; the next two points sit where the map is flat
+        plan = self._frozen_plan()
+        np.testing.assert_allclose(hessian_fd(plan, np.zeros(2), h=0.1), 10.0 * np.eye(2))
+        pts = np.array([[0.0, 0.0], [0.3, 0.3], [-0.3, 0.3]])
+        with pytest.raises(ArithmeticError, match=r"at point 1 \[0\.3 0\.3\] "):
+            hessian_fd(plan, pts, h=0.1)
 
 
 class TestKernelOracle:
