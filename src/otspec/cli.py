@@ -42,6 +42,7 @@ from . import rng
 from . import __version__
 from .brenier import brenier_1d, brenier_gaussian, brenier_product, brenier_radial
 from .concentration import (
+    EXPERIMENT_LABELS,
     default_experiments,
     entropic_spectral_samples,
     eigen_log_variance_quadrature_1d,
@@ -310,10 +311,6 @@ def _check_map_spec(spec, errors):
             errors.append("map: source and target dimensions disagree")
 
 
-def _known_labels():
-    return tuple(label for label, _ in default_experiments())
-
-
 def config_from_dict(data):
     """Validate a raw mapping and return the filled-in config.
 
@@ -406,7 +403,7 @@ def config_from_dict(data):
 
     if "experiments" in data:
         v = data["experiments"]
-        known = _SINKHORN_CASES if kind == "sinkhorn2d" else _known_labels()
+        known = _SINKHORN_CASES if kind == "sinkhorn2d" else EXPERIMENT_LABELS
         if v == "default":
             out["experiments"] = "default"
         elif isinstance(v, list) and v and all(isinstance(e, str) for e in v):
@@ -430,8 +427,8 @@ def config_from_dict(data):
     return replace(base, **out)
 
 
-def parse_config(path):
-    """Read and validate a JSON config file."""
+def _read_config(path):
+    """The raw mapping of a JSON config file, not yet validated."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -439,10 +436,14 @@ def parse_config(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
-    return config_from_dict(data)
+
+
+def parse_config(path):
+    """Read and validate a JSON config file."""
+    return config_from_dict(_read_config(path))
 
 
 def config_to_dict(cfg):
@@ -1023,21 +1024,6 @@ def run_experiment(cfg):
 # ----------------------------------------------------------------- interface
 
 
-def _apply_overrides(cfg, args):
-    data = config_to_dict(cfg)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.samples is not None:
-        data["samples"] = args.samples
-    if args.out is not None:
-        data["out"] = args.out
-    if args.format is not None:
-        data["format"] = args.format
-    if args.dump_samples:
-        data["dump_samples"] = True
-    return config_from_dict(data)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="otspec",
@@ -1055,12 +1041,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config) if args.config else default_config(args.kind)
+        data = _read_config(args.config) if args.config else {"kind": args.kind}
+        # the flags join the raw mapping, so the config is validated once
+        if isinstance(data, dict):
+            for key in ("seed", "samples", "out", "format"):
+                if getattr(args, key) is not None:
+                    data[key] = getattr(args, key)
+            if args.dump_samples:
+                data["dump_samples"] = True
+        cfg = config_from_dict(data)
         if cfg.kind != args.kind:
             raise ConfigError(
                 [f"kind: config says {cfg.kind!r} but the subcommand is {args.kind!r}"]
             )
-        cfg = _apply_overrides(cfg, args)
     except ConfigError as exc:
         for m in exc.messages:
             print(f"config error: {m}", file=sys.stderr)

@@ -60,6 +60,7 @@ __all__ = [
     "caffarelli_floor_check",
     "default_experiments",
     "default_directions",
+    "EXPERIMENT_LABELS",
 ]
 
 _BLOCKS = 50
@@ -682,35 +683,57 @@ def caffarelli_floor_check(mu, nu, n_reg, grid_points=512):
 # ------------------------------------------------------------ experiment list
 
 
+# the fixed catalog, one (label, kind, spec) row per map in report order: a
+# 1d row names its source and target catalog measures, a gaussian or radial
+# row its dimension, and the product row how many of the 1d maps it
+# multiplies; config validation reads the labels without building a map
+_EXPERIMENT_SPECS = (
+    ("1d:uniform(0.0,1.0)->exponential(1.0)", "1d",
+     (("uniform", (0.0, 1.0)), ("exponential", (1.0,)))),
+    ("1d:gaussian(0.0,1.0)->logistic(0.0,1.0)", "1d",
+     (("gaussian", (0.0, 1.0)), ("logistic", (0.0, 1.0)))),
+    ("1d:beta(2.0,3.0)->gaussian(0.0,1.0)", "1d",
+     (("beta", (2.0, 3.0)), ("gaussian", (0.0, 1.0)))),
+    ("1d:gamma(3.0,1.0)->gaussian(0.5,0.8)", "1d",
+     (("gamma", (3.0, 1.0)), ("gaussian", (0.5, 0.8)))),
+    ("gaussian:n=3", "gaussian", 3),
+    ("gaussian:n=5", "gaussian", 5),
+    ("product:n=3", "product", 3),
+    ("radial:ball->gaussian n=2", "radial", 2),
+    ("radial:ball->gaussian n=3", "radial", 3),
+    ("radial:ball->gaussian n=5", "radial", 5),
+    ("radial:ball->gaussian n=8", "radial", 8),
+)
+
+EXPERIMENT_LABELS = tuple(label for label, _, _ in _EXPERIMENT_SPECS)
+
+
 def default_experiments():
     """Fixed desk-scale catalog of analytic maps, in deterministic order.
 
     Four one-dimensional pairs, two Gaussian pairs with frozen random
     covariances, one three-factor product, and the ball-to-Gaussian
-    radial family in dimensions 2, 3, 5, 8.
+    radial family in dimensions 2, 3, 5, 8; the labels are
+    ``EXPERIMENT_LABELS``.
     """
-    pair_specs = [
-        ("uniform(0,1)", ("uniform", (0.0, 1.0)), ("exponential", (1.0,))),
-        ("gaussian-logistic", ("gaussian", (0.0, 1.0)), ("logistic", (0.0, 1.0))),
-        ("beta-gaussian", ("beta", (2.0, 3.0)), ("gaussian", (0.0, 1.0))),
-        ("gamma-gaussian", ("gamma", (3.0, 1.0)), ("gaussian", (0.5, 0.8))),
-    ]
     out = []
     maps_1d = []
-    for tag, (na, pa), (nb, pb) in pair_specs:
-        tm = brenier_1d(make_catalog_measure(na, pa), make_catalog_measure(nb, pb))
-        maps_1d.append(tm)
-        out.append((f"1d:{tm.source.name}->{tm.target.name}", tm))
-    for d in (3, 5):
-        s = rng.stream(2024, 10, d)
-        mu = GaussianMeasure(np.zeros(d), random_spd(s, d, log_spread=1.5))
-        nu = GaussianMeasure(0.3 * np.ones(d), random_spd(s, d, log_spread=1.5))
-        out.append((f"gaussian:n={d}", brenier_gaussian(mu, nu)))
-    out.append(("product:n=3", brenier_product(maps_1d[:3])))
-    for d in (2, 3, 5, 8):
-        tm = brenier_radial(
-            make_radial_measure("uniform-ball", d),
-            make_radial_measure("gaussian", d),
-        )
-        out.append((f"radial:ball->gaussian n={d}", tm))
+    for label, kind, spec in _EXPERIMENT_SPECS:
+        if kind == "1d":
+            (na, pa), (nb, pb) = spec
+            tm = brenier_1d(make_catalog_measure(na, pa), make_catalog_measure(nb, pb))
+            maps_1d.append(tm)
+        elif kind == "gaussian":
+            s = rng.stream(2024, 10, spec)
+            mu = GaussianMeasure(np.zeros(spec), random_spd(s, spec, log_spread=1.5))
+            nu = GaussianMeasure(0.3 * np.ones(spec), random_spd(s, spec, log_spread=1.5))
+            tm = brenier_gaussian(mu, nu)
+        elif kind == "product":
+            tm = brenier_product(maps_1d[:spec])
+        else:
+            tm = brenier_radial(
+                make_radial_measure("uniform-ball", spec),
+                make_radial_measure("gaussian", spec),
+            )
+        out.append((label, tm))
     return out

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from otspec import brenier, cli, spd
+from otspec.concentration import EXPERIMENT_LABELS
+from otspec.measures import LogConcaveMeasure1D
 from otspec.cli import (
     KINDS,
     CheckRecord,
@@ -155,6 +157,21 @@ class TestConfigParsing:
         assert cfg.experiments == ("gaussian",)
         with pytest.raises(ConfigError, match="unknown label"):
             config_from_dict({"kind": "sinkhorn2d", "experiments": ["gaussian:n=3"]})
+
+    def test_label_check_builds_no_measure(self, monkeypatch):
+        # labels are checked against the table, so validating a config builds
+        # no map; an explicit map spec still builds its measures
+        def refuse(self, grid_count=1000):
+            raise AssertionError(f"config validation built {self.name}")
+
+        monkeypatch.setattr(LogConcaveMeasure1D, "_validate", refuse)
+        for kind in KINDS:
+            assert config_from_dict({"kind": kind}) == default_config(kind)
+        for kind in ("poincare", "concentration"):
+            cfg = config_from_dict({"kind": kind, "experiments": list(EXPERIMENT_LABELS)})
+            assert cfg.experiments == EXPERIMENT_LABELS
+        with pytest.raises(ConfigError, match="experiments: unknown label 'radial:n=4'"):
+            config_from_dict({"kind": "poincare", "experiments": ["radial:n=4"]})
 
     def test_nonfinite_numbers_rejected(self, tmp_path):
         p = tmp_path / "inf.json"
@@ -654,7 +671,10 @@ class TestMain:
     def test_exit_two_on_kind_mismatch(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance"})
         assert main(["poincare", "--config", path]) == 2
-        assert "kind" in capsys.readouterr().err
+        assert (
+            "config error: kind: config says 'variance' but the subcommand is 'poincare'"
+            in capsys.readouterr().err
+        )
 
     def test_exit_two_on_missing_config(self, capsys):
         assert main(["variance", "--config", "/nope.json"]) == 2
@@ -706,3 +726,24 @@ class TestMain:
     def test_invalid_flag_override_is_config_error(self, capsys):
         assert main(["variance", "--samples", "3"]) == 2
         assert "samples" in capsys.readouterr().err
+        assert main(["variance", "--samples", "10"]) == 2
+        assert (
+            "config error: samples: expected an integer in [50, 100000000]"
+            in capsys.readouterr().err
+        )
+
+    def test_config_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = cli.config_from_dict
+
+        def counted(data):
+            calls.append(dict(data))
+            return validate(data)
+
+        monkeypatch.setattr(cli, "config_from_dict", counted)
+        path = _write(tmp_path, {"kind": "variance", "samples": 100})
+        argv = ["--seed", "7", "--samples", "200", "--out", str(tmp_path)]
+        assert main(["variance", *argv]) == 0
+        assert main(["variance", "--config", path, *argv, "--format", "csv"]) == 0
+        assert len(calls) == 2
+        assert calls[1]["samples"] == 200 and calls[1]["format"] == "csv"

@@ -19,6 +19,7 @@ from otspec.brenier import (
     brenier_radial,
 )
 from otspec.concentration import (
+    EXPERIMENT_LABELS,
     Bank1DFunction,
     BankFunction,
     RatioReport,
@@ -546,6 +547,14 @@ class TestExperimentCatalog:
         assert kinds.count("gaussian-linear") == 2
         assert kinds.count("product") == 1
         assert kinds.count("radial") == 4
+
+    def test_labels_come_from_the_table(self):
+        exps = default_experiments()
+        assert EXPERIMENT_LABELS == tuple(label for label, _ in exps)
+        # a 1d label names the measures its map was built from
+        for label, tm in exps:
+            if tm.kind == "1d":
+                assert label == f"1d:{tm.source.name}->{tm.target.name}"
 
     def test_catalog_is_deterministic(self):
         a = dict(default_experiments())

@@ -34,6 +34,9 @@ ALL_MEMBERS = SMOOTH_MEMBERS + [
     ("subbotin", (1.5,)),
 ]
 
+# every family, with the kinked members whose mass check splits or grades
+MASS_MEMBERS = ALL_MEMBERS + [("gamma", (2.5, 1.0)), ("beta", (1.5, 2.5))]
+
 
 # the six regularized measures of the acceptance gate's floor pairs
 FLOOR_MEASURES = [
@@ -44,6 +47,26 @@ FLOOR_MEASURES = [
     ("beta", (2.0, 3.0), 10),
     ("gaussian", (0.0, 1.0), 10),
 ]
+
+
+def _scalar_mass(m):
+    """The mass check as it was before it ran on arrays, kept as its oracle.
+
+    One scalar ``pdf`` call per abscissa: adaptive Gauss-Kronrod on finite
+    pieces, tanh-sinh on infinite ones, split at interior kinks.
+    """
+    a, b = m.support
+    edges = [a] + sorted(k for k in m._kink_points if a < k < b) + [b]
+    scalar_pdf = np.vectorize(lambda t: float(m.pdf(t)), otypes=[float])
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if np.isfinite(lo) and np.isfinite(hi):
+            total += integrate.quad(
+                scalar_pdf, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200
+            )[0]
+        else:
+            total += float(integrate.tanhsinh(scalar_pdf, lo, hi, atol=1e-12).integral)
+    return total
 
 
 def interior_grid(m, lo=0.02, hi=0.98, count=25):
@@ -102,6 +125,29 @@ class TestCatalog:
             points=cuts or None,
         )
         assert abs(mass - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("name,params", MASS_MEMBERS)
+    def test_mass_check_calls_pdf_on_arrays(self, name, params, monkeypatch):
+        sizes = []
+        pdf = LogConcaveMeasure1D.pdf
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return pdf(self, x)
+
+        monkeypatch.setattr(LogConcaveMeasure1D, "pdf", counted)
+        m = make_catalog_measure(name, params)
+        assert len(sizes) <= 20
+        sizes.clear()
+        mass = m._total_mass()
+        monkeypatch.undo()
+        a, b = m.support
+        pieces = 1 + sum(a < k < b for k in m._kink_points)
+        # the tanh-sinh rule first evaluates the centre of each piece, then
+        # each of its levels at every piece in one call
+        assert sizes[0] == pieces
+        assert min(sizes[1:]) > 1
+        assert abs(mass - _scalar_mass(m)) <= 1e-12
 
     def test_gaussian_potential_value(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
@@ -694,6 +740,24 @@ class TestRegularize:
             err1 = np.abs(r.potential_d1(x) - d1) / np.maximum(1.0, np.abs(d1))
             assert np.all(err1[keep] <= 1e-10)
             assert np.all(np.abs(r.potential_d2(x) - d2)[keep] <= 1e-10 * n**2)
+
+    @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
+    def test_mass_rule_matches_adaptive_oracle(self, name, params, monkeypatch):
+        sizes = []
+        for n in (1, 5, 10, 20):
+            r = regularize(make_catalog_measure(name, params), n)
+            lo, hi = r._ylo - 12.0 * r.sig, r._yhi + 12.0 * r.sig
+            cuts = (r._ylo,) + r._y_cuts + (r._yhi,)
+            want = measures._integrate(lambda t: float(r.pdf(t)), lo, hi, points=cuts)
+
+            def counted(x, pdf=r.pdf):
+                sizes.append(np.size(x))
+                return pdf(x)
+
+            monkeypatch.setattr(r, "pdf", counted)
+            assert abs(r._total_mass() - want) <= 1e-12
+        # one pdf call per measure
+        assert len(sizes) == 4
 
     def test_block_size_does_not_change_values(self, monkeypatch):
         r = regularize(make_catalog_measure("laplace", (0.0, 1.0)), 10)
