@@ -15,7 +15,6 @@ instances can be shared freely across threads.
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .measures import (
     GaussianMeasure,
@@ -37,6 +36,54 @@ __all__ = [
 # second derivative of Phi can blow up at support endpoints (1/(1-x) for
 # uniform to exponential), and quantile solves lose accuracy there.
 _EDGE = 1e-9
+
+
+def _pchip_coefficients(x, y):
+    """Monotone piecewise cubic through (x, y), as coefficients (4, n - 1).
+
+    A monotone cubic Hermite interpolant (Fritsch and Carlson 1980) with
+    the rule of scipy's ``PchipInterpolator``: the node slopes are the
+    weighted harmonic means of the adjacent secants (Fritsch and Butland
+    1984), zero where the secants change sign or one of them vanishes, and
+    the end slopes are three-point estimates limited to keep their
+    secant's sign (Moler 2004), so that no piece overshoots its data.  Row
+    k holds the coefficient of (r - x_i)**(3 - k) on [x_i, x_i+1].
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _end_slope(h0, h1, m0, m1):
+    """Three-point end slope from the end secant m0 and the next one, m1."""
+    e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(e) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return e
+
+
+def _piecewise_cubic(x, coef, r):
+    """The cubic of ``_pchip_coefficients`` at r in [x_0, x_n-1].
+
+    The sum runs in ascending powers, as scipy's ``PPoly`` sums it, so the
+    values match ``PchipInterpolator``'s bit for bit.
+    """
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+    s = r - np.take(x, i)
+    c0, c1, c2, c3 = np.take(coef, i, axis=1)
+    s2 = s * s
+    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 class TransportMap:
@@ -196,7 +243,8 @@ class RadialMap(TransportMap):
         r_nodes = source.radial_quantile(u)
         phi_nodes = target.radial_quantile(u)
         self._r_hi = float(r_nodes[-1])
-        self._spline = PchipInterpolator(r_nodes, phi_nodes, extrapolate=False)
+        self._r_nodes = r_nodes
+        self._coef = _pchip_coefficients(r_nodes, phi_nodes)
 
     def profile(self, r):
         """phi(r) from exact mass balance (safeguarded quantile solve)."""
@@ -207,7 +255,7 @@ class RadialMap(TransportMap):
     def profile_fast(self, r):
         """Monotone interpolation of the profile for sampling throughput."""
         r = np.clip(np.asarray(r, dtype=float), 0.0, self._r_hi)
-        return self._spline(r)
+        return _piecewise_cubic(self._r_nodes, self._coef, r)
 
     def profile_d1(self, r, phi=None):
         """phi'(r) from differentiating the mass balance."""

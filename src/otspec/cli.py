@@ -38,41 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
+# the other layers are imported where a kind or a config field needs them,
+# so a process pays only for what its run uses: geometry-selftest loads
+# spd and numpy, and no kind loads scipy.integrate or scipy.interpolate
 from . import rng
 from . import __version__
-from .brenier import brenier_1d, brenier_gaussian, brenier_product, brenier_radial
-from .concentration import (
-    EXPERIMENT_LABELS,
-    default_experiments,
-    entropic_spectral_samples,
-    eigen_log_variance_quadrature_1d,
-    exp_concentration,
-    function_bank,
-    poincare_ratio,
-    spectral_samples,
-    variance_report,
-)
-from .entropic import default_eps_schedule, discretize, entropic_map, hessian_fd, sinkhorn_solve
-from .gamma2 import (
-    PhiPartialTestFunction,
-    bmatrix_certificate,
-    bochner_residual,
-    contracted_tensors,
-    gamma2_expanded,
-    gamma2_lower_bound,
-    make_test_function,
-    operator_L,
-    synthetic_triple,
-    triple_consistency_residual,
-)
-from .measures import (
-    CATALOG_NAMES,
-    GaussianMeasure,
-    ProductMeasure,
-    make_catalog_measure,
-    make_radial_measure,
-    regularize,
-)
 from .spd import (
     curve_length,
     geodesic_point,
@@ -201,6 +171,8 @@ def _is_num(x):
 
 
 def _check_catalog_spec(spec, path, errors):
+    from .measures import CATALOG_NAMES, make_catalog_measure
+
     if not isinstance(spec, dict):
         errors.append(f"{path}: expected an object with name and params")
         return
@@ -223,6 +195,8 @@ def _check_catalog_spec(spec, path, errors):
 
 def _check_gaussian_spec(spec, path, errors):
     """Check one gaussian side; return its dimension, or None if it is invalid."""
+    from .measures import GaussianMeasure
+
     if not isinstance(spec, dict):
         errors.append(f"{path}: expected an object with mean and cov")
         return None
@@ -245,6 +219,8 @@ def _check_gaussian_spec(spec, path, errors):
 
 
 def _check_radial_spec(spec, path, errors):
+    from .measures import make_radial_measure
+
     if not isinstance(spec, dict):
         errors.append(f"{path}: expected an object with family, dim and params")
         return
@@ -403,10 +379,13 @@ def config_from_dict(data):
 
     if "experiments" in data:
         v = data["experiments"]
-        known = _SINKHORN_CASES if kind == "sinkhorn2d" else EXPERIMENT_LABELS
         if v == "default":
             out["experiments"] = "default"
         elif isinstance(v, list) and v and all(isinstance(e, str) for e in v):
+            if kind == "sinkhorn2d":
+                known = _SINKHORN_CASES
+            else:
+                from .concentration import EXPERIMENT_LABELS as known
             unknown = [e for e in v if e not in known]
             for e in unknown:
                 errors.append(f"experiments: unknown label {e!r}")
@@ -572,6 +551,9 @@ def _guard(records, name, claim, tolerance, body):
 
 def _build_map(spec):
     """Construct (label, transport map) from a validated map spec."""
+    from .brenier import brenier_1d, brenier_gaussian, brenier_product, brenier_radial
+    from .measures import GaussianMeasure, make_catalog_measure, make_radial_measure
+
     kind = spec["kind"]
     if kind == "1d":
         src = make_catalog_measure(spec["source"]["name"], tuple(spec["source"]["params"]))
@@ -600,14 +582,14 @@ def _build_map(spec):
 
 
 def _select_experiments(cfg):
-    exps = default_experiments()
-    if cfg.experiments == "default":
-        return exps
-    wanted = set(cfg.experiments)
-    return [(label, tm) for label, tm in exps if label in wanted]
+    from .concentration import default_experiments
+
+    return default_experiments(None if cfg.experiments == "default" else cfg.experiments)
 
 
 def _select_bank(cfg, dim):
+    from .concentration import function_bank
+
     bank = function_bank(dim)
     if cfg.bank == "all":
         return bank
@@ -744,6 +726,12 @@ def _variance_records(records, rep, prefix="", skipped=0):
 
 def _run_variance(cfg):
     """Variance of the map-Hessian log-spectrum for one configured map."""
+    from .concentration import (
+        eigen_log_variance_quadrature_1d,
+        spectral_samples,
+        variance_report,
+    )
+
     records = []
     dumps = []
     label, tm = _build_map(cfg.map)
@@ -772,6 +760,8 @@ def _run_variance(cfg):
 
 def _run_poincare(cfg):
     """Variance-over-energy ratios for the function bank on the catalog."""
+    from .concentration import poincare_ratio, spectral_samples
+
     records = []
     dumps = []
     for label, tm in _select_experiments(cfg):
@@ -801,6 +791,19 @@ def _run_gamma2(cfg):
 
     Each triple's points are evaluated as stacks of at most ``_BLOCK``.
     """
+    from .gamma2 import (
+        PhiPartialTestFunction,
+        bmatrix_certificate,
+        bochner_residual,
+        contracted_tensors,
+        gamma2_expanded,
+        gamma2_lower_bound,
+        make_test_function,
+        operator_L,
+        synthetic_triple,
+        triple_consistency_residual,
+    )
+
     records = []
     worst = dict.fromkeys(("cons", "eig", "cert", "boch"), 0.0)
     worst_margin = math.inf
@@ -864,6 +867,9 @@ def _map_agreement(got, ref):
 
 
 def _gaussian_case(seed):
+    from .brenier import brenier_gaussian
+    from .measures import GaussianMeasure
+
     c1, s1 = math.cos(0.5), math.sin(0.5)
     c2, s2 = math.cos(-0.7), math.sin(-0.7)
     q1 = np.array([[c1, -s1], [s1, c1]])
@@ -876,6 +882,9 @@ def _gaussian_case(seed):
 
 
 def _product_case(seed):
+    from .brenier import brenier_1d, brenier_product
+    from .measures import ProductMeasure, make_catalog_measure, regularize
+
     f1s = regularize(make_catalog_measure("uniform", (0.0, 1.0)), 8)
     f2s = make_catalog_measure("gaussian", (0.0, 0.45))
     f1t = make_catalog_measure("gaussian", (0.3, 0.5))
@@ -908,6 +917,15 @@ _SINKHORN_CASES = {"gaussian": _gaussian_case, "product": _product_case}
 
 
 def _sinkhorn_part(cfg, part, records, dumps):
+    from .concentration import entropic_spectral_samples, variance_report
+    from .entropic import (
+        default_eps_schedule,
+        discretize,
+        entropic_map,
+        hessian_fd,
+        sinkhorn_solve,
+    )
+
     src, dst, src_box, dst_box, oracle, map_pts, hess_pts = _SINKHORN_CASES[part](cfg.seed)
     mu = discretize(src, src_box, cfg.grid, cfg.grid)
     nu = discretize(dst, dst_box, cfg.grid, cfg.grid)
@@ -960,6 +978,8 @@ def _run_concentration(cfg):
     constant and the whole grid; the sweep keeps only its running maxima,
     so each sample set is released before the next experiment is drawn.
     """
+    from .concentration import exp_concentration, spectral_samples
+
     records = []
     dumps = []
     top = [-math.inf] * len(cfg.c_grid)

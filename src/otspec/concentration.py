@@ -708,21 +708,30 @@ _EXPERIMENT_SPECS = (
 EXPERIMENT_LABELS = tuple(label for label, _, _ in _EXPERIMENT_SPECS)
 
 
-def default_experiments():
+def default_experiments(labels=None):
     """Fixed desk-scale catalog of analytic maps, in deterministic order.
 
     Four one-dimensional pairs, two Gaussian pairs with frozen random
     covariances, one three-factor product, and the ball-to-Gaussian
     radial family in dimensions 2, 3, 5, 8; the labels are
-    ``EXPERIMENT_LABELS``.
+    ``EXPERIMENT_LABELS``.  Given ``labels``, only those rows are built,
+    in the same order, and a product row builds the 1d maps it multiplies.
     """
+    wanted = set(EXPERIMENT_LABELS if labels is None else labels)
+    factors = max(
+        (spec for label, kind, spec in _EXPERIMENT_SPECS
+         if kind == "product" and label in wanted),
+        default=0,
+    )
     out = []
     maps_1d = []
     for label, kind, spec in _EXPERIMENT_SPECS:
-        if kind == "1d":
+        if kind == "1d" and (label in wanted or len(maps_1d) < factors):
             (na, pa), (nb, pb) = spec
             tm = brenier_1d(make_catalog_measure(na, pa), make_catalog_measure(nb, pb))
             maps_1d.append(tm)
+        elif label not in wanted:
+            continue
         elif kind == "gaussian":
             s = rng.stream(2024, 10, spec)
             mu = GaussianMeasure(np.zeros(spec), random_spd(s, spec, log_spread=1.5))
@@ -735,5 +744,6 @@ def default_experiments():
                 make_radial_measure("uniform-ball", spec),
                 make_radial_measure("gaussian", spec),
             )
-        out.append((label, tm))
+        if label in wanted:
+            out.append((label, tm))
     return out

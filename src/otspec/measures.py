@@ -17,7 +17,7 @@ original measure in the tight-variance limit.
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .spd import _validated, sqrt_factors
 
@@ -39,44 +39,93 @@ _QUAD_ATOL = 1e-12
 _CDF_ROUNDOFF = 1e-13
 
 
-def _integrate(f, a, b, points=None):
-    """Definite integral with absolute tolerance 1e-12.
+# double-exponential rule: level k adds the abscissae t of step 2**-k on
+# [-_DE_T, _DE_T]; beyond |t| = 4 the substitution leaves less than 1e-18
+# of the interval next to a finite end, and only points beyond 1e18 on an
+# infinite side; two coarse levels can agree on a peak both miss, so no
+# piece is accepted before level 3
+_DE_T = 4.0
+_DE_MIN_LEVEL = 3
+_DE_MAX_LEVEL = 10
 
-    Adaptive Gauss-Kronrod on finite intervals; tanh-sinh substitution when
-    either endpoint is infinite.
+
+def _de_abscissae(level):
+    """The abscissae t that ``level`` adds: every point of step 1 on level 0,
+    the odd multiples of 2**-level after it."""
+    if level == 0:
+        return np.arange(-_DE_T, _DE_T + 0.5)
+    h = 2.0**-level
+    return -_DE_T + h * np.arange(1, round(2.0 * _DE_T / h), 2)
+
+
+def _de_substitution(t, lo, hi):
+    """Nodes and weights dx/dt of the double-exponential substitution.
+
+    One row per piece [lo, hi]: tanh-sinh on a finite piece, with each
+    node taken from its nearer end so that nodes next to an end keep
+    their precision; exp-sinh on a half-line; sinh-sinh on the whole line.
     """
-    if np.isfinite(a) and np.isfinite(b):
-        pts = None
-        if points is not None:
-            pts = sorted(p for p in points if a < p < b) or None
-        value, err = integrate.quad(
-            f, a, b, epsabs=_QUAD_ATOL, epsrel=1e-11, limit=200, points=pts
+    u = 0.5 * np.pi * np.sinh(t)
+    du = 0.5 * np.pi * np.cosh(t)
+    lo, hi = lo[:, None], hi[:, None]
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+    grow = np.exp(u)
+    with np.errstate(invalid="ignore"):
+        half = 0.5 * (hi - lo)
+        gap = half * np.exp(-np.abs(u)) / np.cosh(u)
+        x = np.where(
+            lo_fin & hi_fin,
+            np.where(t < 0.0, lo + gap, hi - gap),
+            np.where(lo_fin, lo + grow, np.where(hi_fin, hi - grow, np.sinh(u))),
         )
-        if err > 1e-9 * max(1.0, abs(value)):
-            raise ArithmeticError(
-                f"quadrature on ({a}, {b}) reports error {err:.3e} "
-                f"for value {value:.6e}"
-            )
-        return value
-    return float(_tanhsinh(f, a, b))
+        w = du * np.where(
+            lo_fin & hi_fin,
+            half / np.cosh(u) ** 2,
+            np.where(lo_fin | hi_fin, grow, np.cosh(u)),
+        )
+    return x, w
 
 
-def _tanhsinh(f, a, b):
-    """Tanh-sinh integrals of ``f`` over [a, b] with absolute tolerance 1e-12.
+def _integrate(f, a, b, kinks=()):
+    """Integral of ``f`` over [a, b] with absolute tolerance 1e-12.
 
-    ``a`` and ``b`` broadcast, one integral per element, and ``f`` takes
-    arrays: each level of the rule is one call over every interval.
+    Double-exponential quadrature (Takahasi and Mori 1974).  [a, b] is cut
+    at the kinks inside it, and the pieces are integrated together: each
+    level of the rule is one call of ``f`` on a 1-D array of the new
+    nodes of every piece not yet done.  Only nodes strictly inside their
+    piece are evaluated.  A piece is done, from level ``_DE_MIN_LEVEL``
+    on, once its value moves by at most 1e-12 max(1, |value|) from the
+    level before; a piece not done by level ``_DE_MAX_LEVEL`` raises
+    ``ArithmeticError``.
     """
-    res = integrate.tanhsinh(f, a, b, atol=_QUAD_ATOL)
-    failed = np.flatnonzero(~np.atleast_1d(res.success))
-    if failed.size:
-        i = failed[0]
-        lo, hi = (np.broadcast_to(v, np.shape(res.success)).flat[i] for v in (a, b))
-        raise ArithmeticError(
-            f"quadrature failed on ({lo}, {hi}): "
-            f"error estimate {np.ravel(res.error)[i]:.3e}"
-        )
-    return res.integral
+    edges = np.array([a, *sorted(k for k in kinks if a < k < b), b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    sums = np.zeros(lo.size)
+    value = np.full(lo.size, np.nan)
+    error = np.full(lo.size, np.inf)
+    live = np.arange(lo.size)
+    for level in range(_DE_MAX_LEVEL + 1):
+        x, w = _de_substitution(_de_abscissae(level), lo[live], hi[live])
+        inside = (x > lo[live, None]) & (x < hi[live, None])
+        fx = np.zeros_like(x)
+        if np.any(inside):
+            # a potential may overflow at the far nodes of an infinite
+            # side, where the density is 0
+            with np.errstate(over="ignore"):
+                fx[inside] = f(x[inside])
+        sums[live] += np.sum(w * fx, axis=1)
+        new = 2.0**-level * sums[live]
+        error[live] = np.abs(new - value[live])
+        value[live] = new
+        if level >= _DE_MIN_LEVEL:
+            live = live[~(error[live] <= _QUAD_ATOL * np.maximum(1.0, np.abs(new)))]
+            if live.size == 0:
+                return float(np.sum(value))
+    i = live[0]
+    raise ArithmeticError(
+        f"quadrature on ({lo[i]}, {hi[i]}) reports error {error[i]:.3e} "
+        f"for value {value[i]:.6e}"
+    )
 
 
 # fixed panel Gauss-Legendre rule of the regularized measures
@@ -206,7 +255,9 @@ class LogConcaveMeasure1D:
         Each element stops on its own, as soon as one of these holds at a
         point x inside the support:
 
-        - |F(x) - p| is within one spacing of p;
+        - |F(x) - p| is within one spacing of p, or within four once a
+          Newton step fails to halve the previous move (F's roundoff then
+          decides, and bisecting the bracket would gain nothing);
         - its Newton step is below 1e-15 (1 + |x|) and stays in the support;
         - its bracket has closed to twice that width while |F(x) - p| is
           within ``_CDF_ROUNDOFF``; this catches CDFs whose roundoff is
@@ -238,7 +289,8 @@ class LogConcaveMeasure1D:
                 newton = x - step
             tol = 1e-15 * (1.0 + np.abs(x))
             inside = (x > a) & (x < b)
-            at_root = inside & (np.abs(f) <= np.spacing(p_act))
+            ulps = np.where(np.abs(step) > 0.5 * moved, 4.0, 1.0)
+            at_root = inside & (np.abs(f) <= ulps * np.spacing(p_act))
             newton_done = (
                 ~at_root & (newton > a) & (newton < b) & (np.abs(step) <= tol)
             )
@@ -305,13 +357,10 @@ class LogConcaveMeasure1D:
     def _total_mass(self):
         """Integral of the density, split at interior kinks of the potential.
 
-        One tanh-sinh rule runs over every piece at once, so each of its
-        levels is one ``pdf`` call.
+        One double-exponential rule runs over every piece at once, so each
+        of its levels is one ``pdf`` call.
         """
-        a, b = self.support
-        cuts = sorted(k for k in self._kink_points if a < k < b)
-        edges = np.array([a] + cuts + [b])
-        return float(np.sum(_tanhsinh(self.pdf, edges[:-1], edges[1:])))
+        return _integrate(self.pdf, *self.support, kinks=self._kink_points)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"
@@ -992,7 +1041,7 @@ class _Regularized1D(LogConcaveMeasure1D):
             lambda y: np.exp(self._log_weight(y) - peak),
             self._ylo,
             self._yhi,
-            points=self._y_cuts,
+            kinks=self._y_cuts,
         )
         return peak + math.log(val)
 
@@ -1002,7 +1051,7 @@ class _Regularized1D(LogConcaveMeasure1D):
             lambda y: y**k * np.exp(self._log_weight(y) - peak),
             self._ylo,
             self._yhi,
-            points=self._y_cuts,
+            kinks=self._y_cuts,
         )
 
     # -- shared node table for the batched cdf/pdf paths -------------------

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from otspec import rng
 from otspec.brenier import (
+    _pchip_coefficients,
+    _piecewise_cubic,
     brenier_1d,
     brenier_gaussian,
     brenier_product,
@@ -366,6 +369,57 @@ class TestRadialMap:
 def _dirs(r, count, dim):
     d = r.standard_normal((count, dim))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+class TestMonotoneCubic:
+    """The numpy monotone cubic against scipy's ``PchipInterpolator``."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_radial_profile_matches_scipy(self, dim):
+        tm = brenier_radial(
+            make_radial_measure("uniform-ball", dim), make_radial_measure("gaussian", dim)
+        )
+        # the cubic passes through the profile nodes; the last is at u = 1 - 1e-9
+        x = tm._r_nodes
+        phi = np.append(tm._coef[3], tm.target.radial_quantile(1.0 - 1e-9))
+        ref = PchipInterpolator(x, phi, extrapolate=False)
+        r = np.concatenate(
+            [x, 0.5 * (x[1:] + x[:-1]), rng.stream(2024, 50).uniform(0.0, x[-1], 20_000)]
+        )
+        want = ref(r)
+        assert np.all(np.abs(tm.profile_fast(r) - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [0.0, 0.1, 0.3, 1.5, 1.6, 4.0, 9.0],      # increasing
+            [5.0, 4.0, 4.0, 1.0, 0.9, -2.0, -2.5],    # decreasing, one flat piece
+            [0.0, 2.0, 1.0, 3.0, -1.0, -0.5, 0.2],    # local extrema
+            [1.0, 3.0, 2.9, 2.0, 0.0, 0.5, 0.0],      # an end slope limited
+        ],
+    )
+    def test_slopes_and_shape_match_scipy(self, y):
+        x = np.array([0.0, 0.3, 1.0, 1.2, 2.5, 2.6, 4.0])
+        y = np.array(y)
+        coef = _pchip_coefficients(x, y)
+        ref = PchipInterpolator(x, y)
+        assert np.allclose(coef, ref.c, rtol=1e-14, atol=1e-14)
+        slopes = ref.derivative()(x)
+        h = x[-1] - x[-2]
+        last = 3.0 * coef[0, -1] * h**2 + 2.0 * coef[1, -1] * h + coef[2, -1]
+        assert np.allclose([coef[2, 0], last], slopes[[0, -1]], rtol=1e-14, atol=1e-14)
+        # zero slope at a local extremum or next to a flat piece
+        m = np.diff(y) / np.diff(x)
+        turn = np.flatnonzero(m[1:] * m[:-1] <= 0.0) + 1
+        assert np.all(coef[2, turn] == 0.0)
+        # no overshoot: each piece stays between its end values
+        s = np.linspace(0.0, 1.0, 101)
+        for i in range(x.size - 1):
+            v = _piecewise_cubic(x, coef, x[i] + s * (x[i + 1] - x[i]))
+            assert np.all(v >= min(y[i], y[i + 1]) - 1e-14)
+            assert np.all(v <= max(y[i], y[i + 1]) + 1e-14)
+        r = rng.stream(2024, 51).uniform(x[0], x[-1], 500)
+        assert np.allclose(_piecewise_cubic(x, coef, r), ref(r), rtol=1e-13, atol=1e-14)
 
 
 class TestResidualAndSpectrum:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otspec import brenier, cli, spd
+from otspec import brenier, cli, concentration, entropic, gamma2, spd
 from otspec.concentration import EXPERIMENT_LABELS
 from otspec.measures import LogConcaveMeasure1D
 from otspec.cli import (
@@ -418,13 +418,14 @@ class TestRunExperiment:
         cfg = config_from_dict(overrides)
         whole = render_report(run_experiment(cfg), "json")
         seen = []
-        inner = getattr(cli, stage)
+        owner = cli if stage == "_geometry_block" else gamma2
+        inner = getattr(owner, stage)
 
         def counted(first, second, *rest, **kwargs):
             seen.append(len(second))
             return inner(first, second, *rest, **kwargs)
 
-        monkeypatch.setattr(cli, stage, counted)
+        monkeypatch.setattr(owner, stage, counted)
         monkeypatch.setattr(cli, "_BLOCK", 7)
         assert render_report(run_experiment(cfg), "json") == whole
         assert sum(seen) == count and max(seen) <= 7
@@ -484,7 +485,7 @@ class TestRunExperiment:
         def fake(samples, f, cs):
             return [1.5 if f.name == "max" else 1.25 for _ in cs]
 
-        monkeypatch.setattr(cli, "exp_concentration", fake)
+        monkeypatch.setattr(concentration, "exp_concentration", fake)
         cfg = config_from_dict(
             {
                 "kind": "concentration",
@@ -543,7 +544,7 @@ class TestRunExperiment:
     def test_concentration_releases_each_sample_set(self, monkeypatch, kind, dump):
         # both sampled kinds drop each experiment's set before drawing the next
         refs = []
-        draw = cli.spectral_samples
+        draw = concentration.spectral_samples
 
         def tracked(*args, **kwargs):
             assert all(r() is None for r in refs), "an earlier sample set is alive"
@@ -551,23 +552,49 @@ class TestRunExperiment:
             refs.append(weakref.ref(samples))
             return samples
 
-        monkeypatch.setattr(cli, "spectral_samples", tracked)
+        monkeypatch.setattr(concentration, "spectral_samples", tracked)
         cfg = config_from_dict({"kind": kind, "samples": 2000, "dump_samples": dump})
         records, dumps = cli._RUNNERS[kind](cfg)
         assert len(refs) == 11 and all(r() is None for r in refs)
         assert len(dumps) == (11 if dump else 0)
 
+    @pytest.mark.parametrize(
+        "label, kinds",
+        [
+            ("gaussian:n=3", ["gaussian-linear"]),
+            ("1d:beta(2.0,3.0)->gaussian(0.0,1.0)", ["1d"]),
+            ("radial:ball->gaussian n=5", ["radial"]),
+            ("product:n=3", ["1d", "1d", "1d", "product"]),
+        ],
+    )
+    def test_selection_builds_only_its_maps(self, monkeypatch, label, kinds):
+        built = []
+        init = brenier.TransportMap.__init__
+
+        def counted(tm, *args):
+            built.append(tm.kind)
+            init(tm, *args)
+
+        monkeypatch.setattr(brenier.TransportMap, "__init__", counted)
+        cfg = config_from_dict({"kind": "poincare", "experiments": [label]})
+        (got, tm), = cli._select_experiments(cfg)
+        assert got == label and built == kinds
+        if tm.kind == "product":
+            # the factors are the table's first three 1d maps
+            names = [f"1d:{f.source.name}->{f.target.name}" for f in tm.factors]
+            assert names == list(EXPERIMENT_LABELS[:3])
+
     def test_sinkhorn_makes_one_stacked_hessian_call_per_part(self, monkeypatch):
         # each part estimates all of its Hessian points with one hessian_fd
         # call and reads the oracle's Hessians with one stacked call
         calls = []
-        fd = cli.hessian_fd
+        fd = entropic.hessian_fd
 
         def counted_fd(plan, x, h=None):
             calls.append(("hessian_fd", np.shape(x)))
             return fd(plan, x, h=h)
 
-        monkeypatch.setattr(cli, "hessian_fd", counted_fd)
+        monkeypatch.setattr(entropic, "hessian_fd", counted_fd)
         for cls in (brenier.LinearMap, brenier.ProductMap):
             oracle = cls.hessian
 

@@ -35,7 +35,11 @@ ALL_MEMBERS = SMOOTH_MEMBERS + [
 ]
 
 # every family, with the kinked members whose mass check splits or grades
-MASS_MEMBERS = ALL_MEMBERS + [("gamma", (2.5, 1.0)), ("beta", (1.5, 2.5))]
+MASS_MEMBERS = ALL_MEMBERS + [
+    ("gamma", (2.5, 1.0)),
+    ("beta", (1.5, 2.5)),
+    ("subbotin", (3.0,)),
+]
 
 
 # the six regularized measures of the acceptance gate's floor pairs
@@ -49,11 +53,21 @@ FLOOR_MEASURES = [
 ]
 
 
+def _quad(f, a, b, points=()):
+    """Adaptive Gauss-Kronrod oracle on a finite interval, split at ``points``."""
+    pts = sorted(p for p in points if a < p < b) or None
+    value, err = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-11, limit=200, points=pts)
+    assert err <= 1e-9 * max(1.0, abs(value))
+    return value
+
+
 def _scalar_mass(m):
     """The mass check as it was before it ran on arrays, kept as its oracle.
 
     One scalar ``pdf`` call per abscissa: adaptive Gauss-Kronrod on finite
-    pieces, tanh-sinh on infinite ones, split at interior kinks.
+    pieces, scipy's tanh-sinh on infinite ones, split at interior kinks.
+    The tanh-sinh rule is asked for 1e-14: at its default relative
+    tolerance it returns 1 - 2.8e-11 for exponential(1.5), whose mass is 1.
     """
     a, b = m.support
     edges = [a] + sorted(k for k in m._kink_points if a < k < b) + [b]
@@ -65,7 +79,9 @@ def _scalar_mass(m):
                 scalar_pdf, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200
             )[0]
         else:
-            total += float(integrate.tanhsinh(scalar_pdf, lo, hi, atol=1e-12).integral)
+            total += float(
+                integrate.tanhsinh(scalar_pdf, lo, hi, atol=1e-14, rtol=1e-14).integral
+            )
     return total
 
 
@@ -141,13 +157,12 @@ class TestCatalog:
         sizes.clear()
         mass = m._total_mass()
         monkeypatch.undo()
-        a, b = m.support
-        pieces = 1 + sum(a < k < b for k in m._kink_points)
-        # the tanh-sinh rule first evaluates the centre of each piece, then
-        # each of its levels at every piece in one call
-        assert sizes[0] == pieces
-        assert min(sizes[1:]) > 1
+        # each level of the double-exponential rule is one call over the
+        # new nodes of every piece
+        assert 3 <= len(sizes) <= 11
+        assert min(sizes) > 1
         assert abs(mass - _scalar_mass(m)) <= 1e-12
+        assert abs(mass - 1.0) <= 1e-14
 
     def test_gaussian_potential_value(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
@@ -334,7 +349,85 @@ def _assert_matches_full_batch_oracle(m, p):
     assert np.max(np.abs(x - ref) * m.pdf(x)) <= 1e-14
 
 
+class TestIntegrate:
+    def test_unresolved_integrand_raises(self):
+        # a jump inside the interval converges only like the step size
+        def step(x):
+            return (x > 1.0 / 3.0).astype(float)
+
+        with pytest.raises(ArithmeticError, match=r"quadrature on \(0\.0, 1\.0\) reports error"):
+            measures._integrate(step, 0.0, 1.0)
+        # cut at the jump, both pieces are smooth
+        assert measures._integrate(step, 0.0, 1.0, kinks=(1.0 / 3.0,)) == pytest.approx(
+            2.0 / 3.0, abs=1e-15
+        )
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(ArithmeticError, match="reports error nan"):
+            measures._integrate(lambda x: np.where(x < 2.0, 1.0, np.nan), 0.0, np.inf)
+
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [
+            (0.0, 1.0, 0.5 * math.sqrt(math.pi) * math.erf(1.0)),
+            (0.0, np.inf, 0.5 * math.sqrt(math.pi)),
+            (-np.inf, -1.0, 0.5 * math.sqrt(math.pi) * math.erfc(1.0)),
+            (-np.inf, np.inf, math.sqrt(math.pi)),
+        ],
+    )
+    def test_each_substitution_is_exact(self, a, b, want):
+        # tanh-sinh, exp-sinh (both sides) and sinh-sinh on exp(-x^2)
+        got = measures._integrate(lambda x: np.exp(-x * x), a, b)
+        assert abs(got - want) <= 1e-15
+
+
+class _NoisyLogistic(LogConcaveMeasure1D):
+    """Standard logistic whose upper-half CDF carries 2 ulps of noise.
+
+    The sign of the noise follows a low bit of x, so F is deterministic
+    but not monotone at the roundoff level, as a CDF summed from a table
+    can be.
+    """
+
+    name = "noisy-logistic"
+
+    def __init__(self):
+        super().__init__((-np.inf, np.inf))
+
+    def potential(self, x):
+        x = np.asarray(x, dtype=float)
+        return x + 2.0 * np.logaddexp(0.0, -x)
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        f = special.expit(x)
+        sign = np.where((x.view(np.int64) >> 2) & 1, 2.0, -2.0)
+        return f + np.where(f > 0.5, sign * np.spacing(f), 0.0)
+
+    def _quantile_init(self, p):
+        return special.logit(p)
+
+    def _bracket(self, p):
+        # valid for any F within a few ulps of the logistic; costs no call
+        return special.logit(p) - 1.0, special.logit(p) + 1.0
+
+
 class TestQuantileSolver:
+    @pytest.mark.parametrize("lo, hi", [(0.99, 0.999), (1.0 - 1e-6, 1.0 - 1e-12)])
+    def test_cdf_roundoff_costs_no_bisection(self, lo, hi, monkeypatch):
+        # once the Newton steps stop halving, F's roundoff decides: a draw
+        # within 4 spacings of p stops there instead of bisecting its bracket
+        m = _NoisyLogistic()
+        sizes = _counting_cdf(m, monkeypatch)
+        per_draw = []
+        for p in rng.stream(2024, 44).uniform(lo, hi, size=300):
+            sizes.clear()
+            x = m.quantile(np.array([p]))
+            per_draw.append(sum(sizes))
+            assert abs(m.cdf(x)[0] - p) <= 6.0 * np.spacing(p)
+        # the start and at most three Newton steps
+        assert max(per_draw) <= 4
+
     @pytest.mark.parametrize("name,params", ALL_MEMBERS)
     def test_matches_full_batch_oracle(self, name, params):
         _assert_matches_full_batch_oracle(
@@ -509,6 +602,31 @@ class TestGaussianMeasure:
             special.ndtr(1.5) - special.ndtr(0.0)
         )
         assert got == pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            ((-1.0, 1.0), (-1.0, 1.0)),
+            ((-3.3, 3.3), (-3.3, 3.3)),
+            ((0.5, 4.0), (-5.0, -0.5)),
+            ((-60.0, 60.0), (-60.0, 60.0)),
+        ],
+    )
+    def test_box_mass_matches_adaptive_oracle(self, box):
+        (x0, x1), (y0, y1) = box
+        (m0, m1), c = self.g.mean, self.cov
+        s0 = math.sqrt(c[0, 0])
+        s_cond = math.sqrt(c[1, 1] - c[0, 1] ** 2 / c[0, 0])
+
+        def strip(t):
+            mid = m1 + c[0, 1] / c[0, 0] * (t - m0)
+            phi = math.exp(-0.5 * ((t - m0) / s0) ** 2) / (s0 * math.sqrt(2 * math.pi))
+            return phi * (
+                special.ndtr((y1 - mid) / s_cond) - special.ndtr((y0 - mid) / s_cond)
+            )
+
+        want = _quad(strip, max(x0, m0 - 40.0 * s0), min(x1, m0 + 40.0 * s0))
+        assert abs(self.g.box_mass(box) - want) <= 1e-12
 
     def test_box_mass_total(self):
         assert self.g.box_mass(((-60, 60), (-60, 60))) == pytest.approx(1.0, abs=1e-10)
@@ -716,10 +834,7 @@ class TestRegularize:
             x = r._validation_grid()
             lo = r._ylo - 12.0 * r.sig
             cuts = (r._ylo,) + r._y_cuts + (r._yhi,)
-            want = [
-                measures._integrate(lambda t: float(r.pdf(t)), lo, b, points=cuts)
-                for b in x
-            ]
+            want = [_quad(lambda t: float(r.pdf(t)), lo, b, cuts) for b in x]
             assert np.max(np.abs(r.cdf(x) - want)) <= 1e-10
 
     @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
@@ -748,7 +863,7 @@ class TestRegularize:
             r = regularize(make_catalog_measure(name, params), n)
             lo, hi = r._ylo - 12.0 * r.sig, r._yhi + 12.0 * r.sig
             cuts = (r._ylo,) + r._y_cuts + (r._yhi,)
-            want = measures._integrate(lambda t: float(r.pdf(t)), lo, hi, points=cuts)
+            want = _quad(lambda t: float(r.pdf(t)), lo, hi, cuts)
 
             def counted(x, pdf=r.pdf):
                 sizes.append(np.size(x))
@@ -758,6 +873,20 @@ class TestRegularize:
             assert abs(r._total_mass() - want) <= 1e-12
         # one pdf call per measure
         assert len(sizes) == 4
+
+    @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
+    def test_weight_integrals_match_adaptive_oracle(self, name, params):
+        for n in (5, 10, 20, 40):
+            r = regularize(make_catalog_measure(name, params), n)
+            lo, hi = r._ylo, r._yhi
+            peak = max(np.max(r._log_weight(np.linspace(lo, hi, 201))), -700.0)
+            want = _quad(lambda y: math.exp(r._log_weight(y) - peak), lo, hi, r._y_cuts)
+            assert abs(math.exp(r._log_z - peak) - want) <= 1e-12
+            for k in (1, 2):
+                want = _quad(
+                    lambda y: y**k * math.exp(r._log_weight(y) - r._log_z), lo, hi, r._y_cuts
+                )
+                assert abs(r._weight_moment(k) - want) <= 1e-12
 
     def test_block_size_does_not_change_values(self, monkeypatch):
         r = regularize(make_catalog_measure("laplace", (0.0, 1.0)), 10)
