@@ -930,6 +930,7 @@ def _sinkhorn_part(cfg, part, records, dumps):
     mu = discretize(src, src_box, cfg.grid, cfg.grid)
     nu = discretize(dst, dst_box, cfg.grid, cfg.grid)
     plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
+    stages = len({row[0] for row in plan.history})
     _rec(
         records,
         f"marginal-error[{part}]",
@@ -937,6 +938,7 @@ def _sinkhorn_part(cfg, part, records, dumps):
         plan.marginal_error,
         1e-8,
         plan.marginal_error <= 1e-8,
+        f"iterations={len(plan.history)} stages={stages}",
     )
     agree = _map_agreement(entropic_map(plan, map_pts), oracle.map_points(map_pts))
     _rec(records, f"map-agreement[{part}]", "oracle-agreement", agree, 0.05, agree <= 0.05)

@@ -1,33 +1,59 @@
 """Entropic transport on 2D grids.
 
 Discretizes a planar log-concave measure on a rectangular lattice,
-solves the entropically regularized transport problem with log-domain
-Sinkhorn iterations under the quadratic cost |x - y|^2 / 2, and exposes
-the barycentric-projection map together with a finite-difference Hessian
+solves the entropically regularized transport problem with Sinkhorn
+iterations under the quadratic cost |x - y|^2 / 2, and exposes the
+barycentric-projection map together with a finite-difference Hessian
 estimator.  This is the only part of the library that produces Hessian
 fields with no product or radial structure; everything it feeds into the
 experiment layer is tagged approximate.
 
 The grid is rectangular, so the cost kernel factorizes along axes and
-every logsumexp over the plane is two one-dimensional logsumexps.  All
-updates run in the log domain throughout; the weights of a discretized
-Gaussian span hundreds of orders of magnitude and linear-domain scaling
-would underflow at the epsilon values the map estimates need.
+every log-sum-exp over the plane is two one-dimensional stages of the form
+log sum_i exp(lead[i, p] + tail[i, q]).  The weights of a discretized
+Gaussian span hundreds of orders of magnitude, so the potentials stay in
+the log domain throughout; only the inner sums run in the linear domain.
+
+Fast path.  A stage shifts every column of ``lead`` and of ``tail`` by
+its maximum, so each factor exp(lead - max) is at most 1, and forms
+S = A^T B with one matrix product (the separable Gaussian kernel of
+Solomon et al. 2015, "Convolutional Wasserstein Distances"); the result
+is log S plus the two shifts.  ``entropic_map`` does the same with three
+factors: the row-shifted plan weights on the target grid and the two
+axis kernels of each point, giving both weight marginals of a point from
+two matrix products.
+
+Exactness.  The shifted exponents are clamped at -700 before ``exp``,
+and every factor is lifted by e^346 (added to the exponent), so each
+product of two factors lies in [e^-708, e^692]: a normal double, never a
+subnormal one.  Both matter for speed: BLAS runs two orders of magnitude
+slower on subnormal products, and numpy's ``exp`` one to two orders of
+magnitude slower on arguments between -708 and -745.  A clamped factor stands for
+a true one below e^-700, so every term that holds one is off by less
+than e^-700 < 2**-1009, and a sum of at most 2**18 terms (a 512 x 512
+map; a stage sums at most 512) by less than 2**-991.  Wherever the sum S
+is at least ``_FLOOR`` = 2**-900, that is a relative change below 2**-91,
+far below one ulp, so the fast result agrees with the log-domain one to
+rounding.  The map's last step multiplies the marginals, lifted by
+e^692, by the unlifted third factor; what underflows there is below
+2**-1022 against a lifted total of at least 2**-900 e^692.
+
+Fallback.  Where a sum falls below the floor (at small epsilon, when the
+peaks of ``lead`` and ``tail`` lie far apart) the fast value is not
+used.  A Sinkhorn stage recomputes every output row holding such an
+entry, whole, with the blocked log-domain kernel ``_logsumexp_outer_exact``;
+``entropic_map`` sends each such point through the blocked softmax
+``_entropic_map_exact``.  Rows and columns whose terms are all -inf
+(zero-weight nodes) are set to -inf directly and never fall back: their
+sums are zero, not small.
 
 Memory is bounded at any grid the config accepts (up to 512 nodes per
-axis).  Each Sinkhorn log-sum-exp stage and each ``entropic_map`` batch
-works through one preallocated block of 2**17 float64 (1 MiB), or of one
-(n, n) slice where that is larger (2 MiB at grid 512), instead of
-materializing (n, n, n) or (points, n, n) tensors.
-
-Inside a block the exponents are max-shifted and then clamped at -700
-before ``exp``.  numpy's ``exp`` is an order of magnitude slower below
-about -708 and slower still in the subnormal range, and at the epsilon
-floor most kernel terms sit there.  The clamp is exact in float64: a
-clamped term is below 1e-304 and the shifted sum is at least 1 (its
-largest term is exp(0)), so even the 2**18 terms of a 512 x 512 slice
-move the sum by less than 1e-298, far below one ulp.  Slices whose terms
-are all -inf (zero-weight nodes) are set back to -inf explicitly.
+axis).  A fast Sinkhorn stage holds a few (n, n) arrays, 2 MiB each at
+grid 512.  The exact kernels work through one preallocated block of
+2**17 float64 (1 MiB), or of one (n, n) slice where that is larger,
+instead of materializing (n, n, n) or (points, n, n) tensors.
+``entropic_map`` takes ``_BLOCK // (16 n)`` points at a time, so that
+all temporaries of a chunk together fit in ``_BLOCK`` elements.
 """
 
 import math
@@ -53,6 +79,12 @@ _COVERAGE = 1.0 - 1e-6
 _BLOCK = 1 << 17
 # exponents are clamped here after the max-shift; see the module docstring
 _EXP_FLOOR = -700.0
+# fast-path factors are lifted by e^_LIFT, so a product of two is normal
+# and a sum of 2**18 such products stays below e^705, short of overflow
+_LIFT = 346.0
+_UNLIFT = math.exp(-2.0 * _LIFT)
+# a fast-path sum at or above this is exact to rounding
+_FLOOR = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -192,13 +224,62 @@ def _log_weights(g):
         return np.log(g.weights)
 
 
+def _top(x, axis):
+    """Maxima of x along ``axis`` (kept), and where they are -inf.
+
+    Those maxima are set to 0, so shifting by them yields -inf, not NaN.
+    """
+    top = x.max(axis=axis, keepdims=True)
+    dead = np.isneginf(top)
+    top[dead] = 0.0
+    return top, dead
+
+
+def _lifted_exp(x, top):
+    """exp(max(x - top, _EXP_FLOOR) + _LIFT), as a new array."""
+    out = np.subtract(x, top)
+    np.maximum(out, _EXP_FLOOR, out=out)
+    out += _LIFT
+    return np.exp(out, out=out)
+
+
 def _logsumexp_outer(lead, tail):
     """log sum_i exp(lead[i, p] + tail[i, q]) as a (p, q) array.
 
+    One matrix product of the column-shifted factors.  An output row with
+    an entry below ``_FLOOR`` is recomputed whole by
+    ``_logsumexp_outer_exact``.  An entry whose lead column or tail column
+    is all -inf (zero-weight nodes) is -inf.
+    """
+    top_l, dead_l = _top(lead, 0)
+    top_t, dead_t = _top(tail, 0)
+    s = _lifted_exp(lead, top_l).T @ _lifted_exp(tail, top_t)
+    s *= _UNLIFT
+    low = s < _FLOOR
+    with np.errstate(divide="ignore"):
+        out = np.log(s, out=s)
+    out += top_l.T
+    out += top_t
+    dead_l, dead_t = dead_l[0], dead_t[0]
+    out[dead_l] = -np.inf
+    out[:, dead_t] = -np.inf
+    low[dead_l] = False
+    low[:, dead_t] = False
+    rows = np.flatnonzero(low.any(axis=1))
+    if rows.size:
+        out[rows] = _logsumexp_outer_exact(lead[:, rows], tail)
+    return out
+
+
+def _logsumexp_outer_exact(lead, tail):
+    """log sum_i exp(lead[i, p] + tail[i, q]) in the log domain.
+
     Works through the p axis in blocks of ``_BLOCK`` elements (at least
-    one p row), each filled, max-shifted, floored, exponentiated and summed
-    in place.
-    A slice whose terms are all -inf (zero-weight nodes) yields -inf.
+    one p row), each filled, max-shifted per (p, q), floored at
+    ``_EXP_FLOOR``, exponentiated and summed in place.  The floor is exact
+    here: a floored term is below 1e-304 and each shifted sum is at least
+    1, so even the 2**18 terms of a 512 x 512 slice move it by less than
+    1e-298.  A slice whose terms are all -inf yields -inf.
     """
     n, p = lead.shape
     q = tail.shape[1]
@@ -305,8 +386,11 @@ def entropic_map(plan, x):
     outside the source box, where the conditional is pure extrapolation.
     The conditional's log weights over the target nodes are
     g / eps + log nu - |x - y|^2 / (2 eps); the map is their softmax
-    average of the node coordinates, taken in blocks of ``_BLOCK``
-    elements (at least one point).
+    average of the node coordinates.  The weights factor as
+    A[p] * E[p, q] * B[q], with E the row-shifted plan weights and A, B
+    the axis kernels of the point, so the two weight marginals are
+    A * (B @ E^T) and B * (A @ E).  A point whose total weight falls
+    below ``_FLOOR`` goes through ``_entropic_map_exact`` instead.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -321,14 +405,51 @@ def entropic_map(plan, x):
         raise ValueError(f"point {bad} lies outside the source box")
     nu = plan.target
     base = plan.g / plan.eps + _log_weights(nu)
+    top, dead = _top(base, 1)
+    ker = _lifted_exp(base, top)  # (nx_t, ny_t)
+    # a zero-weight row must not carry the x factor's maximum
+    row_top = np.where(dead, -np.inf, top)[:, 0]
+    # about eight (points, n) temporaries live at once; 16 leaves room
+    step = max(1, _BLOCK // (16 * max(base.shape)))
+    out = np.empty_like(pts)
+    slow = []
+    for lo in range(0, pts.shape[0], step):
+        chunk = pts[lo : lo + step]
+        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps + row_top
+        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps
+        a = _lifted_exp(ax, ax.max(axis=1, keepdims=True))  # (k, nx_t)
+        b = _lifted_exp(ay, ay.max(axis=1, keepdims=True))  # (k, ny_t)
+        wx = b @ ker.T
+        wy = a @ ker
+        # drop one lift from each axis factor: the marginals keep e^(2 _LIFT)
+        a *= math.exp(-_LIFT)
+        b *= math.exp(-_LIFT)
+        wx *= a
+        wy *= b
+        total = wx.sum(axis=1)
+        out[lo : lo + step, 0] = wx @ nu.xs / total
+        out[lo : lo + step, 1] = wy @ nu.ys / total
+        slow.append(lo + np.flatnonzero(total * _UNLIFT < _FLOOR))
+    slow = np.concatenate(slow)
+    if slow.size:
+        out[slow] = _entropic_map_exact(base, nu, pts[slow], plan.eps)
+    return out[0] if single else out
+
+
+def _entropic_map_exact(base, nu, pts, eps):
+    """The barycentric projection as a max-shifted softmax per point.
+
+    ``base`` holds g / eps + log nu; points go in blocks of ``_BLOCK``
+    elements (at least one point).
+    """
     step = max(1, _BLOCK // base.size)
     buf = np.empty((min(step, pts.shape[0]),) + base.shape)
     ones_x, ones_y = np.ones(nu.xs.size), np.ones(nu.ys.size)
     out = np.empty_like(pts)
     for lo in range(0, pts.shape[0], step):
         chunk = pts[lo : lo + step]
-        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps  # (k, nx_t)
-        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps  # (k, ny_t)
+        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / eps  # (k, nx_t)
+        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / eps  # (k, ny_t)
         blk = buf[: chunk.shape[0]]
         np.add(base[None, :, :], ax[:, :, None], out=blk)
         blk += ay[:, None, :]
@@ -341,7 +462,7 @@ def entropic_map(plan, x):
         total = wx.sum(axis=1)
         out[lo : lo + step, 0] = wx @ nu.xs / total
         out[lo : lo + step, 1] = wy @ nu.ys / total
-    return out[0] if single else out
+    return out
 
 
 def _fd_step(plan, h):

@@ -58,12 +58,14 @@ def _de_abscissae(level):
     return -_DE_T + h * np.arange(1, round(2.0 * _DE_T / h), 2)
 
 
-def _de_substitution(t, lo, hi):
+def _de_substitution(t, lo, hi, center=0.0, scale=1.0):
     """Nodes and weights dx/dt of the double-exponential substitution.
 
     One row per piece [lo, hi]: tanh-sinh on a finite piece, with each
     node taken from its nearer end so that nodes next to an end keep
-    their precision; exp-sinh on a half-line; sinh-sinh on the whole line.
+    their precision; exp-sinh on a half-line, anchored at its finite end;
+    sinh-sinh on the whole line, centred at ``center``.  Infinite pieces
+    spread their nodes by ``scale``.
     """
     u = 0.5 * np.pi * np.sinh(t)
     du = 0.5 * np.pi * np.cosh(t)
@@ -76,17 +78,21 @@ def _de_substitution(t, lo, hi):
         x = np.where(
             lo_fin & hi_fin,
             np.where(t < 0.0, lo + gap, hi - gap),
-            np.where(lo_fin, lo + grow, np.where(hi_fin, hi - grow, np.sinh(u))),
+            np.where(
+                lo_fin,
+                lo + scale * grow,
+                np.where(hi_fin, hi - scale * grow, center + scale * np.sinh(u)),
+            ),
         )
         w = du * np.where(
             lo_fin & hi_fin,
             half / np.cosh(u) ** 2,
-            np.where(lo_fin | hi_fin, grow, np.cosh(u)),
+            scale * np.where(lo_fin | hi_fin, grow, np.cosh(u)),
         )
     return x, w
 
 
-def _integrate(f, a, b, kinks=()):
+def _integrate(f, a, b, kinks=(), center=0.0, scale=1.0):
     """Integral of ``f`` over [a, b] with absolute tolerance 1e-12.
 
     Double-exponential quadrature (Takahasi and Mori 1974).  [a, b] is cut
@@ -96,7 +102,9 @@ def _integrate(f, a, b, kinks=()):
     piece are evaluated.  A piece is done, from level ``_DE_MIN_LEVEL``
     on, once its value moves by at most 1e-12 max(1, |value|) from the
     level before; a piece not done by level ``_DE_MAX_LEVEL`` raises
-    ``ArithmeticError``.
+    ``ArithmeticError``.  ``center`` and ``scale`` place the nodes of the
+    infinite pieces (see ``_de_substitution``); the defaults leave them
+    where the plain substitution puts them.
     """
     edges = np.array([a, *sorted(k for k in kinks if a < k < b), b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -105,7 +113,7 @@ def _integrate(f, a, b, kinks=()):
     error = np.full(lo.size, np.inf)
     live = np.arange(lo.size)
     for level in range(_DE_MAX_LEVEL + 1):
-        x, w = _de_substitution(_de_abscissae(level), lo[live], hi[live])
+        x, w = _de_substitution(_de_abscissae(level), lo[live], hi[live], center, scale)
         inside = (x > lo[live, None]) & (x < hi[live, None])
         fx = np.zeros_like(x)
         if np.any(inside):
@@ -358,9 +366,14 @@ class LogConcaveMeasure1D:
         """Integral of the density, split at interior kinks of the potential.
 
         One double-exponential rule runs over every piece at once, so each
-        of its levels is one ``pdf`` call.
+        of its levels is one ``pdf`` call.  The infinite pieces are placed
+        by ``_location_scale``, so a narrow density far from 0 is not
+        missed by every node.
         """
-        return _integrate(self.pdf, *self.support, kinks=self._kink_points)
+        center, scale = self._location_scale()
+        return _integrate(
+            self.pdf, *self.support, kinks=self._kink_points, center=center, scale=scale
+        )
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"

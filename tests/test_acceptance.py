@@ -234,6 +234,12 @@ def test_grid_transport_cross_validation(capfd):
     t0 = perf_counter()
     records = _run("sinkhorn2d").records
     failures = _failed(records)
+    # the Sinkhorn work at seed 2024: iterations and eps-stages per part
+    notes = {r.name: r.note for r in records}
+    for part, want in (("gaussian", "iterations=151 stages=11"), ("product", "iterations=129 stages=11")):
+        got = notes.get(f"marginal-error[{part}]")
+        if got != want:
+            failures.append(f"marginal-error[{part}] note {got!r}, expected {want!r}")
     for part in ("gaussian", "product"):
         variances = [r for r in records if r.name.startswith(f"var-log-eig[{part}]")]
         if not variances:

@@ -615,6 +615,24 @@ class TestRunExperiment:
             ]
         )
 
+    def test_sinkhorn_marginal_record_notes_iterations(self, monkeypatch):
+        # the note counts the rows of the plan's history and its eps-stages
+        plans = []
+        solve = entropic.sinkhorn_solve
+
+        def kept(mu, nu, eps_schedule, **kw):
+            plans.append((solve(mu, nu, eps_schedule, **kw), len(eps_schedule)))
+            return plans[-1][0]
+
+        monkeypatch.setattr(entropic, "sinkhorn_solve", kept)
+        report = run_experiment(config_from_dict({"kind": "sinkhorn2d", "grid": 32, "samples": 60}))
+        notes = {r.name: r.note for r in report.records}
+        assert len(plans) == 2
+        for part, (plan, stages) in zip(("gaussian", "product"), plans):
+            assert notes[f"marginal-error[{part}]"] == (
+                f"iterations={len(plan.history)} stages={stages}"
+            )
+
     def test_every_record_carries_tolerance_and_flag(self):
         cfg = config_from_dict({"kind": "poincare", "samples": 1000})
         report = run_experiment(cfg)

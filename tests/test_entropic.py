@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from otspec import entropic, rng
+from otspec import cli, entropic, rng
 from otspec.brenier import brenier_1d, brenier_gaussian, brenier_product
 from otspec.entropic import (
     EntropicPlan,
@@ -138,6 +138,26 @@ def holey_pair():
     mu = _holey_grid(20, 24, -2.0, 2.0, zero_rows=(0, 7), zero_cols=(3, 23))
     nu = _holey_grid(18, 22, -1.8, 2.2, zero_rows=(17,), zero_cols=(0, 10))
     return mu, nu
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Calls, output rows and map points that reach the exact kernels."""
+    seen = {"calls": 0, "rows": 0, "points": 0}
+    stage, softmax = entropic._logsumexp_outer_exact, entropic._entropic_map_exact
+
+    def counted_stage(lead, tail):
+        seen["calls"] += 1
+        seen["rows"] += lead.shape[1]
+        return stage(lead, tail)
+
+    def counted_softmax(base, nu, pts, eps):
+        seen["points"] += pts.shape[0]
+        return softmax(base, nu, pts, eps)
+
+    monkeypatch.setattr(entropic, "_logsumexp_outer_exact", counted_stage)
+    monkeypatch.setattr(entropic, "_entropic_map_exact", counted_softmax)
+    return seen
 
 
 def _central_points(g1, count=200):
@@ -417,7 +437,8 @@ class TestHessianEstimate:
 
 
 class TestKernelOracle:
-    """The blocked, floored kernels against the dense scipy computations."""
+    """The fast and the blocked exact kernels against the dense scipy
+    computations."""
 
     @staticmethod
     def _check_half_updates(mu, nu, f, g):
@@ -439,12 +460,14 @@ class TestKernelOracle:
         _, _, plan, _ = gauss_setup
         self._check_half_updates(plan.source, plan.target, plan.f, plan.g)
 
-    def test_half_update_matches_scipy_with_zero_weight_nodes(self, holey_pair):
+    def test_half_update_matches_scipy_with_zero_weight_nodes(self, holey_pair, exact_calls):
+        # all -inf rows and columns are set directly: none falls back
         mu, nu = holey_pair
         s = rng.stream(71, 2)
         f = s.standard_normal(mu.shape)
         g = s.standard_normal(nu.shape)
         self._check_half_updates(mu, nu, f, g)
+        assert exact_calls["calls"] == 0
 
     def test_blocked_stage_matches_scipy_across_blocks(self, holey_pair, monkeypatch):
         # a block budget that splits the p axis unevenly, with -inf slices
@@ -456,6 +479,42 @@ class TestKernelOracle:
         assert np.any(np.isneginf(ref))
         monkeypatch.setattr(entropic, "_BLOCK", 5 * mu.weights.size)
         _assert_logs_agree(entropic._logsumexp_outer(lead, tail), ref)
+        _assert_logs_agree(entropic._logsumexp_outer_exact(lead, tail), ref)
+
+    def test_far_apart_peaks_fall_back_by_rows(self, exact_calls):
+        # at eps 1e-3 an entry sits about (y_p - z_q)^2 / (4 eps) below the
+        # sum of its column maxima: past 2**-900 for the rows near the ends,
+        # within it for the rows near the middle
+        nodes = np.linspace(-1.0, 1.0, 41)
+        ys, zs = np.linspace(-1.0, 1.0, 30), np.linspace(-1.0, 1.0, 20)
+        lead = -0.5 * (nodes[:, None] - ys[None, :]) ** 2 / 1e-3
+        tail = -0.5 * (nodes[:, None] - zs[None, :]) ** 2 / 1e-3
+        ref = logsumexp(lead[:, :, None] + tail[:, None, :], axis=0)
+        _assert_logs_agree(entropic._logsumexp_outer(lead, tail), ref)
+        assert exact_calls["calls"] == 1
+        assert 0 < exact_calls["rows"] < ys.size
+
+    def test_default_cases_take_the_fast_path(self, exact_calls, monkeypatch):
+        # sinkhorn2d at its defaults (grid 64, seed 2024): no stage row and
+        # no map point reaches an exact kernel, and the fast results agree
+        # with the dense references at the converged plans
+        plans = []
+        solve = entropic.sinkhorn_solve
+
+        def kept(*args, **kwargs):
+            plans.append(solve(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(entropic, "sinkhorn_solve", kept)
+        report = cli.run_experiment(cli.config_from_dict({"kind": "sinkhorn2d"}))
+        assert all(r.passed for r in report.records)
+        assert exact_calls == {"calls": 0, "rows": 0, "points": 0}
+        for part, plan in zip(("gaussian", "product"), plans):
+            map_pts = cli._SINKHORN_CASES[part](2024)[5]
+            got = entropic_map(plan, map_pts)
+            assert np.max(np.abs(got - _entropic_map_reference(plan, map_pts))) <= 1e-12
+            self._check_half_updates(plan.source, plan.target, plan.f, plan.g)
+        assert exact_calls == {"calls": 0, "rows": 0, "points": 0}
 
     def test_entropic_map_matches_dense_softmax(self, gauss_setup):
         g1, _, plan, _ = gauss_setup
@@ -478,7 +537,26 @@ class TestKernelOracle:
         )
         pts = rng.stream(71, 4).uniform(-2.0, 2.0, size=(40, 2))
         monkeypatch.setattr(entropic, "_BLOCK", 7 * nu.weights.size)
+        ref = _entropic_map_reference(plan, pts)
+        assert np.max(np.abs(entropic_map(plan, pts) - ref)) <= 1e-12
+        base = plan.g / plan.eps + entropic._log_weights(nu)
+        got = entropic._entropic_map_exact(base, nu, pts, plan.eps)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_entropic_map_falls_back_where_totals_underflow(self, exact_calls):
+        # the plan weights of every target row peak at y = -1 and fall by
+        # 500 per unit of y; a point near y = 1 sees its best node some 900
+        # below the two factor maxima, so its fast total is below 2**-900
+        xs = np.linspace(-1.0, 1.0, 9)
+        grid = GridMeasure(xs, xs, np.full((9, 9), 1.0 / 81.0), ((-1.0, 1.0), (-1.0, 1.0)))
+        eps = 1e-3
+        g = eps * (-500.0 * (xs[None, :] + 1.0) + 3.0 * xs[:, None])
+        plan = EntropicPlan(
+            source=grid, target=grid, f=np.zeros((9, 9)), g=g, eps=eps, marginal_error=0.0
+        )
+        pts = rng.stream(71, 6).uniform(-1.0, 1.0, size=(60, 2))
         got = entropic_map(plan, pts)
+        assert 0 < exact_calls["points"] < pts.shape[0]
         assert np.max(np.abs(got - _entropic_map_reference(plan, pts))) <= 1e-12
 
 
@@ -516,3 +594,31 @@ class TestKernelMemory:
         pts = rng.stream(71, 5).uniform(-1.0, 1.0, size=(512, 2))
         peak = _traced_peak(entropic_map, plan, pts)
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_exact_kernels_peak_is_bounded_on_grid_256(self):
+        grid = _uniform_grid(256)
+        (dx, _), _ = _axis_kernels(grid, grid)
+        eps = 1.2 * grid.spacing[0] ** 2
+        base = np.log(grid.weights)
+        peak = _traced_peak(entropic._logsumexp_outer_exact, dx / eps, base)
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        pts = rng.stream(71, 5).uniform(-1.0, 1.0, size=(512, 2))
+        peak = _traced_peak(entropic._entropic_map_exact, base, grid, pts, eps)
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_fast_kernels_peak_is_bounded_on_grid_512(self, exact_calls):
+        # the largest grid the config accepts, all on the fast path
+        grid = _uniform_grid(512)
+        (dx, dy), _ = _axis_kernels(grid, grid)
+        eps = 1.2 * grid.spacing[0] ** 2
+        pot = eps * np.log(grid.weights)
+        peak = _traced_peak(entropic._half_update, dx, dy, pot, eps)
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        plan = EntropicPlan(
+            source=grid, target=grid, f=np.zeros(grid.shape), g=np.zeros(grid.shape),
+            eps=eps, marginal_error=0.0,
+        )
+        pts = rng.stream(71, 5).uniform(-1.0, 1.0, size=(512, 2))
+        peak = _traced_peak(entropic_map, plan, pts)
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert exact_calls == {"calls": 0, "rows": 0, "points": 0}

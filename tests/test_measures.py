@@ -164,6 +164,17 @@ class TestCatalog:
         assert abs(mass - _scalar_mass(m)) <= 1e-12
         assert abs(mass - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("gaussian", (100.0, 0.01)), ("gaussian", (1e4, 1.0)), ("logistic", (50.0, 0.1))],
+    )
+    def test_mass_check_finds_narrow_density_far_from_zero(self, name, params):
+        # the infinite pieces are placed by _location_scale; centred at 0
+        # with unit spread, every node missed these peaks (mass 0.0, 0.0
+        # and 1.3e-41), so construction refused them
+        m = make_catalog_measure(name, params)
+        assert abs(m._total_mass() - 1.0) <= 1e-13
+
     def test_gaussian_potential_value(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
         assert m.potential(0.0) == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-14)
