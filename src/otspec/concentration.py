@@ -37,7 +37,7 @@ from .measures import (
     make_radial_measure,
     regularize,
 )
-from .spd import _validated, log_quadratic_form, random_spd
+from .spd import log_eigen_map, log_quadratic_form, random_spd
 
 __all__ = [
     "SpectralSampleSet",
@@ -285,10 +285,6 @@ def function_bank_1d():
     ]
 
 
-def _sorted_log_eigs(h):
-    return np.log(_validated(h, "matrix bank sample", stack=True)[1])
-
-
 def _log_quadforms(h, v):
     """log(H u.u) with u = v / |v|, for every matrix of the stack h.
 
@@ -332,8 +328,8 @@ def matrix_function_bank(dim, directions=None, spectrum_bank=None):
         out.append(
             MatrixBankFunction(
                 name=f"spectral:{f.name}",
-                value=lambda h, f=f: f.value(_sorted_log_eigs(h)),
-                upper_grad_sq=lambda h, f=f: f.grad_sq(_sorted_log_eigs(h)),
+                value=lambda h, f=f: f.value(log_eigen_map(h)),
+                upper_grad_sq=lambda h, f=f: f.grad_sq(log_eigen_map(h)),
             )
         )
     return out

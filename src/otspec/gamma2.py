@@ -19,9 +19,11 @@ The mixed third-order symbols are
     Phi^{ij}_k  = Phi^{il} Phi^{jm} Phi_{klm}
     Phi^{ijk}   = Phi^{il} Phi^{jm} Phi^{kr} Phi_{lmr}
 
-Points are stacks: every oracle, test function and operator takes x of
-shape (..., n) and keeps its leading shape, so a batch of points is one
-call.  All contractions go through numpy.einsum over the leading axes;
+Points are stacks: every oracle and test function takes x of shape
+(..., n) and keeps its leading shape, so a batch of points is one call.
+``contracted_tensors(t, x)`` evaluates each oracle of the triple once on a
+stack into a bundle, and the operators take that bundle and never call an
+oracle.  All contractions go through numpy.einsum over the leading axes;
 tensors are dense ndarrays of shape (..., n), (..., n, n), (..., n, n, n),
 and scalars have shape (...).  A check that fails names the first failing
 point of the stack.
@@ -60,9 +62,10 @@ class SmoothTriple:
 
     Subclasses provide grad/hess/third of Phi at points x of shape (..., d),
     grad/hess of V at x, and grad/hess of W at points y (evaluated at
-    y = grad Phi(x) by the operators).  Each oracle keeps the leading shape
-    of its points: values have shape (...), and gradients, Hessians and
-    third derivatives have shapes (..., d), (..., d, d) and (..., d, d, d).
+    y = grad Phi(x) by ``contracted_tensors``).  Each oracle keeps the
+    leading shape of its points: values have shape (...), and gradients,
+    Hessians and third derivatives have shapes (..., d), (..., d, d) and
+    (..., d, d, d).
     """
 
     def __init__(self, dim):
@@ -528,18 +531,31 @@ def synthetic_triple(stream, dim, delta=0.2, hess_floor=0.1, box_radius=1.0):
 
 @dataclass(frozen=True)
 class ContractedTensors:
-    """Tensor bundle at points: Hessian, its inverse, and raised thirds."""
+    """Everything the operators read at a point stack, evaluated once.
 
+    The points, the oracle values of the triple there (W's at grad Phi),
+    the inverse Hessian, and the third derivatives with raised indices.
+    """
+
+    x: np.ndarray
+    grad: np.ndarray  # Phi_i
     hess: np.ndarray
     inv: np.ndarray
     third: np.ndarray  # Phi_ijk
     up1: np.ndarray  # Phi^i_{jk}
     up2: np.ndarray  # Phi^{ij}_k
     up3: np.ndarray  # Phi^{ijk}
+    v_grad: np.ndarray
+    v_hess: np.ndarray
+    w_grad: np.ndarray  # W_i(grad Phi)
+    w_hess: np.ndarray  # W_ij(grad Phi)
 
 
 def contracted_tensors(t, x):
-    """All third-order contractions at the points x, from one inverse each."""
+    """The operators' bundle at the points x: each oracle of t runs once.
+
+    The Hessian is checked for conditioning before any other oracle runs.
+    """
     x = np.asarray(x, dtype=float)
     h = t.phi_hess(x)
     eig = np.linalg.eigvalsh(h)
@@ -559,7 +575,11 @@ def contracted_tensors(t, x):
     up1 = np.einsum("...il,...ljk->...ijk", inv, third)
     up2 = np.einsum("...il,...jm,...klm->...ijk", inv, inv, third)
     up3 = np.einsum("...il,...jm,...kr,...lmr->...ijk", inv, inv, inv, third)
-    return ContractedTensors(hess=h, inv=inv, third=third, up1=up1, up2=up2, up3=up3)
+    grad = t.phi_grad(x)
+    return ContractedTensors(
+        x=x, grad=grad, hess=h, inv=inv, third=third, up1=up1, up2=up2, up3=up3,
+        v_grad=t.v_grad(x), v_hess=t.v_hess(x), w_grad=t.w_grad(grad), w_hess=t.w_hess(grad),
+    )
 
 
 def _quad(v, m, w):
@@ -567,19 +587,17 @@ def _quad(v, m, w):
     return np.einsum("...i,...ij,...j->...", v, m, w)
 
 
-def operator_L(t, u, x, tensors=None):
-    """L u = Phi^{ij} u_{ij} - W_j(grad Phi) u_j.
+def operator_L(ct, u):
+    """L u = Phi^{ij} u_{ij} - W_j(grad Phi) u_j on the bundle's points.
 
     The substituted form, which eliminates W through the conservation
     identity, is computed alongside; the two must agree, and a gap beyond
     1e-6 means the triple's V, W, and Phi are mutually inconsistent.
     """
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    ug = u.grad(x)
-    trace_term = np.einsum("...ij,...ij->...", ct.inv, u.hess(x))
-    w_drift = np.einsum("...j,...j->...", t.w_grad(t.phi_grad(x)), ug)
-    v_drift = np.einsum("...imi->...m", ct.up2) + np.einsum("...ij,...j->...i", ct.inv, t.v_grad(x))
+    ug = u.grad(ct.x)
+    trace_term = np.einsum("...ij,...ij->...", ct.inv, u.hess(ct.x))
+    w_drift = np.einsum("...j,...j->...", ct.w_grad, ug)
+    v_drift = np.einsum("...imi->...m", ct.up2) + np.einsum("...ij,...j->...i", ct.inv, ct.v_grad)
     w_form = trace_term - w_drift
     v_form = trace_term - np.einsum("...m,...m->...", v_drift, ug)
     gap = np.abs(w_form - v_form)
@@ -594,35 +612,30 @@ def operator_L(t, u, x, tensors=None):
     return w_form
 
 
-def gamma2_expanded(t, u, x, tensors=None):
-    """The expanded carre-du-champ iterate at the points x.
+def gamma2_expanded(ct, u):
+    """The expanded carre-du-champ iterate on the bundle's points.
 
     Gamma_2(u) = Phi^{kl}Phi^{ij}u_{ik}u_{jl} - Phi^{ijk}u_{ij}u_k
                  + (Phi^{ik}_l Phi^{jl}_k + Phi^{ik}Phi^{jl}V_{kl}) u_i u_j / 2
                  + (W_{ij} o grad Phi) u_i u_j / 2
     """
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    ug, uh = u.grad(x), u.hess(x)
+    ug, uh = u.grad(ct.x), u.hess(ct.x)
     term1 = np.einsum("...ij,...jk,...kl,...li->...", ct.inv, uh, ct.inv, uh)
     term2 = np.einsum("...ijk,...ij,...k->...", ct.up3, uh, ug)
     s2 = np.einsum("...akl,...blk->...ab", ct.up2, ct.up2)
-    v_mid = ct.inv @ t.v_hess(x) @ ct.inv
-    w_mid = t.w_hess(t.phi_grad(x))
-    quad = 0.5 * (s2 + v_mid + w_mid)
+    v_mid = ct.inv @ ct.v_hess @ ct.inv
+    quad = 0.5 * (s2 + v_mid + ct.w_hess)
     return term1 - term2 + _quad(ug, quad, ug)
 
 
-def gamma2_lower_bound(t, u, x, tensors=None):
+def gamma2_lower_bound(ct, u):
     """Gradient-only floor Phi^{ik}_l Phi^{jl}_k u_i u_j / 4; nonnegative."""
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    ug = u.grad(x)
+    ug = u.grad(ct.x)
     s2 = np.einsum("...akl,...blk->...ab", ct.up2, ct.up2)
     return 0.25 * _quad(ug, s2, ug)
 
 
-def bmatrix_certificate(t, u, x, tensors=None):
+def bmatrix_certificate(ct, u):
     """Tr(B^2) for b_i^j = Phi^{jk}u_{ki} - Phi^{jk}_i u_k / 2, as a square.
 
     (D^2 Phi) B is the symmetric matrix u_{ij} - Phi^l_{ij} u_l / 2, so a
@@ -632,9 +645,7 @@ def bmatrix_certificate(t, u, x, tensors=None):
     inverse square roots of every point's Hessian come from one stacked
     ``sqrt_factors`` call.
     """
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    ug, uh = u.grad(x), u.hess(x)
+    ug, uh = u.grad(ct.x), u.hess(ct.x)
     a = uh - 0.5 * np.einsum("...lij,...l->...ij", ct.up1, ug)
     n = ct.hess.shape[-1]
     _, inv_half = sqrt_factors(ct.hess.reshape(-1, n, n))
@@ -652,44 +663,36 @@ def bmatrix_certificate(t, u, x, tensors=None):
     return np.sum(m * m, axis=(-2, -1))
 
 
-def ricci_tensor(t, x, tensors=None):
+def ricci_tensor(ct):
     """Ric_il = Phi^k_{ij} Phi^j_{lk} / 4 + V_il / 2
     + Phi_{ji} Phi_{lk} (W_{jk} o grad Phi) / 2."""
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
     first = 0.25 * np.einsum("...kij,...jlk->...il", ct.up1, ct.up1)
-    second = 0.5 * t.v_hess(x)
-    w_mid = t.w_hess(t.phi_grad(x))
-    third = 0.5 * ct.hess @ w_mid @ ct.hess
+    second = 0.5 * ct.v_hess
+    third = 0.5 * ct.hess @ ct.w_hess @ ct.hess
     ric = first + second + third
     return 0.5 * (ric + np.swapaxes(ric, -2, -1))
 
 
-def bochner_residual(t, u, x, tensors=None):
+def bochner_residual(ct, u):
     """Expanded Gamma_2 minus its geometric decomposition; expected zero.
 
     The decomposition is |Hess_M u|^2_M + Ric_M(grad_M u, grad_M u) with
     (Hess_M u)_{ij} = u_{ij} - Phi^k_{ij} u_k / 2 and indices raised by
     the Hessian metric.
     """
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    ug = u.grad(x)
-    a = u.hess(x) - 0.5 * np.einsum("...kij,...k->...ij", ct.up1, ug)
+    ug = u.grad(ct.x)
+    a = u.hess(ct.x) - 0.5 * np.einsum("...kij,...k->...ij", ct.up1, ug)
     hess_term = np.einsum("...ij,...jk,...kl,...li->...", ct.inv, a, ct.inv, a)
     raised = np.einsum("...ij,...j->...i", ct.inv, ug)
-    ric_term = _quad(raised, ricci_tensor(t, x, tensors=ct), raised)
-    return gamma2_expanded(t, u, x, tensors=ct) - hess_term - ric_term
+    ric_term = _quad(raised, ricci_tensor(ct), raised)
+    return gamma2_expanded(ct, u) - hess_term - ric_term
 
 
-def triple_consistency_residual(t, x, tensors=None):
+def triple_consistency_residual(ct):
     """Gradient of the conservation identity: V_j + Phi^i_{ji}
     - Phi_{ij} W_i(grad Phi); the zero vector for exact triples."""
-    x = np.asarray(x, dtype=float)
-    ct = tensors if tensors is not None else contracted_tensors(t, x)
-    w_at = t.w_grad(t.phi_grad(x))
     return (
-        t.v_grad(x)
+        ct.v_grad
         + np.einsum("...iji->...j", ct.up1)
-        - np.einsum("...ij,...j->...i", ct.hess, w_at)
+        - np.einsum("...ij,...j->...i", ct.hess, ct.w_grad)
     )

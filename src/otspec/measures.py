@@ -1071,9 +1071,10 @@ class _Regularized1D(LogConcaveMeasure1D):
     def _build_node_table(self):
         """Panel Gauss-Legendre nodes in y, reused by every cdf/pdf call.
 
-        The convolution kernel has scale sig, so panels 2.5 sig wide with
-        16 nodes each integrate both the CDF kernel and the density kernel
-        far below the 1e-8 normalization budget.  The table is split at
+        The integrand varies on the smaller of two scales: the kernel's,
+        sig, and the base's own (``_location_scale``), so panels 2.5 times
+        that wide with 16 nodes each integrate both the CDF kernel and the
+        density kernel far below the 1e-8 normalization budget.  The table is split at
         the base's interior kinks, and its panels are graded toward every
         point where the base density is not analytic (``_kink_points``),
         such as the factor y**(s - 1) of a gamma base with non-integer
@@ -1086,9 +1087,10 @@ class _Regularized1D(LogConcaveMeasure1D):
                 [np.array([self._ylo, self._yhi]), np.asarray(self._y_cuts, float)]
             )
         )
+        width = 2.5 * min(self.sig, self.base._location_scale()[1])
         ys, qs = [], []
         for a, b in zip(edges[:-1], edges[1:]):
-            panels = min(6000, max(1, int(math.ceil((b - a) / (2.5 * self.sig)))))
+            panels = min(6000, max(1, int(math.ceil((b - a) / width))))
             y, q = _panel_rule(
                 a, b, panels, a in self.base._kink_points, b in self.base._kink_points
             )

@@ -32,19 +32,18 @@ _RECON_RTOL = 1e-10
 _MAX_LOG_SPREAD = -float(np.log(np.finfo(float).tiny))
 
 
-def _validated(a, name, stack=False, definite=True):
+def _validated(a, name, stack=False):
     """Check an SPD matrix, or a stack of them, and return its factors.
 
     This is the package's one SPD boundary.  Each matrix must be square,
-    finite and symmetric to 1e-12 relative; with ``definite`` it must also
-    be positive definite, with an eigendecomposition that reconstructs it
-    to 1e-10 relative.  All checks run in one vectorized pass over the
-    stack and name the first matrix that fails.
+    finite, symmetric to 1e-12 relative, and positive definite, with an
+    eigendecomposition that reconstructs it to 1e-10 relative.  All checks
+    run in one vectorized pass over the stack and name the first matrix
+    that fails.
 
     Returns ``(a, w, v)``: the exactly symmetrized array of shape (n, n),
     or (m, n, n) with ``stack``, and its eigenvalues in descending order
-    with the matching eigenvectors as columns (both None unless
-    ``definite``).
+    with the matching eigenvectors as columns.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
@@ -65,8 +64,6 @@ def _validated(a, name, stack=False, definite=True):
         f"{_SYM_RTOL:g} relative to norm {scale.flat[k]:.3e}",
     )
     a = 0.5 * (a + at)
-    if not definite:
-        return a, None, None
     w, v = np.linalg.eigh(a)
     w, v = w[..., ::-1], v[..., ::-1]
     low = w[..., -1]

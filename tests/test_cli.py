@@ -430,6 +430,22 @@ class TestRunExperiment:
         assert render_report(run_experiment(cfg), "json") == whole
         assert sum(seen) == count and max(seen) <= 7
 
+    def test_gamma2_check_evaluates_oracles_once_per_block(self, monkeypatch):
+        # 20 triples of 100 points, one block each: the bundle is the only
+        # caller of the oracles the operators read
+        calls = dict.fromkeys(("v_grad", "v_hess", "w_hess"), 0)
+        for name in calls:
+            oracle = getattr(gamma2._TripleSynthetic, name)
+
+            def counted(self, x, name=name, oracle=oracle):
+                calls[name] += 1
+                return oracle(self, x)
+
+            monkeypatch.setattr(gamma2._TripleSynthetic, name, counted)
+        report = run_experiment(default_config("gamma2-check"))
+        assert all(r.passed for r in report.records)
+        assert calls == {"v_grad": 20, "v_hess": 20, "w_hess": 20}
+
     def test_gamma2_check_small(self):
         cfg = config_from_dict(
             {"kind": "gamma2-check", "triples": 3, "points": 10, "dims": [1, 2, 3]}

@@ -6,6 +6,7 @@ policy 1e-4 * (1 + |x|), and quadrature for the integration-by-parts
 characterization of L.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,21 @@ class TestContractedTensors:
         assert np.max(np.abs(ct.up1 - up1)) < 1e-12
         assert np.max(np.abs(ct.up3 - up3)) < 1e-12
 
+    def test_bundle_holds_the_oracle_values(self):
+        # the operators read these fields in place of calling the oracles
+        for t, sampler in _bank():
+            x = np.stack([sampler() for _ in range(3)])
+            ct = contracted_tensors(t, x)
+            y = t.phi_grad(x)
+            assert np.array_equal(ct.x, x)
+            assert np.array_equal(ct.grad, y)
+            assert np.array_equal(ct.hess, t.phi_hess(x))
+            assert np.array_equal(ct.third, t.phi_third(x))
+            assert np.array_equal(ct.v_grad, t.v_grad(x))
+            assert np.array_equal(ct.v_hess, t.v_hess(x))
+            assert np.array_equal(ct.w_grad, t.w_grad(y))
+            assert np.array_equal(ct.w_hess, t.w_hess(y))
+
     def test_condition_refusal(self):
         class _Flat(SmoothTriple):
             def phi_hess(self, x):
@@ -283,7 +299,7 @@ class TestOperatorL:
             vg = t.v_grad(x)
             for k in range(t.dim):
                 u = PhiPartialTestFunction(t, k)
-                got = operator_L(t, u, x, tensors=ct)
+                got = operator_L(ct, u)
                 assert got == pytest.approx(-vg[k], abs=1e-8)
 
     def test_identity_transport_weighted_laplacian(self):
@@ -291,7 +307,7 @@ class TestOperatorL:
         u = make_test_function(rng.stream(42, 1), 3)
         x = np.array([0.7, -0.2, 1.1])
         expected = float(np.trace(u.hess(x))) - float(x @ u.grad(x))
-        assert operator_L(t, u, x) == pytest.approx(expected, rel=1e-12)
+        assert operator_L(contracted_tensors(t, x), u) == pytest.approx(expected, rel=1e-12)
 
     def test_integration_by_parts_1d(self):
         t = _triple_1d()
@@ -310,7 +326,7 @@ class TestOperatorL:
 
         def lhs(x):
             p = np.array([x])
-            return operator_L(t, u, p) * bump(x) * math.exp(-t.v_value(p))
+            return operator_L(contracted_tensors(t, p), u) * bump(x) * math.exp(-t.v_value(p))
 
         def rhs(x):
             p = np.array([x])
@@ -347,7 +363,7 @@ class TestOperatorL:
                 weight = math.exp(-t.v_value(p)) * wi * wj
                 v_val = bump(xi) * bump(yj)
                 v_grad = np.array([bump_d1(xi) * bump(yj), bump(xi) * bump_d1(yj)])
-                left += operator_L(t, u, p, tensors=ct) * v_val * weight
+                left += operator_L(ct, u) * v_val * weight
                 right -= float(u.grad(p) @ ct.inv @ v_grad) * weight
         assert left == pytest.approx(right, abs=1e-4 * (1.0 + abs(left)))
 
@@ -360,14 +376,16 @@ class TestOperatorL:
                 self.phi_grad = base.phi_grad
                 self.phi_hess = base.phi_hess
                 self.phi_third = base.phi_third
+                self.v_hess = base.v_hess
                 self.w_grad = base.w_grad
+                self.w_hess = base.w_hess
 
             def v_grad(self, x):
                 return base.v_grad(x) + np.array([0.5, -0.3])
 
         u = CubicTestFunction(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
         with pytest.raises(ArithmeticError, match="mass conservation"):
-            operator_L(_Skewed(), u, np.array([0.4, 0.1]))
+            operator_L(contracted_tensors(_Skewed(), np.array([0.4, 0.1])), u)
 
 
 class TestGamma2:
@@ -377,7 +395,7 @@ class TestGamma2:
         x = np.array([0.5, -0.8, 0.1])
         uh, ug = u.hess(x), u.grad(x)
         expected = float(np.sum(uh * uh)) + float(ug @ ug)
-        assert gamma2_expanded(t, u, x) == pytest.approx(expected, rel=1e-12)
+        assert gamma2_expanded(contracted_tensors(t, x), u) == pytest.approx(expected, rel=1e-12)
 
     def test_partial_chain_reconstruction(self):
         # Gamma(Phi_k) collapses to Phi_kk, so the defining formula reads
@@ -398,7 +416,7 @@ class TestGamma2:
                 t.w_grad(t.phi_grad(x)) @ grad_h
             )
             expected = 0.5 * l_of_h + t.v_hess(x)[k, k]
-            got = gamma2_expanded(t, PhiPartialTestFunction(t, k), x, tensors=ct)
+            got = gamma2_expanded(ct, PhiPartialTestFunction(t, k))
             assert got == pytest.approx(expected, abs=1e-6 * (1.0 + abs(got)))
 
     def test_direct_definition_by_fd(self):
@@ -417,14 +435,14 @@ class TestGamma2:
                 return float(g @ np.linalg.solve(t.phi_hess(p), g))
 
             def l_of_u(p):
-                return operator_L(t, u, p)
+                return operator_L(contracted_tensors(t, p), u)
 
             l_carre = float(
                 np.einsum("ij,ij->", ct.inv, fd_hess(carre, x))
             ) - float(t.w_grad(t.phi_grad(x)) @ fd_grad(carre, x))
             cross = float(u.grad(x) @ ct.inv @ fd_grad(l_of_u, x))
             expected = 0.5 * l_carre - cross
-            got = gamma2_expanded(t, u, x, tensors=ct)
+            got = gamma2_expanded(ct, u)
             assert got == pytest.approx(expected, abs=1e-4 * (1.0 + abs(got)))
 
     def test_lower_bound_single_index_formula(self):
@@ -437,13 +455,13 @@ class TestGamma2:
         u1 = u.grad(x)[0]
         a, b = ct.hess[0, 0], ct.third[0, 0, 0]
         expected = 0.25 * (b * b / a**4) * u1 * u1
-        assert gamma2_lower_bound(t, u, x) == pytest.approx(expected, rel=1e-12)
+        assert gamma2_lower_bound(ct, u) == pytest.approx(expected, rel=1e-12)
         assert ct.up2[0, 0, 0] == pytest.approx(b / a**2, rel=1e-12)
 
     def test_lower_bound_quadratic_is_zero(self):
         t = _ou_triple(2)
         u = make_test_function(rng.stream(43, 6), 2)
-        assert gamma2_lower_bound(t, u, np.array([0.4, -1.2])) == 0.0
+        assert gamma2_lower_bound(contracted_tensors(t, np.array([0.4, -1.2])), u) == 0.0
 
     def test_lower_bound_inequality_randomized(self):
         # Lemma-style floor: Gamma_2 >= quarter-contraction form, on
@@ -458,9 +476,9 @@ class TestGamma2:
             assert _v_hessian_floor(t, pts) > 0.0
             for x in pts:
                 ct = contracted_tensors(t, x)
-                lo = gamma2_lower_bound(t, u, x, tensors=ct)
+                lo = gamma2_lower_bound(ct, u)
                 assert lo >= 0.0
-                worst = min(worst, gamma2_expanded(t, u, x, tensors=ct) - lo)
+                worst = min(worst, gamma2_expanded(ct, u) - lo)
         assert worst >= -1e-9
 
 
@@ -470,7 +488,7 @@ class TestCertificate:
         u = CubicTestFunction(
             1.0, np.array([2.0, -1.0, 0.5]), np.zeros((3, 3)), np.zeros((3, 3, 3))
         )
-        assert bmatrix_certificate(t, u, np.array([0.3, 0.1, -0.4])) == 0.0
+        assert bmatrix_certificate(contracted_tensors(t, np.array([0.3, 0.1, -0.4])), u) == 0.0
 
     def test_nonnegative_everywhere(self):
         for case in range(10):
@@ -478,7 +496,7 @@ class TestCertificate:
             t = synthetic_triple(s, 2 + case % 3, delta=0.6)
             u = make_test_function(s, t.dim)
             x = s.uniform(-0.8, 0.8, size=t.dim)
-            assert bmatrix_certificate(t, u, x) >= 0.0
+            assert bmatrix_certificate(contracted_tensors(t, x), u) >= 0.0
 
     def test_matches_termwise_expansion(self):
         # independent oracle: assemble b_i^j entry by entry with loops
@@ -497,7 +515,7 @@ class TestCertificate:
                         ct.up2[j, k, i] * ug[k] for k in range(n)
                     )
             expansion = float(np.sum(b * b.T))
-            got = bmatrix_certificate(t, u, x, tensors=ct)
+            got = bmatrix_certificate(ct, u)
             assert got == pytest.approx(expansion, abs=1e-9 * (1.0 + abs(got)))
 
     def test_expanded_identity_split(self):
@@ -510,11 +528,11 @@ class TestCertificate:
             v_mid = ct.inv @ t.v_hess(x) @ ct.inv
             w_mid = t.w_hess(t.phi_grad(x))
             total = (
-                bmatrix_certificate(t, u, x, tensors=ct)
-                + gamma2_lower_bound(t, u, x, tensors=ct)
+                bmatrix_certificate(ct, u)
+                + gamma2_lower_bound(ct, u)
                 + 0.5 * float(ug @ (v_mid + w_mid) @ ug)
             )
-            got = gamma2_expanded(t, u, x, tensors=ct)
+            got = gamma2_expanded(ct, u)
             assert got == pytest.approx(total, abs=1e-8 * (1.0 + abs(got)))
 
 
@@ -559,7 +577,7 @@ class TestPullbackMetric:
 
 class TestRicci:
     def test_ornstein_uhlenbeck_identity_matrix(self):
-        ric = ricci_tensor(_ou_triple(3), np.array([0.2, -0.5, 0.9]))
+        ric = ricci_tensor(contracted_tensors(_ou_triple(3), np.array([0.2, -0.5, 0.9])))
         assert np.max(np.abs(ric - np.eye(3))) < 1e-12
 
     def test_first_summand_is_quarter_pullback(self):
@@ -580,7 +598,7 @@ class TestRicci:
     def test_psd_for_log_concave_triples(self):
         for t, sampler in _bank():
             for _ in range(5):
-                ric = ricci_tensor(t, sampler())
+                ric = ricci_tensor(contracted_tensors(t, sampler()))
                 assert float(np.linalg.eigvalsh(ric)[0]) >= -1e-9
 
     def test_psd_for_convex_synthetic(self):
@@ -590,14 +608,14 @@ class TestRicci:
             pts = s.uniform(-0.9, 0.9, size=(20, 3))
             assert _v_hessian_floor(t, pts) > 0.0
             for x in pts:
-                assert float(np.linalg.eigvalsh(ricci_tensor(t, x))[0]) >= -1e-9
+                assert float(np.linalg.eigvalsh(ricci_tensor(contracted_tensors(t, x)))[0]) >= -1e-9
 
 
 class TestBochner:
     def test_quadratic_residual_vanishes(self):
         t = _ou_triple(3)
         u = make_test_function(rng.stream(57, 0), 3)
-        assert abs(bochner_residual(t, u, np.array([0.1, 0.2, 0.3]))) <= 1e-10
+        assert abs(bochner_residual(contracted_tensors(t, np.array([0.1, 0.2, 0.3])), u)) <= 1e-10
 
     def test_hessian_term_for_potential_partial(self):
         # |Riemannian Hessian of Phi_k|^2 collapses to a quarter of a
@@ -625,13 +643,13 @@ class TestBochner:
             t = synthetic_triple(s, dim, delta=0.5)
             u = make_test_function(s, dim)
             x = s.uniform(-0.9, 0.9, size=dim)
-            assert abs(bochner_residual(t, u, x)) <= 1e-6
+            assert abs(bochner_residual(contracted_tensors(t, x), u)) <= 1e-6
             count += 1
         for t, sampler in _bank():
             for k in range(7):
                 u = make_test_function(rng.stream(57, 100 + k), t.dim)
                 x = sampler()
-                assert abs(bochner_residual(t, u, x)) <= 1e-6
+                assert abs(bochner_residual(contracted_tensors(t, x), u)) <= 1e-6
                 count += 1
         assert count >= 100
 
@@ -644,7 +662,7 @@ class TestInvariants:
         ]
         for t, sampler in cases:
             for _ in range(5):
-                res = triple_consistency_residual(t, sampler())
+                res = triple_consistency_residual(contracted_tensors(t, sampler()))
                 assert np.max(np.abs(res)) <= 1e-8
 
     def test_spectral_map_differential_bound(self):
@@ -754,12 +772,12 @@ def _evaluations(t, u, x):
         for name in ("value", "grad", "hess"):
             out[f"{label}.{name}"] = getattr(f, name)(x)
     ct = contracted_tensors(t, x)
-    for name in ("hess", "inv", "third", "up1", "up2", "up3"):
-        out[f"ct.{name}"] = getattr(ct, name)
+    for field in dataclasses.fields(ct):
+        out[f"ct.{field.name}"] = getattr(ct, field.name)
     for op in _OPERATORS:
-        out[op.__name__] = op(t, u, x, tensors=ct)
-    out["ricci_tensor"] = ricci_tensor(t, x, tensors=ct)
-    out["triple_consistency_residual"] = triple_consistency_residual(t, x, tensors=ct)
+        out[op.__name__] = op(ct, u)
+    out["ricci_tensor"] = ricci_tensor(ct)
+    out["triple_consistency_residual"] = triple_consistency_residual(ct)
     return out
 
 
@@ -816,7 +834,9 @@ class TestStacks:
                 self.phi_grad = base.phi_grad
                 self.phi_hess = base.phi_hess
                 self.phi_third = base.phi_third
+                self.v_hess = base.v_hess
                 self.w_grad = base.w_grad
+                self.w_hess = base.w_hess
 
             def v_grad(self, x):
                 shift = np.where(x[..., :1] > 0.3, np.array([0.5, -0.3]), 0.0)
@@ -825,7 +845,7 @@ class TestStacks:
         u = CubicTestFunction(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
         x = np.array([[0.1, 0.0], [0.2, 0.1], [0.4, 0.1], [0.5, -0.2]])
         with pytest.raises(ArithmeticError, match=r"disagree by .* at point 2 .*mass conservation"):
-            operator_L(_Skewed(), u, x)
+            operator_L(contracted_tensors(_Skewed(), x), u)
 
         class _Twisted:
             # asymmetric second derivative where x_0 > 0.3
@@ -840,7 +860,7 @@ class TestStacks:
                 return h
 
         with pytest.raises(ArithmeticError, match=r"lost symmetry by 1\.000e\+00 at point 2"):
-            bmatrix_certificate(_ou_triple(2), _Twisted(), x)
+            bmatrix_certificate(contracted_tensors(_ou_triple(2), x), _Twisted())
 
         x = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=r"\|x\| > 0 at point 1"):

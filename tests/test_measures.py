@@ -848,6 +848,33 @@ class TestRegularize:
             want = [_quad(lambda t: float(r.pdf(t)), lo, b, cuts) for b in x]
             assert np.max(np.abs(r.cdf(x) - want)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "base,params",
+        [("gamma", (3.0, 100.0)), ("gaussian", (0.0, 0.01)), ("logistic", (0.0, 0.01))],
+    )
+    def test_narrow_bases(self, base, params):
+        # scale 0.01 against sig = 0.2: the panels follow the base's scale
+        r = regularize(make_catalog_measure(base, params), 5)
+        assert abs(r._total_mass() - 1.0) <= 1e-15
+        assert abs(float(np.sum(r._node_cdf_w)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "base,params,n,nodes",
+        [
+            ("uniform", (0.0, 1.0), 10, 64),
+            ("exponential", (1.0,), 10, 2224),
+            ("gaussian", (0.0, 1.0), 5, 512),
+            ("gaussian", (0.0, 0.25), 5, 128),
+            ("beta", (2.0, 3.0), 10, 64),
+            ("gaussian", (0.0, 1.0), 10, 1024),
+            ("uniform", (0.0, 1.0), 8, 64),
+        ],
+    )
+    def test_default_node_counts(self, base, params, n, nodes):
+        # bases no narrower than the kernel keep the kernel-width panels
+        r = regularize(make_catalog_measure(base, params), n)
+        assert r._node_y.size == nodes
+
     @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
     def test_fixed_rule_matches_adaptive_oracle(self, name, params):
         # V'' cancels a 1/sig2 = N^2 term, so its error scales with N^2
