@@ -44,6 +44,8 @@ import numpy as np
 from . import rng
 from . import __version__
 from .spd import (
+    _spd_draws,
+    _spd_from_draws,
     curve_length,
     geodesic_point,
     log_eigen_map,
@@ -638,10 +640,11 @@ def _geometry_block(worst, a, b, c, gu, gv, log_sv, v):
 
 def _geometry_pairs(worst, s, dims):
     """Draw one block of pairs of the given dimensions and fold them in."""
-    # per dimension: stacks of a, b, c, the congruence's two gaussian
-    # factors and log singular values, and the direction v
+    # per dimension: the random_spd draws of a, b and c, the congruence's
+    # two gaussian factors and log singular values, and the direction v
     draws = {
-        n: [np.empty((dims.count(n), n, n)) for _ in range(5)]
+        n: [np.empty((3, dims.count(n), n, n)), np.empty((3, dims.count(n), n))]
+        + [np.empty((dims.count(n), n, n)) for _ in range(2)]
         + [np.empty((dims.count(n), n)) for _ in range(2)]
         for n in dict.fromkeys(dims)
     }
@@ -650,12 +653,14 @@ def _geometry_pairs(worst, s, dims):
         # one pair's draws, in stream order
         k = filled[n]
         filled[n] += 1
-        a, b, c, gu, gv, log_sv, v = draws[n]
-        a[k], b[k], c[k] = (random_spd(s, n) for _ in range(3))
+        normals, log_eigs, gu, gv, log_sv, v = draws[n]
+        for j in range(3):
+            normals[j, k], log_eigs[j, k] = _spd_draws(s, n)
         gu[k], gv[k] = s.standard_normal((n, n)), s.standard_normal((n, n))
         log_sv[k], v[k] = s.uniform(-1.5, 1.5, size=n), s.standard_normal(n)
-    for stacks in draws.values():
-        _geometry_block(worst, *stacks)
+    for normals, log_eigs, *rest in draws.values():
+        # one stacked QR factors every a, b and c of the dimension
+        _geometry_block(worst, *_spd_from_draws(normals, log_eigs), *rest)
 
 
 def _run_geometry(cfg):
@@ -819,7 +824,7 @@ def _run_gamma2(cfg):
             ct = contracted_tensors(t, x)
             _update_worst(worst, "cons", np.abs(triple_consistency_residual(ct)))
             for k in range(dim):
-                got = operator_L(ct, PhiPartialTestFunction(t, k))
+                got = operator_L(ct, PhiPartialTestFunction(ct, k))
                 _update_worst(worst, "eig", np.abs(got + ct.v_grad[:, k]))
             expanded = gamma2_expanded(ct, u)
             lower = gamma2_lower_bound(ct, u)

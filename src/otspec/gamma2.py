@@ -23,7 +23,8 @@ Points are stacks: every oracle and test function takes x of shape
 (..., n) and keeps its leading shape, so a batch of points is one call.
 ``contracted_tensors(t, x)`` evaluates each oracle of the triple once on a
 stack into a bundle, and the operators take that bundle and never call an
-oracle.  All contractions go through numpy.einsum over the leading axes;
+oracle; the partials of the potential, as test functions, are slices of
+the bundle too (``PhiPartialTestFunction``).  All contractions go through numpy.einsum over the leading axes;
 tensors are dense ndarrays of shape (..., n), (..., n, n), (..., n, n, n),
 and scalars have shape (...).  A check that fails names the first failing
 point of the stack.
@@ -453,21 +454,33 @@ class CubicTestFunction:
 
 
 class PhiPartialTestFunction:
-    """u = Phi_k, the k-th partial of the potential of a triple."""
+    """u = Phi_k, the k-th partial of the potential, at a bundle's points.
 
-    def __init__(self, triple, k):
-        self.triple = triple
+    Its value, gradient and Hessian are the k-th slices of the bundle's
+    ``grad``, ``hess`` and ``third``, so it runs no oracle of the triple.
+    It is defined only at the bundle's points and refuses any other x.
+    """
+
+    def __init__(self, ct, k):
+        self.ct = ct
         self.k = int(k)
-        self.dim = triple.dim
+        self.dim = ct.hess.shape[-1]
+
+    def _check(self, x):
+        if not np.array_equal(x, self.ct.x):
+            raise ValueError("PhiPartialTestFunction is evaluated only at its bundle's points")
 
     def value(self, x):
-        return self.triple.phi_grad(x)[..., self.k]
+        self._check(x)
+        return self.ct.grad[..., self.k]
 
     def grad(self, x):
-        return self.triple.phi_hess(x)[..., :, self.k]
+        self._check(x)
+        return self.ct.hess[..., :, self.k]
 
     def hess(self, x):
-        return self.triple.phi_third(x)[..., :, :, self.k]
+        self._check(x)
+        return self.ct.third[..., :, :, self.k]
 
 
 def _symmetrize3(c):

@@ -9,9 +9,13 @@ SPD values are plain float arrays of shape (n, n), or (m, n, n) for a
 stack, and this is the only module that validates one.  The distance, the
 log-eigenvalue map, the log quadratic form and the square-root factors take
 either shape and return results with the matching leading shape.  Every
-public function validates each argument once, on entry, as one stack, and
-works from the eigendecomposition that validation computes.  Geodesics are
-batched: one call returns every requested point of the curve.
+public function validates each SPD argument once, on entry, as one stack,
+and works from the eigendecomposition that validation computes; the
+functions that build SPD values (``geodesic_point``, ``random_spd``) return
+them exactly symmetrized but unvalidated, so each value is checked once, by
+its consumer.  Geodesics are batched: one call returns every requested
+point of the curve, and ``curve_length`` takes the metric speeds of a
+whole sample stack from the eigendecomposition its validation computes.
 """
 
 import numpy as np
@@ -121,8 +125,10 @@ def geodesic_point(a, b, s):
     """Points γ(s) = A^{1/2} (A^{-1/2} B A^{-1/2})^s A^{1/2} on the geodesic.
 
     Every point comes from one eigendecomposition C = V diag(w) Vᵗ of
-    C = A^{-1/2} B A^{-1/2}, as γ(s) = A^{1/2} V diag(wˢ) Vᵗ A^{1/2}; C and
-    the returned points are validated as one stack each.
+    C = A^{-1/2} B A^{-1/2}, as γ(s) = A^{1/2} V diag(wˢ) Vᵗ A^{1/2}.  A, B
+    and C are validated; the points are returned exactly symmetrized but
+    not validated, since their consumer (``curve_length``, say) checks the
+    stack at its own boundary.
 
     Parameters
     ----------
@@ -147,19 +153,19 @@ def geodesic_point(a, b, s):
     _, wc, vc = _validated(isa @ b @ isa, "A^{-1/2} B A^{-1/2}")
     mid = (vc * wc ** s[..., None, None]) @ vc.T
     g = sa @ mid @ sa
-    g = 0.5 * (g + np.swapaxes(g, -2, -1))
-    return _validated(g, "geodesic point", stack=s.ndim == 1)[0]
+    return 0.5 * (g + np.swapaxes(g, -2, -1))
 
 
-def _batched_speeds(points):
+def _batched_speeds(p, w, v):
     """Metric speeds ‖γ̇(s_k)‖_{γ(s_k)} from uniformly spaced curve samples.
 
     Tangents are finite differences: fourth-order central stencils in the
     interior, falling back to second-order central and then one-sided
     second-order at the ends.  The even-order interior stencil keeps the
-    bias negligible even for well-separated endpoints.
+    bias negligible even for well-separated endpoints.  With each sample
+    factored as V diag(w) Vᵗ, the squared speed Tr[(γ⁻¹γ̇)²] is
+    Σᵢⱼ (Vᵗγ̇V)ᵢⱼ² / (wᵢ wⱼ), a sum of squares.
     """
-    p = np.asarray(points, dtype=float)
     m = p.shape[0]
     h = 1.0 / (m - 1)
     tangents = np.empty_like(p)
@@ -173,9 +179,9 @@ def _batched_speeds(points):
         tangents[1:-1] = (p[2:] - p[:-2]) / (2.0 * h)
     tangents[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * h)
     tangents[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * h)
-    inv_t = np.linalg.solve(p, tangents)
-    speeds = np.sqrt(np.maximum(np.einsum("kij,kji->k", inv_t, inv_t), 0.0))
-    return speeds, h
+    r = 1.0 / np.sqrt(w)
+    scaled = r[:, :, None] * (np.swapaxes(v, -2, -1) @ tangents @ v) * r[:, None, :]
+    return np.sqrt((scaled * scaled).sum(axis=(-2, -1))), h
 
 
 def curve_length(points):
@@ -183,7 +189,8 @@ def curve_length(points):
 
     Trapezoidal rule applied to the finite-difference metric speeds; for
     samples of a geodesic this converges to the endpoint distance as the
-    grid refines.
+    grid refines.  The samples are validated once, as one stack, and the
+    speeds come from the eigendecompositions that validation computes.
 
     Parameters
     ----------
@@ -191,12 +198,12 @@ def curve_length(points):
         At least three SPD samples at uniform parameter spacing: the end
         tangents are second-order one-sided stencils over three samples.
     """
-    stack, _, _ = _validated(points, "curve sample", stack=True)
+    stack, w, v = _validated(points, "curve sample", stack=True)
     if stack.shape[0] < 3:
         raise ValueError(f"need at least three curve samples, got {stack.shape[0]}")
     if np.allclose(stack, stack[0], rtol=0.0, atol=1e-15 * np.linalg.norm(stack[0])):
         return 0.0
-    speeds, h = _batched_speeds(stack)
+    speeds, h = _batched_speeds(stack, w, v)
     return float(np.trapezoid(speeds, dx=h))
 
 
@@ -233,14 +240,29 @@ def random_spd(rng, dim, log_spread=3.0):
     The draw is returned exactly symmetrized but not validated: every
     consumer validates its stack at its own boundary.
     """
+    return _spd_from_draws(*_spd_draws(rng, dim, log_spread))
+
+
+def _spd_draws(rng, dim, log_spread=3.0):
+    """``random_spd``'s draws, in its stream order: the Gaussian matrix,
+    then the log-eigenvalues."""
     log_spread = float(log_spread)
     if not 0.0 <= log_spread <= _MAX_LOG_SPREAD:
         raise ValueError(
             f"log_spread must lie in [0, {_MAX_LOG_SPREAD:.2f}] so that its "
             f"exponentials stay normal floats, got {log_spread}"
         )
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q *= np.sign(np.diag(r))
-    d = np.exp(rng.uniform(-log_spread, log_spread, size=dim))
-    a = (q.T * d) @ q
-    return 0.5 * (a + a.T)
+    return rng.standard_normal((dim, dim)), rng.uniform(-log_spread, log_spread, size=dim)
+
+
+def _spd_from_draws(normals, log_eigs):
+    """QᵗDQ from ``_spd_draws`` output, for one matrix or a stack.
+
+    ``normals`` has shape (..., n, n) and ``log_eigs`` shape (..., n).  A
+    stack is factored by one stacked QR and gives, slice by slice, the bits
+    that consecutive ``random_spd`` calls give.
+    """
+    q, r = np.linalg.qr(normals)
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    a = (np.swapaxes(q, -2, -1) * np.exp(log_eigs)[..., None, :]) @ q
+    return 0.5 * (a + np.swapaxes(a, -2, -1))

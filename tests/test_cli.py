@@ -390,21 +390,33 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [r.name for r in report.records if not r.passed] == []
 
-    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 500), ("gamma2-check", 20)])
+    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 426), ("gamma2-check", 20)])
     def test_validates_once_per_stack(self, monkeypatch, kind, limit):
-        # geometry-selftest: random_spd leaves its draws to the stacked
-        # checks, which with the 50 geodesics make 476 calls
-        calls = []
-        validated = spd._validated
+        # geometry-selftest: random_spd and geodesic_point leave their
+        # output to the consumer's stacked check.  The 1,000 pairs make 126
+        # calls and each of the 50 geodesics six: a, b and C in
+        # geodesic_point, the 1,000-point stack in curve_length, and a and b
+        # in spd_distance
+        validated, geodesic_point = spd._validated, cli.geodesic_point
+        seen, geodesics = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return validated(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            seen.append(a)
+            return validated(a, *args, **kwargs)
+
+        def recorded(*args):
+            geodesics.append(geodesic_point(*args))
+            return geodesics[-1]
 
         monkeypatch.setattr(spd, "_validated", counted)
+        monkeypatch.setattr(cli, "geodesic_point", recorded)
         report = run_experiment(default_config(kind))
         assert all(r.passed for r in report.records)
-        assert 0 < len(calls) <= limit
+        assert 0 < len(seen) <= limit
+        assert len(geodesics) == (50 if kind == "geometry-selftest" else 0)
+        for g in geodesics:
+            assert g.shape[0] == 1000
+            assert sum(a is g for a in seen) == 1
 
     @pytest.mark.parametrize(
         "overrides, stage, count",
@@ -432,8 +444,10 @@ class TestRunExperiment:
 
     def test_gamma2_check_evaluates_oracles_once_per_block(self, monkeypatch):
         # 20 triples of 100 points, one block each: the bundle is the only
-        # caller of the oracles the operators read
-        calls = dict.fromkeys(("v_grad", "v_hess", "w_hess"), 0)
+        # caller of the oracles the operators read, and the eigenrelation's
+        # test functions are slices of it.  phi_hess runs once more inside
+        # each of the synthetic triple's v_grad and v_hess
+        calls = dict.fromkeys(("v_grad", "v_hess", "w_hess", "phi_hess", "phi_third"), 0)
         for name in calls:
             oracle = getattr(gamma2._TripleSynthetic, name)
 
@@ -444,7 +458,7 @@ class TestRunExperiment:
             monkeypatch.setattr(gamma2._TripleSynthetic, name, counted)
         report = run_experiment(default_config("gamma2-check"))
         assert all(r.passed for r in report.records)
-        assert calls == {"v_grad": 20, "v_hess": 20, "w_hess": 20}
+        assert calls == {"v_grad": 20, "v_hess": 20, "w_hess": 20, "phi_hess": 60, "phi_third": 20}
 
     def test_gamma2_check_small(self):
         cfg = config_from_dict(

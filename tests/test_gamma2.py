@@ -298,9 +298,20 @@ class TestOperatorL:
             ct = contracted_tensors(t, x)
             vg = t.v_grad(x)
             for k in range(t.dim):
-                u = PhiPartialTestFunction(t, k)
+                u = PhiPartialTestFunction(ct, k)
                 got = operator_L(ct, u)
                 assert got == pytest.approx(-vg[k], abs=1e-8)
+
+    def test_partial_is_a_slice_of_the_bundle(self):
+        t = synthetic_triple(rng.stream(42, 3), 3, delta=0.5)
+        x = rng.stream(42, 4).uniform(-0.8, 0.8, size=(5, 3))
+        u = PhiPartialTestFunction(contracted_tensors(t, x), 1)
+        assert np.array_equal(u.value(x), t.phi_grad(x)[:, 1])
+        assert np.array_equal(u.grad(x), t.phi_hess(x)[:, :, 1])
+        assert np.array_equal(u.hess(x), t.phi_third(x)[:, :, :, 1])
+        for elsewhere in (x[:4], x + 0.1):
+            with pytest.raises(ValueError, match="bundle's points"):
+                u.grad(elsewhere)
 
     def test_identity_transport_weighted_laplacian(self):
         t = _ou_triple(3)
@@ -416,7 +427,7 @@ class TestGamma2:
                 t.w_grad(t.phi_grad(x)) @ grad_h
             )
             expected = 0.5 * l_of_h + t.v_hess(x)[k, k]
-            got = gamma2_expanded(ct, PhiPartialTestFunction(t, k))
+            got = gamma2_expanded(ct, PhiPartialTestFunction(ct, k))
             assert got == pytest.approx(expected, abs=1e-6 * (1.0 + abs(got)))
 
     def test_direct_definition_by_fd(self):
@@ -624,7 +635,7 @@ class TestBochner:
             x = sampler()
             ct = contracted_tensors(t, x)
             k = 0
-            u = PhiPartialTestFunction(t, k)
+            u = PhiPartialTestFunction(ct, k)
             a = u.hess(x) - 0.5 * np.einsum("lij,l->ij", ct.up1, u.grad(x))
             hess_term = float(np.einsum("ij,jk,kl,li->", ct.inv, a, ct.inv, a))
             n = t.dim
@@ -768,10 +779,10 @@ def _evaluations(t, u, x):
     out = {name: getattr(t, name)(x) for name in _POINT_ORACLES}
     y = t.phi_grad(x)
     out.update({name: getattr(t, name)(y) for name in _TARGET_ORACLES})
-    for label, f in (("u", u), ("partial", PhiPartialTestFunction(t, t.dim - 1))):
+    ct = contracted_tensors(t, x)
+    for label, f in (("u", u), ("partial", PhiPartialTestFunction(ct, t.dim - 1))):
         for name in ("value", "grad", "hess"):
             out[f"{label}.{name}"] = getattr(f, name)(x)
-    ct = contracted_tensors(t, x)
     for field in dataclasses.fields(ct):
         out[f"ct.{field.name}"] = getattr(ct, field.name)
     for op in _OPERATORS:

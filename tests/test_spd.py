@@ -6,6 +6,8 @@ from otspec.brenier import brenier_gaussian
 from otspec.measures import GaussianMeasure
 from otspec.rng import stream
 from otspec.spd import (
+    _spd_draws,
+    _spd_from_draws,
     _validated,
     curve_length,
     geodesic_point,
@@ -99,6 +101,19 @@ class TestRandomSpd:
             d = np.exp(s.uniform(-spread, spread, size=n))
             assert np.array_equal(a, _validated((q.T * d) @ q, "a")[0])
             assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("spread", [0.0, 1.5, 3.0])
+    def test_stacked_draws_equal_consecutive_calls(self, spread):
+        # the draws of 40 matrices, factored as one stack, give the bits of
+        # 40 consecutive random_spd calls on the same stream
+        for n in range(2, 9):
+            s = stream(13, n)
+            want = np.stack([random_spd(s, n, log_spread=spread) for _ in range(40)])
+            s = stream(13, n)
+            normals, log_eigs = map(np.stack, zip(*(_spd_draws(s, n, spread) for _ in range(40))))
+            assert np.array_equal(_spd_from_draws(normals, log_eigs), want)
+            halves = _spd_from_draws(normals.reshape(2, 20, n, n), log_eigs.reshape(2, 20, n))
+            assert np.array_equal(halves.reshape(40, n, n), want)
 
     @pytest.mark.parametrize("spread", [-0.5, np.nan, np.inf, 709.0])
     def test_rejects_log_spread_outside_the_exp_range(self, spread):
@@ -242,7 +257,48 @@ class TestGeodesic:
             np.testing.assert_allclose(speed, d, rtol=1e-5)
 
 
+def curve_length_oracle(p):
+    """Trapezoidal length with speeds √Tr[(P⁻¹Ṗ)²] from ``np.linalg.solve``,
+    the tangents by the same stencils as ``curve_length`` (five samples or
+    more)."""
+    p = np.asarray(p, dtype=float)
+    h = 1.0 / (len(p) - 1)
+    t = np.empty_like(p)
+    t[2:-2] = (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * h)
+    t[1], t[-2] = (p[2] - p[0]) / (2 * h), (p[-1] - p[-3]) / (2 * h)
+    t[0] = (-3 * p[0] + 4 * p[1] - p[2]) / (2 * h)
+    t[-1] = (3 * p[-1] - 4 * p[-2] + p[-3]) / (2 * h)
+    x = np.linalg.solve(p, t)
+    return np.trapezoid(np.sqrt(np.einsum("kij,kji->k", x, x)), dx=h)
+
+
 class TestCurveLength:
+    def test_matches_solve_oracle(self):
+        # geodesics, and a quadratic Bezier curve through a third SPD
+        # matrix, which is no geodesic
+        rng = stream(11, 20)
+        s = np.linspace(0.0, 1.0, 400)[:, None, None]
+        for n in range(2, 9):
+            a, b, c = (random_spd(rng, n) for _ in range(3))
+            bezier = (1 - s) ** 2 * a + 2 * s * (1 - s) * c + s**2 * b
+            for pts in (geodesic_samples(a, b, 1000), bezier):
+                want = curve_length_oracle(pts)
+                np.testing.assert_allclose(curve_length(pts), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 17, 49])
+    def test_refuses_a_bad_sample_by_index(self, k):
+        # the samples' one check: geodesic_point returns them unvalidated
+        rng = stream(11, 21)
+        a, b = random_spd(rng, 3), random_spd(rng, 3)
+        indefinite = geodesic_samples(a, b, 50)
+        indefinite[k] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(ValueError, match=rf"curve sample\[{k}\] is not positive definite"):
+            curve_length(indefinite)
+        asymmetric = geodesic_samples(a, b, 50)
+        asymmetric[k, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match=rf"curve sample\[{k}\] is not symmetric"):
+            curve_length(asymmetric)
+
     def test_constant_curve(self):
         a = np.diag([2.0, 3.0])
         assert curve_length([a, a, a]) == 0.0
