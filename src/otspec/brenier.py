@@ -92,7 +92,8 @@ class TransportMap:
     Subclasses implement ``map_points`` (vectorized T), ``hessian``
     (the Hessians at points of shape (..., n), as an array of shape
     (..., n, n)) and ``log_spectra`` (batched descending log-eigenvalues
-    of the Hessian).
+    of the Hessian, as a column-major (m, n) array, so that each index's
+    values are contiguous).
     """
 
     kind = "abstract"
@@ -179,7 +180,7 @@ class LinearMap(TransportMap):
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(self._log_spec, (x.shape[0], self.dim)).copy()
+        return np.broadcast_to(self._log_spec, (x.shape[0], self.dim)).copy(order="F")
 
 
 class ProductMap(TransportMap):
@@ -200,10 +201,14 @@ class ProductMap(TransportMap):
         return np.stack(cols, axis=-1)
 
     def _factor_log_d2(self, x):
-        """log Phi_i'' of each factor at points (..., n), shaped (..., n)."""
+        """log Phi_i'' of each factor at points (..., n), shaped (..., n).
+
+        The factor axis is outermost in memory, so for (m, n) points the
+        result is column-major.
+        """
         x = np.asarray(x, dtype=float)
         cols = [f.log_second_derivative(x[..., i]) for i, f in enumerate(self.factors)]
-        return np.stack(cols, axis=-1)
+        return np.moveaxis(np.stack(cols), 0, -1)
 
     def hessian(self, x):
         diag = np.exp(self._factor_log_d2(x))
@@ -302,10 +307,14 @@ class RadialMap(TransportMap):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(x, axis=1)
         lam_rad, lam_tan = self._eigen_pair(r, fast=True)
-        spectra = np.empty((x.shape[0], self.dim))
-        spectra[:, 0] = np.log(lam_rad)
-        spectra[:, 1:] = np.log(lam_tan)[:, None]
-        return -np.sort(-spectra, axis=1)
+        log_rad, log_tan = np.log(lam_rad), np.log(lam_tan)
+        # the tangential value fills every index but the two ends, which
+        # hold the larger and the smaller of the two distinct values
+        spectra = np.empty((x.shape[0], self.dim), order="F")
+        np.maximum(log_rad, log_tan, out=spectra[:, 0])
+        spectra[:, 1:-1] = log_tan[:, None]
+        np.minimum(log_rad, log_tan, out=spectra[:, -1])
+        return spectra
 
 
 def brenier_1d(mu, nu):

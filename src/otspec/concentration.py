@@ -11,7 +11,9 @@ bit for bit:
 * Monte Carlo draws are generated in 50 index blocks with counter-derived
   RNG streams keyed (seed, block); generation could run per block in
   parallel without changing a single draw.
-* Moments are numpy pairwise sums in index order.
+* Sample spectra are column-major, one contiguous column per
+  log-eigenvalue index, and moments are numpy pairwise sums down each
+  column in draw order.
 * Standard errors are delete-one-block jackknife over the same 50 blocks.
 * Variance means the population variance of the weighted sample; no
   Bessel correction, matching the quadrature estimators exactly.
@@ -75,8 +77,11 @@ class SpectralSampleSet:
     """Batch of spectral observations of one transport map.
 
     ``spectra`` rows are descending log-eigenvalues of the map Hessian at
-    the corresponding point.  ``weights`` are all ones for Monte Carlo
-    draws and quadrature weights otherwise.  ``hessians``, when kept,
+    the corresponding point.  The array is column-major (each index's
+    values contiguous), so reductions across the spectrum and moments down
+    each column run on contiguous memory; a column-major input is kept as
+    it is, any other is copied once.  ``weights`` are all ones for Monte
+    Carlo draws and quadrature weights otherwise.  ``hessians``, when kept,
     holds the Hessian matrix at each point, shape (count, n, n).
     ``flagged`` counts degenerate (non positive definite) estimates that
     were excluded; ``skipped`` counts points discarded before estimation,
@@ -93,6 +98,7 @@ class SpectralSampleSet:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "spectra", np.asfortranarray(self.spectra))
         if not np.all(np.isfinite(self.spectra)):
             raise ValueError("spectra must be finite")
         if np.any(self.weights < 0.0):
@@ -411,9 +417,10 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
     keep = eigs[:, 0] > 0.0
     flagged = int(np.sum(~keep))
     pts, sym, eigs = pts[keep], sym[keep], eigs[keep]
+    spectra = np.log(eigs[:, ::-1], out=np.empty(eigs.shape, order="F"))
     return SpectralSampleSet(
         points=pts,
-        spectra=np.log(eigs)[:, ::-1],
+        spectra=spectra,
         weights=np.ones(pts.shape[0]),
         hessians=sym,
         flagged=flagged,
@@ -646,13 +653,19 @@ def exp_concentration(samples, f, c):
     w = samples.weights / np.sum(samples.weights)
     center = float(np.sum(w * values))
     a = np.abs(values - center)
+    # c * max|f - mean| equals max(c |f - mean|) bit for bit, since rounding
+    # is monotone, so the overflow test needs no product array
+    top = float(np.max(a, initial=0.0))
+    z = np.empty_like(a)
     moments = []
     for x in cs:
-        z = x * a
-        if float(np.max(z, initial=0.0)) > 700.0:
+        if x * top > 700.0:
             moments.append(math.inf)
         else:
-            moments.append(float(np.sum(w * np.exp(z))))
+            np.multiply(x, a, out=z)
+            np.exp(z, out=z)
+            z *= w
+            moments.append(float(np.sum(z)))
     return moments[0] if scalar else moments
 
 

@@ -271,13 +271,14 @@ class LogConcaveMeasure1D:
           within ``_CDF_ROUNDOFF``; this catches CDFs whose roundoff is
           larger than both tests above, and never a CDF that jumps.
 
-        ``cdf`` and ``pdf`` see only the elements still active, and the
-        closed-form start is tested before any bracket is searched: an
-        exact start costs one ``cdf`` call, and the bracket search runs only
-        for the elements the start does not settle.  A Newton step that
-        leaves the bracket, or fails to halve the previous move, is replaced
-        by bisection.  An element still active after 80 evaluations raises
-        ``ArithmeticError``.
+        ``cdf`` and ``pdf`` see only the elements still active.  After each
+        ``cdf`` evaluation the elements within one spacing retire before
+        ``pdf``, the Newton step or the bracket is computed for them, so an
+        exact start costs one ``cdf`` evaluation and no ``pdf`` evaluation,
+        and the bracket search runs only for the elements the start does not
+        settle.  A Newton step that leaves the bracket, or fails to halve the
+        previous move, is replaced by bisection.  An element still active
+        after 80 evaluations raises ``ArithmeticError``.
         """
         p_in = np.asarray(p, dtype=float)
         p_all = p_in.ravel()
@@ -291,12 +292,25 @@ class LogConcaveMeasure1D:
         moved = np.full_like(x, np.inf)
         for _ in range(80):
             f = self.cdf(x) - p_act
+            inside = (x > a) & (x < b)
+            # within one spacing is a root whatever the step, so these
+            # elements retire before pdf, step and bracket are computed
+            settled = inside & (np.abs(f) <= np.spacing(p_act))
+            if np.any(settled):
+                x_all[idx[settled]] = x[settled]
+                keep = ~settled
+                idx, p_act, x, f, inside, moved = (
+                    v[keep] for v in (idx, p_act, x, f, inside, moved)
+                )
+                if lo is not None:
+                    lo, hi = lo[keep], hi[keep]
+                if idx.size == 0:
+                    break
             dens = self.pdf(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = f / dens
                 newton = x - step
             tol = 1e-15 * (1.0 + np.abs(x))
-            inside = (x > a) & (x < b)
             ulps = np.where(np.abs(step) > 0.5 * moved, 4.0, 1.0)
             at_root = inside & (np.abs(f) <= ulps * np.spacing(p_act))
             newton_done = (

@@ -520,3 +520,20 @@ class TestStackedHessians:
         # grid); the Hessian uses the exact profile
         atol = 2.5e-3 if kind == "radial" else 1e-12
         np.testing.assert_allclose(got, tm.log_spectra(x), rtol=0.0, atol=atol)
+
+    def test_log_spectra_order_the_hessian_spectrum(self, kind, monkeypatch):
+        # log_spectra orders the spectrum without an eigensolver; the exact
+        # path sorts eigvalsh of the full Hessian.  The radial Hessian reads
+        # the same spline profile here, so only the ordering and eigvalsh
+        # roundoff (a few eps of |H| / lambda in log) separate the two, down
+        # to 1e-6 from the origin (inside 1e-7 the Hessian takes its
+        # isotropic branch)
+        tm, x = _stack_case(kind)
+        if kind == "radial":
+            monkeypatch.setattr(tm, "profile", tm.profile_fast)
+            near = np.geomspace(1e-6, 1e-1, 11)[:, None] * _dirs(rng.stream(31, 12), 11, 3)
+            x = np.concatenate([x[1:], near])
+        got = tm.log_spectra(x)
+        assert got.flags.f_contiguous
+        want = np.log(np.linalg.eigvalsh(tm.hessian(x)))[:, ::-1]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)

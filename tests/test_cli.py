@@ -390,13 +390,13 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [r.name for r in report.records if not r.passed] == []
 
-    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 426), ("gamma2-check", 20)])
+    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 340), ("gamma2-check", 20)])
     def test_validates_once_per_stack(self, monkeypatch, kind, limit):
         # geometry-selftest: random_spd and geodesic_point leave their
         # output to the consumer's stacked check.  The 1,000 pairs make 126
-        # calls and each of the 50 geodesics six: a, b and C in
-        # geodesic_point, the 1,000-point stack in curve_length, and a and b
-        # in spd_distance
+        # calls, each of the 50 geodesics four (a, b and C in geodesic_point,
+        # the 1,000-point stack in curve_length), and the geodesics' endpoint
+        # distances two per dimension (the a and b stacks of spd_distance)
         validated, geodesic_point = spd._validated, cli.geodesic_point
         seen, geodesics = [], []
 

@@ -107,6 +107,29 @@ class TestSampleSets:
         diffs = np.diff(product_samples.spectra, axis=1)
         assert np.all(diffs <= 1e-14)
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "1d:uniform(0.0,1.0)->exponential(1.0)",
+            "gaussian:n=3",
+            "product:n=3",
+            "radial:ball->gaussian n=5",
+        ],
+    )
+    def test_spectra_are_column_major(self, label):
+        ((_, tm),) = default_experiments([label])
+        samples = spectral_samples(tm, 500, seed=3)
+        assert samples.spectra.flags.f_contiguous
+        assert samples.spectra.shape == (500, tm.dim)
+
+    def test_column_major_spectra_are_kept_without_copy(self):
+        pts, w = np.zeros((4, 2)), np.ones(4)
+        spectra = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+        assert np.shares_memory(SpectralSampleSet(pts, spectra, w).spectra, spectra)
+        rows = np.arange(8.0).reshape(4, 2)
+        kept = SpectralSampleSet(pts, rows, w).spectra
+        assert kept.flags.f_contiguous and np.array_equal(kept, rows)
+
     def test_minimum_sample_count(self, product_map):
         with pytest.raises(ValueError, match="at least 50"):
             spectral_samples(product_map, 10, seed=0)
@@ -453,6 +476,26 @@ class TestExpConcentration:
         assert got == [exp_concentration(samples, f, 0.01), math.inf]
         assert math.isfinite(got[0])
 
+    def test_moments_match_the_direct_formula(self):
+        # sum(w exp(c |f - mean|)), inf once max(c |f - mean|) exceeds 700,
+        # computed as written for each c; the moments agree bit for bit
+        r = rng.stream(2024, 70)
+        spectra = np.asfortranarray(r.standard_normal((1000, 3)))
+        spectra[7, 0] = 900.0
+        weights = r.uniform(0.5, 2.0, size=1000)
+        samples = SpectralSampleSet(np.zeros((1000, 3)), spectra, weights)
+        cs = (0.02, 0.1, 0.5, 0.77, 0.78, 1.5)
+        for f in function_bank(3):
+            values = f.value(spectra)
+            w = weights / np.sum(weights)
+            a = np.abs(values - float(np.sum(w * values)))
+            want = [
+                math.inf if float(np.max(c * a)) > 700.0 else float(np.sum(w * np.exp(c * a)))
+                for c in cs
+            ]
+            assert exp_concentration(samples, f, cs) == want
+            assert [exp_concentration(samples, f, c) for c in cs] == want
+
     @pytest.mark.parametrize("cs", [(0.1, 0.0), (-0.5, 0.1, 0.2), [0.1, 0.2, -1e-300]])
     def test_sequence_requires_every_constant_positive(self, product_samples, cs):
         with pytest.raises(ValueError, match="c > 0"):
@@ -572,6 +615,7 @@ class TestEntropicSamples:
         wide = GaussianMeasure([0.0, 0.0], np.diag([1.69, 1.69]))
         samples = entropic_spectral_samples(plan, wide, 2000, seed=31)
         assert samples.approximate
+        assert samples.spectra.flags.f_contiguous
         assert samples.count > 1500
         assert samples.skipped > 0
         assert float(np.max(np.abs(samples.spectra))) < 0.2

@@ -334,6 +334,19 @@ def _counting_cdf(m, monkeypatch):
     return sizes
 
 
+def _recorded_pdf(m, monkeypatch):
+    """Wrap ``m.pdf``; the returned list holds a copy of every argument."""
+    args = []
+    pdf = m.pdf
+
+    def recorded(x):
+        args.append(np.array(x, dtype=float))
+        return pdf(x)
+
+    monkeypatch.setattr(m, "pdf", recorded)
+    return args
+
+
 class _JumpMeasure(LogConcaveMeasure1D):
     """Stub whose CDF jumps from 1/4 to 3/4 at 0 and carries no density."""
 
@@ -493,6 +506,44 @@ class TestQuantileSolver:
         sizes = _counting_cdf(m, monkeypatch)
         m.quantile(p)
         assert sum(sizes) <= 1.05 * p.size
+
+    @pytest.mark.parametrize(
+        "name,params,n",
+        [(name, params, None) for name, params in ALL_MEMBERS]
+        + [("uniform", (0.0, 1.0), 10), ("laplace", (0.0, 1.0), 5)],
+    )
+    def test_settled_start_never_reaches_pdf(self, name, params, n, monkeypatch):
+        # a start within one spacing of p retires after its cdf evaluation,
+        # so the first pdf call sees exactly the other starts, and no later
+        # call sees a retired element again
+        # regularized starts settle for under 1 % of draws, and each of
+        # their node-table evaluations costs about 50 us
+        m = make_catalog_measure(name, params)
+        if n is not None:
+            m = regularize(m, n)
+        p = rng.stream(2024, 45).uniform(size=20_000 if n is None else 5_000)
+        x0 = m._quantile_init(p)
+        a, b = m.support
+        settled = (x0 > a) & (x0 < b) & (np.abs(m.cdf(x0) - p) <= np.spacing(p))
+        assert np.any(settled)
+        seen = _recorded_pdf(m, monkeypatch)
+        x = m.quantile(p)
+        assert np.array_equal(x[settled], x0[settled])
+        if np.all(settled):
+            assert seen == []
+        else:
+            assert np.array_equal(seen[0], x0[~settled])
+            assert sum(v.size for v in seen) <= 2 * np.sum(~settled)
+
+    @pytest.mark.parametrize("name,params", [("exponential", (1.0,)), ("uniform", (0.0, 1.0))])
+    def test_exact_starts_cost_one_cdf_call_and_no_pdf(self, name, params, monkeypatch):
+        m = make_catalog_measure(name, params)
+        p = rng.stream(2024, 42).uniform(size=100_000)
+        sizes = _counting_cdf(m, monkeypatch)
+        seen = _recorded_pdf(m, monkeypatch)
+        m.quantile(p)
+        assert sizes == [p.size]
+        assert seen == []
 
     def test_exact_start_comes_back_after_one_cdf_call(self, monkeypatch):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
