@@ -218,8 +218,23 @@ class ProductMap(TransportMap):
         return out
 
     def log_spectra(self, x):
+        """The factors' log Phi_i'' in decreasing order, column-major.
+
+        An odd-even transposition network of n rounds orders each row: a
+        compare-exchange is one ``np.maximum``/``np.minimum`` pair on two
+        contiguous columns, which for a few columns is several times faster
+        than sorting the rows, with the same values.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return -np.sort(-self._factor_log_d2(x), axis=1)
+        s = self._factor_log_d2(x)
+        n = s.shape[1]
+        for first in range(n):
+            for i in range(first % 2, n - 1, 2):
+                a, b = s[:, i], s[:, i + 1]
+                big = np.maximum(a, b)
+                np.minimum(a, b, out=b)
+                a[...] = big
+        return s
 
 
 class RadialMap(TransportMap):

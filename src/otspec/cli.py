@@ -173,7 +173,7 @@ def _is_num(x):
 
 
 def _check_catalog_spec(spec, path, errors):
-    from .measures import CATALOG_NAMES, make_catalog_measure
+    from .measures import CATALOG_NAMES, check_catalog_params
 
     if not isinstance(spec, dict):
         errors.append(f"{path}: expected an object with name and params")
@@ -189,8 +189,9 @@ def _check_catalog_spec(spec, path, errors):
     if not isinstance(params, list) or not all(_is_num(p) for p in params):
         errors.append(f"{path}.params: expected a list of numbers")
         return
+    # the parameters only: the run builds the measure, once
     try:
-        make_catalog_measure(name, tuple(float(p) for p in params))
+        check_catalog_params(name, params)
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
 

@@ -27,6 +27,7 @@ __all__ = [
     "ProductMeasure",
     "RadialMeasure",
     "CATALOG_NAMES",
+    "check_catalog_params",
     "make_catalog_measure",
     "make_radial_measure",
     "regularize",
@@ -143,8 +144,55 @@ _GRADE_RATIO = 0.25
 # tilted moments: equal panels per piece of the window, distinct points per block
 _TILT_PANELS = 16
 _TILT_BLOCK = 32
-# largest rise of z = ndtri(F) between points of the quantile start table
-_TABLE_DZ = 0.02
+
+# quantile start table (see LogConcaveMeasure1D._build_quantile_table): its
+# nodes sit at even steps _TABLE_DW of a level coordinate w(z), z = ndtri(F):
+# w(z) = z, except that below _TABLE_Z_TAIL it runs _TABLE_STRETCH times
+# slower, and within _KINK_DZ of an interior kink _KINK_REFINE times faster;
+# every uniform double draw has |z| <= 8.3, above the stretched tail
+_TABLE_DW = 0.02
+_TABLE_Z_TAIL = -8.5
+_TABLE_STRETCH = 12.5
+_TABLE_W_TAIL = _TABLE_Z_TAIL * (1.0 - 1.0 / _TABLE_STRETCH)
+_KINK_DZ = 0.4
+_KINK_REFINE = 4.0
+# the table spans z from _table_z_low, F = 1e-305 unless a family says
+# otherwise, to _TABLE_Z_HIGH, where F is 3e-14 short of 1: the few doubles
+# of F left below 1 no longer resolve a level step in z; the coarse grid
+# the nodes are placed from reaches beyond both ends, with cells that rise
+# by at most _COARSE_DZ in w
+_COARSE_DZ = 0.5
+_TABLE_Z_HIGH = 7.5
+
+
+def _monotone_cubic(z, x, slope):
+    """Cubic coefficients, in powers of (z - z_j), of x(z) on each cell.
+
+    The slopes dx/dz are cut to three times the smaller adjacent secant,
+    which keeps every cubic monotone (Fritsch and Carlson 1980).  Column j
+    is (x_j, c1, c2, c3) on [z_j, z_j+1].
+    """
+    h = np.diff(z)
+    secant = np.diff(x) / h
+    limit = 3.0 * np.minimum(
+        np.concatenate([secant, [np.inf]]), np.concatenate([[np.inf], secant])
+    )
+    m = np.minimum(np.where(np.isfinite(slope), slope, np.inf), limit)
+    m0, m1 = m[:-1], m[1:]
+    return np.array(
+        [x[:-1], m0, (3.0 * secant - 2.0 * m0 - m1) / h, (m0 + m1 - 2.0 * secant) / h**2]
+    )
+
+
+def _horner(cubic, t):
+    """The cubics of ``_monotone_cubic`` columns at offsets t = z - z_j."""
+    return cubic[0] + t * (cubic[1] + t * (cubic[2] + t * cubic[3]))
+
+
+def _cdf_slope(z, dens):
+    """dx/dz = phi(z) / pdf(x) on the nodes of a CDF table."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * dens)
 
 
 def _panel_rule(lo, hi, panels, grade_lo, grade_hi):
@@ -175,8 +223,14 @@ class LogConcaveMeasure1D:
     """Base class for one-dimensional measures with density exp(-V).
 
     Subclasses provide the potential ``V`` (including the normalizing
-    constant), its derivatives where defined, a CDF, and optionally a
-    closed-form starting point for the quantile solver.
+    constant), its derivatives where defined, a CDF, and a starting point
+    for the quantile solver.  Families whose CDF has a closed-form inverse
+    (gaussian, uniform, exponential, logistic, laplace) start from it, in
+    ``_quantile_init``.  The others (gamma, beta, subbotin and the
+    regularized measures) build a table of their own CDF at construction
+    (``_build_quantile_table``) and start from a monotone cubic through it:
+    inverting an incomplete beta or gamma function costs 4 to 16 times a
+    ``cdf`` evaluation, and a node-table CDF has no inverse at all.
 
     Attributes
     ----------
@@ -190,6 +244,12 @@ class LogConcaveMeasure1D:
     name = "measure"
     dim = 1
     has_d2 = True
+    # the quantile start table, once built: the nodes (_tab_x, _tab_f,
+    # _tab_z), column j of ``_tab_cubic`` holding the cubic's coefficients
+    # on the cell [x_j, x_j+1], and z = ndtri(F) at the interior kinks
+    _tab_cubic = None
+    _tab_kinks = ()
+    _table_z_low = float(special.ndtri(1e-305))
 
     def __init__(self, support):
         self.support = (float(support[0]), float(support[1]))
@@ -212,22 +272,193 @@ class LogConcaveMeasure1D:
         x1 = np.atleast_1d(x_in)
         a, b = self.support
         inside = (x1 > a) & (x1 < b)
-        out = np.zeros_like(x1)
-        if np.any(inside):
-            out[inside] = np.exp(-np.atleast_1d(self.potential(x1[inside])))
+        if np.all(inside):
+            out = np.exp(-np.atleast_1d(self.potential(x1)))
+        else:
+            out = np.zeros_like(x1)
+            if np.any(inside):
+                out[inside] = np.exp(-np.atleast_1d(self.potential(x1[inside])))
         return float(out[0]) if x_in.ndim == 0 else out
 
     # -- quantile solver ---------------------------------------------------
     def _location_scale(self):
-        """Rough center and spread used to seed brackets."""
+        """Rough center and spread used to seed brackets and the CDF table."""
         a, b = self.support
         if np.isfinite(a) and np.isfinite(b):
             return 0.5 * (a + b), 0.5 * (b - a)
         return 0.0, 1.0
 
     def _quantile_init(self, p):
-        lo, hi = self._bracket(p)
-        return 0.5 * (lo + hi)
+        """Starting points of the quantile solver: the CDF table's.
+
+        Families with a closed-form inverse override this and build no table.
+        """
+        if self._tab_cubic is None:
+            raise NotImplementedError(f"{self.name}: no quantile table was built")
+        return self._quantile_start(p)[0]
+
+    def _quantile_start(self, p):
+        """(x, lo, hi): starting points and their brackets.
+
+        From the CDF table, the bracket of a start is its table cell, with
+        cdf(lo) <= p < cdf(hi), or beyond the table's ends the one
+        ``_tail_start`` gives.  A closed-form start carries the infinite
+        bracket, and the solver searches one (``_bracket``) for the starts
+        that do not settle.
+        """
+        if self._tab_cubic is None:
+            x = self._quantile_init(p)
+            return x, np.full_like(x, -np.inf), np.full_like(x, np.inf)
+        z = special.ndtri(p)
+        # the levels are even in w(z) and each node's w(z) is within an
+        # eighth of a step of its level, so g is the cell holding p or the
+        # one above it, and F_g > p tells which
+        g = (self._table_w(z) * (1.0 / _TABLE_DW) + self._tab_g0).astype(np.intp)
+        j = g - (p < np.take(self._tab_f, g, mode="clip"))
+        cubic = np.take(self._tab_cubic, j, axis=1, mode="clip")
+        t = z - np.take(self._tab_z, j, mode="clip")
+        x = _horner(cubic, t)
+        lo, hi = cubic[0], np.take(self._tab_x[1:], j, mode="clip")
+        # the cubic stays in its cell but for rounding
+        np.clip(x, lo, hi, out=x)
+        for side, out in enumerate((j < 0, j >= self._tab_f.size - 1)):
+            if np.any(out):
+                x[out], lo[out], hi[out] = self._tail_start(p[out], side)
+        return x, lo, hi
+
+    def _tail_start(self, p, side):
+        """(x, lo, hi) for p below the table's first node (side 0) or at or
+        above its last (side 1).
+
+        The mass beyond the end node, F or 1 - F, is taken as a power of the
+        distance to a finite support edge, or as exponential on an infinite
+        side, matching the density at the node.  A log-concave tail falls
+        off at least that fast, so on an infinite side the model's point
+        lies beyond the root and is the bracket's outer end; a finite edge
+        is.
+        """
+        x_end, mass, dens = self._tab_ends[side]
+        edge = self.support[side]
+        sign = 1.0 if side else -1.0
+        ratio = (1.0 - p if side else p) / mass
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if np.isfinite(edge):
+                gap = abs(edge - x_end)
+                x = edge - sign * gap * ratio ** (mass / (gap * dens))
+                outer = np.full_like(x, edge)
+            else:
+                x = x_end - sign * (mass / dens) * np.log(ratio)
+                outer = x
+        inner = np.full_like(x, x_end)
+        return (x, inner, outer) if side else (x, outer, inner)
+
+    def _table_w(self, z):
+        """The table's level coordinate w(z) (see ``_TABLE_DW``)."""
+        w = np.maximum(z, z * (1.0 / _TABLE_STRETCH) + _TABLE_W_TAIL)
+        for zk in self._tab_kinks:
+            w += (_KINK_REFINE - 1.0) * np.clip(z - zk, -_KINK_DZ, _KINK_DZ)
+        return w
+
+    def _build_quantile_table(self):
+        """CDF values F_j at nodes x_j evenly spaced in w(z), z = ndtri(F).
+
+        A coarse grid (41 points over +-10 spreads of ``_location_scale``,
+        13 more on each infinite side out to about 900 spreads, the kinks,
+        and points that halve their distance to each finite support edge)
+        has every cell whose w(z) rises by more than ``_COARSE_DZ`` halved,
+        until it reaches below ``_table_z_low`` and above ``_TABLE_Z_HIGH``.
+        A monotone cubic x(z) through it, with the exact slopes
+        dx/dz = phi(z) / pdf(x), places one node at every level
+        w = k ``_TABLE_DW``, and F is evaluated exactly there.  A node whose
+        w(z) misses its level by more than an eighth of a step (next to a
+        finite edge, where x(z) bends most, up to a hundred of them) is
+        moved by Newton steps in z.  The table is graded: its levels run
+        finer near interior kinks, where x(z) is not smooth, and coarser in
+        the far lower tail.  The start of a quantile solve is the monotone
+        cubic through the nodes at z = ndtri(p) (Fritsch and Carlson 1980),
+        so p = F_j starts exactly at x_j.
+        """
+        a, b = self.support
+        center, scale = self._location_scale()
+        reach = 10.0 * scale * 2.0 ** (np.arange(1.0, 14.0) / 2.0)
+        kinks = np.array([k for k in self._kink_points if a < k < b], dtype=float)
+        parts = [center + scale * np.linspace(-10.0, 10.0, 41), center - reach,
+                 center + reach, kinks]
+        for edge in (a, b):
+            if np.isfinite(edge):
+                parts.append(edge + (center - edge) * 2.0 ** -np.arange(1.0, 1075.0))
+        x = np.unique(np.concatenate(parts))
+        x = x[(x > a) & (x < b)]
+        self._tab_kinks = tuple(special.ndtri(self.cdf(kinks)))
+        f = self.cdf(x)
+        # F = 0 and F = 1 count as z = -inf and +inf, so the grid is also
+        # refined toward the points where F underflows or rounds to 1
+        for _ in range(60):
+            z = special.ndtri(f)
+            with np.errstate(invalid="ignore"):
+                split = (
+                    (np.diff(self._table_w(z)) > _COARSE_DZ)
+                    & (z[1:] >= self._table_z_low)
+                    & (z[:-1] <= _TABLE_Z_HIGH)
+                )
+            lo, hi = x[:-1][split], x[1:][split]
+            mid = 0.5 * (lo + hi)
+            mid = mid[(mid > lo) & (mid < hi)]
+            if mid.size == 0:
+                break
+            order = np.argsort(np.concatenate([x, mid]))
+            x = np.concatenate([x, mid])[order]
+            f = np.concatenate([f, self.cdf(mid)])[order]
+        z = special.ndtri(f)
+        keep = np.isfinite(z)
+        keep[keep] &= z[keep] > np.maximum.accumulate(
+            np.concatenate([[-np.inf], z[keep][:-1]])
+        )
+        x, z = x[keep], z[keep]
+        coarse = _monotone_cubic(z, x, _cdf_slope(z, self.pdf(x)))
+
+        bottom, top = max(z[0], self._table_z_low), min(z[-1], _TABLE_Z_HIGH)
+        knots = np.unique(
+            np.clip([bottom, top, _TABLE_Z_TAIL]
+                    + [zk + d for zk in self._tab_kinks for d in (-_KINK_DZ, _KINK_DZ)],
+                    bottom, top)
+        )
+        w = _TABLE_DW * np.arange(
+            math.ceil(self._table_w(bottom) / _TABLE_DW),
+            math.floor(self._table_w(top) / _TABLE_DW) + 1,
+        )
+        level = np.interp(w, self._table_w(knots), knots)
+        k = np.clip(np.searchsorted(z, level, side="right") - 1, 0, z.size - 2)
+        x = _horner(coarse[:, k], level - z[k])
+        f = self.cdf(x)
+        z = special.ndtri(f)
+        dens = self.pdf(x)
+
+        def astray():
+            return np.flatnonzero(~(np.abs(self._table_w(z) - w) <= 0.125 * _TABLE_DW))
+
+        off = astray()
+        for _ in range(4):
+            if off.size == 0:
+                break
+            x[off] += (level[off] - z[off]) * _cdf_slope(z[off], dens[off])
+            f[off] = self.cdf(x[off])
+            z[off] = special.ndtri(f[off])
+            dens[off] = self.pdf(x[off])
+            off = astray()
+        if off.size:
+            # a node still off its level, as where x runs out of doubles next
+            # to a finite edge, ends the table on its side of the median
+            mid = np.argmin(np.abs(level))
+            if np.isin(mid, off):
+                raise ArithmeticError(f"{self.name}: the quantile table misses its median")
+            first = max([k + 1 for k in off if k < mid], default=0)
+            last = min([k for k in off if k > mid], default=w.size)
+            x, f, z, dens, w = (v[first:last] for v in (x, f, z, dens, w))
+        self._tab_g0 = 0.375 - w[0] / _TABLE_DW
+        self._tab_x, self._tab_f, self._tab_z = x, f, z
+        self._tab_ends = ((x[0], f[0], dens[0]), (x[-1], 1.0 - f[-1], dens[-1]))
+        self._tab_cubic = _monotone_cubic(z, x, _cdf_slope(z, dens))
 
     def _bracket(self, p):
         """Per-element interval [lo, hi] with cdf(lo) ≤ p ≤ cdf(hi).
@@ -274,36 +505,43 @@ class LogConcaveMeasure1D:
         ``cdf`` and ``pdf`` see only the elements still active.  After each
         ``cdf`` evaluation the elements within one spacing retire before
         ``pdf``, the Newton step or the bracket is computed for them, so an
-        exact start costs one ``cdf`` evaluation and no ``pdf`` evaluation,
-        and the bracket search runs only for the elements the start does not
-        settle.  A Newton step that leaves the bracket, or fails to halve the
-        previous move, is replaced by bisection.  An element still active
-        after 80 evaluations raises ``ArithmeticError``.
+        exact start costs one ``cdf`` evaluation and no ``pdf`` evaluation.
+        A start from the CDF table carries its table cell as its bracket; a
+        closed-form start, or one outside the table, gets one from the
+        bracket search, which runs only for the elements the start does not
+        settle.  A table start costs two ``cdf`` evaluations and one ``pdf``
+        evaluation for most draws: its cubic is accurate to about 1e-10 of
+        the cell, so one Newton step reaches the root.  A Newton step that
+        leaves the bracket, or fails to halve the previous move, is replaced
+        by bisection.  An element still active after 80 evaluations raises
+        ``ArithmeticError``.
         """
         p_in = np.asarray(p, dtype=float)
         p_all = p_in.ravel()
-        if np.any((p_all <= 0.0) | (p_all >= 1.0)):
+        if not np.all((p_all > 0.0) & (p_all < 1.0)):
             raise ValueError("quantile probability must lie strictly in (0, 1)")
-        x_all = np.array(self._quantile_init(p_all), dtype=float).reshape(p_all.shape)
+        if p_all.size == 0:
+            return np.empty(p_in.shape)
+        x_all, lo, hi = self._quantile_start(p_all)
+        x_all = np.array(x_all, dtype=float).reshape(p_all.shape)
         a, b = self.support
         idx = np.arange(p_all.size)
         p_act, x = p_all, x_all.copy()
-        lo = hi = None
+        searched = False
         moved = np.full_like(x, np.inf)
         for _ in range(80):
             f = self.cdf(x) - p_act
             inside = (x > a) & (x < b)
             # within one spacing is a root whatever the step, so these
-            # elements retire before pdf, step and bracket are computed
+            # elements retire before pdf, step and bracket are computed; an
+            # element still active is written again when it retires
             settled = inside & (np.abs(f) <= np.spacing(p_act))
             if np.any(settled):
-                x_all[idx[settled]] = x[settled]
-                keep = ~settled
-                idx, p_act, x, f, inside, moved = (
-                    v[keep] for v in (idx, p_act, x, f, inside, moved)
+                x_all[idx] = x
+                keep = np.flatnonzero(~settled)
+                idx, p_act, x, f, inside, moved, lo, hi = (
+                    v[keep] for v in (idx, p_act, x, f, inside, moved, lo, hi)
                 )
-                if lo is not None:
-                    lo, hi = lo[keep], hi[keep]
                 if idx.size == 0:
                     break
             dens = self.pdf(x)
@@ -311,35 +549,39 @@ class LogConcaveMeasure1D:
                 step = f / dens
                 newton = x - step
             tol = 1e-15 * (1.0 + np.abs(x))
-            ulps = np.where(np.abs(step) > 0.5 * moved, 4.0, 1.0)
-            at_root = inside & (np.abs(f) <= ulps * np.spacing(p_act))
-            newton_done = (
-                ~at_root & (newton > a) & (newton < b) & (np.abs(step) <= tol)
-            )
-            active = ~(at_root | newton_done)
-            if lo is None:
-                lo, hi = np.full_like(x, -np.inf), np.full_like(x, np.inf)
-                if np.any(active):
-                    lo[active], hi[active] = self._bracket(p_act[active])
-            lo = np.where(f <= 0.0, np.maximum(lo, x), lo)
-            hi = np.where(f >= 0.0, np.minimum(hi, x), hi)
-            closed = (
-                active & inside & (hi - lo <= 2.0 * tol) & (np.abs(f) <= _CDF_ROUNDOFF)
-            )
-            x_all[idx[at_root | closed]] = x[at_root | closed]
-            x_all[idx[newton_done]] = newton[newton_done]
-            active &= ~closed
-            idx, p_act, x, dens, step, newton, lo, hi, moved = (
-                v[active] for v in (idx, p_act, x, dens, step, newton, lo, hi, moved)
-            )
-            if idx.size == 0:
-                break
-            fallback = (
-                ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | (dens <= 0.0)
-                | (np.abs(step) > 0.5 * moved)
-            )
-            trial = np.where(fallback, 0.5 * (lo + hi), newton)
-            moved, x = np.abs(trial - x), trial
+            newton_done = (newton > a) & (newton < b) & (np.abs(step) <= tol)
+            if searched:
+                ulps = np.where(np.abs(step) > 0.5 * moved, 4.0, 1.0)
+                at_root = inside & (np.abs(f) <= ulps * np.spacing(p_act))
+                newton_done &= ~at_root
+                active = ~(at_root | newton_done)
+            else:
+                # no move yet, so the root test is the settled test above;
+                # the starts that carry no bracket get one
+                active = ~newton_done
+                search = active & ~np.isfinite(hi - lo)
+                if np.any(search):
+                    lo[search], hi[search] = self._bracket(p_act[search])
+                searched = True
+            np.copyto(lo, x, where=(f <= 0.0) & (x > lo))
+            np.copyto(hi, x, where=(f >= 0.0) & (x < hi))
+            narrow = hi - lo <= 2.0 * tol
+            if np.any(narrow):
+                active &= ~(narrow & inside & (np.abs(f) <= _CDF_ROUNDOFF))
+            if not np.all(active):
+                x_all[idx] = np.where(newton_done, newton, x)
+                keep = np.flatnonzero(active)
+                idx, p_act, x, step, newton, lo, hi, moved = (
+                    v[keep] for v in (idx, p_act, x, step, newton, lo, hi, moved)
+                )
+                if idx.size == 0:
+                    break
+            # bisect where the Newton step leaves the bracket (as it does
+            # where the density is 0) or fails to halve the previous move
+            fallback = ~((newton > lo) & (newton < hi)) | (np.abs(step) > 0.5 * moved)
+            if np.any(fallback):
+                newton[fallback] = 0.5 * (lo[fallback] + hi[fallback])
+            moved, x = np.abs(newton - x), newton
         else:
             raise ArithmeticError(
                 f"{self.name}: quantile solve left {idx.size} of {p_all.size} "
@@ -353,8 +595,12 @@ class LogConcaveMeasure1D:
 
     # -- construction-time validation -------------------------------------
     def _validation_grid(self, count=1000):
-        u = np.linspace(1.0 / (count + 1), count / (count + 1.0), count)
-        return self.quantile(u)
+        """Bulk points: the quantiles of an even grid in (0, 1), or the CDF
+        table's nodes over the same range, which cost no solve."""
+        lo, hi = 1.0 / (count + 1), count / (count + 1.0)
+        if self._tab_cubic is not None:
+            return self._tab_x[(self._tab_f >= lo) & (self._tab_f <= hi)]
+        return self.quantile(np.linspace(lo, hi, count))
 
     # points where the density is not analytic: kinks of V inside the
     # support, and finite support edges where the density vanishes like a
@@ -396,9 +642,12 @@ class LogConcaveMeasure1D:
 class _Gaussian1D(LogConcaveMeasure1D):
     name_stem = "gaussian"
 
-    def __init__(self, m, sigma):
+    @staticmethod
+    def _check_params(m, sigma):
         if sigma <= 0:
             raise ValueError(f"gaussian scale must be positive, got {sigma}")
+
+    def __init__(self, m, sigma):
         super().__init__((-np.inf, np.inf))
         self.m, self.sigma = float(m), float(sigma)
         self.name = f"gaussian({m},{sigma})"
@@ -426,9 +675,12 @@ class _Gaussian1D(LogConcaveMeasure1D):
 
 
 class _Uniform1D(LogConcaveMeasure1D):
-    def __init__(self, a, b):
+    @staticmethod
+    def _check_params(a, b):
         if not b > a:
             raise ValueError(f"uniform needs a < b, got ({a}, {b})")
+
+    def __init__(self, a, b):
         super().__init__((a, b))
         self.name = f"uniform({a},{b})"
         self._log_norm = math.log(b - a)
@@ -455,9 +707,12 @@ class _Uniform1D(LogConcaveMeasure1D):
 
 
 class _Exponential1D(LogConcaveMeasure1D):
-    def __init__(self, rate):
+    @staticmethod
+    def _check_params(rate):
         if rate <= 0:
             raise ValueError(f"exponential rate must be positive, got {rate}")
+
+    def __init__(self, rate):
         super().__init__((0.0, np.inf))
         self.rate = float(rate)
         self.name = f"exponential({rate})"
@@ -485,19 +740,23 @@ class _Exponential1D(LogConcaveMeasure1D):
 
 
 class _Gamma1D(LogConcaveMeasure1D):
-    def __init__(self, shape, rate):
+    @staticmethod
+    def _check_params(shape, rate):
         if shape < 1:
             raise ValueError(
                 f"gamma shape must be >= 1 for log-concavity, got {shape}"
             )
         if rate <= 0:
             raise ValueError(f"gamma rate must be positive, got {rate}")
+
+    def __init__(self, shape, rate):
         super().__init__((0.0, np.inf))
         self.shape, self.rate = float(shape), float(rate)
         self.name = f"gamma({shape},{rate})"
         if self.shape % 1.0:
             self._kink_points = (0.0,)
         self._log_norm = math.lgamma(self.shape) - self.shape * math.log(self.rate)
+        self._build_quantile_table()
         self._validate()
 
     def potential(self, x):
@@ -521,16 +780,16 @@ class _Gamma1D(LogConcaveMeasure1D):
     def _location_scale(self):
         return self.shape / self.rate, math.sqrt(self.shape) / self.rate
 
-    def _quantile_init(self, p):
-        return special.gammaincinv(self.shape, p) / self.rate
-
 
 class _Beta1D(LogConcaveMeasure1D):
-    def __init__(self, alpha, beta):
+    @staticmethod
+    def _check_params(alpha, beta):
         if alpha < 1 or beta < 1:
             raise ValueError(
                 f"beta parameters must be >= 1 for log-concavity, got ({alpha}, {beta})"
             )
+
+    def __init__(self, alpha, beta):
         super().__init__((0.0, 1.0))
         self.alpha, self.beta = float(alpha), float(beta)
         self.name = f"beta({alpha},{beta})"
@@ -542,6 +801,7 @@ class _Beta1D(LogConcaveMeasure1D):
             + math.lgamma(self.beta)
             - math.lgamma(self.alpha + self.beta)
         )
+        self._build_quantile_table()
         self._validate()
 
     def potential(self, x):
@@ -566,14 +826,20 @@ class _Beta1D(LogConcaveMeasure1D):
         x = np.clip(np.asarray(x, float), 0.0, 1.0)
         return special.betainc(self.alpha, self.beta, x)
 
-    def _quantile_init(self, p):
-        return special.betaincinv(self.alpha, self.beta, p)
+    def _location_scale(self):
+        # mean and deviation: the support's (0.5, 0.5) would spread the
+        # quantile table's coarse grid thin over a narrow beta
+        s = self.alpha + self.beta
+        return self.alpha / s, math.sqrt(self.alpha * self.beta / (s + 1.0)) / s
 
 
 class _Logistic1D(LogConcaveMeasure1D):
-    def __init__(self, m, s):
+    @staticmethod
+    def _check_params(m, s):
         if s <= 0:
             raise ValueError(f"logistic scale must be positive, got {s}")
+
+    def __init__(self, m, s):
         super().__init__((-np.inf, np.inf))
         self.m, self.s = float(m), float(s)
         self.name = f"logistic({m},{s})"
@@ -606,9 +872,12 @@ class _Logistic1D(LogConcaveMeasure1D):
 class _Laplace1D(LogConcaveMeasure1D):
     has_d2 = False
 
-    def __init__(self, m, b):
+    @staticmethod
+    def _check_params(m, b):
         if b <= 0:
             raise ValueError(f"laplace scale must be positive, got {b}")
+
+    def __init__(self, m, b):
         super().__init__((-np.inf, np.inf))
         self.m, self.b = float(m), float(b)
         self.name = f"laplace({m},{b})"
@@ -644,9 +913,12 @@ class _Laplace1D(LogConcaveMeasure1D):
 class _Subbotin1D(LogConcaveMeasure1D):
     """Density proportional to exp(-|x|^p / p); p = 2 is the standard normal."""
 
-    def __init__(self, p):
+    @staticmethod
+    def _check_params(p):
         if p < 1:
             raise ValueError(f"subbotin exponent must be >= 1, got {p}")
+
+    def __init__(self, p):
         super().__init__((-np.inf, np.inf))
         self.p = float(p)
         self.has_d2 = self.p >= 2.0
@@ -659,6 +931,7 @@ class _Subbotin1D(LogConcaveMeasure1D):
             + (1.0 / self.p - 1.0) * math.log(self.p)
             + math.lgamma(1.0 / self.p)
         )
+        self._build_quantile_table()
         self._validate()
 
     def potential(self, x):
@@ -690,11 +963,6 @@ class _Subbotin1D(LogConcaveMeasure1D):
         out[far] = 0.5 * special.gammaincc(a, t[far])
         return out
 
-    def _quantile_init(self, p):
-        u = np.abs(2.0 * p - 1.0)
-        r = (self.p * special.gammaincinv(1.0 / self.p, u)) ** (1.0 / self.p)
-        return np.sign(p - 0.5) * r
-
 
 _CATALOG = {
     "gaussian": (_Gaussian1D, 2),
@@ -710,16 +978,12 @@ _CATALOG = {
 CATALOG_NAMES = tuple(sorted(_CATALOG))
 
 
-def make_catalog_measure(name, params):
-    """Construct a catalog measure by name with validated parameters.
+def check_catalog_params(name, params):
+    """Check a catalog measure's name and parameters without building it.
 
-    Parameters
-    ----------
-    name : str
-        One of ``CATALOG_NAMES``.
-    params : sequence of float
-        Family parameters; lengths and log-concavity ranges are enforced
-        (gamma shape >= 1, beta parameters >= 1, subbotin exponent >= 1).
+    Returns the parameters as floats; raises ``ValueError`` where
+    ``make_catalog_measure`` would reject them.  Building a measure costs
+    its CDF table and mass check, so a config is checked with this.
     """
     if name not in _CATALOG:
         raise ValueError(
@@ -731,7 +995,23 @@ def make_catalog_measure(name, params):
         raise ValueError(
             f"{name} takes {arity} parameter(s), got {len(params)}: {params}"
         )
-    return cls(*params)
+    cls._check_params(*params)
+    return params
+
+
+def make_catalog_measure(name, params):
+    """Construct a catalog measure by name with validated parameters.
+
+    Parameters
+    ----------
+    name : str
+        One of ``CATALOG_NAMES``.
+    params : sequence of float
+        Family parameters; lengths and log-concavity ranges are enforced
+        (gamma shape >= 1, beta parameters >= 1, subbotin exponent >= 1).
+    """
+    params = check_catalog_params(name, params)
+    return _CATALOG[name][0](*params)
 
 
 class GaussianMeasure:
@@ -1012,11 +1292,15 @@ class _Regularized1D(LogConcaveMeasure1D):
     The three potential oracles evaluate the tilted mass and moments of
     all distinct points of a call together, on the fixed rule of
     ``_tilted_moments``; ``cdf`` and ``pdf`` sum over the node table of
-    ``_build_node_table``, and ``quantile`` starts from an interpolated
-    inverse of a CDF table built once, at construction.
+    ``_build_node_table``.  That CDF has no inverse, so ``quantile``
+    starts from the CDF table of the base class, built once, at
+    construction, around the gaussian fit of ``_location_scale``.
     """
 
     has_d2 = True
+    # each cdf or pdf point sums over the node table, so the quantile table
+    # stops where the uniform draws do, and beyond it the tail start brackets
+    _table_z_low = _TABLE_Z_TAIL
 
     def __init__(self, base, n):
         super().__init__((-np.inf, np.inf))
@@ -1286,72 +1570,6 @@ class _Regularized1D(LogConcaveMeasure1D):
 
     def _location_scale(self):
         return self._approx_mean, self._approx_std
-
-    # -- quantile start from a CDF table -----------------------------------
-    def _build_quantile_table(self):
-        """CDF values F_j at points x_j, spaced evenly in z = ndtri(F).
-
-        A coarse grid over +-10 approximate deviations is cut, cell by
-        cell, into pieces across which z rises at most ``_TABLE_DZ``
-        (counting only |z| <= 8.5).  The start of a quantile solve
-        interpolates x as a cubic in z through the table, with the exact
-        slopes dx/dz = phi(z) / pdf(x) limited so that the cubic stays
-        monotone (Fritsch and Carlson 1980); the cell [x_j, x_j+1] holding
-        p is the solver's bracket.  Only points whose F rises strictly
-        inside (0, 1) are kept.
-        """
-        x = self._approx_mean + self._approx_std * np.linspace(-10.0, 10.0, 129)
-        z = np.clip(special.ndtri(self.cdf(x)), -8.5, 8.5)
-        pieces = np.maximum(np.ceil(np.diff(z) / _TABLE_DZ), 1).astype(int)
-        cell = np.repeat(np.arange(pieces.size), pieces)
-        first = np.repeat(np.cumsum(pieces) - pieces, pieces)
-        frac = (np.arange(cell.size) - first) / pieces[cell]
-        x = np.append(x[cell] + frac * np.diff(x)[cell], x[-1])
-        f = self.cdf(x)
-        z = special.ndtri(f)
-        keep = np.isfinite(z)
-        keep[keep] &= z[keep] > np.maximum.accumulate(
-            np.concatenate([[-np.inf], z[keep][:-1]])
-        )
-        x, f, z = x[keep], f[keep], z[keep]
-        with np.errstate(divide="ignore"):
-            slope = np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * self.pdf(x))
-        secant = np.diff(x) / np.diff(z)
-        limit = 3.0 * np.minimum(
-            np.concatenate([secant, [np.inf]]), np.concatenate([[np.inf], secant])
-        )
-        self._tab_x, self._tab_f, self._tab_z = x, f, z
-        self._tab_slope = np.minimum(slope, limit)
-
-    def _table_cell(self, p):
-        """Index j with F_j <= p < F_j+1, and whether p falls in the table."""
-        j = np.searchsorted(self._tab_f, p, side="right") - 1
-        inside = (j >= 0) & (j < self._tab_f.size - 1)
-        return np.where(inside, j, 0), inside
-
-    def _bracket(self, p):
-        """The table cell holding p; outside the table, the searched bracket."""
-        j, inside = self._table_cell(p)
-        lo, hi = self._tab_x[j], self._tab_x[j + 1]
-        if not np.all(inside):
-            lo[~inside], hi[~inside] = super()._bracket(p[~inside])
-        return lo, hi
-
-    def _quantile_init(self, p):
-        """The table's cubic at z = ndtri(p); outside it, the gaussian fit."""
-        j, inside = self._table_cell(p)
-        z0, z1 = self._tab_z[j], self._tab_z[j + 1]
-        h = z1 - z0
-        s = np.clip((special.ndtri(p) - z0) / h, 0.0, 1.0)
-        x = (
-            (1.0 + 2.0 * s) * (1.0 - s) ** 2 * self._tab_x[j]
-            + s * (1.0 - s) ** 2 * h * self._tab_slope[j]
-            + s**2 * (3.0 - 2.0 * s) * self._tab_x[j + 1]
-            + s**2 * (s - 1.0) * h * self._tab_slope[j + 1]
-        )
-        return np.where(
-            inside, x, self._approx_mean + self._approx_std * special.ndtri(p)
-        )
 
 
 def regularize(m, n):

@@ -1,5 +1,6 @@
 """Tests for monotone transport map constructions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -223,6 +224,22 @@ class TestProductMap:
         batch = tm.log_spectra(pts)
         for i, p in enumerate(pts):
             assert np.allclose(batch[i], log_eigen_map(tm.hessian(p)), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_spectra_order_matches_sort(self, n, monkeypatch):
+        # every ordering of n distinct values, ties and infinities; the
+        # compare-exchange network must give what sorting each row gives
+        g = make_catalog_measure("gaussian", (0.0, 1.0))
+        tm = brenier_product([brenier_1d(g, g)] * n)
+        rows = np.array(list(itertools.permutations(range(n))), dtype=float) - 1.5
+        draws = rng.stream(2024, 60).choice(
+            [-np.inf, -1.0, 0.0, 0.0, 2.5, np.inf], size=(200, n)
+        )
+        rows = np.concatenate([rows, draws])
+        monkeypatch.setattr(tm, "_factor_log_d2", lambda x: np.asfortranarray(rows))
+        got = tm.log_spectra(np.zeros((rows.shape[0], n)))
+        assert np.array_equal(got, -np.sort(-rows, axis=1))
+        assert got.flags.f_contiguous
 
     def test_tensor_pushforward(self):
         factors = [

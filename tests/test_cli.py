@@ -160,7 +160,7 @@ class TestConfigParsing:
 
     def test_label_check_builds_no_measure(self, monkeypatch):
         # labels are checked against the table, so validating a config builds
-        # no map; an explicit map spec still builds its measures
+        # no map; an explicit map spec has its parameters checked, unbuilt
         def refuse(self, grid_count=1000):
             raise AssertionError(f"config validation built {self.name}")
 
@@ -806,6 +806,26 @@ class TestMain:
             "config error: samples: expected an integer in [50, 100000000]"
             in capsys.readouterr().err
         )
+
+    def test_variance_run_builds_each_measure_once(self, tmp_path, monkeypatch):
+        # the config check reads the catalog parameters; only the run builds
+        # the two measures, with their CDF tables and mass checks
+        built = []
+        validate = LogConcaveMeasure1D._validate
+
+        def counted(self, *args, **kwargs):
+            built.append(self.name)
+            return validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(LogConcaveMeasure1D, "_validate", counted)
+        spec = {
+            "kind": "1d",
+            "source": {"name": "uniform", "params": [0.0, 1.0]},
+            "target": {"name": "exponential", "params": [1.0]},
+        }
+        path = _write(tmp_path, {"kind": "variance", "map": spec})
+        assert main(["variance", "--config", path, "--out", str(tmp_path)]) == 0
+        assert built == ["uniform(0.0,1.0)", "exponential(1.0)"]
 
     def test_config_validated_once(self, tmp_path, monkeypatch):
         calls = []

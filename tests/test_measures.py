@@ -264,7 +264,7 @@ class TestCdfQuantile:
 
     def test_quantile_rejects_boundary_probabilities(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
-        for bad in (0.0, 1.0, -0.1, 1.1):
+        for bad in (0.0, 1.0, -0.1, 1.1, np.nan):
             with pytest.raises(ValueError, match="strictly in"):
                 m.quantile(bad)
 
@@ -505,7 +505,11 @@ class TestQuantileSolver:
         p = rng.stream(2024, 42).uniform(size=100_000)
         sizes = _counting_cdf(m, monkeypatch)
         m.quantile(p)
-        assert sum(sizes) <= 1.05 * p.size
+        # a closed-form start settles on its first evaluation; a CDF-table
+        # start (beta, gamma) is a cubic, not the root, and settles on its
+        # second, as a regularized start does
+        bound = 2.0 if m._tab_cubic is not None else 1.05
+        assert sum(sizes) <= bound * p.size
 
     @pytest.mark.parametrize(
         "name,params,n",
@@ -522,6 +526,9 @@ class TestQuantileSolver:
         if n is not None:
             m = regularize(m, n)
         p = rng.stream(2024, 45).uniform(size=20_000 if n is None else 5_000)
+        if m._tab_cubic is not None:
+            # a table start is exact at the table's own F_j, where it is x_j
+            p = np.concatenate([p, m._tab_f])
         x0 = m._quantile_init(p)
         a, b = m.support
         settled = (x0 > a) & (x0 < b) & (np.abs(m.cdf(x0) - p) <= np.spacing(p))
@@ -582,11 +589,16 @@ class TestQuantileSolver:
         ref = 0.5 * special.gammaincc(1.0 / shape, np.abs(x) ** shape / shape)
         assert np.max(np.abs(m.cdf(x) - ref) / ref) <= 1e-13
 
-    def test_infinite_start_is_not_accepted(self):
-        # the closed-form start is -inf here (gammaincinv(1/1.5, 1.0) = inf)
+    def test_infinite_start_is_not_accepted(self, monkeypatch):
+        # a start at -inf, as the closed form gammaincinv(1/1.5, 1.0) = inf
+        # once gave here, is bracketed and solved, not returned
         m = make_catalog_measure("subbotin", (1.5,))
         p = np.array([1e-300, 1e-200])
-        assert np.all(np.isinf(m._quantile_init(p)))
+
+        def infinite_start(p):
+            return np.full_like(p, -np.inf), np.full_like(p, -np.inf), np.full_like(p, np.inf)
+
+        monkeypatch.setattr(m, "_quantile_start", infinite_start)
         assert np.all(np.isfinite(m.quantile(p)))
 
     def test_shapes(self):
@@ -599,6 +611,13 @@ class TestQuantileSolver:
         assert isinstance(x0, float) and x0 == x[2, 1]
         assert np.shape(m.quantile(p[:1, :1])) == (1, 1)
 
+    @pytest.mark.parametrize("name,params", [("gaussian", (0.0, 1.0)), ("beta", (2.0, 3.0))])
+    def test_empty_input(self, name, params):
+        m = make_catalog_measure(name, params)
+        for shape in [(0,), (0, 3)]:
+            x = m.quantile(np.full(shape, 0.5))
+            assert x.shape == shape and x.dtype == float
+
     def test_unconverged_element_raises(self):
         with pytest.raises(ArithmeticError, match=r"left 2 of 3 .*widest bracket"):
             _JumpMeasure().quantile(np.array([0.5, 0.75, 0.6]))
@@ -608,6 +627,120 @@ class TestQuantileSolver:
             ArithmeticError, match=r"bracket search failed for 1 of 1 .*widest bracket"
         ):
             _JumpMeasure().quantile(np.array([0.1, 0.75]))
+
+
+# the tabulated catalog members: every family without a closed-form inverse,
+# with the members whose density is not analytic at an edge or at 0, and
+# beta(100, 1), whose table ends early: next to x = 1 its F climbs 100
+# spacings per double of x, too coarse to resolve a level above z = 7.26
+TABLE_MEMBERS = [
+    ("beta", (2.0, 5.0), None),
+    ("beta", (100.0, 1.0), None),
+    ("gamma", (3.0, 2.0), None),
+    ("subbotin", (4.0,), None),
+    ("subbotin", (1.5,), None),
+    ("gamma", (2.5, 1.0), None),
+    ("beta", (1.5, 2.5), None),
+    ("subbotin", (3.0,), None),
+    ("uniform", (0.0, 1.0), 10),
+    ("beta", (2.0, 3.0), 10),
+]
+
+
+def _table_member(name, params, n):
+    m = make_catalog_measure(name, params)
+    return m if n is None else regularize(m, n)
+
+
+class TestQuantileTable:
+    @pytest.mark.parametrize(
+        "name,params", [m for m in MASS_MEMBERS if m[0] in ("beta", "gamma", "subbotin")]
+    )
+    def test_no_inverse_incomplete_function(self, name, params, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an inverse incomplete beta or gamma function was called")
+
+        monkeypatch.setattr(measures.special, "betaincinv", refuse)
+        monkeypatch.setattr(measures.special, "gammaincinv", refuse)
+        m = make_catalog_measure(name, params)
+        p = np.concatenate(
+            [rng.stream(2024, 47).uniform(size=10_000), np.geomspace(1e-300, 1e-6, 50)]
+        )
+        x = m.quantile(p)
+        assert np.max(np.abs(m.cdf(x) - p)) <= 4e-15
+
+    @pytest.mark.parametrize("name,params,n", TABLE_MEMBERS)
+    def test_start_matches_bisection_oracle(self, name, params, n):
+        # near p = 1 the doubles of F are spacing(p) apart, so a quantile is
+        # only resolved to spacing(p) / pdf(x); everywhere else that term
+        # is far below 1e-8 (1 + |x|).  A regularized table starts where
+        # the uniform draws do, near p = 1e-17; below, its tail start is a
+        # bracket end (test_tail_starts_bracket_the_root)
+        m = _table_member(name, params, n)
+        p = np.concatenate(
+            [
+                np.geomspace(1e-300, 0.5, 600),
+                1.0 - np.geomspace(1e-16, 0.5, 300),
+                rng.stream(2024, 48).uniform(size=2000),
+            ]
+        )
+        p = p[p >= max(m._tab_f[0], 1e-300)]
+        x0 = m._quantile_init(p)
+        ref = _full_batch_quantile(m, p)
+        with np.errstate(divide="ignore"):
+            tol = 1e-8 * (1.0 + np.abs(ref)) + 4.0 * np.spacing(p) / m.pdf(ref)
+        assert np.all(np.abs(x0 - ref) <= tol)
+
+    @pytest.mark.parametrize("name,params,n", TABLE_MEMBERS)
+    def test_cell_index_matches_binary_search(self, name, params, n):
+        # the start's arithmetic cell index against searchsorted over F_j,
+        # at random p and at every F_j and its neighbouring doubles
+        m = _table_member(name, params, n)
+        f = m._tab_f
+        p = np.concatenate(
+            [
+                rng.stream(2024, 49).uniform(size=20_000),
+                f, np.nextafter(f, 0.0), np.nextafter(f, 1.0),
+            ]
+        )
+        p = p[(p >= f[0]) & (p < f[-1])]
+        j = np.searchsorted(f, p, side="right") - 1
+        x, lo, hi = m._quantile_start(p)
+        assert np.array_equal(lo, m._tab_x[j])
+        assert np.array_equal(hi, m._tab_x[j + 1])
+        assert np.all((lo <= x) & (x <= hi))
+
+    @pytest.mark.parametrize("name,params,n", TABLE_MEMBERS)
+    def test_tail_starts_bracket_the_root(self, name, params, n):
+        # beyond the table's ends the start comes with a bracket from a
+        # power law at a finite edge, or from the exponential bound of a
+        # log-concave tail
+        m = _table_member(name, params, n)
+        lower = np.geomspace(1e-320, m._tab_f[0], 20)[:-1]
+        upper = 1.0 - np.geomspace(1e-16, 1.0 - m._tab_f[-1], 20)
+        p = np.concatenate([lower, upper[upper >= m._tab_f[-1]]])
+        x, lo, hi = m._quantile_start(p)
+        assert np.all((lo <= x) & (x <= hi))
+        assert np.all((m.cdf(lo) <= p) & (p <= m.cdf(hi)))
+        # next to x = 1, F of beta(100, 1) rises 1.1e-14 per double of x,
+        # so there the solve ends on its closed bracket, 2e-15 (1 + |x|) wide
+        x = m.quantile(p)
+        assert np.all(np.abs(m.cdf(x) - p) <= 4e-15 + 2e-15 * (1.0 + np.abs(x)) * m.pdf(x))
+
+    @pytest.mark.parametrize("name,params", [("beta", (2.0, 3.0)), ("gamma", (3.0, 1.0))])
+    def test_sampled_draw_costs_two_cdf_and_at_most_1_3_pdf_evaluations(
+        self, name, params, monkeypatch
+    ):
+        # the sampled maps' tabulated members: a start, its cdf, one Newton
+        # step and its cdf; a second pdf only where F's roundoff keeps the
+        # Newton point more than one spacing from p
+        m = make_catalog_measure(name, params)
+        p = rng.stream(2024, 46).uniform(size=100_000)
+        sizes = _counting_cdf(m, monkeypatch)
+        seen = _recorded_pdf(m, monkeypatch)
+        m.quantile(p)
+        assert sum(sizes) <= 2.0 * p.size
+        assert sum(v.size for v in seen) <= 1.3 * p.size
 
 
 class TestSampling:
