@@ -50,7 +50,6 @@ from .spd import (
     geodesic_point,
     log_eigen_map,
     log_quadratic_form,
-    random_spd,
     spd_distance,
 )
 
@@ -664,6 +663,21 @@ def _geometry_pairs(worst, s, dims):
         _geometry_block(worst, *_spd_from_draws(normals, log_eigs), *rest)
 
 
+def _geodesic_endpoints(s, dims):
+    """Endpoints of one geodesic per entry of ``dims``, as (a, b) stacks per
+    dimension: consecutive ``random_spd`` pairs in stream order, each
+    dimension's draws factored with one stacked QR."""
+    draws = {}
+    for n in dims:
+        draws.setdefault(n, []).extend(_spd_draws(s, n) for _ in range(2))
+    ends = {}
+    for n, rows in draws.items():
+        normals, log_eigs = (np.stack(x) for x in zip(*rows))
+        pairs = _spd_from_draws(normals.reshape(-1, 2, n, n), log_eigs.reshape(-1, 2, n))
+        ends[n] = pairs[:, 0], pairs[:, 1]
+    return ends
+
+
 def _run_geometry(cfg):
     """Metric axioms, invariances, geodesics, and the Lipschitz bounds.
 
@@ -682,17 +696,14 @@ def _run_geometry(cfg):
         _geometry_pairs(worst, s, [cfg.dims[i % len(cfg.dims)] for i in range(start, stop)])
 
     # geodesic lengths one curve at a time, then the endpoint distances as
-    # one stack per dimension
-    geo = {}
+    # one stack per dimension; np.max, unlike max(), carries a NaN into the
+    # record, which then fails
     ts = np.linspace(0.0, 1.0, 1000)
-    for i in range(min(50, cfg.pairs)):
-        n = cfg.dims[i % len(cfg.dims)]
-        a, b = random_spd(s, n), random_spd(s, n)
-        geo.setdefault(n, []).append((a, b, curve_length(geodesic_point(a, b, ts))))
     geo_worst = 0.0
-    for rows in geo.values():
-        a, b, lengths = (np.array(c) for c in zip(*rows))
-        geo_worst = max(geo_worst, float(np.max(np.abs(lengths - spd_distance(a, b)))))
+    geo_dims = [cfg.dims[i % len(cfg.dims)] for i in range(min(50, cfg.pairs))]
+    for a, b in _geodesic_endpoints(s, geo_dims).values():
+        lengths = np.array([curve_length(geodesic_point(x, y, ts)) for x, y in zip(a, b)])
+        geo_worst = float(np.max(np.abs(lengths - spd_distance(a, b)), initial=geo_worst))
 
     tol = 1e-9
     _rec(records, "metric-symmetry", "metric-axioms", worst["symmetry"], tol, worst["symmetry"] <= tol)

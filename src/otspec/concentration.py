@@ -642,8 +642,9 @@ def exp_concentration(samples, f, c):
 
     ``c`` is one constant, which returns a float, or a sequence of them,
     which returns a list with one moment per constant.  A sequence
-    evaluates ``f`` and the weighted mean once for all of its constants,
-    and each of its moments equals the scalar call's bit for bit.
+    evaluates ``f`` and the weighted mean once for all of its constants and
+    each distinct constant's moment once, and each of its moments equals
+    the scalar call's bit for bit.
     """
     scalar = np.ndim(c) == 0
     cs = [float(c)] if scalar else [float(x) for x in c]
@@ -657,16 +658,16 @@ def exp_concentration(samples, f, c):
     # is monotone, so the overflow test needs no product array
     top = float(np.max(a, initial=0.0))
     z = np.empty_like(a)
-    moments = []
-    for x in cs:
+    moments = {}
+    for x in dict.fromkeys(cs):
         if x * top > 700.0:
-            moments.append(math.inf)
+            moments[x] = math.inf
         else:
             np.multiply(x, a, out=z)
             np.exp(z, out=z)
             z *= w
-            moments.append(float(np.sum(z)))
-    return moments[0] if scalar else moments
+            moments[x] = float(np.sum(z))
+    return moments[cs[0]] if scalar else [moments[x] for x in cs]
 
 
 # ------------------------------------------------------------ curvature floor

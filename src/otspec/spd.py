@@ -10,12 +10,19 @@ stack, and this is the only module that validates one.  The distance, the
 log-eigenvalue map, the log quadratic form and the square-root factors take
 either shape and return results with the matching leading shape.  Every
 public function validates each SPD argument once, on entry, as one stack,
-and works from the eigendecomposition that validation computes; the
-functions that build SPD values (``geodesic_point``, ``random_spd``) return
-them exactly symmetrized but unvalidated, so each value is checked once, by
-its consumer.  Geodesics are batched: one call returns every requested
-point of the curve, and ``curve_length`` takes the metric speeds of a
-whole sample stack from the eigendecomposition its validation computes.
+and works from the factor that validation computes: the eigendecomposition
+where the answer is a spectrum or a matrix function (``log_eigen_map``,
+``sqrt_factors``, the whitened matrix inside ``geodesic_point``), and the
+several times cheaper Cholesky factor A = L Lᵀ where A only whitens or is
+only checked (``spd_distance``, the endpoints of ``geodesic_point``,
+``curve_length``, ``log_quadratic_form``).  Whitening by L⁻¹ · L⁻ᵀ in place
+of A^{-1/2} · A^{-1/2} conjugates by an orthogonal matrix, which changes no
+spectrum and no Frobenius norm.  The functions that build SPD values
+(``geodesic_point``, ``random_spd``) return them exactly symmetrized but
+unvalidated, so each value is checked once, by its consumer.  Geodesics are
+batched: one call returns every requested point of the curve, and
+``curve_length`` takes the metric speeds of a whole sample stack from the
+Cholesky factors its validation computes.
 """
 
 import numpy as np
@@ -36,18 +43,23 @@ _RECON_RTOL = 1e-10
 _MAX_LOG_SPREAD = -float(np.log(np.finfo(float).tiny))
 
 
-def _validated(a, name, stack=False):
+def _validated(a, name, stack=False, cholesky=False):
     """Check an SPD matrix, or a stack of them, and return its factors.
 
     This is the package's one SPD boundary.  Each matrix must be square,
-    finite, symmetric to 1e-12 relative, and positive definite, with an
-    eigendecomposition that reconstructs it to 1e-10 relative.  All checks
-    run in one vectorized pass over the stack and name the first matrix
-    that fails.
+    finite, symmetric to 1e-12 relative, and positive definite, with a
+    factorization that reconstructs it to 1e-10 relative.  All checks run
+    in one vectorized pass over the stack and name the first matrix that
+    fails.
 
-    Returns ``(a, w, v)``: the exactly symmetrized array of shape (n, n),
-    or (m, n, n) with ``stack``, and its eigenvalues in descending order
-    with the matching eigenvectors as columns.
+    The caller asks for the factor its answer needs.  By default it is the
+    eigendecomposition, and the return is ``(a, w, v)``: the exactly
+    symmetrized array of shape (n, n), or (m, n, n) with ``stack``, and its
+    eigenvalues in descending order with the matching eigenvectors as
+    columns.  With ``cholesky`` it is the lower-triangular factor of
+    A = L Lᵀ, and the return is ``(a, l)``.  A stack that Cholesky refuses
+    is given the eigen check, which names the first matrix that is not
+    positive definite and its smallest eigenvalue.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
@@ -68,6 +80,27 @@ def _validated(a, name, stack=False):
         f"{_SYM_RTOL:g} relative to norm {scale.flat[k]:.3e}",
     )
     a = 0.5 * (a + at)
+    if not cholesky:
+        return (a, *_eigen_factors(a, scale, check))
+    try:
+        l = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        _eigen_factors(a, scale, check)
+        # every eigenvalue positive, yet a pivot was not: numerically singular
+        raise ValueError(
+            f"{name} is not positive definite: Cholesky factorization failed "
+            "although every computed eigenvalue is positive"
+        ) from None
+    check(
+        _frobenius(l @ np.swapaxes(l, -2, -1) - a) <= _RECON_RTOL * scale,
+        lambda k: ": Cholesky factor failed the reconstruction check",
+    )
+    return a, l
+
+
+def _eigen_factors(a, scale, check):
+    """Descending eigenvalues and eigenvectors of a symmetrized stack, with
+    the positivity and reconstruction checks of ``_validated``."""
     w, v = np.linalg.eigh(a)
     w, v = w[..., ::-1], v[..., ::-1]
     low = w[..., -1]
@@ -80,17 +113,11 @@ def _validated(a, name, stack=False):
         _frobenius(recon - a) <= _RECON_RTOL * scale,
         lambda k: ": eigendecomposition failed the reconstruction check",
     )
-    return a, w, v
+    return w, v
 
 
 def _frobenius(a):
     return np.sqrt((a * a).sum(axis=(-2, -1)))
-
-
-def _sqrt_factors(w, v):
-    r = np.sqrt(w)[..., None, :]
-    vt = np.swapaxes(v, -2, -1)
-    return (v * r) @ vt, (v / r) @ vt
 
 
 def _same_shape(a, b):
@@ -98,25 +125,42 @@ def _same_shape(a, b):
         raise ValueError(f"dimension mismatch: a has shape {a.shape}, b has shape {b.shape}")
 
 
+def _whiten(l, x):
+    """L⁻¹ X L⁻ᵀ for symmetric X and lower-triangular L, one per matrix of
+    X's stack: L Y = X and then L Z = Yᵀ, two forward substitutions."""
+    return _forward(l, np.swapaxes(_forward(l, x), -2, -1))
+
+
+def _forward(l, x):
+    """L⁻¹ X by forward substitution, one row sweep over the whole stack."""
+    y = np.empty_like(x)
+    for i in range(l.shape[-1]):
+        r = x[..., i, :] - np.einsum("...k,...kj->...j", l[..., i, :i], y[..., :i, :])
+        y[..., i, :] = r / l[..., i, i, None]
+    return y
+
+
 def sqrt_factors(a):
     """(A^{1/2}, A^{-1/2}) of an SPD matrix or stack, from one eigendecomposition."""
     _, w, v = _validated(a, "a", stack=np.ndim(a) == 3)
-    return _sqrt_factors(w, v)
+    r = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -2, -1)
+    return (v * r) @ vt, (v / r) @ vt
 
 
 def spd_distance(a, b):
     """Riemannian distance ‖log(A^{-1/2} B A^{-1/2})‖ between SPD matrices.
 
     The norm is the Hilbert-Schmidt (Frobenius) norm; equivalently the
-    root sum of squared logs of the eigenvalues of A^{-1}B.  ``a`` and
-    ``b`` are two matrices of shape (n, n), giving a float, or two stacks of
-    shape (m, n, n), giving the m pairwise distances.
+    root sum of squared logs of the eigenvalues of A^{-1}B, which are those
+    of L⁻¹ B L⁻ᵀ for the Cholesky factor A = L Lᵀ.  ``a`` and ``b`` are two
+    matrices of shape (n, n), giving a float, or two stacks of shape
+    (m, n, n), giving the m pairwise distances.
     """
-    a, wa, va = _validated(a, "a", stack=np.ndim(a) == 3)
-    b, _, _ = _validated(b, "b", stack=np.ndim(b) == 3)
+    a, la = _validated(a, "a", stack=np.ndim(a) == 3, cholesky=True)
+    b, _ = _validated(b, "b", stack=np.ndim(b) == 3, cholesky=True)
     _same_shape(a, b)
-    _, isa = _sqrt_factors(wa, va)
-    c = isa @ b @ isa
+    c = _whiten(la, b)
     w = np.linalg.eigvalsh(0.5 * (c + np.swapaxes(c, -2, -1)))
     return np.linalg.norm(np.log(w), axis=-1)
 
@@ -124,10 +168,11 @@ def spd_distance(a, b):
 def geodesic_point(a, b, s):
     """Points γ(s) = A^{1/2} (A^{-1/2} B A^{-1/2})^s A^{1/2} on the geodesic.
 
-    Every point comes from one eigendecomposition C = V diag(w) Vᵗ of
-    C = A^{-1/2} B A^{-1/2}, as γ(s) = A^{1/2} V diag(wˢ) Vᵗ A^{1/2}.  A, B
-    and C are validated; the points are returned exactly symmetrized but
-    not validated, since their consumer (``curve_length``, say) checks the
+    With the Cholesky factor A = L Lᵀ the same curve is γ(s) = L Cˢ Lᵀ,
+    C = L⁻¹ B L⁻ᵀ, and every point comes from one eigendecomposition
+    C = V diag(w) Vᵗ, as γ(s) = L V diag(wˢ) Vᵗ Lᵀ.  A, B and C are
+    validated; the points are returned exactly symmetrized but not
+    validated, since their consumer (``curve_length``, say) checks the
     stack at its own boundary.
 
     Parameters
@@ -140,8 +185,8 @@ def geodesic_point(a, b, s):
     -------
     ndarray of shape ``np.shape(s) + (n, n)``
     """
-    a, wa, va = _validated(a, "a")
-    b, _, _ = _validated(b, "b")
+    a, la = _validated(a, "a", cholesky=True)
+    b, _ = _validated(b, "b", cholesky=True)
     _same_shape(a, b)
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
@@ -149,22 +194,23 @@ def geodesic_point(a, b, s):
     outside = ~((s >= 0.0) & (s <= 1.0))
     if np.any(outside):
         raise ValueError(f"geodesic parameter must lie in [0, 1], got {s[outside].flat[0]}")
-    sa, isa = _sqrt_factors(wa, va)
-    _, wc, vc = _validated(isa @ b @ isa, "A^{-1/2} B A^{-1/2}")
-    mid = (vc * wc ** s[..., None, None]) @ vc.T
-    g = sa @ mid @ sa
+    _, wc, vc = _validated(_whiten(la, b), "L^{-1} B L^{-T}")
+    # contiguous transposes: matmul over a stack runs up to twice as long
+    # on a transposed view
+    mid = (vc * wc ** s[..., None, None]) @ vc.T.copy()
+    g = la @ mid @ la.T.copy()
     return 0.5 * (g + np.swapaxes(g, -2, -1))
 
 
-def _batched_speeds(p, w, v):
+def _batched_speeds(p, l):
     """Metric speeds ‖γ̇(s_k)‖_{γ(s_k)} from uniformly spaced curve samples.
 
     Tangents are finite differences: fourth-order central stencils in the
     interior, falling back to second-order central and then one-sided
     second-order at the ends.  The even-order interior stencil keeps the
     bias negligible even for well-separated endpoints.  With each sample
-    factored as V diag(w) Vᵗ, the squared speed Tr[(γ⁻¹γ̇)²] is
-    Σᵢⱼ (Vᵗγ̇V)ᵢⱼ² / (wᵢ wⱼ), a sum of squares.
+    factored as L Lᵀ, the squared speed Tr[(γ⁻¹γ̇)²] is ‖L⁻¹γ̇L⁻ᵀ‖²_F, a
+    sum of squares.
     """
     m = p.shape[0]
     h = 1.0 / (m - 1)
@@ -179,8 +225,7 @@ def _batched_speeds(p, w, v):
         tangents[1:-1] = (p[2:] - p[:-2]) / (2.0 * h)
     tangents[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * h)
     tangents[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * h)
-    r = 1.0 / np.sqrt(w)
-    scaled = r[:, :, None] * (np.swapaxes(v, -2, -1) @ tangents @ v) * r[:, None, :]
+    scaled = _whiten(l, tangents)
     return np.sqrt((scaled * scaled).sum(axis=(-2, -1))), h
 
 
@@ -190,7 +235,7 @@ def curve_length(points):
     Trapezoidal rule applied to the finite-difference metric speeds; for
     samples of a geodesic this converges to the endpoint distance as the
     grid refines.  The samples are validated once, as one stack, and the
-    speeds come from the eigendecompositions that validation computes.
+    speeds come from the Cholesky factors that validation computes.
 
     Parameters
     ----------
@@ -198,12 +243,12 @@ def curve_length(points):
         At least three SPD samples at uniform parameter spacing: the end
         tangents are second-order one-sided stencils over three samples.
     """
-    stack, w, v = _validated(points, "curve sample", stack=True)
+    stack, l = _validated(points, "curve sample", stack=True, cholesky=True)
     if stack.shape[0] < 3:
         raise ValueError(f"need at least three curve samples, got {stack.shape[0]}")
     if np.allclose(stack, stack[0], rtol=0.0, atol=1e-15 * np.linalg.norm(stack[0])):
         return 0.0
-    speeds, h = _batched_speeds(stack, w, v)
+    speeds, h = _batched_speeds(stack, l)
     return float(np.trapezoid(speeds, dx=h))
 
 
@@ -220,7 +265,7 @@ def log_quadratic_form(a, v):
     (m, n, n) takes one direction per matrix, ``v`` of shape (m, n).
     """
     stack = np.ndim(a) == 3
-    a, _, _ = _validated(a, "a", stack=stack)
+    a, _ = _validated(a, "a", stack=stack, cholesky=True)
     v = np.asarray(v, dtype=float)
     if v.shape != a.shape[:-1]:
         raise ValueError(f"direction has shape {v.shape}, expected {a.shape[:-1]}")

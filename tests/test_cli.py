@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otspec import brenier, cli, concentration, entropic, gamma2, spd
+from otspec import brenier, cli, concentration, entropic, gamma2, rng, spd
 from otspec.concentration import EXPERIMENT_LABELS
 from otspec.measures import LogConcaveMeasure1D
 from otspec.cli import (
@@ -390,13 +390,35 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [r.name for r in report.records if not r.passed] == []
 
+    def test_geodesic_endpoints_are_consecutive_draws(self):
+        # each dimension's endpoints, factored as one stack, are bit for bit
+        # the random_spd pairs drawn one at a time from the same stream
+        dims = [2, 3, 5, 8, 4, 6, 7] * 7 + [2]
+        ends = cli._geodesic_endpoints(rng.stream(2024, 1), dims)
+        s = rng.stream(2024, 1)
+        want = {}
+        for n in dims:
+            want.setdefault(n, []).append((spd.random_spd(s, n), spd.random_spd(s, n)))
+        assert list(ends) == list(want)
+        for n, (a, b) in ends.items():
+            assert a.shape == b.shape == (dims.count(n), n, n)
+            assert np.array_equal(a, np.stack([x for x, _ in want[n]]))
+            assert np.array_equal(b, np.stack([y for _, y in want[n]]))
+
+    def test_nan_geodesic_length_fails_its_record(self, monkeypatch):
+        monkeypatch.setattr(cli, "curve_length", lambda points: math.nan)
+        report = run_experiment(config_from_dict({"kind": "geometry-selftest", "pairs": 5}))
+        assert [r.name for r in report.records if not r.passed] == ["geodesic-length"]
+
     @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 340), ("gamma2-check", 20)])
     def test_validates_once_per_stack(self, monkeypatch, kind, limit):
         # geometry-selftest: random_spd and geodesic_point leave their
         # output to the consumer's stacked check.  The 1,000 pairs make 126
-        # calls, each of the 50 geodesics four (a, b and C in geodesic_point,
-        # the 1,000-point stack in curve_length), and the geodesics' endpoint
-        # distances two per dimension (the a and b stacks of spd_distance)
+        # calls, each of the 50 geodesics four (Cholesky checks of a and b
+        # and the eigen check of C = L⁻¹ B L⁻ᵀ in geodesic_point, and the
+        # Cholesky check of the 1,000-point stack in curve_length), and the
+        # geodesics' endpoint distances two per dimension (the Cholesky
+        # checks of the a and b stacks of spd_distance)
         validated, geodesic_point = spd._validated, cli.geodesic_point
         seen, geodesics = [], []
 

@@ -476,15 +476,25 @@ class TestExpConcentration:
         assert got == [exp_concentration(samples, f, 0.01), math.inf]
         assert math.isfinite(got[0])
 
-    def test_moments_match_the_direct_formula(self):
+    def test_moments_match_the_direct_formula(self, monkeypatch):
         # sum(w exp(c |f - mean|)), inf once max(c |f - mean|) exceeds 700,
-        # computed as written for each c; the moments agree bit for bit
+        # computed as written for each c; the moments agree bit for bit.
+        # A repeated constant (the gating 0.1 also sits in the default
+        # c_grid) reuses its moment: the call with repeats makes exactly the
+        # exp passes of the call on the distinct constants
         r = rng.stream(2024, 70)
         spectra = np.asfortranarray(r.standard_normal((1000, 3)))
         spectra[7, 0] = 900.0
         weights = r.uniform(0.5, 2.0, size=1000)
         samples = SpectralSampleSet(np.zeros((1000, 3)), spectra, weights)
-        cs = (0.02, 0.1, 0.5, 0.77, 0.78, 1.5)
+        distinct = (0.02, 0.1, 0.5, 0.77, 0.78, 1.5)
+        cs = (0.1, *distinct, 0.5, 0.1)
+        exp, passes = np.exp, []
+
+        def counted(x, *args, **kwargs):
+            passes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
         for f in function_bank(3):
             values = f.value(spectra)
             w = weights / np.sum(weights)
@@ -495,6 +505,13 @@ class TestExpConcentration:
             ]
             assert exp_concentration(samples, f, cs) == want
             assert [exp_concentration(samples, f, c) for c in cs] == want
+            with monkeypatch.context() as m:
+                m.setattr(np, "exp", counted)
+                passes.clear()
+                exp_concentration(samples, f, distinct)
+                once = len(passes)
+                exp_concentration(samples, f, cs)
+            assert once > 0 and len(passes) == 2 * once
 
     @pytest.mark.parametrize("cs", [(0.1, 0.0), (-0.5, 0.1, 0.2), [0.1, 0.2, -1e-300]])
     def test_sequence_requires_every_constant_positive(self, product_samples, cs):

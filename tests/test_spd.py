@@ -257,10 +257,8 @@ class TestGeodesic:
             np.testing.assert_allclose(speed, d, rtol=1e-5)
 
 
-def curve_length_oracle(p):
-    """Trapezoidal length with speeds √Tr[(P⁻¹Ṗ)²] from ``np.linalg.solve``,
-    the tangents by the same stencils as ``curve_length`` (five samples or
-    more)."""
+def stencil_tangents(p):
+    """The tangents of ``curve_length``'s stencils (five samples or more)."""
     p = np.asarray(p, dtype=float)
     h = 1.0 / (len(p) - 1)
     t = np.empty_like(p)
@@ -268,6 +266,12 @@ def curve_length_oracle(p):
     t[1], t[-2] = (p[2] - p[0]) / (2 * h), (p[-1] - p[-3]) / (2 * h)
     t[0] = (-3 * p[0] + 4 * p[1] - p[2]) / (2 * h)
     t[-1] = (3 * p[-1] - 4 * p[-2] + p[-3]) / (2 * h)
+    return t, h
+
+
+def curve_length_oracle(p):
+    """Trapezoidal length with speeds √Tr[(P⁻¹Ṗ)²] from ``np.linalg.solve``."""
+    t, h = stencil_tangents(p)
     x = np.linalg.solve(p, t)
     return np.trapezoid(np.sqrt(np.einsum("kij,kji->k", x, x)), dx=h)
 
@@ -436,3 +440,102 @@ class TestStacks:
             spd_distance(a, b[0])
         with pytest.raises(ValueError, match="direction has shape"):
             log_quadratic_form(a, v[0])
+
+
+def eigen_log_spectrum(a, b):
+    """log eig(A^{-1/2} B A^{-1/2}) with A^{-1/2} from eigh: the spectrum of
+    the eigen-whitened distance that the Cholesky whitening replaced."""
+    w, v = np.linalg.eigh(a)
+    isa = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
+    c = isa @ b @ isa
+    return np.log(np.linalg.eigvalsh(0.5 * (c + np.swapaxes(c, -2, -1))))
+
+
+def eigen_curve_length_oracle(p):
+    """Trapezoidal length with each sample factored as V diag(w) Vᵗ and the
+    squared speed Σᵢⱼ (Vᵗ Ṗ V)ᵢⱼ² / (wᵢ wⱼ): the eigen-whitened speeds that
+    the Cholesky whitening replaced."""
+    t, h = stencil_tangents(p)
+    w, v = np.linalg.eigh(p)
+    r = 1.0 / np.sqrt(w)
+    scaled = r[:, :, None] * (np.swapaxes(v, -2, -1) @ t @ v) * r[:, None, :]
+    return np.trapezoid(np.sqrt((scaled * scaled).sum(axis=(-2, -1))), dx=h)
+
+
+class TestCholeskyWhitening:
+    # the distance, geodesics and curve lengths whiten by the Cholesky
+    # factor; the eigen-whitened formulas are the exact path they must
+    # match.  At log_spread 3 the paths agree within 1e-12 relative.  At
+    # log_spread 6 neither path comes that close to the true value: against
+    # 40-digit references the eigen path's distances were off by up to
+    # 3.8e-10 relative and the Cholesky path's by 1.7e-10, the forward error
+    # eps·κ of the problem, κ the condition number of A⁻¹B (up to e^24).
+    # There the paths must agree within 1e-12 + 4 eps·κ relative
+    @pytest.mark.parametrize("spread, kappa_weight", [(3.0, 0.0), (6.0, 4.0)])
+    def test_matches_eigen_whitening(self, spread, kappa_weight):
+        rng = stream(11, 30 + int(spread))
+        ts = np.linspace(0.0, 1.0, 200)
+        for n in range(2, 9):
+            a = np.stack([random_spd(rng, n, log_spread=spread) for _ in range(20)])
+            b = np.stack([random_spd(rng, n, log_spread=spread) for _ in range(20)])
+            logs = eigen_log_spectrum(a, b)
+            kappa = np.exp(logs.max(axis=-1) - logs.min(axis=-1))
+            tol = 1e-12 + kappa_weight * np.finfo(float).eps * kappa
+            assert np.all(_rel(spd_distance(a, b), np.linalg.norm(logs, axis=-1)) <= tol)
+            for x, y, tol_xy in zip(a[:3], b[:3], tol):
+                pts = geodesic_point(x, y, ts)
+                for s, got in zip(ts, pts):
+                    want = geodesic_point_oracle(x, y, s)
+                    assert np.linalg.norm(got - want) <= tol_xy * np.linalg.norm(want)
+                assert abs(curve_length(pts) - eigen_curve_length_oracle(pts)) <= 1e-10
+
+    def test_returns_the_factor(self):
+        a = random_spd(stream(11, 40), 5)
+        sym, l = _validated(a, "a", cholesky=True)
+        assert np.array_equal(sym, _validated(a, "a")[0])
+        assert np.array_equal(l, np.tril(l))
+        assert np.linalg.norm(l @ l.T - sym) <= 1e-14 * np.linalg.norm(sym)
+
+    def test_refused_factorization_raises_even_with_positive_eigenvalues(self, monkeypatch):
+        # a stack Cholesky refuses but whose computed eigenvalues are all
+        # positive, which only roundoff at the edge of singularity makes
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(ValueError, match="m is not positive definite: Cholesky"):
+            _validated(np.stack([np.eye(2)] * 3), "m", stack=True, cholesky=True)
+
+
+_REJECTED = {
+    "singular": (np.diag([1.0, 0.0]), r" is not positive definite: smallest eigenvalue 0\.000000e\+00"),
+    "indefinite": (
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        r" is not positive definite: smallest eigenvalue -1\.000000e\+00",
+    ),
+    "non-finite": (np.array([[1.0, np.inf], [np.inf, 1.0]]), " contains non-finite entries"),
+}
+
+
+class TestRejection:
+    # a bad matrix at a non-first index of a stack is refused with the same
+    # message, naming it, whichever factor the consumer asks for
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("bad", _REJECTED)
+    def test_every_consumer_names_the_bad_matrix(self, bad, k):
+        matrix, message = _REJECTED[bad]
+        good = geodesic_samples(np.eye(2), np.diag([2.0, 0.5]), 6)
+        stack = good.copy()
+        stack[k] = matrix
+        with pytest.raises(ValueError, match=rf"^curve sample\[{k}\]{message}"):
+            curve_length(stack)
+        with pytest.raises(ValueError, match=rf"^a\[{k}\]{message}"):
+            spd_distance(stack, good)
+        with pytest.raises(ValueError, match=rf"^b\[{k}\]{message}"):
+            spd_distance(good, stack)
+        with pytest.raises(ValueError, match=rf"^a\[{k}\]{message}"):
+            log_quadratic_form(stack, np.ones((len(stack), 2)))
+        with pytest.raises(ValueError, match=rf"^a{message}"):
+            geodesic_point(matrix, good[0], 0.5)
+        with pytest.raises(ValueError, match=rf"^b{message}"):
+            geodesic_point(good[0], matrix, [0.0, 0.5])
