@@ -1,9 +1,10 @@
 """Concentration experiments for the map-Hessian log-spectrum.
 
 Quadrature and Monte Carlo estimators of Var[log lambda_i], Poincare
-ratios for Lipschitz functions of the sorted log-spectrum, of single log
-quadratic forms, and of matrix functionals of the Hessian itself, plus
-exponential-moment checks and the curvature floor of regularized pairs.
+ratios for Lipschitz functions of the sorted log-spectrum and for
+Lipschitz functionals of the Hessian itself (log quadratic forms and
+their 1-D compositions among them), plus exponential-moment checks and
+the curvature floor of regularized pairs.
 
 Statistical conventions fixed across the module, so reports reproduce
 bit for bit:
@@ -46,22 +47,17 @@ __all__ = [
     "VarianceReport",
     "RatioReport",
     "BankFunction",
-    "Bank1DFunction",
-    "MatrixBankFunction",
     "function_bank",
-    "function_bank_1d",
     "matrix_function_bank",
     "spectral_samples",
     "entropic_spectral_samples",
     "variance_report",
     "eigen_log_variance_quadrature_1d",
     "poincare_ratio",
-    "quadform_poincare",
     "matrix_poincare",
     "exp_concentration",
     "caffarelli_floor_check",
     "default_experiments",
-    "default_directions",
     "EXPERIMENT_LABELS",
 ]
 
@@ -77,7 +73,8 @@ class SpectralSampleSet:
     """Batch of spectral observations of one transport map.
 
     ``spectra`` rows are descending log-eigenvalues of the map Hessian at
-    the corresponding point.  The array is column-major (each index's
+    the sampled points; the points themselves are not kept, since no
+    statistic reads them.  The array is column-major (each index's
     values contiguous), so reductions across the spectrum and moments down
     each column run on contiguous memory; a column-major input is kept as
     it is, any other is copied once.  ``weights`` are all ones for Monte
@@ -88,7 +85,6 @@ class SpectralSampleSet:
     for grid estimators whose stencil would leave the domain.
     """
 
-    points: np.ndarray
     spectra: np.ndarray
     weights: np.ndarray
     hessians: np.ndarray | None = None
@@ -183,36 +179,20 @@ class RatioReport:
 
 @dataclass(frozen=True)
 class BankFunction:
-    """Lipschitz function on R^n with a pointwise squared-gradient oracle.
+    """Lipschitz function with a pointwise squared-gradient oracle.
 
-    ``grad_sq`` is exact almost everywhere (ties in max have measure
-    zero), so Poincare denominators carry no differentiation bias.
+    ``value`` and ``grad_sq`` take a stack: rows of R^n for the spectrum
+    bank, where ``grad_sq`` is the squared Euclidean gradient, exact almost
+    everywhere (ties in max have measure zero), so Poincare denominators
+    carry no differentiation bias; Hessian stacks (count, n, n) for the
+    matrix bank, where ``grad_sq`` bounds the squared metric slope
+    pointwise; and arrays of reals for the 1-D outer functions, where it
+    is the squared slope.
     """
 
     name: str
     value: object
     grad_sq: object
-
-
-@dataclass(frozen=True)
-class Bank1DFunction:
-    name: str
-    value: object
-    slope_sq: object
-
-
-@dataclass(frozen=True)
-class MatrixBankFunction:
-    """Functional of an SPD matrix with an upper-gradient oracle.
-
-    ``upper_grad_sq`` bounds the squared metric slope pointwise; for the
-    bank built here the bounds are the Lipschitz constants of the
-    spectral functionals, all at most one.
-    """
-
-    name: str
-    value: object
-    upper_grad_sq: object
 
 
 def function_bank(dim, anchor=None):
@@ -270,32 +250,41 @@ def function_bank(dim, anchor=None):
     return out
 
 
-def function_bank_1d():
-    """1-Lipschitz bank on the real line with exact slopes."""
+def _outer_functions_1d():
+    """1-Lipschitz outer functions on the real line with exact slopes."""
     return [
-        Bank1DFunction(
+        BankFunction(
             name="identity",
             value=lambda y: y,
-            slope_sq=lambda y: np.ones_like(y),
+            grad_sq=lambda y: np.ones_like(y),
         ),
-        Bank1DFunction(
+        BankFunction(
             name="clamp[-1,1]",
             value=lambda y: np.clip(y, -1.0, 1.0),
-            slope_sq=lambda y: (np.abs(y) < 1.0).astype(float),
+            grad_sq=lambda y: (np.abs(y) < 1.0).astype(float),
         ),
-        Bank1DFunction(
+        BankFunction(
             name="tanh",
             value=np.tanh,
-            slope_sq=lambda y: (1.0 - np.tanh(y) ** 2) ** 2,
+            grad_sq=lambda y: (1.0 - np.tanh(y) ** 2) ** 2,
         ),
     ]
+
+
+def _quadform_directions(dim):
+    """First basis vector and the normalized diagonal."""
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    if dim == 1:
+        return np.array([e1])
+    return np.stack([e1, np.full(dim, 1.0 / math.sqrt(dim))])
 
 
 def _log_quadforms(h, v):
     """log(H u.u) with u = v / |v|, for every matrix of the stack h.
 
-    The one evaluation of the log-quadratic-form observable: both the
-    ``log-quadform`` bank entries and ``quadform_poincare`` read it.
+    The one evaluation of the log-quadratic-form observable, read by every
+    ``log-quadform`` entry of ``matrix_function_bank``.
     """
     v = np.asarray(v, float).ravel()
     if not np.any(v):
@@ -304,51 +293,47 @@ def _log_quadforms(h, v):
     return log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
 
 
-def matrix_function_bank(dim, directions=None, spectrum_bank=None):
-    """Lipschitz functionals of SPD matrices with unit upper gradients.
+def matrix_function_bank(dim, directions=None):
+    """Lipschitz functionals of SPD matrices with upper gradients at most one.
 
-    Contains log quadratic forms along the given directions, the metric
-    distance to the identity, and every spectrum-bank function composed
-    with the sorted log-eigenvalue map, whose metric slope is bounded by
-    the Euclidean slope of the outer function at the spectrum.
+    Contains each 1-D outer function (identity, clamp to [-1, 1], tanh)
+    composed with the log quadratic form along each direction (default:
+    the first basis vector and the normalized diagonal), the metric
+    distance to the identity, and every ``function_bank(dim)`` function
+    composed with the sorted log-eigenvalue map.  A log quadratic form is
+    1-Lipschitz in the metric, so a composite's squared metric slope is
+    bounded by the outer function's squared slope at its value; the
+    identity composite keeps the bare name ``log-quadform[k]``.
     """
     dim = int(dim)
-    directions = default_directions(dim) if directions is None else directions
+    directions = _quadform_directions(dim) if directions is None else directions
     out = []
     for k, v in enumerate(np.atleast_2d(np.asarray(directions, float))):
-        out.append(
-            MatrixBankFunction(
-                name=f"log-quadform[{k}]",
-                value=lambda h, v=v: _log_quadforms(h, v),
-                upper_grad_sq=lambda h, v=v: np.ones(h.shape[0]),
+        for g in _outer_functions_1d():
+            suffix = "" if g.name == "identity" else f":{g.name}"
+            out.append(
+                BankFunction(
+                    name=f"log-quadform[{k}]{suffix}",
+                    value=lambda h, v=v, g=g: g.value(_log_quadforms(h, v)),
+                    grad_sq=lambda h, v=v, g=g: g.grad_sq(_log_quadforms(h, v)),
+                )
             )
-        )
     out.append(
-        MatrixBankFunction(
+        BankFunction(
             name="distance-to-identity",
             value=lambda h: np.linalg.norm(np.log(np.linalg.eigvalsh(h)), axis=1),
-            upper_grad_sq=lambda h: np.ones(h.shape[0]),
+            grad_sq=lambda h: np.ones(h.shape[0]),
         )
     )
-    for f in spectrum_bank if spectrum_bank is not None else function_bank(dim):
+    for f in function_bank(dim):
         out.append(
-            MatrixBankFunction(
+            BankFunction(
                 name=f"spectral:{f.name}",
                 value=lambda h, f=f: f.value(log_eigen_map(h)),
-                upper_grad_sq=lambda h, f=f: f.grad_sq(log_eigen_map(h)),
+                grad_sq=lambda h, f=f: f.grad_sq(log_eigen_map(h)),
             )
         )
     return out
-
-
-def default_directions(dim):
-    """First basis vector and the normalized diagonal."""
-    dim = int(dim)
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    if dim == 1:
-        return np.array([e1])
-    return np.stack([e1, np.full(dim, 1.0 / math.sqrt(dim))])
 
 
 # ----------------------------------------------------------------- sampling
@@ -376,7 +361,6 @@ def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
     if pts.ndim == 1:
         pts = pts[:, None]
     return SpectralSampleSet(
-        points=pts,
         spectra=tm.log_spectra(pts),
         weights=np.ones(pts.shape[0]),
         hessians=tm.hessian(pts) if keep_hessians else None,
@@ -416,12 +400,11 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
     eigs = np.linalg.eigvalsh(sym)
     keep = eigs[:, 0] > 0.0
     flagged = int(np.sum(~keep))
-    pts, sym, eigs = pts[keep], sym[keep], eigs[keep]
+    sym, eigs = sym[keep], eigs[keep]
     spectra = np.log(eigs[:, ::-1], out=np.empty(eigs.shape, order="F"))
     return SpectralSampleSet(
-        points=pts,
         spectra=spectra,
-        weights=np.ones(pts.shape[0]),
+        weights=np.ones(spectra.shape[0]),
         hessians=sym,
         flagged=flagged,
         skipped=skipped,
@@ -543,11 +526,10 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     vals = tm.log_second_derivative(x)
     good = np.isfinite(vals)
     dropped = float(np.sum(w[~good]))
-    vals, w, x = vals[good], w[good], x[good]
+    vals, w = vals[good], w[good]
     log_range = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
     truncation = (tail + dropped) * log_range**2
     samples = SpectralSampleSet(
-        points=x[:, None],
         spectra=vals[:, None],
         weights=w,
         flagged=int(np.sum(~good)),
@@ -615,22 +597,12 @@ def poincare_ratio(samples, f):
     return _ratio_report(values, grad_sq, samples.weights, samples.count)
 
 
-def quadform_poincare(samples, v, f):
-    """One-dimensional ratio for Y = log quadratic form of the Hessian along v."""
-    if samples.hessians is None:
-        raise ValueError("sample set carries no Hessian matrices for quadratic-form ratios")
-    y = _log_quadforms(samples.hessians, v)
-    values = np.asarray(f.value(y), float)
-    slope_sq = np.asarray(f.slope_sq(y), float)
-    return _ratio_report(values, slope_sq, samples.weights, samples.count)
-
-
 def matrix_poincare(samples, f):
     """Ratio for a matrix functional on the Hessian-valued pushforward."""
     if samples.hessians is None:
         raise ValueError("sample set carries no Hessian matrices")
     values = np.asarray(f.value(samples.hessians), float)
-    grad_sq = np.asarray(f.upper_grad_sq(samples.hessians), float)
+    grad_sq = np.asarray(f.grad_sq(samples.hessians), float)
     return _ratio_report(values, grad_sq, samples.weights, samples.count)
 
 

@@ -188,15 +188,15 @@ def discretize(m, box, nx, ny):
     return GridMeasure(xs=xs, ys=ys, weights=w / w.sum(), box=box)
 
 
-def default_eps_schedule(mu, nu, floor=None, start_factor=0.1, ratio=0.5):
+def default_eps_schedule(mu, nu):
     """Geometric epsilon ladder from the box scale down to grid resolution.
 
-    The start is a fraction of the squared joint box diagonal.  The floor
-    defaults to 1.2 times the squared coarsest grid spacing: the
-    barycentric map needs the softmax kernel width sqrt(eps) to stay
-    near the lattice spacing, and pushing the floor to a fixed fraction
-    of diam^2 leaves a smoothing bias of order eps/2 times the inverse
-    covariance, which is several times too large for tight oracle
+    The start is a tenth of the squared joint box diagonal, and each step
+    halves epsilon.  The floor is 1.2 times the squared coarsest grid
+    spacing: the barycentric map needs the softmax kernel width sqrt(eps)
+    to stay near the lattice spacing, and pushing the floor to a fixed
+    fraction of diam^2 leaves a smoothing bias of order eps/2 times the
+    inverse covariance, which is several times too large for tight oracle
     agreement on mass-complete boxes.
     """
     corners = []
@@ -206,16 +206,12 @@ def default_eps_schedule(mu, nu, floor=None, start_factor=0.1, ratio=0.5):
     xs = [c[0] for c in corners]
     ys = [c[1] for c in corners]
     diam2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
-    if floor is None:
-        h = max(max(mu.spacing), max(nu.spacing))
-        floor = 1.2 * h * h
-    floor = float(floor)
-    if floor <= 0:
-        raise ValueError("epsilon floor must be positive")
-    eps = max(start_factor * diam2, floor)
+    h = max(max(mu.spacing), max(nu.spacing))
+    floor = 1.2 * h * h
+    eps = max(0.1 * diam2, floor)
     out = [eps]
     while out[-1] > floor:
-        out.append(max(out[-1] * ratio, floor))
+        out.append(max(out[-1] * 0.5, floor))
     return out
 
 

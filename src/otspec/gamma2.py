@@ -494,15 +494,15 @@ def _symmetrize3(c):
     ) / 6.0
 
 
-def make_test_function(stream, dim, scale=1.0):
+def make_test_function(stream, dim):
     """Random cubic test function with symmetric derivative tensors."""
     quad = stream.standard_normal((dim, dim))
     cubic = _symmetrize3(stream.standard_normal((dim, dim, dim)))
     return CubicTestFunction(
-        const=stream.standard_normal() * scale,
-        linear=stream.standard_normal(dim) * scale,
-        quadratic=0.5 * (quad + quad.T) * scale,
-        cubic=cubic * scale,
+        const=stream.standard_normal(),
+        linear=stream.standard_normal(dim),
+        quadratic=0.5 * (quad + quad.T),
+        cubic=cubic,
     )
 
 
@@ -519,18 +519,16 @@ def triple_from_map(tm):
     return builders[tm.kind](tm)
 
 
-def synthetic_triple(stream, dim, delta=0.2, hess_floor=0.1, box_radius=1.0):
+def synthetic_triple(stream, dim, delta=0.2, hess_floor=0.1):
     """Cubic-perturbed quadratic triple, exactly mass-conserving.
 
     The cubic tensor is scaled so that D^2 Phi stays above ``hess_floor``
-    times the identity on the box |x|_inf <= box_radius; W is a random
-    convex quadratic with eigenvalues in [1/2, 2].
+    times the identity on the box |x|_inf <= 1; W is a random convex
+    quadratic with eigenvalues in [1/2, 2].
     """
     cubic = _symmetrize3(stream.standard_normal((dim, dim, dim)))
-    # sup over the box of the Hessian perturbation, in operator norm
-    bound = box_radius * float(
-        np.linalg.norm(np.abs(cubic).sum(axis=2), ord=2)
-    )
+    # sup over the unit box of the Hessian perturbation, in operator norm
+    bound = float(np.linalg.norm(np.abs(cubic).sum(axis=2), ord=2))
     if bound > 0:
         cubic *= delta * (1.0 - hess_floor) / bound
     q = stream.standard_normal((dim, dim))

@@ -594,9 +594,10 @@ class LogConcaveMeasure1D:
         return self.quantile(rng.uniform(size=size))
 
     # -- construction-time validation -------------------------------------
-    def _validation_grid(self, count=1000):
-        """Bulk points: the quantiles of an even grid in (0, 1), or the CDF
-        table's nodes over the same range, which cost no solve."""
+    def _validation_grid(self):
+        """Bulk points: the quantiles of an even 1000-point grid in (0, 1),
+        or the CDF table's nodes over the same range, which cost no solve."""
+        count = 1000
         lo, hi = 1.0 / (count + 1), count / (count + 1.0)
         if self._tab_cubic is not None:
             return self._tab_x[(self._tab_f >= lo) & (self._tab_f <= hi)]
@@ -607,8 +608,8 @@ class LogConcaveMeasure1D:
     # non-integer power; quadratures split or grade their panels there
     _kink_points = ()
 
-    def _validate(self, grid_count=1000):
-        grid = self._validation_grid(grid_count)
+    def _validate(self):
+        grid = self._validation_grid()
         if self.has_d2:
             d2 = np.atleast_1d(self.potential_d2(grid))
             if np.any(d2 < -1e-9):
@@ -1332,11 +1333,12 @@ class _Regularized1D(LogConcaveMeasure1D):
         self._approx_mean, self._approx_std = mean, math.sqrt(var)
         self._build_node_table()
         self._build_quantile_table()
-        self._validate(grid_count=41)
+        self._validate()
 
-    def _validation_grid(self, count=41):
-        # an even grid over the bulk; quantile spacing would cost a solve per node
-        return self._approx_mean + self._approx_std * np.linspace(-8.0, 8.0, count)
+    def _validation_grid(self):
+        # an even 41-point grid over the bulk: each potential_d2 point costs a
+        # tilted-moment rule, so the base path's table nodes would cost more
+        return self._approx_mean + self._approx_std * np.linspace(-8.0, 8.0, 41)
 
     # -- weight w(y) = exp(-V(y) - y^2 / (2 c2)) * tau / sig ---------------
     def _log_weight(self, y):

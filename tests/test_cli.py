@@ -161,7 +161,7 @@ class TestConfigParsing:
     def test_label_check_builds_no_measure(self, monkeypatch):
         # labels are checked against the table, so validating a config builds
         # no map; an explicit map spec has its parameters checked, unbuilt
-        def refuse(self, grid_count=1000):
+        def refuse(self):
             raise AssertionError(f"config validation built {self.name}")
 
         monkeypatch.setattr(LogConcaveMeasure1D, "_validate", refuse)

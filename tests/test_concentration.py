@@ -20,27 +20,23 @@ from otspec.brenier import (
 )
 from otspec.concentration import (
     EXPERIMENT_LABELS,
-    Bank1DFunction,
     BankFunction,
     RatioReport,
     SpectralSampleSet,
     VarianceReport,
     caffarelli_floor_check,
-    default_directions,
     default_experiments,
     eigen_log_variance_quadrature_1d,
     entropic_spectral_samples,
     exp_concentration,
     function_bank,
-    function_bank_1d,
     matrix_function_bank,
     poincare_ratio,
-    quadform_poincare,
     spectral_samples,
     matrix_poincare,
     variance_report,
 )
-from otspec.concentration import _BLOCKS, _block_partials, _panel_nodes
+from otspec.concentration import _BLOCKS, _block_partials, _panel_nodes, _ratio_report
 from otspec.entropic import (
     EntropicPlan,
     GridMeasure,
@@ -53,7 +49,7 @@ from otspec.measures import (
     make_catalog_measure,
     make_radial_measure,
 )
-from otspec.spd import random_spd
+from otspec.spd import log_quadratic_form, random_spd
 
 
 def _pair(src, sp, dst, dp):
@@ -98,7 +94,6 @@ class TestSampleSets:
     def test_deterministic_given_seed(self, product_map):
         a = spectral_samples(product_map, 1000, seed=3)
         b = spectral_samples(product_map, 1000, seed=3)
-        assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.spectra, b.spectra)
         c = spectral_samples(product_map, 1000, seed=4)
         assert not np.array_equal(a.spectra, c.spectra)
@@ -123,11 +118,11 @@ class TestSampleSets:
         assert samples.spectra.shape == (500, tm.dim)
 
     def test_column_major_spectra_are_kept_without_copy(self):
-        pts, w = np.zeros((4, 2)), np.ones(4)
+        w = np.ones(4)
         spectra = np.asfortranarray(np.arange(8.0).reshape(4, 2))
-        assert np.shares_memory(SpectralSampleSet(pts, spectra, w).spectra, spectra)
+        assert np.shares_memory(SpectralSampleSet(spectra, w).spectra, spectra)
         rows = np.arange(8.0).reshape(4, 2)
-        kept = SpectralSampleSet(pts, rows, w).spectra
+        kept = SpectralSampleSet(rows, w).spectra
         assert kept.flags.f_contiguous and np.array_equal(kept, rows)
 
     def test_minimum_sample_count(self, product_map):
@@ -135,14 +130,13 @@ class TestSampleSets:
             spectral_samples(product_map, 10, seed=0)
 
     def test_container_validation(self):
-        pts = np.zeros((4, 2))
         good = np.zeros((4, 2))
         with pytest.raises(ValueError, match="finite"):
-            SpectralSampleSet(pts, good + np.inf, np.ones(4))
+            SpectralSampleSet(good + np.inf, np.ones(4))
         with pytest.raises(ValueError, match="nonnegative"):
-            SpectralSampleSet(pts, good, np.array([1.0, -1.0, 1.0, 1.0]))
+            SpectralSampleSet(good, np.array([1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="lengths"):
-            SpectralSampleSet(pts, good, np.ones(3))
+            SpectralSampleSet(good, np.ones(3))
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -250,9 +244,7 @@ class TestMonteCarloVariance:
             assert np.all(rep.standard_errors > 0.0)
 
     def test_empty_set_is_refused(self):
-        empty = SpectralSampleSet(
-            np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), flagged=5
-        )
+        empty = SpectralSampleSet(np.zeros((0, 2)), np.zeros(0), flagged=5)
         with pytest.raises(ValueError, match="empty"):
             variance_report(empty)
 
@@ -298,13 +290,23 @@ class TestFunctionBank:
             function_bank(3, anchor=[1.0, 2.0])
 
     def test_1d_bank_slopes(self):
-        y = np.linspace(-2.0, 2.0, 41)
-        for f in function_bank_1d():
-            step = 1e-6
-            fd = (f.value(y + step) - f.value(y - step)) / (2 * step)
+        # along t -> e^t A every log quadratic form moves at unit rate, so a
+        # composite's derivative there is its outer function's slope
+        a = random_spd(rng.stream(41, 2), 3, log_spread=1.0)
+        h = np.exp(np.linspace(-2.0, 2.0, 41))[:, None, None] * a
+        step = 1e-6
+        bank = {
+            f.name: f
+            for f in matrix_function_bank(3, directions=np.vstack([np.eye(3), [1.0, 2.0, -1.0]]))
+            if f.name.startswith("log-quadform")
+        }
+        assert len(bank) == 12
+        for name, f in bank.items():
+            y = bank[name.split(":")[0]].value(h)
+            fd = (f.value(math.exp(step) * h) - f.value(math.exp(-step) * h)) / (2 * step)
             smooth = np.abs(np.abs(y) - 1.0) > 1e-3
             np.testing.assert_allclose(
-                (fd * fd)[smooth], f.slope_sq(y)[smooth], atol=1e-8
+                (fd * fd)[smooth], f.grad_sq(h)[smooth], atol=1e-8
             )
 
     def test_matrix_bank_values(self):
@@ -319,7 +321,7 @@ class TestFunctionBank:
         spec_max = bank["spectral:max"].value(h)
         assert spec_max[0] == pytest.approx(2.0, abs=1e-12)
         for f in bank.values():
-            assert np.all(f.upper_grad_sq(h) <= 1.0 + 1e-12)
+            assert np.all(f.grad_sq(h) <= 1.0 + 1e-12)
 
     def test_matrix_bank_rejects_indefinite(self):
         bank = {f.name: f for f in matrix_function_bank(2)}
@@ -370,47 +372,59 @@ class TestPoincareRatio:
         assert not rep.within(1.0, sigmas=1.0)
 
 
+# log(H u.u) with u = v / |v| through an outer function with its exact
+# squared slope, as a one-dimensional ratio: the reference that the
+# composed log-quadform entries of the matrix bank must reproduce
+_OUTER_1D = {
+    "": (lambda y: y, lambda y: np.ones_like(y)),
+    ":clamp[-1,1]": (
+        lambda y: np.clip(y, -1.0, 1.0),
+        lambda y: (np.abs(y) < 1.0).astype(float),
+    ),
+    ":tanh": (np.tanh, lambda y: (1.0 - np.tanh(y) ** 2) ** 2),
+}
+
+
+def quadform_ratio_oracle(samples, v, value, slope_sq):
+    h = samples.hessians
+    v = np.asarray(v, float).ravel()
+    v = v / np.linalg.norm(v)
+    y = log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
+    values = np.asarray(value(y), float)
+    return _ratio_report(values, np.asarray(slope_sq(y), float), samples.weights, samples.count)
+
+
 class TestQuadformPoincare:
     def test_gaussian_pair_variance_zero(self):
         s = rng.stream(2024, 10, 3)
         mu = GaussianMeasure(np.zeros(3), random_spd(s, 3, log_spread=1.0))
         nu = GaussianMeasure(np.zeros(3), random_spd(s, 3, log_spread=1.0))
         samples = spectral_samples(brenier_gaussian(mu, nu), 2000, seed=9, keep_hessians=True)
-        ident = function_bank_1d()[0]
-        rep = quadform_poincare(samples, default_directions(3)[0], ident)
+        bank = {f.name: f for f in matrix_function_bank(3)}
+        rep = matrix_poincare(samples, bank["log-quadform[0]"])
         assert rep.numerator <= 1e-14
         assert rep.value <= 1e-14
 
-    def test_identity_bound_on_radial(self, radial_samples):
-        for v in default_directions(3):
-            for f in function_bank_1d():
-                rep = quadform_poincare(radial_samples, v, f)
-                assert rep.within(1.0), (f.name, rep)
-
     def test_identity_variance_below_four(self, radial_samples):
-        ident = function_bank_1d()[0]
-        rep = quadform_poincare(radial_samples, default_directions(3)[0], ident)
+        bank = {f.name: f for f in matrix_function_bank(3)}
+        rep = matrix_poincare(radial_samples, bank["log-quadform[0]"])
         assert rep.numerator <= 4.0 + 3.0 * rep.standard_error
-
-    def test_missing_quadforms_are_refused(self, product_map):
-        samples = spectral_samples(product_map, 1000, seed=2)
-        with pytest.raises(ValueError, match="quadratic-form"):
-            quadform_poincare(samples, [1.0, 0.0, 0.0], function_bank_1d()[0])
 
 
 class TestMatrixPoincare:
     def test_quadform_functional_matches_1d_specialization(self, radial_samples):
-        # the matrix functional log(Av.v) on the Hessian samples and the
-        # quadratic-form ratio read the same observable from the same
-        # Hessians, along any direction, so the reports agree exactly
-        directions = np.vstack([default_directions(3), [1.0, 2.0, -1.0]])
-        bank = matrix_function_bank(3, directions=directions)
-        ident = function_bank_1d()[0]
-        for k, v in enumerate(directions):
-            assert bank[k].name == f"log-quadform[{k}]"
-            rep_m = matrix_poincare(radial_samples, bank[k])
-            rep_q = quadform_poincare(radial_samples, v, ident)
-            assert rep_m == rep_q
+        # the composed matrix functional g(log(Hv.v)) and the one-dimensional
+        # ratio of g along v read the same observable from the same
+        # Hessians, so the reports agree exactly, for every outer function
+        # and along any direction
+        default = np.stack([[1.0, 0.0, 0.0], np.full(3, 1.0 / math.sqrt(3.0))])
+        for directions in (None, [[1.0, 2.0, -1.0]]):
+            bank = {f.name: f for f in matrix_function_bank(3, directions=directions)}
+            vs = default if directions is None else directions
+            for k, v in enumerate(vs):
+                for suffix, (value, slope_sq) in _OUTER_1D.items():
+                    rep_m = matrix_poincare(radial_samples, bank[f"log-quadform[{k}]{suffix}"])
+                    assert rep_m == quadform_ratio_oracle(radial_samples, v, value, slope_sq)
 
     def test_bank_bound_on_radial(self, radial_samples):
         for f in matrix_function_bank(3):
@@ -459,7 +473,7 @@ class TestExpConcentration:
     def test_overflow_reports_infinity(self):
         spectra = np.zeros((100, 1))
         spectra[0, 0] = 2e4
-        samples = SpectralSampleSet(np.zeros((100, 1)), spectra, np.ones(100))
+        samples = SpectralSampleSet(spectra, np.ones(100))
         f = function_bank(1)[0]
         assert math.isinf(exp_concentration(samples, f, 0.5))
 
@@ -470,7 +484,7 @@ class TestExpConcentration:
             assert got == [exp_concentration(radial_samples, f, c) for c in cs]
         spectra = np.zeros((100, 1))
         spectra[0, 0] = 2e4
-        samples = SpectralSampleSet(np.zeros((100, 1)), spectra, np.ones(100))
+        samples = SpectralSampleSet(spectra, np.ones(100))
         f = function_bank(1)[0]
         got = exp_concentration(samples, f, np.array([0.01, 0.5]))
         assert got == [exp_concentration(samples, f, 0.01), math.inf]
@@ -486,7 +500,7 @@ class TestExpConcentration:
         spectra = np.asfortranarray(r.standard_normal((1000, 3)))
         spectra[7, 0] = 900.0
         weights = r.uniform(0.5, 2.0, size=1000)
-        samples = SpectralSampleSet(np.zeros((1000, 3)), spectra, weights)
+        samples = SpectralSampleSet(spectra, weights)
         distinct = (0.02, 0.1, 0.5, 0.77, 0.78, 1.5)
         cs = (0.1, *distinct, 0.5, 0.1)
         exp, passes = np.exp, []
