@@ -17,6 +17,7 @@ original measure in the tight-variance limit.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .spd import _validated, sqrt_factors
@@ -141,9 +142,19 @@ def _integrate(f, a, b, kinks=(), center=0.0, scale=1.0):
 _GL_Z, _GL_W = np.polynomial.legendre.leggauss(16)
 _GRADE_LEVELS = 12
 _GRADE_RATIO = 0.25
-# tilted moments: equal panels per piece of the window, distinct points per block
+# tilted moments: equal panels per piece of the window, distinct points per
+# block of the rule; the modes of all points of a call come from one bisection
 _TILT_PANELS = 16
 _TILT_BLOCK = 32
+# node-table sums: ndtr(z) is exactly 1.0 from z = 8.2924 up and exactly 0
+# from z = -37.677 down, and exp(z) is exactly 0 below -745.134; each bound
+# keeps a margin, so the terms a window leaves out are exact
+_NDTR_ONE = 8.5
+_NDTR_ZERO = -38.5
+_EXP_ZERO = -746.0
+# elements per block of a node-table sum: as many as 256 points of a 64-node
+# table; blocks four times larger fall out of cache and run slower
+_WINDOW_BLOCK = 1 << 14
 
 # quantile start table (see LogConcaveMeasure1D._build_quantile_table): its
 # nodes sit at even steps _TABLE_DW of a level coordinate w(z), z = ndtri(F):
@@ -193,6 +204,40 @@ def _cdf_slope(z, dens):
     """dx/dz = phi(z) / pdf(x) on the nodes of a CDF table."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * dens)
+
+
+def _exact_cumsum(v):
+    """Sums of v[:k] for k = 0..len(v), each rounded once.
+
+    ``np.cumsum`` adds in order, so the rounding error of each addition is
+    recovered exactly (Knuth's TwoSum) and summed alongside.
+    """
+    s = np.cumsum(v)
+    prev = np.concatenate([[0.0], s[:-1]])
+    part = s - prev
+    err = (prev - (s - part)) + (v - part)
+    return np.concatenate([[0.0], s + np.cumsum(err)])
+
+
+def _window_size(nodes, length):
+    """Most of the sorted ``nodes`` that a closed stretch ``length`` long holds."""
+    ends = np.searchsorted(nodes, nodes + length, side="right")
+    return int(np.max(ends - np.arange(nodes.size)))
+
+
+def _window_rows(arrays, width):
+    """Row j of slice k holds ``arrays[k][j:j + width]``; a view, no copy."""
+    return sliding_window_view(np.stack(arrays), width, axis=1)
+
+
+def _by_blocks(size, width, block):
+    """``block(lo, hi)`` over runs of ``size`` points whose windows, ``width``
+    nodes each, hold about ``_WINDOW_BLOCK`` elements together."""
+    out = np.empty(size)
+    step = max(1, _WINDOW_BLOCK // width)
+    for lo in range(0, size, step):
+        out[lo:lo + step] = block(lo, lo + step)
+    return out
 
 
 def _panel_rule(lo, hi, panels, grade_lo, grade_hi):
@@ -1291,16 +1336,23 @@ class _Regularized1D(LogConcaveMeasure1D):
     exceeds sig2, so the second line is bounded below by 1/damp2.
 
     The three potential oracles evaluate the tilted mass and moments of
-    all distinct points of a call together, on the fixed rule of
-    ``_tilted_moments``; ``cdf`` and ``pdf`` sum over the node table of
-    ``_build_node_table``.  That CDF has no inverse, so ``quantile``
-    starts from the CDF table of the base class, built once, at
-    construction, around the gaussian fit of ``_location_scale``.
+    all distinct points of a call together: one bisection finds every tilt
+    mode, and the fixed rule of ``_tilted_moments`` integrates around it.
+    ``cdf`` and ``pdf`` sum over the node table of ``_build_node_table``,
+    each point over its own window of nodes, sorted in y: outside it every
+    ``cdf`` term is exactly 0 or exactly its full weight, which exact head
+    and tail sums of the weights supply, and every ``pdf`` term is exactly
+    0.  So a point costs a few hundred terms, not the whole table, and
+    the sums differ from full ones only in their order.  That CDF has no
+    inverse, so ``quantile`` starts from the CDF table of the base class,
+    built once, at construction, around the gaussian fit of
+    ``_location_scale``.
     """
 
     has_d2 = True
-    # each cdf or pdf point sums over the node table, so the quantile table
-    # stops where the uniform draws do, and beyond it the tail start brackets
+    # each cdf or pdf point still sums a window of some hundred nodes, so
+    # the quantile table stops where the uniform draws do, and beyond it
+    # the tail start brackets
     _table_z_low = _TABLE_Z_TAIL
 
     def __init__(self, base, n):
@@ -1398,34 +1450,45 @@ class _Regularized1D(LogConcaveMeasure1D):
             qs.append(q)
         self._node_y = np.concatenate(ys)
         self._node_q = np.concatenate(qs)
-        self._node_logw = self._log_weight(self._node_y) - self._log_z
-        self._node_cdf_w = np.exp(self._node_logw) * self._node_q
-        self._node_log_base = -np.atleast_1d(self.base.potential(self._node_y))
+        self._node_cdf_w = np.exp(self._log_weight(self._node_y) - self._log_z) * self._node_q
+        # cdf: ndtr((t - y')/tau) at the shrunk nodes y' = shrink y is
+        # exactly 1.0 up to _NDTR_ONE tau below t, and exactly 0 from
+        # _NDTR_ZERO tau above it; the window holds the most nodes any
+        # stretch of that length holds, and the nodes on the 1.0 side add
+        # their weights from exact head and tail sums
+        self._node_sy = self._shrink * self._node_y
+        self._node_head = _exact_cumsum(self._node_cdf_w)
+        self._node_tail = _exact_cumsum(self._node_cdf_w[::-1])[::-1]
+        self._cdf_window = _window_size(
+            self._node_sy, (_NDTR_ONE - _NDTR_ZERO) * self._tau
+        )
+        self._cdf_rows = _window_rows([self._node_sy, self._node_cdf_w], self._cdf_window)
+        # pdf: a term exp(z - peak) is exactly 0 below _EXP_ZERO.  The
+        # nearest node, d_near away, bounds the peak from below, so z - peak
+        # is below it beyond sqrt(d_near^2 + 2 sig2 (spread - _EXP_ZERO)),
+        # spread being the range of z's node part; inside the table d_near
+        # is at most half the widest gap, and outside it the window is the
+        # one at the nearer end
         with np.errstate(divide="ignore"):
-            self._node_logq = np.log(self._node_q)
+            log_q = np.log(self._node_q)
+        self._node_logterm = -np.atleast_1d(self.base.potential(self._node_y)) + log_q
+        spread = np.ptp(self._node_logterm)
+        gap = np.max(np.diff(self._node_y), initial=0.0)
+        self._pdf_reach = math.sqrt(0.25 * gap**2 + 2.0 * self.sig2 * (spread - _EXP_ZERO))
+        self._pdf_window = _window_size(self._node_y, 2.0 * self._pdf_reach)
+        self._pdf_rows = _window_rows([self._node_y, self._node_logterm], self._pdf_window)
 
     # -- tilted Gaussian moments around a point t --------------------------
-    def _tilted_moments(self, t):
-        """(log mass, mean, variance) of exp(-V(y)) N(t - y; sig2) dy.
+    def _tilt_modes(self, t):
+        """Mode of g(y) = V(y) + (t - y)^2 / (2 sig2) at every point of 1D ``t``.
 
-        ``t`` is a 1D block of points.  The mode of
-        g(y) = V(y) + (t - y)^2 / (2 sig2) comes from bisection on the
-        increasing g', within t +- (60 sig + 1) on the support; the moments
-        come from the window of +-12 sig around it, cut short at a finite
-        support edge, and pulled in from either side to twice the distance
-        at which g has risen at most 120 above its value at the mode.  The
-        window is split at the mode and at the base's kinks, and each piece
-        gets ``_TILT_PANELS`` equal panels, graded at both ends when the
-        base density has points where it is not analytic.  The integrand
-        is shifted by its largest value at the nodes, so a mode on a
-        support edge, where V is infinite, does no harm.
+        One bisection on the increasing g' serves every point, within
+        t +- (60 sig + 1) on the support; each row stops on its own, so its
+        mode does not depend on which other points share the call.  The
+        mode is kept inside the open support, where V is finite.
         """
         base, sig2 = self.base, self.sig2
         a, b = base.support
-
-        def g(y):
-            return base.potential(y) + 0.5 * (t[:, None] - y) ** 2 / sig2
-
         lo = np.maximum(a, t - 60.0 * self.sig - 1.0)
         hi = np.minimum(b, t + 60.0 * self.sig + 1.0)
         empty = lo >= hi
@@ -1433,16 +1496,34 @@ class _Regularized1D(LogConcaveMeasure1D):
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                # a row stops on its own, so its mode does not depend on
-                # which other points share the block
                 live = (hi - lo > 1e-14 * self.sig) & (mid != lo) & (mid != hi)
                 if not np.any(live):
                     break
                 up = base.potential_d1(mid) + (mid - t) / sig2 > 0.0
                 hi = np.where(live & up, mid, hi)
                 lo = np.where(live & ~up, mid, lo)
-        # keep the mode inside the open support, where V is finite
-        mode = np.clip(0.5 * (lo + hi), np.nextafter(a, b), np.nextafter(b, a))
+        return np.clip(0.5 * (lo + hi), np.nextafter(a, b), np.nextafter(b, a))
+
+    def _tilted_moments(self, t, mode):
+        """(log mass, mean, variance) of exp(-V(y)) N(t - y; sig2) dy.
+
+        ``t`` is a 1D block of points and ``mode`` their ``_tilt_modes``.
+        The moments come from the window of +-12 sig around the mode, cut
+        short at a finite support edge, and pulled in from either side to
+        twice the distance at which g has risen at most 120 above its
+        value at the mode.  The window is split at the mode and at the
+        base's kinks, and each piece gets ``_TILT_PANELS`` equal panels,
+        graded at both ends when the base density has points where it is
+        not analytic.  The integrand is shifted by its largest value at the
+        nodes, so a mode on a support edge, where V is infinite, does no
+        harm.
+        """
+        base, sig2 = self.base, self.sig2
+        a, b = base.support
+
+        def g(y):
+            return base.potential(y) + 0.5 * (t[:, None] - y) ** 2 / sig2
+
         g_mode = g(mode[:, None])[:, 0]
 
         # boundary layer: halve the distance d to each window end, at most
@@ -1478,14 +1559,17 @@ class _Regularized1D(LogConcaveMeasure1D):
     def _pointwise(self, x):
         """Tilted (log mass, mean, variance) at every point of ``x``.
 
-        Each distinct value is evaluated once, ``_TILT_BLOCK`` at a time;
-        the three arrays have the shape of ``x``.
+        Each distinct value is evaluated once: one bisection finds every
+        tilt mode, and the moment rule runs ``_TILT_BLOCK`` points at a
+        time; the three arrays have the shape of ``x``.
         """
         x = np.asarray(x, dtype=float)
         t, inverse = np.unique(x.ravel(), return_inverse=True)
+        mode = self._tilt_modes(t)
         out = np.empty((3, t.size))
         for lo in range(0, t.size, _TILT_BLOCK):
-            out[:, lo:lo + _TILT_BLOCK] = self._tilted_moments(t[lo:lo + _TILT_BLOCK])
+            hi = lo + _TILT_BLOCK
+            out[:, lo:hi] = self._tilted_moments(t[lo:hi], mode[lo:hi])
         return tuple(v[inverse].reshape(x.shape) for v in out)
 
     @staticmethod
@@ -1506,42 +1590,62 @@ class _Regularized1D(LogConcaveMeasure1D):
         _, _, var = self._pointwise(x)
         return self._like(x, 1.0 / self.sig2 - var / self.sig2**2 + 1.0 / self.damp2)
 
+    def _cdf_starts(self, t):
+        """First node of each point's ``cdf`` window, and which points sum
+        their upper tail.  Below the window (above it, for an upper tail)
+        every term is its full weight, and beyond its other end every term
+        is 0."""
+        sy, width = self._node_sy, self._cdf_window
+        upper = t > self._approx_mean
+        first = np.searchsorted(sy, t - _NDTR_ONE * self._tau)
+        last = np.searchsorted(sy, t + _NDTR_ONE * self._tau, side="right")
+        start = np.where(
+            upper, np.maximum(last, width) - width, np.minimum(first, sy.size - width)
+        )
+        return start, upper
+
+    def _pdf_starts(self, t):
+        """First node of each point's ``pdf`` window; every term outside it is 0."""
+        y = self._node_y
+        return np.minimum(np.searchsorted(y, t - self._pdf_reach), y.size - self._pdf_window)
+
     def cdf(self, x):
-        """Node-table CDF; above the approximate mean, 1 minus the upper
-        tail, so that values near 1 carry no summation roundoff."""
+        """Node-table CDF, summed over each point's window of nodes; above
+        the approximate mean, 1 minus the upper tail, so that values near 1
+        carry no summation roundoff."""
         x_in = np.asarray(x, dtype=float)
         t = np.atleast_1d(x_in).astype(float).ravel()
-        out = np.empty(t.size)
-        for lo in range(0, t.size, 256):
-            hi = lo + 256
-            upper = t[lo:hi] > self._approx_mean
-            z = (t[lo:hi, None] - self._shrink * self._node_y[None, :]) / self._tau
-            z[upper] *= -1.0
-            tail = special.ndtr(z) @ self._node_cdf_w
-            out[lo:hi] = np.where(upper, 1.0 - tail, tail)
-        out = np.clip(out, 0.0, 1.0)
+        width = self._cdf_window
+        start, upper = self._cdf_starts(t)
+        full = np.where(upper, self._node_tail[start + width], self._node_head[start])
+        # dividing by -tau negates z exactly
+        tau = np.where(upper, -self._tau, self._tau)[:, None]
+
+        def block(lo, hi):
+            sy, w = self._cdf_rows[:, start[lo:hi]]
+            z = (t[lo:hi, None] - sy) / tau[lo:hi]
+            return full[lo:hi] + np.sum(special.ndtr(z) * w, axis=1)
+
+        tail = _by_blocks(t.size, width, block)
+        out = np.clip(np.where(upper, 1.0 - tail, tail), 0.0, 1.0)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
     def pdf(self, x):
+        """Node-table density, summed over each point's window of nodes."""
         x_in = np.asarray(x, dtype=float)
         t = np.atleast_1d(x_in).astype(float).ravel()
-        out = np.empty(t.size)
-        shift = (
-            self._log_z
-            + 0.5 * math.log(2.0 * math.pi * self.sig2)
-        )
-        for lo in range(0, t.size, 256):
-            hi = lo + 256
-            z = (
-                self._node_log_base[None, :]
-                + self._node_logq[None, :]
-                - 0.5 * ((t[lo:hi, None] - self._node_y[None, :]) / self.sig) ** 2
-            )
+        width = self._pdf_window
+        start = self._pdf_starts(t)
+        shift = self._log_z + 0.5 * math.log(2.0 * math.pi * self.sig2)
+
+        def block(lo, hi):
+            y, logterm = self._pdf_rows[:, start[lo:hi]]
+            z = logterm - 0.5 * ((t[lo:hi, None] - y) / self.sig) ** 2
             peak = np.max(z, axis=1, keepdims=True)
             log_conv = peak[:, 0] + np.log(np.sum(np.exp(z - peak), axis=1))
-            out[lo:hi] = np.exp(
-                log_conv - 0.5 * t[lo:hi] ** 2 / self.damp2 - shift
-            )
+            return np.exp(log_conv - 0.5 * t[lo:hi] ** 2 / self.damp2 - shift)
+
+        out = _by_blocks(t.size, width, block)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
     def _total_mass(self):

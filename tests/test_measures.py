@@ -990,6 +990,58 @@ def _adaptive_tilted(r, t):
     return log_mass, mean, var, clipped
 
 
+def _full_table_terms(r, t):
+    """Every term of the node-table ``cdf`` and ``pdf`` sums at points ``t``.
+
+    The sums over the whole node table that the per-point windows
+    replaced, kept as their oracle: the CDF terms ndtr(z) (z negated for
+    the upper tail, above the approximate mean) before their weights, and
+    the density's log terms z with their largest value per point.
+    """
+    y = r._node_y
+    upper = t > r._approx_mean
+    z = (t[:, None] - r._shrink * y[None, :]) / r._tau
+    z[upper] *= -1.0
+    ndtr = special.ndtr(z)
+    log_term = (
+        -r.base.potential(y)[None, :]
+        + np.log(r._node_q)[None, :]
+        - 0.5 * ((t[:, None] - y[None, :]) / r.sig) ** 2
+    )
+    return ndtr, upper, log_term, np.max(log_term, axis=1)
+
+
+def _exact_row_sums(a):
+    """Row sums of ``a`` in double-double, by pairwise TwoSum: far below
+    one rounding of the result."""
+    hi, lo = a, np.zeros_like(a)
+    while hi.shape[1] > 1:
+        if hi.shape[1] % 2:
+            pad = np.zeros((hi.shape[0], 1))
+            hi, lo = np.hstack([hi, pad]), np.hstack([lo, pad])
+        u, v = hi[:, ::2], hi[:, 1::2]
+        hi = u + v
+        part = hi - u
+        lo = lo[:, ::2] + lo[:, 1::2] + ((u - (hi - part)) + (v - part))
+    return hi[:, 0] + lo[:, 0]
+
+
+def _full_table_cdf_pdf(r, t, terms):
+    """(cdf, pdf) at ``t`` from the ``_full_table_terms``.
+
+    The density is summed as the full sums summed it.  The CDF terms are
+    summed exactly: the full sum's matrix-vector product carries up to 10
+    spacings of roundoff on the 2,000-node tables of the kinked bases, more
+    than the windows leave.
+    """
+    ndtr, upper, log_term, peak = terms
+    tail = _exact_row_sums(ndtr * r._node_cdf_w)
+    cdf = np.clip(np.where(upper, 1.0 - tail, tail), 0.0, 1.0)
+    log_conv = peak + np.log(np.sum(np.exp(log_term - peak[:, None]), axis=1))
+    shift = r._log_z + 0.5 * math.log(2.0 * math.pi * r.sig2)
+    return cdf, np.exp(log_conv - 0.5 * t**2 / r.damp2 - shift)
+
+
 class TestRegularize:
     def test_rejects_bad_inputs(self):
         with pytest.raises(TypeError):
@@ -1109,6 +1161,85 @@ class TestRegularize:
                     lambda y: y**k * math.exp(r._log_weight(y) - r._log_z), lo, hi, r._y_cuts
                 )
                 assert abs(r._weight_moment(k) - want) <= 1e-12
+
+    @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
+    @pytest.mark.parametrize("n", [1, 5, 10, 20, 40])
+    def test_windowed_sums_match_full_table(self, name, params, n):
+        r = regularize(make_catalog_measure(name, params), n)
+        lo, hi = r._node_y[0] - 12.0 * r.sig, r._node_y[-1] + 12.0 * r.sig
+        t = np.concatenate(
+            [
+                np.linspace(lo, hi, 201),
+                r._tab_x,
+                [r._node_y[0] - 50.0 * r.sig, r._node_y[-1] + 50.0 * r.sig],
+            ]
+        )
+        terms = _full_table_terms(r, t)
+        want_cdf, want_pdf = _full_table_cdf_pdf(r, t, terms)
+        got_cdf, got_pdf = r.cdf(t), r.pdf(t)
+        assert np.all(np.abs(got_cdf - want_cdf) <= 4.0 * np.spacing(want_cdf))
+        assert np.all(np.abs(got_pdf - want_pdf) <= 1e-13 * want_pdf)
+
+        # every term a window leaves out is exactly 0, or exactly its full
+        # weight on the side the head and tail sums cover
+        ndtr, upper, log_term, peak = terms
+        node = np.arange(r._node_y.size)
+        start, is_upper = r._cdf_starts(t)
+        assert np.array_equal(is_upper, upper)
+        before = node < start[:, None]
+        after = node >= start[:, None] + r._cdf_window
+        full_side = np.where(upper[:, None], after, before)
+        zero_side = np.where(upper[:, None], before, after)
+        assert np.all(ndtr[full_side] == 1.0)
+        assert np.all(ndtr[zero_side] == 0.0)
+        start = r._pdf_starts(t)
+        outside = (node < start[:, None]) | (node >= start[:, None] + r._pdf_window)
+        assert np.all(np.exp(log_term - peak[:, None])[outside] == 0.0)
+
+    def test_cdf_evaluates_each_point_on_its_window(self, monkeypatch):
+        # 17,696 nodes; each of the 1,000 points sums at most 1,000 of them
+        r = regularize(make_catalog_measure("logistic", (0.0, 1.0)), 40)
+        t = np.linspace(r._node_y[0] - 1.0, r._node_y[-1] + 1.0, 1000)
+        sizes = []
+
+        def counted(z, ndtr=special.ndtr):
+            sizes.append(np.size(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(measures.special, "ndtr", counted)
+        r.cdf(t)
+        assert r._node_y.size > 17_000
+        assert sum(sizes) <= 1000 * t.size
+        assert r._pdf_window <= 1000
+
+    @pytest.mark.parametrize(
+        "name,params", [("laplace", (0.0, 1.0)), ("gamma", (1.5, 1.0))]
+    )
+    def test_one_mode_bisection_per_call(self, name, params, monkeypatch):
+        r = regularize(make_catalog_measure(name, params), 10)
+        x = np.linspace(-2.0, 6.0, 553)
+        whole = r._pointwise(x)
+        for i in range(x.size):
+            single = r._pointwise(x[i:i + 1])
+            for w, s in zip(whole, single):
+                assert w[i] == s[0]
+
+        calls = []
+
+        def counted(y, d1=r.base.potential_d1):
+            calls.append(np.size(y))
+            return d1(y)
+
+        monkeypatch.setattr(r.base, "potential_d1", counted)
+        for size in (32, 553):
+            t = np.unique(x[:size])
+            calls.clear()
+            r._tilt_modes(t)
+            iterations = len(calls)
+            calls.clear()
+            r._pointwise(t)
+            assert len(calls) == iterations <= 200
+            assert set(calls) == {size}
 
     def test_block_size_does_not_change_values(self, monkeypatch):
         r = regularize(make_catalog_measure("laplace", (0.0, 1.0)), 10)
