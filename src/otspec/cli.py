@@ -221,11 +221,12 @@ def _check_gaussian_spec(spec, path, errors):
 
 
 def _check_radial_spec(spec, path, errors):
+    """Check one radial side; return its dimension, or None if it is invalid."""
     from .measures import make_radial_measure
 
     if not isinstance(spec, dict):
         errors.append(f"{path}: expected an object with family, dim and params")
-        return
+        return None
     extra = set(spec) - {"family", "dim", "params"}
     for key in sorted(extra):
         errors.append(f"{path}.{key}: unknown key")
@@ -234,17 +235,19 @@ def _check_radial_spec(spec, path, errors):
     params = spec.get("params", [])
     if family not in _RADIAL_FAMILIES:
         errors.append(f"{path}.family: expected one of {', '.join(_RADIAL_FAMILIES)}")
-        return
+        return None
     if not _is_int(dim) or not 1 <= dim <= 16:
         errors.append(f"{path}.dim: expected an integer in [1, 16]")
-        return
+        return None
     if not isinstance(params, list) or not all(_is_num(p) for p in params):
         errors.append(f"{path}.params: expected a list of numbers")
-        return
+        return None
     try:
         make_radial_measure(family, dim, *(float(p) for p in params))
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
+        return None
+    return dim
 
 
 def _check_map_spec(spec, errors):
@@ -264,11 +267,9 @@ def _check_map_spec(spec, errors):
     if kind == "1d":
         _check_catalog_spec(spec.get("source"), "map.source", errors)
         _check_catalog_spec(spec.get("target"), "map.target", errors)
-    elif kind == "gaussian-linear":
-        dims = [
-            _check_gaussian_spec(spec.get(side), f"map.{side}", errors)
-            for side in ("source", "target")
-        ]
+    elif kind in ("gaussian-linear", "radial"):
+        check = _check_gaussian_spec if kind == "gaussian-linear" else _check_radial_spec
+        dims = [check(spec.get(side), f"map.{side}", errors) for side in ("source", "target")]
         if None not in dims and dims[0] != dims[1]:
             errors.append("map: source and target dimensions disagree")
     elif kind == "product":
@@ -282,11 +283,6 @@ def _check_map_spec(spec, errors):
                 continue
             _check_catalog_spec(f.get("source"), f"map.factors[{i}].source", errors)
             _check_catalog_spec(f.get("target"), f"map.factors[{i}].target", errors)
-    elif kind == "radial":
-        _check_radial_spec(spec.get("source"), "map.source", errors)
-        _check_radial_spec(spec.get("target"), "map.target", errors)
-        if not errors and spec["source"]["dim"] != spec["target"]["dim"]:
-            errors.append("map: source and target dimensions disagree")
 
 
 def config_from_dict(data):
@@ -811,11 +807,12 @@ def _run_poincare(cfg):
 def _run_gamma2(cfg):
     """Pointwise operator identities on synthetic smooth triples.
 
-    Each triple's points are evaluated as stacks of at most ``_BLOCK``, one
-    ``contracted_tensors`` bundle per stack.
+    Each triple's points are evaluated as stacks of at most ``_BLOCK``, with
+    one ``contracted_tensors`` bundle and one evaluation of the test
+    function's gradient and Hessian per stack.  The eigenrelation's test
+    functions, the partials Phi_k, are slices of the bundle.
     """
     from .gamma2 import (
-        PhiPartialTestFunction,
         bmatrix_certificate,
         bochner_residual,
         contracted_tensors,
@@ -839,18 +836,18 @@ def _run_gamma2(cfg):
         for start in range(0, cfg.points, _BLOCK):
             x = pts[start : start + _BLOCK]
             ct = contracted_tensors(t, x)
+            ug, uh = u.grad(x), u.hess(x)
             _update_worst(worst, "cons", np.abs(triple_consistency_residual(ct)))
             for k in range(dim):
-                got = operator_L(ct, PhiPartialTestFunction(ct, k))
+                got = operator_L(ct, ct.hess[..., :, k], ct.third[..., :, :, k])
                 _update_worst(worst, "eig", np.abs(got + ct.v_grad[:, k]))
-            expanded = gamma2_expanded(ct, u)
-            lower = gamma2_lower_bound(ct, u)
-            cert = bmatrix_certificate(ct, u)
-            ug = u.grad(x)
+            expanded = gamma2_expanded(ct, ug, uh)
+            lower = gamma2_lower_bound(ct, ug)
+            cert = bmatrix_certificate(ct, ug, uh)
             v_mid = ct.inv @ ct.v_hess @ ct.inv
             split = cert + lower + 0.5 * np.einsum("...i,...ij,...j->...", ug, v_mid + ct.w_hess, ug)
             _update_worst(worst, "cert", np.abs(expanded - split) / (1.0 + np.abs(expanded)))
-            _update_worst(worst, "boch", np.abs(bochner_residual(ct, u)))
+            _update_worst(worst, "boch", np.abs(bochner_residual(ct, ug, uh)))
             worst_margin = float(np.min(expanded - lower, initial=worst_margin))
 
     _rec(records, "conservation-identity", "transport-consistency", worst["cons"], 1e-8, worst["cons"] <= 1e-8)

@@ -19,15 +19,18 @@ The mixed third-order symbols are
     Phi^{ij}_k  = Phi^{il} Phi^{jm} Phi_{klm}
     Phi^{ijk}   = Phi^{il} Phi^{jm} Phi^{kr} Phi_{lmr}
 
-Points are stacks: every oracle and test function takes x of shape
-(..., n) and keeps its leading shape, so a batch of points is one call.
-``contracted_tensors(t, x)`` evaluates each oracle of the triple once on a
-stack into a bundle, and the operators take that bundle and never call an
-oracle; the partials of the potential, as test functions, are slices of
-the bundle too (``PhiPartialTestFunction``).  All contractions go through numpy.einsum over the leading axes;
-tensors are dense ndarrays of shape (..., n), (..., n, n), (..., n, n, n),
-and scalars have shape (...).  A check that fails names the first failing
-point of the stack.
+Points are stacks: a triple's ``derivatives(x)`` and a test function's
+``grad`` and ``hess`` take x of shape (..., n) and keep its leading shape,
+so a batch of points is one call.  ``contracted_tensors(t, x)`` makes the
+one ``derivatives`` call on a stack and bundles its arrays with the inverse
+Hessian and the raised third derivatives.  The operators read arrays only:
+the bundle, and the test function's gradient ``ug`` (..., n) and Hessian
+``uh`` (..., n, n) at the bundle's points.  The partial Phi_k of the
+potential, as a test function, has gradient ``ct.hess[..., :, k]`` and
+Hessian ``ct.third[..., :, :, k]``.  All contractions go through
+numpy.einsum over the leading axes; tensors are dense ndarrays of shape
+(..., n), (..., n, n), (..., n, n, n), and scalars have shape (...).  A
+check that fails names the first failing point of the stack.
 """
 
 import math
@@ -35,13 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import RadialMeasure
 from .spd import sqrt_factors
 
 __all__ = [
     "SmoothTriple",
     "CubicTestFunction",
-    "PhiPartialTestFunction",
     "make_test_function",
     "triple_from_map",
     "synthetic_triple",
@@ -59,42 +60,24 @@ _MAX_CONDITION = 1e12
 
 
 class SmoothTriple:
-    """A transport triple (Phi, V, W) with derivative oracles on point stacks.
+    """A transport triple (Phi, V, W) answering on point stacks.
 
-    Subclasses provide grad/hess/third of Phi at points x of shape (..., d),
-    grad/hess of V at x, and grad/hess of W at points y (evaluated at
-    y = grad Phi(x) by ``contracted_tensors``).  Each oracle keeps the
-    leading shape of its points: values have shape (...), and gradients,
-    Hessians and third derivatives have shapes (..., d), (..., d, d) and
-    (..., d, d, d).
+    ``derivatives(x)`` takes points x of shape (..., d) and returns the
+    seven arrays grad Phi, D^2 Phi, D^3 Phi, grad V, D^2 V, grad W, D^2 W in
+    ``ContractedTensors`` field order, W's taken at y = grad Phi(x), with
+    shapes (..., d), (..., d, d) and (..., d, d, d).  Each subclass computes
+    the pieces these share once per call.  ``v_value(x)`` and ``w_value(y)``
+    have shape (...); quadrature tests use them for the weights exp(-V) and
+    exp(-W).
     """
 
     def __init__(self, dim):
         self.dim = int(dim)
 
-    def phi_grad(self, x):
-        raise NotImplementedError
-
-    def phi_hess(self, x):
-        raise NotImplementedError
-
-    def phi_third(self, x):
-        raise NotImplementedError
-
-    def v_grad(self, x):
-        raise NotImplementedError
-
-    def v_hess(self, x):
-        raise NotImplementedError
-
-    def w_grad(self, y):
-        raise NotImplementedError
-
-    def w_hess(self, y):
+    def derivatives(self, x):
         raise NotImplementedError
 
     def v_value(self, x):
-        # value oracle, used by quadrature tests for the weight exp(-V)
         raise NotImplementedError
 
     def w_value(self, y):
@@ -102,6 +85,10 @@ class SmoothTriple:
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
+
+
+# tensor order of each array ``derivatives`` returns
+_ORDERS = (1, 2, 3, 1, 2, 1, 2)
 
 
 def _first(bad):
@@ -143,35 +130,19 @@ class _Triple1D(SmoothTriple):
                 )
         self.tm = tm
 
-    def _pieces(self, x):
+    def _scalars(self, s):
+        """The seven derivatives at coordinates s, each shaped like s."""
+        src, dst = self.tm.source, self.tm.target
+        t = np.asarray(self.tm.map_points(s))
+        dd = np.asarray(self.tm.second_derivative(s))
+        v1 = np.asarray(src.potential_d1(s))
+        w1 = np.asarray(dst.potential_d1(t))
+        third = dd * (w1 * dd - v1)
+        return t, dd, third, v1, np.asarray(src.potential_d2(s)), w1, np.asarray(dst.potential_d2(t))
+
+    def derivatives(self, x):
         s = np.asarray(x, dtype=float)[..., 0]
-        return s, np.asarray(self.tm.map_points(s)), np.asarray(self.tm.second_derivative(s))
-
-    def phi_grad(self, x):
-        _, t, _ = self._pieces(x)
-        return t[..., None]
-
-    def phi_hess(self, x):
-        _, _, dd = self._pieces(x)
-        return dd[..., None, None]
-
-    def phi_third(self, x):
-        s, t, dd = self._pieces(x)
-        w1 = self.tm.target.potential_d1(t)
-        v1 = self.tm.source.potential_d1(s)
-        return (dd * (w1 * dd - v1))[..., None, None, None]
-
-    def v_grad(self, x):
-        return _coordinate(self.tm.source.potential_d1, x)[..., None]
-
-    def v_hess(self, x):
-        return _coordinate(self.tm.source.potential_d2, x)[..., None, None]
-
-    def w_grad(self, y):
-        return _coordinate(self.tm.target.potential_d1, y)[..., None]
-
-    def w_hess(self, y):
-        return _coordinate(self.tm.target.potential_d2, y)[..., None, None]
+        return tuple(a[(...,) + (None,) * k] for a, k in zip(self._scalars(s), _ORDERS))
 
     def v_value(self, x):
         return _coordinate(self.tm.source.potential, x)
@@ -187,26 +158,19 @@ class _TripleGaussian(SmoothTriple):
         super().__init__(tm.dim)
         self.tm = tm
 
-    def phi_grad(self, x):
-        return self.tm.map_points(np.asarray(x, dtype=float))
-
-    def phi_hess(self, x):
-        return _constant(self.tm.matrix, x)
-
-    def phi_third(self, x):
-        return _constant(np.zeros((self.dim,) * 3), x)
-
-    def v_grad(self, x):
-        return self.tm.source.potential_grad(np.asarray(x, dtype=float))
-
-    def v_hess(self, x):
-        return _constant(self.tm.source.potential_hess(x), x)
-
-    def w_grad(self, y):
-        return self.tm.target.potential_grad(np.asarray(y, dtype=float))
-
-    def w_hess(self, y):
-        return _constant(self.tm.target.potential_hess(y), y)
+    def derivatives(self, x):
+        x = np.asarray(x, dtype=float)
+        src, dst = self.tm.source, self.tm.target
+        y = self.tm.map_points(x)
+        return (
+            y,
+            _constant(self.tm.matrix, x),
+            _constant(np.zeros((self.dim,) * 3), x),
+            src.potential_grad(x),
+            _constant(src.potential_hess(x), x),
+            dst.potential_grad(y),
+            _constant(dst.potential_hess(y), y),
+        )
 
     def v_value(self, x):
         return self.tm.source.potential(np.asarray(x, dtype=float))
@@ -223,43 +187,23 @@ class _TripleProduct(SmoothTriple):
         self.tm = tm
         self.parts = [_Triple1D(f) for f in tm.factors]
 
-    def _entries(self, oracle, x):
-        """(..., d) diagonal entries: each factor's oracle on its own coordinate."""
+    def derivatives(self, x):
+        x = np.asarray(x, dtype=float)
+        columns = zip(*(p._scalars(x[..., i]) for i, p in enumerate(self.parts)))
+        return tuple(_diagonal(np.stack(c, axis=-1), k) for c, k in zip(columns, _ORDERS))
+
+    def _summed(self, value, x):
+        """Sum over the factors of one value oracle on each factor's coordinate."""
         x = np.asarray(x, dtype=float)
         return np.stack(
-            [
-                getattr(p, oracle)(x[..., i : i + 1]).reshape(x.shape[:-1])
-                for i, p in enumerate(self.parts)
-            ],
-            axis=-1,
-        )
-
-    def phi_grad(self, x):
-        return self._entries("phi_grad", x)
-
-    def phi_hess(self, x):
-        return _diagonal(self._entries("phi_hess", x), 2)
-
-    def phi_third(self, x):
-        return _diagonal(self._entries("phi_third", x), 3)
-
-    def v_grad(self, x):
-        return self._entries("v_grad", x)
-
-    def v_hess(self, x):
-        return _diagonal(self._entries("v_hess", x), 2)
-
-    def w_grad(self, y):
-        return self._entries("w_grad", y)
-
-    def w_hess(self, y):
-        return _diagonal(self._entries("w_hess", y), 2)
+            [value(p, x[..., i : i + 1]) for i, p in enumerate(self.parts)], axis=-1
+        ).sum(axis=-1)
 
     def v_value(self, x):
-        return self._entries("v_value", x).sum(axis=-1)
+        return self._summed(_Triple1D.v_value, x)
 
     def w_value(self, y):
-        return self._entries("w_value", y).sum(axis=-1)
+        return self._summed(_Triple1D.w_value, y)
 
 
 class _TripleRadial(SmoothTriple):
@@ -277,8 +221,6 @@ class _TripleRadial(SmoothTriple):
 
     def __init__(self, tm):
         super().__init__(tm.dim)
-        if not isinstance(tm.source, RadialMeasure):
-            raise TypeError("radial triple expects a radial transport map")
         self.tm = tm
 
     def _frame(self, x):
@@ -290,32 +232,18 @@ class _TripleRadial(SmoothTriple):
             raise ValueError(f"radial triple oracles need |x| > 0{at}")
         return r, x / r[..., None]
 
-    def _profile_derivs(self, r):
-        phi = self.tm.profile(r)
-        d1 = self.tm.profile_d1(r, phi=phi)
-        src, dst = self.tm.source, self.tm.target
-        d2 = d1 * (src.radial_pdf_logslope(r) - dst.radial_pdf_logslope(phi) * d1)
-        return phi, d1, d2
-
     def _split(self, e, radial, tangential):
         """radial e e^T + tangential (I - e e^T), with (...) coefficients."""
         proj = e[..., :, None] * e[..., None, :]
         eye = np.eye(self.dim)
         return radial[..., None, None] * proj + tangential[..., None, None] * (eye - proj)
 
-    def phi_grad(self, x):
+    def derivatives(self, x):
         r, e = self._frame(x)
-        phi, _, _ = self._profile_derivs(r)
-        return phi[..., None] * e
-
-    def phi_hess(self, x):
-        r, e = self._frame(x)
-        phi, d1, _ = self._profile_derivs(r)
-        return self._split(e, d1, phi / r)
-
-    def phi_third(self, x):
-        r, e = self._frame(x)
-        phi, d1, d2 = self._profile_derivs(r)
+        src, dst = self.tm.source, self.tm.target
+        phi = self.tm.profile(r)
+        d1 = self.tm.profile_d1(r, phi=phi)
+        d2 = d1 * (src.radial_pdf_logslope(r) - dst.radial_pdf_logslope(phi) * d1)
         eye = np.eye(self.dim)
         eee = np.einsum("...i,...j,...k->...ijk", e, e, e)
         sym = (
@@ -324,25 +252,19 @@ class _TripleRadial(SmoothTriple):
             + np.einsum("jk,...i->...ijk", eye, e)
         )
         bend = (d1 - phi / r) / r
-        return d2[..., None, None, None] * eee + bend[..., None, None, None] * (sym - 3.0 * eee)
-
-    def v_grad(self, x):
-        r, e = self._frame(x)
-        return self.tm.source.radial_potential_d1(r)[..., None] * e
-
-    def v_hess(self, x):
-        r, e = self._frame(x)
-        src = self.tm.source
-        return self._split(e, src.radial_potential_d2(r), src.radial_potential_d1(r) / r)
-
-    def w_grad(self, y):
-        r, e = self._frame(y)
-        return self.tm.target.radial_potential_d1(r)[..., None] * e
-
-    def w_hess(self, y):
-        r, e = self._frame(y)
-        dst = self.tm.target
-        return self._split(e, dst.radial_potential_d2(r), dst.radial_potential_d1(r) / r)
+        third = d2[..., None, None, None] * eee + bend[..., None, None, None] * (sym - 3.0 * eee)
+        y = phi[..., None] * e
+        ry, ey = self._frame(y)
+        v1, w1 = src.radial_potential_d1(r), dst.radial_potential_d1(ry)
+        return (
+            y,
+            self._split(e, d1, phi / r),
+            third,
+            v1[..., None] * e,
+            self._split(e, src.radial_potential_d2(r), v1 / r),
+            w1[..., None] * ey,
+            self._split(ey, dst.radial_potential_d2(ry), w1 / ry),
+        )
 
     def v_value(self, x):
         return self.tm.source.potential(x)
@@ -371,22 +293,33 @@ class _TripleSynthetic(SmoothTriple):
         self.w_quad = np.asarray(w_quad, dtype=float)
         self.w_center = np.asarray(w_center, dtype=float)
 
-    def phi_grad(self, x):
-        x = np.asarray(x, dtype=float)
+    def _grad(self, x):
         return x + 0.5 * np.einsum("ijk,...j,...k->...i", self.cubic, x, x)
 
-    def phi_hess(self, x):
-        x = np.asarray(x, dtype=float)
+    def _hess(self, x):
         return np.eye(self.dim) + np.einsum("ijk,...k->...ij", self.cubic, x)
 
-    def phi_third(self, x):
-        return _constant(self.cubic, x)
-
-    def w_grad(self, y):
-        return np.einsum("ij,...j->...i", self.w_quad, np.asarray(y, dtype=float) - self.w_center)
-
-    def w_hess(self, y):
-        return _constant(self.w_quad, y)
+    def derivatives(self, x):
+        x = np.asarray(x, dtype=float)
+        h = self._hess(x)
+        h_inv = np.linalg.inv(h)
+        y = self._grad(x)
+        wg = np.einsum("ij,...j->...i", self.w_quad, y - self.w_center)
+        log_det_grad = np.einsum("...ik,ikj->...j", h_inv, self.cubic)
+        metric = np.einsum(
+            "...ab,bcj,...cd,dak->...jk", h_inv, self.cubic, h_inv, self.cubic
+        )
+        tilt = np.einsum("ijk,...i->...jk", self.cubic, wg)
+        squeeze = h @ self.w_quad @ h
+        return (
+            y,
+            h,
+            _constant(self.cubic, x),
+            -log_det_grad + np.einsum("...ij,...j->...i", h, wg),
+            metric + tilt + squeeze,
+            wg,
+            _constant(self.w_quad, y),
+        )
 
     def w_value(self, y):
         # normalizer omitted: the triple only promises derivatives, and the
@@ -395,30 +328,13 @@ class _TripleSynthetic(SmoothTriple):
         return 0.5 * np.einsum("...i,ij,...j->...", d, self.w_quad, d)
 
     def v_value(self, x):
-        sign, logdet = np.linalg.slogdet(self.phi_hess(x))
+        x = np.asarray(x, dtype=float)
+        sign, logdet = np.linalg.slogdet(self._hess(x))
         lost = sign <= 0
         if np.any(lost):
             _, at = _first(lost)
             raise ArithmeticError(f"potential Hessian lost positivity{at}")
-        return self.w_value(self.phi_grad(x)) - logdet
-
-    def v_grad(self, x):
-        h = self.phi_hess(x)
-        h_inv = np.linalg.inv(h)
-        log_det_grad = np.einsum("...ik,ikj->...j", h_inv, self.cubic)
-        wg = self.w_grad(self.phi_grad(x))
-        return -log_det_grad + np.einsum("...ij,...j->...i", h, wg)
-
-    def v_hess(self, x):
-        h = self.phi_hess(x)
-        h_inv = np.linalg.inv(h)
-        wg = self.w_grad(self.phi_grad(x))
-        metric = np.einsum(
-            "...ab,bcj,...cd,dak->...jk", h_inv, self.cubic, h_inv, self.cubic
-        )
-        tilt = np.einsum("ijk,...i->...jk", self.cubic, wg)
-        squeeze = h @ self.w_quad @ h
-        return metric + tilt + squeeze
+        return self.w_value(self._grad(x)) - logdet
 
 
 class CubicTestFunction:
@@ -451,36 +367,6 @@ class CubicTestFunction:
     def hess(self, x):
         x = np.asarray(x, dtype=float)
         return self.quadratic + np.einsum("ijk,...k->...ij", self.cubic, x)
-
-
-class PhiPartialTestFunction:
-    """u = Phi_k, the k-th partial of the potential, at a bundle's points.
-
-    Its value, gradient and Hessian are the k-th slices of the bundle's
-    ``grad``, ``hess`` and ``third``, so it runs no oracle of the triple.
-    It is defined only at the bundle's points and refuses any other x.
-    """
-
-    def __init__(self, ct, k):
-        self.ct = ct
-        self.k = int(k)
-        self.dim = ct.hess.shape[-1]
-
-    def _check(self, x):
-        if not np.array_equal(x, self.ct.x):
-            raise ValueError("PhiPartialTestFunction is evaluated only at its bundle's points")
-
-    def value(self, x):
-        self._check(x)
-        return self.ct.grad[..., self.k]
-
-    def grad(self, x):
-        self._check(x)
-        return self.ct.hess[..., :, self.k]
-
-    def hess(self, x):
-        self._check(x)
-        return self.ct.third[..., :, :, self.k]
 
 
 def _symmetrize3(c):
@@ -544,8 +430,8 @@ def synthetic_triple(stream, dim, delta=0.2, hess_floor=0.1):
 class ContractedTensors:
     """Everything the operators read at a point stack, evaluated once.
 
-    The points, the oracle values of the triple there (W's at grad Phi),
-    the inverse Hessian, and the third derivatives with raised indices.
+    The points, the triple's derivatives there (W's at grad Phi), the
+    inverse Hessian, and the third derivatives with raised indices.
     """
 
     x: np.ndarray
@@ -563,12 +449,12 @@ class ContractedTensors:
 
 
 def contracted_tensors(t, x):
-    """The operators' bundle at the points x: each oracle of t runs once.
+    """The operators' bundle at the points x, from one ``t.derivatives`` call.
 
-    The Hessian is checked for conditioning before any other oracle runs.
+    The Hessian is checked for conditioning before it is inverted.
     """
     x = np.asarray(x, dtype=float)
-    h = t.phi_hess(x)
+    grad, h, third, v_grad, v_hess, w_grad, w_hess = t.derivatives(x)
     eig = np.linalg.eigvalsh(h)
     lo, hi = eig[..., 0], eig[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -582,14 +468,12 @@ def contracted_tensors(t, x):
         )
     inv = np.linalg.inv(h)
     inv = 0.5 * (inv + np.swapaxes(inv, -2, -1))
-    third = t.phi_third(x)
     up1 = np.einsum("...il,...ljk->...ijk", inv, third)
     up2 = np.einsum("...il,...jm,...klm->...ijk", inv, inv, third)
     up3 = np.einsum("...il,...jm,...kr,...lmr->...ijk", inv, inv, inv, third)
-    grad = t.phi_grad(x)
     return ContractedTensors(
         x=x, grad=grad, hess=h, inv=inv, third=third, up1=up1, up2=up2, up3=up3,
-        v_grad=t.v_grad(x), v_hess=t.v_hess(x), w_grad=t.w_grad(grad), w_hess=t.w_hess(grad),
+        v_grad=v_grad, v_hess=v_hess, w_grad=w_grad, w_hess=w_hess,
     )
 
 
@@ -598,15 +482,14 @@ def _quad(v, m, w):
     return np.einsum("...i,...ij,...j->...", v, m, w)
 
 
-def operator_L(ct, u):
+def operator_L(ct, ug, uh):
     """L u = Phi^{ij} u_{ij} - W_j(grad Phi) u_j on the bundle's points.
 
     The substituted form, which eliminates W through the conservation
     identity, is computed alongside; the two must agree, and a gap beyond
     1e-6 means the triple's V, W, and Phi are mutually inconsistent.
     """
-    ug = u.grad(ct.x)
-    trace_term = np.einsum("...ij,...ij->...", ct.inv, u.hess(ct.x))
+    trace_term = np.einsum("...ij,...ij->...", ct.inv, uh)
     w_drift = np.einsum("...j,...j->...", ct.w_grad, ug)
     v_drift = np.einsum("...imi->...m", ct.up2) + np.einsum("...ij,...j->...i", ct.inv, ct.v_grad)
     w_form = trace_term - w_drift
@@ -623,14 +506,13 @@ def operator_L(ct, u):
     return w_form
 
 
-def gamma2_expanded(ct, u):
+def gamma2_expanded(ct, ug, uh):
     """The expanded carre-du-champ iterate on the bundle's points.
 
     Gamma_2(u) = Phi^{kl}Phi^{ij}u_{ik}u_{jl} - Phi^{ijk}u_{ij}u_k
                  + (Phi^{ik}_l Phi^{jl}_k + Phi^{ik}Phi^{jl}V_{kl}) u_i u_j / 2
                  + (W_{ij} o grad Phi) u_i u_j / 2
     """
-    ug, uh = u.grad(ct.x), u.hess(ct.x)
     term1 = np.einsum("...ij,...jk,...kl,...li->...", ct.inv, uh, ct.inv, uh)
     term2 = np.einsum("...ijk,...ij,...k->...", ct.up3, uh, ug)
     s2 = np.einsum("...akl,...blk->...ab", ct.up2, ct.up2)
@@ -639,14 +521,13 @@ def gamma2_expanded(ct, u):
     return term1 - term2 + _quad(ug, quad, ug)
 
 
-def gamma2_lower_bound(ct, u):
+def gamma2_lower_bound(ct, ug):
     """Gradient-only floor Phi^{ik}_l Phi^{jl}_k u_i u_j / 4; nonnegative."""
-    ug = u.grad(ct.x)
     s2 = np.einsum("...akl,...blk->...ab", ct.up2, ct.up2)
     return 0.25 * _quad(ug, s2, ug)
 
 
-def bmatrix_certificate(ct, u):
+def bmatrix_certificate(ct, ug, uh):
     """Tr(B^2) for b_i^j = Phi^{jk}u_{ki} - Phi^{jk}_i u_k / 2, as a square.
 
     (D^2 Phi) B is the symmetric matrix u_{ij} - Phi^l_{ij} u_l / 2, so a
@@ -656,7 +537,6 @@ def bmatrix_certificate(ct, u):
     inverse square roots of every point's Hessian come from one stacked
     ``sqrt_factors`` call.
     """
-    ug, uh = u.grad(ct.x), u.hess(ct.x)
     a = uh - 0.5 * np.einsum("...lij,...l->...ij", ct.up1, ug)
     n = ct.hess.shape[-1]
     _, inv_half = sqrt_factors(ct.hess.reshape(-1, n, n))
@@ -684,19 +564,18 @@ def ricci_tensor(ct):
     return 0.5 * (ric + np.swapaxes(ric, -2, -1))
 
 
-def bochner_residual(ct, u):
+def bochner_residual(ct, ug, uh):
     """Expanded Gamma_2 minus its geometric decomposition; expected zero.
 
     The decomposition is |Hess_M u|^2_M + Ric_M(grad_M u, grad_M u) with
     (Hess_M u)_{ij} = u_{ij} - Phi^k_{ij} u_k / 2 and indices raised by
     the Hessian metric.
     """
-    ug = u.grad(ct.x)
-    a = u.hess(ct.x) - 0.5 * np.einsum("...kij,...k->...ij", ct.up1, ug)
+    a = uh - 0.5 * np.einsum("...kij,...k->...ij", ct.up1, ug)
     hess_term = np.einsum("...ij,...jk,...kl,...li->...", ct.inv, a, ct.inv, a)
     raised = np.einsum("...ij,...j->...i", ct.inv, ug)
     ric_term = _quad(raised, ricci_tensor(ct), raised)
-    return gamma2_expanded(ct, u) - hess_term - ric_term
+    return gamma2_expanded(ct, ug, uh) - hess_term - ric_term
 
 
 def triple_consistency_residual(ct):

@@ -214,6 +214,19 @@ class TestConfigParsing:
                 }
             )
 
+    def test_radial_dimension_mismatch_reported_with_other_errors(self):
+        radial = {
+            "kind": "radial",
+            "source": {"family": "gaussian", "dim": 3, "params": []},
+            "target": {"family": "gaussian", "dim": 4, "params": []},
+        }
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"kind": "variance", "seed": -1, "map": radial})
+        joined = " ".join(err.value.messages)
+        assert "seed" in joined
+        assert "map: source and target dimensions disagree" in joined
+        assert len(err.value.messages) == 2
+
     def test_nested_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="map.wormhole"):
             config_from_dict(
@@ -465,22 +478,26 @@ class TestRunExperiment:
         assert sum(seen) == count and max(seen) <= 7
 
     def test_gamma2_check_evaluates_oracles_once_per_block(self, monkeypatch):
-        # 20 triples of 100 points, one block each: the bundle is the only
-        # caller of the oracles the operators read, and the eigenrelation's
-        # test functions are slices of it.  phi_hess runs once more inside
-        # each of the synthetic triple's v_grad and v_hess
-        calls = dict.fromkeys(("v_grad", "v_hess", "w_hess", "phi_hess", "phi_third"), 0)
-        for name in calls:
-            oracle = getattr(gamma2._TripleSynthetic, name)
+        # 20 triples of 100 points, one block each: the bundle makes the one
+        # call to the triple, the eigenrelation's test functions are slices
+        # of it, and the test function's derivatives are taken once per block
+        owners = {
+            "derivatives": gamma2._TripleSynthetic,
+            "grad": gamma2.CubicTestFunction,
+            "hess": gamma2.CubicTestFunction,
+        }
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            method = getattr(owner, name)
 
-            def counted(self, x, name=name, oracle=oracle):
+            def counted(self, x, name=name, method=method):
                 calls[name] += 1
-                return oracle(self, x)
+                return method(self, x)
 
-            monkeypatch.setattr(gamma2._TripleSynthetic, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         report = run_experiment(default_config("gamma2-check"))
         assert all(r.passed for r in report.records)
-        assert calls == {"v_grad": 20, "v_hess": 20, "w_hess": 20, "phi_hess": 60, "phi_third": 20}
+        assert calls == {"derivatives": 20, "grad": 20, "hess": 20}
 
     def test_gamma2_check_small(self):
         cfg = config_from_dict(

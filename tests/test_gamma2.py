@@ -22,7 +22,6 @@ from otspec.brenier import (
 )
 from otspec.gamma2 import (
     CubicTestFunction,
-    PhiPartialTestFunction,
     SmoothTriple,
     bmatrix_certificate,
     bochner_residual,
@@ -130,13 +129,31 @@ def _bank():
     ]
 
 
+_DERIVATIVES = ("grad", "hess", "third", "v_grad", "v_hess", "w_grad", "w_hess")
+
+
+def _derivs(t, x):
+    """The triple's derivatives at x, keyed by their ``ContractedTensors`` field."""
+    return dict(zip(_DERIVATIVES, t.derivatives(np.asarray(x, dtype=float))))
+
+
+def _partial(ct, k):
+    """Gradient and Hessian of the test function u = Phi_k: bundle slices."""
+    return ct.hess[..., :, k], ct.third[..., :, :, k]
+
+
+def _du(u, x):
+    """A test function's gradient and Hessian at x, the operators' arguments."""
+    return u.grad(x), u.hess(x)
+
+
 def _pullback(ct):
     """g_ij = Phi^l_{ik} Phi^k_{jl}, the metric the Hessian map pulls back."""
     return np.einsum("...lik,...kjl->...ij", ct.up1, ct.up1)
 
 
 def _v_hessian_floor(t, pts):
-    return float(np.linalg.eigvalsh(t.v_hess(pts))[:, 0].min())
+    return float(np.linalg.eigvalsh(_derivs(t, pts)["v_hess"])[:, 0].min())
 
 
 def _unit(stream, dim):
@@ -185,9 +202,8 @@ def fd_third(triple, x):
         e[k] = 1.0
 
         def slope(step):
-            return (triple.phi_hess(x + step * e) - triple.phi_hess(x - step * e)) / (
-                2.0 * step
-            )
+            hess = [_derivs(triple, x + sign * step * e)["hess"] for sign in (1.0, -1.0)]
+            return (hess[0] - hess[1]) / (2.0 * step)
 
         out[:, :, k] = (4.0 * slope(0.5 * h) - slope(h)) / 3.0
     return out
@@ -252,27 +268,29 @@ class TestContractedTensors:
         assert np.max(np.abs(ct.up3 - up3)) < 1e-12
 
     def test_bundle_holds_the_oracle_values(self):
-        # the operators read these fields in place of calling the oracles
+        # the operators read these fields in place of calling the triple
         for t, sampler in _bank():
             x = np.stack([sampler() for _ in range(3)])
             ct = contracted_tensors(t, x)
-            y = t.phi_grad(x)
             assert np.array_equal(ct.x, x)
-            assert np.array_equal(ct.grad, y)
-            assert np.array_equal(ct.hess, t.phi_hess(x))
-            assert np.array_equal(ct.third, t.phi_third(x))
-            assert np.array_equal(ct.v_grad, t.v_grad(x))
-            assert np.array_equal(ct.v_hess, t.v_hess(x))
-            assert np.array_equal(ct.w_grad, t.w_grad(y))
-            assert np.array_equal(ct.w_hess, t.w_hess(y))
+            for name, want in _derivs(t, x).items():
+                assert np.array_equal(getattr(ct, name), want), (type(t).__name__, name)
+
+    def test_derivatives_match_the_value_oracles(self):
+        # grad V at x and grad W at grad Phi(x), against FD slopes of the
+        # potentials the quadrature tests weight by
+        for t, sampler in _bank():
+            x = sampler()
+            d = _derivs(t, x)
+            for value, at, want in ((t.v_value, x, d["v_grad"]), (t.w_value, d["grad"], d["w_grad"])):
+                got = fd_grad(lambda p, value=value: float(value(p)), at)
+                assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want))), type(t).__name__
 
     def test_condition_refusal(self):
         class _Flat(SmoothTriple):
-            def phi_hess(self, x):
-                return np.diag([1.0, 5e-13])
-
-            def phi_third(self, x):
-                return np.zeros((2, 2, 2))
+            def derivatives(self, x):
+                z = np.zeros(2)
+                return z, np.diag([1.0, 5e-13]), np.zeros((2, 2, 2)), z, np.eye(2), z, np.eye(2)
 
         with pytest.raises(ArithmeticError, match="condition"):
             contracted_tensors(_Flat(2), np.zeros(2))
@@ -280,7 +298,7 @@ class TestContractedTensors:
     def test_third_tensor_symmetry(self):
         for t, sampler in _bank():
             x = sampler()
-            c = t.phi_third(x)
+            c = _derivs(t, x)["third"]
             scale = 1.0 + np.max(np.abs(c))
             for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
                 assert np.max(np.abs(c - c.transpose(perm))) < 1e-8 * scale
@@ -296,29 +314,28 @@ class TestOperatorL:
         for t, sampler in cases:
             x = sampler()
             ct = contracted_tensors(t, x)
-            vg = t.v_grad(x)
             for k in range(t.dim):
-                u = PhiPartialTestFunction(ct, k)
-                got = operator_L(ct, u)
-                assert got == pytest.approx(-vg[k], abs=1e-8)
+                got = operator_L(ct, *_partial(ct, k))
+                assert got == pytest.approx(-ct.v_grad[k], abs=1e-8)
 
     def test_partial_is_a_slice_of_the_bundle(self):
+        # the slices are the derivatives of x -> Phi_k(x): FD of the bundle's
+        # grad and hess columns at each point of the stack
         t = synthetic_triple(rng.stream(42, 3), 3, delta=0.5)
         x = rng.stream(42, 4).uniform(-0.8, 0.8, size=(5, 3))
-        u = PhiPartialTestFunction(contracted_tensors(t, x), 1)
-        assert np.array_equal(u.value(x), t.phi_grad(x)[:, 1])
-        assert np.array_equal(u.grad(x), t.phi_hess(x)[:, :, 1])
-        assert np.array_equal(u.hess(x), t.phi_third(x)[:, :, :, 1])
-        for elsewhere in (x[:4], x + 0.1):
-            with pytest.raises(ValueError, match="bundle's points"):
-                u.grad(elsewhere)
+        ct = contracted_tensors(t, x)
+        k = 1
+        ug, uh = _partial(ct, k)
+        for i, p in enumerate(x):
+            assert np.max(np.abs(fd_grad(lambda q: _derivs(t, q)["grad"][k], p) - ug[i])) < 1e-7
+            assert np.max(np.abs(fd_third(t, p)[:, :, k] - uh[i])) < 1e-7
 
     def test_identity_transport_weighted_laplacian(self):
         t = _ou_triple(3)
         u = make_test_function(rng.stream(42, 1), 3)
         x = np.array([0.7, -0.2, 1.1])
         expected = float(np.trace(u.hess(x))) - float(x @ u.grad(x))
-        assert operator_L(contracted_tensors(t, x), u) == pytest.approx(expected, rel=1e-12)
+        assert operator_L(contracted_tensors(t, x), *_du(u, x)) == pytest.approx(expected, rel=1e-12)
 
     def test_integration_by_parts_1d(self):
         t = _triple_1d()
@@ -337,11 +354,11 @@ class TestOperatorL:
 
         def lhs(x):
             p = np.array([x])
-            return operator_L(contracted_tensors(t, p), u) * bump(x) * math.exp(-t.v_value(p))
+            return operator_L(contracted_tensors(t, p), *_du(u, p)) * bump(x) * math.exp(-t.v_value(p))
 
         def rhs(x):
             p = np.array([x])
-            h = t.phi_hess(p)[0, 0]
+            h = _derivs(t, p)["hess"][0, 0]
             return -(u.grad(p)[0] / h) * bump_d1(x) * math.exp(-t.v_value(p))
 
         left, _ = integrate.quad(lhs, -r, r, limit=200)
@@ -374,7 +391,7 @@ class TestOperatorL:
                 weight = math.exp(-t.v_value(p)) * wi * wj
                 v_val = bump(xi) * bump(yj)
                 v_grad = np.array([bump_d1(xi) * bump(yj), bump(xi) * bump_d1(yj)])
-                left += operator_L(ct, u) * v_val * weight
+                left += operator_L(ct, *_du(u, p)) * v_val * weight
                 right -= float(u.grad(p) @ ct.inv @ v_grad) * weight
         assert left == pytest.approx(right, abs=1e-4 * (1.0 + abs(left)))
 
@@ -382,21 +399,15 @@ class TestOperatorL:
         base = synthetic_triple(rng.stream(42, 5), 2, delta=0.4)
 
         class _Skewed(SmoothTriple):
-            def __init__(self):
-                super().__init__(2)
-                self.phi_grad = base.phi_grad
-                self.phi_hess = base.phi_hess
-                self.phi_third = base.phi_third
-                self.v_hess = base.v_hess
-                self.w_grad = base.w_grad
-                self.w_hess = base.w_hess
-
-            def v_grad(self, x):
-                return base.v_grad(x) + np.array([0.5, -0.3])
+            def derivatives(self, x):
+                d = list(base.derivatives(x))
+                d[3] = d[3] + np.array([0.5, -0.3])  # grad V
+                return tuple(d)
 
         u = CubicTestFunction(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        x = np.array([0.4, 0.1])
         with pytest.raises(ArithmeticError, match="mass conservation"):
-            operator_L(contracted_tensors(_Skewed(), np.array([0.4, 0.1])), u)
+            operator_L(contracted_tensors(_Skewed(2), x), *_du(u, x))
 
 
 class TestGamma2:
@@ -406,7 +417,7 @@ class TestGamma2:
         x = np.array([0.5, -0.8, 0.1])
         uh, ug = u.hess(x), u.grad(x)
         expected = float(np.sum(uh * uh)) + float(ug @ ug)
-        assert gamma2_expanded(contracted_tensors(t, x), u) == pytest.approx(expected, rel=1e-12)
+        assert gamma2_expanded(contracted_tensors(t, x), ug, uh) == pytest.approx(expected, rel=1e-12)
 
     def test_partial_chain_reconstruction(self):
         # Gamma(Phi_k) collapses to Phi_kk, so the defining formula reads
@@ -421,13 +432,12 @@ class TestGamma2:
         ]
         for t, x, k in cases:
             ct = contracted_tensors(t, x)
-            grad_h = t.phi_third(x)[k, k, :]
-            hess_h = fd_hess(lambda p: t.phi_hess(p)[k, k], x)
-            l_of_h = float(np.einsum("ij,ij->", ct.inv, hess_h)) - float(
-                t.w_grad(t.phi_grad(x)) @ grad_h
-            )
-            expected = 0.5 * l_of_h + t.v_hess(x)[k, k]
-            got = gamma2_expanded(ct, PhiPartialTestFunction(ct, k))
+            d = _derivs(t, x)
+            grad_h = d["third"][k, k, :]
+            hess_h = fd_hess(lambda p: _derivs(t, p)["hess"][k, k], x)
+            l_of_h = float(np.einsum("ij,ij->", ct.inv, hess_h)) - float(d["w_grad"] @ grad_h)
+            expected = 0.5 * l_of_h + d["v_hess"][k, k]
+            got = gamma2_expanded(ct, *_partial(ct, k))
             assert got == pytest.approx(expected, abs=1e-6 * (1.0 + abs(got)))
 
     def test_direct_definition_by_fd(self):
@@ -443,17 +453,17 @@ class TestGamma2:
 
             def carre(p):
                 g = u.grad(p)
-                return float(g @ np.linalg.solve(t.phi_hess(p), g))
+                return float(g @ np.linalg.solve(_derivs(t, p)["hess"], g))
 
             def l_of_u(p):
-                return operator_L(contracted_tensors(t, p), u)
+                return operator_L(contracted_tensors(t, p), *_du(u, p))
 
             l_carre = float(
                 np.einsum("ij,ij->", ct.inv, fd_hess(carre, x))
-            ) - float(t.w_grad(t.phi_grad(x)) @ fd_grad(carre, x))
+            ) - float(_derivs(t, x)["w_grad"] @ fd_grad(carre, x))
             cross = float(u.grad(x) @ ct.inv @ fd_grad(l_of_u, x))
             expected = 0.5 * l_carre - cross
-            got = gamma2_expanded(ct, u)
+            got = gamma2_expanded(ct, *_du(u, x))
             assert got == pytest.approx(expected, abs=1e-4 * (1.0 + abs(got)))
 
     def test_lower_bound_single_index_formula(self):
@@ -466,13 +476,14 @@ class TestGamma2:
         u1 = u.grad(x)[0]
         a, b = ct.hess[0, 0], ct.third[0, 0, 0]
         expected = 0.25 * (b * b / a**4) * u1 * u1
-        assert gamma2_lower_bound(ct, u) == pytest.approx(expected, rel=1e-12)
+        assert gamma2_lower_bound(ct, u.grad(x)) == pytest.approx(expected, rel=1e-12)
         assert ct.up2[0, 0, 0] == pytest.approx(b / a**2, rel=1e-12)
 
     def test_lower_bound_quadratic_is_zero(self):
         t = _ou_triple(2)
         u = make_test_function(rng.stream(43, 6), 2)
-        assert gamma2_lower_bound(contracted_tensors(t, np.array([0.4, -1.2])), u) == 0.0
+        x = np.array([0.4, -1.2])
+        assert gamma2_lower_bound(contracted_tensors(t, x), u.grad(x)) == 0.0
 
     def test_lower_bound_inequality_randomized(self):
         # Lemma-style floor: Gamma_2 >= quarter-contraction form, on
@@ -487,9 +498,10 @@ class TestGamma2:
             assert _v_hessian_floor(t, pts) > 0.0
             for x in pts:
                 ct = contracted_tensors(t, x)
-                lo = gamma2_lower_bound(ct, u)
+                ug, uh = _du(u, x)
+                lo = gamma2_lower_bound(ct, ug)
                 assert lo >= 0.0
-                worst = min(worst, gamma2_expanded(ct, u) - lo)
+                worst = min(worst, gamma2_expanded(ct, ug, uh) - lo)
         assert worst >= -1e-9
 
 
@@ -499,7 +511,8 @@ class TestCertificate:
         u = CubicTestFunction(
             1.0, np.array([2.0, -1.0, 0.5]), np.zeros((3, 3)), np.zeros((3, 3, 3))
         )
-        assert bmatrix_certificate(contracted_tensors(t, np.array([0.3, 0.1, -0.4])), u) == 0.0
+        x = np.array([0.3, 0.1, -0.4])
+        assert bmatrix_certificate(contracted_tensors(t, x), *_du(u, x)) == 0.0
 
     def test_nonnegative_everywhere(self):
         for case in range(10):
@@ -507,7 +520,7 @@ class TestCertificate:
             t = synthetic_triple(s, 2 + case % 3, delta=0.6)
             u = make_test_function(s, t.dim)
             x = s.uniform(-0.8, 0.8, size=t.dim)
-            assert bmatrix_certificate(contracted_tensors(t, x), u) >= 0.0
+            assert bmatrix_certificate(contracted_tensors(t, x), *_du(u, x)) >= 0.0
 
     def test_matches_termwise_expansion(self):
         # independent oracle: assemble b_i^j entry by entry with loops
@@ -526,7 +539,7 @@ class TestCertificate:
                         ct.up2[j, k, i] * ug[k] for k in range(n)
                     )
             expansion = float(np.sum(b * b.T))
-            got = bmatrix_certificate(ct, u)
+            got = bmatrix_certificate(ct, ug, uh)
             assert got == pytest.approx(expansion, abs=1e-9 * (1.0 + abs(got)))
 
     def test_expanded_identity_split(self):
@@ -535,15 +548,15 @@ class TestCertificate:
             x = sampler()
             u = make_test_function(rng.stream(54, 20), t.dim)
             ct = contracted_tensors(t, x)
-            ug = u.grad(x)
-            v_mid = ct.inv @ t.v_hess(x) @ ct.inv
-            w_mid = t.w_hess(t.phi_grad(x))
+            d = _derivs(t, x)
+            ug, uh = _du(u, x)
+            v_mid = ct.inv @ d["v_hess"] @ ct.inv
             total = (
-                bmatrix_certificate(ct, u)
-                + gamma2_lower_bound(ct, u)
-                + 0.5 * float(ug @ (v_mid + w_mid) @ ug)
+                bmatrix_certificate(ct, ug, uh)
+                + gamma2_lower_bound(ct, ug)
+                + 0.5 * float(ug @ (v_mid + d["w_hess"]) @ ug)
             )
-            got = gamma2_expanded(ct, u)
+            got = gamma2_expanded(ct, ug, uh)
             assert got == pytest.approx(total, abs=1e-8 * (1.0 + abs(got)))
 
 
@@ -571,11 +584,12 @@ class TestPullbackMetric:
         ]
         for t, x in cases:
             g = _pullback(contracted_tensors(t, x))
+            a_mat = _derivs(t, x)["hess"]
             for i in range(t.dim):
                 e = np.zeros(t.dim)
                 e[i] = eps
-                a = 0.5 * (t.phi_hess(x) + t.phi_hess(x).T)
-                b_mat = t.phi_hess(x + e)
+                a = 0.5 * (a_mat + a_mat.T)
+                b_mat = _derivs(t, x + e)["hess"]
                 b = 0.5 * (b_mat + b_mat.T)
                 d2 = spd_distance(a, b) ** 2 / eps**2
                 assert d2 == pytest.approx(g[i, i], abs=1e-3 * (1.0 + g[i, i]))
@@ -626,7 +640,8 @@ class TestBochner:
     def test_quadratic_residual_vanishes(self):
         t = _ou_triple(3)
         u = make_test_function(rng.stream(57, 0), 3)
-        assert abs(bochner_residual(contracted_tensors(t, np.array([0.1, 0.2, 0.3])), u)) <= 1e-10
+        x = np.array([0.1, 0.2, 0.3])
+        assert abs(bochner_residual(contracted_tensors(t, x), *_du(u, x))) <= 1e-10
 
     def test_hessian_term_for_potential_partial(self):
         # |Riemannian Hessian of Phi_k|^2 collapses to a quarter of a
@@ -635,8 +650,8 @@ class TestBochner:
             x = sampler()
             ct = contracted_tensors(t, x)
             k = 0
-            u = PhiPartialTestFunction(ct, k)
-            a = u.hess(x) - 0.5 * np.einsum("lij,l->ij", ct.up1, u.grad(x))
+            ug, uh = _partial(ct, k)
+            a = uh - 0.5 * np.einsum("lij,l->ij", ct.up1, ug)
             hess_term = float(np.einsum("ij,jk,kl,li->", ct.inv, a, ct.inv, a))
             n = t.dim
             oracle = 0.25 * sum(
@@ -654,13 +669,13 @@ class TestBochner:
             t = synthetic_triple(s, dim, delta=0.5)
             u = make_test_function(s, dim)
             x = s.uniform(-0.9, 0.9, size=dim)
-            assert abs(bochner_residual(contracted_tensors(t, x), u)) <= 1e-6
+            assert abs(bochner_residual(contracted_tensors(t, x), *_du(u, x))) <= 1e-6
             count += 1
         for t, sampler in _bank():
             for k in range(7):
                 u = make_test_function(rng.stream(57, 100 + k), t.dim)
                 x = sampler()
-                assert abs(bochner_residual(contracted_tensors(t, x), u)) <= 1e-6
+                assert abs(bochner_residual(contracted_tensors(t, x), *_du(u, x))) <= 1e-6
                 count += 1
         assert count >= 100
 
@@ -712,7 +727,7 @@ class TestInvariants:
              np.array([0.3, 0.5, -0.4])),
         ]
         for t, x in cases:
-            got = t.phi_third(x)
+            got = _derivs(t, x)["third"]
             ref = fd_third(t, x)
             scale = 1.0 + np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) < 1e-6 * scale
@@ -749,22 +764,20 @@ class TestTripleConstruction:
             t = synthetic_triple(s, 3, delta=1.0, hess_floor=0.1)
             for _ in range(50):
                 x = s.uniform(-1.0, 1.0, size=3)
-                lo = float(np.linalg.eigvalsh(t.phi_hess(x))[0])
+                lo = float(np.linalg.eigvalsh(_derivs(t, x)["hess"])[0])
                 assert lo >= 0.1 - 1e-12
 
     def test_synthetic_target_spectrum_range(self):
         t = synthetic_triple(rng.stream(59, 10), 4)
-        w = np.linalg.eigvalsh(t.w_hess(np.zeros(4)))
+        w = np.linalg.eigvalsh(_derivs(t, np.zeros(4))["w_hess"])
         assert np.all(w >= 0.5 - 1e-12) and np.all(w <= 2.0 + 1e-12)
 
     def test_radial_origin_rejected(self):
         t = _triple_radial()
         with pytest.raises(ValueError, match=r"\|x\| > 0"):
-            t.phi_grad(np.zeros(3))
+            t.derivatives(np.zeros(3))
 
 
-_POINT_ORACLES = ("phi_grad", "phi_hess", "phi_third", "v_grad", "v_hess", "v_value")
-_TARGET_ORACLES = ("w_grad", "w_hess", "w_value")
 _OPERATORS = (
     operator_L,
     gamma2_expanded,
@@ -775,18 +788,15 @@ _OPERATORS = (
 
 
 def _evaluations(t, u, x):
-    """Every oracle, test-function derivative, tensor and operator at x."""
-    out = {name: getattr(t, name)(x) for name in _POINT_ORACLES}
-    y = t.phi_grad(x)
-    out.update({name: getattr(t, name)(y) for name in _TARGET_ORACLES})
+    """Every derivative, value, test-function derivative, tensor and operator at x."""
     ct = contracted_tensors(t, x)
-    for label, f in (("u", u), ("partial", PhiPartialTestFunction(ct, t.dim - 1))):
-        for name in ("value", "grad", "hess"):
-            out[f"{label}.{name}"] = getattr(f, name)(x)
-    for field in dataclasses.fields(ct):
-        out[f"ct.{field.name}"] = getattr(ct, field.name)
+    out = {f"ct.{field.name}": getattr(ct, field.name) for field in dataclasses.fields(ct)}
+    out["v_value"] = t.v_value(x)
+    out["w_value"] = t.w_value(ct.grad)
+    ug, uh = _du(u, x)
+    out.update({"u.value": u.value(x), "u.grad": ug, "u.hess": uh})
     for op in _OPERATORS:
-        out[op.__name__] = op(ct, u)
+        out[op.__name__] = op(ct, ug) if op is gamma2_lower_bound else op(ct, ug, uh)
     out["ricci_tensor"] = ricci_tensor(ct)
     out["triple_consistency_residual"] = triple_consistency_residual(ct)
     return out
@@ -797,7 +807,7 @@ def _scale(name, e):
     if name == "bochner_residual":
         return np.max(np.abs(e["gamma2_expanded"]))
     if name == "triple_consistency_residual":
-        terms = (e["v_grad"], np.einsum("iji->j", e["ct.up1"]), e["ct.hess"] @ e["w_grad"])
+        terms = (e["ct.v_grad"], np.einsum("iji->j", e["ct.up1"]), e["ct.hess"] @ e["ct.w_grad"])
         return max(np.max(np.abs(term)) for term in terms)
     return np.max(np.abs(e[name]))
 
@@ -823,14 +833,12 @@ class TestStacks:
     def test_checks_name_the_first_failing_point(self):
         class _Pinched(SmoothTriple):
             # Hessian diag(1, x_0): ill-conditioned where x_0 is tiny
-            def phi_hess(self, x):
+            def derivatives(self, x):
                 h = np.zeros(x.shape[:-1] + (2, 2))
                 h[..., 0, 0] = 1.0
                 h[..., 1, 1] = x[..., 0]
-                return h
-
-            def phi_third(self, x):
-                return np.zeros(x.shape[:-1] + (2, 2, 2))
+                z = np.zeros_like(x)
+                return z, h, np.zeros(x.shape[:-1] + (2, 2, 2)), z, h, z, h
 
         x = np.array([[1.0, 0.0], [0.5, 0.0], [5e-13, 0.0], [1e-13, 0.0]])
         with pytest.raises(ArithmeticError, match=r"ill-conditioned at point 2 \(condition 2\.000e\+12"):
@@ -840,39 +848,22 @@ class TestStacks:
 
         class _Skewed(SmoothTriple):
             # V's gradient is off by a constant where x_0 > 0.3
-            def __init__(self):
-                super().__init__(2)
-                self.phi_grad = base.phi_grad
-                self.phi_hess = base.phi_hess
-                self.phi_third = base.phi_third
-                self.v_hess = base.v_hess
-                self.w_grad = base.w_grad
-                self.w_hess = base.w_hess
-
-            def v_grad(self, x):
-                shift = np.where(x[..., :1] > 0.3, np.array([0.5, -0.3]), 0.0)
-                return base.v_grad(x) + shift
+            def derivatives(self, x):
+                d = list(base.derivatives(x))
+                d[3] = d[3] + np.where(x[..., :1] > 0.3, np.array([0.5, -0.3]), 0.0)
+                return tuple(d)
 
         u = CubicTestFunction(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
         x = np.array([[0.1, 0.0], [0.2, 0.1], [0.4, 0.1], [0.5, -0.2]])
         with pytest.raises(ArithmeticError, match=r"disagree by .* at point 2 .*mass conservation"):
-            operator_L(contracted_tensors(_Skewed(), x), u)
+            operator_L(contracted_tensors(_Skewed(2), x), *_du(u, x))
 
-        class _Twisted:
-            # asymmetric second derivative where x_0 > 0.3
-            dim = 2
-
-            def grad(self, x):
-                return np.zeros_like(x)
-
-            def hess(self, x):
-                h = np.zeros(x.shape[:-1] + (2, 2))
-                h[..., 0, 1] = np.where(x[..., 0] > 0.3, 1.0, 0.0)
-                return h
-
+        # _Twisted: an asymmetric second derivative where x_0 > 0.3
+        twisted_hess = np.zeros(x.shape[:-1] + (2, 2))
+        twisted_hess[..., 0, 1] = np.where(x[..., 0] > 0.3, 1.0, 0.0)
         with pytest.raises(ArithmeticError, match=r"lost symmetry by 1\.000e\+00 at point 2"):
-            bmatrix_certificate(contracted_tensors(_ou_triple(2), x), _Twisted())
+            bmatrix_certificate(contracted_tensors(_ou_triple(2), x), np.zeros_like(x), twisted_hess)
 
         x = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=r"\|x\| > 0 at point 1"):
-            _triple_radial().phi_hess(x)
+            _triple_radial().derivatives(x)

@@ -41,12 +41,22 @@ def test_layer_loads_no_quadrature_interpolation_or_optimizer(module):
     assert [m for m in loaded if m.startswith(heavy)] == []
 
 
+def _cli_scipy_modules(tmp_path, config):
+    """The scipy modules a fresh ``cli.main`` run of ``config`` loads."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [config["kind"], "--config", str(path), "--out", str(tmp_path)]
+    return _scipy_modules(f"from otspec import cli\nassert cli.main({argv!r}) == 0")
+
+
 def test_geometry_selftest_loads_no_scipy(tmp_path):
-    cfg = tmp_path / "geometry.json"
-    cfg.write_text(json.dumps({"kind": "geometry-selftest", "pairs": 4, "dims": [2, 3]}))
-    argv = ["geometry-selftest", "--config", str(cfg), "--out", str(tmp_path)]
-    code = f"from otspec import cli\nassert cli.main({argv!r}) == 0"
-    assert _scipy_modules(code) == []
+    config = {"kind": "geometry-selftest", "pairs": 4, "dims": [2, 3]}
+    assert _cli_scipy_modules(tmp_path, config) == []
+
+
+def test_gamma2_check_loads_no_scipy(tmp_path):
+    config = {"kind": "gamma2-check", "triples": 3, "points": 10}
+    assert _cli_scipy_modules(tmp_path, config) == []
 
 
 def test_no_source_file_imports_integrate_or_interpolate():
