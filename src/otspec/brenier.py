@@ -139,7 +139,10 @@ class Map1D(TransportMap):
         independent check.
         """
         x = np.asarray(x, dtype=float)
-        t = self.map_points(x)
+        return self._log_d2(x, self.map_points(x))
+
+    def _log_d2(self, x, t):
+        """log Phi'' at x from x and its image t = T(x)."""
         return -self.source.potential(x) + self.target.potential(t)
 
     def second_derivative(self, x):

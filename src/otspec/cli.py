@@ -236,8 +236,8 @@ def _check_radial_spec(spec, path, errors):
     if family not in _RADIAL_FAMILIES:
         errors.append(f"{path}.family: expected one of {', '.join(_RADIAL_FAMILIES)}")
         return None
-    if not _is_int(dim) or not 1 <= dim <= 16:
-        errors.append(f"{path}.dim: expected an integer in [1, 16]")
+    if not _is_int(dim) or not 2 <= dim <= 16:
+        errors.append(f"{path}.dim: expected an integer in [2, 16]")
         return None
     if not isinstance(params, list) or not all(_is_num(p) for p in params):
         errors.append(f"{path}.params: expected a list of numbers")

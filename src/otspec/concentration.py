@@ -15,7 +15,9 @@ bit for bit:
 * Sample spectra are column-major, one contiguous column per
   log-eigenvalue index, and moments are numpy pairwise sums down each
   column in draw order.
-* Standard errors are delete-one-block jackknife over the same 50 blocks.
+* Every sampled statistic is a function of per-block sums over the same
+  50 blocks; totals add the block sums in block order, and standard
+  errors are delete-one-block jackknife over those blocks.
 * Variance means the population variance of the weighted sample; no
   Bessel correction, matching the quadrature estimators exactly.
 """
@@ -181,18 +183,16 @@ class RatioReport:
 class BankFunction:
     """Lipschitz function with a pointwise squared-gradient oracle.
 
-    ``value`` and ``grad_sq`` take a stack: rows of R^n for the spectrum
-    bank, where ``grad_sq`` is the squared Euclidean gradient, exact almost
-    everywhere (ties in max have measure zero), so Poincare denominators
-    carry no differentiation bias; Hessian stacks (count, n, n) for the
-    matrix bank, where ``grad_sq`` bounds the squared metric slope
-    pointwise; and arrays of reals for the 1-D outer functions, where it
-    is the squared slope.
+    ``evaluate`` takes a stack and returns ``(value, grad_sq)`` from one
+    evaluation of the function: rows of R^n for the spectrum bank, where
+    ``grad_sq`` is the squared Euclidean gradient, exact almost everywhere
+    (ties in max have measure zero), so Poincare denominators carry no
+    differentiation bias; and Hessian stacks (count, n, n) for the matrix
+    bank, where ``grad_sq`` bounds the squared metric slope pointwise.
     """
 
     name: str
-    value: object
-    grad_sq: object
+    evaluate: object
 
 
 def function_bank(dim, anchor=None):
@@ -205,70 +205,46 @@ def function_bank(dim, anchor=None):
     anchor = np.zeros(dim) if anchor is None else np.asarray(anchor, float).ravel()
     if anchor.size != dim:
         raise ValueError("anchor dimension disagrees with the bank")
-    out = []
-    for i in range(dim):
-        out.append(
-            BankFunction(
-                name=f"coordinate[{i}]",
-                value=lambda x, i=i: x[:, i],
-                grad_sq=lambda x, i=i: np.ones(x.shape[0]),
-            )
-        )
-    out.append(
-        BankFunction(
-            name="mean",
-            value=lambda x: np.mean(x, axis=1),
-            grad_sq=lambda x: np.full(x.shape[0], 1.0 / x.shape[1]),
-        )
-    )
-    out.append(
-        BankFunction(
-            name="max",
-            value=lambda x: np.max(x, axis=1),
-            grad_sq=lambda x: np.ones(x.shape[0]),
-        )
-    )
 
     def _lse(x):
         m = np.max(x, axis=1, keepdims=True)
-        return (m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True)))[:, 0]
-
-    def _lse_grad_sq(x):
-        m = np.max(x, axis=1, keepdims=True)
         p = np.exp(x - m)
-        p /= np.sum(p, axis=1, keepdims=True)
-        return np.sum(p * p, axis=1)
+        total = np.sum(p, axis=1, keepdims=True)
+        value = (m + np.log(total))[:, 0]
+        p /= total
+        return value, np.sum(p * p, axis=1)
 
-    out.append(BankFunction(name="log-sum-exp", value=_lse, grad_sq=_lse_grad_sq))
-    out.append(
-        BankFunction(
-            name="distance-to-anchor",
-            value=lambda x: np.linalg.norm(x - anchor, axis=1),
-            grad_sq=lambda x: np.ones(x.shape[0]),
-        )
-    )
-    return out
-
-
-def _outer_functions_1d():
-    """1-Lipschitz outer functions on the real line with exact slopes."""
     return [
-        BankFunction(
-            name="identity",
-            value=lambda y: y,
-            grad_sq=lambda y: np.ones_like(y),
+        *(
+            BankFunction(f"coordinate[{i}]", lambda x, i=i: (x[:, i], _ones(x)))
+            for i in range(dim)
         ),
+        BankFunction("mean", lambda x: (np.mean(x, axis=1), _ones(x) / x.shape[1])),
+        BankFunction("max", lambda x: (np.max(x, axis=1), _ones(x))),
+        BankFunction("log-sum-exp", _lse),
         BankFunction(
-            name="clamp[-1,1]",
-            value=lambda y: np.clip(y, -1.0, 1.0),
-            grad_sq=lambda y: (np.abs(y) < 1.0).astype(float),
-        ),
-        BankFunction(
-            name="tanh",
-            value=np.tanh,
-            grad_sq=lambda y: (1.0 - np.tanh(y) ** 2) ** 2,
+            "distance-to-anchor", lambda x: (np.linalg.norm(x - anchor, axis=1), _ones(x))
         ),
     ]
+
+
+def _ones(x):
+    return np.ones(x.shape[0])
+
+
+def _tanh(y):
+    t = np.tanh(y)
+    return t, (1.0 - t**2) ** 2
+
+
+# 1-Lipschitz outer functions on the real line, each returning its value and
+# exact squared slope, keyed by the suffix they give a composite's name (the
+# identity composite keeps the bare name)
+_OUTER_FUNCTIONS = (
+    ("", lambda y: (y, np.ones_like(y))),
+    (":clamp[-1,1]", lambda y: (np.clip(y, -1.0, 1.0), (np.abs(y) < 1.0).astype(float))),
+    (":tanh", _tanh),
+)
 
 
 def _quadform_directions(dim):
@@ -303,45 +279,44 @@ def matrix_function_bank(dim, directions=None):
     composed with the sorted log-eigenvalue map.  A log quadratic form is
     1-Lipschitz in the metric, so a composite's squared metric slope is
     bounded by the outer function's squared slope at its value; the
-    identity composite keeps the bare name ``log-quadform[k]``.
+    identity composite keeps the bare name ``log-quadform[k]``.  Each
+    entry's ``evaluate`` computes its log quadratic form or log-eigenvalue
+    map once.
     """
     dim = int(dim)
     directions = _quadform_directions(dim) if directions is None else directions
-    out = []
-    for k, v in enumerate(np.atleast_2d(np.asarray(directions, float))):
-        for g in _outer_functions_1d():
-            suffix = "" if g.name == "identity" else f":{g.name}"
-            out.append(
-                BankFunction(
-                    name=f"log-quadform[{k}]{suffix}",
-                    value=lambda h, v=v, g=g: g.value(_log_quadforms(h, v)),
-                    grad_sq=lambda h, v=v, g=g: g.grad_sq(_log_quadforms(h, v)),
-                )
-            )
-    out.append(
+    return [
+        *(
+            BankFunction(f"log-quadform[{k}]{suffix}", lambda h, v=v, g=g: g(_log_quadforms(h, v)))
+            for k, v in enumerate(np.atleast_2d(np.asarray(directions, float)))
+            for suffix, g in _OUTER_FUNCTIONS
+        ),
         BankFunction(
-            name="distance-to-identity",
-            value=lambda h: np.linalg.norm(np.log(np.linalg.eigvalsh(h)), axis=1),
-            grad_sq=lambda h: np.ones(h.shape[0]),
-        )
-    )
-    for f in function_bank(dim):
-        out.append(
-            BankFunction(
-                name=f"spectral:{f.name}",
-                value=lambda h, f=f: f.value(log_eigen_map(h)),
-                grad_sq=lambda h, f=f: f.grad_sq(log_eigen_map(h)),
-            )
-        )
-    return out
+            "distance-to-identity",
+            lambda h: (np.linalg.norm(np.log(np.linalg.eigvalsh(h)), axis=1), _ones(h)),
+        ),
+        *(
+            BankFunction(f"spectral:{f.name}", lambda h, f=f: f.evaluate(log_eigen_map(h)))
+            for f in function_bank(dim)
+        ),
+    ]
 
 
 # ----------------------------------------------------------------- sampling
 
 
-def _block_sizes(n):
-    base, extra = divmod(int(n), _BLOCKS)
-    return [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
+def _draw(measure, n_samples, seed):
+    """``n_samples`` rows of draws from ``measure``, block b from ``rng.stream(seed, b)``.
+
+    With ``base, extra = divmod(n_samples, 50)``, each of the first
+    ``extra`` blocks holds ``base + 1`` draws and every other block ``base``.
+    """
+    n_samples = int(n_samples)
+    if n_samples < _BLOCKS:
+        raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
+    base, extra = divmod(n_samples, _BLOCKS)
+    draws = [measure.sample(rng.stream(seed, b), size=base + (b < extra)) for b in range(_BLOCKS)]
+    return np.concatenate(draws).reshape(n_samples, -1)
 
 
 def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
@@ -350,16 +325,7 @@ def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
     With ``keep_hessians`` the set also holds the Hessian stack, from one
     ``tm.hessian`` call on all the draws.
     """
-    n_samples = int(n_samples)
-    if n_samples < _BLOCKS:
-        raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
-    chunks = []
-    for b, size in enumerate(_block_sizes(n_samples)):
-        if size:
-            chunks.append(tm.source.sample(rng.stream(seed, b), size=size))
-    pts = np.concatenate(chunks, axis=0)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _draw(tm.source, n_samples, seed)
     return SpectralSampleSet(
         spectra=tm.log_spectra(pts),
         weights=np.ones(pts.shape[0]),
@@ -377,23 +343,10 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
     and excludes non positive definite estimates (``flagged``).  The
     resulting set is marked approximate.
     """
-    n_samples = int(n_samples)
-    if n_samples < _BLOCKS:
-        raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
+    pts = _draw(measure, n_samples, seed)
     h = _fd_step(plan, h)
-    chunks = [
-        measure.sample(rng.stream(seed, b), size=size)
-        for b, size in enumerate(_block_sizes(n_samples))
-        if size
-    ]
-    pts = np.concatenate(chunks, axis=0)
-    (x0, x1), (y0, y1) = plan.source.box
-    inside = (
-        (pts[:, 0] >= x0 + 2.0 * h)
-        & (pts[:, 0] <= x1 - 2.0 * h)
-        & (pts[:, 1] >= y0 + 2.0 * h)
-        & (pts[:, 1] <= y1 - 2.0 * h)
-    )
+    lo, hi = np.asarray(plan.source.box, float).T
+    inside = np.all((pts >= lo + 2.0 * h) & (pts <= hi - 2.0 * h), axis=1)
     skipped = int(np.sum(~inside))
     pts = pts[inside]
     sym = _fd_hessians(plan, pts, h)
@@ -416,37 +369,54 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
 # ---------------------------------------------------------------- jackknife
 
 
-def _jackknife_se(theta_blocks):
-    """Delete-one-block jackknife standard error along axis 0."""
-    theta_blocks = np.asarray(theta_blocks, float)
-    b = theta_blocks.shape[0]
-    center = np.mean(theta_blocks, axis=0)
-    dev = theta_blocks - center
-    return np.sqrt((b - 1.0) / b * np.sum(dev * dev, axis=0))
+def _per_block(a):
+    """Sums of the rows of ``a`` over each jackknife block, shape (50, ...).
 
-
-def _block_slices(n):
-    """The jackknife blocks of ``_block_sizes(n)`` as contiguous slices."""
-    start = 0
-    for size in _block_sizes(n):
-        yield slice(start, start + size)
-        start += size
-
-
-def _block_partials(values, weights, n):
-    """Per-block (sum w, sum w v, sum w v^2) triples for delete-one stats.
-
-    Each block is a view of its rows, so nothing is copied before the
-    products.
+    The blocks are the draw blocks: contiguous rows, the first ``extra`` of
+    ``divmod(len(a), 50)`` one row longer.  Each run of equal-sized blocks
+    is one reduction of a column-major reshape, so every block is summed
+    as a contiguous run of rows, as numpy would sum that block alone.  The
+    result is row-major whatever the layout of ``a``, so a reduction over
+    the blocks adds them in one order.
     """
-    parts = []
-    for blk in _block_slices(n):
-        w = weights[blk]
-        v = values[blk]
-        parts.append(
-            (float(np.sum(w)), np.sum(w * v, axis=0), np.sum(w * v * v, axis=0))
-        )
-    return parts
+    base, extra = divmod(a.shape[0], _BLOCKS)
+    cut, tail = extra * (base + 1), a.shape[1:]
+    out = np.empty((_BLOCKS,) + tail)
+    out[:extra] = np.sum(a[:cut].reshape((base + 1, extra) + tail, order="F"), axis=0)
+    out[extra:] = np.sum(a[cut:].reshape((base, _BLOCKS - extra) + tail, order="F"), axis=0)
+    return out
+
+
+def _moment_blocks(values, weights):
+    """Per-block sums of w, w v and w v^2; ``weights`` broadcast against ``values``."""
+    if values.shape[0] == 0:
+        raise ValueError("sample set is empty (all draws flagged or skipped)")
+    wv = weights * values
+    s1 = _per_block(wv)
+    wv *= values
+    return _per_block(weights), s1, _per_block(wv)
+
+
+def _totals(blocks):
+    """Each per-block sum added over the blocks in block order."""
+    return [np.cumsum(sums, axis=0)[-1] for sums in blocks]
+
+
+def _jackknife(stat, blocks, valid):
+    """``stat`` of the totals of ``blocks``, with its delete-one-block error.
+
+    ``stat`` takes one sum per entry of ``blocks``: the totals, or the 50
+    leave-one-out sums stacked on axis 0, which it sees only if ``valid``
+    holds on every one of them; otherwise the error is zero.
+    """
+    totals = _totals(blocks)
+    value = stat(*totals)
+    rest = [t - b for t, b in zip(totals, blocks)]
+    if not np.all(valid(*rest)):
+        return value, np.zeros_like(value)
+    thetas = stat(*rest)
+    dev = thetas - np.mean(thetas, axis=0)
+    return value, np.sqrt((_BLOCKS - 1.0) / _BLOCKS * np.sum(dev * dev, axis=0))
 
 
 def _variance_from_sums(s0, s1, s2):
@@ -459,21 +429,11 @@ def _variance_from_sums(s0, s1, s2):
 
 def variance_report(samples):
     """Per-index variance of the log-spectrum with jackknife errors."""
-    if samples.count == 0:
-        raise ValueError("sample set is empty (all draws flagged or skipped)")
-    v = samples.spectra
-    w = samples.weights
-    parts = _block_partials(v, w[:, None] if v.ndim == 2 else w, samples.count)
-    t0 = sum(p[0] for p in parts)
-    t1 = sum(p[1] for p in parts)
-    t2 = sum(p[2] for p in parts)
-    var = _variance_from_sums(t0, t1, t2)
-    thetas = [
-        _variance_from_sums(t0 - p0, t1 - p1, t2 - p2)
-        for p0, p1, p2 in parts
-        if t0 - p0 > 0.0
-    ]
-    se = _jackknife_se(thetas) if len(thetas) == _BLOCKS else np.zeros_like(var)
+    var, se = _jackknife(
+        _variance_from_sums,
+        _moment_blocks(samples.spectra, samples.weights[:, None]),
+        lambda s0, s1, s2: s0 > 0.0,
+    )
     return VarianceReport(
         variances=var,
         standard_errors=se,
@@ -517,7 +477,8 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     catalog's integrable endpoint blowups.  The report's truncation
     field bounds the ignored tail contribution by tail mass times the
     squared observed log-range, and any non-finite node is dropped into
-    the same budget.
+    the same budget.  The weighted moments are summed over the jackknife
+    blocks, as for Monte Carlo sets.
     """
     if tm.dim != 1:
         raise ValueError("quadrature variance is for one-dimensional maps")
@@ -527,83 +488,50 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     good = np.isfinite(vals)
     dropped = float(np.sum(w[~good]))
     vals, w = vals[good], w[good]
-    log_range = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
-    truncation = (tail + dropped) * log_range**2
-    samples = SpectralSampleSet(
-        spectra=vals[:, None],
-        weights=w,
-        flagged=int(np.sum(~good)),
-        label=label or f"quadrature:{tm.source.name}->{tm.target.name}",
-    )
-    base = variance_report(samples)
+    var = _variance_from_sums(*_totals(_moment_blocks(vals[:, None], w[:, None])))
     return VarianceReport(
-        variances=base.variances,
+        variances=var,
         standard_errors=np.zeros(1),
-        sample_count=samples.count,
-        flagged=samples.flagged,
-        truncation=truncation,
-        label=samples.label,
+        sample_count=vals.size,
+        flagged=int(np.sum(~good)),
+        truncation=(tail + dropped) * float(np.max(vals) - np.min(vals)) ** 2,
+        label=label or f"quadrature:{tm.source.name}->{tm.target.name}",
     )
 
 
 # ------------------------------------------------------------- ratio checks
 
 
-def _ratio_report(values, grad_sq, weights, count):
-    if count == 0:
-        raise ValueError("sample set is empty (all draws flagged or skipped)")
-    parts_v = _block_partials(values, weights, count)
-    parts_g = [float(np.sum(weights[blk] * grad_sq[blk])) for blk in _block_slices(count)]
-    t0 = sum(p[0] for p in parts_v)
-    t1 = sum(p[1] for p in parts_v)
-    t2 = sum(p[2] for p in parts_v)
-    tg = sum(parts_g)
+def _ratio_report(samples, f, stack):
+    """Var[f] over 4 E|grad f|^2 on one stack of the samples, with its error."""
+    values, grad_sq = (np.asarray(a, float) for a in f.evaluate(stack))
+    w = samples.weights
+    blocks = (*_moment_blocks(values, w), _per_block(w * grad_sq))
+    t0, t1, t2, tg = _totals(blocks)
     num = float(_variance_from_sums(t0, t1, t2))
-    den = 4.0 * tg / t0
-    scale = max(num, float(t2 / t0), 1e-300)
+    den = float(4.0 * tg / t0)
     if den <= 0.0:
-        degenerate = num <= 1e-14 * scale
-        return RatioReport(
-            value=0.0 if degenerate else math.inf,
-            standard_error=0.0,
-            numerator=num,
-            denominator=den,
-            sample_count=count,
-            violation_candidate=not degenerate,
-        )
-    thetas = []
-    for (p0, p1, p2), pg in zip(parts_v, parts_g):
-        r0 = t0 - p0
-        rg = tg - pg
-        if r0 <= 0.0 or rg <= 0.0:
-            continue
-        thetas.append(
-            float(_variance_from_sums(r0, t1 - p1, t2 - p2)) / (4.0 * rg / r0)
-        )
-    se = float(_jackknife_se(thetas)) if len(thetas) == _BLOCKS else 0.0
-    return RatioReport(
-        value=num / den,
-        standard_error=se,
-        numerator=num,
-        denominator=den,
-        sample_count=count,
+        # no energy: a constant function's ratio is 0, any other's a candidate
+        candidate = not num <= 1e-14 * max(num, float(t2 / t0), 1e-300)
+        return RatioReport(math.inf if candidate else 0.0, 0.0, num, den, samples.count, candidate)
+    _, se = _jackknife(
+        lambda s0, s1, s2, sg: _variance_from_sums(s0, s1, s2) / (4.0 * sg / s0),
+        blocks,
+        lambda s0, s1, s2, sg: (s0 > 0.0) & (sg > 0.0),
     )
+    return RatioReport(num / den, float(se), num, den, samples.count)
 
 
 def poincare_ratio(samples, f):
     """Var[f(Lambda(X))] over 4 E|grad f|^2(Lambda(X)) with jackknife error."""
-    values = np.asarray(f.value(samples.spectra), float)
-    grad_sq = np.asarray(f.grad_sq(samples.spectra), float)
-    return _ratio_report(values, grad_sq, samples.weights, samples.count)
+    return _ratio_report(samples, f, samples.spectra)
 
 
 def matrix_poincare(samples, f):
     """Ratio for a matrix functional on the Hessian-valued pushforward."""
     if samples.hessians is None:
         raise ValueError("sample set carries no Hessian matrices")
-    values = np.asarray(f.value(samples.hessians), float)
-    grad_sq = np.asarray(f.grad_sq(samples.hessians), float)
-    return _ratio_report(values, grad_sq, samples.weights, samples.count)
+    return _ratio_report(samples, f, samples.hessians)
 
 
 # --------------------------------------------------- exponential concentration
@@ -622,7 +550,7 @@ def exp_concentration(samples, f, c):
     cs = [float(c)] if scalar else [float(x) for x in c]
     if any(x <= 0.0 for x in cs):
         raise ValueError("exponential concentration needs c > 0")
-    values = np.asarray(f.value(samples.spectra), float)
+    values = np.asarray(f.evaluate(samples.spectra)[0], float)
     w = samples.weights / np.sum(samples.weights)
     center = float(np.sum(w * values))
     a = np.abs(values - center)

@@ -140,9 +140,6 @@ class EntropicPlan:
     marginal_error: float
     history: list = field(default_factory=list)
 
-    def stage_history(self, eps):
-        return [row for row in self.history if row[0] == eps]
-
 
 def _box_mass(m, box):
     """Mass the measure assigns to the box (lower bound for radial)."""

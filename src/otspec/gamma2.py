@@ -134,7 +134,7 @@ class _Triple1D(SmoothTriple):
         """The seven derivatives at coordinates s, each shaped like s."""
         src, dst = self.tm.source, self.tm.target
         t = np.asarray(self.tm.map_points(s))
-        dd = np.asarray(self.tm.second_derivative(s))
+        dd = np.exp(self.tm._log_d2(s, t))
         v1 = np.asarray(src.potential_d1(s))
         w1 = np.asarray(dst.potential_d1(t))
         third = dd * (w1 * dd - v1)

@@ -579,27 +579,29 @@ class TestRunExperiment:
             assert r.value == 1.5 and r.note == "max at gaussian:n=3:max"
 
     def test_concentration_evaluates_each_bank_function_once(self, monkeypatch):
-        # the gating constant and the whole sweep share one evaluation per
-        # (experiment, function): 77 cells at the default config
-        calls = []
-        banks = []
+        # one evaluation per (experiment, function), 77 cells at the default
+        # config of both sampled kinds: the gating constant and the whole
+        # sweep share it, and a ratio reads its values and squared gradients
+        # from the same call
         select = cli._select_bank
 
         def counted(f, cell):
-            def value(x):
+            def evaluate(x):
                 calls.append(cell)
-                return f.value(x)
+                return f.evaluate(x)
 
-            return replace(f, value=value)
+            return replace(f, evaluate=evaluate)
 
         def counted_bank(cfg, dim):
             banks.append(dim)
             return [counted(f, (len(banks), f.name)) for f in select(cfg, dim)]
 
         monkeypatch.setattr(cli, "_select_bank", counted_bank)
-        report = run_experiment(default_config("concentration"))
-        assert all(r.passed for r in report.records)
-        assert len(calls) == 77 and len(set(calls)) == 77
+        for kind in ("concentration", "poincare"):
+            calls, banks = [], []
+            report = run_experiment(default_config(kind))
+            assert all(r.passed for r in report.records)
+            assert len(calls) == 77 and len(set(calls)) == 77, kind
 
     @pytest.mark.parametrize(
         "kind, dump",
@@ -781,6 +783,17 @@ class TestMain:
             err = capsys.readouterr().err
             assert f"config error: map.{side}.mean: expected a non-empty list of numbers" in err
             assert "dimensions disagree" not in err
+
+    def test_exit_two_on_dimension_one_radial_map(self, tmp_path, capsys):
+        # a radial transport needs dimension at least 2, so validation
+        # refuses dim 1 before any map is built
+        side = {"family": "gaussian", "dim": 1, "params": []}
+        data = {"kind": "variance", "map": {"kind": "radial", "source": side, "target": side}}
+        assert main(["variance", "--config", _write(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "map.source.dim: expected an integer in [2, 16]" in err
+        assert "runtime error" not in err
 
     def test_exit_two_on_kind_mismatch(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance"})

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from otspec import rng
+from otspec import concentration, rng
 from otspec.brenier import (
     brenier_1d,
     brenier_gaussian,
@@ -36,7 +36,7 @@ from otspec.concentration import (
     matrix_poincare,
     variance_report,
 )
-from otspec.concentration import _BLOCKS, _block_partials, _panel_nodes, _ratio_report
+from otspec.concentration import _BLOCKS, _panel_nodes, _per_block
 from otspec.entropic import (
     EntropicPlan,
     GridMeasure,
@@ -262,12 +262,12 @@ class TestFunctionBank:
         x = s.standard_normal((30, 4))
         step = 1e-6
         for f in function_bank(4, anchor=np.array([0.5, -0.5, 0.0, 1.0])):
-            base_grad_sq = f.grad_sq(x)
+            base_grad_sq = f.evaluate(x)[1]
             fd = np.zeros_like(x)
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = step
-                fd[:, j] = (f.value(x + e) - f.value(x - e)) / (2 * step)
+                fd[:, j] = (f.evaluate(x + e)[0] - f.evaluate(x - e)[0]) / (2 * step)
             # skip points within a kink's reach of nondifferentiability
             sorted_x = np.sort(x, axis=1)
             smooth = sorted_x[:, -1] - sorted_x[:, -2] > 1e-3
@@ -281,7 +281,7 @@ class TestFunctionBank:
         y = s.standard_normal((200, 5))
         gap = np.linalg.norm(x - y, axis=1)
         for f in function_bank(5):
-            assert np.all(np.abs(f.value(x) - f.value(y)) <= gap * (1 + 1e-12))
+            assert np.all(np.abs(f.evaluate(x)[0] - f.evaluate(y)[0]) <= gap * (1 + 1e-12))
 
     def test_bank_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -302,51 +302,47 @@ class TestFunctionBank:
         }
         assert len(bank) == 12
         for name, f in bank.items():
-            y = bank[name.split(":")[0]].value(h)
-            fd = (f.value(math.exp(step) * h) - f.value(math.exp(-step) * h)) / (2 * step)
+            y = bank[name.split(":")[0]].evaluate(h)[0]
+            fd = (f.evaluate(math.exp(step) * h)[0] - f.evaluate(math.exp(-step) * h)[0]) / (
+                2 * step
+            )
             smooth = np.abs(np.abs(y) - 1.0) > 1e-3
             np.testing.assert_allclose(
-                (fd * fd)[smooth], f.grad_sq(h)[smooth], atol=1e-8
+                (fd * fd)[smooth], f.evaluate(h)[1][smooth], atol=1e-8
             )
 
     def test_matrix_bank_values(self):
         bank = {f.name: f for f in matrix_function_bank(2)}
         h = np.array([[[math.e**2, 0.0], [0.0, 1.0]]])
-        got = bank["log-quadform[0]"].value(h)
+        got = bank["log-quadform[0]"].evaluate(h)[0]
         assert got[0] == pytest.approx(2.0, abs=1e-12)
-        d = bank["distance-to-identity"].value(
+        d, _ = bank["distance-to-identity"].evaluate(
             np.array([[[math.e, 0.0], [0.0, 1.0 / math.e]]])
         )
         assert d[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        spec_max = bank["spectral:max"].value(h)
+        spec_max = bank["spectral:max"].evaluate(h)[0]
         assert spec_max[0] == pytest.approx(2.0, abs=1e-12)
         for f in bank.values():
-            assert np.all(f.grad_sq(h) <= 1.0 + 1e-12)
+            assert np.all(f.evaluate(h)[1] <= 1.0 + 1e-12)
 
     def test_matrix_bank_rejects_indefinite(self):
         bank = {f.name: f for f in matrix_function_bank(2)}
         bad = np.array([[[1.0, 0.0], [0.0, -1.0]]])
         with pytest.raises(ValueError, match="positive definite"):
-            bank["spectral:max"].value(bad)
+            bank["spectral:max"].evaluate(bad)
 
 
 class TestPoincareRatio:
     def test_constant_function_ratio_is_zero(self, product_samples):
         const = BankFunction(
-            "const",
-            lambda x: np.full(x.shape[0], 2.5),
-            lambda x: np.zeros(x.shape[0]),
+            "const", lambda x: (np.full(x.shape[0], 2.5), np.zeros(x.shape[0]))
         )
         rep = poincare_ratio(product_samples, const)
         assert rep.value == 0.0
         assert not rep.violation_candidate
 
     def test_zero_denominator_flags_candidate(self, product_samples):
-        bad = BankFunction(
-            "nongradient",
-            lambda x: x[:, 0],
-            lambda x: np.zeros(x.shape[0]),
-        )
+        bad = BankFunction("nongradient", lambda x: (x[:, 0], np.zeros(x.shape[0])))
         rep = poincare_ratio(product_samples, bad)
         assert rep.violation_candidate
         assert math.isinf(rep.value)
@@ -386,12 +382,14 @@ _OUTER_1D = {
 
 
 def quadform_ratio_oracle(samples, v, value, slope_sq):
-    h = samples.hessians
     v = np.asarray(v, float).ravel()
     v = v / np.linalg.norm(v)
-    y = log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
-    values = np.asarray(value(y), float)
-    return _ratio_report(values, np.asarray(slope_sq(y), float), samples.weights, samples.count)
+
+    def evaluate(h):
+        y = log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
+        return value(y), slope_sq(y)
+
+    return matrix_poincare(samples, BankFunction("oracle", evaluate))
 
 
 class TestQuadformPoincare:
@@ -439,6 +437,26 @@ class TestMatrixPoincare:
         rep_s = poincare_ratio(radial_samples, function_bank(3)[4])
         assert rep_m.numerator == pytest.approx(rep_s.numerator, rel=5e-4)
 
+    def test_each_entry_computes_its_transform_once(self, radial_samples, monkeypatch):
+        # a ratio reads values and squared slopes from one evaluation, so a
+        # spectral entry maps the Hessians to log-eigenvalues once and a
+        # log-quadform entry takes its log quadratic forms once
+        calls = []
+        for name in ("log_eigen_map", "log_quadratic_form"):
+            fn = getattr(concentration, name)
+            monkeypatch.setattr(
+                concentration, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        for f in matrix_function_bank(3):
+            calls.clear()
+            matrix_poincare(radial_samples, f)
+            if f.name.startswith("spectral:"):
+                assert calls == ["log_eigen_map"], f.name
+            elif f.name.startswith("log-quadform"):
+                assert calls == ["log_quadratic_form"], f.name
+            else:
+                assert calls == [], f.name
+
     def test_missing_hessians_are_refused(self, product_samples):
         with pytest.raises(ValueError, match="Hessian"):
             matrix_poincare(
@@ -448,9 +466,7 @@ class TestMatrixPoincare:
 
 class TestExpConcentration:
     def test_constant_function_is_one(self, product_samples):
-        const = BankFunction(
-            "const", lambda x: np.ones(x.shape[0]), lambda x: np.zeros(x.shape[0])
-        )
+        const = BankFunction("const", lambda x: (np.ones(x.shape[0]), np.zeros(x.shape[0])))
         assert exp_concentration(product_samples, const, 0.1) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -510,7 +526,7 @@ class TestExpConcentration:
             return exp(x, *args, **kwargs)
 
         for f in function_bank(3):
-            values = f.value(spectra)
+            values = f.evaluate(spectra)[0]
             w = weights / np.sum(weights)
             a = np.abs(values - float(np.sum(w * values)))
             want = [
@@ -533,37 +549,53 @@ class TestExpConcentration:
             exp_concentration(product_samples, function_bank(3)[0], cs)
 
 
-def _split_block_partials(values, weights, n):
-    # the index-set form the sliced partials replaced: np.array_split
-    # blocks and fancy-index copies
-    parts = []
-    for idx in np.array_split(np.arange(int(n)), _BLOCKS):
-        w = weights[idx]
-        v = values[idx]
-        parts.append(
-            (float(np.sum(w)), np.sum(w * v, axis=0), np.sum(w * v * v, axis=0))
-        )
-    return parts
+def _split_block_sums(a):
+    # the jackknife blocks as np.array_split gives them, each summed on its own
+    return np.stack([np.sum(block, axis=0) for block in np.array_split(a, _BLOCKS)])
 
 
 class TestBlockPartials:
-    @pytest.mark.parametrize("n", [50, 51, 99, 1007])
+    @pytest.mark.parametrize("n", [7, 50, 51, 99, 1007])
     def test_slices_match_split_oracle(self, n):
         s = rng.stream(5, n)
-        w = s.uniform(0.5, 2.0, size=n)
         cases = [
-            (s.standard_normal(n), w),
-            (s.standard_normal((n, 3)), w[:, None]),
-            # a strided column, as quadform ratios pass it
-            (s.standard_normal((n, 4))[:, 2], w),
+            s.uniform(0.5, 2.0, size=n),
+            np.asfortranarray(s.standard_normal((n, 3))),
+            # a strided column, as a column of a row-major stack
+            s.standard_normal((n, 4))[:, 2],
         ]
-        for values, weights in cases:
-            got = _block_partials(values, weights, n)
-            want = _split_block_partials(values, weights, n)
-            assert len(got) == len(want) == _BLOCKS
-            for (g0, g1, g2), (w0, w1, w2) in zip(got, want):
-                assert g0 == w0
-                assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
+        for a in cases:
+            got = _per_block(a)
+            want = _split_block_sums(a)
+            assert got.shape == want.shape == (_BLOCKS,) + a.shape[1:]
+            assert np.array_equal(got, want)
+            if n < _BLOCKS:
+                assert np.all(got[n:] == 0.0)
+
+    @pytest.mark.parametrize("n", [7, 51, 1007])
+    def test_variance_report_matches_per_block_loop(self, n):
+        # the statistics as a Python loop over the blocks computed them:
+        # partial sums per block, totals added in block order, and one
+        # leave-one-out variance per block; the reports agree bit for bit
+        s = rng.stream(6, n)
+        spectra = np.asfortranarray(s.standard_normal((n, 3)))
+        weights = s.uniform(0.5, 2.0, size=n)
+        parts = [
+            (float(np.sum(w)), np.sum(w * v, axis=0), np.sum(w * v * v, axis=0))
+            for w, v in zip(
+                np.array_split(weights[:, None], _BLOCKS), np.array_split(spectra, _BLOCKS)
+            )
+        ]
+        t0, t1, t2 = (sum(p[i] for p in parts) for i in range(3))
+
+        def var(s0, s1, s2):
+            return np.maximum(s2 / s0 - (s1 / s0) ** 2, 0.0)
+
+        thetas = np.asarray([var(t0 - p0, t1 - p1, t2 - p2) for p0, p1, p2 in parts])
+        dev = thetas - np.mean(thetas, axis=0)
+        rep = variance_report(SpectralSampleSet(spectra, weights))
+        assert np.array_equal(rep.variances, var(t0, t1, t2))
+        assert np.array_equal(rep.standard_errors, np.sqrt(0.98 * np.sum(dev * dev, axis=0)))
 
 
 class TestCaffarelliFloor:

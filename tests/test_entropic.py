@@ -276,7 +276,7 @@ class TestSinkhorn:
         stages = {row[0] for row in plan.history}
         assert len(stages) > 1
         for eps in stages:
-            vals = [row[3] for row in plan.stage_history(eps)]
+            vals = [row[3] for row in plan.history if row[0] == eps]
             for a, b in zip(vals, vals[1:]):
                 assert b >= a - 1e-9 * (1.0 + abs(a))
 

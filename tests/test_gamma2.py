@@ -227,6 +227,27 @@ class TestContractedTensors:
         assert ct.up2[0, 0, 0] == pytest.approx(b / a**2, rel=1e-12)
         assert ct.up3[0, 0, 0] == pytest.approx(b / a**3, rel=1e-12)
 
+    def test_1d_triple_solves_the_target_quantile_once(self, monkeypatch):
+        # T(x) and Phi''(x) share one map evaluation: one target quantile
+        # per bundle, and the same bundle as mapping once for each of them
+        t = _triple_1d()
+        tm = t.tm
+        x = np.linspace(-2.5, 2.5, 11)[:, None]
+        want_grad = tm.map_points(x[:, 0])
+        want_hess = tm.second_derivative(x[:, 0])
+        calls = []
+        quantile = tm.target.quantile
+
+        def counted(u):
+            calls.append(np.size(u))
+            return quantile(u)
+
+        monkeypatch.setattr(tm.target, "quantile", counted)
+        ct = contracted_tensors(t, x)
+        assert calls == [11]
+        assert np.array_equal(ct.grad[:, 0], want_grad)
+        assert np.array_equal(ct.hess[:, 0, 0], want_hess)
+
     def test_contraction_identity_vs_loops(self):
         t = synthetic_triple(rng.stream(41, 0), 3, delta=0.6)
         x = np.array([0.4, -0.5, 0.2])
