@@ -7,12 +7,11 @@ Four shapes admit exact or quadrature-exact solutions: one-dimensional
 products of one-dimensional maps, and rotationally symmetric pairs
 (a radial profile from mass balance).
 
-All map objects are pure: evaluation never mutates state, and the radial
-interpolation cache is built once at construction and read afterward, so
-instances can be shared freely across threads.
+All map objects are pure: evaluation never mutates state, and a radial
+map's one table, the quantile table of its target's radius law, is built
+at construction and read afterward, so instances can be shared freely
+across threads.
 """
-
-import math
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .measures import (
     LogConcaveMeasure1D,
     ProductMeasure,
     RadialMeasure,
+    _RadialLaw,
 )
 from .spd import _validated, sqrt_factors
 
@@ -36,54 +36,6 @@ __all__ = [
 # second derivative of Phi can blow up at support endpoints (1/(1-x) for
 # uniform to exponential), and quantile solves lose accuracy there.
 _EDGE = 1e-9
-
-
-def _pchip_coefficients(x, y):
-    """Monotone piecewise cubic through (x, y), as coefficients (4, n - 1).
-
-    A monotone cubic Hermite interpolant (Fritsch and Carlson 1980) with
-    the rule of scipy's ``PchipInterpolator``: the node slopes are the
-    weighted harmonic means of the adjacent secants (Fritsch and Butland
-    1984), zero where the secants change sign or one of them vanishes, and
-    the end slopes are three-point estimates limited to keep their
-    secant's sign (Moler 2004), so that no piece overshoots its data.  Row
-    k holds the coefficient of (r - x_i)**(3 - k) on [x_i, x_i+1].
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.empty_like(y)
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
-
-
-def _end_slope(h0, h1, m0, m1):
-    """Three-point end slope from the end secant m0 and the next one, m1."""
-    e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(e) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return e
-
-
-def _piecewise_cubic(x, coef, r):
-    """The cubic of ``_pchip_coefficients`` at r in [x_0, x_n-1].
-
-    The sum runs in ascending powers, as scipy's ``PPoly`` sums it, so the
-    values match ``PchipInterpolator``'s bit for bit.
-    """
-    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
-    s = r - np.take(x, i)
-    c0, c1, c2, c3 = np.take(coef, i, axis=1)
-    s2 = s * s
-    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 class TransportMap:
@@ -247,27 +199,19 @@ class RadialMap(TransportMap):
     The Hessian at x with r = |x| has eigenvalue phi'(r) on the radial
     line and phi(r)/r on the tangent space (multiplicity n - 1); at the
     origin the tangential value degenerates to phi'(0).
+
+    ``profile`` solves the mass balance exactly and serves ``map_points``
+    and ``hessian``.  ``log_spectra`` reads ``profile_fast``, the start of
+    the quantile table of the target's radius law (built once, here), which
+    the tests hold to ``profile``.
     """
 
     kind = "radial"
 
-    _SPLINE_NODES = 10_000
-
     def __init__(self, source, target):
         super().__init__(source.dim, source, target)
-        # the profile is regular at the origin (phi ~ phi'(0) r), so only the
-        # outer quantile edge needs clipping; toward that edge a target tail
-        # grows like sqrt(-log(1 - u)), so half the nodes are uniform in u and
-        # half uniform in -log(1 - u)
-        half = self._SPLINE_NODES // 2
-        u_lin = np.linspace(0.0, 1.0 - _EDGE, half)
-        u_log = -np.expm1(-np.linspace(0.0, -math.log(_EDGE), half + 2)[1:-1])
-        u = np.union1d(u_lin, u_log)
-        r_nodes = source.radial_quantile(u)
-        phi_nodes = target.radial_quantile(u)
-        self._r_hi = float(r_nodes[-1])
-        self._r_nodes = r_nodes
-        self._coef = _pchip_coefficients(r_nodes, phi_nodes)
+        self._r_hi = float(source.radial_quantile(1.0 - _EDGE))
+        self._target_law = _RadialLaw(target)
 
     def profile(self, r):
         """phi(r) from exact mass balance (safeguarded quantile solve)."""
@@ -276,9 +220,16 @@ class RadialMap(TransportMap):
         return self.target.radial_quantile(u)
 
     def profile_fast(self, r):
-        """Monotone interpolation of the profile for sampling throughput."""
-        r = np.clip(np.asarray(r, dtype=float), 0.0, self._r_hi)
-        return _piecewise_cubic(self._r_nodes, self._coef, r)
+        """phi(r) from the start of the target radius law's quantile table.
+
+        The start is the table's monotone cubic at u = F(r), with no Newton
+        step.  u is kept at or above the smallest normal double: in high
+        dimension r**n underflows to 0 near the origin, and the table's
+        tail start is positive for every u > 0.
+        """
+        r = np.asarray(r, dtype=float)
+        u = np.clip(self.source.radial_cdf(r), np.finfo(float).tiny, 1.0 - _EDGE).ravel()
+        return self._target_law._quantile_start(u)[0].reshape(r.shape)
 
     def profile_d1(self, r, phi=None):
         """phi'(r) from differentiating the mass balance."""

@@ -42,14 +42,14 @@ Fallback.  Where a sum falls below the floor (at small epsilon, when the
 peaks of ``lead`` and ``tail`` lie far apart) the fast value is not
 used.  A Sinkhorn stage recomputes every output row holding such an
 entry, whole, with the blocked log-domain kernel ``_logsumexp_outer_exact``;
-``entropic_map`` sends each such point through the blocked softmax
-``_entropic_map_exact``.  Rows and columns whose terms are all -inf
+``entropic_map`` takes each such point's two weight marginals from the
+same kernel.  Rows and columns whose terms are all -inf
 (zero-weight nodes) are set to -inf directly and never fall back: their
 sums are zero, not small.
 
 Memory is bounded at any grid the config accepts (up to 512 nodes per
 axis).  A fast Sinkhorn stage holds a few (n, n) arrays, 2 MiB each at
-grid 512.  The exact kernels work through one preallocated block of
+grid 512.  The exact kernel works through one preallocated block of
 2**17 float64 (1 MiB), or of one (n, n) slice where that is larger,
 instead of materializing (n, n, n) or (points, n, n) tensors.
 ``entropic_map`` takes ``_BLOCK // (16 n)`` points at a time, so that
@@ -383,7 +383,8 @@ def entropic_map(plan, x):
     A[p] * E[p, q] * B[q], with E the row-shifted plan weights and A, B
     the axis kernels of the point, so the two weight marginals are
     A * (B @ E^T) and B * (A @ E).  A point whose total weight falls
-    below ``_FLOOR`` goes through ``_entropic_map_exact`` instead.
+    below ``_FLOOR`` takes both marginals from the log-domain kernel
+    ``_logsumexp_outer_exact`` instead, and averages each max-shifted.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -405,13 +406,13 @@ def entropic_map(plan, x):
     # about eight (points, n) temporaries live at once; 16 leaves room
     step = max(1, _BLOCK // (16 * max(base.shape)))
     out = np.empty_like(pts)
-    slow = []
     for lo in range(0, pts.shape[0], step):
         chunk = pts[lo : lo + step]
-        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps + row_top
-        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps
-        a = _lifted_exp(ax, ax.max(axis=1, keepdims=True))  # (k, nx_t)
-        b = _lifted_exp(ay, ay.max(axis=1, keepdims=True))  # (k, ny_t)
+        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / plan.eps  # (k, nx_t)
+        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / plan.eps  # (k, ny_t)
+        ax_top = ax + row_top
+        a = _lifted_exp(ax_top, ax_top.max(axis=1, keepdims=True))
+        b = _lifted_exp(ay, ay.max(axis=1, keepdims=True))
         wx = b @ ker.T
         wy = a @ ker
         # drop one lift from each axis factor: the marginals keep e^(2 _LIFT)
@@ -422,40 +423,18 @@ def entropic_map(plan, x):
         total = wx.sum(axis=1)
         out[lo : lo + step, 0] = wx @ nu.xs / total
         out[lo : lo + step, 1] = wy @ nu.ys / total
-        slow.append(lo + np.flatnonzero(total * _UNLIFT < _FLOOR))
-    slow = np.concatenate(slow)
-    if slow.size:
-        out[slow] = _entropic_map_exact(base, nu, pts[slow], plan.eps)
+        slow = np.flatnonzero(total * _UNLIFT < _FLOOR)
+        if slow.size:
+            # log w_x = ax + LSE_q(ay + base) and log w_y = ay + LSE_p(ax + base)
+            sx, sy = ax[slow], ay[slow]
+            marginals = (
+                (sx + _logsumexp_outer_exact(sy.T, base.T), nu.xs),
+                (sy + _logsumexp_outer_exact(sx.T, base), nu.ys),
+            )
+            for axis, (logw, nodes) in enumerate(marginals):
+                w = np.exp(logw - logw.max(axis=1, keepdims=True))
+                out[lo + slow, axis] = w @ nodes / w.sum(axis=1)
     return out[0] if single else out
-
-
-def _entropic_map_exact(base, nu, pts, eps):
-    """The barycentric projection as a max-shifted softmax per point.
-
-    ``base`` holds g / eps + log nu; points go in blocks of ``_BLOCK``
-    elements (at least one point).
-    """
-    step = max(1, _BLOCK // base.size)
-    buf = np.empty((min(step, pts.shape[0]),) + base.shape)
-    ones_x, ones_y = np.ones(nu.xs.size), np.ones(nu.ys.size)
-    out = np.empty_like(pts)
-    for lo in range(0, pts.shape[0], step):
-        chunk = pts[lo : lo + step]
-        ax = -0.5 * (chunk[:, 0:1] - nu.xs[None, :]) ** 2 / eps  # (k, nx_t)
-        ay = -0.5 * (chunk[:, 1:2] - nu.ys[None, :]) ** 2 / eps  # (k, ny_t)
-        blk = buf[: chunk.shape[0]]
-        np.add(base[None, :, :], ax[:, :, None], out=blk)
-        blk += ay[:, None, :]
-        blk -= blk.max(axis=(1, 2), keepdims=True)
-        np.maximum(blk, _EXP_FLOOR, out=blk)
-        np.exp(blk, out=blk)
-        # marginals over the target axes; matmul reduces faster than sum
-        wx = blk @ ones_y  # (k, nx_t)
-        wy = ones_x @ blk  # (k, ny_t)
-        total = wx.sum(axis=1)
-        out[lo : lo + step, 0] = wx @ nu.xs / total
-        out[lo : lo + step, 1] = wy @ nu.ys / total
-    return out
 
 
 def _fd_step(plan, h):

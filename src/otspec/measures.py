@@ -271,8 +271,9 @@ class LogConcaveMeasure1D:
     constant), its derivatives where defined, a CDF, and a starting point
     for the quantile solver.  Families whose CDF has a closed-form inverse
     (gaussian, uniform, exponential, logistic, laplace) start from it, in
-    ``_quantile_init``.  The others (gamma, beta, subbotin and the
-    regularized measures) build a table of their own CDF at construction
+    ``_quantile_init``.  The others (gamma, beta, subbotin, the
+    regularized measures and the radius laws of radial measures) build a
+    table of their own CDF at construction
     (``_build_quantile_table``) and start from a monotone cubic through it:
     inverting an incomplete beta or gamma function costs 4 to 16 times a
     ``cdf`` evaluation, and a node-table CDF has no inverse at all.
@@ -1200,7 +1201,7 @@ class RadialMeasure:
 
     def radial_pdf_logslope(self, r):
         """d/dr log radial_pdf, used by transport profile curvature."""
-        raise NotImplementedError
+        return (self.dim - 1.0) / np.asarray(r, dtype=float) - self.radial_potential_d1(r)
 
     def radial_quantile(self, p):
         raise NotImplementedError
@@ -1244,9 +1245,6 @@ class _UniformBall(RadialMeasure):
     def radial_potential_d2(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
-    def radial_pdf_logslope(self, r):
-        return (self.dim - 1.0) / np.asarray(r, dtype=float)
-
     def radial_cdf(self, r):
         r = np.asarray(r, dtype=float)
         return np.clip(r / self.radius, 0.0, 1.0) ** self.dim
@@ -1268,11 +1266,13 @@ class _RadialGaussian(RadialMeasure):
             raise ValueError(f"gaussian scale must be positive, got {sigma}")
         super().__init__(dim, np.inf)
         self.sigma = float(sigma)
-        self._log_norm = 0.5 * dim * math.log(2.0 * math.pi * self.sigma**2)
+        # from log sigma, so that no scale the config admits overflows here
+        log_sigma = math.log(self.sigma)
+        self._log_norm = 0.5 * dim * (math.log(2.0 * math.pi) + 2.0 * log_sigma)
         self._log_shell = (
             math.log(2.0)
             - math.lgamma(0.5 * dim)
-            - 0.5 * dim * math.log(2.0 * self.sigma**2)
+            - 0.5 * dim * (math.log(2.0) + 2.0 * log_sigma)
         )
         self.name = f"radial-gaussian(dim={dim},sigma={sigma})"
 
@@ -1285,10 +1285,6 @@ class _RadialGaussian(RadialMeasure):
 
     def radial_potential_d2(self, r):
         return np.full_like(np.asarray(r, dtype=float), 1.0 / self.sigma**2)
-
-    def radial_pdf_logslope(self, r):
-        r = np.asarray(r, dtype=float)
-        return (self.dim - 1.0) / r - r / self.sigma**2
 
     def radial_cdf(self, r):
         r = np.asarray(r, dtype=float)
@@ -1309,7 +1305,37 @@ class _RadialGaussian(RadialMeasure):
         return self.sigma * np.sqrt(2.0 * special.gammaincinv(0.5 * self.dim, p))
 
 
-_RADIAL = {"uniform-ball": _UniformBall, "gaussian": _RadialGaussian}
+class _RadialLaw(LogConcaveMeasure1D):
+    """The law of |X| for a radial measure X, on (0, radius).
+
+    Its density ``radial_pdf`` is proportional to r**(n - 1) exp(-v(r)),
+    so its potential has V'' = (n - 1) / r**2 + v''(r) >= 0.  It is built
+    for its quantile table, whose start ``RadialMap.profile_fast`` reads.
+    """
+
+    def __init__(self, radial):
+        super().__init__((0.0, radial.radius))
+        self.radial = radial
+        self.name = f"radius-law({radial.name})"
+        self._build_quantile_table()
+        self._validate()
+
+    def potential_d2(self, x):
+        x = np.asarray(x, dtype=float)
+        return (self.radial.dim - 1.0) / x**2 + self.radial.radial_potential_d2(x)
+
+    def cdf(self, x):
+        return self.radial.radial_cdf(x)
+
+    def pdf(self, x):
+        return self.radial.radial_pdf(x)
+
+    def _location_scale(self):
+        q1, q2, q3 = self.radial.radial_quantile(np.array([0.25, 0.5, 0.75]))
+        return float(q2), float(q3 - q1)
+
+
+_RADIAL = {"uniform-ball": (_UniformBall, 1), "gaussian": (_RadialGaussian, 1)}
 
 
 def make_radial_measure(family, dim, *params):
@@ -1318,7 +1344,13 @@ def make_radial_measure(family, dim, *params):
         raise ValueError(
             f"unknown radial family {family!r}; choose from {tuple(sorted(_RADIAL))}"
         )
-    return _RADIAL[family](dim, *[float(p) for p in params])
+    cls, arity = _RADIAL[family]
+    params = [float(p) for p in params]
+    if len(params) > arity:
+        raise ValueError(
+            f"{family} takes at most {arity} parameter(s), got {len(params)}: {params}"
+        )
+    return cls(dim, *params)
 
 
 class _Regularized1D(LogConcaveMeasure1D):

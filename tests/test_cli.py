@@ -795,6 +795,19 @@ class TestMain:
         assert "map.source.dim: expected an integer in [2, 16]" in err
         assert "runtime error" not in err
 
+    def test_exit_two_on_extra_radial_params(self, tmp_path, capsys):
+        for side in ("source", "target"):
+            ball = {"family": "uniform-ball", "dim": 3, "params": []}
+            data = {"kind": "variance", "map": {"kind": "radial",
+                                                "source": dict(ball), "target": dict(ball)}}
+            data["map"][side]["params"] = [1.0, 2.0]
+            assert main(["variance", "--config", _write(tmp_path, data)]) == 2
+            err = capsys.readouterr().err
+            assert (
+                f"config error: map.{side}: uniform-ball takes at most 1 parameter(s), "
+                "got 2: [1.0, 2.0]" in err
+            )
+
     def test_exit_two_on_kind_mismatch(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance"})
         assert main(["poincare", "--config", path]) == 2

@@ -1,7 +1,9 @@
 """Grid transport tests: discretization, Sinkhorn duals, map and Hessian
 estimates against the analytic constructions they approximate."""
 
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -142,21 +144,22 @@ def holey_pair():
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Calls, output rows and map points that reach the exact kernels."""
+    """Sinkhorn stage calls and output rows, and ``entropic_map`` points,
+    that reach the exact kernel."""
     seen = {"calls": 0, "rows": 0, "points": 0}
-    stage, softmax = entropic._logsumexp_outer_exact, entropic._entropic_map_exact
+    kernel = entropic._logsumexp_outer_exact
+    map_calls = itertools.count()
 
-    def counted_stage(lead, tail):
-        seen["calls"] += 1
-        seen["rows"] += lead.shape[1]
-        return stage(lead, tail)
+    def counted(lead, tail):
+        if sys._getframe(1).f_code.co_name != "entropic_map":
+            seen["calls"] += 1
+            seen["rows"] += lead.shape[1]
+        elif next(map_calls) % 2 == 0:
+            # a fallback point makes two calls, one per weight marginal
+            seen["points"] += lead.shape[1]
+        return kernel(lead, tail)
 
-    def counted_softmax(base, nu, pts, eps):
-        seen["points"] += pts.shape[0]
-        return softmax(base, nu, pts, eps)
-
-    monkeypatch.setattr(entropic, "_logsumexp_outer_exact", counted_stage)
-    monkeypatch.setattr(entropic, "_entropic_map_exact", counted_softmax)
+    monkeypatch.setattr(entropic, "_logsumexp_outer_exact", counted)
     return seen
 
 
@@ -539,9 +542,9 @@ class TestKernelOracle:
         monkeypatch.setattr(entropic, "_BLOCK", 7 * nu.weights.size)
         ref = _entropic_map_reference(plan, pts)
         assert np.max(np.abs(entropic_map(plan, pts) - ref)) <= 1e-12
-        base = plan.g / plan.eps + entropic._log_weights(nu)
-        got = entropic._entropic_map_exact(base, nu, pts, plan.eps)
-        assert np.max(np.abs(got - ref)) <= 1e-12
+        # every point through the log-domain fallback
+        monkeypatch.setattr(entropic, "_FLOOR", np.inf)
+        assert np.max(np.abs(entropic_map(plan, pts) - ref)) <= 1e-12
 
     def test_entropic_map_falls_back_where_totals_underflow(self, exact_calls):
         # the plan weights of every target row peak at y = -1 and fall by
@@ -595,16 +598,23 @@ class TestKernelMemory:
         peak = _traced_peak(entropic_map, plan, pts)
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_exact_kernels_peak_is_bounded_on_grid_256(self):
+    def test_exact_kernels_peak_is_bounded_on_grid_256(self, exact_calls, monkeypatch):
         grid = _uniform_grid(256)
         (dx, _), _ = _axis_kernels(grid, grid)
         eps = 1.2 * grid.spacing[0] ** 2
         base = np.log(grid.weights)
         peak = _traced_peak(entropic._logsumexp_outer_exact, dx / eps, base)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        plan = EntropicPlan(
+            source=grid, target=grid, f=np.zeros(grid.shape), g=np.zeros(grid.shape),
+            eps=eps, marginal_error=0.0,
+        )
         pts = rng.stream(71, 5).uniform(-1.0, 1.0, size=(512, 2))
-        peak = _traced_peak(entropic._entropic_map_exact, base, grid, pts, eps)
+        # every point through the log-domain fallback
+        monkeypatch.setattr(entropic, "_FLOOR", np.inf)
+        peak = _traced_peak(entropic_map, plan, pts)
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert exact_calls["points"] == pts.shape[0]
 
     def test_fast_kernels_peak_is_bounded_on_grid_512(self, exact_calls):
         # the largest grid the config accepts, all on the fast path

@@ -877,6 +877,21 @@ class TestRadialMeasure:
         with pytest.raises(ValueError, match="unknown radial family"):
             make_radial_measure("cone", 2)
 
+    def test_extra_params_rejected(self):
+        for family in ("uniform-ball", "gaussian"):
+            with pytest.raises(ValueError, match=f"{family} takes at most 1 parameter"):
+                make_radial_measure(family, 3, 1.0, 2.0)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_radial_gaussian_scale_whose_square_leaves_the_doubles(self, sigma):
+        # sigma**2 overflows or underflows; the normalizers come from log sigma
+        rg, unit = make_radial_measure("gaussian", 3, sigma), make_radial_measure("gaussian", 3)
+        r = np.array([0.5, 1.5])
+        want = unit.radial_potential(r) + 3.0 * math.log(sigma)
+        assert np.allclose(rg.radial_potential(sigma * r), want, rtol=1e-14)
+        want = np.log(unit.radial_pdf(r)) - math.log(sigma)
+        assert np.allclose(np.log(rg.radial_pdf(sigma * r)), want, rtol=1e-14)
+
     def test_ball_density_height(self):
         ball = make_radial_measure("uniform-ball", 2)
         assert ball.pdf(np.array([0.1, 0.1])) == pytest.approx(1.0 / math.pi)
