@@ -11,7 +11,9 @@ bit for bit:
 
 * Monte Carlo draws are generated in 50 index blocks with counter-derived
   RNG streams keyed (seed, block); generation could run per block in
-  parallel without changing a single draw.
+  parallel without changing a single draw.  The block streams are fanned
+  out into one request, so a set of draws costs one ``sample`` call (one
+  inverse-CDF solve per 1-D factor), not one per block.
 * Sample spectra are column-major, one contiguous column per
   log-eigenvalue index, and moments are numpy pairwise sums down each
   column in draw order.
@@ -305,18 +307,53 @@ def matrix_function_bank(dim, directions=None):
 # ----------------------------------------------------------------- sampling
 
 
+class _BlockStreams:
+    """The generator ``_draw`` hands to ``measure.sample``.
+
+    It has only ``uniform`` and ``standard_normal``, and takes only
+    requests whose leading size is the whole set.  Each request is cut
+    into the blocks' sizes and block b's rows are drawn from
+    ``rng.stream(seed, b)``, in block order, so every block stream yields
+    the values it would yield to a per-block ``sample`` call, and the
+    measure sees the whole set at once.
+    """
+
+    def __init__(self, seed, sizes):
+        self._streams = [rng.stream(seed, b) for b in range(len(sizes))]
+        self._sizes = sizes
+        self._rows = sum(sizes)
+
+    def _fill(self, kind, size):
+        shape = tuple(np.atleast_1d(size))
+        if shape[0] != self._rows:
+            raise ValueError(f"draws come in sets of {self._rows} rows, not {size}")
+        out = np.empty(shape)
+        lo = 0
+        for stream, k in zip(self._streams, self._sizes):
+            out[lo : lo + k] = getattr(stream, kind)(size=(k,) + shape[1:])
+            lo += k
+        return out
+
+    def uniform(self, size):
+        return self._fill("uniform", size)
+
+    def standard_normal(self, size):
+        return self._fill("standard_normal", size)
+
+
 def _draw(measure, n_samples, seed):
     """``n_samples`` rows of draws from ``measure``, block b from ``rng.stream(seed, b)``.
 
     With ``base, extra = divmod(n_samples, 50)``, each of the first
     ``extra`` blocks holds ``base + 1`` draws and every other block ``base``.
+    One ``measure.sample`` call draws them all, through ``_BlockStreams``.
     """
     n_samples = int(n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
     base, extra = divmod(n_samples, _BLOCKS)
-    draws = [measure.sample(rng.stream(seed, b), size=base + (b < extra)) for b in range(_BLOCKS)]
-    return np.concatenate(draws).reshape(n_samples, -1)
+    sizes = [base + (b < extra) for b in range(_BLOCKS)]
+    return measure.sample(_BlockStreams(seed, sizes), size=n_samples).reshape(n_samples, -1)
 
 
 def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):

@@ -18,10 +18,14 @@ Fast path.  A stage shifts every column of ``lead`` and of ``tail`` by
 its maximum, so each factor exp(lead - max) is at most 1, and forms
 S = A^T B with one matrix product (the separable Gaussian kernel of
 Solomon et al. 2015, "Convolutional Wasserstein Distances"); the result
-is log S plus the two shifts.  ``entropic_map`` does the same with three
-factors: the row-shifted plan weights on the target grid and the two
-axis kernels of each point, giving both weight marginals of a point from
-two matrix products.
+is log S plus the two shifts.  The axis factors dx / eps and dy / eps of
+both half updates do not change within an epsilon stage, so
+``sinkhorn_solve`` builds their shifted exponentials (``_Factor``) once
+per epsilon stage; each log-sum-exp stage builds only the factor of the
+potential, four ``exp`` passes over (n, n) arrays per iteration.
+``entropic_map`` does the same with three factors: the row-shifted plan
+weights on the target grid and the two axis kernels of each point,
+giving both weight marginals of a point from two matrix products.
 
 Exactness.  The shifted exponents are clamped at -700 before ``exp``,
 and every factor is lifted by e^346 (added to the exponent), so each
@@ -41,15 +45,17 @@ e^692, by the unlifted third factor; what underflows there is below
 Fallback.  Where a sum falls below the floor (at small epsilon, when the
 peaks of ``lead`` and ``tail`` lie far apart) the fast value is not
 used.  A Sinkhorn stage recomputes every output row holding such an
-entry, whole, with the blocked log-domain kernel ``_logsumexp_outer_exact``;
-``entropic_map`` takes each such point's two weight marginals from the
-same kernel.  Rows and columns whose terms are all -inf
-(zero-weight nodes) are set to -inf directly and never fall back: their
-sums are zero, not small.
+entry, whole, with the blocked log-domain kernel ``_logsumexp_outer_exact``,
+from the raw columns of the factors it needs; ``entropic_map`` sums each
+such point's max-shifted block of log weights along both axes
+(``_map_exact``), one ``exp`` per weight.  Rows and columns whose terms
+are all -inf (zero-weight nodes) are set to -inf directly and never fall
+back: their sums are zero, not small.
 
 Memory is bounded at any grid the config accepts (up to 512 nodes per
-axis).  A fast Sinkhorn stage holds a few (n, n) arrays, 2 MiB each at
-grid 512.  The exact kernel works through one preallocated block of
+axis).  A Sinkhorn solve keeps the four stage factors and their axis
+distances, and a fast stage holds a few more (n, n) arrays, 2 MiB each
+at grid 512.  The exact kernels work through one preallocated block of
 2**17 float64 (1 MiB), or of one (n, n) slice where that is larger,
 instead of materializing (n, n, n) or (points, n, n) tensors.
 ``entropic_map`` takes ``_BLOCK // (16 n)`` points at a time, so that
@@ -236,31 +242,54 @@ def _lifted_exp(x, top):
     return np.exp(out, out=out)
 
 
+class _Factor:
+    """One factor x = num / den of ``_logsumexp_outer``, column-shifted.
+
+    ``lifted`` is ``_lifted_exp(x, top)``, with ``top`` the column maxima
+    of x (kept axis, 0 where a column is all -inf) and ``dead`` the mask
+    of those all -inf columns, or None when there is none.  Of x itself
+    only ``num`` is kept: ``columns`` recomputes the columns the exact
+    fallback needs, so a factor built from a constant numerator holds one
+    (n, n) array of its own.  ``den`` None means x is ``num``.
+    """
+
+    def __init__(self, num, den=None):
+        self.num, self.den = num, den
+        x = num if den is None else num / den
+        self.top, dead = _top(x, 0)
+        self.dead = dead[0] if dead.any() else None
+        self.lifted = _lifted_exp(x, self.top)
+
+    def columns(self, cols):
+        """The columns ``x[:, cols]``, recomputed from ``num``."""
+        x = self.num[:, cols]
+        return x if self.den is None else x / self.den
+
+
 def _logsumexp_outer(lead, tail):
     """log sum_i exp(lead[i, p] + tail[i, q]) as a (p, q) array.
 
-    One matrix product of the column-shifted factors.  An output row with
-    an entry below ``_FLOOR`` is recomputed whole by
-    ``_logsumexp_outer_exact``.  An entry whose lead column or tail column
-    is all -inf (zero-weight nodes) is -inf.
+    ``lead`` and ``tail`` are ``_Factor``s.  One matrix product of their
+    lifted exponentials.  An output row with an entry below ``_FLOOR`` is
+    recomputed whole by ``_logsumexp_outer_exact``.  An entry whose lead
+    column or tail column is all -inf (zero-weight nodes) is -inf.
     """
-    top_l, dead_l = _top(lead, 0)
-    top_t, dead_t = _top(tail, 0)
-    s = _lifted_exp(lead, top_l).T @ _lifted_exp(tail, top_t)
+    s = lead.lifted.T @ tail.lifted
     s *= _UNLIFT
     low = s < _FLOOR
     with np.errstate(divide="ignore"):
         out = np.log(s, out=s)
-    out += top_l.T
-    out += top_t
-    dead_l, dead_t = dead_l[0], dead_t[0]
-    out[dead_l] = -np.inf
-    out[:, dead_t] = -np.inf
-    low[dead_l] = False
-    low[:, dead_t] = False
+    out += lead.top.T
+    out += tail.top
+    if lead.dead is not None:
+        out[lead.dead] = -np.inf
+        low[lead.dead] = False
+    if tail.dead is not None:
+        out[:, tail.dead] = -np.inf
+        low[:, tail.dead] = False
     rows = np.flatnonzero(low.any(axis=1))
     if rows.size:
-        out[rows] = _logsumexp_outer_exact(lead[:, rows], tail)
+        out[rows] = _logsumexp_outer_exact(lead.columns(rows), tail.columns(slice(None)))
     return out
 
 
@@ -296,16 +325,17 @@ def _logsumexp_outer_exact(lead, tail):
     return out
 
 
-def _half_update(dx, dy, pot_plus_logw, eps):
+def _half_update(kx, ky, pot_plus_logw, eps):
     """One side of the Sinkhorn step, factorized along grid axes.
 
-    dx, dy : (n_from_x, n_to_x), (n_from_y, n_to_y) negated squared
+    kx, ky : the stage factors of dx / eps and dy / eps, with dx, dy of
+    shape (n_from_x, n_to_x), (n_from_y, n_to_y) the negated squared
     half-distances between axis nodes.  pot_plus_logw lives on the "from"
     grid; the result is the logsumexp over it, on the "to" grid.
     """
     # stage 1 collapses the x axis of the from grid, stage 2 the y axis
-    a = _logsumexp_outer(dx / eps, pot_plus_logw / eps)
-    return _logsumexp_outer(a.T, dy / eps)
+    a = _logsumexp_outer(kx, _Factor(pot_plus_logw / eps))
+    return _logsumexp_outer(_Factor(a.T), ky)
 
 
 def sinkhorn_solve(mu, nu, eps_schedule, max_iter=2000, tol=1e-8):
@@ -340,9 +370,13 @@ def sinkhorn_solve(mu, nu, eps_schedule, max_iter=2000, tol=1e-8):
     for stage, eps in enumerate(eps_schedule):
         last = stage == len(eps_schedule) - 1
         stage_tol = tol if last else max(tol, 1e-4)
+        # the axis factors are constant within a stage: built once per eps
+        kx_f, ky_f, kx_g, ky_g = (
+            _Factor(d, eps) for d in (dx_for_f, dy_for_f, dx_for_g, dy_for_g)
+        )
         for it in range(max_iter):
-            f = -eps * _half_update(dx_for_f, dy_for_f, g + eps * log_nu, eps)
-            b = _half_update(dx_for_g, dy_for_g, f + eps * log_mu, eps)
+            f = -eps * _half_update(kx_f, ky_f, g + eps * log_nu, eps)
+            b = _half_update(kx_g, ky_g, f + eps * log_mu, eps)
             col = np.exp(np.clip((g + eps * b) / eps, -745.0, 50.0)) * nu.weights
             err = float(np.max(np.abs(col - nu.weights)))
             objective = (
@@ -383,8 +417,8 @@ def entropic_map(plan, x):
     A[p] * E[p, q] * B[q], with E the row-shifted plan weights and A, B
     the axis kernels of the point, so the two weight marginals are
     A * (B @ E^T) and B * (A @ E).  A point whose total weight falls
-    below ``_FLOOR`` takes both marginals from the log-domain kernel
-    ``_logsumexp_outer_exact`` instead, and averages each max-shifted.
+    below ``_FLOOR`` takes both marginals from one max-shifted block of
+    its log weights instead (``_map_exact``).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -425,16 +459,38 @@ def entropic_map(plan, x):
         out[lo : lo + step, 1] = wy @ nu.ys / total
         slow = np.flatnonzero(total * _UNLIFT < _FLOOR)
         if slow.size:
-            # log w_x = ax + LSE_q(ay + base) and log w_y = ay + LSE_p(ax + base)
-            sx, sy = ax[slow], ay[slow]
-            marginals = (
-                (sx + _logsumexp_outer_exact(sy.T, base.T), nu.xs),
-                (sy + _logsumexp_outer_exact(sx.T, base), nu.ys),
-            )
-            for axis, (logw, nodes) in enumerate(marginals):
-                w = np.exp(logw - logw.max(axis=1, keepdims=True))
-                out[lo + slow, axis] = w @ nodes / w.sum(axis=1)
+            out[lo + slow] = _map_exact(ax[slow], ay[slow], base, nu.xs, nu.ys)
     return out[0] if single else out
+
+
+def _map_exact(ax, ay, base, xs, ys):
+    """Barycentric averages of the weights exp(ax[k, p] + ay[k, q] + base[p, q]).
+
+    The log-domain path of ``entropic_map``, for points whose fast total
+    falls below ``_FLOOR``.  Works through the points in blocks of
+    ``_BLOCK`` elements (at least one point): each point's exponents are
+    shifted by their maximum, floored at ``_EXP_FLOOR`` and exponentiated
+    once, then summed along both axes for the two weight marginals.  The
+    floor is exact as in ``_logsumexp_outer_exact``: each shifted total is
+    at least 1.  Returns the (k, 2) averages of the node coordinates.
+    """
+    k = ax.shape[0]
+    rows = max(1, _BLOCK // base.size)
+    buf = np.empty((min(rows, k),) + base.shape)
+    out = np.empty((k, 2))
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        blk = buf[: hi - lo]
+        np.add(ax[lo:hi, :, None], ay[lo:hi, None, :], out=blk)
+        blk += base
+        blk -= blk.max(axis=(1, 2), keepdims=True)
+        np.maximum(blk, _EXP_FLOOR, out=blk)
+        np.exp(blk, out=blk)
+        wx = blk.sum(axis=2)
+        total = wx.sum(axis=1)
+        out[lo:hi, 0] = wx @ xs / total
+        out[lo:hi, 1] = blk.sum(axis=1) @ ys / total
+    return out
 
 
 def _fd_step(plan, h):

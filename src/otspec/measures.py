@@ -176,6 +176,23 @@ _COARSE_DZ = 0.5
 _TABLE_Z_HIGH = 7.5
 
 
+def _check_scale(what, value, power):
+    """Refuse a scale unless value**power and value**-power are normal doubles.
+
+    A family's normalisers are these powers (a gaussian's sigma**2, a
+    ball's R**dim); outside the range they overflow, divide by zero or
+    lose their precision in subnormals at run time.
+    """
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    e = 1022.0 / power
+    if not 2.0**-e <= value <= 2.0**e:
+        raise ValueError(
+            f"{what} must lie in 2**[-{e:.6g}, {e:.6g}] = "
+            f"[{2.0**-e:.4g}, {2.0**e:.4g}], got {value}"
+        )
+
+
 def _monotone_cubic(z, x, slope):
     """Cubic coefficients, in powers of (z - z_j), of x(z) on each cell.
 
@@ -691,8 +708,7 @@ class _Gaussian1D(LogConcaveMeasure1D):
 
     @staticmethod
     def _check_params(m, sigma):
-        if sigma <= 0:
-            raise ValueError(f"gaussian scale must be positive, got {sigma}")
+        _check_scale("gaussian scale", sigma, 2)
 
     def __init__(self, m, sigma):
         super().__init__((-np.inf, np.inf))
@@ -1235,6 +1251,9 @@ class _UniformBall(RadialMeasure):
             + n * math.log(self.radius)
         self.name = f"uniform-ball(dim={dim},R={radius})"
 
+    def _check_range(self):
+        _check_scale(f"ball radius in dimension {self.dim}", self.radius, self.dim)
+
     def radial_potential(self, r):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.radius, self._log_volume, np.inf)
@@ -1275,6 +1294,9 @@ class _RadialGaussian(RadialMeasure):
             - 0.5 * dim * (math.log(2.0) + 2.0 * log_sigma)
         )
         self.name = f"radial-gaussian(dim={dim},sigma={sigma})"
+
+    def _check_range(self):
+        _check_scale("gaussian scale", self.sigma, 2)
 
     def radial_potential(self, r):
         r = np.asarray(r, dtype=float)
@@ -1322,7 +1344,10 @@ class _RadialLaw(LogConcaveMeasure1D):
 
     def potential_d2(self, x):
         x = np.asarray(x, dtype=float)
-        return (self.radial.dim - 1.0) / x**2 + self.radial.radial_potential_d2(x)
+        # x**2 leaves the doubles at the ends of an extreme scale's support;
+        # the convexity check reads the resulting 0 or +inf correctly
+        with np.errstate(over="ignore", divide="ignore"):
+            return (self.radial.dim - 1.0) / x**2 + self.radial.radial_potential_d2(x)
 
     def cdf(self, x):
         return self.radial.radial_cdf(x)
@@ -1339,7 +1364,11 @@ _RADIAL = {"uniform-ball": (_UniformBall, 1), "gaussian": (_RadialGaussian, 1)}
 
 
 def make_radial_measure(family, dim, *params):
-    """Radial catalog: 'uniform-ball' (optional radius) or 'gaussian' (optional scale)."""
+    """Radial catalog: 'uniform-ball' (optional radius) or 'gaussian' (optional scale).
+
+    The scale is refused where its normalisers (R**+-dim, sigma**+-2) are
+    not normal doubles.
+    """
     if family not in _RADIAL:
         raise ValueError(
             f"unknown radial family {family!r}; choose from {tuple(sorted(_RADIAL))}"
@@ -1350,7 +1379,9 @@ def make_radial_measure(family, dim, *params):
         raise ValueError(
             f"{family} takes at most {arity} parameter(s), got {len(params)}: {params}"
         )
-    return cls(dim, *params)
+    m = cls(dim, *params)
+    m._check_range()
+    return m
 
 
 class _Regularized1D(LogConcaveMeasure1D):

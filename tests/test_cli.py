@@ -808,6 +808,62 @@ class TestMain:
                 "got 2: [1.0, 2.0]" in err
             )
 
+    @staticmethod
+    def _scaled_map(side, spec):
+        # a variance map whose ``side`` is ``spec``, the other side a plain one
+        if "name" in spec:
+            data = {"kind": "1d", "source": {"name": "uniform", "params": [0.0, 1.0]},
+                    "target": {"name": "exponential", "params": [1.0]}}
+        else:
+            other = "gaussian" if spec["family"] == "uniform-ball" else "uniform-ball"
+            plain = {"family": other, "dim": 3, "params": []}
+            data = {"kind": "radial", "source": dict(plain), "target": dict(plain)}
+        data[side] = spec
+        return {"kind": "variance", "samples": 2000, "map": data}
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"name": "gaussian", "params": [0.0, 1e300]},
+             "gaussian scale must lie in 2**[-511, 511]"),
+            ({"name": "gaussian", "params": [0.0, 1e-200]},
+             "gaussian scale must lie in 2**[-511, 511]"),
+            ({"family": "gaussian", "dim": 3, "params": [1e300]},
+             "gaussian scale must lie in 2**[-511, 511]"),
+            ({"family": "gaussian", "dim": 3, "params": [1e-200]},
+             "gaussian scale must lie in 2**[-511, 511]"),
+            ({"family": "uniform-ball", "dim": 3, "params": [1e200]},
+             "ball radius in dimension 3 must lie in 2**[-340.667, 340.667]"),
+            ({"family": "uniform-ball", "dim": 3, "params": [1e-200]},
+             "ball radius in dimension 3 must lie in 2**[-340.667, 340.667]"),
+        ],
+    )
+    def test_exit_two_on_scale_outside_the_normal_doubles(
+        self, tmp_path, capsys, side, spec, message
+    ):
+        # these ran to a runtime error (exit 3): overflow, division by zero,
+        # non-finite spectra or a NaN quadrature
+        path = _write(tmp_path, self._scaled_map(side, spec))
+        assert main(["variance", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"config error: map.{side}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "side, spec",
+        [
+            (side, {"name": "gaussian", "params": [0.0, scale]})
+            for side in ("source", "target") for scale in (6.7e153, 1.5e-154)
+        ]
+        + [("target", {"family": "gaussian", "dim": 3, "params": [s]}) for s in (6.7e153, 1.5e-154)]
+        + [
+            ("source", {"family": "uniform-ball", "dim": 3, "params": [3.55e102]}),
+            ("target", {"family": "uniform-ball", "dim": 3, "params": [2.82e-103]}),
+        ],
+    )
+    def test_exit_zero_just_inside_the_scale_range(self, tmp_path, side, spec):
+        path = _write(tmp_path, self._scaled_map(side, spec))
+        assert main(["variance", "--config", path, "--out", str(tmp_path)]) == 0
+
     def test_exit_two_on_kind_mismatch(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance"})
         assert main(["poincare", "--config", path]) == 2

@@ -46,8 +46,10 @@ from otspec.entropic import (
 )
 from otspec.measures import (
     GaussianMeasure,
+    LogConcaveMeasure1D,
     make_catalog_measure,
     make_radial_measure,
+    regularize,
 )
 from otspec.spd import log_quadratic_form, random_spd
 
@@ -88,6 +90,101 @@ def self_plan():
     mu = discretize(g, ((-4.0, 4.0), (-4.0, 4.0)), 32, 32)
     plan = sinkhorn_solve(mu, mu, default_eps_schedule(mu, mu), max_iter=5000)
     return g, plan
+
+
+def _draw_per_block(measure, n_samples, seed):
+    # the draws as one ``sample`` call per block made them
+    base, extra = divmod(n_samples, _BLOCKS)
+    draws = [
+        measure.sample(rng.stream(seed, b), size=base + (b < extra)) for b in range(_BLOCKS)
+    ]
+    return np.concatenate(draws).reshape(n_samples, -1)
+
+
+_DRAW_LABELS = (
+    "1d:uniform(0.0,1.0)->exponential(1.0)",
+    "1d:gaussian(0.0,1.0)->logistic(0.0,1.0)",
+    "1d:beta(2.0,3.0)->gaussian(0.0,1.0)",
+    "1d:gamma(3.0,1.0)->gaussian(0.5,0.8)",
+    "gaussian:n=3",
+    "gaussian:n=5",
+    "product:n=3",
+    "radial:ball->gaussian n=2",
+    "radial:ball->gaussian n=8",
+)
+
+
+@pytest.fixture(scope="module")
+def draw_sources():
+    """The source of each default experiment in ``_DRAW_LABELS``, and the
+    regularized uniform the grid workload samples."""
+    out = {label: tm.source for label, tm in default_experiments(_DRAW_LABELS)}
+    out["regularized"] = regularize(make_catalog_measure("uniform", (0.0, 1.0)), 8)
+    return out
+
+
+class _MixedSource:
+    """A stand-in measure that asks its generator for both kinds of draw."""
+
+    def sample(self, gen, size=None):
+        u = gen.uniform(size=size)
+        z = gen.standard_normal((size, 3))
+        return np.column_stack([u, z, gen.uniform(size=size)])
+
+
+class TestDraws:
+    """One ``sample`` call per set draws what one call per block drew."""
+
+    @pytest.mark.parametrize("n", [50, 51, 1007])
+    @pytest.mark.parametrize("label", _DRAW_LABELS + ("regularized",))
+    def test_one_request_matches_the_per_block_draws(self, draw_sources, label, n):
+        m = draw_sources[label]
+        got, want = concentration._draw(m, n, 29), _draw_per_block(m, n, 29)
+        if isinstance(m, GaussianMeasure) and n < 2 * _BLOCKS:
+            # a block of one row took BLAS's vector-matrix product, which
+            # may round differently from the matrix product of the whole
+            # set; the standard normal draws themselves are the same
+            base, extra = divmod(n, _BLOCKS)
+            z = np.concatenate([
+                rng.stream(29, b).standard_normal((base + (b < extra), m.dim))
+                for b in range(_BLOCKS)
+            ])
+            assert np.array_equal(got, m.mean + z @ m._sqrt_cov)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [50, 51, 1007])
+    def test_block_streams_yield_their_values_in_order(self, n):
+        got = concentration._draw(_MixedSource(), n, 31)
+        assert np.array_equal(got, _draw_per_block(_MixedSource(), n, 31))
+
+    def test_block_streams_refuse_a_partial_request(self):
+        streams = concentration._BlockStreams(31, [2] * _BLOCKS)
+        with pytest.raises(ValueError, match="sets of 100 rows"):
+            streams.uniform(size=99)
+        with pytest.raises(ValueError, match="sets of 100 rows"):
+            streams.standard_normal((101, 2))
+
+    def test_one_quantile_solve_per_factor(self, product_map, monkeypatch):
+        # 50 block streams, and one solve per source factor, not one per block
+        sources = list(product_map.source.factors)
+        solved, streams = [], []
+        quantile, stream = LogConcaveMeasure1D.quantile, rng.stream
+
+        def counted_quantile(self, p):
+            solved.append(self)
+            return quantile(self, p)
+
+        def counted_stream(*key):
+            streams.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(LogConcaveMeasure1D, "quantile", counted_quantile)
+        monkeypatch.setattr(rng, "stream", counted_stream)
+        spectral_samples(product_map, 5000, seed=3)
+        assert [m for m in solved if any(m is s for s in sources)] == sources
+        assert streams == [(3, b) for b in range(_BLOCKS)]
 
 
 class TestSampleSets:

@@ -1,9 +1,7 @@
 """Grid transport tests: discretization, Sinkhorn duals, map and Hessian
 estimates against the analytic constructions they approximate."""
 
-import itertools
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -85,11 +83,21 @@ def self_setup():
 
 
 def _axis_kernels(mu, nu):
-    # the negated squared half-distances sinkhorn_solve feeds _half_update,
+    # the negated squared half-distances of sinkhorn_solve's stage factors,
     # for the f-update (summing over nu) and the g-update (summing over mu)
     dx = -0.5 * (nu.xs[:, None] - mu.xs[None, :]) ** 2
     dy = -0.5 * (nu.ys[:, None] - mu.ys[None, :]) ** 2
     return (dx, dy), (dx.T.copy(), dy.T.copy())
+
+
+def _outer(lead, tail):
+    return entropic._logsumexp_outer(entropic._Factor(lead), entropic._Factor(tail))
+
+
+def _stage_half_update(dx, dy, pot_plus_logw, eps):
+    # the stage factors built, then one half update
+    kx, ky = entropic._Factor(dx, eps), entropic._Factor(dy, eps)
+    return entropic._half_update(kx, ky, pot_plus_logw, eps)
 
 
 def _half_update_reference(dx, dy, pot_plus_logw, eps):
@@ -144,23 +152,102 @@ def holey_pair():
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Sinkhorn stage calls and output rows, and ``entropic_map`` points,
-    that reach the exact kernel."""
+    """Sinkhorn stage calls and output rows that reach the exact kernel,
+    and ``entropic_map`` points that reach its log-domain path."""
     seen = {"calls": 0, "rows": 0, "points": 0}
-    kernel = entropic._logsumexp_outer_exact
-    map_calls = itertools.count()
+    kernel, map_kernel = entropic._logsumexp_outer_exact, entropic._map_exact
 
     def counted(lead, tail):
-        if sys._getframe(1).f_code.co_name != "entropic_map":
-            seen["calls"] += 1
-            seen["rows"] += lead.shape[1]
-        elif next(map_calls) % 2 == 0:
-            # a fallback point makes two calls, one per weight marginal
-            seen["points"] += lead.shape[1]
+        seen["calls"] += 1
+        seen["rows"] += lead.shape[1]
         return kernel(lead, tail)
 
+    def counted_map(ax, ay, *args):
+        seen["points"] += ax.shape[0]
+        return map_kernel(ax, ay, *args)
+
     monkeypatch.setattr(entropic, "_logsumexp_outer_exact", counted)
+    monkeypatch.setattr(entropic, "_map_exact", counted_map)
     return seen
+
+
+class _CountingNumpy:
+    """``numpy`` for one module, counting the elements it exponentiates."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def exp(self, x, *args, **kwargs):
+        self.exps += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _per_call_sinkhorn(mu, nu, eps_schedule, max_iter=2000, tol=1e-8):
+    """``sinkhorn_solve`` with no stage factors, the bit-for-bit reference:
+    every log-sum-exp stage shifts and exponentiates both of its factors.
+    Returns (f, g, history)."""
+
+    def outer(lead, tail):
+        top_l, dead_l = entropic._top(lead, 0)
+        top_t, dead_t = entropic._top(tail, 0)
+        s = entropic._lifted_exp(lead, top_l).T @ entropic._lifted_exp(tail, top_t)
+        s *= entropic._UNLIFT
+        low = s < entropic._FLOOR
+        with np.errstate(divide="ignore"):
+            out = np.log(s, out=s)
+        out += top_l.T
+        out += top_t
+        dead_l, dead_t = dead_l[0], dead_t[0]
+        out[dead_l] = -np.inf
+        out[:, dead_t] = -np.inf
+        low[dead_l] = False
+        low[:, dead_t] = False
+        rows = np.flatnonzero(low.any(axis=1))
+        if rows.size:
+            out[rows] = entropic._logsumexp_outer_exact(lead[:, rows], tail)
+        return out
+
+    def half_update(dx, dy, pot_plus_logw, eps):
+        a = outer(dx / eps, pot_plus_logw / eps)
+        return outer(a.T, dy / eps)
+
+    with np.errstate(divide="ignore"):
+        log_mu, log_nu = np.log(mu.weights), np.log(nu.weights)
+    (dx_for_f, dy_for_f), (dx_for_g, dy_for_g) = _axis_kernels(mu, nu)
+    f, g = np.zeros(mu.shape), np.zeros(nu.shape)
+    history = []
+    for stage, eps in enumerate(eps_schedule):
+        stage_tol = tol if stage == len(eps_schedule) - 1 else max(tol, 1e-4)
+        for it in range(max_iter):
+            f = -eps * half_update(dx_for_f, dy_for_f, g + eps * log_nu, eps)
+            b = half_update(dx_for_g, dy_for_g, f + eps * log_mu, eps)
+            col = np.exp(np.clip((g + eps * b) / eps, -745.0, 50.0)) * nu.weights
+            err = float(np.max(np.abs(col - nu.weights)))
+            objective = (
+                float(np.sum(f * mu.weights))
+                + float(np.sum(g * nu.weights))
+                - eps * (float(col.sum()) - 1.0)
+            )
+            history.append((eps, it, err, objective))
+            if err <= stage_tol:
+                break
+            g = -eps * b
+    return f, g, history
+
+
+def _far_apart_pair():
+    # two narrow bumps on side-by-side boxes, 2 apart: at the small epsilons
+    # some stage rows fall more than 900 e-folds below their column peaks
+    def bump(shift):
+        xs = np.linspace(shift - 1.0, shift + 1.0, 32)
+        w = np.exp(-20.0 * ((xs[:, None] - shift) ** 2 + (xs[None, :] - shift) ** 2))
+        box = (shift - 1.0, shift + 1.0)
+        return GridMeasure(xs, xs, w / w.sum(), (box, box))
+
+    return bump(0.0), bump(2.0)
 
 
 def _central_points(g1, count=200):
@@ -300,6 +387,49 @@ class TestSinkhorn:
         moved = entropic_map(plan, pts)
         drift = np.max(np.linalg.norm(moved - pts, axis=1))
         assert drift <= 3.0 * math.sqrt(plan.eps)
+
+
+class TestStageFactors:
+    """The axis factors are built once per epsilon stage, and the solve is
+    bit for bit the one that built them in every log-sum-exp stage."""
+
+    @staticmethod
+    def _pair(name, request):
+        if name == "gaussian":
+            plan = request.getfixturevalue("gauss_setup")[2]
+            return plan.source, plan.target
+        if name == "zero-weight":
+            return request.getfixturevalue("holey_pair")
+        return _far_apart_pair()
+
+    @pytest.mark.parametrize("name", ["gaussian", "zero-weight", "fallback"])
+    def test_solve_matches_the_per_call_loop(self, name, request, exact_calls):
+        mu, nu = self._pair(name, request)
+        sched = default_eps_schedule(mu, nu)
+        plan = sinkhorn_solve(mu, nu, sched, max_iter=5000)
+        rows = exact_calls["rows"]
+        assert (rows > 0) == (name == "fallback")
+        f, g, history = _per_call_sinkhorn(mu, nu, sched, max_iter=5000)
+        assert exact_calls["rows"] == 2 * rows
+        assert np.array_equal(plan.f, f)
+        assert np.array_equal(plan.g, g)
+        assert plan.history == history
+
+    def test_four_exponentials_per_iteration_and_per_stage(self, holey_pair, monkeypatch):
+        # the potential's factor in each of the 4 log-sum-exp stages of an
+        # iteration, and the 4 axis factors once per epsilon stage
+        mu, nu = holey_pair
+        calls = []
+        lifted_exp = entropic._lifted_exp
+
+        def counted(x, top):
+            calls.append(x.shape)
+            return lifted_exp(x, top)
+
+        monkeypatch.setattr(entropic, "_lifted_exp", counted)
+        sched = default_eps_schedule(mu, nu)
+        plan = sinkhorn_solve(mu, nu, sched)
+        assert len(calls) == 4 * len(plan.history) + 4 * len(sched)
 
 
 class TestEntropicMap:
@@ -455,7 +585,7 @@ class TestKernelOracle:
                 (dxg, dyg, f + eps * log_mu),
             ):
                 _assert_logs_agree(
-                    entropic._half_update(dx, dy, pot, eps),
+                    _stage_half_update(dx, dy, pot, eps),
                     _half_update_reference(dx, dy, pot, eps),
                 )
 
@@ -481,7 +611,7 @@ class TestKernelOracle:
         ref = logsumexp(lead[:, :, None] + tail[:, None, :], axis=0)
         assert np.any(np.isneginf(ref))
         monkeypatch.setattr(entropic, "_BLOCK", 5 * mu.weights.size)
-        _assert_logs_agree(entropic._logsumexp_outer(lead, tail), ref)
+        _assert_logs_agree(_outer(lead, tail), ref)
         _assert_logs_agree(entropic._logsumexp_outer_exact(lead, tail), ref)
 
     def test_far_apart_peaks_fall_back_by_rows(self, exact_calls):
@@ -493,7 +623,7 @@ class TestKernelOracle:
         lead = -0.5 * (nodes[:, None] - ys[None, :]) ** 2 / 1e-3
         tail = -0.5 * (nodes[:, None] - zs[None, :]) ** 2 / 1e-3
         ref = logsumexp(lead[:, :, None] + tail[:, None, :], axis=0)
-        _assert_logs_agree(entropic._logsumexp_outer(lead, tail), ref)
+        _assert_logs_agree(_outer(lead, tail), ref)
         assert exact_calls["calls"] == 1
         assert 0 < exact_calls["rows"] < ys.size
 
@@ -546,6 +676,25 @@ class TestKernelOracle:
         monkeypatch.setattr(entropic, "_FLOOR", np.inf)
         assert np.max(np.abs(entropic_map(plan, pts) - ref)) <= 1e-12
 
+    def test_map_fallback_exponentiates_each_weight_once(self, holey_pair, monkeypatch):
+        # one exp per target node and fallback point: k nx ny more than the
+        # fast path alone, where a pass per weight marginal made 2 k nx ny
+        mu, nu = holey_pair
+        plan = EntropicPlan(
+            source=mu, target=nu, f=np.zeros(mu.shape),
+            g=rng.stream(71, 3).standard_normal(nu.shape) * 0.01,
+            eps=0.02, marginal_error=0.0,
+        )
+        pts = rng.stream(71, 4).uniform(-2.0, 2.0, size=(40, 2))
+        monkeypatch.setattr(entropic, "_BLOCK", 7 * nu.weights.size)
+        counted = _CountingNumpy()
+        monkeypatch.setattr(entropic, "np", counted)
+        entropic_map(plan, pts)
+        fast = counted.exps
+        monkeypatch.setattr(entropic, "_FLOOR", np.inf)
+        entropic_map(plan, pts)
+        assert counted.exps - 2 * fast == pts.shape[0] * nu.weights.size
+
     def test_entropic_map_falls_back_where_totals_underflow(self, exact_calls):
         # the plan weights of every target row peak at y = -1 and fall by
         # 500 per unit of y; a point near y = 1 sees its best node some 900
@@ -585,7 +734,7 @@ class TestKernelMemory:
         (dx, dy), _ = _axis_kernels(grid, grid)
         eps = 1.2 * grid.spacing[0] ** 2
         pot = eps * np.log(grid.weights)
-        peak = _traced_peak(entropic._half_update, dx, dy, pot, eps)
+        peak = _traced_peak(_stage_half_update, dx, dy, pot, eps)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_entropic_map_peak_is_bounded_on_grid_256(self):
@@ -622,7 +771,7 @@ class TestKernelMemory:
         (dx, dy), _ = _axis_kernels(grid, grid)
         eps = 1.2 * grid.spacing[0] ** 2
         pot = eps * np.log(grid.weights)
-        peak = _traced_peak(entropic._half_update, dx, dy, pot, eps)
+        peak = _traced_peak(_stage_half_update, dx, dy, pot, eps)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         plan = EntropicPlan(
             source=grid, target=grid, f=np.zeros(grid.shape), g=np.zeros(grid.shape),

@@ -884,13 +884,32 @@ class TestRadialMeasure:
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e300])
     def test_radial_gaussian_scale_whose_square_leaves_the_doubles(self, sigma):
-        # sigma**2 overflows or underflows; the normalizers come from log sigma
-        rg, unit = make_radial_measure("gaussian", 3, sigma), make_radial_measure("gaussian", 3)
+        # sigma**2 overflows or underflows; the normalizers come from log
+        # sigma.  make_radial_measure refuses such a scale, the class builds it
+        rg, unit = measures._RadialGaussian(3, sigma), make_radial_measure("gaussian", 3)
         r = np.array([0.5, 1.5])
         want = unit.radial_potential(r) + 3.0 * math.log(sigma)
         assert np.allclose(rg.radial_potential(sigma * r), want, rtol=1e-14)
         want = np.log(unit.radial_pdf(r)) - math.log(sigma)
         assert np.allclose(np.log(rg.radial_pdf(sigma * r)), want, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "family, dim, scale, lo, hi",
+        [
+            ("gaussian", 3, 2.0**511, 2.0**-511, 2.0**511),
+            ("uniform-ball", 2, 2.0**511, 2.0**-511, 2.0**511),
+            ("uniform-ball", 16, 2.0**63.875, 2.0**-63.875, 2.0**63.875),
+        ],
+    )
+    def test_scale_range_keeps_the_normalisers_normal(self, family, dim, scale, lo, hi):
+        # the scale's powers +-2 (gaussian) or +-dim (ball) are normal doubles
+        for ok in (scale, 1.0 / scale):
+            make_radial_measure(family, dim, ok)
+        for bad in (np.nextafter(hi, np.inf), np.nextafter(lo, 0.0)):
+            with pytest.raises(ValueError, match=r"must lie in 2\*\*\["):
+                make_radial_measure(family, dim, bad)
+        with pytest.raises(ValueError, match="must be positive"):
+            make_radial_measure(family, dim, 0.0)
 
     def test_ball_density_height(self):
         ball = make_radial_measure("uniform-ball", 2)
