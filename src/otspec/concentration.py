@@ -11,9 +11,11 @@ bit for bit:
 
 * Monte Carlo draws are generated in 50 index blocks with counter-derived
   RNG streams keyed (seed, block); generation could run per block in
-  parallel without changing a single draw.  The block streams are fanned
-  out into one request, so a set of draws costs one ``sample`` call (one
-  inverse-CDF solve per 1-D factor), not one per block.
+  parallel without changing a single draw.  Draws, spectra and bank
+  evaluations run over runs of consecutive whole blocks of about
+  ``_RUN_ROWS`` rows: a run's block streams are fanned out into one
+  ``sample`` call (one inverse-CDF solve per 1-D factor), and only the
+  spectra stack (and the Hessian stack, when kept) spans the whole set.
 * Sample spectra are column-major, one contiguous column per
   log-eigenvalue index, and moments are numpy pairwise sums down each
   column in draw order.
@@ -66,6 +68,9 @@ __all__ = [
 ]
 
 _BLOCKS = 50
+# rows held at once on the Monte Carlo path: draws, spectra and bank
+# evaluations run over about this many rows (whole blocks, at least one)
+_RUN_ROWS = 20_000
 _VARIANCE_BOUND = 4.0
 
 
@@ -82,7 +87,8 @@ class SpectralSampleSet:
     values contiguous), so reductions across the spectrum and moments down
     each column run on contiguous memory; a column-major input is kept as
     it is, any other is copied once.  ``weights`` are all ones for Monte
-    Carlo draws and quadrature weights otherwise.  ``hessians``, when kept,
+    Carlo draws (a read-only view of one value) and quadrature weights
+    otherwise.  ``hessians``, when kept,
     holds the Hessian matrix at each point, shape (count, n, n).
     ``flagged`` counts degenerate (non positive definite) estimates that
     were excluded; ``skipped`` counts points discarded before estimation,
@@ -99,9 +105,11 @@ class SpectralSampleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "spectra", np.asfortranarray(self.spectra))
-        if not np.all(np.isfinite(self.spectra)):
+        # min and max carry any nan or infinity, so no whole-set mask is made
+        ends = np.min(self.spectra, initial=0.0), np.max(self.spectra, initial=0.0)
+        if not np.all(np.isfinite(ends)):
             raise ValueError("spectra must be finite")
-        if np.any(self.weights < 0.0):
+        if np.min(self.weights, initial=0.0) < 0.0:
             raise ValueError("weights must be nonnegative")
         if self.spectra.shape[0] != self.weights.shape[0]:
             raise ValueError("spectra and weights lengths disagree")
@@ -308,25 +316,25 @@ def matrix_function_bank(dim, directions=None):
 
 
 class _BlockStreams:
-    """The generator ``_draw`` hands to ``measure.sample``.
+    """The generator ``_draw`` hands to ``measure.sample`` for one run of blocks.
 
     It has only ``uniform`` and ``standard_normal``, and takes only
-    requests whose leading size is the whole set.  Each request is cut
-    into the blocks' sizes and block b's rows are drawn from
-    ``rng.stream(seed, b)``, in block order, so every block stream yields
-    the values it would yield to a per-block ``sample`` call, and the
-    measure sees the whole set at once.
+    requests whose leading size is the whole run.  Each request is cut
+    into the blocks' sizes and the rows of block ``first + b`` are drawn
+    from ``rng.stream(seed, first + b)``, in block order, so every block
+    stream yields the values it would yield to a per-block ``sample``
+    call, and the measure sees the whole run at once.
     """
 
-    def __init__(self, seed, sizes):
-        self._streams = [rng.stream(seed, b) for b in range(len(sizes))]
+    def __init__(self, seed, first, sizes):
+        self._streams = [rng.stream(seed, first + b) for b in range(len(sizes))]
         self._sizes = sizes
         self._rows = sum(sizes)
 
     def _fill(self, kind, size):
         shape = tuple(np.atleast_1d(size))
         if shape[0] != self._rows:
-            raise ValueError(f"draws come in sets of {self._rows} rows, not {size}")
+            raise ValueError(f"draws come in runs of {self._rows} rows, not {size}")
         out = np.empty(shape)
         lo = 0
         for stream, k in zip(self._streams, self._sizes):
@@ -341,32 +349,78 @@ class _BlockStreams:
         return self._fill("standard_normal", size)
 
 
-def _draw(measure, n_samples, seed):
-    """``n_samples`` rows of draws from ``measure``, block b from ``rng.stream(seed, b)``.
+def _block_sizes(count):
+    """Row counts of the 50 jackknife blocks of ``count`` rows.
 
-    With ``base, extra = divmod(n_samples, 50)``, each of the first
-    ``extra`` blocks holds ``base + 1`` draws and every other block ``base``.
-    One ``measure.sample`` call draws them all, through ``_BlockStreams``.
+    With ``base, extra = divmod(count, 50)``, each of the first ``extra``
+    blocks holds ``base + 1`` rows and every other block ``base``.
+    """
+    base, extra = divmod(int(count), _BLOCKS)
+    return [base + (b < extra) for b in range(_BLOCKS)]
+
+
+def _runs(count):
+    """The jackknife blocks of ``count`` rows, in runs of consecutive whole blocks.
+
+    A run holds ``max(1, _RUN_ROWS // base)`` blocks, ``base`` being the
+    shorter block size.  Yields each run's first block, its block sizes
+    and its slice of rows, in block order.
+    """
+    sizes = _block_sizes(count)
+    step = max(1, _RUN_ROWS // max(sizes[-1], 1))
+    lo = 0
+    for first in range(0, _BLOCKS, step):
+        run = sizes[first : first + step]
+        yield first, run, slice(lo, lo + sum(run))
+        lo += sum(run)
+
+
+def _draw(measure, n_samples, seed):
+    """Draws from ``measure``, one (rows, n) array per run of ``_runs(n_samples)``.
+
+    Block b comes from ``rng.stream(seed, b)``.  A run is one
+    ``measure.sample`` call through ``_BlockStreams``, so each 1-D factor
+    runs one inverse-CDF solve per run.  Runs are whole blocks because a
+    sampler may make several requests per call (normals, then uniforms):
+    a block split across runs would interleave them.
     """
     n_samples = int(n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
-    base, extra = divmod(n_samples, _BLOCKS)
-    sizes = [base + (b < extra) for b in range(_BLOCKS)]
-    return measure.sample(_BlockStreams(seed, sizes), size=n_samples).reshape(n_samples, -1)
+    return (
+        measure.sample(_BlockStreams(seed, first, sizes), size=sum(sizes)).reshape(sum(sizes), -1)
+        for first, sizes, _ in _runs(n_samples)
+    )
+
+
+def _unit_weights(count):
+    """All-ones Monte Carlo weights, as a read-only view that holds one value."""
+    return np.broadcast_to(1.0, (count,))
 
 
 def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
     """Monte Carlo spectral observations of an analytic transport map.
 
-    With ``keep_hessians`` the set also holds the Hessian stack, from one
-    ``tm.hessian`` call on all the draws.
+    The draws come run by run from ``_draw``; each run's log-spectra (and,
+    with ``keep_hessians``, its Hessians) fill the set's stacks, and its
+    points are dropped before the next run is drawn.
     """
-    pts = _draw(tm.source, n_samples, seed)
+    runs = _draw(tm.source, n_samples, seed)
+    n_samples = int(n_samples)
+    spectra = np.empty((n_samples, tm.dim), order="F")
+    hessians = np.empty((n_samples, tm.dim, tm.dim)) if keep_hessians else None
+    lo = 0
+    for pts in runs:
+        rows = slice(lo, lo + pts.shape[0])
+        spectra[rows] = tm.log_spectra(pts)
+        if keep_hessians:
+            hessians[rows] = tm.hessian(pts)
+        lo = rows.stop
+        del pts
     return SpectralSampleSet(
-        spectra=tm.log_spectra(pts),
-        weights=np.ones(pts.shape[0]),
-        hessians=tm.hessian(pts) if keep_hessians else None,
+        spectra=spectra,
+        weights=_unit_weights(n_samples),
+        hessians=hessians,
         label=label or f"{tm.kind}:{tm.source.name}->{tm.target.name}",
     )
 
@@ -380,7 +434,7 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
     and excludes non positive definite estimates (``flagged``).  The
     resulting set is marked approximate.
     """
-    pts = _draw(measure, n_samples, seed)
+    pts = np.concatenate(list(_draw(measure, n_samples, seed)))
     h = _fd_step(plan, h)
     lo, hi = np.asarray(plan.source.box, float).T
     inside = np.all((pts >= lo + 2.0 * h) & (pts <= hi - 2.0 * h), axis=1)
@@ -394,7 +448,7 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
     spectra = np.log(eigs[:, ::-1], out=np.empty(eigs.shape, order="F"))
     return SpectralSampleSet(
         spectra=spectra,
-        weights=np.ones(spectra.shape[0]),
+        weights=_unit_weights(spectra.shape[0]),
         hessians=sym,
         flagged=flagged,
         skipped=skipped,
@@ -406,32 +460,39 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
 # ---------------------------------------------------------------- jackknife
 
 
-def _per_block(a):
-    """Sums of the rows of ``a`` over each jackknife block, shape (50, ...).
+def _per_block(a, sizes=None):
+    """Sums of the rows of ``a`` over each jackknife block, shape (blocks, ...).
 
-    The blocks are the draw blocks: contiguous rows, the first ``extra`` of
-    ``divmod(len(a), 50)`` one row longer.  Each run of equal-sized blocks
-    is one reduction of a column-major reshape, so every block is summed
-    as a contiguous run of rows, as numpy would sum that block alone.  The
-    result is row-major whatever the layout of ``a``, so a reduction over
-    the blocks adds them in one order.
+    ``sizes`` are the blocks' row counts, longer blocks first, at most two
+    distinct counts: one run of ``_runs``, by default all 50 blocks of
+    ``len(a)`` rows.  Each group of equal-sized blocks is one reduction of
+    a column-major reshape, so every block is summed as a contiguous run of
+    rows, as numpy would sum that block alone, and a block's sum is the
+    same whichever run holds it.  The result is row-major whatever the
+    layout of ``a``, so a reduction over the blocks adds them in one order.
     """
-    base, extra = divmod(a.shape[0], _BLOCKS)
-    cut, tail = extra * (base + 1), a.shape[1:]
-    out = np.empty((_BLOCKS,) + tail)
-    out[:extra] = np.sum(a[:cut].reshape((base + 1, extra) + tail, order="F"), axis=0)
-    out[extra:] = np.sum(a[cut:].reshape((base, _BLOCKS - extra) + tail, order="F"), axis=0)
+    sizes = _block_sizes(a.shape[0]) if sizes is None else sizes
+    k, tail = sizes[0], a.shape[1:]
+    m = sizes.count(k)
+    out = np.empty((len(sizes),) + tail)
+    out[:m] = np.sum(a[: k * m].reshape((k, m) + tail, order="F"), axis=0)
+    out[m:] = np.sum(a[k * m :].reshape((k - 1, len(sizes) - m) + tail, order="F"), axis=0)
     return out
 
 
-def _moment_blocks(values, weights):
+def _moment_blocks(values, weights, sizes=None):
     """Per-block sums of w, w v and w v^2; ``weights`` broadcast against ``values``."""
     if values.shape[0] == 0:
         raise ValueError("sample set is empty (all draws flagged or skipped)")
     wv = weights * values
-    s1 = _per_block(wv)
+    s1 = _per_block(wv, sizes)
     wv *= values
-    return _per_block(weights), s1, _per_block(wv)
+    return _per_block(weights, sizes), s1, _per_block(wv, sizes)
+
+
+def _stacked(runs):
+    """The per-block sums of each run, joined into (50, ...) stacks in block order."""
+    return [np.concatenate(sums) for sums in zip(*runs)]
 
 
 def _totals(blocks):
@@ -468,7 +529,10 @@ def variance_report(samples):
     """Per-index variance of the log-spectrum with jackknife errors."""
     var, se = _jackknife(
         _variance_from_sums,
-        _moment_blocks(samples.spectra, samples.weights[:, None]),
+        _stacked(
+            _moment_blocks(samples.spectra[rows], samples.weights[rows, None], sizes)
+            for _, sizes, rows in _runs(samples.count)
+        ),
         lambda s0, s1, s2: s0 > 0.0,
     )
     return VarianceReport(
@@ -539,11 +603,24 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
 # ------------------------------------------------------------- ratio checks
 
 
+def _evaluations(f, stack):
+    """``f.evaluate`` on each run of whole blocks of ``stack``'s rows, in order.
+
+    Yields the run's rows, its block sizes, and the values and squared
+    gradients on those rows, so no whole-set value array is needed.
+    """
+    for _, sizes, rows in _runs(stack.shape[0]):
+        value, grad_sq = f.evaluate(stack[rows])
+        yield rows, sizes, np.asarray(value, float), np.asarray(grad_sq, float)
+
+
 def _ratio_report(samples, f, stack):
     """Var[f] over 4 E|grad f|^2 on one stack of the samples, with its error."""
-    values, grad_sq = (np.asarray(a, float) for a in f.evaluate(stack))
     w = samples.weights
-    blocks = (*_moment_blocks(values, w), _per_block(w * grad_sq))
+    blocks = _stacked(
+        (*_moment_blocks(value, w[rows], sizes), _per_block(w[rows] * grad_sq, sizes))
+        for rows, sizes, value, grad_sq in _evaluations(f, stack)
+    )
     t0, t1, t2, tg = _totals(blocks)
     num = float(_variance_from_sums(t0, t1, t2))
     den = float(4.0 * tg / t0)
@@ -587,24 +664,43 @@ def exp_concentration(samples, f, c):
     cs = [float(c)] if scalar else [float(x) for x in c]
     if any(x <= 0.0 for x in cs):
         raise ValueError("exponential concentration needs c > 0")
-    values = np.asarray(f.evaluate(samples.spectra)[0], float)
-    w = samples.weights / np.sum(samples.weights)
-    center = float(np.sum(w * values))
-    a = np.abs(values - center)
+    values = np.empty(samples.count)
+    for rows, _, value, _ in _evaluations(f, samples.spectra):
+        values[rows] = value
+    total = np.sum(samples.weights)
+
+    def share(rows):
+        return samples.weights[rows] / total
+
+    center = float(_pairwise_sum(lambda rows: values[rows] * share(rows), samples.count))
+    a = np.abs(np.subtract(values, center, out=values), out=values)
     # c * max|f - mean| equals max(c |f - mean|) bit for bit, since rounding
     # is monotone, so the overflow test needs no product array
     top = float(np.max(a, initial=0.0))
-    z = np.empty_like(a)
     moments = {}
     for x in dict.fromkeys(cs):
         if x * top > 700.0:
             moments[x] = math.inf
         else:
-            np.multiply(x, a, out=z)
-            np.exp(z, out=z)
-            z *= w
-            moments[x] = float(np.sum(z))
+            moments[x] = float(
+                _pairwise_sum(lambda rows: np.exp(x * a[rows]) * share(rows), samples.count)
+            )
     return moments[cs[0]] if scalar else [moments[x] for x in cs]
+
+
+def _pairwise_sum(term, n, lo=0):
+    """``np.sum`` of the n terms ``term(slice(lo, lo + n))``, bit for bit.
+
+    numpy sums a contiguous float vector pairwise: a part of more than 128
+    terms is split at half its length rounded down to a multiple of 8, and
+    the two halves are summed the same way.  Following those splits down to
+    parts of at most ``_RUN_ROWS`` terms gives the same additions while
+    only one part's terms are held at a time.
+    """
+    if n <= _RUN_ROWS:
+        return np.sum(term(slice(lo, lo + n)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, half, lo) + _pairwise_sum(term, n - half, lo + half)
 
 
 # ------------------------------------------------------------ curvature floor

@@ -1313,14 +1313,20 @@ class _RadialGaussian(RadialMeasure):
         return special.gammainc(0.5 * self.dim, 0.5 * (r / self.sigma) ** 2)
 
     def radial_pdf(self, r):
+        # the log-density is formed on (0, inf) only: the density is 0 at
+        # r = inf, and r <= 0 (or nan) takes its value at the origin; a
+        # square that leaves the doubles is +inf, giving density 0
         r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
+        inner = (r > 0.0) & (r < np.inf)
+        s = np.where(inner, r, 1.0)
+        with np.errstate(over="ignore"):
             logpdf = (
                 self._log_shell
-                + (self.dim - 1.0) * np.log(r)
-                - 0.5 * (r / self.sigma) ** 2
+                + (self.dim - 1.0) * np.log(s)
+                - 0.5 * (s / self.sigma) ** 2
             )
-        return np.where(r > 0, np.exp(logpdf), 0.0 if self.dim > 1 else np.exp(self._log_shell))
+        origin = 0.0 if self.dim > 1 else np.exp(self._log_shell)
+        return np.where(inner, np.exp(logpdf), np.where(r > 0.0, 0.0, origin))
 
     def radial_quantile(self, p):
         p = np.asarray(p, dtype=float)

@@ -7,6 +7,7 @@ between estimators that must agree on shared data.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,14 +133,19 @@ class _MixedSource:
         return np.column_stack([u, z, gen.uniform(size=size)])
 
 
-class TestDraws:
-    """One ``sample`` call per set draws what one call per block drew."""
+def _drawn(measure, n_samples, seed):
+    # every run of ``_draw``, joined into the whole set
+    return np.concatenate(list(concentration._draw(measure, n_samples, seed)))
 
-    @pytest.mark.parametrize("n", [50, 51, 1007])
+
+class TestDraws:
+    """One ``sample`` call per run of blocks draws what one call per block drew."""
+
+    @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
     @pytest.mark.parametrize("label", _DRAW_LABELS + ("regularized",))
     def test_one_request_matches_the_per_block_draws(self, draw_sources, label, n):
         m = draw_sources[label]
-        got, want = concentration._draw(m, n, 29), _draw_per_block(m, n, 29)
+        got, want = _drawn(m, n, 29), _draw_per_block(m, n, 29)
         if isinstance(m, GaussianMeasure) and n < 2 * _BLOCKS:
             # a block of one row took BLAS's vector-matrix product, which
             # may round differently from the matrix product of the whole
@@ -154,26 +160,45 @@ class TestDraws:
         else:
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [50, 51, 1007])
+    @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
     def test_block_streams_yield_their_values_in_order(self, n):
-        got = concentration._draw(_MixedSource(), n, 31)
+        got = _drawn(_MixedSource(), n, 31)
         assert np.array_equal(got, _draw_per_block(_MixedSource(), n, 31))
 
-    def test_block_streams_refuse_a_partial_request(self):
-        streams = concentration._BlockStreams(31, [2] * _BLOCKS)
-        with pytest.raises(ValueError, match="sets of 100 rows"):
-            streams.uniform(size=99)
-        with pytest.raises(ValueError, match="sets of 100 rows"):
-            streams.standard_normal((101, 2))
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [(50, [50]), (1007, [50]), (100_003, [10] * 5), (10**6, [1] * 50), (10**6 + 49, [1] * 50)],
+    )
+    def test_runs_are_whole_blocks_of_about_the_row_cap(self, n, blocks):
+        firsts, sizes, rows = zip(*concentration._runs(n))
+        assert [len(k) for k in sizes] == blocks
+        assert list(firsts) == [sum(blocks[:i]) for i in range(len(blocks))]
+        assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
+        assert rows[-1].stop == n
+        assert [sum(k) for k in sizes] == [r.stop - r.start for r in rows]
+        assert max(r.stop - r.start for r in rows) <= 20_050
+
+    @pytest.mark.parametrize("first", [0, 7])
+    def test_block_streams_refuse_a_partial_request(self, first):
+        streams = concentration._BlockStreams(31, first, [2] * 5)
+        with pytest.raises(ValueError, match="runs of 10 rows"):
+            streams.uniform(size=9)
+        with pytest.raises(ValueError, match="runs of 10 rows"):
+            streams.standard_normal((11, 2))
+        # a full request draws block first + b from its own stream
+        got = streams.uniform(size=10)
+        want = np.concatenate([rng.stream(31, first + b).uniform(size=2) for b in range(5)])
+        assert np.array_equal(got, want)
 
     def test_one_quantile_solve_per_factor(self, product_map, monkeypatch):
-        # 50 block streams, and one solve per source factor, not one per block
+        # each of the 50 block streams is made once, in block order, and
+        # each run makes one solve per source factor, not one per block
         sources = list(product_map.source.factors)
         solved, streams = [], []
         quantile, stream = LogConcaveMeasure1D.quantile, rng.stream
 
         def counted_quantile(self, p):
-            solved.append(self)
+            solved.append((self, p.size))
             return quantile(self, p)
 
         def counted_stream(*key):
@@ -182,8 +207,11 @@ class TestDraws:
 
         monkeypatch.setattr(LogConcaveMeasure1D, "quantile", counted_quantile)
         monkeypatch.setattr(rng, "stream", counted_stream)
-        spectral_samples(product_map, 5000, seed=3)
-        assert [m for m in solved if any(m is s for s in sources)] == sources
+        spectral_samples(product_map, 100_000, seed=3)
+        runs = [20_000] * 5
+        assert [(m, k) for m, k in solved if any(m is s for s in sources)] == [
+            (s, k) for k in runs for s in sources
+        ]
         assert streams == [(3, b) for b in range(_BLOCKS)]
 
 
@@ -535,24 +563,30 @@ class TestMatrixPoincare:
         assert rep_m.numerator == pytest.approx(rep_s.numerator, rel=5e-4)
 
     def test_each_entry_computes_its_transform_once(self, radial_samples, monkeypatch):
-        # a ratio reads values and squared slopes from one evaluation, so a
-        # spectral entry maps the Hessians to log-eigenvalues once and a
-        # log-quadform entry takes its log quadratic forms once
+        # a ratio reads values and squared slopes from one evaluation per run
+        # of blocks, so a spectral entry maps each run's Hessians to
+        # log-eigenvalues once and a log-quadform entry takes their log
+        # quadratic forms once; the runs cover every Hessian once, in order
+        monkeypatch.setattr(concentration, "_RUN_ROWS", 4000)
         calls = []
         for name in ("log_eigen_map", "log_quadratic_form"):
             fn = getattr(concentration, name)
             monkeypatch.setattr(
-                concentration, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+                concentration,
+                name,
+                lambda h, *a, fn=fn, name=name: calls.append((name, h)) or fn(h, *a),
             )
         for f in matrix_function_bank(3):
             calls.clear()
             matrix_poincare(radial_samples, f)
             if f.name.startswith("spectral:"):
-                assert calls == ["log_eigen_map"], f.name
+                assert [name for name, _ in calls] == ["log_eigen_map"] * 5, f.name
             elif f.name.startswith("log-quadform"):
-                assert calls == ["log_quadratic_form"], f.name
+                assert [name for name, _ in calls] == ["log_quadratic_form"] * 5, f.name
             else:
                 assert calls == [], f.name
+                continue
+            assert np.array_equal(np.concatenate([h for _, h in calls]), radial_samples.hessians)
 
     def test_missing_hessians_are_refused(self, product_samples):
         with pytest.raises(ValueError, match="Hessian"):
@@ -693,6 +727,124 @@ class TestBlockPartials:
         rep = variance_report(SpectralSampleSet(spectra, weights))
         assert np.array_equal(rep.variances, var(t0, t1, t2))
         assert np.array_equal(rep.standard_errors, np.sqrt(0.98 * np.sum(dev * dev, axis=0)))
+
+
+_RUN_LABELS = (
+    "1d:beta(2.0,3.0)->gaussian(0.0,1.0)",
+    "gaussian:n=3",
+    "gaussian:n=5",
+    "product:n=3",
+    "radial:ball->gaussian n=3",
+)
+
+
+@pytest.fixture(scope="module")
+def run_maps():
+    return dict(default_experiments(_RUN_LABELS))
+
+
+def _whole_set_oracle(tm, n, seed):
+    # the set as one request for all 50 blocks made it, with one
+    # ``log_spectra`` call and one ``hessian`` call on all the draws
+    sizes = concentration._block_sizes(n)
+    pts = tm.source.sample(concentration._BlockStreams(seed, 0, sizes), size=n).reshape(n, -1)
+    return tm.log_spectra(pts), tm.hessian(pts)
+
+
+class TestRunsOfBlocks:
+    """Runs of whole blocks give the whole-set results bit for bit."""
+
+    @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
+    @pytest.mark.parametrize("label", _RUN_LABELS)
+    def test_spectral_samples_match_the_whole_set(self, run_maps, label, n):
+        tm = run_maps[label]
+        spectra, hessians = _whole_set_oracle(tm, n, 41)
+        plain = spectral_samples(tm, n, seed=41)
+        assert plain.hessians is None
+        assert plain.spectra.flags.f_contiguous
+        assert np.array_equal(plain.spectra, spectra)
+        kept = spectral_samples(tm, n, seed=41, keep_hessians=True)
+        assert np.array_equal(kept.spectra, spectra)
+        assert np.array_equal(kept.hessians, hessians)
+
+    @pytest.mark.parametrize("n, cap", [(51, 3), (1007, 70), (100_003, 6000), (100_003, 1)])
+    def test_block_sums_by_run_match_the_whole_set(self, monkeypatch, n, cap):
+        # a block is summed alone whichever run holds it; a small row cap
+        # makes runs of one to a few blocks, some of two block sizes
+        monkeypatch.setattr(concentration, "_RUN_ROWS", cap)
+        s = rng.stream(8, n)
+        cases = [
+            s.uniform(0.5, 2.0, size=n),
+            np.asfortranarray(s.standard_normal((n, 3))),
+            s.standard_normal((n, 4))[:, 2],
+        ]
+        runs = list(concentration._runs(n))
+        assert len(runs) > 1
+        for a in cases:
+            got = concentration._stacked((_per_block(a[rows], sizes),) for _, sizes, rows in runs)
+            assert np.array_equal(got[0], _per_block(a))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 20_000, 20_001, 100_003, 1_000_007])
+    def test_pairwise_sum_is_numpys_sum(self, n):
+        a = rng.stream(9, n).standard_normal(n) * np.exp(rng.stream(10, n).uniform(-30.0, 30.0, n))
+        assert concentration._pairwise_sum(lambda rows: a[rows], n) == np.sum(a)
+
+    def test_statistics_match_one_run(self, monkeypatch):
+        # every report on 20_003 draws in runs of 5 blocks (and pairwise
+        # sums cut at 2,000 terms) equals the one-run report
+        tm = brenier_radial(
+            make_radial_measure("uniform-ball", 3), make_radial_measure("gaussian", 3)
+        )
+        samples = spectral_samples(tm, 20_003, seed=43, keep_hessians=True)
+        monkeypatch.setattr(concentration, "_RUN_ROWS", 2000)
+        assert len(list(concentration._runs(samples.count))) == 10
+
+        def reports():
+            return (
+                variance_report(samples),
+                [poincare_ratio(samples, f) for f in function_bank(3)],
+                [matrix_poincare(samples, f) for f in matrix_function_bank(3)],
+                [exp_concentration(samples, f, (0.1, 0.5, 2.0)) for f in function_bank(3)],
+            )
+
+        runs = reports()
+        monkeypatch.setattr(concentration, "_RUN_ROWS", 10**9)
+        whole = reports()
+        assert np.array_equal(runs[0].variances, whole[0].variances)
+        assert np.array_equal(runs[0].standard_errors, whole[0].standard_errors)
+        assert runs[1:] == whole[1:]
+
+
+class TestRunMemory:
+    """The spectra stack is the set's one array that grows with the draws;
+    the exponential moments add one value per draw for their centre."""
+
+    @staticmethod
+    def _traced_peak(tm, n):
+        # draw, then every bank ratio and every exponential moment
+        tracemalloc.start()
+        try:
+            samples = spectral_samples(tm, n, seed=2024)
+            for f in function_bank(samples.dim):
+                poincare_ratio(samples, f)
+                exp_concentration(samples, f, (0.1, 0.02, 0.1, 0.2))
+            return tracemalloc.get_traced_memory()[1], samples.spectra.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "label", ["radial:ball->gaussian n=8", "1d:beta(2.0,3.0)->gaussian(0.0,1.0)"]
+    )
+    def test_peak_is_the_spectra_plus_run_temporaries(self, label):
+        ((_, tm),) = default_experiments([label])
+        mb = 1e6
+        peak, spectra = self._traced_peak(tm, 100_000)
+        assert peak <= spectra + 8 * mb
+        # from 1e5 to 1e6 draws, the peak grows by the spectra and by the
+        # exponential moments' 8 bytes per draw, and by nothing else
+        big_peak, big_spectra = self._traced_peak(tm, 1_000_000)
+        rest, big_rest = peak - spectra - 8 * 100_000, big_peak - big_spectra - 8 * 1_000_000
+        assert abs(big_rest - rest) <= 2 * mb
 
 
 class TestCaffarelliFloor:

@@ -911,6 +911,19 @@ class TestRadialMeasure:
         with pytest.raises(ValueError, match="must be positive"):
             make_radial_measure(family, dim, 0.0)
 
+    @pytest.mark.parametrize("dim, sigma", [(1, 1.0), (16, 1.0), (16, 6.7e153), (16, 1.5e-154)])
+    def test_radial_gaussian_density_off_the_open_half_line(self, dim, sigma):
+        # no invalid or overflow warning (the suite makes them errors): 0 at
+        # r = inf and where the square leaves the doubles, the origin's
+        # value at r <= 0 and nan, and the closed form on (0, inf)
+        rg = measures._RadialGaussian(dim, sigma)
+        origin = 0.0 if dim > 1 else math.exp(rg._log_shell)
+        r = np.array([np.inf, 1e300 * sigma, 0.0, -1.0, np.nan])
+        assert np.array_equal(rg.radial_pdf(r), [0.0, 0.0, origin, origin, origin])
+        r = sigma * np.array([1e-3, 0.5, 2.0, 9.0])
+        want = np.exp(rg._log_shell + (dim - 1.0) * np.log(r) - 0.5 * (r / sigma) ** 2)
+        assert np.array_equal(rg.radial_pdf(r), want)
+
     def test_ball_density_height(self):
         ball = make_radial_measure("uniform-ball", 2)
         assert ball.pdf(np.array([0.1, 0.1])) == pytest.approx(1.0 / math.pi)
