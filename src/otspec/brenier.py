@@ -13,6 +13,8 @@ at construction and read afterward, so instances can be shared freely
 across threads.
 """
 
+import math
+
 import numpy as np
 
 from .measures import (
@@ -204,6 +206,12 @@ class RadialMap(TransportMap):
     and ``hessian``.  ``log_spectra`` reads ``profile_fast``, the start of
     the quantile table of the target's radius law (built once, here), which
     the tests hold to ``profile``.
+
+    Radii are floored at 1e-7 of the source's top radius r_hi, and norms
+    are taken in a frame rescaled by the power of two that brings r_hi into
+    [1/2, 1), so the squared coordinates of a source at any accepted scale
+    stay inside the normal doubles.  The rescaling is exact, so it changes
+    no radius whose squares were normal already.
     """
 
     kind = "radial"
@@ -211,6 +219,8 @@ class RadialMap(TransportMap):
     def __init__(self, source, target):
         super().__init__(source.dim, source, target)
         self._r_hi = float(source.radial_quantile(1.0 - _EDGE))
+        self._floor = 1e-7 * self._r_hi
+        self._frame = 2.0 ** -math.frexp(self._r_hi)[1]
         self._target_law = _RadialLaw(target)
 
     def profile(self, r):
@@ -238,11 +248,15 @@ class RadialMap(TransportMap):
             phi = self.profile(r)
         return self.source.radial_pdf(r) / self.target.radial_pdf(phi)
 
+    def _radii(self, x):
+        """|x| along the last axis, taken in the rescaled frame."""
+        y = np.multiply(x, self._frame)
+        y *= y
+        return np.sqrt(np.sum(y, axis=-1)) / self._frame
+
     def _eigen_pair(self, r, fast=False):
         """(radial eigenvalue, tangential eigenvalue) at radius r."""
-        r = np.asarray(r, dtype=float)
-        tiny = 1e-7 * max(self._r_hi, 1.0)
-        r_safe = np.maximum(r, tiny)
+        r_safe = np.maximum(np.asarray(r, dtype=float), self._floor)
         phi = self.profile_fast(r_safe) if fast else self.profile(r_safe)
         lam_tan = phi / r_safe
         lam_rad = self.source.radial_pdf(r_safe) / self.target.radial_pdf(phi)
@@ -250,21 +264,19 @@ class RadialMap(TransportMap):
 
     def map_points(self, x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        tiny = 1e-7 * max(self._r_hi, 1.0)
-        r_safe = np.maximum(r, tiny)
+        r_safe = np.maximum(self._radii(x), self._floor)
         scale = self.profile(r_safe) / r_safe
         return x * np.expand_dims(scale, -1)
 
     def hessian(self, x):
         """lam_rad e e^T + lam_tan (I - e e^T) with e = x / |x|, stacked.
 
-        Within 1e-7 max(r_hi, 1) of the origin the Hessian is lam_rad I.
+        Within 1e-7 r_hi of the origin the Hessian is lam_rad I.
         """
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
+        r = self._radii(x)
         lam_rad, lam_tan = self._eigen_pair(r)
-        origin = r < 1e-7 * max(self._r_hi, 1.0)
+        origin = r < self._floor
         lam_tan = np.where(origin, lam_rad, lam_tan)[..., None, None]
         lam_rad = lam_rad[..., None, None]
         e = np.where(origin[..., None], 0.0, x / np.where(origin, 1.0, r)[..., None])
@@ -274,8 +286,7 @@ class RadialMap(TransportMap):
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        lam_rad, lam_tan = self._eigen_pair(r, fast=True)
+        lam_rad, lam_tan = self._eigen_pair(self._radii(x), fast=True)
         log_rad, log_tan = np.log(lam_rad), np.log(lam_tan)
         # the tangential value fills every index but the two ends, which
         # hold the larger and the smaller of the two distinct values

@@ -656,9 +656,11 @@ def exp_concentration(samples, f, c):
 
     ``c`` is one constant, which returns a float, or a sequence of them,
     which returns a list with one moment per constant.  A sequence
-    evaluates ``f`` and the weighted mean once for all of its constants and
-    each distinct constant's moment once, and each of its moments equals
-    the scalar call's bit for bit.
+    evaluates ``f`` and the weighted mean once for all of its constants,
+    and its moments take one ``exp`` pass per pairwise-sum leaf for all
+    the distinct finite constants at once: a (constants, leaf rows) stack
+    of ``c |f - mean|``, exponentiated and weighted in place and summed
+    along its rows.  Each moment equals the scalar call's bit for bit.
     """
     scalar = np.ndim(c) == 0
     cs = [float(c)] if scalar else [float(x) for x in c]
@@ -677,28 +679,36 @@ def exp_concentration(samples, f, c):
     # c * max|f - mean| equals max(c |f - mean|) bit for bit, since rounding
     # is monotone, so the overflow test needs no product array
     top = float(np.max(a, initial=0.0))
-    moments = {}
-    for x in dict.fromkeys(cs):
-        if x * top > 700.0:
-            moments[x] = math.inf
-        else:
-            moments[x] = float(
-                _pairwise_sum(lambda rows: np.exp(x * a[rows]) * share(rows), samples.count)
-            )
+    moments = dict.fromkeys(cs, math.inf)
+    live = [x for x in moments if not x * top > 700.0]
+    if live:
+        k, col = len(live), np.array(live)[:, None]
+        buf = np.empty(k * min(samples.count, _RUN_ROWS))
+
+        def term(rows):
+            b = buf[: k * (rows.stop - rows.start)].reshape(k, -1)
+            np.multiply(col, a[rows], out=b)
+            np.exp(b, out=b)
+            b *= share(rows)
+            return b
+
+        moments.update(zip(live, _pairwise_sum(term, samples.count).tolist()))
     return moments[cs[0]] if scalar else [moments[x] for x in cs]
 
 
 def _pairwise_sum(term, n, lo=0):
-    """``np.sum`` of the n terms ``term(slice(lo, lo + n))``, bit for bit.
+    """``np.sum(term(slice(lo, lo + n)), axis=-1)``, bit for bit.
 
-    numpy sums a contiguous float vector pairwise: a part of more than 128
-    terms is split at half its length rounded down to a multiple of 8, and
-    the two halves are summed the same way.  Following those splits down to
-    parts of at most ``_RUN_ROWS`` terms gives the same additions while
-    only one part's terms are held at a time.
+    The terms lie along the last axis: a vector sums to a scalar, a
+    contiguous (k, n) stack to one sum per row.  numpy sums each contiguous
+    float row pairwise: a part of more than 128 terms is split at half its
+    length rounded down to a multiple of 8, and the two halves are summed
+    the same way.  Following those splits down to leaves of at most
+    ``_RUN_ROWS`` terms gives the same additions, row by row, while only
+    one leaf's terms are held at a time.
     """
     if n <= _RUN_ROWS:
-        return np.sum(term(slice(lo, lo + n)))
+        return np.sum(term(slice(lo, lo + n)), axis=-1)
     half = n // 2 - n // 2 % 8
     return _pairwise_sum(term, half, lo) + _pairwise_sum(term, n - half, lo + half)
 

@@ -378,6 +378,23 @@ class TestRadialMap:
         exact = np.log(tm._eigen_pair(r))
         assert np.all(np.abs(np.var(fast, axis=1) - np.var(exact, axis=1)) <= 1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 1.5e-154, 6.7e153])
+    def test_radii_in_the_rescaled_frame(self, dim, scale):
+        # the power-of-two frame is exact: where the squared coordinates are
+        # normal doubles the radii are np.linalg.norm's bit for bit, and at
+        # the edges of the accepted scales, where norm overflows or loses
+        # the squares to underflow, they keep full precision
+        tm = brenier_radial(
+            make_radial_measure("gaussian", dim, scale), make_radial_measure("uniform-ball", dim)
+        )
+        pts = tm.source.sample(rng.stream(31, 13), size=1000)
+        r = tm._radii(pts)
+        if 1e-100 < scale < 1e100:
+            assert np.array_equal(r, np.linalg.norm(pts, axis=1))
+        np.testing.assert_allclose(r, np.linalg.norm(pts / scale, axis=1) * scale, rtol=1e-15)
+        assert np.all(np.isfinite(tm.log_spectra(pts)))
+
     def test_residual_bound(self):
         mu = make_radial_measure("uniform-ball", 3, 1.0)
         nu = make_radial_measure("gaussian", 3, 1.0)

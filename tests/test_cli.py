@@ -819,7 +819,12 @@ class TestMain:
 
     @staticmethod
     def _scaled_map(side, spec):
-        # a variance map whose ``side`` is ``spec``, the other side a plain one
+        # a variance map whose ``side`` is ``spec``, the other side a plain
+        # one; side "both" takes a (source, target) pair of radial specs
+        if side == "both":
+            source, target = spec
+            data = {"kind": "radial", "source": source, "target": target}
+            return {"kind": "variance", "samples": 2000, "map": data}
         if "name" in spec:
             data = {"kind": "1d", "source": {"name": "uniform", "params": [0.0, 1.0]},
                     "target": {"name": "exponential", "params": [1.0]}}
@@ -867,6 +872,22 @@ class TestMain:
         + [
             ("source", {"family": "uniform-ball", "dim": 3, "params": [3.55e102]}),
             ("target", {"family": "uniform-ball", "dim": 3, "params": [2.82e-103]}),
+        ]
+        # radial sources far from radius 1: a source inside radius 1e-7 saw
+        # every draw floored outside its support, and draws near 1e154 or
+        # 1e-154 left the doubles when squared
+        + [
+            ("both", ({"family": src, "dim": n, "params": [s]},
+                      {"family": dst, "dim": n, "params": [1.0]}))
+            for n in (2, 3, 16)
+            for src, s, dst in (
+                ("uniform-ball", 1e-30, "gaussian"),
+                ("gaussian", 6.7e153, "gaussian"),
+                ("gaussian", 6.7e153, "uniform-ball"),
+                ("gaussian", 1.5e-154, "uniform-ball"),
+            )
+            # a ball radius in dimension 16 must lie in 2**[-63.875, 63.875]
+            if n < 16 or src == "gaussian"
         ],
     )
     def test_exit_zero_just_inside_the_scale_range(self, tmp_path, side, spec):

@@ -637,42 +637,74 @@ class TestExpConcentration:
         assert got == [exp_concentration(samples, f, 0.01), math.inf]
         assert math.isfinite(got[0])
 
-    def test_moments_match_the_direct_formula(self, monkeypatch):
+    @staticmethod
+    def _direct(samples, f, cs):
         # sum(w exp(c |f - mean|)), inf once max(c |f - mean|) exceeds 700,
-        # computed as written for each c; the moments agree bit for bit.
-        # A repeated constant (the gating 0.1 also sits in the default
-        # c_grid) reuses its moment: the call with repeats makes exactly the
-        # exp passes of the call on the distinct constants
+        # computed as written for each c
+        values = f.evaluate(samples.spectra)[0]
+        w = samples.weights / np.sum(samples.weights)
+        a = np.abs(values - float(np.sum(w * values)))
+        return [
+            math.inf if float(np.max(c * a)) > 700.0 else float(np.sum(w * np.exp(c * a)))
+            for c in cs
+        ]
+
+    @staticmethod
+    def _exp_use(monkeypatch, samples, f, cs):
+        # np.exp calls and elements of one moment set beyond the bank
+        # function's own (its evaluation on the same runs of rows)
+        exp, sizes = np.exp, []
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", counted)
+            list(concentration._evaluations(f, samples.spectra))
+            own = len(sizes), sum(sizes)
+            sizes.clear()
+            exp_concentration(samples, f, cs)
+        return len(sizes) - own[0], sum(sizes) - own[1]
+
+    def _check_moments(self, monkeypatch, samples, cs, leaves):
+        # the moments agree bit for bit with the direct formula, and with
+        # the scalar calls.  A moment set makes one exp call per pairwise
+        # leaf for all its constants, over (distinct finite constants) x n
+        # elements: a repeated constant (the gating 0.1 also sits in the
+        # default c_grid) reuses its moment
+        overflowed = 0
+        for f in function_bank(samples.dim):
+            want = self._direct(samples, f, cs)
+            assert exp_concentration(samples, f, cs) == want
+            assert [exp_concentration(samples, f, c) for c in cs] == want
+            finite = len({c for c, m in zip(cs, want) if math.isfinite(m)})
+            overflowed += finite < len(set(cs))
+            assert self._exp_use(monkeypatch, samples, f, cs) == (
+                leaves if finite else 0,
+                finite * samples.count,
+            )
+        assert overflowed > 0
+
+    def test_moments_match_the_direct_formula(self, monkeypatch):
         r = rng.stream(2024, 70)
         spectra = np.asfortranarray(r.standard_normal((1000, 3)))
         spectra[7, 0] = 900.0
-        weights = r.uniform(0.5, 2.0, size=1000)
+        samples = SpectralSampleSet(spectra, r.uniform(0.5, 2.0, size=1000))
+        cs = (0.1, 0.02, 0.1, 0.5, 0.77, 0.78, 1.5, 0.5, 0.1)
+        self._check_moments(monkeypatch, samples, cs, leaves=1)
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("n, leaves", [(20_001, 2), (100_003, 8)])
+    def test_moments_match_the_direct_formula_across_leaves(self, monkeypatch, n, leaves, unit):
+        # the moment stack is summed leaf by leaf down the pairwise tree;
+        # the planted outlier sits in a middle leaf
+        r = rng.stream(2024, 71)
+        spectra = np.asfortranarray(r.standard_normal((n, 3)))
+        spectra[n // 2 + 3, 0] = 900.0
+        weights = concentration._unit_weights(n) if unit else r.uniform(0.5, 2.0, size=n)
         samples = SpectralSampleSet(spectra, weights)
-        distinct = (0.02, 0.1, 0.5, 0.77, 0.78, 1.5)
-        cs = (0.1, *distinct, 0.5, 0.1)
-        exp, passes = np.exp, []
-
-        def counted(x, *args, **kwargs):
-            passes.append(np.size(x))
-            return exp(x, *args, **kwargs)
-
-        for f in function_bank(3):
-            values = f.evaluate(spectra)[0]
-            w = weights / np.sum(weights)
-            a = np.abs(values - float(np.sum(w * values)))
-            want = [
-                math.inf if float(np.max(c * a)) > 700.0 else float(np.sum(w * np.exp(c * a)))
-                for c in cs
-            ]
-            assert exp_concentration(samples, f, cs) == want
-            assert [exp_concentration(samples, f, c) for c in cs] == want
-            with monkeypatch.context() as m:
-                m.setattr(np, "exp", counted)
-                passes.clear()
-                exp_concentration(samples, f, distinct)
-                once = len(passes)
-                exp_concentration(samples, f, cs)
-            assert once > 0 and len(passes) == 2 * once
+        self._check_moments(monkeypatch, samples, (0.1, 0.02, 0.77, 0.1, 0.78, 1.5), leaves)
 
     @pytest.mark.parametrize("cs", [(0.1, 0.0), (-0.5, 0.1, 0.2), [0.1, 0.2, -1e-300]])
     def test_sequence_requires_every_constant_positive(self, product_samples, cs):
@@ -788,6 +820,11 @@ class TestRunsOfBlocks:
     def test_pairwise_sum_is_numpys_sum(self, n):
         a = rng.stream(9, n).standard_normal(n) * np.exp(rng.stream(10, n).uniform(-30.0, 30.0, n))
         assert concentration._pairwise_sum(lambda rows: a[rows], n) == np.sum(a)
+        # a (k, n) stack of terms sums row by row: each row as np.sum of it
+        stack = np.stack([a, a[::-1], np.cos(a)])
+        got = concentration._pairwise_sum(lambda rows: np.ascontiguousarray(stack[:, rows]), n)
+        assert got.shape == (3,)
+        assert all(g == np.sum(row) for g, row in zip(got, stack))
 
     def test_statistics_match_one_run(self, monkeypatch):
         # every report on 20_003 draws in runs of 5 blocks (and pairwise
