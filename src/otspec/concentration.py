@@ -17,17 +17,19 @@ bit for bit:
   ``sample`` call (one inverse-CDF solve per 1-D factor), and only the
   spectra stack (and the Hessian stack, when kept) spans the whole set.
 * Sample spectra are column-major, one contiguous column per
-  log-eigenvalue index, and moments are numpy pairwise sums down each
-  column in draw order.
-* Every sampled statistic is a function of per-block sums over the same
-  50 blocks; totals add the block sums in block order, and standard
-  errors are delete-one-block jackknife over those blocks.
-* Variance means the population variance of the weighted sample; no
-  Bessel correction, matching the quadrature estimators exactly.
+  log-eigenvalue index, so a block's sum down a column is numpy's
+  pairwise sum of that block's rows alone.
+* Every sampled statistic (variances, Poincare ratios, exponential
+  moments) is a function of unweighted per-block sums over the same 50
+  blocks; totals add the block sums in block order, and standard errors
+  are delete-one-block jackknife over those blocks.  The quadrature
+  estimator takes plain weighted sums over its nodes.
+* Variance means the population variance of the sample; no Bessel
+  correction, matching the quadrature estimators exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .brenier import (
     brenier_product,
     brenier_radial,
 )
-from .entropic import _fd_hessians, _fd_step
+from .entropic import _fd_hessians, _fd_step, _stencil_room
 from .measures import (
     GaussianMeasure,
     make_catalog_measure,
@@ -86,17 +88,17 @@ class SpectralSampleSet:
     statistic reads them.  The array is column-major (each index's
     values contiguous), so reductions across the spectrum and moments down
     each column run on contiguous memory; a column-major input is kept as
-    it is, any other is copied once.  ``weights`` are all ones for Monte
-    Carlo draws (a read-only view of one value) and quadrature weights
-    otherwise.  ``hessians``, when kept,
-    holds the Hessian matrix at each point, shape (count, n, n).
+    it is, any other is copied once.  Every row counts once: statistics
+    are unweighted.  The fields after ``spectra`` are keyword-only.
+    ``hessians``, when kept, holds the Hessian matrix at each point, shape
+    (count, n, n).
     ``flagged`` counts degenerate (non positive definite) estimates that
     were excluded; ``skipped`` counts points discarded before estimation,
     for grid estimators whose stencil would leave the domain.
     """
 
     spectra: np.ndarray
-    weights: np.ndarray
+    _: KW_ONLY
     hessians: np.ndarray | None = None
     flagged: int = 0
     skipped: int = 0
@@ -109,10 +111,6 @@ class SpectralSampleSet:
         ends = np.min(self.spectra, initial=0.0), np.max(self.spectra, initial=0.0)
         if not np.all(np.isfinite(ends)):
             raise ValueError("spectra must be finite")
-        if np.min(self.weights, initial=0.0) < 0.0:
-            raise ValueError("weights must be nonnegative")
-        if self.spectra.shape[0] != self.weights.shape[0]:
-            raise ValueError("spectra and weights lengths disagree")
 
     @property
     def count(self):
@@ -364,8 +362,11 @@ def _runs(count):
 
     A run holds ``max(1, _RUN_ROWS // base)`` blocks, ``base`` being the
     shorter block size.  Yields each run's first block, its block sizes
-    and its slice of rows, in block order.
+    and its slice of rows, in block order.  An empty set has no runs: no
+    statistic is defined on it, so it is refused.
     """
+    if count == 0:
+        raise ValueError("sample set is empty (all draws flagged or skipped)")
     sizes = _block_sizes(count)
     step = max(1, _RUN_ROWS // max(sizes[-1], 1))
     lo = 0
@@ -393,11 +394,6 @@ def _draw(measure, n_samples, seed):
     )
 
 
-def _unit_weights(count):
-    """All-ones Monte Carlo weights, as a read-only view that holds one value."""
-    return np.broadcast_to(1.0, (count,))
-
-
 def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
     """Monte Carlo spectral observations of an analytic transport map.
 
@@ -419,7 +415,6 @@ def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
         del pts
     return SpectralSampleSet(
         spectra=spectra,
-        weights=_unit_weights(n_samples),
         hessians=hessians,
         label=label or f"{tm.kind}:{tm.source.name}->{tm.target.name}",
     )
@@ -436,20 +431,15 @@ def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None
     """
     pts = np.concatenate(list(_draw(measure, n_samples, seed)))
     h = _fd_step(plan, h)
-    lo, hi = np.asarray(plan.source.box, float).T
-    inside = np.all((pts >= lo + 2.0 * h) & (pts <= hi - 2.0 * h), axis=1)
-    skipped = int(np.sum(~inside))
-    pts = pts[inside]
-    sym = _fd_hessians(plan, pts, h)
-    eigs = np.linalg.eigvalsh(sym)
+    _, close = _stencil_room(plan, pts, h)
+    skipped = int(np.sum(close))
+    eigs = np.linalg.eigvalsh(_fd_hessians(plan, pts[~close], h))
     keep = eigs[:, 0] > 0.0
     flagged = int(np.sum(~keep))
-    sym, eigs = sym[keep], eigs[keep]
+    eigs = eigs[keep]
     spectra = np.log(eigs[:, ::-1], out=np.empty(eigs.shape, order="F"))
     return SpectralSampleSet(
         spectra=spectra,
-        weights=_unit_weights(spectra.shape[0]),
-        hessians=sym,
         flagged=flagged,
         skipped=skipped,
         approximate=True,
@@ -480,14 +470,13 @@ def _per_block(a, sizes=None):
     return out
 
 
-def _moment_blocks(values, weights, sizes=None):
-    """Per-block sums of w, w v and w v^2; ``weights`` broadcast against ``values``."""
-    if values.shape[0] == 0:
-        raise ValueError("sample set is empty (all draws flagged or skipped)")
-    wv = weights * values
-    s1 = _per_block(wv, sizes)
-    wv *= values
-    return _per_block(weights, sizes), s1, _per_block(wv, sizes)
+def _moment_blocks(values, sizes):
+    """Per-block row counts and sums of v and v^2, for the blocks of ``sizes``.
+
+    The counts are shaped to broadcast against the sums.
+    """
+    counts = np.reshape(np.array(sizes, float), (-1,) + (1,) * (values.ndim - 1))
+    return counts, _per_block(values, sizes), _per_block(values * values, sizes)
 
 
 def _stacked(runs):
@@ -530,7 +519,7 @@ def variance_report(samples):
     var, se = _jackknife(
         _variance_from_sums,
         _stacked(
-            _moment_blocks(samples.spectra[rows], samples.weights[rows, None], sizes)
+            _moment_blocks(samples.spectra[rows], sizes)
             for _, sizes, rows in _runs(samples.count)
         ),
         lambda s0, s1, s2: s0 > 0.0,
@@ -578,8 +567,7 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     catalog's integrable endpoint blowups.  The report's truncation
     field bounds the ignored tail contribution by tail mass times the
     squared observed log-range, and any non-finite node is dropped into
-    the same budget.  The weighted moments are summed over the jackknife
-    blocks, as for Monte Carlo sets.
+    the same budget.  The moments are plain weighted sums over the nodes.
     """
     if tm.dim != 1:
         raise ValueError("quadrature variance is for one-dimensional maps")
@@ -588,10 +576,13 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     vals = tm.log_second_derivative(x)
     good = np.isfinite(vals)
     dropped = float(np.sum(w[~good]))
+    if not np.any(good):
+        raise ValueError("sample set is empty (every quadrature node is non-finite)")
     vals, w = vals[good], w[good]
-    var = _variance_from_sums(*_totals(_moment_blocks(vals[:, None], w[:, None])))
+    wv = w * vals
+    var = _variance_from_sums(np.sum(w), np.sum(wv), np.sum(wv * vals))
     return VarianceReport(
-        variances=var,
+        variances=np.atleast_1d(var),
         standard_errors=np.zeros(1),
         sample_count=vals.size,
         flagged=int(np.sum(~good)),
@@ -616,10 +607,9 @@ def _evaluations(f, stack):
 
 def _ratio_report(samples, f, stack):
     """Var[f] over 4 E|grad f|^2 on one stack of the samples, with its error."""
-    w = samples.weights
     blocks = _stacked(
-        (*_moment_blocks(value, w[rows], sizes), _per_block(w[rows] * grad_sq, sizes))
-        for rows, sizes, value, grad_sq in _evaluations(f, stack)
+        (*_moment_blocks(value, sizes), _per_block(grad_sq, sizes))
+        for _, sizes, value, grad_sq in _evaluations(f, stack)
     )
     t0, t1, t2, tg = _totals(blocks)
     num = float(_variance_from_sums(t0, t1, t2))
@@ -656,26 +646,27 @@ def exp_concentration(samples, f, c):
 
     ``c`` is one constant, which returns a float, or a sequence of them,
     which returns a list with one moment per constant.  A sequence
-    evaluates ``f`` and the weighted mean once for all of its constants,
-    and its moments take one ``exp`` pass per pairwise-sum leaf for all
-    the distinct finite constants at once: a (constants, leaf rows) stack
-    of ``c |f - mean|``, exponentiated and weighted in place and summed
-    along its rows.  Each moment equals the scalar call's bit for bit.
+    evaluates ``f`` and the mean once for all of its constants.  The mean
+    is the block-order total of the per-block sums of f over the count,
+    and each moment the block-order total of the per-block sums of
+    exp(c |f - mean|) / count.  Each term is scaled by 1 / count before it
+    is summed, so a moment overflows only when a term does.  Each run of
+    blocks takes one ``exp`` pass for all the distinct finite constants at
+    once, over a (constants, run rows) stack whose rows are summed block
+    by block.
     """
     scalar = np.ndim(c) == 0
     cs = [float(c)] if scalar else [float(x) for x in c]
     if any(x <= 0.0 for x in cs):
         raise ValueError("exponential concentration needs c > 0")
-    values = np.empty(samples.count)
-    for rows, _, value, _ in _evaluations(f, samples.spectra):
+    n = samples.count
+    values = np.empty(n)
+    sums = []
+    for rows, sizes, value, _ in _evaluations(f, samples.spectra):
         values[rows] = value
-    total = np.sum(samples.weights)
-
-    def share(rows):
-        return samples.weights[rows] / total
-
-    center = float(_pairwise_sum(lambda rows: values[rows] * share(rows), samples.count))
-    a = np.abs(np.subtract(values, center, out=values), out=values)
+        sums.append((_per_block(value, sizes),))
+    (total,) = _totals(_stacked(sums))
+    a = np.abs(np.subtract(values, total / n, out=values), out=values)
     # c * max|f - mean| equals max(c |f - mean|) bit for bit, since rounding
     # is monotone, so the overflow test needs no product array
     top = float(np.max(a, initial=0.0))
@@ -683,34 +674,18 @@ def exp_concentration(samples, f, c):
     live = [x for x in moments if not x * top > 700.0]
     if live:
         k, col = len(live), np.array(live)[:, None]
-        buf = np.empty(k * min(samples.count, _RUN_ROWS))
-
-        def term(rows):
+        runs = list(_runs(n))
+        buf = np.empty(k * max(rows.stop - rows.start for *_, rows in runs))
+        sums = []
+        for _, sizes, rows in runs:
             b = buf[: k * (rows.stop - rows.start)].reshape(k, -1)
             np.multiply(col, a[rows], out=b)
             np.exp(b, out=b)
-            b *= share(rows)
-            return b
-
-        moments.update(zip(live, _pairwise_sum(term, samples.count).tolist()))
+            b *= 1.0 / n
+            sums.append((_per_block(b.T, sizes),))
+        (totals,) = _totals(_stacked(sums))
+        moments.update(zip(live, totals.tolist()))
     return moments[cs[0]] if scalar else [moments[x] for x in cs]
-
-
-def _pairwise_sum(term, n, lo=0):
-    """``np.sum(term(slice(lo, lo + n)), axis=-1)``, bit for bit.
-
-    The terms lie along the last axis: a vector sums to a scalar, a
-    contiguous (k, n) stack to one sum per row.  numpy sums each contiguous
-    float row pairwise: a part of more than 128 terms is split at half its
-    length rounded down to a multiple of 8, and the two halves are summed
-    the same way.  Following those splits down to leaves of at most
-    ``_RUN_ROWS`` terms gives the same additions, row by row, while only
-    one leaf's terms are held at a time.
-    """
-    if n <= _RUN_ROWS:
-        return np.sum(term(slice(lo, lo + n)), axis=-1)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(term, half, lo) + _pairwise_sum(term, n - half, lo + half)
 
 
 # ------------------------------------------------------------ curvature floor

@@ -518,6 +518,17 @@ def _fd_hessians(plan, x, h):
     return 0.5 * (jac + np.swapaxes(jac, -2, -1))
 
 
+def _stencil_room(plan, x, h):
+    """Each point's distance to the source box boundary, and whether it is
+    under 2h, where the difference stencil would see the one-sided geometry.
+
+    Points of shape (..., 2) give two arrays of shape (...).
+    """
+    (x0, x1), (y0, y1) = plan.source.box
+    margin = np.minimum.reduce([x[..., 0] - x0, x1 - x[..., 0], x[..., 1] - y0, y1 - x[..., 1]])
+    return margin, margin < 2.0 * h
+
+
 def _first(bad, x):
     """The first flagged point of x, named by its index in a stack."""
     idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -537,9 +548,7 @@ def hessian_fd(plan, x, h=None):
     """
     x = np.asarray(x, dtype=float)
     h = _fd_step(plan, h)
-    (x0, x1), (y0, y1) = plan.source.box
-    margin = np.minimum.reduce([x[..., 0] - x0, x1 - x[..., 0], x[..., 1] - y0, y1 - x[..., 1]])
-    close = margin < 2.0 * h
+    margin, close = _stencil_room(plan, x, h)
     if np.any(close):
         idx, at = _first(close, x)
         raise ValueError(

@@ -1446,13 +1446,11 @@ class _Regularized1D(LogConcaveMeasure1D):
         self._y_cuts = tuple(
             k for k in base._kink_points if self._ylo < k < self._yhi
         )
-        self._log_z = self._log_weight_integral()
-        m1 = self._weight_moment(1)
-        m2 = self._weight_moment(2)
+        self._build_node_table()
+        m1, m2 = self._weight_moments
         mean = self._shrink * m1
         var = self._shrink**2 * (m2 - m1**2) + self._tau2
         self._approx_mean, self._approx_std = mean, math.sqrt(var)
-        self._build_node_table()
         self._build_quantile_table()
         self._validate()
 
@@ -1469,25 +1467,6 @@ class _Regularized1D(LogConcaveMeasure1D):
             + math.log(self._tau / self.sig)
         )
 
-    def _log_weight_integral(self):
-        peak = max(np.max(self._log_weight(np.linspace(self._ylo, self._yhi, 201))), -700.0)
-        val = _integrate(
-            lambda y: np.exp(self._log_weight(y) - peak),
-            self._ylo,
-            self._yhi,
-            kinks=self._y_cuts,
-        )
-        return peak + math.log(val)
-
-    def _weight_moment(self, k):
-        peak = self._log_z
-        return _integrate(
-            lambda y: y**k * np.exp(self._log_weight(y) - peak),
-            self._ylo,
-            self._yhi,
-            kinks=self._y_cuts,
-        )
-
     # -- shared node table for the batched cdf/pdf paths -------------------
     def _build_node_table(self):
         """Panel Gauss-Legendre nodes in y, reused by every cdf/pdf call.
@@ -1501,7 +1480,9 @@ class _Regularized1D(LogConcaveMeasure1D):
         such as the factor y**(s - 1) of a gamma base with non-integer
         shape s.  On an infinite side the table ends at the base's 1e-15
         quantile, which drops less than 1e-15 of the mass.  The potential
-        oracles share the panel rule, not the table.
+        oracles share the panel rule, not the table.  The table's sums also
+        give the weight's log normalizer ``_log_z`` and its first two
+        normalized moments ``_weight_moments``.
         """
         edges = np.unique(
             np.concatenate(
@@ -1519,7 +1500,16 @@ class _Regularized1D(LogConcaveMeasure1D):
             qs.append(q)
         self._node_y = np.concatenate(ys)
         self._node_q = np.concatenate(qs)
-        self._node_cdf_w = np.exp(self._log_weight(self._node_y) - self._log_z) * self._node_q
+        with np.errstate(divide="ignore"):
+            log_q = np.log(self._node_q)
+        log_w = self._log_weight(self._node_y)
+        log_wq = log_w + log_q
+        peak = np.max(log_wq)
+        self._log_z = float(peak + np.log(np.sum(np.exp(log_wq - peak))))
+        self._node_cdf_w = np.exp(log_w - self._log_z) * self._node_q
+        self._weight_moments = tuple(
+            float(np.sum(self._node_y**k * self._node_cdf_w)) for k in (1, 2)
+        )
         # cdf: ndtr((t - y')/tau) at the shrunk nodes y' = shrink y is
         # exactly 1.0 up to _NDTR_ONE tau below t, and exactly 0 from
         # _NDTR_ZERO tau above it; the window holds the most nodes any
@@ -1538,8 +1528,6 @@ class _Regularized1D(LogConcaveMeasure1D):
         # spread being the range of z's node part; inside the table d_near
         # is at most half the widest gap, and outside it the window is the
         # one at the nearer end
-        with np.errstate(divide="ignore"):
-            log_q = np.log(self._node_q)
         self._node_logterm = -np.atleast_1d(self.base.potential(self._node_y)) + log_q
         spread = np.ptp(self._node_logterm)
         gap = np.max(np.diff(self._node_y), initial=0.0)

@@ -403,6 +403,13 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [r.name for r in report.records if not r.passed] == []
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["poincare", "concentration"])
+    def test_sampled_kinds_pass_at_seed(self, kind, seed):
+        cfg = config_from_dict({"kind": kind, "samples": 20_000, "seed": seed})
+        report = run_experiment(cfg)
+        assert [r.name for r in report.records if not r.passed] == []
+
     def test_geodesic_endpoints_are_consecutive_draws(self):
         # each dimension's endpoints, factored as one stack, are bit for bit
         # the random_spd pairs drawn one at a time from the same stream

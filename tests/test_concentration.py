@@ -43,6 +43,7 @@ from otspec.entropic import (
     GridMeasure,
     default_eps_schedule,
     discretize,
+    hessian_fd,
     sinkhorn_solve,
 )
 from otspec.measures import (
@@ -243,11 +244,10 @@ class TestSampleSets:
         assert samples.spectra.shape == (500, tm.dim)
 
     def test_column_major_spectra_are_kept_without_copy(self):
-        w = np.ones(4)
         spectra = np.asfortranarray(np.arange(8.0).reshape(4, 2))
-        assert np.shares_memory(SpectralSampleSet(spectra, w).spectra, spectra)
+        assert np.shares_memory(SpectralSampleSet(spectra).spectra, spectra)
         rows = np.arange(8.0).reshape(4, 2)
-        kept = SpectralSampleSet(rows, w).spectra
+        kept = SpectralSampleSet(rows).spectra
         assert kept.flags.f_contiguous and np.array_equal(kept, rows)
 
     def test_minimum_sample_count(self, product_map):
@@ -257,11 +257,11 @@ class TestSampleSets:
     def test_container_validation(self):
         good = np.zeros((4, 2))
         with pytest.raises(ValueError, match="finite"):
-            SpectralSampleSet(good + np.inf, np.ones(4))
-        with pytest.raises(ValueError, match="nonnegative"):
-            SpectralSampleSet(good, np.array([1.0, -1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="lengths"):
-            SpectralSampleSet(good, np.ones(3))
+            SpectralSampleSet(good + np.inf)
+        # the fields after the spectra are keyword-only, so a positional
+        # second array is refused rather than taken for the Hessians
+        with pytest.raises(TypeError):
+            SpectralSampleSet(good, np.ones(4))
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -369,9 +369,13 @@ class TestMonteCarloVariance:
             assert np.all(rep.standard_errors > 0.0)
 
     def test_empty_set_is_refused(self):
-        empty = SpectralSampleSet(np.zeros((0, 2)), np.zeros(0), flagged=5)
+        empty = SpectralSampleSet(np.zeros((0, 2)), flagged=5)
         with pytest.raises(ValueError, match="empty"):
             variance_report(empty)
+        with pytest.raises(ValueError, match="empty"):
+            poincare_ratio(empty, function_bank(2)[0])
+        with pytest.raises(ValueError, match="empty"):
+            exp_concentration(empty, function_bank(2)[0], 0.1)
 
 
 class TestFunctionBank:
@@ -620,9 +624,18 @@ class TestExpConcentration:
     def test_overflow_reports_infinity(self):
         spectra = np.zeros((100, 1))
         spectra[0, 0] = 2e4
-        samples = SpectralSampleSet(spectra, np.ones(100))
+        samples = SpectralSampleSet(spectra)
         f = function_bank(1)[0]
         assert math.isinf(exp_concentration(samples, f, 0.5))
+
+    def test_terms_are_scaled_before_they_are_summed(self):
+        # every term is e^699 / count, so the moment is e^699, though the
+        # count of terms times e^699 overflows
+        spectra = np.full((1_000_000, 1), 699.0)
+        spectra[1::2] = -699.0
+        got = exp_concentration(SpectralSampleSet(spectra), function_bank(1)[0], 1.0)
+        assert math.isfinite(got)
+        assert abs(got - math.exp(699.0)) <= 1e-15 * math.exp(699.0)
 
     def test_sequence_equals_scalar_calls(self, radial_samples):
         cs = (0.1, 0.02, 0.04, 0.5)
@@ -631,7 +644,7 @@ class TestExpConcentration:
             assert got == [exp_concentration(radial_samples, f, c) for c in cs]
         spectra = np.zeros((100, 1))
         spectra[0, 0] = 2e4
-        samples = SpectralSampleSet(spectra, np.ones(100))
+        samples = SpectralSampleSet(spectra)
         f = function_bank(1)[0]
         got = exp_concentration(samples, f, np.array([0.01, 0.5]))
         assert got == [exp_concentration(samples, f, 0.01), math.inf]
@@ -639,13 +652,18 @@ class TestExpConcentration:
 
     @staticmethod
     def _direct(samples, f, cs):
-        # sum(w exp(c |f - mean|)), inf once max(c |f - mean|) exceeds 700,
-        # computed as written for each c
+        # a loop over the jackknife blocks, for each c: the mean is the sum
+        # of f over each block, added in block order, over the count n, and
+        # the moment the sum of exp(c |f - mean|) * (1 / n) over each block,
+        # added in block order; inf once max(c |f - mean|) exceeds 700
+        n = samples.count
         values = f.evaluate(samples.spectra)[0]
-        w = samples.weights / np.sum(samples.weights)
-        a = np.abs(values - float(np.sum(w * values)))
+        blocks = np.array_split(np.arange(n), _BLOCKS)
+        a = np.abs(values - sum(np.sum(values[b]) for b in blocks) / n)
         return [
-            math.inf if float(np.max(c * a)) > 700.0 else float(np.sum(w * np.exp(c * a)))
+            math.inf
+            if float(np.max(c * a)) > 700.0
+            else float(sum(np.sum(np.exp(c * a[b]) * (1.0 / n)) for b in blocks))
             for c in cs
         ]
 
@@ -667,10 +685,10 @@ class TestExpConcentration:
             exp_concentration(samples, f, cs)
         return len(sizes) - own[0], sum(sizes) - own[1]
 
-    def _check_moments(self, monkeypatch, samples, cs, leaves):
-        # the moments agree bit for bit with the direct formula, and with
-        # the scalar calls.  A moment set makes one exp call per pairwise
-        # leaf for all its constants, over (distinct finite constants) x n
+    def _check_moments(self, monkeypatch, samples, cs, runs):
+        # the moments agree bit for bit with the per-block loop, and with
+        # the scalar calls.  A moment set makes one exp call per run of
+        # blocks for all its constants, over (distinct finite constants) x n
         # elements: a repeated constant (the gating 0.1 also sits in the
         # default c_grid) reuses its moment
         overflowed = 0
@@ -681,7 +699,7 @@ class TestExpConcentration:
             finite = len({c for c, m in zip(cs, want) if math.isfinite(m)})
             overflowed += finite < len(set(cs))
             assert self._exp_use(monkeypatch, samples, f, cs) == (
-                leaves if finite else 0,
+                runs if finite else 0,
                 finite * samples.count,
             )
         assert overflowed > 0
@@ -690,21 +708,20 @@ class TestExpConcentration:
         r = rng.stream(2024, 70)
         spectra = np.asfortranarray(r.standard_normal((1000, 3)))
         spectra[7, 0] = 900.0
-        samples = SpectralSampleSet(spectra, r.uniform(0.5, 2.0, size=1000))
+        samples = SpectralSampleSet(spectra)
         cs = (0.1, 0.02, 0.1, 0.5, 0.77, 0.78, 1.5, 0.5, 0.1)
-        self._check_moments(monkeypatch, samples, cs, leaves=1)
+        self._check_moments(monkeypatch, samples, cs, runs=1)
 
-    @pytest.mark.parametrize("unit", [True, False])
-    @pytest.mark.parametrize("n, leaves", [(20_001, 2), (100_003, 8)])
-    def test_moments_match_the_direct_formula_across_leaves(self, monkeypatch, n, leaves, unit):
-        # the moment stack is summed leaf by leaf down the pairwise tree;
-        # the planted outlier sits in a middle leaf
+    @pytest.mark.parametrize("n, runs", [(20_001, 1), (100_003, 5)])
+    def test_moments_match_the_direct_formula_across_runs(self, monkeypatch, n, runs):
+        # the moment stack is summed run by run; the planted outlier sits
+        # in a middle run
+        assert len(list(concentration._runs(n))) == runs
         r = rng.stream(2024, 71)
         spectra = np.asfortranarray(r.standard_normal((n, 3)))
         spectra[n // 2 + 3, 0] = 900.0
-        weights = concentration._unit_weights(n) if unit else r.uniform(0.5, 2.0, size=n)
-        samples = SpectralSampleSet(spectra, weights)
-        self._check_moments(monkeypatch, samples, (0.1, 0.02, 0.77, 0.1, 0.78, 1.5), leaves)
+        samples = SpectralSampleSet(spectra)
+        self._check_moments(monkeypatch, samples, (0.1, 0.02, 0.77, 0.1, 0.78, 1.5), runs)
 
     @pytest.mark.parametrize("cs", [(0.1, 0.0), (-0.5, 0.1, 0.2), [0.1, 0.2, -1e-300]])
     def test_sequence_requires_every_constant_positive(self, product_samples, cs):
@@ -738,16 +755,14 @@ class TestBlockPartials:
     @pytest.mark.parametrize("n", [7, 51, 1007])
     def test_variance_report_matches_per_block_loop(self, n):
         # the statistics as a Python loop over the blocks computed them:
-        # partial sums per block, totals added in block order, and one
-        # leave-one-out variance per block; the reports agree bit for bit
+        # row counts and partial sums per block, totals added in block
+        # order, and one leave-one-out variance per block; the reports agree
+        # bit for bit
         s = rng.stream(6, n)
         spectra = np.asfortranarray(s.standard_normal((n, 3)))
-        weights = s.uniform(0.5, 2.0, size=n)
         parts = [
-            (float(np.sum(w)), np.sum(w * v, axis=0), np.sum(w * v * v, axis=0))
-            for w, v in zip(
-                np.array_split(weights[:, None], _BLOCKS), np.array_split(spectra, _BLOCKS)
-            )
+            (float(len(v)), np.sum(v, axis=0), np.sum(v * v, axis=0))
+            for v in np.array_split(spectra, _BLOCKS)
         ]
         t0, t1, t2 = (sum(p[i] for p in parts) for i in range(3))
 
@@ -756,7 +771,7 @@ class TestBlockPartials:
 
         thetas = np.asarray([var(t0 - p0, t1 - p1, t2 - p2) for p0, p1, p2 in parts])
         dev = thetas - np.mean(thetas, axis=0)
-        rep = variance_report(SpectralSampleSet(spectra, weights))
+        rep = variance_report(SpectralSampleSet(spectra))
         assert np.array_equal(rep.variances, var(t0, t1, t2))
         assert np.array_equal(rep.standard_errors, np.sqrt(0.98 * np.sum(dev * dev, axis=0)))
 
@@ -816,19 +831,9 @@ class TestRunsOfBlocks:
             got = concentration._stacked((_per_block(a[rows], sizes),) for _, sizes, rows in runs)
             assert np.array_equal(got[0], _per_block(a))
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 20_000, 20_001, 100_003, 1_000_007])
-    def test_pairwise_sum_is_numpys_sum(self, n):
-        a = rng.stream(9, n).standard_normal(n) * np.exp(rng.stream(10, n).uniform(-30.0, 30.0, n))
-        assert concentration._pairwise_sum(lambda rows: a[rows], n) == np.sum(a)
-        # a (k, n) stack of terms sums row by row: each row as np.sum of it
-        stack = np.stack([a, a[::-1], np.cos(a)])
-        got = concentration._pairwise_sum(lambda rows: np.ascontiguousarray(stack[:, rows]), n)
-        assert got.shape == (3,)
-        assert all(g == np.sum(row) for g, row in zip(got, stack))
-
     def test_statistics_match_one_run(self, monkeypatch):
-        # every report on 20_003 draws in runs of 5 blocks (and pairwise
-        # sums cut at 2,000 terms) equals the one-run report
+        # every report on 20_003 draws in runs of 5 blocks equals the
+        # one-run report
         tm = brenier_radial(
             make_radial_measure("uniform-ball", 3), make_radial_measure("gaussian", 3)
         )
@@ -978,6 +983,29 @@ class TestEntropicSamples:
         b = entropic_spectral_samples(plan, g, 500, seed=5)
         assert np.array_equal(a.spectra, b.spectra)
         assert a.skipped == b.skipped
+
+    @pytest.mark.parametrize("axis, side", [(0, 0), (1, 1)])
+    def test_stencil_margin_verdict_matches_hessian_fd(self, self_plan, axis, side):
+        # a point placed 2h inside a box edge by the floating-point sum
+        # (edge -+ 2h) lies a rounding error closer to the edge than 2h at
+        # h = 0.2, and both the sampler and hessian_fd refuse it
+        _, plan = self_plan
+        h = 0.2
+        edge = plan.source.box[axis][side]
+        x = np.zeros(2)
+        x[axis] = edge + 2.0 * h if side == 0 else edge - 2.0 * h
+        assert abs(x[axis] - edge) < 2.0 * h
+
+        class Fixed:
+            name = "fixed"
+
+            def sample(self, gen, size):
+                return np.tile(x, (size, 1))
+
+        samples = entropic_spectral_samples(plan, Fixed(), 50, seed=0, h=h)
+        with pytest.raises(ValueError, match="too close"):
+            hessian_fd(plan, x, h=h)
+        assert samples.skipped == 50 and samples.count == 0
 
     def test_degenerate_plan_flags_everything(self):
         xs = np.linspace(-1.0, 1.0, 8)
