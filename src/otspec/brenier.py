@@ -45,9 +45,14 @@ class TransportMap:
 
     Subclasses implement ``map_points`` (vectorized T), ``hessian``
     (the Hessians at points of shape (..., n), as an array of shape
-    (..., n, n)) and ``log_spectra`` (batched descending log-eigenvalues
+    (..., n, n)), ``log_spectra`` (batched descending log-eigenvalues
     of the Hessian, as a column-major (m, n) array, so that each index's
-    values are contiguous).
+    values are contiguous) and ``_coupled_log_spectra(gen, size)``: the
+    log-spectra at ``size`` source draws, computed from only the draws of
+    ``gen`` the spectrum depends on.  It makes the requests the source's
+    ``sample`` would make, in the same order, up to the last one it needs,
+    so each draw's spectrum is ``log_spectra`` of the point ``sample``
+    would give, up to rounding.
     """
 
     kind = "abstract"
@@ -67,6 +72,9 @@ class TransportMap:
         raise NotImplementedError
 
     def log_spectra(self, x):
+        raise NotImplementedError
+
+    def _coupled_log_spectra(self, gen, size):
         raise NotImplementedError
 
     def __repr__(self):
@@ -112,6 +120,18 @@ class Map1D(TransportMap):
             x = x[:, 0]
         return self.log_second_derivative(x)[:, None]
 
+    def _coupled_log_d2(self, u):
+        """log Phi'' at the source's u-quantile, for quantile levels u.
+
+        The monotone coupling pairs F^{-1}(u) with G^{-1}(u), so no CDF is
+        evaluated to recover u.
+        """
+        t = self.target.quantile(np.clip(u, _EDGE, 1.0 - _EDGE))
+        return self._log_d2(self.source.quantile(u), t)
+
+    def _coupled_log_spectra(self, gen, size):
+        return self._coupled_log_d2(gen.uniform(size=size))[:, None]
+
 
 class LinearMap(TransportMap):
     """T(x) = A (x - m1) + m2 between Gaussians; constant Hessian A.
@@ -138,6 +158,11 @@ class LinearMap(TransportMap):
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.broadcast_to(self._log_spec, (x.shape[0], self.dim)).copy(order="F")
+
+    def _coupled_log_spectra(self, gen, size):
+        """The constant spectrum in every row, as a read-only view; ``gen``
+        is not read."""
+        return np.broadcast_to(self._log_spec, (size, self.dim))
 
 
 class ProductMap(TransportMap):
@@ -175,23 +200,36 @@ class ProductMap(TransportMap):
         return out
 
     def log_spectra(self, x):
-        """The factors' log Phi_i'' in decreasing order, column-major.
-
-        An odd-even transposition network of n rounds orders each row: a
-        compare-exchange is one ``np.maximum``/``np.minimum`` pair on two
-        contiguous columns, which for a few columns is several times faster
-        than sorting the rows, with the same values.
-        """
+        """The factors' log Phi_i'' in decreasing order, column-major."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        s = self._factor_log_d2(x)
-        n = s.shape[1]
-        for first in range(n):
-            for i in range(first % 2, n - 1, 2):
-                a, b = s[:, i], s[:, i + 1]
-                big = np.maximum(a, b)
-                np.minimum(a, b, out=b)
-                a[...] = big
-        return s
+        return _sort_rows_descending(self._factor_log_d2(x))
+
+    def _coupled_log_spectra(self, gen, size):
+        """One uniform request per factor, in factor order, as the source's
+        ``sample`` makes them."""
+        s = np.empty((size, self.dim), order="F")
+        for i, f in enumerate(self.factors):
+            s[:, i] = f._coupled_log_d2(gen.uniform(size=size))
+        return _sort_rows_descending(s)
+
+
+def _sort_rows_descending(s):
+    """Sorts each row of the column-major (m, n) array ``s`` in place,
+    largest first, and returns it.
+
+    An odd-even transposition network of n rounds orders each row: a
+    compare-exchange is one ``np.maximum``/``np.minimum`` pair on two
+    contiguous columns, which for a few columns is several times faster
+    than sorting the rows, with the same values.
+    """
+    n = s.shape[1]
+    for first in range(n):
+        for i in range(first % 2, n - 1, 2):
+            a, b = s[:, i], s[:, i + 1]
+            big = np.maximum(a, b)
+            np.minimum(a, b, out=b)
+            a[...] = big
+    return s
 
 
 class RadialMap(TransportMap):
@@ -286,11 +324,21 @@ class RadialMap(TransportMap):
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        lam_rad, lam_tan = self._eigen_pair(self._radii(x), fast=True)
+        return self._radial_log_spectra(self._radii(x))
+
+    def _coupled_log_spectra(self, gen, size):
+        """Spectra at the radii of the source's draws: the radius uniforms
+        come first in ``sample``, and no direction is drawn."""
+        return self._radial_log_spectra(self.source.radial_quantile(gen.uniform(size=size)))
+
+    def _radial_log_spectra(self, r):
+        """Descending log-spectra at the radii r of shape (m,), as a
+        column-major (m, n) array."""
+        lam_rad, lam_tan = self._eigen_pair(r, fast=True)
         log_rad, log_tan = np.log(lam_rad), np.log(lam_tan)
         # the tangential value fills every index but the two ends, which
         # hold the larger and the smaller of the two distinct values
-        spectra = np.empty((x.shape[0], self.dim), order="F")
+        spectra = np.empty((r.shape[0], self.dim), order="F")
         np.maximum(log_rad, log_tan, out=spectra[:, 0])
         spectra[:, 1:-1] = log_tan[:, None]
         np.minimum(log_rad, log_tan, out=spectra[:, -1])

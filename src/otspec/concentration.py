@@ -13,9 +13,12 @@ bit for bit:
   RNG streams keyed (seed, block); generation could run per block in
   parallel without changing a single draw.  Draws, spectra and bank
   evaluations run over runs of consecutive whole blocks of about
-  ``_RUN_ROWS`` rows: a run's block streams are fanned out into one
-  ``sample`` call (one inverse-CDF solve per 1-D factor), and only the
-  spectra stack (and the Hessian stack, when kept) spans the whole set.
+  ``_RUN_ROWS`` rows.  A run's block streams go to the map, which draws
+  only the uniforms its spectrum depends on (one inverse-CDF solve per
+  1-D factor, the radius of a radial map, nothing for a Gaussian-linear
+  map); points are drawn, by one ``sample`` call per run, only where they
+  are read: for kept Hessians and for entropic sets.  Only the spectra
+  stack (and the Hessian stack, when kept) spans the whole set.
 * Sample spectra are column-major, one contiguous column per
   log-eigenvalue index, so a block's sum down a column is numpy's
   pairwise sum of that block's rows alone.
@@ -314,18 +317,21 @@ def matrix_function_bank(dim, directions=None):
 
 
 class _BlockStreams:
-    """The generator ``_draw`` hands to ``measure.sample`` for one run of blocks.
+    """The generator for one run of blocks, handed to ``measure.sample`` or
+    to a map's ``_coupled_log_spectra``.
 
     It has only ``uniform`` and ``standard_normal``, and takes only
     requests whose leading size is the whole run.  Each request is cut
     into the blocks' sizes and the rows of block ``first + b`` are drawn
     from ``rng.stream(seed, first + b)``, in block order, so every block
     stream yields the values it would yield to a per-block ``sample``
-    call, and the measure sees the whole run at once.
+    call, and the caller sees the whole run at once.  The block streams
+    are made at the first request, so a run that draws nothing makes none.
     """
 
     def __init__(self, seed, first, sizes):
-        self._streams = [rng.stream(seed, first + b) for b in range(len(sizes))]
+        self._key = seed, first
+        self._streams = None
         self._sizes = sizes
         self._rows = sum(sizes)
 
@@ -333,6 +339,9 @@ class _BlockStreams:
         shape = tuple(np.atleast_1d(size))
         if shape[0] != self._rows:
             raise ValueError(f"draws come in runs of {self._rows} rows, not {size}")
+        if self._streams is None:
+            seed, first = self._key
+            self._streams = [rng.stream(seed, first + b) for b in range(len(self._sizes))]
         out = np.empty(shape)
         lo = 0
         for stream, k in zip(self._streams, self._sizes):
@@ -376,43 +385,55 @@ def _runs(count):
         lo += sum(run)
 
 
-def _draw(measure, n_samples, seed):
-    """Draws from ``measure``, one (rows, n) array per run of ``_runs(n_samples)``.
+def _run_streams(n_samples, seed):
+    """``(_BlockStreams, rows)`` for each run of ``_runs(n_samples)``.
 
-    Block b comes from ``rng.stream(seed, b)``.  A run is one
-    ``measure.sample`` call through ``_BlockStreams``, so each 1-D factor
-    runs one inverse-CDF solve per run.  Runs are whole blocks because a
-    sampler may make several requests per call (normals, then uniforms):
-    a block split across runs would interleave them.
+    Block b draws from ``rng.stream(seed, b)``.  Runs are whole blocks
+    because a sampler may make several requests per call (radii, then
+    normals): a block split across runs would interleave them.
     """
     n_samples = int(n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
+    return [(_BlockStreams(seed, first, sizes), rows) for first, sizes, rows in _runs(n_samples)]
+
+
+def _draw(measure, n_samples, seed):
+    """Draws from ``measure``, one (rows, n) array per run of ``_runs(n_samples)``.
+
+    A run is one ``measure.sample`` call on its ``_BlockStreams``, so each
+    1-D factor runs one inverse-CDF solve per run.
+    """
     return (
-        measure.sample(_BlockStreams(seed, first, sizes), size=sum(sizes)).reshape(sum(sizes), -1)
-        for first, sizes, _ in _runs(n_samples)
+        measure.sample(gen, size=rows.stop - rows.start).reshape(rows.stop - rows.start, -1)
+        for gen, rows in _run_streams(n_samples, seed)
     )
 
 
 def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
     """Monte Carlo spectral observations of an analytic transport map.
 
-    The draws come run by run from ``_draw``; each run's log-spectra (and,
-    with ``keep_hessians``, its Hessians) fill the set's stacks, and its
-    points are dropped before the next run is drawn.
+    Each run's spectra come from ``tm._coupled_log_spectra`` on the run's
+    block streams: it reads only the uniforms the spectrum depends on (one
+    per draw and factor of a 1-D or product map, the radius of a radial
+    map's draw, none for a Gaussian-linear map), so no source point is
+    drawn.  With ``keep_hessians`` each run's points are drawn instead, by
+    one ``sample`` call on the same streams as ``_draw`` makes, and their
+    log-spectra and Hessians fill the set's stacks.
     """
-    runs = _draw(tm.source, n_samples, seed)
+    runs = _run_streams(n_samples, seed)
     n_samples = int(n_samples)
     spectra = np.empty((n_samples, tm.dim), order="F")
     hessians = np.empty((n_samples, tm.dim, tm.dim)) if keep_hessians else None
-    lo = 0
-    for pts in runs:
-        rows = slice(lo, lo + pts.shape[0])
-        spectra[rows] = tm.log_spectra(pts)
+    for gen, rows in runs:
+        size = rows.stop - rows.start
         if keep_hessians:
+            pts = tm.source.sample(gen, size=size).reshape(size, -1)
+            spectra[rows] = tm.log_spectra(pts)
             hessians[rows] = tm.hessian(pts)
-        lo = rows.stop
-        del pts
+            del pts
+        else:
+            spectra[rows] = tm._coupled_log_spectra(gen, size)
     return SpectralSampleSet(
         spectra=spectra,
         hessians=hessians,

@@ -965,6 +965,42 @@ class TestMain:
         assert len(rows) == 201
         assert float(rows[1][3]) != 0.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {
+                "kind": "radial",
+                "source": {"family": "uniform-ball", "dim": 5, "params": []},
+                "target": {"family": "gaussian", "dim": 5, "params": []},
+            },
+            {
+                "kind": "gaussian-linear",
+                "source": {"mean": [0.0, 0.0, 0.0], "cov": np.diag([1.0, 2.0, 0.5]).tolist()},
+                "target": {
+                    "mean": [0.3, 0.3, 0.3],
+                    "cov": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]],
+                },
+            },
+        ],
+        ids=["radial", "gaussian"],
+    )
+    def test_dump_samples_holds_the_sample_set(self, tmp_path, spec):
+        # one row per draw and log-eigenvalue index, each value the repr of
+        # the set's spectrum entry
+        path = _write(tmp_path, {"kind": "variance", "samples": 1007, "seed": 9, "map": spec})
+        assert main(["variance", "--config", path, "--dump-samples", "--out", str(tmp_path)]) == 0
+        (dump,) = tmp_path.glob("variance-*-samples.csv")
+        rows = list(csv.reader(io.StringIO(dump.read_text())))
+        label, tm = cli._build_map(config_from_dict({"kind": "variance", "map": spec}).map)
+        spectra = concentration.spectral_samples(tm, 1007, seed=9).spectra
+        assert rows[0] == ["experiment", "row", "index", "value"]
+        assert len(rows) == 1 + 1007 * tm.dim
+        assert rows[1:] == [
+            [label, str(i), str(j), repr(float(spectra[i, j]))]
+            for i in range(1007)
+            for j in range(tm.dim)
+        ]
+
     def test_invalid_flag_override_is_config_error(self, capsys):
         assert main(["variance", "--samples", "3"]) == 2
         assert "samples" in capsys.readouterr().err

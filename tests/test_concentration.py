@@ -216,6 +216,51 @@ class TestDraws:
         assert streams == [(3, b) for b in range(_BLOCKS)]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("unneeded draw")
+
+
+class TestCoupledDraws:
+    """A plain set draws only the uniforms its spectra depend on."""
+
+    @pytest.mark.parametrize("label", ["gaussian:n=3", "gaussian:n=5"])
+    def test_gaussian_linear_set_draws_nothing(self, monkeypatch, label):
+        ((_, tm),) = default_experiments([label])
+        for name in ("uniform", "standard_normal"):
+            monkeypatch.setattr(concentration._BlockStreams, name, _refuse)
+        monkeypatch.setattr(GaussianMeasure, "sample", _refuse)
+        monkeypatch.setattr(rng, "stream", _refuse)
+        samples = spectral_samples(tm, 100_003, seed=3)
+        assert np.array_equal(samples.spectra, np.broadcast_to(tm._log_spec, (100_003, tm.dim)))
+        # kept Hessians read the points, so the set draws them
+        with pytest.raises(AssertionError, match="unneeded draw"):
+            spectral_samples(tm, 1007, seed=3, keep_hessians=True)
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_radial_set_draws_no_direction(self, monkeypatch, dim):
+        tm = brenier_radial(
+            make_radial_measure("uniform-ball", dim), make_radial_measure("gaussian", dim)
+        )
+        monkeypatch.setattr(concentration._BlockStreams, "standard_normal", _refuse)
+        assert spectral_samples(tm, 100_003, seed=3).count == 100_003
+
+    def test_product_set_makes_one_uniform_request_per_factor_per_run(
+        self, product_map, monkeypatch
+    ):
+        requests = []
+        uniform = concentration._BlockStreams.uniform
+
+        def counted(self, size):
+            requests.append(size)
+            return uniform(self, size)
+
+        monkeypatch.setattr(concentration._BlockStreams, "uniform", counted)
+        monkeypatch.setattr(concentration._BlockStreams, "standard_normal", _refuse)
+        spectral_samples(product_map, 100_003, seed=3)
+        runs = [rows.stop - rows.start for *_, rows in concentration._runs(100_003)]
+        assert requests == [k for k in runs for _ in range(product_map.dim)]
+
+
 class TestSampleSets:
     def test_deterministic_given_seed(self, product_map):
         a = spectral_samples(product_map, 1000, seed=3)
@@ -776,13 +821,27 @@ class TestBlockPartials:
         assert np.array_equal(rep.standard_errors, np.sqrt(0.98 * np.sum(dev * dev, axis=0)))
 
 
-_RUN_LABELS = (
-    "1d:beta(2.0,3.0)->gaussian(0.0,1.0)",
-    "gaussian:n=3",
-    "gaussian:n=5",
-    "product:n=3",
-    "radial:ball->gaussian n=3",
-)
+# the largest difference allowed between a plain set's spectra, computed
+# from the coupling's uniforms, and the spectra of the same draws' points:
+# none where both paths compute the same numbers (a uniform source's CDF
+# returns its uniforms exactly, and a Gaussian-linear spectrum is one
+# constant); for the other 1-D and product maps, the point path's
+# roundoff in F(F^{-1}(u)), which moves the target quantile most near a
+# tail (at most 1.2e-11 on these draws); for radial maps, the radius r
+# against |r d| (at most 1.1e-11 on these draws).  Both grow with the
+# conditioning of the target quantile: at seeds 0-24, 1e5 draws, a few
+# draws whose quantile level lies within 1e-5 of 0 or 1 differ by up to
+# 5.1e-10 (1-D and product) and 8.1e-9 (radial)
+_RUN_TOLERANCES = {
+    "1d:uniform(0.0,1.0)->exponential(1.0)": 0.0,
+    "1d:beta(2.0,3.0)->gaussian(0.0,1.0)": 2e-11,
+    "gaussian:n=3": 0.0,
+    "gaussian:n=5": 0.0,
+    "product:n=3": 2e-11,
+    "radial:ball->gaussian n=3": 1e-10,
+    "radial:ball->gaussian n=8": 1e-10,
+}
+_RUN_LABELS = tuple(_RUN_TOLERANCES)
 
 
 @pytest.fixture(scope="module")
@@ -799,7 +858,8 @@ def _whole_set_oracle(tm, n, seed):
 
 
 class TestRunsOfBlocks:
-    """Runs of whole blocks give the whole-set results bit for bit."""
+    """Runs of whole blocks give the whole-set results: plain sets within
+    the coupling's roundoff, sets with kept Hessians bit for bit."""
 
     @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
     @pytest.mark.parametrize("label", _RUN_LABELS)
@@ -809,10 +869,29 @@ class TestRunsOfBlocks:
         plain = spectral_samples(tm, n, seed=41)
         assert plain.hessians is None
         assert plain.spectra.flags.f_contiguous
-        assert np.array_equal(plain.spectra, spectra)
+        assert np.max(np.abs(plain.spectra - spectra)) <= _RUN_TOLERANCES[label]
+        del plain
         kept = spectral_samples(tm, n, seed=41, keep_hessians=True)
         assert np.array_equal(kept.spectra, spectra)
         assert np.array_equal(kept.hessians, hessians)
+
+    @pytest.mark.parametrize("label", ["product:n=3", "radial:ball->gaussian n=8"])
+    def test_records_match_the_point_path(self, run_maps, label):
+        # every bank ratio and exponential moment on a plain set agrees with
+        # the same statistic on the spectra of the same draws' points; a
+        # ratio's jackknife error is a difference of near sums, so it keeps
+        # fewer of the spectra's digits
+        tm = run_maps[label]
+        plain = spectral_samples(tm, 20_000, seed=2024)
+        oracle = SpectralSampleSet(_whole_set_oracle(tm, 20_000, 2024)[0])
+        # the concentration kind's gating constant and its default sweep
+        cs = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
+        for f in function_bank(tm.dim):
+            got, want = poincare_ratio(plain, f), poincare_ratio(oracle, f)
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+            assert got.standard_error == pytest.approx(want.standard_error, rel=1e-10, abs=0.0)
+            got = exp_concentration(plain, f, cs)
+            assert got == pytest.approx(exp_concentration(oracle, f, cs), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, cap", [(51, 3), (1007, 70), (100_003, 6000), (100_003, 1)])
     def test_block_sums_by_run_match_the_whole_set(self, monkeypatch, n, cap):
