@@ -212,9 +212,46 @@ def _monotone_cubic(z, x, slope):
     )
 
 
-def _horner(cubic, t):
-    """The cubics of ``_monotone_cubic`` columns at offsets t = z - z_j."""
-    return cubic[0] + t * (cubic[1] + t * (cubic[2] + t * cubic[3]))
+def _quintic_hermite(z, x, slope, logslope):
+    """Quintic coefficients, in powers of (z - z_j), of x(z) on each cell.
+
+    Each cell's quintic matches x, dx/dz = ``slope`` and
+    d2x/dz2 = dx/dz (-z - (log pdf)'(x) dx/dz), from the density's
+    ``logslope``, at both of its nodes (Hoermann and Leydold 2003).  A
+    cell where a derivative is not finite, as next to an edge where the
+    density underflows to 0, takes the ``_monotone_cubic`` instead, padded
+    with zeros.  Column j is (x_j, c1, ..., c5).
+    """
+    h = np.diff(z)
+    poly = np.empty((6, h.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = slope * (-z - logslope * slope)
+        d0, s0 = slope[:-1], curve[:-1]
+        poly[0], poly[1], poly[2] = x[:-1], d0, 0.5 * s0
+        # what is left of the value, slope and curvature at z_j+1 once the
+        # quadratic Taylor part at z_j is taken off, each scaled by h**3
+        inv = 1.0 / h**3
+        rest = (np.diff(x) - h * (d0 + 0.5 * h * s0)) * inv
+        rest_d = (slope[1:] - d0 - h * s0) * (h * inv)
+        rest_s = (curve[1:] - s0) * (h * h * inv)
+        poly[3] = 10.0 * rest - 4.0 * rest_d + 0.5 * rest_s
+        poly[4] = (-15.0 * rest + 7.0 * rest_d - rest_s) / h
+        poly[5] = (6.0 * rest - 3.0 * rest_d + 0.5 * rest_s) / (h * h)
+    bad = ~np.all(np.isfinite(poly), axis=0)
+    if np.any(bad):
+        poly[:, bad] = 0.0
+        poly[:4, bad] = _monotone_cubic(z, x, slope)[:, bad]
+    return poly
+
+
+def _horner(poly, t):
+    """The polynomials of coefficient columns (lowest power first, as
+    ``_monotone_cubic`` and ``_quintic_hermite`` give them) at offsets
+    t = z - z_j."""
+    out = poly[-1]
+    for c in poly[-2::-1]:
+        out = c + t * out
+    return out
 
 
 def _cdf_slope(z, dens):
@@ -247,13 +284,14 @@ def _window_rows(arrays, width):
     return sliding_window_view(np.stack(arrays), width, axis=1)
 
 
-def _by_blocks(size, width, block):
+def _by_blocks(size, width, block, rows=()):
     """``block(lo, hi)`` over runs of ``size`` points whose windows, ``width``
-    nodes each, hold about ``_WINDOW_BLOCK`` elements together."""
-    out = np.empty(size)
+    nodes each, hold about ``_WINDOW_BLOCK`` elements together; a block
+    returns ``rows + (hi - lo,)`` values."""
+    out = np.empty(rows + (size,))
     step = max(1, _WINDOW_BLOCK // width)
     for lo in range(0, size, step):
-        out[lo:lo + step] = block(lo, lo + step)
+        out[..., lo:lo + step] = block(lo, lo + step)
     return out
 
 
@@ -291,9 +329,11 @@ class LogConcaveMeasure1D:
     ``_quantile_init``.  The others (gamma, beta, subbotin, the
     regularized measures and the radius laws of radial measures) build a
     table of their own CDF at construction
-    (``_build_quantile_table``) and start from a monotone cubic through it:
-    inverting an incomplete beta or gamma function costs 4 to 16 times a
-    ``cdf`` evaluation, and a node-table CDF has no inverse at all.
+    (``_build_quantile_table``) and start from a quintic Hermite
+    interpolant through it, which lands within rounding of the root for
+    most draws: inverting an incomplete beta or gamma function costs 4 to
+    16 times a ``cdf`` evaluation, and a node-table CDF has no inverse at
+    all.
 
     Attributes
     ----------
@@ -308,9 +348,10 @@ class LogConcaveMeasure1D:
     dim = 1
     has_d2 = True
     # the quantile start table, once built: the nodes (_tab_x, _tab_f,
-    # _tab_z), column j of ``_tab_cubic`` holding the cubic's coefficients
-    # on the cell [x_j, x_j+1], and z = ndtri(F) at the interior kinks
-    _tab_cubic = None
+    # _tab_z), column j of ``_tab_poly`` holding the coefficients of the
+    # quintic x(z) on the cell [x_j, x_j+1], and z = ndtri(F) at the
+    # interior kinks
+    _tab_poly = None
     _tab_kinks = ()
     _table_z_low = float(special.ndtri(1e-305))
 
@@ -329,6 +370,11 @@ class LogConcaveMeasure1D:
 
     def cdf(self, x):
         raise NotImplementedError
+
+    def _pdf_logslope(self, x):
+        """(pdf, d/dx log pdf) at points x inside the support, for the
+        quantile table's curvature; the slope is -V'."""
+        return self.pdf(x), -np.asarray(self.potential_d1(x), dtype=float)
 
     def pdf(self, x):
         x_in = np.asarray(x, dtype=float)
@@ -356,7 +402,7 @@ class LogConcaveMeasure1D:
 
         Families with a closed-form inverse override this and build no table.
         """
-        if self._tab_cubic is None:
+        if self._tab_poly is None:
             raise NotImplementedError(f"{self.name}: no quantile table was built")
         return self._quantile_start(p)[0]
 
@@ -369,7 +415,7 @@ class LogConcaveMeasure1D:
         bracket, and the solver searches one (``_bracket``) for the starts
         that do not settle.
         """
-        if self._tab_cubic is None:
+        if self._tab_poly is None:
             x = self._quantile_init(p)
             return x, np.full_like(x, -np.inf), np.full_like(x, np.inf)
         z = special.ndtri(p)
@@ -378,11 +424,11 @@ class LogConcaveMeasure1D:
         # one above it, and F_g > p tells which
         g = (self._table_w(z) * (1.0 / _TABLE_DW) + self._tab_g0).astype(np.intp)
         j = g - (p < np.take(self._tab_f, g, mode="clip"))
-        cubic = np.take(self._tab_cubic, j, axis=1, mode="clip")
+        poly = np.take(self._tab_poly, j, axis=1, mode="clip")
         t = z - np.take(self._tab_z, j, mode="clip")
-        x = _horner(cubic, t)
-        lo, hi = cubic[0], np.take(self._tab_x[1:], j, mode="clip")
-        # the cubic stays in its cell but for rounding
+        x = _horner(poly, t)
+        lo, hi = poly[0], np.take(self._tab_x[1:], j, mode="clip")
+        # the start is kept in its cell, which is its bracket
         np.clip(x, lo, hi, out=x)
         for side, out in enumerate((j < 0, j >= self._tab_f.size - 1)):
             if np.any(out):
@@ -437,9 +483,14 @@ class LogConcaveMeasure1D:
         finite edge, where x(z) bends most, up to a hundred of them) is
         moved by Newton steps in z.  The table is graded: its levels run
         finer near interior kinks, where x(z) is not smooth, and coarser in
-        the far lower tail.  The start of a quantile solve is the monotone
-        cubic through the nodes at z = ndtri(p) (Fritsch and Carlson 1980),
-        so p = F_j starts exactly at x_j.
+        the far lower tail.  The start of a quantile solve is, at
+        z = ndtri(p), the quintic on the cell that matches x, dx/dz and
+
+            d2x/dz2 = dx/dz (-z - (log pdf)'(x) dx/dz)
+
+        at both of its nodes (Hoermann and Leydold 2003), so p = F_j starts
+        exactly at x_j.  The density and its log-slope at the nodes come
+        from one ``_pdf_logslope`` call.
         """
         a, b = self.support
         center, scale = self._location_scale()
@@ -495,7 +546,7 @@ class LogConcaveMeasure1D:
         x = _horner(coarse[:, k], level - z[k])
         f = self.cdf(x)
         z = special.ndtri(f)
-        dens = self.pdf(x)
+        dens, logslope = self._pdf_logslope(x)
 
         def astray():
             return np.flatnonzero(~(np.abs(self._table_w(z) - w) <= 0.125 * _TABLE_DW))
@@ -507,7 +558,7 @@ class LogConcaveMeasure1D:
             x[off] += (level[off] - z[off]) * _cdf_slope(z[off], dens[off])
             f[off] = self.cdf(x[off])
             z[off] = special.ndtri(f[off])
-            dens[off] = self.pdf(x[off])
+            dens[off], logslope[off] = self._pdf_logslope(x[off])
             off = astray()
         if off.size:
             # a node still off its level, as where x runs out of doubles next
@@ -517,11 +568,13 @@ class LogConcaveMeasure1D:
                 raise ArithmeticError(f"{self.name}: the quantile table misses its median")
             first = max([k + 1 for k in off if k < mid], default=0)
             last = min([k for k in off if k > mid], default=w.size)
-            x, f, z, dens, w = (v[first:last] for v in (x, f, z, dens, w))
+            x, f, z, dens, logslope, w = (
+                v[first:last] for v in (x, f, z, dens, logslope, w)
+            )
         self._tab_g0 = 0.375 - w[0] / _TABLE_DW
         self._tab_x, self._tab_f, self._tab_z = x, f, z
         self._tab_ends = ((x[0], f[0], dens[0]), (x[-1], 1.0 - f[-1], dens[-1]))
-        self._tab_cubic = _monotone_cubic(z, x, _cdf_slope(z, dens))
+        self._tab_poly = _quintic_hermite(z, x, _cdf_slope(z, dens), logslope)
 
     def _bracket(self, p):
         """Per-element interval [lo, hi] with cdf(lo) ≤ p ≤ cdf(hi).
@@ -572,9 +625,10 @@ class LogConcaveMeasure1D:
         A start from the CDF table carries its table cell as its bracket; a
         closed-form start, or one outside the table, gets one from the
         bracket search, which runs only for the elements the start does not
-        settle.  A table start costs two ``cdf`` evaluations and one ``pdf``
-        evaluation for most draws: its cubic is accurate to about 1e-10 of
-        the cell, so one Newton step reaches the root.  A Newton step that
+        settle.  A table start costs one ``cdf`` evaluation and no ``pdf``
+        evaluation for most draws: its quintic lands within one spacing of p
+        (every one of 1e5 beta(2, 3) or gamma(3, 1) draws), and the rest are
+        a Newton step from the root.  A Newton step that
         leaves the bracket, or fails to halve the previous move, is replaced
         by bisection.  An element still active after 80 evaluations raises
         ``ArithmeticError``.
@@ -662,7 +716,7 @@ class LogConcaveMeasure1D:
         or the CDF table's nodes over the same range, which cost no solve."""
         count = 1000
         lo, hi = 1.0 / (count + 1), count / (count + 1.0)
-        if self._tab_cubic is not None:
+        if self._tab_poly is not None:
             return self._tab_x[(self._tab_f >= lo) & (self._tab_f <= hi)]
         return self.quantile(np.linspace(lo, hi, count))
 
@@ -1361,6 +1415,9 @@ class _RadialLaw(LogConcaveMeasure1D):
     def pdf(self, x):
         return self.radial.radial_pdf(x)
 
+    def _pdf_logslope(self, x):
+        return self.radial.radial_pdf(x), self.radial.radial_pdf_logslope(x)
+
     def _location_scale(self):
         q1, q2, q3 = self.radial.radial_quantile(np.array([0.25, 0.5, 0.75]))
         return float(q2), float(q3 - q1)
@@ -1687,23 +1744,41 @@ class _Regularized1D(LogConcaveMeasure1D):
         out = np.clip(np.where(upper, 1.0 - tail, tail), 0.0, 1.0)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
-    def pdf(self, x):
-        """Node-table density, summed over each point's window of nodes."""
-        x_in = np.asarray(x, dtype=float)
-        t = np.atleast_1d(x_in).astype(float).ravel()
+    def _window_density(self, t, logslope):
+        """Node-table density at the 1D points ``t``, each summed over its
+        window of nodes; with ``logslope``, stacked over d/dt log pdf,
+        -(t - E[y]) / sig2 - t / damp2, the mean taken under the window's
+        own terms, in the same pass."""
         width = self._pdf_window
         start = self._pdf_starts(t)
         shift = self._log_z + 0.5 * math.log(2.0 * math.pi * self.sig2)
 
         def block(lo, hi):
             y, logterm = self._pdf_rows[:, start[lo:hi]]
-            z = logterm - 0.5 * ((t[lo:hi, None] - y) / self.sig) ** 2
+            tb = t[lo:hi]
+            z = logterm - 0.5 * ((tb[:, None] - y) / self.sig) ** 2
             peak = np.max(z, axis=1, keepdims=True)
-            log_conv = peak[:, 0] + np.log(np.sum(np.exp(z - peak), axis=1))
-            return np.exp(log_conv - 0.5 * t[lo:hi] ** 2 / self.damp2 - shift)
+            terms = np.exp(z - peak)
+            total = np.sum(terms, axis=1)
+            log_conv = peak[:, 0] + np.log(total)
+            dens = np.exp(log_conv - 0.5 * tb**2 / self.damp2 - shift)
+            if not logslope:
+                return dens
+            mean = np.sum(terms * y, axis=1) / total
+            return dens, (mean - tb) / self.sig2 - tb / self.damp2
 
-        out = _by_blocks(t.size, width, block)
+        return _by_blocks(t.size, width, block, (2,) if logslope else ())
+
+    def pdf(self, x):
+        """Node-table density, summed over each point's window of nodes."""
+        x_in = np.asarray(x, dtype=float)
+        out = self._window_density(np.atleast_1d(x_in).astype(float).ravel(), False)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
+
+    def _pdf_logslope(self, x):
+        # from the pdf's own window pass: the potential_d1 oracle would run
+        # a tilted-moment rule per point
+        return tuple(self._window_density(np.asarray(x, dtype=float), True))
 
     def _total_mass(self):
         """Integral of ``pdf`` on one fixed panel rule: one ``pdf`` call.

@@ -260,6 +260,29 @@ class TestCoupledDraws:
         runs = [rows.stop - rows.start for *_, rows in concentration._runs(100_003)]
         assert requests == [k for k in runs for _ in range(product_map.dim)]
 
+    @pytest.mark.parametrize("label", ["1d:beta(2.0,3.0)->gaussian(0.0,1.0)", "product:n=3"])
+    def test_quantile_solves_settle_on_their_first_cdf_evaluation(self, monkeypatch, label):
+        # every 1-D factor solves its source and its target from a start
+        # that is the root but for rounding: a closed-form inverse, or the
+        # quintic of the CDF table (beta), so each draw of each solve costs
+        # one cdf element, not two
+        ((_, tm),) = default_experiments([label])
+        factors = tm.factors if tm.kind == "product" else [tm]
+        sizes = []
+
+        def counting(cdf):
+            def counted(x):
+                sizes.append(np.size(x))
+                return cdf(x)
+
+            return counted
+
+        for f in factors:
+            for m in (f.source, f.target):
+                monkeypatch.setattr(m, "cdf", counting(m.cdf))
+        spectral_samples(tm, 20_000, seed=3)
+        assert sum(sizes) <= 1.05 * 20_000 * 2 * len(factors)
+
 
 class TestSampleSets:
     def test_deterministic_given_seed(self, product_map):
