@@ -995,10 +995,11 @@ def _run_concentration(cfg):
     """Exponential moments of the bank at the gating constant plus a sweep.
 
     Each bank function is evaluated once per experiment for the gating
-    constant and the whole grid; the sweep keeps only its running maxima,
-    so each sample set is released before the next experiment is drawn.
+    constant and the whole grid, by one bank call per sample set; the sweep
+    keeps only its running maxima, so each sample set is released before
+    the next experiment is drawn.
     """
-    from .concentration import exp_concentration, spectral_samples
+    from .concentration import exp_concentration_bank, spectral_samples
 
     records = []
     dumps = []
@@ -1006,8 +1007,9 @@ def _run_concentration(cfg):
     who = [""] * len(cfg.c_grid)
     for label, tm in _select_experiments(cfg):
         samples = spectral_samples(tm, cfg.samples, seed=cfg.seed, label=label)
-        for f in _select_bank(cfg, samples.dim):
-            m, *sweep = exp_concentration(samples, f, (_GATING_C, *cfg.c_grid))
+        bank = _select_bank(cfg, samples.dim)
+        moments = exp_concentration_bank(samples, bank, (_GATING_C, *cfg.c_grid))
+        for f, (m, *sweep) in zip(bank, moments):
             _rec(
                 records,
                 f"exp-moment[{label}:{f.name}]",

@@ -67,6 +67,7 @@ __all__ = [
     "poincare_ratio",
     "matrix_poincare",
     "exp_concentration",
+    "exp_concentration_bank",
     "caffarelli_floor_check",
     "default_experiments",
     "EXPERIMENT_LABELS",
@@ -662,31 +663,41 @@ def matrix_poincare(samples, f):
 # --------------------------------------------------- exponential concentration
 
 
-def exp_concentration(samples, f, c):
-    """Empirical E exp(c |f(Lambda(X)) - mean|); inf signals overflow.
+def _constants(c):
+    """``(scalar, constants)`` of one constant or a sequence, all checked > 0.
 
-    ``c`` is one constant, which returns a float, or a sequence of them,
-    which returns a list with one moment per constant.  A sequence
-    evaluates ``f`` and the mean once for all of its constants.  The mean
-    is the block-order total of the per-block sums of f over the count,
-    and each moment the block-order total of the per-block sums of
-    exp(c |f - mean|) / count.  Each term is scaled by 1 / count before it
-    is summed, so a moment overflows only when a term does.  Each run of
-    blocks takes one ``exp`` pass for all the distinct finite constants at
-    once, over a (constants, run rows) stack whose rows are summed block
-    by block.
+    The test is ``not x > 0``, so a NaN constant is refused with the rest.
     """
     scalar = np.ndim(c) == 0
     cs = [float(c)] if scalar else [float(x) for x in c]
-    if any(x <= 0.0 for x in cs):
+    if not all(x > 0.0 for x in cs):
         raise ValueError("exponential concentration needs c > 0")
-    n = samples.count
-    values = np.empty(n)
+    return scalar, cs
+
+
+def _centre_pass(samples, f):
+    """``f``'s values on the whole set and their per-block sums, shape (50,).
+
+    The one evaluation of ``f``, in runs of whole blocks.
+    """
+    values = np.empty(samples.count)
     sums = []
     for rows, sizes, value, _ in _evaluations(f, samples.spectra):
         values[rows] = value
         sums.append((_per_block(value, sizes),))
-    (total,) = _totals(_stacked(sums))
+    (blocks,) = _stacked(sums)
+    return values, blocks
+
+
+def _moment_pass(values, blocks, cs):
+    """E exp(c |f - mean|) for each of ``cs``, from the centre pass of f.
+
+    ``values`` is overwritten with |f - mean|.  The distinct finite
+    constants take one ``exp`` pass per run of blocks, over a (constants,
+    run rows) buffer.
+    """
+    n = values.size
+    (total,) = _totals([blocks])
     a = np.abs(np.subtract(values, total / n, out=values), out=values)
     # c * max|f - mean| equals max(c |f - mean|) bit for bit, since rounding
     # is monotone, so the overflow test needs no product array
@@ -706,7 +717,79 @@ def exp_concentration(samples, f, c):
             sums.append((_per_block(b.T, sizes),))
         (totals,) = _totals(_stacked(sums))
         moments.update(zip(live, totals.tolist()))
-    return moments[cs[0]] if scalar else [moments[x] for x in cs]
+    return [moments[x] for x in cs]
+
+
+def exp_concentration(samples, f, c):
+    """Empirical E exp(c |f(Lambda(X)) - mean|); inf signals overflow.
+
+    ``c`` is one constant, which returns a float, or a sequence of them,
+    which returns a list with one moment per constant.  A sequence
+    evaluates ``f`` and the mean once for all of its constants.  The mean
+    is the block-order total of the per-block sums of f over the count,
+    and each moment the block-order total of the per-block sums of
+    exp(c |f - mean|) / count.  Each term is scaled by 1 / count before it
+    is summed, so a moment overflows only when a term does.  Each run of
+    blocks takes one ``exp`` pass for all the distinct finite constants at
+    once, over a (constants, run rows) stack whose rows are summed block
+    by block.  Every constant must be > 0; NaN is refused.
+    """
+    scalar, cs = _constants(c)
+    moments = _moment_pass(*_centre_pass(samples, f), cs)
+    return moments[0] if scalar else moments
+
+
+def _same_bits(values, column):
+    """Whether two whole-set arrays hold the same bits, compared run by run."""
+    return all(
+        np.array_equal(values[rows].view(np.int64), column[rows].view(np.int64))
+        for *_, rows in _runs(values.size)
+    )
+
+
+def exp_concentration_bank(samples, bank, c):
+    """``exp_concentration(samples, f, c)`` for each ``f`` of ``bank``, in order.
+
+    Each function takes its own centre pass.  A function whose values equal
+    a spectrum column bit for bit has the moments of that column's first
+    such function, which are equal bit for bit, so it skips the ``exp``
+    pass.  The candidate columns are those whose per-block sums have the
+    same bits as the function's; the match is confirmed on the values
+    themselves.  At the default bank that is ``max`` on every set, ``mean``
+    and ``log-sum-exp`` in one dimension (and ``distance-to-anchor`` where
+    no log-eigenvalue is negative), and the tangential coordinates of a
+    radial set.
+    """
+    scalar, cs = _constants(c)
+    n = samples.count
+    columns = {}
+    for i in range(samples.dim):
+        column = samples.spectra[:, i]
+        (blocks,) = _stacked(
+            (_per_block(column[rows], sizes),) for _, sizes, rows in _runs(n)
+        )
+        columns.setdefault(blocks.tobytes(), []).append(i)
+    done = {}
+    out = []
+    for f in bank:
+        values, blocks = _centre_pass(samples, f)
+        match = next(
+            (
+                i
+                for i in columns.get(blocks.tobytes(), ())
+                if _same_bits(values, samples.spectra[:, i])
+            ),
+            None,
+        )
+        if match in done:
+            moments = done[match]
+        else:
+            moments = _moment_pass(values, blocks, cs)
+            if match is not None:
+                done[match] = moments
+        del values
+        out.append(moments[0] if scalar else list(moments))
+    return out
 
 
 # ------------------------------------------------------------ curvature floor

@@ -643,7 +643,10 @@ class LogConcaveMeasure1D:
         x_all = np.array(x_all, dtype=float).reshape(p_all.shape)
         a, b = self.support
         idx = np.arange(p_all.size)
-        p_act, x = p_all, x_all.copy()
+        # x is x_all itself until the first retirement: nothing writes x in
+        # place, and a retirement scatter through idx = arange would only
+        # write x_all onto itself
+        p_act, x = p_all, x_all
         searched = False
         moved = np.full_like(x, np.inf)
         for _ in range(80):
@@ -654,7 +657,8 @@ class LogConcaveMeasure1D:
             # element still active is written again when it retires
             settled = inside & (np.abs(f) <= np.spacing(p_act))
             if np.any(settled):
-                x_all[idx] = x
+                if x is not x_all:
+                    x_all[idx] = x
                 keep = np.flatnonzero(~settled)
                 idx, p_act, x, f, inside, moved, lo, hi = (
                     v[keep] for v in (idx, p_act, x, f, inside, moved, lo, hi)

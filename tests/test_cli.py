@@ -558,10 +558,10 @@ class TestRunExperiment:
     def test_concentration_sweep_names_first_tied_cell(self, monkeypatch):
         # "max" ties across experiments and beats "mean" at every c, so each
         # sweep record must name the first "max" cell in experiment order
-        def fake(samples, f, cs):
-            return [1.5 if f.name == "max" else 1.25 for _ in cs]
+        def fake(samples, bank, cs):
+            return [[1.5 if f.name == "max" else 1.25 for _ in cs] for f in bank]
 
-        monkeypatch.setattr(concentration, "exp_concentration", fake)
+        monkeypatch.setattr(concentration, "exp_concentration_bank", fake)
         cfg = config_from_dict(
             {
                 "kind": "concentration",

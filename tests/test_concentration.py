@@ -30,6 +30,7 @@ from otspec.concentration import (
     eigen_log_variance_quadrature_1d,
     entropic_spectral_samples,
     exp_concentration,
+    exp_concentration_bank,
     function_bank,
     matrix_function_bank,
     poincare_ratio,
@@ -796,6 +797,113 @@ class TestExpConcentration:
         with pytest.raises(ValueError, match="c > 0"):
             exp_concentration(product_samples, function_bank(3)[0], cs)
 
+    @pytest.mark.parametrize("c", [math.nan, [0.1, math.nan], np.array([math.nan, 0.2])])
+    def test_nan_constant_is_refused(self, product_samples, c):
+        # NaN fails every comparison, so it is refused as not > 0
+        bank = function_bank(3)
+        with pytest.raises(ValueError, match="c > 0"):
+            exp_concentration(product_samples, bank[0], c)
+        with pytest.raises(ValueError, match="c > 0"):
+            exp_concentration_bank(product_samples, bank, c)
+
+
+def _moment_passes(monkeypatch):
+    """Names of the bank functions whose centre pass is followed by no
+    moment pass of their own: the cells whose moments are reused."""
+    events = []
+    centre, moment = concentration._centre_pass, concentration._moment_pass
+
+    def counted_centre(samples, f):
+        events.append(f.name)
+        return centre(samples, f)
+
+    def counted_moment(*args):
+        events.append(None)
+        return moment(*args)
+
+    monkeypatch.setattr(concentration, "_centre_pass", counted_centre)
+    monkeypatch.setattr(concentration, "_moment_pass", counted_moment)
+
+    def reused():
+        names = [
+            name for name, after in zip(events, events[1:] + [""]) if name and after is not None
+        ]
+        events.clear()
+        return names
+
+    return reused
+
+
+def _values(samples, f):
+    # the function's values as the bank entry's runs evaluate them
+    return np.concatenate([v for _, _, v, _ in concentration._evaluations(f, samples.spectra)])
+
+
+class TestExpConcentrationBank:
+    """The bank entry equals one ``exp_concentration`` call per function bit
+    for bit, and skips the ``exp`` pass of a function whose values equal a
+    spectrum column whose moments it already has."""
+
+    # the concentration kind's gating constant and its default sweep
+    _CS = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_bank_matches_the_per_function_calls(self, monkeypatch, seed):
+        reused = _moment_passes(monkeypatch)
+        total = 0
+        for label, tm in default_experiments():
+            samples = spectral_samples(tm, 20_000, seed=seed)
+            bank = function_bank(samples.dim)
+            got = exp_concentration_bank(samples, bank, self._CS)
+            skipped = reused()
+            assert got == [exp_concentration(samples, f, self._CS) for f in bank], label
+            # a cell is reused exactly when its values equal a column's bits
+            # and an earlier cell's
+            bits = [_values(samples, f).view(np.int64) for f in bank]
+            columns = [samples.spectra[:, i].view(np.int64) for i in range(samples.dim)]
+            want = [
+                f.name
+                for k, f in enumerate(bank)
+                if any(np.array_equal(bits[k], c) for c in columns)
+                and any(np.array_equal(bits[k], b) for b in bits[:k])
+            ]
+            assert skipped == want, label
+            total += len(want)
+        # max on every set, at least
+        assert total >= len(EXPERIMENT_LABELS)
+
+    def test_equal_block_sums_with_other_values_take_their_own_pass(self, monkeypatch):
+        # integer spectra make every block sum exact, so reversing each
+        # block's rows keeps the sums bit for bit and changes the values
+        n = 1000
+        assert len(list(concentration._runs(n))) == 1
+        spectra = rng.stream(2024, 72).integers(-20, 21, size=(n, 1)).astype(float)
+        sizes = concentration._block_sizes(n)
+        cuts = np.cumsum(sizes)[:-1]
+
+        def reversed_blocks(x):
+            value = np.concatenate([b[::-1] for b in np.split(x[:, 0], cuts)])
+            return value, np.ones(len(x))
+
+        samples = SpectralSampleSet(spectra)
+        coordinate, mean = function_bank(1)[:2]
+        flipped = BankFunction("reversed-blocks", reversed_blocks)
+        column = spectra[:, 0]
+        assert np.array_equal(_per_block(_values(samples, flipped)), _per_block(column))
+        assert not np.array_equal(_values(samples, flipped), column)
+        reused = _moment_passes(monkeypatch)
+        bank = [coordinate, flipped, mean]
+        cs = (0.1, 0.5, 2.0)
+        got = exp_concentration_bank(samples, bank, cs)
+        assert reused() == ["mean"]
+        assert got == [exp_concentration(samples, f, cs) for f in bank]
+
+    def test_scalar_constant_gives_one_moment_per_function(self, radial_samples):
+        bank = function_bank(3)
+        got = exp_concentration_bank(radial_samples, bank, 0.1)
+        assert got == [exp_concentration(radial_samples, f, 0.1) for f in bank]
+        assert all(isinstance(m, float) for m in got)
+
 
 def _split_block_sums(a):
     # the jackknife blocks as np.array_split gives them, each summed on its own
@@ -964,31 +1072,45 @@ class TestRunMemory:
     the exponential moments add one value per draw for their centre."""
 
     @staticmethod
-    def _traced_peak(tm, n):
-        # draw, then every bank ratio and every exponential moment
+    def _traced_peak(tm, n, bank=False):
+        # draw, then every bank ratio and every exponential moment, the
+        # moments by one call per function or by one bank call
+        cs = (0.1, 0.02, 0.1, 0.2)
         tracemalloc.start()
         try:
             samples = spectral_samples(tm, n, seed=2024)
-            for f in function_bank(samples.dim):
+            fs = function_bank(samples.dim)
+            for f in fs:
                 poincare_ratio(samples, f)
-                exp_concentration(samples, f, (0.1, 0.02, 0.1, 0.2))
+                if not bank:
+                    exp_concentration(samples, f, cs)
+            if bank:
+                exp_concentration_bank(samples, fs, cs)
             return tracemalloc.get_traced_memory()[1], samples.spectra.nbytes
         finally:
             tracemalloc.stop()
+
+    def _check_peak(self, label, bank=False):
+        ((_, tm),) = default_experiments([label])
+        mb = 1e6
+        peak, spectra = self._traced_peak(tm, 100_000, bank)
+        assert peak <= spectra + 8 * mb
+        # from 1e5 to 1e6 draws, the peak grows by the spectra and by the
+        # exponential moments' 8 bytes per draw, and by nothing else
+        big_peak, big_spectra = self._traced_peak(tm, 1_000_000, bank)
+        rest, big_rest = peak - spectra - 8 * 100_000, big_peak - big_spectra - 8 * 1_000_000
+        assert abs(big_rest - rest) <= 2 * mb
 
     @pytest.mark.parametrize(
         "label", ["radial:ball->gaussian n=8", "1d:beta(2.0,3.0)->gaussian(0.0,1.0)"]
     )
     def test_peak_is_the_spectra_plus_run_temporaries(self, label):
-        ((_, tm),) = default_experiments([label])
-        mb = 1e6
-        peak, spectra = self._traced_peak(tm, 100_000)
-        assert peak <= spectra + 8 * mb
-        # from 1e5 to 1e6 draws, the peak grows by the spectra and by the
-        # exponential moments' 8 bytes per draw, and by nothing else
-        big_peak, big_spectra = self._traced_peak(tm, 1_000_000)
-        rest, big_rest = peak - spectra - 8 * 100_000, big_peak - big_spectra - 8 * 1_000_000
-        assert abs(big_rest - rest) <= 2 * mb
+        self._check_peak(label)
+
+    def test_bank_call_keeps_one_value_per_draw(self):
+        # the bank call confirms a column match run by run and overwrites
+        # its one values array in place; radial n = 8 reuses 7 of 12 cells
+        self._check_peak("radial:ball->gaussian n=8", bank=True)
 
 
 class TestCaffarelliFloor:
