@@ -999,7 +999,7 @@ def _run_concentration(cfg):
     keeps only its running maxima, so each sample set is released before
     the next experiment is drawn.
     """
-    from .concentration import exp_concentration_bank, spectral_samples
+    from .concentration import exp_concentration, spectral_samples
 
     records = []
     dumps = []
@@ -1008,7 +1008,7 @@ def _run_concentration(cfg):
     for label, tm in _select_experiments(cfg):
         samples = spectral_samples(tm, cfg.samples, seed=cfg.seed, label=label)
         bank = _select_bank(cfg, samples.dim)
-        moments = exp_concentration_bank(samples, bank, (_GATING_C, *cfg.c_grid))
+        moments = exp_concentration(samples, bank, (_GATING_C, *cfg.c_grid))
         for f, (m, *sweep) in zip(bank, moments):
             _rec(
                 records,

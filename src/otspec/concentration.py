@@ -17,8 +17,9 @@ bit for bit:
   only the uniforms its spectrum depends on (one inverse-CDF solve per
   1-D factor, the radius of a radial map, nothing for a Gaussian-linear
   map); points are drawn, by one ``sample`` call per run, only where they
-  are read: for kept Hessians and for entropic sets.  Only the spectra
-  stack (and the Hessian stack, when kept) spans the whole set.
+  are read: for the matrix bank, which holds one run's Hessians at a
+  time, and for entropic sets.  Only the spectra stack spans the whole
+  set.
 * Sample spectra are column-major, one contiguous column per
   log-eigenvalue index, so a block's sum down a column is numpy's
   pairwise sum of that block's rows alone.
@@ -67,7 +68,6 @@ __all__ = [
     "poincare_ratio",
     "matrix_poincare",
     "exp_concentration",
-    "exp_concentration_bank",
     "caffarelli_floor_check",
     "default_experiments",
     "EXPERIMENT_LABELS",
@@ -92,10 +92,9 @@ class SpectralSampleSet:
     statistic reads them.  The array is column-major (each index's
     values contiguous), so reductions across the spectrum and moments down
     each column run on contiguous memory; a column-major input is kept as
-    it is, any other is copied once.  Every row counts once: statistics
-    are unweighted.  The fields after ``spectra`` are keyword-only.
-    ``hessians``, when kept, holds the Hessian matrix at each point, shape
-    (count, n, n).
+    it is, any other is copied once, and any shape but (count, dim) is
+    refused.  Every row counts once: statistics are unweighted.  The fields
+    after ``spectra`` are keyword-only.
     ``flagged`` counts degenerate (non positive definite) estimates that
     were excluded; ``skipped`` counts points discarded before estimation,
     for grid estimators whose stencil would leave the domain.
@@ -103,13 +102,14 @@ class SpectralSampleSet:
 
     spectra: np.ndarray
     _: KW_ONLY
-    hessians: np.ndarray | None = None
     flagged: int = 0
     skipped: int = 0
     approximate: bool = False
     label: str = ""
 
     def __post_init__(self):
+        if np.ndim(self.spectra) != 2:
+            raise ValueError(f"spectra must be 2-D (count, dim), not shape {np.shape(self.spectra)}")
         object.__setattr__(self, "spectra", np.asfortranarray(self.spectra))
         # min and max carry any nan or infinity, so no whole-set mask is made
         ends = np.min(self.spectra, initial=0.0), np.max(self.spectra, initial=0.0)
@@ -199,7 +199,7 @@ class BankFunction:
     evaluation of the function: rows of R^n for the spectrum bank, where
     ``grad_sq`` is the squared Euclidean gradient, exact almost everywhere
     (ties in max have measure zero), so Poincare denominators carry no
-    differentiation bias; and Hessian stacks (count, n, n) for the matrix
+    differentiation bias; and Hessian stacks (rows, n, n) for the matrix
     bank, where ``grad_sq`` bounds the squared metric slope pointwise.
     """
 
@@ -411,33 +411,21 @@ def _draw(measure, n_samples, seed):
     )
 
 
-def spectral_samples(tm, n_samples, seed, keep_hessians=False, label=None):
+def spectral_samples(tm, n_samples, seed, label=None):
     """Monte Carlo spectral observations of an analytic transport map.
 
     Each run's spectra come from ``tm._coupled_log_spectra`` on the run's
     block streams: it reads only the uniforms the spectrum depends on (one
     per draw and factor of a 1-D or product map, the radius of a radial
     map's draw, none for a Gaussian-linear map), so no source point is
-    drawn.  With ``keep_hessians`` each run's points are drawn instead, by
-    one ``sample`` call on the same streams as ``_draw`` makes, and their
-    log-spectra and Hessians fill the set's stacks.
+    drawn.
     """
     runs = _run_streams(n_samples, seed)
-    n_samples = int(n_samples)
-    spectra = np.empty((n_samples, tm.dim), order="F")
-    hessians = np.empty((n_samples, tm.dim, tm.dim)) if keep_hessians else None
+    spectra = np.empty((int(n_samples), tm.dim), order="F")
     for gen, rows in runs:
-        size = rows.stop - rows.start
-        if keep_hessians:
-            pts = tm.source.sample(gen, size=size).reshape(size, -1)
-            spectra[rows] = tm.log_spectra(pts)
-            hessians[rows] = tm.hessian(pts)
-            del pts
-        else:
-            spectra[rows] = tm._coupled_log_spectra(gen, size)
+        spectra[rows] = tm._coupled_log_spectra(gen, rows.stop - rows.start)
     return SpectralSampleSet(
         spectra=spectra,
-        hessians=hessians,
         label=label or f"{tm.kind}:{tm.source.name}->{tm.target.name}",
     )
 
@@ -585,7 +573,8 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     """Deterministic Var[log Phi''(X)] in the quantile variable.
 
     Writes X = F^{-1}(U) with U uniform, so the variance is an integral
-    over (0,1); composite Gauss-Legendre on dyadic panels handles the
+    over (0,1) of log Phi'' at the coupling of each node u, which evaluates
+    no CDF; composite Gauss-Legendre on dyadic panels handles the
     catalog's integrable endpoint blowups.  The report's truncation
     field bounds the ignored tail contribution by tail mass times the
     squared observed log-range, and any non-finite node is dropped into
@@ -594,8 +583,7 @@ def eigen_log_variance_quadrature_1d(tm, nodes=2048, label=None):
     if tm.dim != 1:
         raise ValueError("quadrature variance is for one-dimensional maps")
     u, w, tail = _panel_nodes(nodes)
-    x = tm.source.quantile(u)
-    vals = tm.log_second_derivative(x)
+    vals = tm._coupled_log_d2(u)
     good = np.isfinite(vals)
     dropped = float(np.sum(w[~good]))
     if not np.any(good):
@@ -623,41 +611,60 @@ def _evaluations(f, stack):
     gradients on those rows, so no whole-set value array is needed.
     """
     for _, sizes, rows in _runs(stack.shape[0]):
-        value, grad_sq = f.evaluate(stack[rows])
-        yield rows, sizes, np.asarray(value, float), np.asarray(grad_sq, float)
+        yield rows, sizes, *f.evaluate(stack[rows])
 
 
-def _ratio_report(samples, f, stack):
-    """Var[f] over 4 E|grad f|^2 on one stack of the samples, with its error."""
-    blocks = _stacked(
-        (*_moment_blocks(value, sizes), _per_block(grad_sq, sizes))
-        for _, sizes, value, grad_sq in _evaluations(f, stack)
-    )
+def _ratio_blocks(value, grad_sq, sizes):
+    """Per-block counts and sums of f, f^2 and |grad f|^2 on one run of blocks."""
+    value, grad_sq = np.asarray(value, float), np.asarray(grad_sq, float)
+    return (*_moment_blocks(value, sizes), _per_block(grad_sq, sizes))
+
+
+def _ratio_report(blocks, count):
+    """Var[f] over 4 E|grad f|^2, with its error, from the ``_ratio_blocks``
+    of every run stacked in block order, for a set of ``count`` rows."""
     t0, t1, t2, tg = _totals(blocks)
     num = float(_variance_from_sums(t0, t1, t2))
     den = float(4.0 * tg / t0)
     if den <= 0.0:
         # no energy: a constant function's ratio is 0, any other's a candidate
         candidate = not num <= 1e-14 * max(num, float(t2 / t0), 1e-300)
-        return RatioReport(math.inf if candidate else 0.0, 0.0, num, den, samples.count, candidate)
+        return RatioReport(math.inf if candidate else 0.0, 0.0, num, den, count, candidate)
     _, se = _jackknife(
         lambda s0, s1, s2, sg: _variance_from_sums(s0, s1, s2) / (4.0 * sg / s0),
         blocks,
         lambda s0, s1, s2, sg: (s0 > 0.0) & (sg > 0.0),
     )
-    return RatioReport(num / den, float(se), num, den, samples.count)
+    return RatioReport(num / den, float(se), num, den, count)
 
 
 def poincare_ratio(samples, f):
     """Var[f(Lambda(X))] over 4 E|grad f|^2(Lambda(X)) with jackknife error."""
-    return _ratio_report(samples, f, samples.spectra)
+    return _ratio_report(
+        _stacked(
+            _ratio_blocks(value, grad_sq, sizes)
+            for _, sizes, value, grad_sq in _evaluations(f, samples.spectra)
+        ),
+        samples.count,
+    )
 
 
-def matrix_poincare(samples, f):
-    """Ratio for a matrix functional on the Hessian-valued pushforward."""
-    if samples.hessians is None:
-        raise ValueError("sample set carries no Hessian matrices")
-    return _ratio_report(samples, f, samples.hessians)
+def matrix_poincare(tm, bank, n_samples, seed):
+    """The ratio of each matrix functional of ``bank`` on the Hessian-valued
+    pushforward, one ``RatioReport`` per function, in order.
+
+    The draws are those ``spectral_samples(tm, n_samples, seed)`` reads.
+    Each run of ``_draw`` takes one ``tm.hessian`` call, evaluates every
+    function once on the run's Hessians and keeps only their per-block
+    sums, so no Hessian stack spans the whole set.
+    """
+    sums = [[] for _ in bank]
+    for pts, (_, sizes, _) in zip(_draw(tm.source, n_samples, seed), _runs(int(n_samples))):
+        h = tm.hessian(pts)
+        for f, runs in zip(bank, sums):
+            runs.append(_ratio_blocks(*f.evaluate(h), sizes))
+        del h
+    return [_ratio_report(_stacked(runs), int(n_samples)) for runs in sums]
 
 
 # --------------------------------------------------- exponential concentration
@@ -684,7 +691,7 @@ def _centre_pass(samples, f):
     sums = []
     for rows, sizes, value, _ in _evaluations(f, samples.spectra):
         values[rows] = value
-        sums.append((_per_block(value, sizes),))
+        sums.append((_per_block(np.asarray(value, float), sizes),))
     (blocks,) = _stacked(sums)
     return values, blocks
 
@@ -720,25 +727,6 @@ def _moment_pass(values, blocks, cs):
     return [moments[x] for x in cs]
 
 
-def exp_concentration(samples, f, c):
-    """Empirical E exp(c |f(Lambda(X)) - mean|); inf signals overflow.
-
-    ``c`` is one constant, which returns a float, or a sequence of them,
-    which returns a list with one moment per constant.  A sequence
-    evaluates ``f`` and the mean once for all of its constants.  The mean
-    is the block-order total of the per-block sums of f over the count,
-    and each moment the block-order total of the per-block sums of
-    exp(c |f - mean|) / count.  Each term is scaled by 1 / count before it
-    is summed, so a moment overflows only when a term does.  Each run of
-    blocks takes one ``exp`` pass for all the distinct finite constants at
-    once, over a (constants, run rows) stack whose rows are summed block
-    by block.  Every constant must be > 0; NaN is refused.
-    """
-    scalar, cs = _constants(c)
-    moments = _moment_pass(*_centre_pass(samples, f), cs)
-    return moments[0] if scalar else moments
-
-
 def _same_bits(values, column):
     """Whether two whole-set arrays hold the same bits, compared run by run."""
     return all(
@@ -747,18 +735,26 @@ def _same_bits(values, column):
     )
 
 
-def exp_concentration_bank(samples, bank, c):
-    """``exp_concentration(samples, f, c)`` for each ``f`` of ``bank``, in order.
+def exp_concentration(samples, bank, c):
+    """Empirical E exp(c |f(Lambda(X)) - mean|) for each ``f`` of ``bank``,
+    in order; inf signals overflow.
 
-    Each function takes its own centre pass.  A function whose values equal
-    a spectrum column bit for bit has the moments of that column's first
-    such function, which are equal bit for bit, so it skips the ``exp``
-    pass.  The candidate columns are those whose per-block sums have the
-    same bits as the function's; the match is confirmed on the values
-    themselves.  At the default bank that is ``max`` on every set, ``mean``
-    and ``log-sum-exp`` in one dimension (and ``distance-to-anchor`` where
-    no log-eigenvalue is negative), and the tangential coordinates of a
-    radial set.
+    ``c`` is one constant, which gives each function a float, or a sequence
+    of them, which gives each a list with one moment per constant, from
+    one evaluation of ``f`` and its mean.  The mean is the block-order total of the per-block sums of f over the count,
+    and each moment the block-order total of the per-block sums of
+    exp(c |f - mean|) / count.  Each term is scaled by 1 / count before it
+    is summed, so a moment overflows only when a term does.  Each run of
+    blocks takes one ``exp`` pass for all the distinct finite constants at
+    once, over a (constants, run rows) stack whose rows are summed block
+    by block.  Every constant must be > 0; NaN is refused.  A function
+    whose values equal a spectrum column bit for bit has the moments of
+    that column's first such function, so it skips the ``exp`` pass.  The candidate columns are those
+    whose per-block sums have the same bits as the function's; the match
+    is confirmed on the values themselves.  At the default bank that is
+    ``max`` on every set, ``mean`` and ``log-sum-exp`` in one dimension
+    (and ``distance-to-anchor`` where no log-eigenvalue is negative), and
+    the tangential coordinates of a radial set.
     """
     scalar, cs = _constants(c)
     n = samples.count

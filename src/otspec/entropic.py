@@ -498,7 +498,8 @@ def _fd_step(plan, h):
     if h is None:
         h = 2.0 * max(plan.source.spacing)
     h = float(h)
-    if h <= 0.0:
+    # a NaN step fails every comparison, so it is refused as not > 0
+    if not h > 0.0:
         raise ValueError("step must be positive")
     return h
 

@@ -561,7 +561,7 @@ class TestRunExperiment:
         def fake(samples, bank, cs):
             return [[1.5 if f.name == "max" else 1.25 for _ in cs] for f in bank]
 
-        monkeypatch.setattr(concentration, "exp_concentration_bank", fake)
+        monkeypatch.setattr(concentration, "exp_concentration", fake)
         cfg = config_from_dict(
             {
                 "kind": "concentration",

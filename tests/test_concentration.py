@@ -7,6 +7,7 @@ between estimators that must agree on shared data.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,6 @@ from otspec.concentration import (
     eigen_log_variance_quadrature_1d,
     entropic_spectral_samples,
     exp_concentration,
-    exp_concentration_bank,
     function_bank,
     matrix_function_bank,
     poincare_ratio,
@@ -80,11 +80,23 @@ def product_samples(product_map):
 
 
 @pytest.fixture(scope="module")
-def radial_samples():
-    tm = brenier_radial(
-        make_radial_measure("uniform-ball", 3), make_radial_measure("gaussian", 3)
-    )
-    return spectral_samples(tm, 20_000, seed=23, keep_hessians=True)
+def radial_map():
+    return brenier_radial(make_radial_measure("uniform-ball", 3), make_radial_measure("gaussian", 3))
+
+
+# the radial draws of both the spectra fixture and the matrix bank
+_RADIAL_DRAWS = dict(n_samples=20_000, seed=23)
+
+
+@pytest.fixture(scope="module")
+def radial_samples(radial_map):
+    return spectral_samples(radial_map, **_RADIAL_DRAWS)
+
+
+def _moment(samples, f, c):
+    # the exponential moments of one function, as a one-function bank
+    (moments,) = exp_concentration(samples, [f], c)
+    return moments
 
 
 @pytest.fixture(scope="module")
@@ -233,9 +245,6 @@ class TestCoupledDraws:
         monkeypatch.setattr(rng, "stream", _refuse)
         samples = spectral_samples(tm, 100_003, seed=3)
         assert np.array_equal(samples.spectra, np.broadcast_to(tm._log_spec, (100_003, tm.dim)))
-        # kept Hessians read the points, so the set draws them
-        with pytest.raises(AssertionError, match="unneeded draw"):
-            spectral_samples(tm, 1007, seed=3, keep_hessians=True)
 
     @pytest.mark.parametrize("dim", [2, 8])
     def test_radial_set_draws_no_direction(self, monkeypatch, dim):
@@ -327,21 +336,21 @@ class TestSampleSets:
         good = np.zeros((4, 2))
         with pytest.raises(ValueError, match="finite"):
             SpectralSampleSet(good + np.inf)
+        # one row per draw and one column per index: a flat or stacked
+        # array is refused, with its shape named
+        for bad in (np.arange(100.0), np.zeros((4, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=rf"not shape {re.escape(str(bad.shape))}"):
+                SpectralSampleSet(bad)
         # the fields after the spectra are keyword-only, so a positional
-        # second array is refused rather than taken for the Hessians
+        # second argument is refused rather than taken for the flagged count
         with pytest.raises(TypeError):
-            SpectralSampleSet(good, np.ones(4))
+            SpectralSampleSet(good, 4)
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             VarianceReport(np.array([-0.1]), np.zeros(1), 10, 0)
         with pytest.raises(ValueError, match="nonnegative"):
             VarianceReport(np.array([0.1]), np.array([-1.0]), 10, 0)
-
-    def test_hessians_on_request(self, radial_samples):
-        h = radial_samples.hessians
-        assert h.shape == (radial_samples.count, 3, 3)
-        assert np.max(np.abs(h - np.swapaxes(h, 1, 2))) < 1e-12
 
 
 class TestQuadratureVariance:
@@ -444,7 +453,7 @@ class TestMonteCarloVariance:
         with pytest.raises(ValueError, match="empty"):
             poincare_ratio(empty, function_bank(2)[0])
         with pytest.raises(ValueError, match="empty"):
-            exp_concentration(empty, function_bank(2)[0], 0.1)
+            exp_concentration(empty, function_bank(2), 0.1)
 
 
 class TestFunctionBank:
@@ -579,7 +588,7 @@ _OUTER_1D = {
 }
 
 
-def quadform_ratio_oracle(samples, v, value, slope_sq):
+def quadform_ratio_oracle(v, value, slope_sq):
     v = np.asarray(v, float).ravel()
     v = v / np.linalg.norm(v)
 
@@ -587,7 +596,15 @@ def quadform_ratio_oracle(samples, v, value, slope_sq):
         y = log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
         return value(y), slope_sq(y)
 
-    return matrix_poincare(samples, BankFunction("oracle", evaluate))
+    return BankFunction("oracle", evaluate)
+
+
+@pytest.fixture(scope="module")
+def radial_ratios(radial_map):
+    # every default matrix-bank ratio on the radial draws, by name
+    bank = matrix_function_bank(3)
+    reps = matrix_poincare(radial_map, bank, **_RADIAL_DRAWS)
+    return {f.name: rep for f, rep in zip(bank, reps)}
 
 
 class TestQuadformPoincare:
@@ -595,52 +612,54 @@ class TestQuadformPoincare:
         s = rng.stream(2024, 10, 3)
         mu = GaussianMeasure(np.zeros(3), random_spd(s, 3, log_spread=1.0))
         nu = GaussianMeasure(np.zeros(3), random_spd(s, 3, log_spread=1.0))
-        samples = spectral_samples(brenier_gaussian(mu, nu), 2000, seed=9, keep_hessians=True)
         bank = {f.name: f for f in matrix_function_bank(3)}
-        rep = matrix_poincare(samples, bank["log-quadform[0]"])
+        (rep,) = matrix_poincare(brenier_gaussian(mu, nu), [bank["log-quadform[0]"]], 2000, seed=9)
         assert rep.numerator <= 1e-14
         assert rep.value <= 1e-14
 
-    def test_identity_variance_below_four(self, radial_samples):
-        bank = {f.name: f for f in matrix_function_bank(3)}
-        rep = matrix_poincare(radial_samples, bank["log-quadform[0]"])
+    def test_identity_variance_below_four(self, radial_ratios):
+        rep = radial_ratios["log-quadform[0]"]
         assert rep.numerator <= 4.0 + 3.0 * rep.standard_error
 
 
 class TestMatrixPoincare:
-    def test_quadform_functional_matches_1d_specialization(self, radial_samples):
+    def test_quadform_functional_matches_1d_specialization(self, radial_map):
         # the composed matrix functional g(log(Hv.v)) and the one-dimensional
         # ratio of g along v read the same observable from the same
         # Hessians, so the reports agree exactly, for every outer function
         # and along any direction
         default = np.stack([[1.0, 0.0, 0.0], np.full(3, 1.0 / math.sqrt(3.0))])
         for directions in (None, [[1.0, 2.0, -1.0]]):
-            bank = {f.name: f for f in matrix_function_bank(3, directions=directions)}
             vs = default if directions is None else directions
-            for k, v in enumerate(vs):
-                for suffix, (value, slope_sq) in _OUTER_1D.items():
-                    rep_m = matrix_poincare(radial_samples, bank[f"log-quadform[{k}]{suffix}"])
-                    assert rep_m == quadform_ratio_oracle(radial_samples, v, value, slope_sq)
+            bank = [
+                f for f in matrix_function_bank(3, directions=directions)
+                if f.name.startswith("log-quadform")
+            ]
+            assert [f.name for f in bank] == [
+                f"log-quadform[{k}]{suffix}" for k in range(len(vs)) for suffix in _OUTER_1D
+            ]
+            oracles = [quadform_ratio_oracle(v, *outer) for v in vs for outer in _OUTER_1D.values()]
+            assert matrix_poincare(radial_map, bank, **_RADIAL_DRAWS) == matrix_poincare(
+                radial_map, oracles, **_RADIAL_DRAWS
+            )
 
-    def test_bank_bound_on_radial(self, radial_samples):
-        for f in matrix_function_bank(3):
-            rep = matrix_poincare(radial_samples, f)
-            assert rep.within(1.0), (f.name, rep)
+    def test_bank_bound_on_radial(self, radial_ratios):
+        for name, rep in radial_ratios.items():
+            assert rep.within(1.0), (name, rep)
 
-    def test_spectral_composite_matches_lambda_ratio(self, radial_samples):
-        # composing through the matrix samples must reproduce the spectrum
-        # statistics computed from the stored spectra
-        bank = {f.name: f for f in matrix_function_bank(3)}
-        rep_m = matrix_poincare(radial_samples, bank["spectral:max"])
+    def test_spectral_composite_matches_lambda_ratio(self, radial_samples, radial_ratios):
+        # composing through the Hessians of the draws must reproduce the
+        # spectrum statistics computed from the stored spectra
         rep_s = poincare_ratio(radial_samples, function_bank(3)[4])
-        assert rep_m.numerator == pytest.approx(rep_s.numerator, rel=5e-4)
+        assert radial_ratios["spectral:max"].numerator == pytest.approx(rep_s.numerator, rel=5e-4)
 
-    def test_each_entry_computes_its_transform_once(self, radial_samples, monkeypatch):
+    def test_each_entry_computes_its_transform_once(self, radial_map, monkeypatch):
         # a ratio reads values and squared slopes from one evaluation per run
         # of blocks, so a spectral entry maps each run's Hessians to
         # log-eigenvalues once and a log-quadform entry takes their log
         # quadratic forms once; the runs cover every Hessian once, in order
         monkeypatch.setattr(concentration, "_RUN_ROWS", 4000)
+        hessians = _whole_set_oracle(radial_map, **_RADIAL_DRAWS)[1]
         calls = []
         for name in ("log_eigen_map", "log_quadratic_form"):
             fn = getattr(concentration, name)
@@ -651,7 +670,7 @@ class TestMatrixPoincare:
             )
         for f in matrix_function_bank(3):
             calls.clear()
-            matrix_poincare(radial_samples, f)
+            matrix_poincare(radial_map, [f], **_RADIAL_DRAWS)
             if f.name.startswith("spectral:"):
                 assert [name for name, _ in calls] == ["log_eigen_map"] * 5, f.name
             elif f.name.startswith("log-quadform"):
@@ -659,34 +678,28 @@ class TestMatrixPoincare:
             else:
                 assert calls == [], f.name
                 continue
-            assert np.array_equal(np.concatenate([h for _, h in calls]), radial_samples.hessians)
-
-    def test_missing_hessians_are_refused(self, product_samples):
-        with pytest.raises(ValueError, match="Hessian"):
-            matrix_poincare(
-                product_samples, matrix_function_bank(3)[0]
-            )
+            assert np.array_equal(np.concatenate([h for _, h in calls]), hessians)
 
 
 class TestExpConcentration:
     def test_constant_function_is_one(self, product_samples):
         const = BankFunction("const", lambda x: (np.ones(x.shape[0]), np.zeros(x.shape[0])))
-        assert exp_concentration(product_samples, const, 0.1) == pytest.approx(
+        assert _moment(product_samples, const, 0.1) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_requires_positive_constant(self, product_samples):
         with pytest.raises(ValueError, match="c > 0"):
-            exp_concentration(product_samples, function_bank(3)[0], 0.0)
+            _moment(product_samples, function_bank(3)[0], 0.0)
 
     def test_bound_at_default_constant(self, product_samples, radial_samples):
         for samples in (product_samples, radial_samples):
             for f in function_bank(samples.dim):
-                assert exp_concentration(samples, f, 0.1) <= 2.0
+                assert _moment(samples, f, 0.1) <= 2.0
 
     def test_sweep_is_monotone(self, radial_samples):
         f = function_bank(3)[0]
-        vals = [exp_concentration(radial_samples, f, c) for c in np.arange(0.05, 0.55, 0.05)]
+        vals = [_moment(radial_samples, f, c) for c in np.arange(0.05, 0.55, 0.05)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert len(vals) == 10
 
@@ -695,28 +708,28 @@ class TestExpConcentration:
         spectra[0, 0] = 2e4
         samples = SpectralSampleSet(spectra)
         f = function_bank(1)[0]
-        assert math.isinf(exp_concentration(samples, f, 0.5))
+        assert math.isinf(_moment(samples, f, 0.5))
 
     def test_terms_are_scaled_before_they_are_summed(self):
         # every term is e^699 / count, so the moment is e^699, though the
         # count of terms times e^699 overflows
         spectra = np.full((1_000_000, 1), 699.0)
         spectra[1::2] = -699.0
-        got = exp_concentration(SpectralSampleSet(spectra), function_bank(1)[0], 1.0)
+        got = _moment(SpectralSampleSet(spectra), function_bank(1)[0], 1.0)
         assert math.isfinite(got)
         assert abs(got - math.exp(699.0)) <= 1e-15 * math.exp(699.0)
 
     def test_sequence_equals_scalar_calls(self, radial_samples):
         cs = (0.1, 0.02, 0.04, 0.5)
         for f in function_bank(3):
-            got = exp_concentration(radial_samples, f, cs)
-            assert got == [exp_concentration(radial_samples, f, c) for c in cs]
+            got = _moment(radial_samples, f, cs)
+            assert got == [_moment(radial_samples, f, c) for c in cs]
         spectra = np.zeros((100, 1))
         spectra[0, 0] = 2e4
         samples = SpectralSampleSet(spectra)
         f = function_bank(1)[0]
-        got = exp_concentration(samples, f, np.array([0.01, 0.5]))
-        assert got == [exp_concentration(samples, f, 0.01), math.inf]
+        got = _moment(samples, f, np.array([0.01, 0.5]))
+        assert got == [_moment(samples, f, 0.01), math.inf]
         assert math.isfinite(got[0])
 
     @staticmethod
@@ -751,7 +764,7 @@ class TestExpConcentration:
             list(concentration._evaluations(f, samples.spectra))
             own = len(sizes), sum(sizes)
             sizes.clear()
-            exp_concentration(samples, f, cs)
+            _moment(samples, f, cs)
         return len(sizes) - own[0], sum(sizes) - own[1]
 
     def _check_moments(self, monkeypatch, samples, cs, runs):
@@ -763,8 +776,8 @@ class TestExpConcentration:
         overflowed = 0
         for f in function_bank(samples.dim):
             want = self._direct(samples, f, cs)
-            assert exp_concentration(samples, f, cs) == want
-            assert [exp_concentration(samples, f, c) for c in cs] == want
+            assert _moment(samples, f, cs) == want
+            assert [_moment(samples, f, c) for c in cs] == want
             finite = len({c for c, m in zip(cs, want) if math.isfinite(m)})
             overflowed += finite < len(set(cs))
             assert self._exp_use(monkeypatch, samples, f, cs) == (
@@ -795,16 +808,13 @@ class TestExpConcentration:
     @pytest.mark.parametrize("cs", [(0.1, 0.0), (-0.5, 0.1, 0.2), [0.1, 0.2, -1e-300]])
     def test_sequence_requires_every_constant_positive(self, product_samples, cs):
         with pytest.raises(ValueError, match="c > 0"):
-            exp_concentration(product_samples, function_bank(3)[0], cs)
+            _moment(product_samples, function_bank(3)[0], cs)
 
     @pytest.mark.parametrize("c", [math.nan, [0.1, math.nan], np.array([math.nan, 0.2])])
     def test_nan_constant_is_refused(self, product_samples, c):
         # NaN fails every comparison, so it is refused as not > 0
-        bank = function_bank(3)
         with pytest.raises(ValueError, match="c > 0"):
-            exp_concentration(product_samples, bank[0], c)
-        with pytest.raises(ValueError, match="c > 0"):
-            exp_concentration_bank(product_samples, bank, c)
+            exp_concentration(product_samples, function_bank(3), c)
 
 
 def _moment_passes(monkeypatch):
@@ -840,9 +850,9 @@ def _values(samples, f):
 
 
 class TestExpConcentrationBank:
-    """The bank entry equals one ``exp_concentration`` call per function bit
-    for bit, and skips the ``exp`` pass of a function whose values equal a
-    spectrum column whose moments it already has."""
+    """A bank's moments equal those of one one-function bank per function,
+    bit for bit, and a bank skips the ``exp`` pass of a function whose
+    values equal a spectrum column whose moments it already has."""
 
     # the concentration kind's gating constant and its default sweep
     _CS = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
@@ -854,9 +864,9 @@ class TestExpConcentrationBank:
         for label, tm in default_experiments():
             samples = spectral_samples(tm, 20_000, seed=seed)
             bank = function_bank(samples.dim)
-            got = exp_concentration_bank(samples, bank, self._CS)
+            got = exp_concentration(samples, bank, self._CS)
             skipped = reused()
-            assert got == [exp_concentration(samples, f, self._CS) for f in bank], label
+            assert got == [_moment(samples, f, self._CS) for f in bank], label
             # a cell is reused exactly when its values equal a column's bits
             # and an earlier cell's
             bits = [_values(samples, f).view(np.int64) for f in bank]
@@ -894,14 +904,14 @@ class TestExpConcentrationBank:
         reused = _moment_passes(monkeypatch)
         bank = [coordinate, flipped, mean]
         cs = (0.1, 0.5, 2.0)
-        got = exp_concentration_bank(samples, bank, cs)
+        got = exp_concentration(samples, bank, cs)
         assert reused() == ["mean"]
-        assert got == [exp_concentration(samples, f, cs) for f in bank]
+        assert got == [_moment(samples, f, cs) for f in bank]
 
     def test_scalar_constant_gives_one_moment_per_function(self, radial_samples):
         bank = function_bank(3)
-        got = exp_concentration_bank(radial_samples, bank, 0.1)
-        assert got == [exp_concentration(radial_samples, f, 0.1) for f in bank]
+        got = exp_concentration(radial_samples, bank, 0.1)
+        assert got == [_moment(radial_samples, f, 0.1) for f in bank]
         assert all(isinstance(m, float) for m in got)
 
 
@@ -980,31 +990,52 @@ def run_maps():
     return dict(default_experiments(_RUN_LABELS))
 
 
-def _whole_set_oracle(tm, n, seed):
+def _whole_set_oracle(tm, n_samples, seed):
     # the set as one request for all 50 blocks made it, with one
     # ``log_spectra`` call and one ``hessian`` call on all the draws
-    sizes = concentration._block_sizes(n)
+    n, sizes = n_samples, concentration._block_sizes(n_samples)
     pts = tm.source.sample(concentration._BlockStreams(seed, 0, sizes), size=n).reshape(n, -1)
     return tm.log_spectra(pts), tm.hessian(pts)
 
 
 class TestRunsOfBlocks:
-    """Runs of whole blocks give the whole-set results: plain sets within
-    the coupling's roundoff, sets with kept Hessians bit for bit."""
+    """Runs of whole blocks give the whole-set results: sample sets within
+    the coupling's roundoff, the matrix bank's Hessians bit for bit."""
 
     @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
     @pytest.mark.parametrize("label", _RUN_LABELS)
     def test_spectral_samples_match_the_whole_set(self, run_maps, label, n):
         tm = run_maps[label]
-        spectra, hessians = _whole_set_oracle(tm, n, 41)
+        spectra, _ = _whole_set_oracle(tm, n, 41)
         plain = spectral_samples(tm, n, seed=41)
-        assert plain.hessians is None
         assert plain.spectra.flags.f_contiguous
         assert np.max(np.abs(plain.spectra - spectra)) <= _RUN_TOLERANCES[label]
-        del plain
-        kept = spectral_samples(tm, n, seed=41, keep_hessians=True)
-        assert np.array_equal(kept.spectra, spectra)
-        assert np.array_equal(kept.hessians, hessians)
+
+    @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
+    @pytest.mark.parametrize("label", _RUN_LABELS)
+    def test_matrix_bank_reads_the_whole_set_hessians(self, run_maps, monkeypatch, label, n):
+        # each run makes one ``hessian`` call, whose Hessians are the run's
+        # rows of the whole-set oracle bit for bit, and every bank function
+        # evaluates exactly that call's stack
+        tm = run_maps[label]
+        _, hessians = _whole_set_oracle(tm, n, 41)
+        runs, hessian, last, seen = iter(concentration._runs(n)), tm.hessian, [], []
+
+        def counted(x):
+            run = next(runs, None)
+            assert run is not None, "more hessian calls than runs"
+            last[:] = [hessian(x)]
+            assert np.array_equal(last[0], hessians[run[2]])
+            return last[0]
+
+        def probe(h):
+            seen.append(h is last[0])
+            return h[:, 0, 0], np.ones(len(h))
+
+        monkeypatch.setattr(tm, "hessian", counted)
+        matrix_poincare(tm, [BankFunction("a", probe), BankFunction("b", probe)], n, seed=41)
+        assert next(runs, None) is None
+        assert seen == [True] * 2 * len(list(concentration._runs(n)))
 
     @pytest.mark.parametrize("label", ["product:n=3", "radial:ball->gaussian n=8"])
     def test_records_match_the_point_path(self, run_maps, label):
@@ -1017,12 +1048,14 @@ class TestRunsOfBlocks:
         oracle = SpectralSampleSet(_whole_set_oracle(tm, 20_000, 2024)[0])
         # the concentration kind's gating constant and its default sweep
         cs = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
-        for f in function_bank(tm.dim):
+        bank = function_bank(tm.dim)
+        for f in bank:
             got, want = poincare_ratio(plain, f), poincare_ratio(oracle, f)
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
             assert got.standard_error == pytest.approx(want.standard_error, rel=1e-10, abs=0.0)
-            got = exp_concentration(plain, f, cs)
-            assert got == pytest.approx(exp_concentration(oracle, f, cs), rel=1e-12, abs=0.0)
+        got, want = exp_concentration(plain, bank, cs), exp_concentration(oracle, bank, cs)
+        for moments, expected in zip(got, want, strict=True):
+            assert moments == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, cap", [(51, 3), (1007, 70), (100_003, 6000), (100_003, 1)])
     def test_block_sums_by_run_match_the_whole_set(self, monkeypatch, n, cap):
@@ -1047,7 +1080,7 @@ class TestRunsOfBlocks:
         tm = brenier_radial(
             make_radial_measure("uniform-ball", 3), make_radial_measure("gaussian", 3)
         )
-        samples = spectral_samples(tm, 20_003, seed=43, keep_hessians=True)
+        samples = spectral_samples(tm, 20_003, seed=43)
         monkeypatch.setattr(concentration, "_RUN_ROWS", 2000)
         assert len(list(concentration._runs(samples.count))) == 10
 
@@ -1055,8 +1088,8 @@ class TestRunsOfBlocks:
             return (
                 variance_report(samples),
                 [poincare_ratio(samples, f) for f in function_bank(3)],
-                [matrix_poincare(samples, f) for f in matrix_function_bank(3)],
-                [exp_concentration(samples, f, (0.1, 0.5, 2.0)) for f in function_bank(3)],
+                matrix_poincare(tm, matrix_function_bank(3), 20_003, seed=43),
+                exp_concentration(samples, function_bank(3), (0.1, 0.5, 2.0)),
             )
 
         runs = reports()
@@ -1069,12 +1102,13 @@ class TestRunsOfBlocks:
 
 class TestRunMemory:
     """The spectra stack is the set's one array that grows with the draws;
-    the exponential moments add one value per draw for their centre."""
+    the exponential moments add one value per draw for their centre, and
+    the matrix bank holds one run's points and Hessians at a time."""
 
     @staticmethod
     def _traced_peak(tm, n, bank=False):
         # draw, then every bank ratio and every exponential moment, the
-        # moments by one call per function or by one bank call
+        # moments by one one-function bank per function or by one bank
         cs = (0.1, 0.02, 0.1, 0.2)
         tracemalloc.start()
         try:
@@ -1083,9 +1117,9 @@ class TestRunMemory:
             for f in fs:
                 poincare_ratio(samples, f)
                 if not bank:
-                    exp_concentration(samples, f, cs)
+                    _moment(samples, f, cs)
             if bank:
-                exp_concentration_bank(samples, fs, cs)
+                exp_concentration(samples, fs, cs)
             return tracemalloc.get_traced_memory()[1], samples.spectra.nbytes
         finally:
             tracemalloc.stop()
@@ -1111,6 +1145,29 @@ class TestRunMemory:
         # the bank call confirms a column match run by run and overwrites
         # its one values array in place; radial n = 8 reuses 7 of 12 cells
         self._check_peak("radial:ball->gaussian n=8", bank=True)
+
+    def test_matrix_bank_holds_one_run_of_hessians(self):
+        # a log quadratic form, the distance to the identity and a spectral
+        # entry at 2e4 draws (one run) and at 2e5 draws (ten runs of the
+        # same rows): beyond one run's points and Hessians, the peak is the
+        # same, so nothing grows with the draws
+        ((_, tm),) = default_experiments(["radial:ball->gaussian n=8"])
+        names = ("log-quadform[0]", "distance-to-identity", "spectral:max")
+        bank = [f for f in matrix_function_bank(tm.dim) if f.name in names]
+        assert len(bank) == len(names)
+
+        def rest(n):
+            rows = max(r.stop - r.start for *_, r in concentration._runs(n))
+            tracemalloc.start()
+            try:
+                matrix_poincare(tm, bank, n, seed=2024)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 8 * rows * (tm.dim + tm.dim**2)
+
+        small, big = rest(20_000), rest(200_000)
+        assert abs(big - small) <= 0.5e6
 
 
 class TestCaffarelliFloor:

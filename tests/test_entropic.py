@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from otspec import cli, entropic, rng
 from otspec.brenier import brenier_1d, brenier_gaussian, brenier_product
+from otspec.concentration import entropic_spectral_samples
 from otspec.entropic import (
     EntropicPlan,
     GridMeasure,
@@ -537,6 +538,15 @@ class TestHessianEstimate:
             hessian_fd(plan, np.array([[0.0, 0.0], [3.25, 0.0], [-3.25, 0.0]]))
         with pytest.raises(ValueError, match="positive"):
             hessian_fd(plan, np.array([0.0, 0.0]), h=0.0)
+
+    def test_nan_step_is_refused(self, gauss_setup):
+        # NaN fails every comparison, so both entries refuse it as a step
+        # that is not > 0, and blame no point inside the box
+        g1, _, plan, _ = gauss_setup
+        with pytest.raises(ValueError, match="step must be positive"):
+            hessian_fd(plan, np.array([0.0, 0.2]), h=math.nan)
+        with pytest.raises(ValueError, match="step must be positive"):
+            entropic_spectral_samples(plan, g1, 50, seed=0, h=math.nan)
 
     @staticmethod
     def _frozen_plan():
