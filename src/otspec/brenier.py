@@ -324,8 +324,10 @@ class RadialMap(TransportMap):
         lam_rad = lam_rad[..., None, None]
         e = np.where(origin[..., None], 0.0, x / np.where(origin, 1.0, r)[..., None])
         proj = e[..., :, None] * e[..., None, :]
-        h = lam_rad * proj + lam_tan * (np.eye(self.dim) - proj)
-        return 0.5 * (h + np.swapaxes(h, -2, -1))
+        # e_i e_j == e_j e_i in floating point, so h is exactly symmetric
+        h = lam_rad * proj
+        h += np.multiply(lam_tan, np.subtract(np.eye(self.dim), proj, out=proj), out=proj)
+        return h
 
     def log_spectra(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -784,8 +784,8 @@ def _run_poincare(cfg):
     dumps = []
     for label, tm in _select_experiments(cfg):
         samples = spectral_samples(tm, cfg.samples, seed=cfg.seed, label=label)
-        for f in _select_bank(cfg, samples.dim):
-            rep = poincare_ratio(samples, f)
+        bank = _select_bank(cfg, samples.dim)
+        for f, rep in zip(bank, poincare_ratio(samples, bank)):
             note = f"se={rep.standard_error:.3e}"
             if rep.violation_candidate:
                 note += ";violation-candidate"
@@ -994,10 +994,10 @@ def _run_sinkhorn(cfg):
 def _run_concentration(cfg):
     """Exponential moments of the bank at the gating constant plus a sweep.
 
-    Each bank function is evaluated once per experiment for the gating
-    constant and the whole grid, by one bank call per sample set; the sweep
-    keeps only its running maxima, so each sample set is released before
-    the next experiment is drawn.
+    Each distinct bank observable is evaluated once per experiment for the
+    gating constant and the whole grid, by one bank call per sample set;
+    the sweep keeps only its running maxima, so each sample set is
+    released before the next experiment is drawn.
     """
     from .concentration import exp_concentration, spectral_samples
 

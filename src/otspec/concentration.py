@@ -89,7 +89,8 @@ class SpectralSampleSet:
 
     ``spectra`` rows are descending log-eigenvalues of the map Hessian at
     the sampled points; the points themselves are not kept, since no
-    statistic reads them.  The array is column-major (each index's
+    statistic reads them.  A row that is not descending is refused: the
+    bank reads ``max`` as column 0.  The array is column-major (each index's
     values contiguous), so reductions across the spectrum and moments down
     each column run on contiguous memory; a column-major input is kept as
     it is, any other is copied once, and any shape but (count, dim) is
@@ -115,6 +116,12 @@ class SpectralSampleSet:
         ends = np.min(self.spectra, initial=0.0), np.max(self.spectra, initial=0.0)
         if not np.all(np.isfinite(ends)):
             raise ValueError("spectra must be finite")
+        # one run's neighbouring column pair at a time: no temporary outgrows it
+        if self.count:
+            for *_, rows in _runs(self.count):
+                for i in range(1, self.dim):
+                    if np.any(self.spectra[rows, i - 1] < self.spectra[rows, i]):
+                        raise ValueError("spectra rows must be descending")
 
     @property
     def count(self):
@@ -201,15 +208,21 @@ class BankFunction:
     (ties in max have measure zero), so Poincare denominators carry no
     differentiation bias; and Hessian stacks (rows, n, n) for the matrix
     bank, where ``grad_sq`` bounds the squared metric slope pointwise.
+    ``column`` declares a spectrum-bank function that equals that column
+    of every (descending) spectrum, with a squared gradient of one; the
+    ratio and moment entries read such functions as one observable.
     """
 
     name: str
     evaluate: object
+    column: int | None = None
 
 
 def function_bank(dim, anchor=None):
     """Fixed Lipschitz bank on R^dim: coordinates, mean, max, log-sum-exp
     at temperature one, and distance to an anchor point (default origin).
+    ``max`` declares column 0 (rows are descending), and so do ``mean``
+    and ``log-sum-exp`` in one dimension.
     """
     dim = int(dim)
     if dim < 1:
@@ -226,14 +239,15 @@ def function_bank(dim, anchor=None):
         p /= total
         return value, np.sum(p * p, axis=1)
 
+    single = 0 if dim == 1 else None
     return [
         *(
-            BankFunction(f"coordinate[{i}]", lambda x, i=i: (x[:, i], _ones(x)))
+            BankFunction(f"coordinate[{i}]", lambda x, i=i: (x[:, i], _ones(x)), i)
             for i in range(dim)
         ),
-        BankFunction("mean", lambda x: (np.mean(x, axis=1), _ones(x) / x.shape[1])),
-        BankFunction("max", lambda x: (np.max(x, axis=1), _ones(x))),
-        BankFunction("log-sum-exp", _lse),
+        BankFunction("mean", lambda x: (np.mean(x, axis=1), _ones(x) / x.shape[1]), single),
+        BankFunction("max", lambda x: (np.max(x, axis=1), _ones(x)), 0),
+        BankFunction("log-sum-exp", _lse, single),
         BankFunction(
             "distance-to-anchor", lambda x: (np.linalg.norm(x - anchor, axis=1), _ones(x))
         ),
@@ -638,7 +652,28 @@ def _ratio_report(blocks, count):
     return RatioReport(num / den, float(se), num, den, count)
 
 
-def poincare_ratio(samples, f):
+def _distinct(samples, bank):
+    """The distinct observables of a spectrum ``bank`` on ``samples``: one
+    function per observable (the first entry that reads it), and each
+    entry's position in that list.
+
+    Neighbouring columns with the same bits, compared run by run, are one
+    observable (rows are descending, so equal columns are neighbours).  An
+    entry that declares a ``column`` reads the first column of its run of
+    equal columns; every other entry is its own observable.
+    """
+    bits, first = samples.spectra.view(np.int64), [0]
+    for i in range(1, samples.dim):
+        runs = _runs(samples.count)
+        same = all(np.array_equal(bits[rows, i], bits[rows, i - 1]) for *_, rows in runs)
+        first.append(first[-1] if same else i)
+    # an undeclared entry's key lies past every column's
+    keys = [samples.dim + k if f.column is None else first[f.column] for k, f in enumerate(bank)]
+    distinct = list(dict.fromkeys(keys))
+    return [bank[keys.index(key)] for key in distinct], [distinct.index(key) for key in keys]
+
+
+def _ratio(samples, f):
     """Var[f(Lambda(X))] over 4 E|grad f|^2(Lambda(X)) with jackknife error."""
     return _ratio_report(
         _stacked(
@@ -647,6 +682,14 @@ def poincare_ratio(samples, f):
         ),
         samples.count,
     )
+
+
+def poincare_ratio(samples, bank):
+    """The ``_ratio`` of each function of ``bank``, in order, one
+    ``RatioReport`` per distinct observable (``_distinct``)."""
+    functions, at = _distinct(samples, bank)
+    reports = [_ratio(samples, f) for f in functions]
+    return [reports[k] for k in at]
 
 
 def matrix_poincare(tm, bank, n_samples, seed):
@@ -682,30 +725,21 @@ def _constants(c):
     return scalar, cs
 
 
-def _centre_pass(samples, f):
-    """``f``'s values on the whole set and their per-block sums, shape (50,).
+def _moments(samples, f, cs):
+    """E exp(c |f - mean|) for each of ``cs``, from one evaluation of ``f``.
 
-    The one evaluation of ``f``, in runs of whole blocks.
+    ``f`` is evaluated in runs of whole blocks into one whole-set array,
+    which then holds |f - mean|.  The distinct finite constants take one
+    ``exp`` pass per run of blocks, over a (constants, run rows) buffer.
     """
-    values = np.empty(samples.count)
+    n = samples.count
+    a = np.empty(n)
     sums = []
     for rows, sizes, value, _ in _evaluations(f, samples.spectra):
-        values[rows] = value
+        a[rows] = value
         sums.append((_per_block(np.asarray(value, float), sizes),))
-    (blocks,) = _stacked(sums)
-    return values, blocks
-
-
-def _moment_pass(values, blocks, cs):
-    """E exp(c |f - mean|) for each of ``cs``, from the centre pass of f.
-
-    ``values`` is overwritten with |f - mean|.  The distinct finite
-    constants take one ``exp`` pass per run of blocks, over a (constants,
-    run rows) buffer.
-    """
-    n = values.size
-    (total,) = _totals([blocks])
-    a = np.abs(np.subtract(values, total / n, out=values), out=values)
+    (total,) = _totals(_stacked(sums))
+    np.abs(np.subtract(a, total / n, out=a), out=a)
     # c * max|f - mean| equals max(c |f - mean|) bit for bit, since rounding
     # is monotone, so the overflow test needs no product array
     top = float(np.max(a, initial=0.0))
@@ -727,65 +761,26 @@ def _moment_pass(values, blocks, cs):
     return [moments[x] for x in cs]
 
 
-def _same_bits(values, column):
-    """Whether two whole-set arrays hold the same bits, compared run by run."""
-    return all(
-        np.array_equal(values[rows].view(np.int64), column[rows].view(np.int64))
-        for *_, rows in _runs(values.size)
-    )
-
-
 def exp_concentration(samples, bank, c):
     """Empirical E exp(c |f(Lambda(X)) - mean|) for each ``f`` of ``bank``,
     in order; inf signals overflow.
 
     ``c`` is one constant, which gives each function a float, or a sequence
     of them, which gives each a list with one moment per constant, from
-    one evaluation of ``f`` and its mean.  The mean is the block-order total of the per-block sums of f over the count,
-    and each moment the block-order total of the per-block sums of
-    exp(c |f - mean|) / count.  Each term is scaled by 1 / count before it
-    is summed, so a moment overflows only when a term does.  Each run of
-    blocks takes one ``exp`` pass for all the distinct finite constants at
-    once, over a (constants, run rows) stack whose rows are summed block
-    by block.  Every constant must be > 0; NaN is refused.  A function
-    whose values equal a spectrum column bit for bit has the moments of
-    that column's first such function, so it skips the ``exp`` pass.  The candidate columns are those
-    whose per-block sums have the same bits as the function's; the match
-    is confirmed on the values themselves.  At the default bank that is
-    ``max`` on every set, ``mean`` and ``log-sum-exp`` in one dimension
-    (and ``distance-to-anchor`` where no log-eigenvalue is negative), and
-    the tangential coordinates of a radial set.
+    one evaluation of ``f`` and its mean.  The mean is the block-order
+    total of the per-block sums of f over the count, and each moment the
+    block-order total of the per-block sums of exp(c |f - mean|) / count.
+    Each term is scaled by 1 / count before it is summed, so a moment
+    overflows only when a term does.  Each run of blocks takes one ``exp``
+    pass for all the distinct finite constants at once, over a (constants,
+    run rows) stack whose rows are summed block by block.  Every constant
+    must be > 0; NaN is refused.  Each distinct observable (``_distinct``)
+    is evaluated once and takes one moment pass.
     """
     scalar, cs = _constants(c)
-    n = samples.count
-    columns = {}
-    for i in range(samples.dim):
-        column = samples.spectra[:, i]
-        (blocks,) = _stacked(
-            (_per_block(column[rows], sizes),) for _, sizes, rows in _runs(n)
-        )
-        columns.setdefault(blocks.tobytes(), []).append(i)
-    done = {}
-    out = []
-    for f in bank:
-        values, blocks = _centre_pass(samples, f)
-        match = next(
-            (
-                i
-                for i in columns.get(blocks.tobytes(), ())
-                if _same_bits(values, samples.spectra[:, i])
-            ),
-            None,
-        )
-        if match in done:
-            moments = done[match]
-        else:
-            moments = _moment_pass(values, blocks, cs)
-            if match is not None:
-                done[match] = moments
-        del values
-        out.append(moments[0] if scalar else list(moments))
-    return out
+    functions, at = _distinct(samples, bank)
+    moments = [_moments(samples, f, cs) for f in functions]
+    return [moments[k][0] if scalar else list(moments[k]) for k in at]
 
 
 # ------------------------------------------------------------ curvature floor

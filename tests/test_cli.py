@@ -586,11 +586,12 @@ class TestRunExperiment:
             assert r.value == 1.5 and r.note == "max at gaussian:n=3:max"
 
     def test_concentration_evaluates_each_bank_function_once(self, monkeypatch):
-        # every row of every (experiment, function) cell, 77 cells at the
-        # default config of both sampled kinds, is evaluated exactly once:
-        # the gating constant and the whole sweep share the evaluation, a
-        # ratio reads its values and squared gradients from the same call,
-        # and the calls cover the set in runs of whole blocks
+        # every row of every distinct observable, 48 in the 77 (experiment,
+        # function) cells at the default config of both sampled kinds, is
+        # evaluated exactly once: cells that declare a column read that
+        # column's observable, the gating constant and the whole sweep share
+        # the evaluation, a ratio reads its values and squared gradients from
+        # the same call, and the calls cover the set in runs of whole blocks
         select = cli._select_bank
 
         def counted(f, cell):
@@ -613,7 +614,7 @@ class TestRunExperiment:
             rows, banks = {}, []
             report = run_experiment(default_config(kind))
             assert all(r.passed for r in report.records)
-            assert len(rows) == 77, kind
+            assert len(rows) == 48, kind
             for cell, runs in rows.items():
                 # five runs of 20,000 rows, each starting where the last ended
                 assert [r.start for r in runs] == [0] + [r.stop for r in runs[:-1]], (kind, cell)

@@ -99,6 +99,12 @@ def _moment(samples, f, c):
     return moments
 
 
+def _ratio(samples, f):
+    # the Poincare ratio of one function, as a one-function bank
+    (rep,) = poincare_ratio(samples, [f])
+    return rep
+
+
 @pytest.fixture(scope="module")
 def self_plan():
     g = GaussianMeasure([0.0, 0.0], np.diag([0.5625, 0.5625]))
@@ -322,9 +328,10 @@ class TestSampleSets:
         assert samples.spectra.shape == (500, tm.dim)
 
     def test_column_major_spectra_are_kept_without_copy(self):
-        spectra = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+        rows = np.sort(np.arange(8.0).reshape(4, 2), axis=1)[:, ::-1]
+        spectra = np.asfortranarray(rows)
         assert np.shares_memory(SpectralSampleSet(spectra).spectra, spectra)
-        rows = np.arange(8.0).reshape(4, 2)
+        rows = np.ascontiguousarray(rows)
         kept = SpectralSampleSet(rows).spectra
         assert kept.flags.f_contiguous and np.array_equal(kept, rows)
 
@@ -332,7 +339,7 @@ class TestSampleSets:
         with pytest.raises(ValueError, match="at least 50"):
             spectral_samples(product_map, 10, seed=0)
 
-    def test_container_validation(self):
+    def test_container_validation(self, monkeypatch):
         good = np.zeros((4, 2))
         with pytest.raises(ValueError, match="finite"):
             SpectralSampleSet(good + np.inf)
@@ -341,6 +348,16 @@ class TestSampleSets:
         for bad in (np.arange(100.0), np.zeros((4, 2, 2)), np.float64(1.0)):
             with pytest.raises(ValueError, match=rf"not shape {re.escape(str(bad.shape))}"):
                 SpectralSampleSet(bad)
+        # a row that is not descending is refused, whichever run of rows and
+        # column pair holds it; ties are descending
+        monkeypatch.setattr(concentration, "_RUN_ROWS", 2)
+        assert len(list(concentration._runs(100))) == 50
+        for row, col in ((0, 1), (57, 1), (99, 2)):
+            bad = np.zeros((100, 3))
+            bad[row, col] = 1.0
+            with pytest.raises(ValueError, match="descending"):
+                SpectralSampleSet(bad)
+        assert SpectralSampleSet(np.array([[2.0, 1.0, 1.0], [0.0, 0.0, -3.0]])).count == 2
         # the fields after the spectra are keyword-only, so a positional
         # second argument is refused rather than taken for the flagged count
         with pytest.raises(TypeError):
@@ -451,7 +468,7 @@ class TestMonteCarloVariance:
         with pytest.raises(ValueError, match="empty"):
             variance_report(empty)
         with pytest.raises(ValueError, match="empty"):
-            poincare_ratio(empty, function_bank(2)[0])
+            poincare_ratio(empty, function_bank(2)[:1])
         with pytest.raises(ValueError, match="empty"):
             exp_concentration(empty, function_bank(2), 0.1)
 
@@ -544,13 +561,13 @@ class TestPoincareRatio:
         const = BankFunction(
             "const", lambda x: (np.full(x.shape[0], 2.5), np.zeros(x.shape[0]))
         )
-        rep = poincare_ratio(product_samples, const)
+        rep = _ratio(product_samples, const)
         assert rep.value == 0.0
         assert not rep.violation_candidate
 
     def test_zero_denominator_flags_candidate(self, product_samples):
         bad = BankFunction("nongradient", lambda x: (x[:, 0], np.zeros(x.shape[0])))
-        rep = poincare_ratio(product_samples, bad)
+        rep = _ratio(product_samples, bad)
         assert rep.violation_candidate
         assert math.isinf(rep.value)
         assert not rep.within(1.0)
@@ -559,14 +576,14 @@ class TestPoincareRatio:
         var = variance_report(product_samples)
         bank = function_bank(3)
         for i in range(3):
-            rep = poincare_ratio(product_samples, bank[i])
+            rep = _ratio(product_samples, bank[i])
             assert rep.numerator == pytest.approx(var.variances[i], rel=1e-12)
             assert rep.denominator == pytest.approx(4.0, rel=1e-12)
 
     def test_bank_satisfies_bound_on_experiments(self, product_samples, radial_samples):
         for samples in (product_samples, radial_samples):
             for f in function_bank(samples.dim):
-                rep = poincare_ratio(samples, f)
+                rep = _ratio(samples, f)
                 assert rep.within(1.0), (samples.label, f.name, rep)
 
     def test_within_accounts_for_noise(self):
@@ -650,7 +667,7 @@ class TestMatrixPoincare:
     def test_spectral_composite_matches_lambda_ratio(self, radial_samples, radial_ratios):
         # composing through the Hessians of the draws must reproduce the
         # spectrum statistics computed from the stored spectra
-        rep_s = poincare_ratio(radial_samples, function_bank(3)[4])
+        rep_s = _ratio(radial_samples, function_bank(3)[4])
         assert radial_ratios["spectral:max"].numerator == pytest.approx(rep_s.numerator, rel=5e-4)
 
     def test_each_entry_computes_its_transform_once(self, radial_map, monkeypatch):
@@ -788,7 +805,7 @@ class TestExpConcentration:
 
     def test_moments_match_the_direct_formula(self, monkeypatch):
         r = rng.stream(2024, 70)
-        spectra = np.asfortranarray(r.standard_normal((1000, 3)))
+        spectra = np.asfortranarray(np.sort(r.standard_normal((1000, 3)), axis=1)[:, ::-1])
         spectra[7, 0] = 900.0
         samples = SpectralSampleSet(spectra)
         cs = (0.1, 0.02, 0.1, 0.5, 0.77, 0.78, 1.5, 0.5, 0.1)
@@ -800,7 +817,7 @@ class TestExpConcentration:
         # in a middle run
         assert len(list(concentration._runs(n))) == runs
         r = rng.stream(2024, 71)
-        spectra = np.asfortranarray(r.standard_normal((n, 3)))
+        spectra = np.asfortranarray(np.sort(r.standard_normal((n, 3)), axis=1)[:, ::-1])
         spectra[n // 2 + 3, 0] = 900.0
         samples = SpectralSampleSet(spectra)
         self._check_moments(monkeypatch, samples, (0.1, 0.02, 0.77, 0.1, 0.78, 1.5), runs)
@@ -817,31 +834,24 @@ class TestExpConcentration:
             exp_concentration(product_samples, function_bank(3), c)
 
 
-def _moment_passes(monkeypatch):
-    """Names of the bank functions whose centre pass is followed by no
-    moment pass of their own: the cells whose moments are reused."""
-    events = []
-    centre, moment = concentration._centre_pass, concentration._moment_pass
+def _passes(monkeypatch, name):
+    """The names of the bank functions that ``concentration.<name>`` (one
+    pass per function, ``f`` its second argument) is called on, in order;
+    each read clears the list."""
+    names, inner = [], getattr(concentration, name)
 
-    def counted_centre(samples, f):
-        events.append(f.name)
-        return centre(samples, f)
+    def counted(samples, f, *args):
+        names.append(f.name)
+        return inner(samples, f, *args)
 
-    def counted_moment(*args):
-        events.append(None)
-        return moment(*args)
+    monkeypatch.setattr(concentration, name, counted)
 
-    monkeypatch.setattr(concentration, "_centre_pass", counted_centre)
-    monkeypatch.setattr(concentration, "_moment_pass", counted_moment)
+    def taken():
+        out = names[:]
+        names.clear()
+        return out
 
-    def reused():
-        names = [
-            name for name, after in zip(events, events[1:] + [""]) if name and after is not None
-        ]
-        events.clear()
-        return names
-
-    return reused
+    return taken
 
 
 def _values(samples, f):
@@ -849,70 +859,125 @@ def _values(samples, f):
     return np.concatenate([v for _, _, v, _ in concentration._evaluations(f, samples.spectra)])
 
 
+def _grad_sq(samples, f):
+    # the function's squared gradients as the bank entry's runs evaluate them
+    return np.concatenate([g for _, _, _, g in concentration._evaluations(f, samples.spectra)])
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+# the concentration kind's gating constant and its default sweep
+_CS = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
+
+
 class TestExpConcentrationBank:
     """A bank's moments equal those of one one-function bank per function,
-    bit for bit, and a bank skips the ``exp`` pass of a function whose
-    values equal a spectrum column whose moments it already has."""
-
-    # the concentration kind's gating constant and its default sweep
-    _CS = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
+    bit for bit, and a bank takes one moment pass per distinct observable."""
 
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_bank_matches_the_per_function_calls(self, monkeypatch, seed):
-        reused = _moment_passes(monkeypatch)
-        total = 0
+        passes = _passes(monkeypatch, "_moments")
+        skipped = 0
         for label, tm in default_experiments():
             samples = spectral_samples(tm, 20_000, seed=seed)
             bank = function_bank(samples.dim)
-            got = exp_concentration(samples, bank, self._CS)
-            skipped = reused()
-            assert got == [_moment(samples, f, self._CS) for f in bank], label
-            # a cell is reused exactly when its values equal a column's bits
-            # and an earlier cell's
-            bits = [_values(samples, f).view(np.int64) for f in bank]
-            columns = [samples.spectra[:, i].view(np.int64) for i in range(samples.dim)]
+            got = exp_concentration(samples, bank, _CS)
+            taken = passes()
+            assert got == [_moment(samples, f, _CS) for f in bank], label
+            passes()
+            # a declared cell whose values have the bits of an earlier
+            # declared cell's takes no pass of its own; every other cell
+            # takes one
+            bits = [_bits(_values(samples, f)) for f in bank]
             want = [
                 f.name
                 for k, f in enumerate(bank)
-                if any(np.array_equal(bits[k], c) for c in columns)
-                and any(np.array_equal(bits[k], b) for b in bits[:k])
+                if f.column is None
+                or not any(
+                    g.column is not None and np.array_equal(bits[k], bits[j])
+                    for j, g in enumerate(bank[:k])
+                )
             ]
-            assert skipped == want, label
-            total += len(want)
+            assert taken == want, label
+            skipped += len(bank) - len(want)
         # max on every set, at least
-        assert total >= len(EXPERIMENT_LABELS)
-
-    def test_equal_block_sums_with_other_values_take_their_own_pass(self, monkeypatch):
-        # integer spectra make every block sum exact, so reversing each
-        # block's rows keeps the sums bit for bit and changes the values
-        n = 1000
-        assert len(list(concentration._runs(n))) == 1
-        spectra = rng.stream(2024, 72).integers(-20, 21, size=(n, 1)).astype(float)
-        sizes = concentration._block_sizes(n)
-        cuts = np.cumsum(sizes)[:-1]
-
-        def reversed_blocks(x):
-            value = np.concatenate([b[::-1] for b in np.split(x[:, 0], cuts)])
-            return value, np.ones(len(x))
-
-        samples = SpectralSampleSet(spectra)
-        coordinate, mean = function_bank(1)[:2]
-        flipped = BankFunction("reversed-blocks", reversed_blocks)
-        column = spectra[:, 0]
-        assert np.array_equal(_per_block(_values(samples, flipped)), _per_block(column))
-        assert not np.array_equal(_values(samples, flipped), column)
-        reused = _moment_passes(monkeypatch)
-        bank = [coordinate, flipped, mean]
-        cs = (0.1, 0.5, 2.0)
-        got = exp_concentration(samples, bank, cs)
-        assert reused() == ["mean"]
-        assert got == [_moment(samples, f, cs) for f in bank]
+        assert skipped >= len(EXPERIMENT_LABELS)
 
     def test_scalar_constant_gives_one_moment_per_function(self, radial_samples):
         bank = function_bank(3)
         got = exp_concentration(radial_samples, bank, 0.1)
         assert got == [_moment(radial_samples, f, 0.1) for f in bank]
         assert all(isinstance(m, float) for m in got)
+
+
+class TestDeclaredColumns:
+    """Bank entries that declare a column are that column of every
+    descending spectrum; the ratio and moment entries evaluate each
+    distinct observable once and give every entry its observable's
+    report."""
+
+    @pytest.mark.parametrize("seed", [2024, 7, 0])
+    def test_declared_entries_are_their_columns(self, seed):
+        observables = cells = 0
+        for label, tm in default_experiments():
+            samples = spectral_samples(tm, 20_000, seed=seed)
+            bank = function_bank(samples.dim)
+            declared = {f.name: f.column for f in bank if f.column is not None}
+            want = {f"coordinate[{i}]": i for i in range(samples.dim)} | {"max": 0}
+            if samples.dim == 1:
+                want |= {"mean": 0, "log-sum-exp": 0}
+            assert declared == want, label
+            for f in bank:
+                if f.column is not None:
+                    column = samples.spectra[:, f.column]
+                    assert np.array_equal(_bits(_values(samples, f)), _bits(column)), f.name
+                    assert np.array_equal(_bits(_grad_sq(samples, f)), _bits(np.ones(len(column))))
+            # every entry reads its observable's values, bit for bit
+            functions, at = concentration._distinct(samples, bank)
+            assert sorted(set(at)) == list(range(len(functions)))
+            for f, k in zip(bank, at):
+                got = _bits(_values(samples, functions[k]))
+                assert np.array_equal(got, _bits(_values(samples, f))), (label, f.name)
+            observables += len(functions)
+            cells += len(bank)
+        # 29 cells repeat a column: max everywhere, mean and log-sum-exp in
+        # one dimension, and radial coordinates past coordinate[1], which
+        # hold its tangential value
+        assert (observables, cells) == (48, 77)
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_ratios_match_one_entry_banks(self, monkeypatch, seed):
+        passes = _passes(monkeypatch, "_ratio")
+        for label, tm in default_experiments():
+            samples = spectral_samples(tm, 20_000, seed=seed)
+            bank = function_bank(samples.dim)
+            got = poincare_ratio(samples, bank)
+            functions, _ = concentration._distinct(samples, bank)
+            assert passes() == [f.name for f in functions], label
+            assert got == [_ratio(samples, f) for f in bank], label
+            passes()
+
+    def test_an_undeclared_copy_of_a_column_takes_its_own_pass(self, monkeypatch, radial_samples):
+        # a function with a column's values that does not declare it is an
+        # observable of its own, for ratios and moments alike
+        coordinate, max_ = function_bank(3)[0], function_bank(3)[4]
+        copy = BankFunction("copy", lambda x: (x[:, 0].copy(), np.ones(len(x))))
+        column = radial_samples.spectra[:, 0]
+        assert np.array_equal(_bits(_values(radial_samples, copy)), _bits(column))
+        bank = [coordinate, copy, max_]
+        functions, at = concentration._distinct(radial_samples, bank)
+        assert [f.name for f in functions] == ["coordinate[0]", "copy"] and at == [0, 1, 0]
+        for name in ("_moments", "_ratio"):
+            passes = _passes(monkeypatch, name)
+            got = (
+                exp_concentration(radial_samples, bank, _CS)
+                if name == "_moments"
+                else poincare_ratio(radial_samples, bank)
+            )
+            assert passes() == ["coordinate[0]", "copy"], name
+            assert got[0] == got[1] == got[2], name
 
 
 def _split_block_sums(a):
@@ -945,7 +1010,7 @@ class TestBlockPartials:
         # order, and one leave-one-out variance per block; the reports agree
         # bit for bit
         s = rng.stream(6, n)
-        spectra = np.asfortranarray(s.standard_normal((n, 3)))
+        spectra = np.asfortranarray(np.sort(s.standard_normal((n, 3)), axis=1)[:, ::-1])
         parts = [
             (float(len(v)), np.sum(v, axis=0), np.sum(v * v, axis=0))
             for v in np.array_split(spectra, _BLOCKS)
@@ -1050,7 +1115,7 @@ class TestRunsOfBlocks:
         cs = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
         bank = function_bank(tm.dim)
         for f in bank:
-            got, want = poincare_ratio(plain, f), poincare_ratio(oracle, f)
+            got, want = _ratio(plain, f), _ratio(oracle, f)
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
             assert got.standard_error == pytest.approx(want.standard_error, rel=1e-10, abs=0.0)
         got, want = exp_concentration(plain, bank, cs), exp_concentration(oracle, bank, cs)
@@ -1087,7 +1152,7 @@ class TestRunsOfBlocks:
         def reports():
             return (
                 variance_report(samples),
-                [poincare_ratio(samples, f) for f in function_bank(3)],
+                [_ratio(samples, f) for f in function_bank(3)],
                 matrix_poincare(tm, matrix_function_bank(3), 20_003, seed=43),
                 exp_concentration(samples, function_bank(3), (0.1, 0.5, 2.0)),
             )
@@ -1115,7 +1180,7 @@ class TestRunMemory:
             samples = spectral_samples(tm, n, seed=2024)
             fs = function_bank(samples.dim)
             for f in fs:
-                poincare_ratio(samples, f)
+                _ratio(samples, f)
                 if not bank:
                     _moment(samples, f, cs)
             if bank:
@@ -1142,8 +1207,8 @@ class TestRunMemory:
         self._check_peak(label)
 
     def test_bank_call_keeps_one_value_per_draw(self):
-        # the bank call confirms a column match run by run and overwrites
-        # its one values array in place; radial n = 8 reuses 7 of 12 cells
+        # the bank call holds one observable's values at a time, overwritten
+        # in place; radial n = 8 has 5 distinct observables in 12 cells
         self._check_peak("radial:ball->gaussian n=8", bank=True)
 
     def test_matrix_bank_holds_one_run_of_hessians(self):
