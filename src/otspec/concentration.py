@@ -52,7 +52,7 @@ from .measures import (
     make_radial_measure,
     regularize,
 )
-from .spd import log_eigen_map, log_quadratic_form, random_spd
+from .spd import _log_quadform, _validated, random_spd
 
 __all__ = [
     "SpectralSampleSet",
@@ -206,8 +206,10 @@ class BankFunction:
     evaluation of the function: rows of R^n for the spectrum bank, where
     ``grad_sq`` is the squared Euclidean gradient, exact almost everywhere
     (ties in max have measure zero), so Poincare denominators carry no
-    differentiation bias; and Hessian stacks (rows, n, n) for the matrix
-    bank, where ``grad_sq`` bounds the squared metric slope pointwise.
+    differentiation bias; and for the matrix bank one run's
+    ``_hessian_view``, the pair of its validated Hessian stack (rows, n, n)
+    and their ascending log-eigenvalues (rows, n), where ``grad_sq`` bounds
+    the squared metric slope pointwise.
     ``column`` declares a spectrum-bank function that equals that column
     of every (descending) spectrum, with a squared gradient of one; the
     ratio and moment entries read such functions as one observable.
@@ -282,50 +284,43 @@ def _quadform_directions(dim):
     return np.stack([e1, np.full(dim, 1.0 / math.sqrt(dim))])
 
 
-def _log_quadforms(h, v):
-    """log(H u.u) with u = v / |v|, for every matrix of the stack h.
-
-    The one evaluation of the log-quadratic-form observable, read by every
-    ``log-quadform`` entry of ``matrix_function_bank``.
-    """
-    v = np.asarray(v, float).ravel()
-    if not np.any(v):
-        raise ValueError("direction vector must be nonzero")
-    v = v / np.linalg.norm(v)
-    return log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
-
-
 def matrix_function_bank(dim, directions=None):
     """Lipschitz functionals of SPD matrices with upper gradients at most one.
 
     Contains each 1-D outer function (identity, clamp to [-1, 1], tanh)
     composed with the log quadratic form along each direction (default:
-    the first basis vector and the normalized diagonal), the metric
-    distance to the identity, and every ``function_bank(dim)`` function
-    composed with the sorted log-eigenvalue map.  A log quadratic form is
-    1-Lipschitz in the metric, so a composite's squared metric slope is
-    bounded by the outer function's squared slope at its value; the
-    identity composite keeps the bare name ``log-quadform[k]``.  Each
-    entry's ``evaluate`` computes its log quadratic form or log-eigenvalue
-    map once.
+    the first basis vector and the normalized diagonal), and the metric
+    distance to the identity.  A log quadratic form is 1-Lipschitz in the
+    metric, so a composite's squared metric slope is bounded by the outer
+    function's squared slope at its value; the identity composite keeps
+    the bare name ``log-quadform[k]``.  Each direction is checked nonzero
+    and normalized here, once; each entry's ``evaluate`` reads a
+    ``_hessian_view`` and computes its log quadratic form once.
     """
     dim = int(dim)
     directions = _quadform_directions(dim) if directions is None else directions
+    rows = np.atleast_2d(np.asarray(directions, float))
+    if rows.shape[1:] != (dim,):
+        raise ValueError(f"directions have shape {rows.shape}, expected (k, {dim})")
+    if not rows.any(axis=1).all():
+        raise ValueError("direction vector must be nonzero")
+    units = [v / np.linalg.norm(v) for v in rows]
     return [
         *(
-            BankFunction(f"log-quadform[{k}]{suffix}", lambda h, v=v, g=g: g(_log_quadforms(h, v)))
-            for k, v in enumerate(np.atleast_2d(np.asarray(directions, float)))
+            BankFunction(f"log-quadform[{k}]{suffix}", lambda hv, v=v, g=g: g(_log_quadform(hv[0], v)))
+            for k, v in enumerate(units)
             for suffix, g in _OUTER_FUNCTIONS
         ),
-        BankFunction(
-            "distance-to-identity",
-            lambda h: (np.linalg.norm(np.log(np.linalg.eigvalsh(h)), axis=1), _ones(h)),
-        ),
-        *(
-            BankFunction(f"spectral:{f.name}", lambda h, f=f: f.evaluate(log_eigen_map(h)))
-            for f in function_bank(dim)
-        ),
+        BankFunction("distance-to-identity", lambda hv: (np.linalg.norm(hv[1], axis=1), _ones(hv[1]))),
     ]
+
+
+def _hessian_view(h):
+    """One run's Hessian stack as every matrix-bank entry reads it: the
+    stack validated once (``hessian[k]`` names the first that fails) and
+    its ascending log-eigenvalues, ``(a, log_eigs)``."""
+    a, _ = _validated(h, "hessian", stack=True, cholesky=True)
+    return a, np.log(np.linalg.eigvalsh(a))
 
 
 # ----------------------------------------------------------------- sampling
@@ -697,16 +692,16 @@ def matrix_poincare(tm, bank, n_samples, seed):
     pushforward, one ``RatioReport`` per function, in order.
 
     The draws are those ``spectral_samples(tm, n_samples, seed)`` reads.
-    Each run of ``_draw`` takes one ``tm.hessian`` call, evaluates every
-    function once on the run's Hessians and keeps only their per-block
-    sums, so no Hessian stack spans the whole set.
+    Each run of ``_draw`` takes one ``tm.hessian`` call and one
+    ``_hessian_view``, evaluates every function once on that view and
+    keeps only their per-block sums, so no Hessian stack spans the whole set.
     """
     sums = [[] for _ in bank]
     for pts, (_, sizes, _) in zip(_draw(tm.source, n_samples, seed), _runs(int(n_samples))):
-        h = tm.hessian(pts)
+        view = _hessian_view(tm.hessian(pts))
         for f, runs in zip(bank, sums):
-            runs.append(_ratio_blocks(*f.evaluate(h), sizes))
-        del h
+            runs.append(_ratio_blocks(*f.evaluate(view), sizes))
+        del view
     return [_ratio_report(_stacked(runs), int(n_samples)) for runs in sums]
 
 

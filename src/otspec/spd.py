@@ -273,6 +273,11 @@ def log_quadratic_form(a, v):
     if np.any(zero):
         where = f" (v[{int(np.flatnonzero(zero)[0])}])" if stack else ""
         raise ValueError("direction vector must be nonzero" + where)
+    return _log_quadform(a, v)
+
+
+def _log_quadform(a, v):
+    """``log_quadratic_form`` on a validated ``a`` and checked ``v``."""
     return np.log((v[..., None, :] @ a @ v[..., :, None])[..., 0, 0])
 
 

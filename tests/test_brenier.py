@@ -569,19 +569,22 @@ class TestStackedHessians:
         atol = 3e-8 if kind == "radial" else 1e-12
         np.testing.assert_allclose(got, tm.log_spectra(x), rtol=0.0, atol=atol)
 
-    def test_log_spectra_order_the_hessian_spectrum(self, kind, monkeypatch):
+    def test_log_spectra_order_the_hessian_spectrum(self, kind):
         # log_spectra orders the spectrum without an eigensolver; the exact
-        # path sorts eigvalsh of the full Hessian.  The radial Hessian reads
-        # the same fast profile here, so only the ordering and eigvalsh
-        # roundoff (a few eps of |H| / lambda in log) separate the two, down
-        # to 1e-6 from the origin (inside 1e-7 the Hessian takes its
-        # isotropic branch)
+        # path sorts eigvalsh of the full Hessian.  Only the ordering and
+        # eigvalsh roundoff (a few eps of |H| / lambda in log) separate the
+        # two, down to 1e-6 from the origin (inside 1e-7 the Hessian takes
+        # its isotropic branch), but for the radial profiles: log_spectra
+        # reads the target law's table start and the Hessian the exact
+        # inverse CDF, which differ by 4.1e-9 in log at r = 1e-6 (u = 1e-18,
+        # in the table's stretched tail) and by at most 8.2e-14 elsewhere
         tm, x = _stack_case(kind)
+        atol = 1e-13
         if kind == "radial":
-            monkeypatch.setattr(tm, "profile", tm.profile_fast)
             near = np.geomspace(1e-6, 1e-1, 11)[:, None] * _dirs(rng.stream(31, 12), 11, 3)
             x = np.concatenate([x[1:], near])
+            atol = np.where(np.linalg.norm(x, axis=1) < 2e-6, 1e-8, 1e-13)[:, None]
         got = tm.log_spectra(x)
         assert got.flags.f_contiguous
         want = np.log(np.linalg.eigvalsh(tm.hessian(x)))[:, ::-1]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        assert np.all(np.abs(got - want) <= atol)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otspec import concentration, rng
+from otspec import concentration, rng, spd
 from otspec.brenier import (
     brenier_1d,
     brenier_gaussian,
@@ -38,7 +38,7 @@ from otspec.concentration import (
     matrix_poincare,
     variance_report,
 )
-from otspec.concentration import _BLOCKS, _panel_nodes, _per_block
+from otspec.concentration import _BLOCKS, _hessian_view, _panel_nodes, _per_block
 from otspec.entropic import (
     EntropicPlan,
     GridMeasure,
@@ -525,35 +525,56 @@ class TestFunctionBank:
             if f.name.startswith("log-quadform")
         }
         assert len(bank) == 12
+        view, up, down = (_hessian_view(s * h) for s in (1.0, math.exp(step), math.exp(-step)))
         for name, f in bank.items():
-            y = bank[name.split(":")[0]].evaluate(h)[0]
-            fd = (f.evaluate(math.exp(step) * h)[0] - f.evaluate(math.exp(-step) * h)[0]) / (
-                2 * step
-            )
+            y = bank[name.split(":")[0]].evaluate(view)[0]
+            fd = (f.evaluate(up)[0] - f.evaluate(down)[0]) / (2 * step)
             smooth = np.abs(np.abs(y) - 1.0) > 1e-3
             np.testing.assert_allclose(
-                (fd * fd)[smooth], f.evaluate(h)[1][smooth], atol=1e-8
+                (fd * fd)[smooth], f.evaluate(view)[1][smooth], atol=1e-8
             )
 
     def test_matrix_bank_values(self):
         bank = {f.name: f for f in matrix_function_bank(2)}
-        h = np.array([[[math.e**2, 0.0], [0.0, 1.0]]])
-        got = bank["log-quadform[0]"].evaluate(h)[0]
+        assert list(bank) == [
+            f"log-quadform[{k}]{suffix}" for k in range(2) for suffix in _OUTER_1D
+        ] + ["distance-to-identity"]
+        view = _hessian_view(np.array([[[math.e**2, 0.0], [0.0, 1.0]]]))
+        got = bank["log-quadform[0]"].evaluate(view)[0]
         assert got[0] == pytest.approx(2.0, abs=1e-12)
         d, _ = bank["distance-to-identity"].evaluate(
-            np.array([[[math.e, 0.0], [0.0, 1.0 / math.e]]])
+            _hessian_view(np.array([[[math.e, 0.0], [0.0, 1.0 / math.e]]]))
         )
         assert d[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        spec_max = bank["spectral:max"].evaluate(h)[0]
-        assert spec_max[0] == pytest.approx(2.0, abs=1e-12)
         for f in bank.values():
-            assert np.all(f.evaluate(h)[1] <= 1.0 + 1e-12)
+            assert np.all(f.evaluate(view)[1] <= 1.0 + 1e-12)
 
-    def test_matrix_bank_rejects_indefinite(self):
-        bank = {f.name: f for f in matrix_function_bank(2)}
-        bad = np.array([[[1.0, 0.0], [0.0, -1.0]]])
-        with pytest.raises(ValueError, match="positive definite"):
-            bank["spectral:max"].evaluate(bad)
+    def test_matrix_bank_rejects_indefinite(self, radial_map):
+        # the one validation of a run's Hessians refuses the negated one and
+        # names it, whichever entry the bank holds
+        class NegatedRow:
+            source, dim = radial_map.source, radial_map.dim
+
+            def hessian(self, x):
+                h = radial_map.hessian(x)
+                h[5] *= -1.0
+                return h
+
+        for f in matrix_function_bank(3):
+            with pytest.raises(ValueError, match=r"^hessian\[5\] is not positive definite"):
+                matrix_poincare(NegatedRow(), [f], 500, seed=3)
+
+    @pytest.mark.parametrize(
+        "directions, message",
+        [
+            ([[0.0, 0.0, 0.0]], "direction vector must be nonzero"),
+            ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "direction vector must be nonzero"),
+            ([[1.0, 0.0]], r"directions have shape \(1, 2\), expected \(k, 3\)"),
+        ],
+    )
+    def test_matrix_bank_refuses_a_bad_direction_when_built(self, directions, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_function_bank(3, directions=directions)
 
 
 class TestPoincareRatio:
@@ -609,7 +630,8 @@ def quadform_ratio_oracle(v, value, slope_sq):
     v = np.asarray(v, float).ravel()
     v = v / np.linalg.norm(v)
 
-    def evaluate(h):
+    def evaluate(view):
+        h = view[0]
         y = log_quadratic_form(h, np.broadcast_to(v, h.shape[:-2] + v.shape))
         return value(y), slope_sq(y)
 
@@ -664,38 +686,54 @@ class TestMatrixPoincare:
         for name, rep in radial_ratios.items():
             assert rep.within(1.0), (name, rep)
 
-    def test_spectral_composite_matches_lambda_ratio(self, radial_samples, radial_ratios):
-        # composing through the Hessians of the draws must reproduce the
-        # spectrum statistics computed from the stored spectra
-        rep_s = _ratio(radial_samples, function_bank(3)[4])
-        assert radial_ratios["spectral:max"].numerator == pytest.approx(rep_s.numerator, rel=5e-4)
-
-    def test_each_entry_computes_its_transform_once(self, radial_map, monkeypatch):
-        # a ratio reads values and squared slopes from one evaluation per run
-        # of blocks, so a spectral entry maps each run's Hessians to
-        # log-eigenvalues once and a log-quadform entry takes their log
-        # quadratic forms once; the runs cover every Hessian once, in order
+    def test_each_run_is_validated_and_eigensolved_once(self, radial_map, monkeypatch):
+        # every entry of the default bank reads one view per run of blocks:
+        # one validation and one eigensolve of the run's Hessians, and no
+        # public SPD observable; the runs cover every Hessian once, in order
         monkeypatch.setattr(concentration, "_RUN_ROWS", 4000)
         hessians = _whole_set_oracle(radial_map, **_RADIAL_DRAWS)[1]
         calls = []
-        for name in ("log_eigen_map", "log_quadratic_form"):
-            fn = getattr(concentration, name)
+
+        def counted(module, name):
+            fn = getattr(module, name)
             monkeypatch.setattr(
-                concentration,
-                name,
-                lambda h, *a, fn=fn, name=name: calls.append((name, h)) or fn(h, *a),
+                module, name, lambda h, *a, **k: calls.append((name, h)) or fn(h, *a, **k)
             )
-        for f in matrix_function_bank(3):
-            calls.clear()
-            matrix_poincare(radial_map, [f], **_RADIAL_DRAWS)
-            if f.name.startswith("spectral:"):
-                assert [name for name, _ in calls] == ["log_eigen_map"] * 5, f.name
-            elif f.name.startswith("log-quadform"):
-                assert [name for name, _ in calls] == ["log_quadratic_form"] * 5, f.name
-            else:
-                assert calls == [], f.name
-                continue
-            assert np.array_equal(np.concatenate([h for _, h in calls]), hessians)
+
+        counted(concentration, "_validated")
+        counted(np.linalg, "eigvalsh")
+        for name in ("_validated", "log_eigen_map", "log_quadratic_form"):
+            counted(spd, name)
+        bank = matrix_function_bank(3)
+        assert len(matrix_poincare(radial_map, bank, **_RADIAL_DRAWS)) == len(bank) == 7
+        assert [name for name, _ in calls] == ["_validated", "eigvalsh"] * 5
+        for k in range(2):
+            assert np.array_equal(np.concatenate([h for _, h in calls[k::2]]), hessians)
+
+
+@pytest.fixture(scope="module")
+def default_maps():
+    return dict(default_experiments())
+
+
+class TestHessianSpectra:
+    """The coupled fast path's spectra are the spectra of the Hessians that
+    the matrix bank reads: on each run of the same draws, the sorted log
+    eigenvalues of the run's validated Hessians match the set's rows to
+    the coupling's roundoff (radial maps read the profile from the target
+    law's table start, the Hessians from the exact inverse CDF)."""
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("label", EXPERIMENT_LABELS)
+    def test_hessian_spectra_match_the_coupled_spectra(self, default_maps, label, seed):
+        tm, n = default_maps[label], 40_000
+        spectra = spectral_samples(tm, n, seed).spectra
+        runs = list(concentration._runs(n))
+        assert len(runs) == 2
+        bound = 1e-9 if label.startswith("radial") else 1e-13
+        for pts, (_, _, rows) in zip(concentration._draw(tm.source, n, seed), runs, strict=True):
+            _, log_eigs = _hessian_view(tm.hessian(pts))
+            assert np.max(np.abs(log_eigs[:, ::-1] - spectra[rows])) <= bound
 
 
 class TestExpConcentration:
@@ -1093,8 +1131,9 @@ class TestRunsOfBlocks:
             assert np.array_equal(last[0], hessians[run[2]])
             return last[0]
 
-        def probe(h):
-            seen.append(h is last[0])
+        def probe(view):
+            h = view[0]
+            seen.append(np.array_equal(h, last[0]))
             return h[:, 0, 0], np.ones(len(h))
 
         monkeypatch.setattr(tm, "hessian", counted)
@@ -1212,12 +1251,12 @@ class TestRunMemory:
         self._check_peak("radial:ball->gaussian n=8", bank=True)
 
     def test_matrix_bank_holds_one_run_of_hessians(self):
-        # a log quadratic form, the distance to the identity and a spectral
-        # entry at 2e4 draws (one run) and at 2e5 draws (ten runs of the
-        # same rows): beyond one run's points and Hessians, the peak is the
-        # same, so nothing grows with the draws
+        # a log quadratic form and the distance to the identity, each read
+        # from the run's one validated view, at 2e4 draws (one run) and at
+        # 2e5 draws (ten runs of the same rows): beyond one run's points and
+        # Hessians, the peak is the same, so nothing grows with the draws
         ((_, tm),) = default_experiments(["radial:ball->gaussian n=8"])
-        names = ("log-quadform[0]", "distance-to-identity", "spectral:max")
+        names = ("log-quadform[0]", "distance-to-identity")
         bank = [f for f in matrix_function_bank(tm.dim) if f.name in names]
         assert len(bank) == len(names)
 
