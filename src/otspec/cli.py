@@ -44,10 +44,9 @@ import numpy as np
 from . import rng
 from . import __version__
 from .spd import (
+    _geodesic_lengths,
     _spd_draws,
     _spd_from_draws,
-    curve_length,
-    geodesic_point,
     log_eigen_map,
     log_quadratic_form,
     spd_distance,
@@ -691,14 +690,13 @@ def _run_geometry(cfg):
         stop = min(start + _BLOCK, cfg.pairs)
         _geometry_pairs(worst, s, [cfg.dims[i % len(cfg.dims)] for i in range(start, stop)])
 
-    # geodesic lengths one curve at a time, then the endpoint distances as
-    # one stack per dimension; np.max, unlike max(), carries a NaN into the
+    # geodesic lengths over 1,000 samples and the endpoint distances, one
+    # stack per dimension; np.max, unlike max(), carries a NaN into the
     # record, which then fails
-    ts = np.linspace(0.0, 1.0, 1000)
     geo_worst = 0.0
     geo_dims = [cfg.dims[i % len(cfg.dims)] for i in range(min(50, cfg.pairs))]
     for a, b in _geodesic_endpoints(s, geo_dims).values():
-        lengths = np.array([curve_length(geodesic_point(x, y, ts)) for x, y in zip(a, b)])
+        lengths = _geodesic_lengths(a, b, 1000)
         geo_worst = float(np.max(np.abs(lengths - spd_distance(a, b)), initial=geo_worst))
 
     tol = 1e-9

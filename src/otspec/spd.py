@@ -12,17 +12,26 @@ either shape and return results with the matching leading shape.  Every
 public function validates each SPD argument once, on entry, as one stack,
 and works from the factor that validation computes: the eigendecomposition
 where the answer is a spectrum or a matrix function (``log_eigen_map``,
-``sqrt_factors``, the whitened matrix inside ``geodesic_point``), and the
+``sqrt_factors``, the whitened matrix of a geodesic's frame), and the
 several times cheaper Cholesky factor A = L Lᵀ where A only whitens or is
-only checked (``spd_distance``, the endpoints of ``geodesic_point``,
+only checked (``spd_distance``, the endpoints of a geodesic,
 ``curve_length``, ``log_quadratic_form``).  Whitening by L⁻¹ · L⁻ᵀ in place
 of A^{-1/2} · A^{-1/2} conjugates by an orthogonal matrix, which changes no
 spectrum and no Frobenius norm.  The functions that build SPD values
 (``geodesic_point``, ``random_spd``) return them exactly symmetrized but
-unvalidated, so each value is checked once, by its consumer.  Geodesics are
-batched: one call returns every requested point of the curve, and
-``curve_length`` takes the metric speeds of a whole sample stack from the
-Cholesky factors its validation computes.
+unvalidated, so each value is checked once, by its consumer.
+
+Geodesics are batched: one call returns every requested point of the
+curve, from the geodesic's frame γ(s) = G diag(wˢ) Gᵀ, validated once: A
+and B by Cholesky and L⁻¹ B L⁻ᵀ by the eigen check.  ``curve_length`` is
+the generic length of any sampled curve: it validates the sample stack and
+takes the metric speeds from the Cholesky factors that validation
+computes.  The geometry self-test measures each geodesic's length in its
+own frame instead (``_geodesic_lengths``): the endpoints of a stack of
+geodesics are validated once, as stacks; each geodesic's samples are
+``geodesic_point``'s, each held to its factor G diag(w^{s/2}) at the
+validator's tolerances; and every speed comes from the tangents whitened by
+the one matrix G⁻¹, with no factorization per sample.
 """
 
 import numpy as np
@@ -39,6 +48,8 @@ __all__ = [
 
 _SYM_RTOL = 1e-12
 _RECON_RTOL = 1e-10
+# entries per chunk of a stacked reconstruction check: 1 MB of floats
+_CHUNK = 1 << 17
 # e^x is a finite normal float for |x| up to this bound
 _MAX_LOG_SPREAD = -float(np.log(np.finfo(float).tiny))
 
@@ -59,27 +70,13 @@ def _validated(a, name, stack=False, cholesky=False):
     columns.  With ``cholesky`` it is the lower-triangular factor of
     A = L Lᵀ, and the return is ``(a, l)``.  A stack that Cholesky refuses
     is given the eigen check, which names the first matrix that is not
-    positive definite and its smallest eigenvalue.
+    positive definite and its smallest eigenvalue.  The norm, the symmetry
+    defect and the symmetrization are computed in the buffer that is
+    returned, and the reconstruction check rebuilds the stack a chunk at a
+    time, so beyond the input and the returned arrays the checks hold two
+    chunks of at most 1 MB.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
-        what = "a stack of square matrices" if stack else "a square 2d array"
-        raise ValueError(f"{name} must be {what}, got shape {a.shape}")
-
-    def check(ok, message):
-        if not ok.all():
-            k = int(np.flatnonzero(~ok)[0])
-            raise ValueError((f"{name}[{k}]" if stack else name) + message(k))
-
-    check(np.isfinite(a).all(axis=(-2, -1)), lambda k: " contains non-finite entries")
-    at = np.swapaxes(a, -2, -1)
-    scale, defect = _frobenius(a), _frobenius(a - at)
-    check(
-        defect <= _SYM_RTOL * np.maximum(scale, 1e-300),
-        lambda k: f" is not symmetric: asymmetry {defect.flat[k]:.3e} exceeds "
-        f"{_SYM_RTOL:g} relative to norm {scale.flat[k]:.3e}",
-    )
-    a = 0.5 * (a + at)
+    a, scale, check = _symmetrized(a, name, stack)
     if not cholesky:
         return (a, *_eigen_factors(a, scale, check))
     try:
@@ -92,10 +89,43 @@ def _validated(a, name, stack=False, cholesky=False):
             "although every computed eigenvalue is positive"
         ) from None
     check(
-        _frobenius(l @ np.swapaxes(l, -2, -1) - a) <= _RECON_RTOL * scale,
+        _residual(a, lambda l: l @ np.swapaxes(l, -2, -1), l) <= _RECON_RTOL * scale,
         lambda k: ": Cholesky factor failed the reconstruction check",
     )
     return a, l
+
+
+def _symmetrized(a, name, stack):
+    """``_validated``'s checks of shape, finite entries and symmetry.
+
+    Returns the exactly symmetrized array, its Frobenius norms, and the
+    ``check(ok, message)`` that raises for the first matrix not ``ok``,
+    naming it.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
+        what = "a stack of square matrices" if stack else "a square 2d array"
+        raise ValueError(f"{name} must be {what}, got shape {a.shape}")
+
+    def check(ok, message):
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            raise ValueError((f"{name}[{k}]" if stack else name) + message(k))
+
+    check(np.isfinite(a).all(axis=(-2, -1)), lambda k: " contains non-finite entries")
+    # the norm, the symmetry defect and the symmetrization share one buffer,
+    # which becomes the returned array
+    at = np.swapaxes(a, -2, -1)
+    sym = np.multiply(a, a)
+    scale = np.sqrt(sym.sum(axis=(-2, -1)))
+    np.subtract(a, at, out=sym)
+    defect = np.sqrt(np.square(sym, out=sym).sum(axis=(-2, -1)))
+    check(
+        defect <= _SYM_RTOL * np.maximum(scale, 1e-300),
+        lambda k: f" is not symmetric: asymmetry {defect.flat[k]:.3e} exceeds "
+        f"{_SYM_RTOL:g} relative to norm {scale.flat[k]:.3e}",
+    )
+    return np.multiply(np.add(a, at, out=sym), 0.5, out=sym), scale, check
 
 
 def _eigen_factors(a, scale, check):
@@ -108,12 +138,29 @@ def _eigen_factors(a, scale, check):
         low > 0.0,
         lambda k: f" is not positive definite: smallest eigenvalue {low.flat[k]:.6e}",
     )
-    recon = (v * w[..., None, :]) @ np.swapaxes(v, -2, -1)
     check(
-        _frobenius(recon - a) <= _RECON_RTOL * scale,
+        _residual(a, lambda w, v: (v * w[..., None, :]) @ np.swapaxes(v, -2, -1), w, v)
+        <= _RECON_RTOL * scale,
         lambda k: ": eigendecomposition failed the reconstruction check",
     )
     return w, v
+
+
+def _residual(a, rebuild, *factors):
+    """‖rebuild(*factors) − A‖_F for each matrix of A, an (n, n) array or a
+    stack, from its factors (stacked like A, without its last two axes
+    where a factor is a vector).  The stack is rebuilt one chunk of at most
+    ``_CHUNK`` entries at a time, so the check's temporaries stay near 1 MB
+    however long the stack."""
+    n = a.shape[-1]
+    a3, *f3 = (x.reshape(-1, *x.shape[a.ndim - 2 :]) for x in (a, *factors))
+    out = np.empty(a3.shape[0])
+    step = max(1, _CHUNK // (n * n))
+    for i in range(0, out.size, step):
+        r = rebuild(*(f[i : i + step] for f in f3))
+        r -= a3[i : i + step]
+        out[i : i + step] = np.sqrt(np.square(r, out=r).sum(axis=(-2, -1)))
+    return out.reshape(a.shape[:-2])
 
 
 def _frobenius(a):
@@ -165,12 +212,40 @@ def spd_distance(a, b):
     return np.linalg.norm(np.log(w), axis=-1)
 
 
+def _geodesic_frame(a, b, stack=False):
+    """The eigenframe (G, w) of the geodesic from A to B, validated once.
+
+    With A = L Lᵀ by Cholesky and L⁻¹ B L⁻ᵀ = V diag(w) Vᵀ by the eigen
+    check, G = L V and γ(s) = G diag(wˢ) Gᵀ, so G diag(w^{s/2}) factors
+    every point of the curve.  With ``stack``, A and B are stacks of
+    endpoints, validated as stacks, and G and w the stacks of their frames.
+    """
+    a, la = _validated(a, "a", stack=stack, cholesky=True)
+    b, _ = _validated(b, "b", stack=stack, cholesky=True)
+    _same_shape(a, b)
+    _, w, v = _validated(_whiten(la, b), "L^{-1} B L^{-T}", stack=stack)
+    return la @ v, w
+
+
+def _frame_product(g, w, s):
+    """G diag(wˢ) Gᵀ for each parameter of s, as computed: not symmetrized."""
+    # a contiguous transpose: matmul over a stack runs up to twice as long
+    # on a transposed view
+    return (g * w ** s[..., None, None]) @ g.T.copy()
+
+
+def _geodesic_points(products):
+    """Geodesic points from their frame products, exactly symmetrized."""
+    p = products + np.swapaxes(products, -2, -1)
+    return np.multiply(p, 0.5, out=p)
+
+
 def geodesic_point(a, b, s):
     """Points γ(s) = A^{1/2} (A^{-1/2} B A^{-1/2})^s A^{1/2} on the geodesic.
 
     With the Cholesky factor A = L Lᵀ the same curve is γ(s) = L Cˢ Lᵀ,
     C = L⁻¹ B L⁻ᵀ, and every point comes from one eigendecomposition
-    C = V diag(w) Vᵗ, as γ(s) = L V diag(wˢ) Vᵗ Lᵀ.  A, B and C are
+    C = V diag(w) Vᵗ, as γ(s) = G diag(wˢ) Gᵀ with G = L V.  A, B and C are
     validated; the points are returned exactly symmetrized but not
     validated, since their consumer (``curve_length``, say) checks the
     stack at its own boundary.
@@ -185,48 +260,42 @@ def geodesic_point(a, b, s):
     -------
     ndarray of shape ``np.shape(s) + (n, n)``
     """
-    a, la = _validated(a, "a", cholesky=True)
-    b, _ = _validated(b, "b", cholesky=True)
-    _same_shape(a, b)
+    g, w = _geodesic_frame(a, b)
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError(f"geodesic parameter must be a scalar or 1d, got shape {s.shape}")
     outside = ~((s >= 0.0) & (s <= 1.0))
     if np.any(outside):
         raise ValueError(f"geodesic parameter must lie in [0, 1], got {s[outside].flat[0]}")
-    _, wc, vc = _validated(_whiten(la, b), "L^{-1} B L^{-T}")
-    # contiguous transposes: matmul over a stack runs up to twice as long
-    # on a transposed view
-    mid = (vc * wc ** s[..., None, None]) @ vc.T.copy()
-    g = la @ mid @ la.T.copy()
-    return 0.5 * (g + np.swapaxes(g, -2, -1))
+    return _geodesic_points(_frame_product(g, w, s))
 
 
-def _batched_speeds(p, l):
-    """Metric speeds ‖γ̇(s_k)‖_{γ(s_k)} from uniformly spaced curve samples.
+def _stencil_tangents(p):
+    """Finite-difference tangents of uniformly spaced curve samples, and
+    their spacing h.
 
-    Tangents are finite differences: fourth-order central stencils in the
-    interior, falling back to second-order central and then one-sided
-    second-order at the ends.  The even-order interior stencil keeps the
-    bias negligible even for well-separated endpoints.  With each sample
-    factored as L Lᵀ, the squared speed Tr[(γ⁻¹γ̇)²] is ‖L⁻¹γ̇L⁻ᵀ‖²_F, a
-    sum of squares.
+    Fourth-order central stencils in the interior, falling back to
+    second-order central and then one-sided second-order at the ends.  The
+    even-order interior stencil keeps the bias negligible even for
+    well-separated endpoints.
     """
     m = p.shape[0]
     h = 1.0 / (m - 1)
     tangents = np.empty_like(p)
     if m >= 5:
-        tangents[2:-2] = (
-            -p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]
-        ) / (12.0 * h)
+        # (8 (p₊₁ − p₋₁) + p₋₂ − p₊₂) / 12h in place, with no temporaries
+        inner = np.subtract(p[3:-1], p[1:-3], out=tangents[2:-2])
+        inner *= 8.0
+        inner += p[:-4]
+        inner -= p[4:]
+        inner /= 12.0 * h
         tangents[1] = (p[2] - p[0]) / (2.0 * h)
         tangents[-2] = (p[-1] - p[-3]) / (2.0 * h)
     else:
         tangents[1:-1] = (p[2:] - p[:-2]) / (2.0 * h)
     tangents[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * h)
     tangents[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * h)
-    scaled = _whiten(l, tangents)
-    return np.sqrt((scaled * scaled).sum(axis=(-2, -1))), h
+    return tangents, h
 
 
 def curve_length(points):
@@ -234,8 +303,9 @@ def curve_length(points):
 
     Trapezoidal rule applied to the finite-difference metric speeds; for
     samples of a geodesic this converges to the endpoint distance as the
-    grid refines.  The samples are validated once, as one stack, and the
-    speeds come from the Cholesky factors that validation computes.
+    grid refines.  The samples are validated once, as one stack.  With
+    each sample factored as L Lᵀ by that validation, the squared speed
+    Tr[(γ⁻¹γ̇)²] is ‖L⁻¹γ̇L⁻ᵀ‖²_F, a sum of squares.
 
     Parameters
     ----------
@@ -248,8 +318,58 @@ def curve_length(points):
         raise ValueError(f"need at least three curve samples, got {stack.shape[0]}")
     if np.allclose(stack, stack[0], rtol=0.0, atol=1e-15 * np.linalg.norm(stack[0])):
         return 0.0
-    speeds, h = _batched_speeds(stack, l)
-    return float(np.trapezoid(speeds, dx=h))
+    tangents, h = _stencil_tangents(stack)
+    return float(np.trapezoid(_frobenius(_whiten(l, tangents)), dx=h))
+
+
+def _check_samples(points, products, name):
+    """Hold each geodesic sample to its factor G diag(w^{s/2}).
+
+    ``_validated``'s checks at its tolerances, with the frame's factor in
+    place of one computed per sample: each sample must be finite,
+    symmetric, and reconstructed by the factor's product G diag(wˢ) Gᵀ to
+    1e-10 relative.  The first sample that fails is named by its index.
+    """
+    sym, scale, check = _symmetrized(points, name, stack=True)
+    check(
+        _frobenius(products - sym) <= _RECON_RTOL * scale,
+        lambda k: ": geodesic factor failed the reconstruction check",
+    )
+
+
+def _geodesic_lengths(a, b, m):
+    """``curve_length`` of each geodesic from ``a[k]`` to ``b[k]``, sampled
+    at m uniformly spaced parameters and measured in its own frame.
+
+    The endpoint stacks are validated once, as stacks, and each geodesic's
+    samples are ``geodesic_point``'s, held to their factors G diag(w^{s/2})
+    by ``_check_samples`` in place of a factorization each.  Whitening by
+    those factors, the squared metric speed at γ(s) is
+    ‖diag(w^{-s/2}) G⁻¹ γ̇ G⁻ᵀ diag(w^{-s/2})‖²_F: the tangents of the
+    whole curve are whitened by the one matrix G⁻¹.
+    """
+    s = np.linspace(0.0, 1.0, m)
+    frames = zip(*_geodesic_frame(a, b, stack=True))
+    return np.array(
+        [_frame_length(g, w, s, f"geodesic {k}: curve sample") for k, (g, w) in enumerate(frames)]
+    )
+
+
+def _frame_length(g, w, s, name):
+    """One geodesic's length for ``_geodesic_lengths``, whose samples are
+    freed on return: one curve's samples are held at a time."""
+    products = _frame_product(g, w, s)
+    points = _geodesic_points(products)
+    _check_samples(points, products, name)
+    # freed before the tangents and their whitened stack are made
+    del products
+    tangents, h = _stencil_tangents(points)
+    gi = np.linalg.inv(g)
+    x = gi @ tangents @ gi.T.copy()
+    r = w ** (-0.5 * s[:, None])
+    x *= r[:, :, None]
+    x *= r[:, None, :]
+    return np.trapezoid(_frobenius(x), dx=h)
 
 
 def log_eigen_map(a):

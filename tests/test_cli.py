@@ -389,7 +389,7 @@ class TestRunExperiment:
         assert "geodesic-length" in claims
         assert "sorted-spectra-bound" in claims
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), 24])
     def test_geometry_selftest_passes_at_seed(self, seed):
         # seeds 5, 8 and 11 once failed the affine-invariance check under an
         # ill-conditioned congruence; the default pair count reaches them
@@ -426,39 +426,58 @@ class TestRunExperiment:
             assert np.array_equal(b, np.stack([y for _, y in want[n]]))
 
     def test_nan_geodesic_length_fails_its_record(self, monkeypatch):
-        monkeypatch.setattr(cli, "curve_length", lambda points: math.nan)
+        monkeypatch.setattr(cli, "_geodesic_lengths", lambda a, b, m: np.full(len(a), math.nan))
         report = run_experiment(config_from_dict({"kind": "geometry-selftest", "pairs": 5}))
         assert [r.name for r in report.records if not r.passed] == ["geodesic-length"]
 
-    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 340), ("gamma2-check", 20)])
+    def test_doubled_exponent_fails_the_geodesic_record(self, monkeypatch):
+        # frames with w² in place of w sample γ(2s), a consistent curve twice
+        # as long: every sample matches its factor, and the record fails
+        frame = spd._geodesic_frame
+
+        def doubled(*args, **kwargs):
+            g, w = frame(*args, **kwargs)
+            return g, w * w
+
+        monkeypatch.setattr(spd, "_geodesic_frame", doubled)
+        report = run_experiment(config_from_dict({"kind": "geometry-selftest", "pairs": 5}))
+        assert [r.name for r in report.records if not r.passed] == ["geodesic-length"]
+
+    @pytest.mark.parametrize("kind, limit", [("geometry-selftest", 161), ("gamma2-check", 20)])
     def test_validates_once_per_stack(self, monkeypatch, kind, limit):
-        # geometry-selftest: random_spd and geodesic_point leave their
-        # output to the consumer's stacked check.  The 1,000 pairs make 126
-        # calls, each of the 50 geodesics four (Cholesky checks of a and b
-        # and the eigen check of C = L⁻¹ B L⁻ᵀ in geodesic_point, and the
-        # Cholesky check of the 1,000-point stack in curve_length), and the
-        # geodesics' endpoint distances two per dimension (the Cholesky
-        # checks of the a and b stacks of spd_distance)
-        validated, geodesic_point = spd._validated, cli.geodesic_point
-        seen, geodesics = [], []
+        # geometry-selftest: random_spd leaves its output to the consumer's
+        # stacked check.  The 1,000 pairs make 126 calls, and the 50
+        # geodesics five per dimension: the Cholesky checks of the a and b
+        # stacks and the eigen check of the C = L⁻¹ B L⁻ᵀ stack that validate
+        # their frames, and the Cholesky checks of the a and b stacks of
+        # their endpoint distances.  The 1,000 samples of a geodesic are held
+        # to their frame's factors instead, once each
+        validated, points, held = spd._validated, spd._geodesic_points, spd._check_samples
+        seen, geodesics, checked = [], [], []
 
         def counted(a, *args, **kwargs):
             seen.append(a)
             return validated(a, *args, **kwargs)
 
         def recorded(*args):
-            geodesics.append(geodesic_point(*args))
+            geodesics.append(points(*args))
             return geodesics[-1]
 
+        def checking(p, *args):
+            checked.append(p)
+            return held(p, *args)
+
         monkeypatch.setattr(spd, "_validated", counted)
-        monkeypatch.setattr(cli, "geodesic_point", recorded)
+        monkeypatch.setattr(spd, "_geodesic_points", recorded)
+        monkeypatch.setattr(spd, "_check_samples", checking)
         report = run_experiment(default_config(kind))
         assert all(r.passed for r in report.records)
         assert 0 < len(seen) <= limit
-        assert len(geodesics) == (50 if kind == "geometry-selftest" else 0)
+        assert len(geodesics) == len(checked) == (50 if kind == "geometry-selftest" else 0)
         for g in geodesics:
             assert g.shape[0] == 1000
-            assert sum(a is g for a in seen) == 1
+            assert not any(a is g for a in seen)
+            assert sum(p is g for p in checked) == 1
 
     @pytest.mark.parametrize(
         "overrides, stage, count",

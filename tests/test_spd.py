@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from otspec import spd
 from otspec.brenier import brenier_gaussian
 from otspec.measures import GaussianMeasure
 from otspec.rng import stream
 from otspec.spd import (
+    _geodesic_lengths,
     _spd_draws,
     _spd_from_draws,
     _validated,
@@ -332,6 +336,74 @@ class TestCurveLength:
         )
 
 
+def _off_the_curve(p):
+    """1e-6 relative off the curve: fails the reconstruction check."""
+    p *= 1.0 + 1e-6
+
+
+def _skewed(p):
+    """Asymmetric by 1e-11 relative, which the reconstruction check lets by
+    and the symmetry check does not."""
+    p[0, 1] += 1e-11 * np.linalg.norm(p)
+
+
+class TestGeodesicLength:
+    # the self-test's lengths, measured in each geodesic's eigenframe; the
+    # exact path is curve_length on geodesic_point's samples, each sample
+    # factored and whitened on its own
+    @staticmethod
+    def _endpoints(seed, n, m=3):
+        rng = stream(seed, 50 + n)
+        a = np.stack([random_spd(rng, n) for _ in range(m)])
+        return a, np.stack([random_spd(rng, n) for _ in range(m)])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_matches_curve_length_of_the_points(self, seed):
+        for n in range(2, 9):
+            a, b = self._endpoints(seed, n)
+            lengths = _geodesic_lengths(a, b, 1000)
+            for x, y, length in zip(a, b, lengths):
+                want = curve_length(geodesic_samples(x, y, 1000))
+                assert abs(length - want) <= 1e-12 * want
+
+    def test_reads_the_geodesic_points(self, monkeypatch):
+        points, read = spd._geodesic_points, []
+        monkeypatch.setattr(spd, "_geodesic_points", lambda *args: read.append(points(*args)) or read[-1])
+        for n in range(2, 9):
+            a, b = self._endpoints(11, n)
+            read.clear()
+            _geodesic_lengths(a, b, 1000)
+            samples = list(read)
+            assert len(samples) == len(a)
+            for x, y, got in zip(a, b, samples):
+                assert np.array_equal(got, geodesic_samples(x, y, 1000))
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (_off_the_curve, ": geodesic factor failed the reconstruction check"),
+            (_skewed, " is not symmetric"),
+        ],
+        ids=["off-the-curve", "skewed"],
+    )
+    @pytest.mark.parametrize("k", [0, 417, 999])
+    def test_refuses_a_perturbed_sample_by_index(self, monkeypatch, perturb, message, k):
+        # the second geodesic's sample k is perturbed
+        a, b = self._endpoints(11, 5)
+        points, calls = spd._geodesic_points, []
+
+        def perturbed(*args):
+            p = points(*args)
+            calls.append(p)
+            if len(calls) == 2:
+                perturb(p[k])
+            return p
+
+        monkeypatch.setattr(spd, "_geodesic_points", perturbed)
+        with pytest.raises(ValueError, match=rf"^geodesic 1: curve sample\[{k}\]{message}"):
+            _geodesic_lengths(a, b, 1000)
+
+
 class TestLogEigenMap:
     def test_identity(self):
         np.testing.assert_array_equal(
@@ -460,6 +532,34 @@ def eigen_curve_length_oracle(p):
     r = 1.0 / np.sqrt(w)
     scaled = r[:, :, None] * (np.swapaxes(v, -2, -1) @ t @ v) * r[:, None, :]
     return np.trapezoid(np.sqrt((scaled * scaled).sum(axis=(-2, -1))), dx=h)
+
+
+class TestValidationMemory:
+    def test_returns_the_symmetrized_stack_and_its_factors(self):
+        # the buffers change no bit of what the validator returns
+        rng = stream(11, 60)
+        a = _spd_from_draws(rng.standard_normal((50, 6, 6)), rng.uniform(-3, 3, (50, 6)))
+        a[:, 0, 1] *= 1.0 + 1e-14
+        sym = 0.5 * (a + np.swapaxes(a, -2, -1))
+        got, w, v = _validated(a, "a", stack=True)
+        want_w, want_v = np.linalg.eigh(sym)
+        assert np.array_equal(got, sym)
+        assert np.array_equal(w, want_w[..., ::-1]) and np.array_equal(v, want_v[..., ::-1])
+        got, l = _validated(a, "a", stack=True, cholesky=True)
+        assert np.array_equal(got, sym) and np.array_equal(l, np.linalg.cholesky(sym))
+
+    def test_peak_is_three_stacks_beyond_input_and_output(self):
+        rng = stream(11, 61)
+        stack = _spd_from_draws(rng.standard_normal((20_000, 8, 8)), rng.uniform(-3, 3, (20_000, 8)))
+        v = rng.standard_normal((20_000, 8))
+        for f in (log_eigen_map, lambda a: log_quadratic_form(a, v)):
+            tracemalloc.start()
+            try:
+                out = f(stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * stack.nbytes + out.nbytes
 
 
 class TestCholeskyWhitening:
