@@ -934,13 +934,7 @@ _SINKHORN_CASES = {"gaussian": _gaussian_case, "product": _product_case}
 
 def _sinkhorn_part(cfg, part, records, dumps):
     from .concentration import entropic_spectral_samples, variance_report
-    from .entropic import (
-        default_eps_schedule,
-        discretize,
-        entropic_map,
-        hessian_fd,
-        sinkhorn_solve,
-    )
+    from .entropic import default_eps_schedule, discretize, extrapolated, sinkhorn_solve
 
     src, dst, src_box, dst_box, oracle, map_pts, hess_pts = _SINKHORN_CASES[part](cfg.seed)
     mu = discretize(src, src_box, cfg.grid, cfg.grid)
@@ -956,10 +950,10 @@ def _sinkhorn_part(cfg, part, records, dumps):
         plan.marginal_error <= 1e-8,
         f"iterations={len(plan.history)} stages={stages}",
     )
-    agree = _map_agreement(entropic_map(plan, map_pts), oracle.map_points(map_pts))
+    agree = _map_agreement(extrapolated(plan, map_pts)[0], oracle.map_points(map_pts))
     _rec(records, f"map-agreement[{part}]", "oracle-agreement", agree, 0.05, agree <= 0.05)
     ref = oracle.hessian(hess_pts)
-    gap = np.linalg.norm(hessian_fd(plan, hess_pts) - ref, 2, axis=(-2, -1))
+    gap = np.linalg.norm(extrapolated(plan, hess_pts)[1] - ref, 2, axis=(-2, -1))
     herr = float(np.max(gap / np.linalg.norm(ref, 2, axis=(-2, -1))))
     _rec(records, f"hessian-agreement[{part}]", "oracle-agreement", herr, 0.05, herr <= 0.05)
     label = f"sinkhorn2d:{part}"

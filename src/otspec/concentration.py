@@ -45,7 +45,7 @@ from .brenier import (
     brenier_product,
     brenier_radial,
 )
-from .entropic import _fd_hessians, _fd_step, _stencil_room
+from .entropic import extrapolated
 from .measures import (
     GaussianMeasure,
     make_catalog_measure,
@@ -96,9 +96,9 @@ class SpectralSampleSet:
     it is, any other is copied once, and any shape but (count, dim) is
     refused.  Every row counts once: statistics are unweighted.  The fields
     after ``spectra`` are keyword-only.
-    ``flagged`` counts degenerate (non positive definite) estimates that
-    were excluded; ``skipped`` counts points discarded before estimation,
-    for grid estimators whose stencil would leave the domain.
+    ``flagged`` counts degenerate (not resolved positive definite)
+    estimates that were excluded; ``skipped`` counts points discarded
+    before estimation, for grid estimators whose draws leave the box.
     """
 
     spectra: np.ndarray
@@ -439,28 +439,26 @@ def spectral_samples(tm, n_samples, seed, label=None):
     )
 
 
-def entropic_spectral_samples(plan, measure, n_samples, seed, h=None, label=None):
+def entropic_spectral_samples(plan, measure, n_samples, seed, label=None):
     """Spectral observations from a grid plan's barycentric map.
 
-    Draws from ``measure``, drops points whose difference stencil would
-    leave the source box (``skipped``), estimates the Hessian by the
-    symmetrized central-difference Jacobian in one batched evaluation,
-    and excludes non positive definite estimates (``flagged``).  The
-    resulting set is marked approximate.
+    Draws from ``measure``, drops points outside the source box
+    (``skipped``), takes the extrapolated Jacobians in one batched
+    evaluation, and excludes estimates whose smallest eigenvalue is not
+    above their rounding bound (``flagged``), as where the conditional is
+    nearly a point mass.  The resulting set is marked approximate.
     """
     pts = np.concatenate(list(_draw(measure, n_samples, seed)))
-    h = _fd_step(plan, h)
-    _, close = _stencil_room(plan, pts, h)
-    skipped = int(np.sum(close))
-    eigs = np.linalg.eigvalsh(_fd_hessians(plan, pts[~close], h))
-    keep = eigs[:, 0] > 0.0
-    flagged = int(np.sum(~keep))
+    inside = plan.source.contains(pts)
+    _, jac, bound = extrapolated(plan, pts[inside])
+    eigs = np.linalg.eigvalsh(jac)
+    keep = eigs[:, 0] > bound
     eigs = eigs[keep]
     spectra = np.log(eigs[:, ::-1], out=np.empty(eigs.shape, order="F"))
     return SpectralSampleSet(
         spectra=spectra,
-        flagged=flagged,
-        skipped=skipped,
+        flagged=int(np.sum(~keep)),
+        skipped=int(np.sum(~inside)),
         approximate=True,
         label=label or "entropic-grid",
     )

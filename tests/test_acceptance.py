@@ -236,7 +236,7 @@ def test_grid_transport_cross_validation(capfd):
     failures = _failed(records)
     # the Sinkhorn work at seed 2024: iterations and eps-stages per part
     notes = {r.name: r.note for r in records}
-    for part, want in (("gaussian", "iterations=44 stages=6"), ("product", "iterations=43 stages=6")):
+    for part, want in (("gaussian", "iterations=59 stages=7"), ("product", "iterations=59 stages=7")):
         got = notes.get(f"marginal-error[{part}]")
         if got != want:
             failures.append(f"marginal-error[{part}] note {got!r}, expected {want!r}")

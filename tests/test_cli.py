@@ -691,36 +691,54 @@ class TestRunExperiment:
             names = [f"1d:{f.source.name}->{f.target.name}" for f in tm.factors]
             assert names == list(EXPERIMENT_LABELS[:3])
 
-    def test_sinkhorn_makes_one_stacked_hessian_call_per_part(self, monkeypatch):
-        # each part estimates all of its Hessian points with one hessian_fd
-        # call and reads the oracle's Hessians with one stacked call
+    def test_sinkhorn_makes_one_jacobian_kernel_call_per_plan_and_point_set(self, monkeypatch):
+        # each part reads its map points, its Hessian points and its draws
+        # with one moments-kernel call per point set on each of the plan's
+        # last two stages, and the oracle's Hessians with one stacked call
         calls = []
-        fd = entropic.hessian_fd
+        moments = entropic._moments
 
-        def counted_fd(plan, x, h=None):
-            calls.append(("hessian_fd", np.shape(x)))
-            return fd(plan, x, h=h)
+        def counted_moments(plan, x):
+            calls.append((plan.eps, np.shape(x)))
+            return moments(plan, x)
 
-        monkeypatch.setattr(entropic, "hessian_fd", counted_fd)
+        monkeypatch.setattr(entropic, "_moments", counted_moments)
+        oracle_calls = []
         for cls in (brenier.LinearMap, brenier.ProductMap):
             oracle = cls.hessian
 
             def counted(tm, x, oracle=oracle):
-                calls.append((tm.kind, np.shape(x)))
+                oracle_calls.append((tm.kind, np.shape(x)))
                 return oracle(tm, x)
 
             monkeypatch.setattr(cls, "hessian", counted)
         report = run_experiment(config_from_dict({"kind": "sinkhorn2d", "grid": 32, "samples": 60}))
         names = [r.name for r in report.records]
         assert "hessian-agreement[gaussian]" in names and "hessian-agreement[product]" in names
-        assert sorted(calls) == sorted(
-            [
-                ("gaussian-linear", (12, 2)),
-                ("hessian_fd", (12, 2)),
-                ("hessian_fd", (25, 2)),
-                ("product", (25, 2)),
-            ]
-        )
+        assert sorted(oracle_calls) == [("gaussian-linear", (12, 2)), ("product", (25, 2))]
+        assert len(calls) == 12
+        for part, at in zip(("gaussian", "product"), (calls[:6], calls[6:])):
+            fine, coarse = at[0][0], at[1][0]
+            assert coarse == 2.0 * fine
+            assert [eps for eps, _ in at] == [fine, coarse] * 3
+            map_pts, hess_pts = cli._SINKHORN_CASES[part](2024)[5:]
+            assert [shape for _, shape in at[::2]] == [map_pts.shape, hess_pts.shape, (60, 2)]
+            assert [shape for _, shape in at[1::2]] == [shape for _, shape in at[::2]]
+
+    def test_sinkhorn_agreement_at_grid_64(self):
+        # the Richardson values at seed 2024: well inside the 0.05 bound
+        report = run_experiment(config_from_dict({"kind": "sinkhorn2d"}))
+        values = {r.name: r.value for r in report.records}
+        for part in ("gaussian", "product"):
+            assert values[f"hessian-agreement[{part}]"] <= 0.006
+            assert values[f"map-agreement[{part}]"] <= 0.002
+
+    def test_sinkhorn_passes_at_every_seed(self):
+        # the default config at seeds 0 to 24: every record passes
+        for seed in range(25):
+            report = run_experiment(config_from_dict({"kind": "sinkhorn2d", "seed": seed}))
+            failed = [r.name for r in report.records if not r.passed]
+            assert len(report.records) == 14 and not failed, (seed, failed)
 
     def test_sinkhorn_marginal_record_notes_iterations(self, monkeypatch):
         # the note counts the rows of the plan's history and its eps-stages
@@ -767,7 +785,8 @@ class TestMain:
         path = _write(tmp_path, cfg)
         code = main(["sinkhorn2d", "--config", path, "--out", str(tmp_path)])
         assert code == 1
-        # the variance records name the draws the estimator dropped
+        # the agreement records fail at grid 16; the variance records name
+        # the draws the estimator dropped: none of the 60 leaves the box
         (report,) = tmp_path.glob("sinkhorn2d-*.json")
         notes = {
             r["name"]: r["note"] for r in json.loads(report.read_text())["records"]
@@ -776,7 +795,7 @@ class TestMain:
             "var-log-eig[gaussian][0]", "var-log-eig[gaussian][1]",
             "bound-margin[gaussian][0]", "bound-margin[gaussian][1]",
         ):
-            assert notes[name] == "approximate skipped=1 flagged=0"
+            assert notes[name] == "approximate skipped=0 flagged=0"
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         path = _write(tmp_path, {"kind": "variance", "bogus": 1})

@@ -1,5 +1,5 @@
-"""Grid transport tests: discretization, Sinkhorn duals, map and Hessian
-estimates against the analytic constructions they approximate."""
+"""Grid transport tests: discretization, Sinkhorn duals, the map and its
+Jacobian against the analytic constructions they approximate."""
 
 import math
 import tracemalloc
@@ -10,14 +10,14 @@ from scipy.special import logsumexp
 
 from otspec import cli, entropic, rng
 from otspec.brenier import brenier_1d, brenier_gaussian, brenier_product
-from otspec.concentration import entropic_spectral_samples
 from otspec.entropic import (
     EntropicPlan,
     GridMeasure,
     default_eps_schedule,
     discretize,
+    entropic_jacobian,
     entropic_map,
-    hessian_fd,
+    extrapolated,
     sinkhorn_solve,
 )
 from otspec.measures import (
@@ -108,7 +108,7 @@ def _half_update_reference(dx, dy, pot_plus_logw, eps):
     return logsumexp(dy[None, :, :] / eps + a[:, :, None], axis=1)
 
 
-def _entropic_map_reference(plan, pts):
+def _softmax_weights(plan, pts):
     # dense softmax over the whole (points, nx_t, ny_t) block
     nu = plan.target
     with np.errstate(divide="ignore"):
@@ -118,10 +118,36 @@ def _entropic_map_reference(plan, pts):
     lw = base[None, :, :] + ax[:, :, None] + ay[:, None, :]
     lw -= lw.max(axis=(1, 2), keepdims=True)
     w = np.exp(lw)
-    w /= w.sum(axis=(1, 2), keepdims=True)
+    return w / w.sum(axis=(1, 2), keepdims=True)
+
+
+def _entropic_map_reference(plan, pts):
+    w = _softmax_weights(plan, pts)
+    nu = plan.target
     return np.column_stack(
         [np.einsum("mpq,p->m", w, nu.xs), np.einsum("mpq,q->m", w, nu.ys)]
     )
+
+
+def _entropic_jacobian_reference(plan, pts):
+    # the conditional covariance over eps, from the dense softmax and
+    # the full (points, nx_t, ny_t, 2) node offsets
+    w = _softmax_weights(plan, pts)
+    nu = plan.target
+    nodes = np.stack(np.meshgrid(nu.xs, nu.ys, indexing="ij"), axis=-1)
+    d = nodes[None] - _entropic_map_reference(plan, pts)[:, None, None, :]
+    return np.einsum("mpq,mpqi,mpqj->mij", w, d, d) / plan.eps
+
+
+def _difference_quotient(plan, pts, h):
+    # the symmetrized central-difference Jacobian of entropic_map, four
+    # map evaluations per point: the oracle for the exact Jacobian
+    cols = [
+        (entropic_map(plan, pts + h * e) - entropic_map(plan, pts - h * e)) / (2.0 * h)
+        for e in np.eye(2)
+    ]
+    j = np.stack(cols, axis=-1)
+    return 0.5 * (j + np.swapaxes(j, -2, -1))
 
 
 def _assert_logs_agree(got, ref):
@@ -196,7 +222,7 @@ def _per_call_sinkhorn(mu, nu, eps_schedule, max_iter=2000, tol=1e-8, relax=True
     """``sinkhorn_solve`` with no stage factors, the bit-for-bit reference:
     every log-sum-exp stage shifts and exponentiates both of its factors.
     ``relax=False`` keeps every update plain (omega = 1).
-    Returns (f, g, history)."""
+    Returns (f, g, history, (f, g) of the second-to-last stage)."""
 
     def outer(lead, tail):
         top_l, dead_l = entropic._top(lead, 0)
@@ -231,8 +257,10 @@ def _per_call_sinkhorn(mu, nu, eps_schedule, max_iter=2000, tol=1e-8, relax=True
     (dx_for_f, dy_for_f), (dx_for_g, dy_for_g) = _axis_kernels(mu, nu)
     f, g = np.zeros(mu.shape), np.zeros(nu.shape)
     history = []
+    coarse = None
     for stage, eps in enumerate(eps_schedule):
-        last = stage == len(eps_schedule) - 1
+        # the last two stages run to tol and end on a plain update
+        last = stage >= len(eps_schedule) - 2
         stage_tol = tol if last else max(tol, 1e-4)
         omega = 1.0
         for it in range(max_iter):
@@ -247,7 +275,6 @@ def _per_call_sinkhorn(mu, nu, eps_schedule, max_iter=2000, tol=1e-8, relax=True
             )
             history.append((eps, it, err, objective))
             if err <= stage_tol:
-                # the last stage returns f from a plain update
                 if omega == 1.0 or not last:
                     break
                 omega = 1.0
@@ -256,7 +283,9 @@ def _per_call_sinkhorn(mu, nu, eps_schedule, max_iter=2000, tol=1e-8, relax=True
                 # two plain iterations measure the contraction rate
                 rho = err / history[-2][2] if history[-2][2] > 0.0 else 1.0
                 omega = 2.0 / (1.0 + math.sqrt(1.0 - rho)) if rho < 1.0 else 1.0
-    return f, g, history
+        if stage == len(eps_schedule) - 2:
+            coarse = (f, g)
+    return f, g, history, coarse
 
 
 def _far_apart_pair():
@@ -426,10 +455,16 @@ class TestSinkhorn:
 
     @pytest.mark.parametrize("setup", ["gauss_setup", "product_setup"])
     def test_returned_plan_fits_both_marginals(self, setup, request):
-        # against the dense scipy kernel: the final f is a plain update, so
-        # the source marginal is exact to rounding, and the target's error
-        # is the one the solver stopped on
-        plan = _plan_of(request.getfixturevalue(setup))
+        # against the dense scipy kernel: the f of each of the last two
+        # stages is a plain update, so the source marginal is exact to
+        # rounding, and the target's error is the one the stage stopped on
+        fine = _plan_of(request.getfixturevalue(setup))
+        assert fine.coarse.eps == 2.0 * fine.eps
+        for plan in (fine, fine.coarse):
+            self._check_marginals(plan)
+
+    @staticmethod
+    def _check_marginals(plan):
         mu, nu, eps = plan.source, plan.target, plan.eps
         (dxf, dyf), (dxg, dyg) = _axis_kernels(mu, nu)
         row = mu.weights * np.exp(
@@ -444,16 +479,24 @@ class TestSinkhorn:
         kf = _stage_half_update(dxf, dyf, plan.g + eps * np.log(nu.weights), eps)
         assert np.array_equal(plan.f, -eps * kf)
 
-    @pytest.mark.parametrize("grid, most", [(64, 55), (96, 110)])
-    def test_default_parts_converge_in_few_iterations(self, grid, most):
-        # the plain alternating updates took 151 / 129 (grid 64) and
-        # 275 / 233 (grid 96) iterations on a ladder that halved eps
+    @pytest.mark.parametrize("grid, final, coarse", [(64, 30, 25), (96, 70, 32)])
+    def test_default_parts_converge_in_few_iterations(self, grid, final, coarse):
+        # per-stage iterations: the final eps stage took 26 / 27 (grid 64)
+        # and 35 / 65 (grid 96) on the ladder that passed 4 eps, 26 / 26 and
+        # 35 / 41 after 2 eps; the 2 eps stage takes 20 / 22 and 26 / 28;
+        # every 1e-4 stage takes at most 11.  The plain alternating updates
+        # took 151 / 129 and 275 / 233 iterations in all, on a ladder that
+        # halved eps
         for part in ("gaussian", "product"):
             src, dst, src_box, dst_box = cli._SINKHORN_CASES[part](2024)[:4]
             mu = discretize(src, src_box, grid, grid)
             nu = discretize(dst, dst_box, grid, grid)
-            plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
-            assert len(plan.history) <= most, part
+            sched = default_eps_schedule(mu, nu)
+            plan = sinkhorn_solve(mu, nu, sched, max_iter=5000)
+            per_stage = [sum(row[0] == eps for row in plan.history) for eps in sched]
+            assert per_stage[-1] <= final, (part, per_stage)
+            assert per_stage[-2] <= coarse, (part, per_stage)
+            assert max(per_stage[:-2]) <= 11, (part, per_stage)
 
     @pytest.mark.parametrize("grid", [32, 64])
     def test_relaxed_map_matches_the_plain_one(self, grid):
@@ -466,7 +509,7 @@ class TestSinkhorn:
             nu = discretize(dst, dst_box, grid, grid)
             sched = default_eps_schedule(mu, nu)
             plan = sinkhorn_solve(mu, nu, sched, max_iter=5000)
-            f, g, history = _per_call_sinkhorn(mu, nu, sched, max_iter=5000, relax=False)
+            f, g, history, _ = _per_call_sinkhorn(mu, nu, sched, max_iter=5000, relax=False)
             assert len(plan.history) < len(history)
             plain = EntropicPlan(
                 source=mu, target=nu, f=f, g=g, eps=sched[-1], marginal_error=history[-1][2]
@@ -524,11 +567,14 @@ class TestStageFactors:
         plan = sinkhorn_solve(mu, nu, sched, max_iter=5000)
         rows = exact_calls["rows"]
         assert (rows > 0) == (name == "fallback")
-        f, g, history = _per_call_sinkhorn(mu, nu, sched, max_iter=5000)
+        f, g, history, (f2, g2) = _per_call_sinkhorn(mu, nu, sched, max_iter=5000)
         assert exact_calls["rows"] == 2 * rows
         assert np.array_equal(plan.f, f)
         assert np.array_equal(plan.g, g)
         assert plan.history == history
+        assert plan.coarse.eps == sched[-2]
+        assert np.array_equal(plan.coarse.f, f2)
+        assert np.array_equal(plan.coarse.g, g2)
 
     def test_four_exponentials_per_iteration_and_per_stage(self, holey_pair, monkeypatch):
         # the potential's factor in each of the 4 log-sum-exp stages of an
@@ -602,14 +648,14 @@ class TestEntropicMap:
 class TestHessianEstimate:
     def test_self_transport_near_identity_hessian(self, self_setup):
         _, plan = self_setup
-        h = hessian_fd(plan, np.array([[0.0, 0.0], [0.6, -0.4], [-0.8, 0.7]]))
+        _, h, _ = extrapolated(plan, np.array([[0.0, 0.0], [0.6, -0.4], [-0.8, 0.7]]))
         assert h.shape == (3, 2, 2)
         assert np.all(np.linalg.norm(h - np.eye(2), 2, axis=(1, 2)) <= 0.1)
 
     def test_gaussian_pair_matches_oracle_hessian(self, gauss_setup):
         g1, _, plan, oracle = gauss_setup
         a = oracle.matrix
-        h = hessian_fd(plan, _central_points(g1, count=60)[::5])
+        _, h, _ = extrapolated(plan, _central_points(g1, count=60)[::5])
         assert np.all(np.linalg.norm(h - a, 2, axis=(1, 2)) / np.linalg.norm(a, 2) <= 0.05)
 
     def test_product_pair_matches_oracle_hessian(self, product_setup):
@@ -617,80 +663,114 @@ class TestHessianEstimate:
         (x0, x1), (y0, y1) = region
         gx, gy = np.meshgrid(np.linspace(x0, x1, 5), np.linspace(y0, y1, 5), indexing="ij")
         pts = np.stack([gx, gy], axis=-1)
-        h = hessian_fd(plan, pts)
+        _, h, bound = extrapolated(plan, pts)
         ref = oracle.hessian(pts)
         assert h.shape == ref.shape == (5, 5, 2, 2)
+        assert bound.shape == (5, 5)
         gap = np.linalg.norm(h - ref, 2, axis=(-2, -1))
         assert np.all(gap / np.linalg.norm(ref, 2, axis=(-2, -1)) <= 0.05)
+
+    def test_extrapolation_is_richardson_over_the_last_two_stages(self, product_setup):
+        # 2 X(eps) - X(2 eps) for the map and the Jacobian alike
+        plan, _, region = product_setup
+        pts = np.array([[r[0] for r in region], [r[1] for r in region]])
+        t, h, _ = extrapolated(plan, pts)
+        coarse = plan.coarse
+        np.testing.assert_allclose(
+            t, 2.0 * entropic_map(plan, pts) - entropic_map(coarse, pts), rtol=1e-13
+        )
+        np.testing.assert_allclose(
+            h, 2.0 * entropic_jacobian(plan, pts) - entropic_jacobian(coarse, pts), rtol=1e-13
+        )
 
     def test_stack_matches_single_points(self, gauss_setup):
         g1, _, plan, _ = gauss_setup
         pts = _central_points(g1, count=12)
-        h = hessian_fd(plan, pts)
+        h = entropic_jacobian(plan, pts)
         for k, p in enumerate(pts):
-            np.testing.assert_allclose(h[k], hessian_fd(plan, p), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(h[k], entropic_jacobian(plan, p), rtol=1e-12, atol=0.0)
 
-    def test_jacobian_symmetry_defect_small(self, gauss_setup):
-        # the raw central-difference Jacobian, before hessian_fd symmetrizes
-        # it: J[k, i, j] = d T_i / d x_j at point k
+    def test_symmetric_and_positive_definite(self, gauss_setup):
         g1, _, plan, _ = gauss_setup
-        pts = _central_points(g1, count=40)[::4]
-        h = 2.0 * max(plan.source.spacing)
-        cols = [
-            (entropic_map(plan, pts + h * e) - entropic_map(plan, pts - h * e)) / (2.0 * h)
-            for e in np.eye(2)
+        h = entropic_jacobian(plan, _central_points(g1, count=100))
+        assert np.array_equal(h, np.swapaxes(h, 1, 2))
+        assert np.all(np.linalg.eigvalsh(h)[:, 0] > 0.0)
+
+    def test_matches_difference_quotient_to_second_order(self):
+        # the central difference of entropic_map at steps h and h / 2 on a
+        # grid-32 plan: its error against the exact Jacobian falls by 4,
+        # as O(h^2) predicts (measured 4.00 at the product part's points)
+        src, dst, src_box, dst_box, _, _, pts = cli._SINKHORN_CASES["product"](2024)
+        mu = discretize(src, src_box, 32, 32)
+        nu = discretize(dst, dst_box, 32, 32)
+        plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
+        jac = entropic_jacobian(plan, pts)
+        step = 0.5 * max(plan.source.spacing)
+        errs = [
+            np.max(np.linalg.norm(_difference_quotient(plan, pts, h) - jac, 2, axis=(1, 2)))
+            for h in (step, 0.5 * step)
         ]
-        j = np.stack(cols, axis=-1)
-        defect = np.linalg.norm(j - np.swapaxes(j, 1, 2), 2, axis=(1, 2))
-        assert np.all(defect / np.linalg.norm(j, 2, axis=(1, 2)) <= 0.05)
+        assert errs[1] <= 0.01 * np.max(np.linalg.norm(jac, 2, axis=(1, 2)))
+        assert 3.8 <= errs[0] / errs[1] <= 4.2
 
-    def test_boundary_margin_enforced(self, gauss_setup):
+    def test_refuses_points_outside_box(self, gauss_setup):
+        # the box itself is closed: its corners are accepted
         _, _, plan, _ = gauss_setup
-        with pytest.raises(ValueError, match="boundary"):
-            hessian_fd(plan, np.array([3.25, 0.0]))
-        with pytest.raises(ValueError, match=r"^point 1 \[3\.25 +0\. *\] too close to the box boundary"):
-            hessian_fd(plan, np.array([[0.0, 0.0], [3.25, 0.0], [-3.25, 0.0]]))
-        with pytest.raises(ValueError, match="positive"):
-            hessian_fd(plan, np.array([0.0, 0.0]), h=0.0)
+        (x0, x1), (y0, y1) = plan.source.box
+        corners = np.array([[x0, y0], [x1, y1]])
+        assert np.all(np.isfinite(entropic_jacobian(plan, corners)))
+        outside = np.array([[0.0, 0.0], [math.nextafter(x1, np.inf), 0.0]])
+        with pytest.raises(ValueError, match="outside the source box"):
+            entropic_jacobian(plan, outside)
+        with pytest.raises(ValueError, match="outside the source box"):
+            extrapolated(plan, outside)
 
-    def test_nan_step_is_refused(self, gauss_setup):
-        # NaN fails every comparison, so both entries refuse it as a step
-        # that is not > 0, and blame no point inside the box
-        g1, _, plan, _ = gauss_setup
-        with pytest.raises(ValueError, match="step must be positive"):
-            hessian_fd(plan, np.array([0.0, 0.2]), h=math.nan)
-        with pytest.raises(ValueError, match="step must be positive"):
-            entropic_spectral_samples(plan, g1, 50, seed=0, h=math.nan)
+    def test_extrapolation_needs_a_coarse_stage(self, gauss_setup):
+        _, _, plan, _ = gauss_setup
+        lone = EntropicPlan(
+            source=plan.source, target=plan.target, f=plan.f, g=plan.g,
+            eps=plan.eps, marginal_error=plan.marginal_error,
+        )
+        with pytest.raises(ValueError, match="no coarser stage"):
+            extrapolated(lone, np.zeros(2))
 
     @staticmethod
     def _frozen_plan():
-        # a frozen two-node-per-axis plan with a tiny epsilon: the map is
-        # locally constant away from the axes, where the nearest corner
-        # dominates, and jumps across them
+        # a frozen two-node-per-axis plan with a tiny epsilon, and its twin
+        # at 2 eps: away from the axes the nearest corner dominates, so the
+        # conditional is a point mass up to weights clamped at e^-700
         xs = np.linspace(-1.0, 1.0, 8)
         src = GridMeasure(xs, xs, np.full((8, 8), 1.0 / 64.0), ((-1.0, 1.0), (-1.0, 1.0)))
         ts = np.array([-1.0, 1.0])
         tgt = GridMeasure(ts, ts, np.full((2, 2), 0.25), ((-1.0, 1.0), (-1.0, 1.0)))
-        return EntropicPlan(
-            source=src, target=tgt, f=np.zeros((8, 8)), g=np.zeros((2, 2)),
-            eps=1e-4, marginal_error=0.0,
-        )
 
-    def test_degenerate_estimate_refused(self):
-        # where the map is locally constant the symmetrized Jacobian is the
-        # zero matrix: the estimator must flag it, not clamp it
-        plan = self._frozen_plan()
-        with pytest.raises(ArithmeticError, match="not positive definite"):
-            hessian_fd(plan, np.array([0.3, 0.3]), h=0.1)
+        def plan(eps, coarse=None):
+            return EntropicPlan(
+                source=src, target=tgt, f=np.zeros((8, 8)), g=np.zeros((2, 2)),
+                eps=eps, marginal_error=0.0, coarse=coarse,
+            )
 
-    def test_degenerate_estimate_named_in_stack(self):
-        # at the origin both stencil directions straddle the jump, so that
-        # estimate is 10 I; the next two points sit where the map is flat
+        return plan(1e-4, plan(2e-4))
+
+    def test_degenerate_estimate_is_not_resolved(self):
+        # where the conditional is a point mass the covariance is clamp and
+        # rounding noise: positive here, with log-eigenvalues near -690, but
+        # not above the estimate's rounding bound, so it is not resolved
         plan = self._frozen_plan()
-        np.testing.assert_allclose(hessian_fd(plan, np.zeros(2), h=0.1), 10.0 * np.eye(2))
-        pts = np.array([[0.0, 0.0], [0.3, 0.3], [-0.3, 0.3]])
-        with pytest.raises(ArithmeticError, match=r"at point 1 \[0\.3 0\.3\] "):
-            hessian_fd(plan, pts, h=0.1)
+        _, h, bound = extrapolated(plan, np.array([[0.3, 0.3], [-0.3, 0.3], [0.0, 0.4]]))
+        eigs = np.linalg.eigvalsh(h)
+        assert np.all(eigs[:2] > 0.0)
+        assert np.all(np.log(eigs[:2]) < -600.0)
+        assert np.all(eigs[:, 0] <= bound)
+
+    def test_resolved_and_degenerate_estimates_in_one_stack(self):
+        # at the origin the conditional is uniform on the four corners, so
+        # the covariance is I and the estimate 2 I / eps - I / (2 eps)
+        plan = self._frozen_plan()
+        _, h, bound = extrapolated(plan, np.array([[0.0, 0.0], [0.3, 0.3]]))
+        np.testing.assert_allclose(h[0], 1.5e4 * np.eye(2), rtol=1e-12)
+        eigs = np.linalg.eigvalsh(h)[:, 0]
+        assert eigs[0] > bound[0] and eigs[1] <= bound[1]
 
 
 class TestKernelOracle:
@@ -772,6 +852,46 @@ class TestKernelOracle:
             assert np.max(np.abs(got - _entropic_map_reference(plan, map_pts))) <= 1e-12
             self._check_half_updates(plan.source, plan.target, plan.f, plan.g)
         assert exact_calls == {"calls": 0, "rows": 0, "points": 0}
+
+    def test_entropic_jacobian_matches_dense_covariance(self, gauss_setup, product_setup):
+        for plan in (gauss_setup[2], product_setup[0]):
+            (x0, x1), (y0, y1) = plan.source.box
+            pts = rng.stream(71, 7).uniform((x0, y0), (x1, y1), size=(60, 2))
+            ref = _entropic_jacobian_reference(plan, pts)
+            gap = np.linalg.norm(entropic_jacobian(plan, pts) - ref, 2, axis=(1, 2))
+            assert np.all(gap <= 1e-12 * np.linalg.norm(ref, 2, axis=(1, 2)))
+
+    @pytest.mark.parametrize("setup", ["gauss_setup", "product_setup", "far"])
+    def test_fast_and_exact_kernels_agree(self, setup, request, exact_calls, monkeypatch):
+        # the moments of the same points from the fast kernel, where its
+        # totals are above the floor (the far-apart pair's points straddle
+        # it), and from the exact kernel: means and covariances agree to
+        # 1e-12 relative
+        if setup == "far":
+            mu, nu = _far_apart_pair()
+            plan = sinkhorn_solve(mu, nu, default_eps_schedule(mu, nu), max_iter=5000)
+        else:
+            plan = _plan_of(request.getfixturevalue(setup))
+        (x0, x1), (y0, y1) = plan.source.box
+        pts = rng.stream(71, 8).uniform((x0, y0), (x1, y1), size=(80, 2))
+        mean, cov = entropic._moments(plan, pts)
+        slow = exact_calls["points"]
+        assert (slow > 0) == (setup == "far") and pts.shape[0] - slow >= 20
+        monkeypatch.setattr(entropic, "_FLOOR", np.inf)
+        mean_x, cov_x = entropic._moments(plan, pts)
+        assert exact_calls["points"] == slow + pts.shape[0]
+        scale = np.linalg.norm(mean_x, axis=1)
+        assert np.all(np.linalg.norm(mean - mean_x, axis=1) <= 1e-12 * scale)
+        scale = np.linalg.norm(cov_x, 2, axis=(1, 2))
+        assert np.all(np.linalg.norm(cov - cov_x, 2, axis=(1, 2)) <= 1e-12 * scale)
+
+    def test_default_parts_complete_at_grid_128(self, exact_calls):
+        # at grid 128 some Jacobian points reach the exact kernel: their
+        # fast totals underflow
+        report = cli.run_experiment(cli.config_from_dict({"kind": "sinkhorn2d", "grid": 128}))
+        assert [r.name for r in report.records if not r.passed] == []
+        assert len(report.records) == 14
+        assert exact_calls["points"] > 0
 
     def test_entropic_map_matches_dense_softmax(self, gauss_setup):
         g1, _, plan, _ = gauss_setup
