@@ -96,16 +96,21 @@ class Map1D(TransportMap):
     def log_second_derivative(self, x):
         """log Phi'' from the one-dimensional transport equation.
 
-        The density quotient f(x) / g(T(x)) is the same quantity written
-        multiplicatively; tests use a finite-difference slope of T as the
-        independent check.
+        Phi'' = f(x) / g(T(x)), the density quotient, read from each
+        measure's ``_log_pdf`` (``_log_d2``); tests use a finite-difference
+        slope of T as the independent check.
         """
         x = np.asarray(x, dtype=float)
         return self._log_d2(x, self.map_points(x))
 
     def _log_d2(self, x, t):
-        """log Phi'' at x from x and its image t = T(x)."""
-        return -self.source.potential(x) + self.target.potential(t)
+        """log Phi'' at x from x and its image t = T(x): log f(x) - log g(t).
+
+        A catalog measure's log density is -V, so this is -V_f(x) + V_g(t)
+        bit for bit; a regularized measure's is its node-table log density,
+        the density whose CDF T is built from.
+        """
+        return self.source._log_pdf(x) - self.target._log_pdf(t)
 
     def second_derivative(self, x):
         return np.exp(self.log_second_derivative(x))

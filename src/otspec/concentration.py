@@ -48,6 +48,7 @@ from .brenier import (
 from .entropic import extrapolated
 from .measures import (
     GaussianMeasure,
+    _check_integer,
     make_catalog_measure,
     make_radial_measure,
     regularize,
@@ -784,15 +785,19 @@ def caffarelli_floor_check(mu, nu, n_reg, grid_points=512):
 
     Builds the monotone map between regularize(mu, n_reg) and
     regularize(nu, n_reg) and minimizes Phi'' over a uniform quantile
-    grid; a positive return certifies the floor on that grid.
+    grid; a positive return certifies the floor on that grid.  Each grid
+    level u pairs F^{-1}(u) with G^{-1}(u), as the sampled path does, and
+    Phi'' is the quotient of the two node-table densities there
+    (``Map1D._coupled_log_d2``).  ``n_reg`` and ``grid_points`` must be
+    integers; a bool or a non-integral value raises ``ValueError``.
     """
-    n_reg = int(n_reg)
-    grid_points = int(grid_points)
+    n_reg = _check_integer("n_reg", n_reg)
+    grid_points = _check_integer("grid_points", grid_points)
     if grid_points < 2:
         raise ValueError("quantile grid needs at least 2 points")
     tm = brenier_1d(regularize(mu, n_reg), regularize(nu, n_reg))
     u = (np.arange(grid_points) + 0.5) / grid_points
-    d2 = tm.second_derivative(tm.source.quantile(u))
+    d2 = np.exp(tm._coupled_log_d2(u))
     return float(np.min(d2)) - 1.0 / n_reg**2
 
 

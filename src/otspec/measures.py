@@ -15,6 +15,7 @@ original measure in the tight-variance limit.
 """
 
 import math
+import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -152,6 +153,9 @@ _TILT_BLOCK = 32
 _NDTR_ONE = 8.5
 _NDTR_ZERO = -38.5
 _EXP_ZERO = -746.0
+# a node-table log density is kept where the mass the table may miss beyond
+# an infinite end is below 2**-60 of its window's sum
+_TAIL_LOG_TOL = -60.0 * math.log(2.0)
 # elements per block of a node-table sum: as many as 256 points of a 64-node
 # table; blocks four times larger fall out of cache and run slower
 _WINDOW_BLOCK = 1 << 14
@@ -191,6 +195,18 @@ def _check_scale(what, value, power):
             f"{what} must lie in 2**[-{e:.6g}, {e:.6g}] = "
             f"[{2.0**-e:.4g}, {2.0**e:.4g}], got {value}"
         )
+
+
+def _check_integer(what, value):
+    """``value`` as an int; a bool, a non-number or a non-integral value
+    (NaN and the infinities included) raises ``ValueError`` naming ``what``.
+    Integral floats and numpy integers are accepted."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _monotone_cubic(z, x, slope):
@@ -375,6 +391,10 @@ class LogConcaveMeasure1D:
         """(pdf, d/dx log pdf) at points x inside the support, for the
         quantile table's curvature; the slope is -V'."""
         return self.pdf(x), -np.asarray(self.potential_d1(x), dtype=float)
+
+    def _log_pdf(self, x):
+        """log pdf at points x inside the support: -V, bit for bit."""
+        return -self.potential(x)
 
     def pdf(self, x):
         x_in = np.asarray(x, dtype=float)
@@ -1477,6 +1497,12 @@ class _Regularized1D(LogConcaveMeasure1D):
     inverse, so ``quantile`` starts from the CDF table of the base class,
     built once, at construction, around the gaussian fit of
     ``_location_scale``.
+
+    ``_log_pdf``, which transport maps read for Phi'', is the node-table
+    log density that ``pdf`` exponentiates.  The table ends at the base's
+    1e-15 quantile on an infinite side, so far in a tail it misses mass;
+    a point whose missed mass may exceed 2**-60 of its window's sum
+    (``_table_misses_mass``) takes the tilted rule's ``-potential``.
     """
 
     has_d2 = True
@@ -1540,7 +1566,9 @@ class _Regularized1D(LogConcaveMeasure1D):
         point where the base density is not analytic (``_kink_points``),
         such as the factor y**(s - 1) of a gamma base with non-integer
         shape s.  On an infinite side the table ends at the base's 1e-15
-        quantile, which drops less than 1e-15 of the mass.  The potential
+        quantile, which drops less than 1e-15 of the mass (but more of a
+        far-tail point's own convolution integral: ``_table_misses_mass``
+        bounds it).  The potential
         oracles share the panel rule, not the table.  The table's sums also
         give the weight's log normalizer ``_log_z`` and its first two
         normalized moments ``_weight_moments``.
@@ -1567,6 +1595,8 @@ class _Regularized1D(LogConcaveMeasure1D):
         log_wq = log_w + log_q
         peak = np.max(log_wq)
         self._log_z = float(peak + np.log(np.sum(np.exp(log_wq - peak))))
+        # log of the density's constant factor, 1 / (Z sqrt(2 pi sig2))
+        self._log_shift = self._log_z + 0.5 * math.log(2.0 * math.pi * self.sig2)
         self._node_cdf_w = np.exp(log_w - self._log_z) * self._node_q
         self._weight_moments = tuple(
             float(np.sum(self._node_y**k * self._node_cdf_w)) for k in (1, 2)
@@ -1595,6 +1625,14 @@ class _Regularized1D(LogConcaveMeasure1D):
         self._pdf_reach = math.sqrt(0.25 * gap**2 + 2.0 * self.sig2 * (spread - _EXP_ZERO))
         self._pdf_window = _window_size(self._node_y, 2.0 * self._pdf_reach)
         self._pdf_rows = _window_rows([self._node_y, self._node_logterm], self._pdf_window)
+        # the table's ends on infinite sides, each with its outward direction
+        # and V, V' there, for the missed-mass bound of _table_misses_mass
+        a, b = self.base.support
+        self._table_ends = tuple(
+            (y, outward, float(self.base.potential(y)), float(self.base.potential_d1(y)))
+            for y, outward, end in ((self._ylo, -1.0, a), (self._yhi, 1.0, b))
+            if not np.isfinite(end)
+        )
 
     # -- tilted Gaussian moments around a point t --------------------------
     def _tilt_modes(self, t):
@@ -1748,14 +1786,13 @@ class _Regularized1D(LogConcaveMeasure1D):
         out = np.clip(np.where(upper, 1.0 - tail, tail), 0.0, 1.0)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
-    def _window_density(self, t, logslope):
-        """Node-table density at the 1D points ``t``, each summed over its
-        window of nodes; with ``logslope``, stacked over d/dt log pdf,
+    def _window_log_density(self, t, logslope):
+        """Node-table log density at the 1D points ``t``, each summed over
+        its window of nodes; with ``logslope``, stacked over d/dt log pdf,
         -(t - E[y]) / sig2 - t / damp2, the mean taken under the window's
         own terms, in the same pass."""
         width = self._pdf_window
         start = self._pdf_starts(t)
-        shift = self._log_z + 0.5 * math.log(2.0 * math.pi * self.sig2)
 
         def block(lo, hi):
             y, logterm = self._pdf_rows[:, start[lo:hi]]
@@ -1764,25 +1801,63 @@ class _Regularized1D(LogConcaveMeasure1D):
             peak = np.max(z, axis=1, keepdims=True)
             terms = np.exp(z - peak)
             total = np.sum(terms, axis=1)
-            log_conv = peak[:, 0] + np.log(total)
-            dens = np.exp(log_conv - 0.5 * tb**2 / self.damp2 - shift)
+            log_dens = peak[:, 0] + np.log(total) - 0.5 * tb**2 / self.damp2 - self._log_shift
             if not logslope:
-                return dens
+                return log_dens
             mean = np.sum(terms * y, axis=1) / total
-            return dens, (mean - tb) / self.sig2 - tb / self.damp2
+            return log_dens, (mean - tb) / self.sig2 - tb / self.damp2
 
         return _by_blocks(t.size, width, block, (2,) if logslope else ())
+
+    def _table_misses_mass(self, t, log_dens):
+        """Points of 1D ``t`` whose node-table sum may miss mass.
+
+        Beyond the table's end y_e on an infinite side, the log-concave
+        integrand h_t(y) = exp(-V(y) - (t - y)^2 / (2 sig2)) decays at
+        least at its outward rate s_t at y_e, so the mass it leaves out is
+        at most h_t(y_e) / s_t.  A point is flagged where s_t <= 0, or where
+        that bound exceeds 2**-60 of its window's sum, ``log_dens`` in the
+        units of the log density.
+        """
+        miss = np.zeros(t.shape, bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for y_e, outward, v_e, d1_e in self._table_ends:
+                rate = outward * (d1_e - (t - y_e) / self.sig2)
+                log_h = (
+                    -v_e
+                    - 0.5 * ((t - y_e) / self.sig) ** 2
+                    - 0.5 * t**2 / self.damp2
+                    - self._log_shift
+                )
+                miss |= ~(rate > 0.0) | (log_h - np.log(rate) > log_dens + _TAIL_LOG_TOL)
+        return miss
+
+    def _log_pdf(self, x):
+        """Node-table log density, the expression ``pdf`` exponentiates.
+
+        A point whose table may miss more than 2**-60 of its mass
+        (``_table_misses_mass``) takes the tilted rule's ``-potential``
+        instead.
+        """
+        x_in = np.asarray(x, dtype=float)
+        t = np.atleast_1d(x_in).astype(float).ravel()
+        out = self._window_log_density(t, False)
+        exact = self._table_misses_mass(t, out)
+        if np.any(exact):
+            out[exact] = -self.potential(t[exact])
+        return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
     def pdf(self, x):
         """Node-table density, summed over each point's window of nodes."""
         x_in = np.asarray(x, dtype=float)
-        out = self._window_density(np.atleast_1d(x_in).astype(float).ravel(), False)
+        out = np.exp(self._window_log_density(np.atleast_1d(x_in).astype(float).ravel(), False))
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
     def _pdf_logslope(self, x):
         # from the pdf's own window pass: the potential_d1 oracle would run
         # a tilted-moment rule per point
-        return tuple(self._window_density(np.asarray(x, dtype=float), True))
+        log_dens, slope = self._window_log_density(np.asarray(x, dtype=float), True)
+        return np.exp(log_dens), slope
 
     def _total_mass(self):
         """Integral of ``pdf`` on one fixed panel rule: one ``pdf`` call.
@@ -1825,7 +1900,7 @@ def regularize(m, n):
     """
     if not isinstance(m, LogConcaveMeasure1D):
         raise TypeError("regularize expects a 1D log-concave measure")
-    n = int(n)
+    n = _check_integer("regularization level n", n)
     if n < 1:
         raise ValueError(f"regularization level must be >= 1, got {n}")
     return _Regularized1D(m, n)

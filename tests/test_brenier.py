@@ -15,6 +15,7 @@ from otspec.brenier import (
     brenier_product,
     brenier_radial,
 )
+from otspec.concentration import default_experiments
 from otspec.measures import (
     GaussianMeasure,
     make_catalog_measure,
@@ -64,6 +65,19 @@ class TestMap1D:
         x = np.linspace(0.05, 0.95, 19)
         assert np.allclose(tm.map_points(x), -np.log1p(-x), atol=1e-12)
         assert np.allclose(tm.second_derivative(x), 1.0 / (1.0 - x), rtol=1e-12)
+
+    def test_catalog_log_d2_keeps_its_bits(self):
+        # a catalog measure's log density is -V, so Phi'' is the potential
+        # difference bit for bit, on arrays and on scalars
+        maps = [tm for label, tm in default_experiments() if tm.kind == "1d"]
+        assert len(maps) == 4
+        u = np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 99), [1 - 1e-6, 1 - 1e-9]])
+        for tm in maps:
+            x = tm.source.quantile(u)
+            t = tm.map_points(x)
+            want = -tm.source.potential(x) + tm.target.potential(t)
+            assert np.array_equal(tm._log_d2(x, t), want)
+            assert tm._log_d2(x[3], t[3]) == want[3]
 
     def test_quadratic_form_is_direction_free(self):
         # in one dimension the normalized form theta H theta / theta.theta

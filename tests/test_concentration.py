@@ -1298,6 +1298,51 @@ class TestCaffarelliFloor:
         assert margins[2] > 0.0
 
     @pytest.mark.parametrize(
+        "source,target,n,truncation",
+        [
+            (("uniform", (0.0, 1.0)), ("exponential", (1.0,)), 10, True),
+            (("gaussian", (0.0, 1.0)), ("gaussian", (0.0, 0.25)), 5, False),
+            (("beta", (2.0, 3.0)), ("gaussian", (0.0, 1.0)), 10, True),
+        ],
+        ids=["uniform-exponential", "gaussian-gaussian", "beta-gaussian"],
+    )
+    def test_curvature_is_the_computed_maps_slope(self, source, target, n, truncation):
+        # the density quotient the floor check reads is the derivative of
+        # the map T = G^-1 o F built from the node-table CDFs: a central
+        # difference of map_points converges to it at second order where
+        # its truncation error dominates (the gaussian pair's map is nearly
+        # linear, so there rounding does)
+        tm = brenier_1d(
+            regularize(make_catalog_measure(*source), n),
+            regularize(make_catalog_measure(*target), n),
+        )
+        u = (np.arange(512) + 0.5) / 512
+        x = tm.source.quantile(u)
+        d2 = np.exp(tm._coupled_log_d2(u))
+
+        def error(h):
+            slope = (tm.map_points(x + h) - tm.map_points(x - h)) / (2.0 * h)
+            return float(np.max(np.abs(slope / d2 - 1.0)))
+
+        coarse, fine = error(1e-3), error(5e-4)
+        if truncation:
+            assert 3.8 <= coarse / fine <= 4.2
+        assert error(1e-4) <= 1e-6
+
+    def test_integer_arguments(self):
+        mu = make_catalog_measure("uniform", (0.0, 1.0))
+        nu = make_catalog_measure("exponential", (1.0,))
+        for bad in (10.9, True, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="n_reg must be an integer"):
+                caffarelli_floor_check(mu, nu, bad, grid_points=64)
+        for bad in (64.7, True, float("nan")):
+            with pytest.raises(ValueError, match="grid_points must be an integer"):
+                caffarelli_floor_check(mu, nu, 10, grid_points=bad)
+        want = caffarelli_floor_check(mu, nu, 10, grid_points=64)
+        assert caffarelli_floor_check(mu, nu, 10.0, grid_points=np.int64(64)) == want
+        assert caffarelli_floor_check(mu, nu, np.int32(10), grid_points=64.0) == want
+
+    @pytest.mark.parametrize(
         "source,target,n,margin",
         [
             (("uniform", (0.0, 1.0)), ("exponential", (1.0,)), 10, 0.9896066703033168),

@@ -1010,6 +1010,16 @@ REGULARIZED_BASES = [
     ("subbotin", (3.0,)),
 ]
 
+# the six measures of the acceptance gate's three floor-check pairs
+FLOOR_MEASURES = [
+    ("uniform", (0.0, 1.0), 10),
+    ("exponential", (1.0,), 10),
+    ("gaussian", (0.0, 1.0), 5),
+    ("gaussian", (0.0, 0.25), 5),
+    ("beta", (2.0, 3.0), 10),
+    ("gaussian", (0.0, 1.0), 10),
+]
+
 
 def _adaptive_tilted(r, t):
     """(log mass, mean, variance, clipped) of exp(-V(y)) N(t - y; sig2) dy.
@@ -1138,6 +1148,55 @@ class TestRegularize:
             regularize("nope", 5)
         with pytest.raises(ValueError, match=">= 1"):
             regularize(make_catalog_measure("uniform", (0, 1)), 0)
+
+    def test_level_must_be_an_integer(self):
+        # a non-integral level is refused, not truncated
+        base = make_catalog_measure("uniform", (0, 1))
+        for bad in (2.5, True, np.bool_(True), float("nan"), float("inf"), "5"):
+            with pytest.raises(ValueError, match="level n must be an integer"):
+                regularize(base, bad)
+        for good in (5.0, np.int64(5), np.float32(5.0)):
+            assert regularize(base, good).n_level == 5
+
+    @pytest.mark.parametrize("name,params,n", FLOOR_MEASURES)
+    def test_log_pdf_on_floor_grid_is_the_fast_path(self, name, params, n, monkeypatch):
+        # each floor-check measure at the 512 levels the check pairs: the
+        # node-table log density agrees with the tilted rule's -V, and no
+        # point falls back to it
+        r = regularize(make_catalog_measure(name, params), n)
+        x = r.quantile((np.arange(512) + 0.5) / 512)
+        want = -r.potential(x)
+        monkeypatch.setattr(r, "potential", None)
+        assert np.max(np.abs(r._log_pdf(x) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
+    def test_log_pdf_matches_tilted_potential(self, name, params):
+        levels = np.concatenate(
+            [10.0 ** -np.arange(12.0, 0.5, -0.5), np.linspace(0.1, 0.9, 17)]
+        )
+        levels = np.concatenate([levels, 1.0 - levels[::-1]])
+        for n in (5, 10, 20, 40):
+            r = regularize(make_catalog_measure(name, params), n)
+            x = r.quantile(levels)
+            assert np.max(np.abs(r._log_pdf(x) + r.potential(x))) <= 1e-13
+
+    def test_log_pdf_falls_back_where_the_table_misses_mass(self):
+        # the table ends at the base's 1e-15 quantiles, +-1.99, and far
+        # enough into either tail the mass beyond them matters: there the
+        # table's log density errs by 4.2e-12, 6.1e-8 and 3.1e-5, and the
+        # missed-mass bound sends each point to the tilted rule
+        r = regularize(make_catalog_measure("gaussian", (0.0, 0.25)), 5)
+        levels = np.array([1e-6, 1e-9, 1e-12])
+        x = r.quantile(np.concatenate([levels, 1.0 - levels]))
+        table = r._window_log_density(x, False)
+        assert np.all(r._table_misses_mass(x, table))
+        exact = -r.potential(x)
+        assert np.all(np.abs(table - exact)[[1, 2, 4, 5]] > 1e-8)
+        assert np.array_equal(r._log_pdf(x), exact)
+        # the bound is per point: the bulk keeps the table
+        bulk = r.quantile(np.array([0.01, 0.5, 0.99]))
+        assert not np.any(r._table_misses_mass(bulk, r._window_log_density(bulk, False)))
+        assert r._log_pdf(0.3) == float(r._window_log_density(np.array([0.3]), False)[0])
 
     def test_gaussian_closed_form(self):
         # +-8 and +-10 lie beyond the base's 1e-15 quantiles, where the
