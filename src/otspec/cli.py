@@ -33,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -44,8 +45,8 @@ import numpy as np
 from . import rng
 from . import __version__
 from .spd import (
+    _LOG_SPREAD,
     _geodesic_lengths,
-    _spd_draws,
     _spd_from_draws,
     log_eigen_map,
     log_quadratic_form,
@@ -633,69 +634,60 @@ def _geometry_block(worst, a, b, c, gu, gv, log_sv, v):
     _update_worst(worst, "sorted", np.sum(gap**2, axis=-1) - d * d)
 
 
-def _geometry_pairs(worst, s, dims):
-    """Draw one block of pairs of the given dimensions and fold them in."""
-    # per dimension: the random_spd draws of a, b and c, the congruence's
-    # two gaussian factors and log singular values, and the direction v
-    draws = {
-        n: [np.empty((3, dims.count(n), n, n)), np.empty((3, dims.count(n), n))]
-        + [np.empty((dims.count(n), n, n)) for _ in range(2)]
-        + [np.empty((dims.count(n), n)) for _ in range(2)]
-        for n in dict.fromkeys(dims)
-    }
-    filled = dict.fromkeys(draws, 0)
-    for n in dims:
-        # one pair's draws, in stream order
-        k = filled[n]
-        filled[n] += 1
-        normals, log_eigs, gu, gv, log_sv, v = draws[n]
-        for j in range(3):
-            normals[j, k], log_eigs[j, k] = _spd_draws(s, n)
-        gu[k], gv[k] = s.standard_normal((n, n)), s.standard_normal((n, n))
-        log_sv[k], v[k] = s.uniform(-1.5, 1.5, size=n), s.standard_normal(n)
-    for normals, log_eigs, *rest in draws.values():
-        # one stacked QR factors every a, b and c of the dimension
-        _geometry_block(worst, *_spd_from_draws(normals, log_eigs), *rest)
+def _dim_counts(dims, start, stop):
+    """Pairs of each dimension among pairs start to stop - 1, whose
+    dimensions cycle through ``dims``."""
+    return Counter(dims[i % len(dims)] for i in range(start, stop))
 
 
-def _geodesic_endpoints(s, dims):
-    """Endpoints of one geodesic per entry of ``dims``, as (a, b) stacks per
-    dimension: consecutive ``random_spd`` pairs in stream order, each
-    dimension's draws factored with one stacked QR."""
-    draws = {}
-    for n in dims:
-        draws.setdefault(n, []).extend(_spd_draws(s, n) for _ in range(2))
-    ends = {}
-    for n, rows in draws.items():
-        normals, log_eigs = (np.stack(x) for x in zip(*rows))
-        pairs = _spd_from_draws(normals.reshape(-1, 2, n, n), log_eigs.reshape(-1, 2, n))
-        ends[n] = pairs[:, 0], pairs[:, 1]
-    return ends
+def _spd_tuples(normals, log_eigs, k, m, n):
+    """k m-tuples of ``random_spd`` matrices of size n, as m stacks of k:
+    the Gaussian matrices from ``normals`` and their log-eigenvalues from
+    ``log_eigs``, each read as one (k, m, ...) stack in tuple order."""
+    a = _spd_from_draws(
+        normals.standard_normal((k, m, n, n)),
+        log_eigs.uniform(-_LOG_SPREAD, _LOG_SPREAD, size=(k, m, n)),
+    )
+    return np.moveaxis(a, 1, 0)
 
 
 def _run_geometry(cfg):
     """Metric axioms, invariances, geodesics, and the Lipschitz bounds.
 
-    Each block of pairs is drawn in stream order, grouped by dimension, and
-    checked with one stacked call per quantity and dimension.
+    Pairs run in blocks of at most ``_BLOCK``, each checked with one
+    stacked call per quantity and dimension.  Each dimension n reads each
+    quantity q from its own stream, ``rng.stream(seed, 1, n, q)``, one
+    (k, ...) stack of a block's k pairs at a time.  So a block's draws are
+    the next rows of every stream: neither the block size nor the order of
+    ``dims`` changes a record.
     """
     records = []
-    s = rng.stream(cfg.seed, 1)
+    # per dimension: the a, b and c gaussians, their log-eigenvalues, the
+    # congruence's two gaussian factors, its log singular values, the
+    # direction v, and the geodesic endpoints
+    streams = {n: [rng.stream(cfg.seed, 1, n, q) for q in range(6)] for n in set(cfg.dims)}
     worst = dict.fromkeys(
         ("symmetry", "identity", "triangle", "affine", "inversion",
          "quadform", "eigmap", "sorted"),
         -math.inf,
     )
     for start in range(0, cfg.pairs, _BLOCK):
-        stop = min(start + _BLOCK, cfg.pairs)
-        _geometry_pairs(worst, s, [cfg.dims[i % len(cfg.dims)] for i in range(start, stop)])
+        for n, k in _dim_counts(cfg.dims, start, min(start + _BLOCK, cfg.pairs)).items():
+            normals, log_eigs, factors, log_sv, v, _ = streams[n]
+            _geometry_block(
+                worst,
+                *_spd_tuples(normals, log_eigs, k, 3, n),
+                *np.moveaxis(factors.standard_normal((k, 2, n, n)), 1, 0),
+                log_sv.uniform(-1.5, 1.5, size=(k, n)),
+                v.standard_normal((k, n)),
+            )
 
     # geodesic lengths over 1,000 samples and the endpoint distances, one
     # stack per dimension; np.max, unlike max(), carries a NaN into the
     # record, which then fails
     geo_worst = 0.0
-    geo_dims = [cfg.dims[i % len(cfg.dims)] for i in range(min(50, cfg.pairs))]
-    for a, b in _geodesic_endpoints(s, geo_dims).values():
+    for n, k in _dim_counts(cfg.dims, 0, min(50, cfg.pairs)).items():
+        a, b = _spd_tuples(streams[n][5], streams[n][5], k, 2, n)
         lengths = _geodesic_lengths(a, b, 1000)
         geo_worst = float(np.max(np.abs(lengths - spd_distance(a, b)), initial=geo_worst))
 

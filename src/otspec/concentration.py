@@ -227,7 +227,7 @@ def function_bank(dim, anchor=None):
     ``max`` declares column 0 (rows are descending), and so do ``mean``
     and ``log-sum-exp`` in one dimension.
     """
-    dim = int(dim)
+    dim = _check_integer("bank dimension", dim)
     if dim < 1:
         raise ValueError("bank dimension must be at least 1")
     anchor = np.zeros(dim) if anchor is None else np.asarray(anchor, float).ravel()
@@ -298,7 +298,7 @@ def matrix_function_bank(dim, directions=None):
     and normalized here, once; each entry's ``evaluate`` reads a
     ``_hessian_view`` and computes its log quadratic form once.
     """
-    dim = int(dim)
+    dim = _check_integer("bank dimension", dim)
     directions = _quadform_directions(dim) if directions is None else directions
     rows = np.atleast_2d(np.asarray(directions, float))
     if rows.shape[1:] != (dim,):
@@ -403,7 +403,7 @@ def _run_streams(n_samples, seed):
     because a sampler may make several requests per call (radii, then
     normals): a block split across runs would interleave them.
     """
-    n_samples = int(n_samples)
+    n_samples = _check_integer("n_samples", n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
     return [(_BlockStreams(seed, first, sizes), rows) for first, sizes, rows in _runs(n_samples)]
@@ -561,7 +561,7 @@ def _panel_nodes(nodes):
     information, so that tail mass is what the truncation budget
     charges for.
     """
-    nodes = int(nodes)
+    nodes = _check_integer("nodes", nodes)
     if nodes < 32:
         raise ValueError("quadrature needs at least 32 nodes")
     edges = [_MAP_EDGE] + [2.0**-j for j in range(29, 0, -1)]
@@ -695,13 +695,14 @@ def matrix_poincare(tm, bank, n_samples, seed):
     ``_hessian_view``, evaluates every function once on that view and
     keeps only their per-block sums, so no Hessian stack spans the whole set.
     """
+    n_samples = _check_integer("n_samples", n_samples)
     sums = [[] for _ in bank]
-    for pts, (_, sizes, _) in zip(_draw(tm.source, n_samples, seed), _runs(int(n_samples))):
+    for pts, (_, sizes, _) in zip(_draw(tm.source, n_samples, seed), _runs(n_samples)):
         view = _hessian_view(tm.hessian(pts))
         for f, runs in zip(bank, sums):
             runs.append(_ratio_blocks(*f.evaluate(view), sizes))
         del view
-    return [_ratio_report(_stacked(runs), int(n_samples)) for runs in sums]
+    return [_ratio_report(_stacked(runs), n_samples) for runs in sums]
 
 
 # --------------------------------------------------- exponential concentration
@@ -837,8 +838,12 @@ def default_experiments(labels=None):
     radial family in dimensions 2, 3, 5, 8; the labels are
     ``EXPERIMENT_LABELS``.  Given ``labels``, only those rows are built,
     in the same order, and a product row builds the 1d maps it multiplies.
+    A label not in ``EXPERIMENT_LABELS`` raises ``ValueError``.
     """
-    wanted = set(EXPERIMENT_LABELS if labels is None else labels)
+    wanted = dict.fromkeys(EXPERIMENT_LABELS if labels is None else labels)
+    unknown = [label for label in wanted if label not in EXPERIMENT_LABELS]
+    if unknown:
+        raise ValueError(f"unknown experiment labels {unknown}; choose from {list(EXPERIMENT_LABELS)}")
     factors = max(
         (spec for label, kind, spec in _EXPERIMENT_SPECS
          if kind == "product" and label in wanted),

@@ -156,6 +156,11 @@ _EXP_ZERO = -746.0
 # a node-table log density is kept where the mass the table may miss beyond
 # an infinite end is below 2**-60 of its window's sum
 _TAIL_LOG_TOL = -60.0 * math.log(2.0)
+# d outside a finite end, the kernel decays across a table panel of width w
+# as e^{-c u}, u in [0, 1], c = d w / sig2; the 16-node rule integrates that
+# to 2.2e-15 relative at c = 20 (5.2e-14 at 25, 2.7e-12 at 30), so a point
+# farther out than 20 sig2 / w_max takes the tilted rule
+_EDGE_DECAY = 20.0
 # elements per block of a node-table sum: as many as 256 points of a 64-node
 # table; blocks four times larger fall out of cache and run slower
 _WINDOW_BLOCK = 1 << 14
@@ -871,7 +876,8 @@ class _Exponential1D(LogConcaveMeasure1D):
 
     def cdf(self, x):
         x = np.asarray(x, float)
-        return np.where(x > 0, -np.expm1(-self.rate * x), 0.0)
+        # expm1 of -rate * x would overflow far below 0, where it is unused
+        return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def _location_scale(self):
         return 1.0 / self.rate, 1.0 / self.rate
@@ -1039,7 +1045,10 @@ class _Laplace1D(LogConcaveMeasure1D):
 
     def cdf(self, x):
         z = (np.asarray(x, float) - self.m) / self.b
-        return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        # the tail mass beyond |z|; exp(|z|), the branch not taken, overflows
+        # far out
+        t = 0.5 * np.exp(-np.abs(z))
+        return np.where(z < 0, t, 1.0 - t)
 
     def _location_scale(self):
         return self.m, self.b
@@ -1461,6 +1470,7 @@ def make_radial_measure(family, dim, *params):
             f"unknown radial family {family!r}; choose from {tuple(sorted(_RADIAL))}"
         )
     cls, arity = _RADIAL[family]
+    dim = _check_integer("radial dimension", dim)
     params = [float(p) for p in params]
     if len(params) > arity:
         raise ValueError(
@@ -1502,7 +1512,9 @@ class _Regularized1D(LogConcaveMeasure1D):
     log density that ``pdf`` exponentiates.  The table ends at the base's
     1e-15 quantile on an infinite side, so far in a tail it misses mass;
     a point whose missed mass may exceed 2**-60 of its window's sum
-    (``_table_misses_mass``) takes the tilted rule's ``-potential``.
+    (``_table_misses_mass``) takes the tilted rule's ``-potential``, and so
+    does a point too far beyond a finite end for the table's panels to
+    resolve the kernel's decay (``_EDGE_DECAY``).
     """
 
     has_d2 = True
@@ -1579,9 +1591,10 @@ class _Regularized1D(LogConcaveMeasure1D):
             )
         )
         width = 2.5 * min(self.sig, self.base._location_scale()[1])
-        ys, qs = [], []
+        ys, qs, w_max = [], [], 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             panels = min(6000, max(1, int(math.ceil((b - a) / width))))
+            w_max = max(w_max, (b - a) / panels)
             y, q = _panel_rule(
                 a, b, panels, a in self.base._kink_points, b in self.base._kink_points
             )
@@ -1625,9 +1638,16 @@ class _Regularized1D(LogConcaveMeasure1D):
         self._pdf_reach = math.sqrt(0.25 * gap**2 + 2.0 * self.sig2 * (spread - _EXP_ZERO))
         self._pdf_window = _window_size(self._node_y, 2.0 * self._pdf_reach)
         self._pdf_rows = _window_rows([self._node_y, self._node_logterm], self._pdf_window)
+        a, b = self.base.support
+        # the span the table serves beyond finite ends (_EDGE_DECAY); at a
+        # graded end the base density is not analytic, and the singular
+        # factor on the innermost graded panel errs more the farther out the
+        # point, so the tilted rule takes every point beyond it
+        reach = [0.0 if e in self.base._kink_points else _EDGE_DECAY * self.sig2 / w_max
+                 for e in (a, b)]
+        self._table_span = (a - reach[0], b + reach[1])
         # the table's ends on infinite sides, each with its outward direction
         # and V, V' there, for the missed-mass bound of _table_misses_mass
-        a, b = self.base.support
         self._table_ends = tuple(
             (y, outward, float(self.base.potential(y)), float(self.base.potential_d1(y)))
             for y, outward, end in ((self._ylo, -1.0, a), (self._yhi, 1.0, b))
@@ -1810,16 +1830,19 @@ class _Regularized1D(LogConcaveMeasure1D):
         return _by_blocks(t.size, width, block, (2,) if logslope else ())
 
     def _table_misses_mass(self, t, log_dens):
-        """Points of 1D ``t`` whose node-table sum may miss mass.
+        """Points of 1D ``t`` whose node-table sum may miss mass, or may not
+        resolve it.
 
-        Beyond the table's end y_e on an infinite side, the log-concave
-        integrand h_t(y) = exp(-V(y) - (t - y)^2 / (2 sig2)) decays at
-        least at its outward rate s_t at y_e, so the mass it leaves out is
-        at most h_t(y_e) / s_t.  A point is flagged where s_t <= 0, or where
-        that bound exceeds 2**-60 of its window's sum, ``log_dens`` in the
-        units of the log density.
+        Points outside ``_table_span``, far beyond a finite end, are
+        flagged.  Beyond the table's end y_e on an infinite side, the
+        log-concave integrand h_t(y) = exp(-V(y) - (t - y)^2 / (2 sig2))
+        decays at least at its outward rate s_t at y_e, so the mass it
+        leaves out is at most h_t(y_e) / s_t.  A point is flagged where
+        s_t <= 0, or where that bound exceeds 2**-60 of its window's sum,
+        ``log_dens`` in the units of the log density.
         """
-        miss = np.zeros(t.shape, bool)
+        lo, hi = self._table_span
+        miss = (t < lo) | (t > hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for y_e, outward, v_e, d1_e in self._table_ends:
                 rate = outward * (d1_e - (t - y_e) / self.sig2)
@@ -1835,9 +1858,9 @@ class _Regularized1D(LogConcaveMeasure1D):
     def _log_pdf(self, x):
         """Node-table log density, the expression ``pdf`` exponentiates.
 
-        A point whose table may miss more than 2**-60 of its mass
-        (``_table_misses_mass``) takes the tilted rule's ``-potential``
-        instead.
+        A point whose table may miss more than 2**-60 of its mass, or lies
+        too far beyond a finite end (``_table_misses_mass``), takes the
+        tilted rule's ``-potential`` instead.
         """
         x_in = np.asarray(x, dtype=float)
         t = np.atleast_1d(x_in).astype(float).ravel()

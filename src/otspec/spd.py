@@ -52,6 +52,8 @@ _RECON_RTOL = 1e-10
 _CHUNK = 1 << 17
 # e^x is a finite normal float for |x| up to this bound
 _MAX_LOG_SPREAD = -float(np.log(np.finfo(float).tiny))
+# random_spd's default log-spread, which geometry-selftest's draws share
+_LOG_SPREAD = 3.0
 
 
 def _validated(a, name, stack=False, cholesky=False):
@@ -401,36 +403,33 @@ def _log_quadform(a, v):
     return np.log((v[..., None, :] @ a @ v[..., :, None])[..., 0, 0])
 
 
-def random_spd(rng, dim, log_spread=3.0):
+def random_spd(rng, dim, log_spread=_LOG_SPREAD):
     """Random SPD matrix QᵗDQ with controlled spectrum.
 
     Q comes from the QR factorization of a standard Gaussian matrix and D
     is diagonal with entries log-uniform on [e^{-log_spread}, e^{log_spread}],
-    so condition numbers up to e^{2 log_spread} stress the tolerances.
-    The draw is returned exactly symmetrized but not validated: every
-    consumer validates its stack at its own boundary.
+    so condition numbers up to e^{2 log_spread} stress the tolerances.  The
+    Gaussian matrix is drawn first, then the log-eigenvalues.  The draw is
+    returned exactly symmetrized but not validated: every consumer
+    validates its stack at its own boundary.
     """
-    return _spd_from_draws(*_spd_draws(rng, dim, log_spread))
-
-
-def _spd_draws(rng, dim, log_spread=3.0):
-    """``random_spd``'s draws, in its stream order: the Gaussian matrix,
-    then the log-eigenvalues."""
     log_spread = float(log_spread)
     if not 0.0 <= log_spread <= _MAX_LOG_SPREAD:
         raise ValueError(
             f"log_spread must lie in [0, {_MAX_LOG_SPREAD:.2f}] so that its "
             f"exponentials stay normal floats, got {log_spread}"
         )
-    return rng.standard_normal((dim, dim)), rng.uniform(-log_spread, log_spread, size=dim)
+    normals = rng.standard_normal((dim, dim))
+    return _spd_from_draws(normals, rng.uniform(-log_spread, log_spread, size=dim))
 
 
 def _spd_from_draws(normals, log_eigs):
-    """QᵗDQ from ``_spd_draws`` output, for one matrix or a stack.
+    """QᵗDQ from a Gaussian matrix and log-eigenvalues, for one matrix or
+    a stack.
 
     ``normals`` has shape (..., n, n) and ``log_eigs`` shape (..., n).  A
     stack is factored by one stacked QR and gives, slice by slice, the bits
-    that consecutive ``random_spd`` calls give.
+    that each slice factored alone gives.
     """
     q, r = np.linalg.qr(normals)
     q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]

@@ -234,6 +234,16 @@ class TestDraws:
         ]
         assert streams == [(3, b) for b in range(_BLOCKS)]
 
+    def test_sample_count_must_be_an_integer(self):
+        # a non-integral count is refused, not truncated
+        tm = _pair("uniform", (0.0, 1.0), "exponential", (1.0,))
+        for bad in (1000.9, True, float("nan"), float("inf"), "1000"):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                spectral_samples(tm, bad, 3)
+        want = spectral_samples(tm, 1000, 3).spectra
+        for good in (1000.0, np.int64(1000)):
+            assert np.array_equal(spectral_samples(tm, good, 3).spectra, want)
+
 
 def _refuse(*args, **kwargs):
     raise AssertionError("unneeded draw")
@@ -387,6 +397,15 @@ class TestQuadratureVariance:
             )
             assert rep.variances[0] <= 1e-12
 
+    def test_node_count_must_be_an_integer(self):
+        # a non-integral count is refused, not truncated
+        for bad in (2048.9, True, float("nan"), "2048"):
+            with pytest.raises(ValueError, match="nodes must be an integer"):
+                _panel_nodes(bad)
+        want = _panel_nodes(2048)
+        for good in (2048.0, np.int32(2048)):
+            assert all(np.array_equal(a, b) for a, b in zip(_panel_nodes(good), want))
+
     def test_bound_margin_and_budget(self):
         rep = eigen_log_variance_quadrature_1d(
             _pair("beta", (2.0, 3.0), "logistic", (0.0, 1.0)), nodes=512
@@ -480,6 +499,22 @@ class TestFunctionBank:
         assert len(names) == len(set(names))
         assert "mean" in names and "max" in names and "log-sum-exp" in names
         assert sum(n.startswith("coordinate") for n in names) == 3
+
+    def test_dimension_must_be_an_integer(self):
+        # a non-integral dimension is refused, not truncated
+        for bad in (2.9, True, float("nan"), "3"):
+            with pytest.raises(ValueError, match="bank dimension must be an integer"):
+                function_bank(bad)
+        for good in (3.0, np.int64(3)):
+            assert [f.name for f in function_bank(good)] == [f.name for f in function_bank(3)]
+
+    def test_matrix_bank_dimension_must_be_an_integer(self):
+        for bad in (2.9, True, float("nan"), "3"):
+            with pytest.raises(ValueError, match="bank dimension must be an integer"):
+                matrix_function_bank(bad)
+        for good in (3.0, np.int64(3)):
+            got = [f.name for f in matrix_function_bank(good)]
+            assert got == [f.name for f in matrix_function_bank(3)]
 
     def test_gradients_match_finite_differences(self):
         s = rng.stream(41, 0)
@@ -709,6 +744,14 @@ class TestMatrixPoincare:
         assert [name for name, _ in calls] == ["_validated", "eigvalsh"] * 5
         for k in range(2):
             assert np.array_equal(np.concatenate([h for _, h in calls[k::2]]), hessians)
+
+    def test_sample_count_must_be_an_integer(self, radial_map):
+        bank = matrix_function_bank(3)
+        for bad in (1000.9, True, float("nan")):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                matrix_poincare(radial_map, bank, bad, 5)
+        want = [r.value for r in matrix_poincare(radial_map, bank, 1000, 5)]
+        assert [r.value for r in matrix_poincare(radial_map, bank, 1000.0, 5)] == want
 
 
 @pytest.fixture(scope="module")
@@ -1382,6 +1425,14 @@ class TestExperimentCatalog:
         for label, tm in exps:
             if tm.kind == "1d":
                 assert label == f"1d:{tm.source.name}->{tm.target.name}"
+
+    def test_unknown_labels_are_refused(self):
+        # a typo raises, naming every unknown label, instead of dropping rows
+        bad = ["radial:ball->gaussian n=9", "gaussian:n=3", "1d:uniform->exponential"]
+        unknown = "['radial:ball->gaussian n=9', '1d:uniform->exponential'];"
+        with pytest.raises(ValueError, match=re.escape(f"unknown experiment labels {unknown}")):
+            default_experiments(bad)
+        assert [label for label, _ in default_experiments(["gaussian:n=3"])] == ["gaussian:n=3"]
 
     def test_catalog_is_deterministic(self):
         a = dict(default_experiments())

@@ -225,6 +225,29 @@ class TestCdfQuantile:
         fd = (m.cdf(x + h) - m.cdf(x - h)) / (2 * h)
         assert np.allclose(fd, m.pdf(x), rtol=5e-5, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("laplace", (0.0, 1.0)), ("laplace", (3.0, 2.0)), ("exponential", (1.0,)), ("exponential", (0.5,))],
+    )
+    def test_cdf_far_outside_the_bulk_does_not_overflow(self, name, params):
+        # only the exponent of the kept branch is computed, so +-800 scales
+        # and the closed-form start for p = 1e-320 (x = -736 for the unit
+        # laplace) raise no overflow warning, which the suite makes an
+        # error; the values are the two-branch formula's, bit for bit
+        m = make_catalog_measure(name, params)
+        loc, scale = m._location_scale()
+        x = loc + scale * np.linspace(-800.0, 800.0, 1601)
+        with np.errstate(over="ignore"):
+            if name == "laplace":
+                z = (x - m.m) / m.b
+                want = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+            else:
+                want = np.where(x > 0, -np.expm1(-m.rate * x), 0.0)
+        got = m.cdf(x)
+        assert np.array_equal(got, want)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        assert m.cdf(m.quantile(1e-320)) == pytest.approx(1e-320, rel=1e-2)
+
     def test_gaussian_upper_quantile_against_quadrature_oracle(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
 
@@ -954,6 +977,18 @@ class TestRadialMeasure:
         with pytest.raises(ValueError, match="must be positive"):
             make_radial_measure(family, dim, 0.0)
 
+    @pytest.mark.parametrize("family", ["uniform-ball", "gaussian"])
+    def test_dimension_must_be_an_integer(self, family):
+        # a non-integral dimension is refused, not truncated: at 2.5 the
+        # normalizers used 2.5 while dim read 2
+        for bad in (2.5, True, np.bool_(True), float("nan"), float("inf"), "3"):
+            with pytest.raises(ValueError, match="radial dimension must be an integer"):
+                make_radial_measure(family, bad)
+        for good in (3.0, np.int64(3)):
+            m = make_radial_measure(family, good)
+            assert m.dim == 3 and type(m.dim) is int
+            assert m.potential(np.ones(3)) == make_radial_measure(family, 3).potential(np.ones(3))
+
     @pytest.mark.parametrize("dim, sigma", [(1, 1.0), (16, 1.0), (16, 6.7e153), (16, 1.5e-154)])
     def test_radial_gaussian_density_off_the_open_half_line(self, dim, sigma):
         # no invalid or overflow warning (the suite makes them errors): 0 at
@@ -1179,6 +1214,31 @@ class TestRegularize:
             r = regularize(make_catalog_measure(name, params), n)
             x = r.quantile(levels)
             assert np.max(np.abs(r._log_pdf(x) + r.potential(x))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("uniform", (0.0, 1.0)),
+            ("exponential", (1.0,)),
+            ("gamma", (3.0, 1.0)),
+            ("gamma", (1.5, 1.0)),
+            ("beta", (2.0, 3.0)),
+            ("beta", (1.5, 2.5)),
+        ],
+    )
+    def test_log_pdf_beyond_a_finite_edge_matches_tilted_potential(self, name, params):
+        # outside a finite edge the kernel decays across each table panel;
+        # past 20 sig2 / w_max (8 sig here) a 16-node panel no longer
+        # resolves it, and past a graded edge the innermost panel's
+        # singular factor errs from the edge on (3.6e-11 at its worst), so
+        # those points take the tilted rule
+        out = np.concatenate([np.linspace(0.0, 12.0, 49), np.geomspace(12.5, 200.0, 12)])
+        for n in (5, 10, 20, 40):
+            r = regularize(make_catalog_measure(name, params), n)
+            for edge, outward in zip(r.base.support, (-1.0, 1.0)):
+                if np.isfinite(edge):
+                    x = edge + outward * r.sig * out
+                    assert np.max(np.abs(r._log_pdf(x) + r.potential(x))) <= 1e-13
 
     def test_log_pdf_falls_back_where_the_table_misses_mass(self):
         # the table ends at the base's 1e-15 quantiles, +-1.99, and far

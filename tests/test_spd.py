@@ -10,7 +10,6 @@ from otspec.measures import GaussianMeasure
 from otspec.rng import stream
 from otspec.spd import (
     _geodesic_lengths,
-    _spd_draws,
     _spd_from_draws,
     _validated,
     curve_length,
@@ -105,16 +104,17 @@ class TestRandomSpd:
             d = np.exp(s.uniform(-spread, spread, size=n))
             assert np.array_equal(a, _validated((q.T * d) @ q, "a")[0])
             assert np.array_equal(a, a.T)
+        # the default spread is 3
+        assert np.array_equal(random_spd(stream(12, 2), 2), random_spd(stream(12, 2), 2, 3.0))
 
     @pytest.mark.parametrize("spread", [0.0, 1.5, 3.0])
-    def test_stacked_draws_equal_consecutive_calls(self, spread):
-        # the draws of 40 matrices, factored as one stack, give the bits of
-        # 40 consecutive random_spd calls on the same stream
+    def test_stack_equals_each_slice_factored_alone(self, spread):
+        # 40 draws factored as one stack, and as a (2, 20) stack, give the
+        # bits of each draw factored alone
         for n in range(2, 9):
             s = stream(13, n)
-            want = np.stack([random_spd(s, n, log_spread=spread) for _ in range(40)])
-            s = stream(13, n)
-            normals, log_eigs = map(np.stack, zip(*(_spd_draws(s, n, spread) for _ in range(40))))
+            normals, log_eigs = s.standard_normal((40, n, n)), s.uniform(-spread, spread, (40, n))
+            want = np.stack([_spd_from_draws(g, e) for g, e in zip(normals, log_eigs)])
             assert np.array_equal(_spd_from_draws(normals, log_eigs), want)
             halves = _spd_from_draws(normals.reshape(2, 20, n, n), log_eigs.reshape(2, 20, n))
             assert np.array_equal(halves.reshape(40, n, n), want)
