@@ -148,13 +148,16 @@ _GRADE_RATIO = 0.25
 _TILT_PANELS = 16
 _TILT_BLOCK = 32
 # node-table sums: ndtr(z) is exactly 1.0 from z = 8.2924 up and exactly 0
-# from z = -37.677 down, and exp(z) is exactly 0 below -745.134; each bound
-# keeps a margin, so the terms a window leaves out are exact
+# from z = -37.677 down (each bound keeps a margin), so the terms the exact
+# cdf window leaves out are exact; the narrow one stops at z = -_NDTR_CUT,
+# and its drop, at most ndtr(-_NDTR_CUT) = 3.7e-51 of weights summing to 1,
+# is below 2**-60 of any sum of at least _CDF_NARROW_MIN
 _NDTR_ONE = 8.5
 _NDTR_ZERO = -38.5
-_EXP_ZERO = -746.0
-# a node-table log density is kept where the mass the table may miss beyond
-# an infinite end is below 2**-60 of its window's sum
+_NDTR_CUT = 15.0
+_CDF_NARROW_MIN = 2.0**60 * float(special.ndtr(-_NDTR_CUT))
+# a node-table density window leaves out at most 2**-60 of its sum, and a
+# log density is kept where the table may miss below 2**-60 of it
 _TAIL_LOG_TOL = -60.0 * math.log(2.0)
 # d outside a finite end, the kernel decays across a table panel of width w
 # as e^{-c u}, u in [0, 1], c = d w / sig2; the 16-node rule integrates that
@@ -409,7 +412,7 @@ class LogConcaveMeasure1D:
         if np.all(inside):
             out = np.exp(-np.atleast_1d(self.potential(x1)))
         else:
-            out = np.zeros_like(x1)
+            out = np.where(np.isnan(x1), np.nan, 0.0)
             if np.any(inside):
                 out[inside] = np.exp(-np.atleast_1d(self.potential(x1[inside])))
         return float(out[0]) if x_in.ndim == 0 else out
@@ -835,7 +838,8 @@ class _Uniform1D(LogConcaveMeasure1D):
     def potential(self, x):
         x = np.asarray(x, float)
         a, b = self.support
-        return np.where((x > a) & (x < b), self._log_norm, np.inf)
+        off = np.where(np.isnan(x), np.nan, np.inf)
+        return np.where((x > a) & (x < b), self._log_norm, off)
 
     def potential_d1(self, x):
         return np.zeros_like(np.asarray(x, float))
@@ -866,7 +870,7 @@ class _Exponential1D(LogConcaveMeasure1D):
 
     def potential(self, x):
         x = np.asarray(x, float)
-        return np.where(x > 0, self.rate * x - math.log(self.rate), np.inf)
+        return np.where(x <= 0, np.inf, self.rate * x - math.log(self.rate))
 
     def potential_d1(self, x):
         return np.full_like(np.asarray(x, float), self.rate)
@@ -877,7 +881,7 @@ class _Exponential1D(LogConcaveMeasure1D):
     def cdf(self, x):
         x = np.asarray(x, float)
         # expm1 of -rate * x would overflow far below 0, where it is unused
-        return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
+        return np.where(x <= 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
     def _location_scale(self):
         return 1.0 / self.rate, 1.0 / self.rate
@@ -910,7 +914,8 @@ class _Gamma1D(LogConcaveMeasure1D):
         x = np.asarray(x, float)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = self.rate * x - (self.shape - 1.0) * np.log(x) + self._log_norm
-        return np.where(x > 0, v, np.inf)
+        # v is inf - inf at +inf
+        return np.where((x <= 0) | (x == np.inf), np.inf, v)
 
     def potential_d1(self, x):
         x = np.asarray(x, float)
@@ -922,7 +927,9 @@ class _Gamma1D(LogConcaveMeasure1D):
 
     def cdf(self, x):
         x = np.asarray(x, float)
-        return np.where(x > 0, special.gammainc(self.shape, self.rate * x), 0.0)
+        return np.where(
+            x <= 0, 0.0, special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
+        )
 
     def _location_scale(self):
         return self.shape / self.rate, math.sqrt(self.shape) / self.rate
@@ -959,7 +966,7 @@ class _Beta1D(LogConcaveMeasure1D):
                 - (self.beta - 1.0) * np.log1p(-x)
                 + self._log_norm
             )
-        return np.where((x > 0) & (x < 1), v, np.inf)
+        return np.where((x <= 0) | (x >= 1), np.inf, v)
 
     def potential_d1(self, x):
         x = np.asarray(x, float)
@@ -1499,14 +1506,16 @@ class _Regularized1D(LogConcaveMeasure1D):
     all distinct points of a call together: one bisection finds every tilt
     mode, and the fixed rule of ``_tilted_moments`` integrates around it.
     ``cdf`` and ``pdf`` sum over the node table of ``_build_node_table``,
-    each point over its own window of nodes, sorted in y: outside it every
-    ``cdf`` term is exactly 0 or exactly its full weight, which exact head
-    and tail sums of the weights supply, and every ``pdf`` term is exactly
-    0.  So a point costs a few hundred terms, not the whole table, and
-    the sums differ from full ones only in their order.  That CDF has no
-    inverse, so ``quantile`` starts from the CDF table of the base class,
-    built once, at construction, around the gaussian fit of
-    ``_location_scale``.
+    each point over its own window of nodes, sorted in y.  On one side of
+    a ``cdf`` window every term is exactly its full weight, which exact
+    head and tail sums of the weights supply; the terms left out on the
+    other side, like those outside a ``pdf`` window, sum to at most 2**-60
+    of the point's sum, and a CDF tail too small for that bound is summed
+    again on the exact window, beyond which every term is exactly 0.  So
+    most points cost under 200 terms, not the whole table, and the sums
+    differ from full ones by rounding only.  That CDF has no inverse, so
+    ``quantile`` starts from the CDF table of the base class, built once,
+    at construction, around the gaussian fit of ``_location_scale``.
 
     ``_log_pdf``, which transport maps read for Phi'', is the node-table
     log density that ``pdf`` exponentiates.  The table ends at the base's
@@ -1615,27 +1624,35 @@ class _Regularized1D(LogConcaveMeasure1D):
             float(np.sum(self._node_y**k * self._node_cdf_w)) for k in (1, 2)
         )
         # cdf: ndtr((t - y')/tau) at the shrunk nodes y' = shrink y is
-        # exactly 1.0 up to _NDTR_ONE tau below t, and exactly 0 from
-        # _NDTR_ZERO tau above it; the window holds the most nodes any
-        # stretch of that length holds, and the nodes on the 1.0 side add
-        # their weights from exact head and tail sums
+        # exactly 1.0 up to _NDTR_ONE tau below t, and those nodes add their
+        # weights from exact head and tail sums; a window reaches _NDTR_CUT
+        # tau above t (narrow) or -_NDTR_ZERO tau (exact), holding the most
+        # nodes any stretch of that length holds.  ``_cdf_windows`` lists
+        # (width, rows), the exact one only where it is wider
         self._node_sy = self._shrink * self._node_y
         self._node_head = _exact_cumsum(self._node_cdf_w)
         self._node_tail = _exact_cumsum(self._node_cdf_w[::-1])[::-1]
-        self._cdf_window = _window_size(
-            self._node_sy, (_NDTR_ONE - _NDTR_ZERO) * self._tau
+        widths = dict.fromkeys(
+            _window_size(self._node_sy, (_NDTR_ONE + cut) * self._tau)
+            for cut in (_NDTR_CUT, -_NDTR_ZERO)
         )
-        self._cdf_rows = _window_rows([self._node_sy, self._node_cdf_w], self._cdf_window)
-        # pdf: a term exp(z - peak) is exactly 0 below _EXP_ZERO.  The
-        # nearest node, d_near away, bounds the peak from below, so z - peak
-        # is below it beyond sqrt(d_near^2 + 2 sig2 (spread - _EXP_ZERO)),
+        self._cdf_windows = tuple(
+            (width, _window_rows([self._node_sy, self._node_cdf_w], width))
+            for width in widths
+        )
+        # pdf: a window drops the terms exp(z - peak) below
+        # e**drop = 2**-60 / (node count), together at most 2**-60 of the
+        # sum, which holds the peak term, 1.
+        # The nearest node, d_near away, bounds the peak from below, so
+        # z - peak is below drop beyond sqrt(d_near^2 + 2 sig2 (spread - drop)),
         # spread being the range of z's node part; inside the table d_near
         # is at most half the widest gap, and outside it the window is the
         # one at the nearer end
         self._node_logterm = -np.atleast_1d(self.base.potential(self._node_y)) + log_q
         spread = np.ptp(self._node_logterm)
         gap = np.max(np.diff(self._node_y), initial=0.0)
-        self._pdf_reach = math.sqrt(0.25 * gap**2 + 2.0 * self.sig2 * (spread - _EXP_ZERO))
+        drop = _TAIL_LOG_TOL - math.log(self._node_y.size)
+        self._pdf_reach = math.sqrt(0.25 * gap**2 + 2.0 * self.sig2 * (spread - drop))
         self._pdf_window = _window_size(self._node_y, 2.0 * self._pdf_reach)
         self._pdf_rows = _window_rows([self._node_y, self._node_logterm], self._pdf_window)
         a, b = self.base.support
@@ -1766,12 +1783,11 @@ class _Regularized1D(LogConcaveMeasure1D):
         _, _, var = self._pointwise(x)
         return self._like(x, 1.0 / self.sig2 - var / self.sig2**2 + 1.0 / self.damp2)
 
-    def _cdf_starts(self, t):
-        """First node of each point's ``cdf`` window, and which points sum
-        their upper tail.  Below the window (above it, for an upper tail)
-        every term is its full weight, and beyond its other end every term
-        is 0."""
-        sy, width = self._node_sy, self._cdf_window
+    def _cdf_starts(self, t, width):
+        """First node of each point's ``cdf`` window of ``width`` nodes, and
+        which points sum their upper tail.  Below the window (above it, for
+        an upper tail) every term is its full weight."""
+        sy = self._node_sy
         upper = t > self._approx_mean
         first = np.searchsorted(sy, t - _NDTR_ONE * self._tau)
         last = np.searchsorted(sy, t + _NDTR_ONE * self._tau, side="right")
@@ -1781,34 +1797,46 @@ class _Regularized1D(LogConcaveMeasure1D):
         return start, upper
 
     def _pdf_starts(self, t):
-        """First node of each point's ``pdf`` window; every term outside it is 0."""
+        """First node of each point's ``pdf`` window; the terms outside it
+        are together at most 2**-60 of its sum."""
         y = self._node_y
         return np.minimum(np.searchsorted(y, t - self._pdf_reach), y.size - self._pdf_window)
 
-    def cdf(self, x):
-        """Node-table CDF, summed over each point's window of nodes; above
-        the approximate mean, 1 minus the upper tail, so that values near 1
-        carry no summation roundoff."""
-        x_in = np.asarray(x, dtype=float)
-        t = np.atleast_1d(x_in).astype(float).ravel()
-        width = self._cdf_window
-        start, upper = self._cdf_starts(t)
+    def _cdf_tail(self, t, width, rows):
+        """(tail, upper) at the 1D points ``t``, each summed over its window
+        of ``width`` nodes, sliced from ``rows``: the CDF, or above the
+        approximate mean (``upper``) 1 minus it."""
+        start, upper = self._cdf_starts(t, width)
         full = np.where(upper, self._node_tail[start + width], self._node_head[start])
         # dividing by -tau negates z exactly
         tau = np.where(upper, -self._tau, self._tau)[:, None]
 
         def block(lo, hi):
-            sy, w = self._cdf_rows[:, start[lo:hi]]
+            sy, w = rows[:, start[lo:hi]]
             z = (t[lo:hi, None] - sy) / tau[lo:hi]
             return full[lo:hi] + np.sum(special.ndtr(z) * w, axis=1)
 
-        tail = _by_blocks(t.size, width, block)
+        return _by_blocks(t.size, width, block), upper
+
+    def cdf(self, x):
+        """Node-table CDF, summed over each point's narrow window of nodes;
+        above the approximate mean, 1 minus the upper tail, so that values
+        near 1 carry no summation roundoff.  A tail below _CDF_NARROW_MIN,
+        where the narrow window's drop may reach 2**-60 of it, is summed
+        again on the exact window."""
+        x_in = np.asarray(x, dtype=float)
+        t = np.atleast_1d(x_in).astype(float).ravel()
+        tail, upper = self._cdf_tail(t, *self._cdf_windows[0])
+        deep = tail < _CDF_NARROW_MIN
+        if len(self._cdf_windows) > 1 and np.any(deep):
+            tail[deep] = self._cdf_tail(t[deep], *self._cdf_windows[1])[0]
         out = np.clip(np.where(upper, 1.0 - tail, tail), 0.0, 1.0)
         return float(out[0]) if x_in.ndim == 0 else out.reshape(np.shape(x_in))
 
     def _window_log_density(self, t, logslope):
         """Node-table log density at the 1D points ``t``, each summed over
-        its window of nodes; with ``logslope``, stacked over d/dt log pdf,
+        its window of nodes, which leaves out at most 2**-60 of the sum;
+        with ``logslope``, stacked over d/dt log pdf,
         -(t - E[y]) / sig2 - t / damp2, the mean taken under the window's
         own terms, in the same pass."""
         width = self._pdf_window

@@ -175,6 +175,23 @@ class TestCatalog:
         m = make_catalog_measure(name, params)
         assert abs(m._total_mass() - 1.0) <= 1e-13
 
+    @pytest.mark.parametrize("name,params", MASS_MEMBERS + [("gamma", (1.0, 1.0))])
+    def test_non_finite_points(self, name, params):
+        # NaN stays NaN, never read as a point off the support, and the
+        # infinities take their limits, with no warning (the suite makes
+        # them errors); gamma's V at +inf is not inf - inf
+        m = make_catalog_measure(name, params)
+        x = np.array([np.nan, -np.inf, np.inf])
+        nan, inf = np.nan, np.inf
+        for got, want in (
+            (m.cdf(x), [nan, 0.0, 1.0]),
+            (m.pdf(x), [nan, 0.0, 0.0]),
+            (m.potential(x), [nan, inf, inf]),
+            (m._log_pdf(x), [nan, -inf, -inf]),
+        ):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert math.isnan(m.cdf(nan)) and math.isnan(m.pdf(nan))
+
     def test_gaussian_potential_value(self):
         m = make_catalog_measure("gaussian", (0.0, 1.0))
         assert m.potential(0.0) == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-14)
@@ -1045,16 +1062,6 @@ REGULARIZED_BASES = [
     ("subbotin", (3.0,)),
 ]
 
-# the six measures of the acceptance gate's three floor-check pairs
-FLOOR_MEASURES = [
-    ("uniform", (0.0, 1.0), 10),
-    ("exponential", (1.0,), 10),
-    ("gaussian", (0.0, 1.0), 5),
-    ("gaussian", (0.0, 0.25), 5),
-    ("beta", (2.0, 3.0), 10),
-    ("gaussian", (0.0, 1.0), 10),
-]
-
 
 def _adaptive_tilted(r, t):
     """(log mass, mean, variance, clipped) of exp(-V(y)) N(t - y; sig2) dy.
@@ -1389,21 +1396,87 @@ class TestRegularize:
         assert np.all(np.abs(got_cdf - want_cdf) <= 4.0 * np.spacing(want_cdf))
         assert np.all(np.abs(got_pdf - want_pdf) <= 1e-13 * want_pdf)
 
-        # every term a window leaves out is exactly 0, or exactly its full
-        # weight on the side the head and tail sums cover
+        # a cdf window leaves out terms of exactly their full weight on the
+        # side the head and tail sums cover; on the other side the exact
+        # window's are exactly 0 and the narrow window's at most ndtr(-cut)
         ndtr, upper, log_term, peak = terms
         node = np.arange(r._node_y.size)
-        start, is_upper = r._cdf_starts(t)
-        assert np.array_equal(is_upper, upper)
-        before = node < start[:, None]
-        after = node >= start[:, None] + r._cdf_window
-        full_side = np.where(upper[:, None], after, before)
-        zero_side = np.where(upper[:, None], before, after)
-        assert np.all(ndtr[full_side] == 1.0)
-        assert np.all(ndtr[zero_side] == 0.0)
+        for (width, _), zero in zip(
+            r._cdf_windows[::-1], (0.0, special.ndtr(-measures._NDTR_CUT))
+        ):
+            start, is_upper = r._cdf_starts(t, width)
+            assert np.array_equal(is_upper, upper)
+            before = node < start[:, None]
+            after = node >= start[:, None] + width
+            full_side = np.where(upper[:, None], after, before)
+            zero_side = np.where(upper[:, None], before, after)
+            assert np.all(ndtr[full_side] == 1.0)
+            assert np.all(ndtr[zero_side] <= zero)
+        # a narrow tail too small to bound the drop by 2**-60 of it takes the
+        # exact window's value bit for bit, as does the point 50 sig below
+        # the table
+        tail, _ = r._cdf_tail(t, *r._cdf_windows[0])
+        exact, _ = r._cdf_tail(t, *r._cdf_windows[-1])
+        deep = tail < measures._CDF_NARROW_MIN
+        assert deep[-2]
+        want = np.clip(np.where(upper, 1.0 - exact, exact), 0.0, 1.0)
+        assert np.array_equal(got_cdf[deep], want[deep])
+        # the density terms a window leaves out sum to at most 2**-60 of
+        # the terms it keeps
         start = r._pdf_starts(t)
         outside = (node < start[:, None]) | (node >= start[:, None] + r._pdf_window)
-        assert np.all(np.exp(log_term - peak[:, None])[outside] == 0.0)
+        shifted = np.exp(log_term - peak[:, None])
+        dropped = np.sum(np.where(outside, shifted, 0.0), axis=1)
+        assert np.all(dropped <= 2.0**-60 * np.sum(np.where(outside, 0.0, shifted), axis=1))
+
+    @pytest.mark.parametrize("name,params,n", FLOOR_MEASURES)
+    def test_windows_hold_what_reaches_the_rounded_sum(self, name, params, n, monkeypatch):
+        # a wide table's narrow cdf window holds about 155 nodes and its
+        # density window about 170, against 300 and 510 while the windows
+        # reached exact underflow; a point whose narrow tail falls back adds
+        # the exact window; a table of at most 128 nodes sums every node in
+        # one pass
+        r = regularize(make_catalog_measure(name, params), n)
+        lo, hi = r._node_y[0] - 12.0 * r.sig, r._node_y[-1] + 12.0 * r.sig
+        t = np.concatenate([np.linspace(lo, hi, 1000), r._tab_x])
+        ndtr, upper, _, _ = _full_table_terms(r, t)
+        full_tail = _exact_row_sums(ndtr * r._node_cdf_w)
+        deep = np.sum(full_tail < 2.0 * measures._CDF_NARROW_MIN)
+        counts = {}
+        for fn, module in (("ndtr", measures.special), ("exp", measures.np)):
+            def counted(z, *args, fn=fn, f=getattr(module, fn), **kw):
+                counts[fn] = counts.get(fn, 0) + np.size(z)
+                return f(z, *args, **kw)
+
+            monkeypatch.setattr(module, fn, counted)
+        r.cdf(t)
+        r.pdf(t)
+        monkeypatch.undo()
+        size = r._node_y.size
+        if size <= 128:
+            assert counts == {"ndtr": size * t.size, "exp": (size + 1) * t.size}
+        else:
+            exact_width = r._cdf_windows[-1][0]
+            assert counts["ndtr"] <= 160 * t.size + exact_width * deep
+            # the window terms and the closing exponential of each point
+            assert counts["exp"] <= 176 * t.size
+
+    def test_grid_measure_sums_its_cdf_in_one_pass(self, monkeypatch):
+        # regularize(uniform(0, 1), 8) of sinkhorn2d has 64 nodes: the narrow
+        # window is the whole table, and no point, however deep in a tail,
+        # is summed again
+        r = regularize(make_catalog_measure("uniform", (0.0, 1.0)), 8)
+        assert r._node_y.size == 64 and len(r._cdf_windows) == 1
+        t = np.concatenate([np.linspace(-2.0, 3.0, 200), [-50.0, 50.0]])
+        sizes = []
+
+        def counted(z, ndtr=special.ndtr):
+            sizes.append(np.size(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(measures.special, "ndtr", counted)
+        r.cdf(t)
+        assert sizes == [64 * t.size]
 
     def test_cdf_evaluates_each_point_on_its_window(self, monkeypatch):
         # 17,696 nodes; each of the 1,000 points sums at most 1,000 of them
