@@ -7,6 +7,11 @@ Four shapes admit exact or quadrature-exact solutions: one-dimensional
 products of one-dimensional maps, and rotationally symmetric pairs
 (a radial profile from mass balance).
 
+A map has two public point oracles, ``map_points`` and ``hessian``; the
+spectra of D^2 Phi at a set of source draws come from its private coupled
+path, ``_coupled_log_spectra``, which ``concentration.spectral_samples``
+reads.
+
 All map objects are pure: evaluation never mutates state, and a radial
 map's one table, the quantile table of its target's radius law, is built
 at construction and read afterward, so instances can be shared freely
@@ -45,14 +50,13 @@ class TransportMap:
 
     Subclasses implement ``map_points`` (vectorized T), ``hessian``
     (the Hessians at points of shape (..., n), as an array of shape
-    (..., n, n)), ``log_spectra`` (batched descending log-eigenvalues
-    of the Hessian, as a column-major (m, n) array, so that each index's
-    values are contiguous) and ``_coupled_log_spectra(gen, size)``: the
-    log-spectra at ``size`` source draws, computed from only the draws of
-    ``gen`` the spectrum depends on.  It makes the requests the source's
-    ``sample`` would make, in the same order, up to the last one it needs,
-    so each draw's spectrum is ``log_spectra`` of the point ``sample``
-    would give, up to rounding.
+    (..., n, n)) and ``_coupled_log_spectra(gen, size)``: the descending
+    log-eigenvalues of the Hessian at ``size`` source draws, as a
+    column-major (m, n) array, so that each index's values are contiguous,
+    computed from only the draws of ``gen`` the spectrum depends on.  It
+    makes the requests the source's ``sample`` would make, in the same
+    order, up to the last one it needs, so each draw's spectrum is that of
+    the Hessian at the point ``sample`` would give, up to rounding.
     """
 
     kind = "abstract"
@@ -62,20 +66,22 @@ class TransportMap:
         self.source = source
         self.target = target
 
-    def __call__(self, x):
-        return self.map_points(x)
-
     def map_points(self, x):
         raise NotImplementedError
 
     def hessian(self, x):
         raise NotImplementedError
 
-    def log_spectra(self, x):
-        raise NotImplementedError
-
     def _coupled_log_spectra(self, gen, size):
         raise NotImplementedError
+
+    def _points(self, x):
+        """``x`` as a float array of points, shape (..., n); a last axis
+        other than n raises ``ValueError``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"points must have shape (..., {self.dim}), got {x.shape}")
+        return x
 
     def __repr__(self):
         return f"{type(self).__name__}(kind={self.kind!r}, dim={self.dim})"
@@ -112,18 +118,9 @@ class Map1D(TransportMap):
         """
         return self.source._log_pdf(x) - self.target._log_pdf(t)
 
-    def second_derivative(self, x):
-        return np.exp(self.log_second_derivative(x))
-
     def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.second_derivative(x[..., 0])[..., None, None]
-
-    def log_spectra(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 2 and x.shape[1] == 1:
-            x = x[:, 0]
-        return self.log_second_derivative(x)[:, None]
+        x = self._points(x)
+        return np.exp(self.log_second_derivative(x[..., 0]))[..., None, None]
 
     def _coupled_log_d2(self, u):
         """log Phi'' at the source's u-quantile, for quantile levels u.
@@ -153,16 +150,12 @@ class LinearMap(TransportMap):
         self._log_spec = np.log(w)
 
     def map_points(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._points(x)
         return (x - self.source.mean) @ self.matrix + self.target.mean
 
     def hessian(self, x):
-        lead = np.shape(x)[:-1]
+        lead = self._points(x).shape[:-1]
         return np.broadcast_to(self.matrix, lead + self.matrix.shape).copy()
-
-    def log_spectra(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(self._log_spec, (x.shape[0], self.dim)).copy(order="F")
 
     def _coupled_log_spectra(self, gen, size):
         """The constant spectrum in every row, as a read-only view; ``gen``
@@ -183,7 +176,7 @@ class ProductMap(TransportMap):
         self.factors = factor_maps
 
     def map_points(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._points(x)
         cols = [f.map_points(x[..., i]) for i, f in enumerate(self.factors)]
         return np.stack(cols, axis=-1)
 
@@ -198,16 +191,11 @@ class ProductMap(TransportMap):
         return np.moveaxis(np.stack(cols), 0, -1)
 
     def hessian(self, x):
-        diag = np.exp(self._factor_log_d2(x))
+        diag = np.exp(self._factor_log_d2(self._points(x)))
         out = np.zeros(diag.shape + (self.dim,))
         k = np.arange(self.dim)
         out[..., k, k] = diag
         return out
-
-    def log_spectra(self, x):
-        """The factors' log Phi_i'' in decreasing order, column-major."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _sort_rows_descending(self._factor_log_d2(x))
 
     def _coupled_log_spectra(self, gen, size):
         """One uniform request per factor, in factor order, as the source's
@@ -246,7 +234,7 @@ class RadialMap(TransportMap):
     origin the tangential value degenerates to phi'(0).
 
     ``profile`` solves the mass balance exactly and serves ``map_points``
-    and ``hessian``.  ``log_spectra`` reads ``profile_fast``, the quintic
+    and ``hessian``.  The spectra read ``profile_fast``, the quintic
     start of the quantile table of the target's radius law (built once,
     here), which the tests hold to ``profile``: within 1e-6 in
     log-eigenvalue from r = 1e-4 out, in dimensions 2 to 64.
@@ -311,7 +299,7 @@ class RadialMap(TransportMap):
         return lam_rad, lam_tan
 
     def map_points(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._points(x)
         r_safe = np.maximum(self._radii(x), self._floor)
         scale = self.profile(r_safe) / r_safe
         return x * np.expand_dims(scale, -1)
@@ -321,7 +309,7 @@ class RadialMap(TransportMap):
 
         Within 1e-7 r_hi of the origin the Hessian is lam_rad I.
         """
-        x = np.asarray(x, dtype=float)
+        x = self._points(x)
         r = self._radii(x)
         lam_rad, lam_tan = self._eigen_pair(r)
         origin = r < self._floor
@@ -333,10 +321,6 @@ class RadialMap(TransportMap):
         h = lam_rad * proj
         h += np.multiply(lam_tan, np.subtract(np.eye(self.dim), proj, out=proj), out=proj)
         return h
-
-    def log_spectra(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._radial_log_spectra(self._radii(x))
 
     def _coupled_log_spectra(self, gen, size):
         """Spectra at the radii of the source's draws: the radius uniforms

@@ -401,11 +401,16 @@ def _run_streams(n_samples, seed):
 
     Block b draws from ``rng.stream(seed, b)``.  Runs are whole blocks
     because a sampler may make several requests per call (radii, then
-    normals): a block split across runs would interleave them.
+    normals): a block split across runs would interleave them.  The seed
+    is a non-negative integer, checked here, so that no draw is made from
+    a truncated one.
     """
     n_samples = _check_integer("n_samples", n_samples)
     if n_samples < _BLOCKS:
         raise ValueError(f"need at least {_BLOCKS} samples, got {n_samples}")
+    seed = _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return [(_BlockStreams(seed, first, sizes), rows) for first, sizes, rows in _runs(n_samples)]
 
 

@@ -1350,7 +1350,8 @@ class _UniformBall(RadialMeasure):
 
     def radial_potential(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= self.radius, self._log_volume, np.inf)
+        inside = (r >= 0.0) & (r <= self.radius)
+        return np.where(inside, self._log_volume, np.where(np.isnan(r), r, np.inf))
 
     def radial_potential_d1(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
@@ -1366,7 +1367,9 @@ class _UniformBall(RadialMeasure):
         r = np.asarray(r, dtype=float)
         inside = (r >= 0) & (r <= self.radius)
         return np.where(
-            inside, self.dim * r ** (self.dim - 1) / self.radius**self.dim, 0.0
+            inside,
+            self.dim * r ** (self.dim - 1) / self.radius**self.dim,
+            np.where(np.isnan(r), r, 0.0),
         )
 
     def radial_quantile(self, p):
@@ -1394,7 +1397,7 @@ class _RadialGaussian(RadialMeasure):
 
     def radial_potential(self, r):
         r = np.asarray(r, dtype=float)
-        return 0.5 * (r / self.sigma) ** 2 + self._log_norm
+        return np.where(r < 0.0, np.inf, 0.5 * (r / self.sigma) ** 2 + self._log_norm)
 
     def radial_potential_d1(self, r):
         return np.asarray(r, dtype=float) / self.sigma**2
@@ -1404,12 +1407,14 @@ class _RadialGaussian(RadialMeasure):
 
     def radial_cdf(self, r):
         r = np.asarray(r, dtype=float)
-        return special.gammainc(0.5 * self.dim, 0.5 * (r / self.sigma) ** 2)
+        cdf = special.gammainc(0.5 * self.dim, 0.5 * (r / self.sigma) ** 2)
+        return np.where(r < 0.0, 0.0, cdf)
 
     def radial_pdf(self, r):
         # the log-density is formed on (0, inf) only: the density is 0 at
-        # r = inf, and r <= 0 (or nan) takes its value at the origin; a
-        # square that leaves the doubles is +inf, giving density 0
+        # r = inf and r < 0, r = 0 takes its value at the origin, and nan
+        # stays nan; a square that leaves the doubles is +inf, giving
+        # density 0
         r = np.asarray(r, dtype=float)
         inner = (r > 0.0) & (r < np.inf)
         s = np.where(inner, r, 1.0)
@@ -1420,7 +1425,8 @@ class _RadialGaussian(RadialMeasure):
                 - 0.5 * (s / self.sigma) ** 2
             )
         origin = 0.0 if self.dim > 1 else np.exp(self._log_shell)
-        return np.where(inner, np.exp(logpdf), np.where(r > 0.0, 0.0, origin))
+        off = np.where(r == 0.0, origin, np.where(np.isnan(r), r, 0.0))
+        return np.where(inner, np.exp(logpdf), off)
 
     def radial_quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -1754,15 +1760,21 @@ class _Regularized1D(LogConcaveMeasure1D):
 
         Each distinct value is evaluated once: one bisection finds every
         tilt mode, and the moment rule runs ``_TILT_BLOCK`` points at a
-        time; the three arrays have the shape of ``x``.
+        time; the three arrays have the shape of ``x``.  At t = +-inf the
+        tilted mass is 0: the log mass is -inf, the mean is reported as 0,
+        which gives ``potential_d1`` its limit, and the variance as NaN.
         """
         x = np.asarray(x, dtype=float)
         t, inverse = np.unique(x.ravel(), return_inverse=True)
+        inf = np.isinf(t)
+        if inf.any():
+            t = np.where(inf, self._approx_mean, t)
         mode = self._tilt_modes(t)
         out = np.empty((3, t.size))
         for lo in range(0, t.size, _TILT_BLOCK):
             hi = lo + _TILT_BLOCK
             out[:, lo:hi] = self._tilted_moments(t[lo:hi], mode[lo:hi])
+        out[:, inf] = [[-np.inf], [0.0], [np.nan]]
         return tuple(v[inverse].reshape(x.shape) for v in out)
 
     @staticmethod
@@ -1780,6 +1792,8 @@ class _Regularized1D(LogConcaveMeasure1D):
         return self._like(x, (t - mean) / self.sig2 + t / self.damp2)
 
     def potential_d2(self, x):
+        """V_N'' from the tilted variance.  At t = +-inf it is NaN: its limit
+        there depends on the base's tail."""
         _, _, var = self._pointwise(x)
         return self._like(x, 1.0 / self.sig2 - var / self.sig2**2 + 1.0 / self.damp2)
 
@@ -1838,7 +1852,16 @@ class _Regularized1D(LogConcaveMeasure1D):
         its window of nodes, which leaves out at most 2**-60 of the sum;
         with ``logslope``, stacked over d/dt log pdf,
         -(t - E[y]) / sig2 - t / damp2, the mean taken under the window's
-        own terms, in the same pass."""
+        own terms, in the same pass.  At t = +-inf the log density is -inf
+        and the log-slope -t, their limits."""
+        inf = np.isinf(t)
+        if inf.any():
+            out = self._window_log_density(np.where(inf, self._approx_mean, t), logslope)
+            if logslope:
+                out[0, inf], out[1, inf] = -np.inf, -t[inf]
+            else:
+                out[inf] = -np.inf
+            return out
         width = self._pdf_window
         start = self._pdf_starts(t)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import integrate
 
 from otspec import rng
 from otspec.brenier import (
+    _sort_rows_descending,
     brenier_1d,
     brenier_gaussian,
     brenier_product,
@@ -56,7 +58,7 @@ class TestMap1D:
         tm = brenier_1d(mu, nu)
         x = np.linspace(-3, 3, 13)
         assert np.allclose(tm.map_points(x), 2.0 * x, atol=1e-9)
-        assert np.allclose(tm.second_derivative(x), 2.0, atol=1e-12)
+        assert np.allclose(tm.hessian(x[:, None])[:, 0, 0], 2.0, atol=1e-12)
 
     def test_uniform_to_exponential(self):
         mu = make_catalog_measure("uniform", (0.0, 1.0))
@@ -64,7 +66,7 @@ class TestMap1D:
         tm = brenier_1d(mu, nu)
         x = np.linspace(0.05, 0.95, 19)
         assert np.allclose(tm.map_points(x), -np.log1p(-x), atol=1e-12)
-        assert np.allclose(tm.second_derivative(x), 1.0 / (1.0 - x), rtol=1e-12)
+        assert np.allclose(tm.hessian(x[:, None])[:, 0, 0], 1.0 / (1.0 - x), rtol=1e-12)
 
     def test_catalog_log_d2_keeps_its_bits(self):
         # a catalog measure's log density is -V, so Phi'' is the potential
@@ -86,7 +88,7 @@ class TestMap1D:
         nu = make_catalog_measure("exponential", (1.0,))
         tm = brenier_1d(mu, nu)
         x = np.array([0.2, 0.5, 0.8])
-        want = np.log(tm.second_derivative(x))
+        want = tm.log_second_derivative(x)
         h = tm.hessian(x[:, None])
         for theta in ([1.0], [-3.0], [0.25]):
             unit = np.full((3, 1), theta[0] / abs(theta[0]))
@@ -99,7 +101,7 @@ class TestMap1D:
         x = mu.quantile(np.linspace(0.05, 0.95, 15))
         h = 1e-6
         fd = (tm.map_points(x + h) - tm.map_points(x - h)) / (2 * h)
-        assert np.allclose(tm.second_derivative(x), fd, rtol=2e-6)
+        assert np.allclose(np.exp(tm.log_second_derivative(x)), fd, rtol=2e-6)
 
     @pytest.mark.parametrize(
         "src,dst",
@@ -233,23 +235,20 @@ class TestProductMap:
         pts = np.column_stack(
             [np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 7)]
         )
-        batch = tm.log_spectra(pts)
+        batch = _sort_rows_descending(tm._factor_log_d2(pts))
         for i, p in enumerate(pts):
             assert np.allclose(batch[i], log_eigen_map(tm.hessian(p)), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_spectra_order_matches_sort(self, n, monkeypatch):
+    def test_spectra_order_matches_sort(self, n):
         # every ordering of n distinct values, ties and infinities; the
         # compare-exchange network must give what sorting each row gives
-        g = make_catalog_measure("gaussian", (0.0, 1.0))
-        tm = brenier_product([brenier_1d(g, g)] * n)
         rows = np.array(list(itertools.permutations(range(n))), dtype=float) - 1.5
         draws = rng.stream(2024, 60).choice(
             [-np.inf, -1.0, 0.0, 0.0, 2.5, np.inf], size=(200, n)
         )
         rows = np.concatenate([rows, draws])
-        monkeypatch.setattr(tm, "_factor_log_d2", lambda x: np.asfortranarray(rows))
-        got = tm.log_spectra(np.zeros((rows.shape[0], n)))
+        got = _sort_rows_descending(np.array(rows, order="F"))
         assert np.array_equal(got, -np.sort(-rows, axis=1))
         assert got.flags.f_contiguous
 
@@ -284,7 +283,9 @@ class TestProductMap:
         pts = np.array([[0.5, 0.9], [0.2, 0.4]])
         theta = np.array([0.6, 0.8])
         got = log_quadratic_form(tm.hessian(pts), np.broadcast_to(theta, pts.shape))
-        d2 = np.column_stack([f.second_derivative(pts[:, i]) for i, f in enumerate(tm.factors)])
+        d2 = np.column_stack(
+            [np.exp(f.log_second_derivative(pts[:, i])) for i, f in enumerate(tm.factors)]
+        )
         np.testing.assert_allclose(got, np.log(d2 @ theta**2), rtol=0.0, atol=1e-12)
 
     def test_residual_is_zero(self):
@@ -306,7 +307,7 @@ class TestRadialMap:
         r = rng.stream(31, 6)
         pts = mu.sample(r, size=50)
         assert np.allclose(tm.map_points(pts), 2.5 * pts, atol=1e-7)
-        spec = tm.log_spectra(pts)
+        spec = tm._radial_log_spectra(tm._radii(pts))
         assert np.allclose(spec, math.log(2.5), atol=1e-7)
 
     def test_disk_to_gaussian_profile(self):
@@ -336,7 +337,7 @@ class TestRadialMap:
                 ) / (2 * h)
             fd = 0.5 * (fd + fd.T)
             got = np.sort(np.linalg.eigvalsh(fd))[::-1]
-            want = np.exp(tm.log_spectra(x[None, :])[0])
+            want = np.exp(tm._radial_log_spectra(tm._radii(x[None, :]))[0])
             assert np.allclose(got, want, atol=1e-5)
 
     @pytest.mark.parametrize("dim", [2, 8])
@@ -450,7 +451,7 @@ class TestRadialMap:
         if 1e-100 < scale < 1e100:
             assert np.array_equal(r, np.linalg.norm(pts, axis=1))
         np.testing.assert_allclose(r, np.linalg.norm(pts / scale, axis=1) * scale, rtol=1e-15)
-        assert np.all(np.isfinite(tm.log_spectra(pts)))
+        assert np.all(np.isfinite(tm._radial_log_spectra(r)))
 
     def test_residual_bound(self):
         mu = make_radial_measure("uniform-ball", 3, 1.0)
@@ -559,6 +560,20 @@ def _pair_1d(src, dst):
     return brenier_1d(make_catalog_measure(*src), make_catalog_measure(*dst))
 
 
+def _point_log_spectra(tm, x):
+    """Descending log-spectra at the points x of shape (m, n), column-major,
+    from the pieces each kind's coupled path reads once its draws are
+    points: log Phi'', the constant spectrum, the factors' log Phi_i''
+    through the compare-exchange network, or the spectrum at the radii."""
+    if tm.kind == "1d":
+        return tm.log_second_derivative(x[:, 0])[:, None]
+    if tm.kind == "gaussian-linear":
+        return np.broadcast_to(tm._log_spec, x.shape).copy(order="F")
+    if tm.kind == "product":
+        return _sort_rows_descending(tm._factor_log_d2(x))
+    return tm._radial_log_spectra(tm._radii(x))
+
+
 @pytest.mark.parametrize("kind", ["1d", "gaussian", "product", "radial"])
 class TestStackedHessians:
     def test_stack_matches_single_points(self, kind):
@@ -573,23 +588,36 @@ class TestStackedHessians:
         for k in range(x.shape[0]):
             np.testing.assert_allclose(h[k], tm.hessian(x[k]), rtol=rtol, atol=0.0)
 
+    def test_points_of_another_dimension_are_refused(self, kind):
+        # a last axis other than n is refused, not read in part (a 1-D
+        # Hessian of three scalars would be the first scalar's) or dropped
+        # or broadcast.  A 1-D map_points keeps its scalar convention, which
+        # the product and the Gamma_2 triples read per coordinate
+        tm, _ = _stack_case(kind)
+        n = tm.dim
+        oracles = [tm.hessian] if kind == "1d" else [tm.hessian, tm.map_points]
+        shapes = [(n + 2,), (4, n + 2)] + ([(4, n - 1)] if n > 1 else [])
+        for oracle, shape in itertools.product(oracles, shapes):
+            with pytest.raises(ValueError, match=re.escape(f"shape (..., {n}), got {shape}")):
+                oracle(np.full(shape, 0.25))
+
     def test_log_spectrum_matches_log_spectra(self, kind):
         tm, x = _stack_case(kind)
         got = log_eigen_map(tm.hessian(x))
-        # log_spectra reads the radial profile from the target law's table
+        # the spectra read the radial profile from the target law's table
         # start and the Hessian reads the exact one; at the origin point
         # (r = 1e-7, u = 1e-21, in the table's stretched tail) they differ
         # by 2.4e-9, elsewhere by at most 2e-14
         atol = 3e-8 if kind == "radial" else 1e-12
-        np.testing.assert_allclose(got, tm.log_spectra(x), rtol=0.0, atol=atol)
+        np.testing.assert_allclose(got, _point_log_spectra(tm, x), rtol=0.0, atol=atol)
 
     def test_log_spectra_order_the_hessian_spectrum(self, kind):
-        # log_spectra orders the spectrum without an eigensolver; the exact
-        # path sorts eigvalsh of the full Hessian.  Only the ordering and
+        # the spectra are ordered without an eigensolver; the exact path
+        # sorts eigvalsh of the full Hessian.  Only the ordering and
         # eigvalsh roundoff (a few eps of |H| / lambda in log) separate the
         # two, down to 1e-6 from the origin (inside 1e-7 the Hessian takes
-        # its isotropic branch), but for the radial profiles: log_spectra
-        # reads the target law's table start and the Hessian the exact
+        # its isotropic branch), but for the radial profiles: the spectra
+        # read the target law's table start and the Hessian the exact
         # inverse CDF, which differ by 4.1e-9 in log at r = 1e-6 (u = 1e-18,
         # in the table's stretched tail) and by at most 8.2e-14 elsewhere
         tm, x = _stack_case(kind)
@@ -598,7 +626,7 @@ class TestStackedHessians:
             near = np.geomspace(1e-6, 1e-1, 11)[:, None] * _dirs(rng.stream(31, 12), 11, 3)
             x = np.concatenate([x[1:], near])
             atol = np.where(np.linalg.norm(x, axis=1) < 2e-6, 1e-8, 1e-13)[:, None]
-        got = tm.log_spectra(x)
+        got = _point_log_spectra(tm, x)
         assert got.flags.f_contiguous
         want = np.log(np.linalg.eigvalsh(tm.hessian(x)))[:, ::-1]
         assert np.all(np.abs(got - want) <= atol)

@@ -54,7 +54,7 @@ from otspec.measures import (
     make_radial_measure,
     regularize,
 )
-from otspec.spd import log_quadratic_form, random_spd
+from otspec.spd import log_eigen_map, log_quadratic_form, random_spd
 
 
 def _pair(src, sp, dst, dp):
@@ -111,6 +111,19 @@ def self_plan():
     mu = discretize(g, ((-4.0, 4.0), (-4.0, 4.0)), 32, 32)
     plan = sinkhorn_solve(mu, mu, default_eps_schedule(mu, mu), max_iter=5000)
     return g, plan
+
+
+def _check_seeds(draw):
+    """``draw(seed)`` refuses a non-integral or negative seed, and takes an
+    integral float or a numpy integer as the int it equals."""
+    for bad in (2.5, True, np.bool_(True), float("nan"), float("inf"), "7", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw(bad)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        draw(-1)
+    want = draw(7)
+    for good in (7.0, np.int64(7)):
+        assert np.array_equal(draw(good), want)
 
 
 def _draw_per_block(measure, n_samples, seed):
@@ -243,6 +256,12 @@ class TestDraws:
         want = spectral_samples(tm, 1000, 3).spectra
         for good in (1000.0, np.int64(1000)):
             assert np.array_equal(spectral_samples(tm, good, 3).spectra, want)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # a non-integral seed is refused, not truncated (2.5 would run
+        # seed 2, and True seed 1)
+        tm = _pair("uniform", (0.0, 1.0), "exponential", (1.0,))
+        _check_seeds(lambda seed: spectral_samples(tm, 100, seed).spectra)
 
 
 def _refuse(*args, **kwargs):
@@ -753,6 +772,10 @@ class TestMatrixPoincare:
         want = [r.value for r in matrix_poincare(radial_map, bank, 1000, 5)]
         assert [r.value for r in matrix_poincare(radial_map, bank, 1000.0, 5)] == want
 
+    def test_seed_must_be_a_non_negative_integer(self, radial_map):
+        bank = matrix_function_bank(3)
+        _check_seeds(lambda seed: [r.value for r in matrix_poincare(radial_map, bank, 100, seed)])
+
 
 @pytest.fixture(scope="module")
 def default_maps():
@@ -1108,27 +1131,15 @@ class TestBlockPartials:
         assert np.array_equal(rep.standard_errors, np.sqrt(0.98 * np.sum(dev * dev, axis=0)))
 
 
-# the largest difference allowed between a plain set's spectra, computed
-# from the coupling's uniforms, and the spectra of the same draws' points:
-# none where both paths compute the same numbers (a uniform source's CDF
-# returns its uniforms exactly, and a Gaussian-linear spectrum is one
-# constant); for the other 1-D and product maps, the point path's
-# roundoff in F(F^{-1}(u)), which moves the target quantile most near a
-# tail (at most 1.2e-11 on these draws); for radial maps, the radius r
-# against |r d| (at most 1.1e-11 on these draws).  Both grow with the
-# conditioning of the target quantile: at seeds 0-24, 1e5 draws, a few
-# draws whose quantile level lies within 1e-5 of 0 or 1 differ by up to
-# 5.1e-10 (1-D and product) and 8.1e-9 (radial)
-_RUN_TOLERANCES = {
-    "1d:uniform(0.0,1.0)->exponential(1.0)": 0.0,
-    "1d:beta(2.0,3.0)->gaussian(0.0,1.0)": 2e-11,
-    "gaussian:n=3": 0.0,
-    "gaussian:n=5": 0.0,
-    "product:n=3": 2e-11,
-    "radial:ball->gaussian n=3": 1e-10,
-    "radial:ball->gaussian n=8": 1e-10,
-}
-_RUN_LABELS = tuple(_RUN_TOLERANCES)
+_RUN_LABELS = (
+    "1d:uniform(0.0,1.0)->exponential(1.0)",
+    "1d:beta(2.0,3.0)->gaussian(0.0,1.0)",
+    "gaussian:n=3",
+    "gaussian:n=5",
+    "product:n=3",
+    "radial:ball->gaussian n=3",
+    "radial:ball->gaussian n=8",
+)
 
 
 @pytest.fixture(scope="module")
@@ -1137,16 +1148,17 @@ def run_maps():
 
 
 def _whole_set_oracle(tm, n_samples, seed):
-    # the set as one request for all 50 blocks made it, with one
-    # ``log_spectra`` call and one ``hessian`` call on all the draws
+    # the set as one request for all 50 blocks made it: the coupled path's
+    # spectra, and one ``hessian`` call on all the draws' points
     n, sizes = n_samples, concentration._block_sizes(n_samples)
+    spectra = tm._coupled_log_spectra(concentration._BlockStreams(seed, 0, sizes), n)
     pts = tm.source.sample(concentration._BlockStreams(seed, 0, sizes), size=n).reshape(n, -1)
-    return tm.log_spectra(pts), tm.hessian(pts)
+    return spectra, tm.hessian(pts)
 
 
 class TestRunsOfBlocks:
-    """Runs of whole blocks give the whole-set results: sample sets within
-    the coupling's roundoff, the matrix bank's Hessians bit for bit."""
+    """Runs of whole blocks give the whole-set results bit for bit: the
+    sample sets' spectra and the matrix bank's Hessians."""
 
     @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
     @pytest.mark.parametrize("label", _RUN_LABELS)
@@ -1155,7 +1167,7 @@ class TestRunsOfBlocks:
         spectra, _ = _whole_set_oracle(tm, n, 41)
         plain = spectral_samples(tm, n, seed=41)
         assert plain.spectra.flags.f_contiguous
-        assert np.max(np.abs(plain.spectra - spectra)) <= _RUN_TOLERANCES[label]
+        assert np.array_equal(plain.spectra, spectra)
 
     @pytest.mark.parametrize("n", [50, 51, 1007, 100_003])
     @pytest.mark.parametrize("label", _RUN_LABELS)
@@ -1187,12 +1199,12 @@ class TestRunsOfBlocks:
     @pytest.mark.parametrize("label", ["product:n=3", "radial:ball->gaussian n=8"])
     def test_records_match_the_point_path(self, run_maps, label):
         # every bank ratio and exponential moment on a plain set agrees with
-        # the same statistic on the spectra of the same draws' points; a
-        # ratio's jackknife error is a difference of near sums, so it keeps
-        # fewer of the spectra's digits
+        # the same statistic on the eigensolved spectra of the Hessians at
+        # the same draws' points; a ratio's jackknife error is a difference
+        # of near sums, so it keeps fewer of the spectra's digits
         tm = run_maps[label]
         plain = spectral_samples(tm, 20_000, seed=2024)
-        oracle = SpectralSampleSet(_whole_set_oracle(tm, 20_000, 2024)[0])
+        oracle = SpectralSampleSet(log_eigen_map(_whole_set_oracle(tm, 20_000, 2024)[1]))
         # the concentration kind's gating constant and its default sweep
         cs = (0.1, *(round(0.02 * k, 2) for k in range(1, 11)))
         bank = function_bank(tm.dim)
@@ -1469,6 +1481,10 @@ class TestEntropicSamples:
         b = entropic_spectral_samples(plan, g, 500, seed=5)
         assert np.array_equal(a.spectra, b.spectra)
         assert a.skipped == b.skipped
+
+    def test_seed_must_be_a_non_negative_integer(self, self_plan):
+        g, plan = self_plan
+        _check_seeds(lambda seed: entropic_spectral_samples(plan, g, 100, seed).spectra)
 
     @pytest.mark.parametrize("axis, side", [(0, 0), (1, 1)])
     def test_box_verdict_matches_entropic_jacobian(self, self_plan, axis, side):

@@ -234,7 +234,7 @@ class TestContractedTensors:
         tm = t.tm
         x = np.linspace(-2.5, 2.5, 11)[:, None]
         want_grad = tm.map_points(x[:, 0])
-        want_hess = tm.second_derivative(x[:, 0])
+        want_hess = tm.hessian(x)[:, 0, 0]
         calls = []
         quantile = tm.target.quantile
 

@@ -1009,15 +1009,31 @@ class TestRadialMeasure:
     @pytest.mark.parametrize("dim, sigma", [(1, 1.0), (16, 1.0), (16, 6.7e153), (16, 1.5e-154)])
     def test_radial_gaussian_density_off_the_open_half_line(self, dim, sigma):
         # no invalid or overflow warning (the suite makes them errors): 0 at
-        # r = inf and where the square leaves the doubles, the origin's
-        # value at r <= 0 and nan, and the closed form on (0, inf)
+        # r = inf, where the square leaves the doubles and at r < 0, the
+        # origin's value at r = 0, nan at nan, and the closed form on (0, inf)
         rg = measures._RadialGaussian(dim, sigma)
         origin = 0.0 if dim > 1 else math.exp(rg._log_shell)
-        r = np.array([np.inf, 1e300 * sigma, 0.0, -1.0, np.nan])
-        assert np.array_equal(rg.radial_pdf(r), [0.0, 0.0, origin, origin, origin])
+        r = np.array([np.inf, 1e300 * sigma, 0.0, -1.0, -np.inf, np.nan])
+        want = [0.0, 0.0, origin, 0.0, 0.0, np.nan]
+        assert np.array_equal(rg.radial_pdf(r), want, equal_nan=True)
         r = sigma * np.array([1e-3, 0.5, 2.0, 9.0])
         want = np.exp(rg._log_shell + (dim - 1.0) * np.log(r) - 0.5 * (r / sigma) ** 2)
         assert np.array_equal(rg.radial_pdf(r), want)
+
+    @pytest.mark.parametrize("family", ["uniform-ball", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_radial_oracles_off_the_half_line(self, family, dim):
+        # a radius below 0 has CDF 0, density 0 and potential +inf, and nan
+        # gives nan, with no warning: the gaussian's closed forms are even
+        # in r, and the ball's support test alone reads -1 as inside
+        m = make_radial_measure(family, dim)
+        r = np.array([-1.0, -1e-300, -np.inf, np.nan])
+        assert np.array_equal(m.radial_cdf(r), [0.0, 0.0, 0.0, np.nan], equal_nan=True)
+        assert np.array_equal(m.radial_pdf(r), [0.0, 0.0, 0.0, np.nan], equal_nan=True)
+        want = [np.inf, np.inf, np.inf, np.nan]
+        assert np.array_equal(m.radial_potential(r), want, equal_nan=True)
+        assert m.radial_cdf(-1.0) == 0.0 and m.radial_pdf(-1.0) == 0.0
+        assert m.radial_potential(-1.0) == np.inf
 
     def test_ball_density_height(self):
         ball = make_radial_measure("uniform-ball", 2)
@@ -1185,6 +1201,32 @@ def _full_table_cdf_pdf(r, t, terms):
 
 
 class TestRegularize:
+    @pytest.mark.parametrize("name,params", REGULARIZED_BASES)
+    def test_oracles_at_non_finite_points(self, name, params):
+        # with no warning (the suite makes them errors): each oracle's limit
+        # at -inf and +inf, nan at nan, and at a finite point its value on
+        # its own; potential_d2's limit depends on the base's tail, so it
+        # is nan there
+        r = regularize(make_catalog_measure(name, params), 5)
+        x = np.array([-np.inf, np.inf, np.nan, 0.3])
+        inf, nan = np.inf, np.nan
+        limits = {
+            "pdf": (0.0, 0.0),
+            "_log_pdf": (-inf, -inf),
+            "potential": (inf, inf),
+            "potential_d1": (-inf, inf),
+            "potential_d2": (nan, nan),
+        }
+        for oracle, ends in limits.items():
+            f = getattr(r, oracle)
+            want = [*ends, nan, f(0.3)]
+            assert np.array_equal(f(x), want, equal_nan=True), oracle
+            assert np.array_equal([f(-inf), f(inf), f(nan)], [*ends, nan], equal_nan=True)
+        dens, slope = r._pdf_logslope(x)
+        alone = r._pdf_logslope(x[3:])
+        assert np.array_equal(dens, [0.0, 0.0, nan, alone[0][0]], equal_nan=True)
+        assert np.array_equal(slope, [inf, -inf, nan, alone[1][0]], equal_nan=True)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(TypeError):
             regularize("nope", 5)
